@@ -164,7 +164,8 @@ class Box:
     @staticmethod
     def make(arity: int, intervals: Iterable[Interval]) -> "Box":
         ivs = tuple(intervals)
-        assert len(ivs) == arity
+        if len(ivs) != arity:
+            raise ValueError(f"{len(ivs)} intervals for a box of arity {arity}")
         if any(iv.is_empty for iv in ivs):
             return Box(arity, None)
         return Box(arity, ivs)
@@ -329,12 +330,11 @@ class AbstractElement:
         return "; ".join(f"{n}: {b}" for n, b in self.items)
 
 
-def formula_box(formula: Formula, variables: Sequence[str], cap: int | None = None) -> Box:
+def formula_box(formula: Formula, variables: Sequence[str]) -> Box:
     """Tightest box over ``variables`` containing all formula solutions."""
     arity = len(variables)
-    cubes = to_dnf(formula) if cap is None else to_dnf(formula, cap)
     acc = Box.empty(arity)
-    for cube in cubes:
+    for cube in to_dnf(formula):
         raw = project_to_box(cube, variables)
         if raw is None:
             continue
@@ -342,12 +342,12 @@ def formula_box(formula: Formula, variables: Sequence[str], cap: int | None = No
     return acc
 
 
-def clause_post(clause: Clause, elem: AbstractElement, cap: int | None = None) -> Box:
+def clause_post(clause: Clause, elem: AbstractElement) -> Box:
     """Tightest head box a clause derives when its body holds in ``elem``."""
     parts: list[Formula] = [clause.constraint]
     for app in clause.body:
         parts.append(elem.get(app.pred.name).formula(app.args))
-    return formula_box(conj(parts), clause.head.args, cap)
+    return formula_box(conj(parts), clause.head.args)
 
 
 def clause_pre_restricted(
@@ -355,7 +355,6 @@ def clause_pre_restricted(
     position: int,
     restriction: AbstractElement,
     elem: AbstractElement,
-    cap: int | None = None,
 ) -> Box:
     """Tightest box for one body atom from which the clause can reach
     a head in ``elem``, with every body atom kept inside ``restriction``."""
@@ -363,4 +362,4 @@ def clause_pre_restricted(
     parts: list[Formula] = [clause.constraint, elem.get(head.pred.name).formula(head.args)]
     for app in clause.body:
         parts.append(restriction.get(app.pred.name).formula(app.args))
-    return formula_box(conj(parts), clause.body[position].args, cap)
+    return formula_box(conj(parts), clause.body[position].args)

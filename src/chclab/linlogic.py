@@ -1,17 +1,44 @@
 """Exact reasoning about negation-free linear rational formulas.
 
 Formulas are converted to disjunctive normal form (lists of conjunctive
-cubes) under a configurable cube cap, and cubes are decided or projected
-by Fourier-Motzkin elimination with exact ``Fraction`` arithmetic.
-Equalities are eliminated by substitution before inequalities are
-paired, which keeps intermediate systems small.  Combining a strict
-with a non-strict inequality yields a strict one.
+cubes) under a cube cap, ``DEFAULT_CUBE_CAP``.  Cubes are decided
+(:func:`cube_is_sat`) and projected onto interval bounds
+(:func:`project_to_box`) by one Fourier-Motzkin engine:
+
+* **Equalities first.**  Each equality is solved for one of its variables
+  and substituted away.  A projection pivots only on variables it was not
+  asked for; an equality over requested variables alone becomes two
+  inequalities.
+* **Integer rows.**  Every remaining inequality becomes a row of a
+  :class:`RowSet`: integer coefficients and constant without a common
+  divisor, a strict flag, a history (the bitmask of the original
+  inequalities the row combines) and the mask of the variables those
+  originals mention.  Combining a strict with a non-strict row yields a
+  strict one.
+* **Elimination order.**  The next variable eliminated is the one with
+  the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
+  it from below and from above.
+* **History pruning.**  A combined row is dropped when its history has
+  more than 1 + k members, k being the number of eliminated variables its
+  originals mention (Chernikov's rule with Kohler's count, after Imbert
+  1993): such a row is implied by rows with smaller histories.  Only
+  exact duplicates merge, and the copy with the smaller history stays.
+  Keeping just the tightest of the rows that share a coefficient vector
+  would drop rows whose histories the pruning of later steps relies on,
+  and it gives wrong answers.
+* **Budget.**  An elimination step that holds more than
+  ``DEFAULT_FM_CAP`` rows raises :class:`ResourceLimitError`.
+
+:func:`project_to_box` eliminates the variables it was not asked for once,
+then reads each requested variable's bounds off its single-variable
+projection, which also decides satisfiability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .syntax import (
     And,
@@ -25,6 +52,7 @@ from .syntax import (
 )
 
 DEFAULT_CUBE_CAP = 4096
+DEFAULT_FM_CAP = 4096
 
 
 class ResourceLimitError(Exception):
@@ -94,63 +122,185 @@ def to_dnf(formula: Formula, cap: int = DEFAULT_CUBE_CAP) -> list[ConjCube]:
     return [ConjCube.make(cs) for cs in go(formula)]
 
 
-def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
-    """Eliminate ``var`` from ``cube``, preserving satisfiability.
+# One row of a RowSet: (coeffs, const, strict, history, varmask) stands for
+# ``sum(coeffs[i] * names[i]) + const < 0`` if strict, else ``<= 0``.  The
+# integers share no common divisor; ``history`` has bit i set when the row
+# combines original inequality i, and ``varmask`` has bit j set when one of
+# those originals mentions ``names[j]``.
+Row = tuple[tuple[int, ...], int, bool, int, int]
 
-    If an equality mentions ``var`` it is solved for ``var`` and
-    substituted; otherwise lower/upper inequality pairs are combined.
-    Ground consequences (e.g. ``3 <= 2``) are retained so infeasibility
-    stays observable.
+
+@dataclass(frozen=True)
+class RowSet:
+    """The inequalities of one elimination run, as integer rows.
+
+    ``eliminated`` is the mask of the variable positions eliminated so
+    far; ``unsat`` is set once a ground contradiction has been derived.
     """
-    free: list[LinConstraint] = []
-    eqs: list[LinConstraint] = []
-    lowers: list[LinConstraint] = []
-    uppers: list[LinConstraint] = []
-    for c in cube.cons:
-        a = c.term.coeff(var)
-        if a == 0:
-            free.append(c)
-        elif c.rel is Rel.EQ:
-            eqs.append(c)
-        elif a > 0:
-            uppers.append(c)
-        else:
-            lowers.append(c)
 
-    if eqs:
-        pivot = min(eqs, key=lambda c: c.key())
-        a = pivot.term.coeff(var)
-        # pivot: a*var + rest = 0  =>  var = rest / (-a)
-        replacement = pivot.term.drop(var).scale(Fraction(-1) / a)
-        out = []
+    names: tuple[str, ...]
+    cons: tuple[Row, ...]
+    eliminated: int = 0
+    unsat: bool = False
+
+    @staticmethod
+    def of(cube: ConjCube, requested=frozenset()) -> RowSet:
+        """The rows of ``cube`` once its equalities are substituted away,
+        pivoting only on variables outside ``requested``."""
+        names = tuple(sorted(cube.vars))
+        index = {v: j for j, v in enumerate(names)}
+        n = len(names)
+        free = [v not in requested for v in names]
+        rows: list[tuple[list[int], int, Rel]] = []
         for c in cube.cons:
-            if c is pivot:
-                continue
-            out.append(LinConstraint(c.term.subst(var, replacement), c.rel))
-        return ConjCube.make(out)
+            term = c.term
+            den = term.const.denominator
+            for _, a in term.coeffs:
+                den = lcm(den, a.denominator)
+            vec = [0] * n
+            for v, a in term.coeffs:
+                vec[index[v]] = a.numerator * (den // a.denominator)
+            rows.append((vec, term.const.numerator * (den // term.const.denominator), c.rel))
 
-    out = list(free)
-    for lo in lowers:
-        al = lo.term.coeff(var)  # negative
-        for up in uppers:
-            au = up.term.coeff(var)  # positive
-            combined = lo.term.scale(au) + up.term.scale(-al)
-            rel = Rel.LT if (lo.rel is Rel.LT or up.rel is Rel.LT) else Rel.LE
-            out.append(LinConstraint(combined, rel))
-    return ConjCube.make(out)
+        while True:
+            pivot = next(
+                (
+                    (k, j)
+                    for k, (vec, _, rel) in enumerate(rows)
+                    if rel is Rel.EQ
+                    for j in range(n)
+                    if vec[j] and free[j]
+                ),
+                None,
+            )
+            if pivot is None:
+                break
+            k, j = pivot
+            evec, econst, _ = rows.pop(k)
+            a = evec[j]
+            # Add the multiple of the equality that cancels position j to
+            # |a| times each other row; |a| > 0 keeps an inequality's
+            # direction.
+            scale, sign = abs(a), (1 if a > 0 else -1)
+            for i, (vec, const, rel) in enumerate(rows):
+                if vec[j]:
+                    f = sign * vec[j]
+                    rows[i] = (
+                        [scale * x - f * y for x, y in zip(vec, evec)],
+                        scale * const - f * econst,
+                        rel,
+                    )
+
+        out: dict[tuple, Row] = {}
+        for vec, const, rel in rows:
+            if rel is Rel.EQ:
+                sides = ((vec, const, False), ([-x for x in vec], -const, False))
+            else:
+                sides = ((vec, const, rel is Rel.LT),)
+            for vec, const, strict in sides:
+                d = gcd(*vec, const)
+                if d > 1:
+                    vec = [x // d for x in vec]
+                    const //= d
+                if not any(vec):
+                    if const > 0 or (const == 0 and strict):
+                        return RowSet(names, ((tuple(vec), const, strict, 0, 0),), unsat=True)
+                    continue
+                key = (tuple(vec), const, strict)
+                if key not in out:
+                    mask = sum(1 << j for j, x in enumerate(vec) if x)
+                    out[key] = (*key, 1 << len(out), mask)
+        return RowSet(names, tuple(out.values()))
+
+
+def fm_eliminate(rows: RowSet, var: str) -> RowSet:
+    """Eliminate ``var`` from ``rows``, preserving the projection.
+
+    Every pair of a lower and an upper bound on ``var`` is combined,
+    unless history pruning shows the combination redundant.  A ground
+    contradiction ends the run: the result then holds that row alone and
+    is marked ``unsat``.  Raises :class:`ResourceLimitError` when the
+    result would hold more than ``DEFAULT_FM_CAP`` rows.
+    """
+    j = rows.names.index(var)
+    eliminated = rows.eliminated | (1 << j)
+    out: dict[tuple, Row] = {}
+    lowers: list[Row] = []
+    uppers: list[Row] = []
+    for row in rows.cons:
+        a = row[0][j]
+        if a == 0:
+            out[row[:3]] = row
+        elif a > 0:
+            uppers.append(row)
+        else:
+            lowers.append(row)
+
+    for lvec, lconst, lstrict, lhist, lmask in lowers:
+        al = -lvec[j]
+        for uvec, uconst, ustrict, uhist, umask in uppers:
+            hist = lhist | uhist
+            mask = lmask | umask
+            if hist.bit_count() > 1 + (mask & eliminated).bit_count():
+                continue
+            au = uvec[j]
+            g = gcd(al, au)
+            ml, mu = au // g, al // g
+            vec = tuple([ml * x + mu * y for x, y in zip(lvec, uvec)])
+            const = ml * lconst + mu * uconst
+            strict = lstrict or ustrict
+            d = gcd(*vec, const)
+            if d > 1:
+                vec = tuple([x // d for x in vec])
+                const //= d
+            if not any(vec):
+                if const > 0 or (const == 0 and strict):
+                    row = (vec, const, strict, hist, mask)
+                    return RowSet(rows.names, (row,), eliminated, True)
+                continue
+            key = (vec, const, strict)
+            old = out.get(key)
+            if old is None or hist.bit_count() < old[3].bit_count():
+                out[key] = (vec, const, strict, hist, mask)
+        if len(out) > DEFAULT_FM_CAP:
+            raise ResourceLimitError(
+                f"Fourier-Motzkin elimination exceeded {DEFAULT_FM_CAP} rows"
+            )
+    return RowSet(rows.names, tuple(out.values()), eliminated)
+
+
+def _eliminate(rows: RowSet, mask: int) -> RowSet:
+    """Eliminate the variables at the positions in ``mask``, cheapest
+    first, until none is left or the rows turn out unsatisfiable."""
+    positions = [j for j in range(len(rows.names)) if mask >> j & 1]
+    while positions and not rows.unsat:
+        lowers = dict.fromkeys(positions, 0)
+        uppers = dict.fromkeys(positions, 0)
+        for vec, *_ in rows.cons:
+            for j in positions:
+                a = vec[j]
+                if a > 0:
+                    uppers[j] += 1
+                elif a < 0:
+                    lowers[j] += 1
+        # A variable no row mentions stays absent: combining never
+        # brings it back.
+        positions = [j for j in positions if lowers[j] or uppers[j]]
+        if not positions:
+            break
+        best = min(
+            positions,
+            key=lambda j: lowers[j] * uppers[j] - lowers[j] - uppers[j],
+        )
+        rows = fm_eliminate(rows, rows.names[best])
+        positions.remove(best)
+    return rows
 
 
 def cube_is_sat(cube: ConjCube) -> bool:
     """Exact satisfiability of a cube over the rationals."""
-    current = cube
-    while True:
-        for c in current.cons:
-            if not c.term.coeffs and not c.rel.holds(c.term.const):
-                return False
-        remaining = sorted(current.vars)
-        if not remaining:
-            return True
-        current = fm_eliminate(current, remaining[0])
+    rows = RowSet.of(cube)
+    return not _eliminate(rows, (1 << len(rows.names)) - 1).unsat
 
 
 def is_sat(formula: Formula, cap: int = DEFAULT_CUBE_CAP) -> bool:
@@ -164,8 +314,6 @@ _UNBOUNDED: RawBound = (None, True)
 
 
 def _tighten_lower(cur: RawBound, cand: RawBound) -> RawBound:
-    if cand[0] is None:
-        return cur
     if cur[0] is None or cand[0] > cur[0]:
         return cand
     if cand[0] == cur[0]:
@@ -174,8 +322,6 @@ def _tighten_lower(cur: RawBound, cand: RawBound) -> RawBound:
 
 
 def _tighten_upper(cur: RawBound, cand: RawBound) -> RawBound:
-    if cand[0] is None:
-        return cur
     if cur[0] is None or cand[0] < cur[0]:
         return cand
     if cand[0] == cur[0]:
@@ -193,30 +339,29 @@ def project_to_box(
     ``(value, strict)`` pair and ``value None`` means unbounded.
     Variables not mentioned by the cube come back unbounded.
     """
-    if not cube_is_sat(cube):
+    requested = frozenset(variables)
+    rows = RowSet.of(cube, requested)
+    keep = {j for j, v in enumerate(rows.names) if v in requested}
+    rows = _eliminate(rows, sum(1 << j for j in range(len(rows.names)) if j not in keep))
+    if rows.unsat:
         return None
-    result: list[tuple[RawBound, RawBound]] = []
-    for v in variables:
-        current = cube
-        while True:
-            others = sorted(current.vars - {v})
-            if not others:
-                break
-            current = fm_eliminate(current, others[0])
-        lo: RawBound = _UNBOUNDED
-        hi: RawBound = _UNBOUNDED
-        for c in current.cons:
-            a = c.term.coeff(v)
-            if a == 0:
-                # Ground consequence of a satisfiable cube: always true.
-                continue
-            value = -c.term.const / a
-            if c.rel is Rel.EQ:
-                lo = _tighten_lower(lo, (value, False))
-                hi = _tighten_upper(hi, (value, False))
-            elif a > 0:
-                hi = _tighten_upper(hi, (value, c.rel is Rel.LT))
+    bounds: dict[str, tuple[RawBound, RawBound]] = {}
+    for j in sorted(keep):
+        single = _eliminate(rows, sum(1 << i for i in keep if i != j))
+        if single.unsat:
+            return None
+        lo = hi = _UNBOUNDED
+        for vec, const, strict, _, _ in single.cons:
+            a = vec[j]
+            if a > 0:
+                hi = _tighten_upper(hi, (Fraction(-const, a), strict))
             else:
-                lo = _tighten_lower(lo, (value, c.rel is Rel.LT))
-        result.append((lo, hi))
-    return result
+                lo = _tighten_lower(lo, (Fraction(-const, a), strict))
+        # The projection onto one variable is exact, so an empty interval
+        # means an unsatisfiable cube.
+        if lo[0] is not None and hi[0] is not None and (
+            lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1]))
+        ):
+            return None
+        bounds[rows.names[j]] = (lo, hi)
+    return [bounds.get(v, (_UNBOUNDED, _UNBOUNDED)) for v in variables]

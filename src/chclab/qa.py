@@ -127,7 +127,8 @@ def _project(qa: QASystem, element: AbstractElement, system: System, which: str)
     # The transformed system has its own (never derived) falsity.
     for name, box in element.items:
         if name not in {p.query for p in qa.pairs} | {p.answer for p in qa.pairs}:
-            assert box.is_empty
+            if not box.is_empty:
+                raise RuntimeError(f"query-answer analysis derived {name}: {box}")
     return AbstractElement.of(boxes)
 
 

@@ -1,0 +1,104 @@
+"""Unpruned Fourier-Motzkin elimination over ``Fraction`` constraints.
+
+A reference for the differential tests of ``chclab.linlogic``: it keeps
+every combined inequality, eliminates variables in name order and runs
+one full elimination per requested variable, so it shares no pruning,
+ordering or row representation with the engine under test.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from chclab.linlogic import ConjCube
+from chclab.syntax import LinConstraint, Rel
+
+
+def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
+    """Eliminate ``var``: substitute an equality that mentions it, else
+    combine every lower with every upper bound."""
+    free: list[LinConstraint] = []
+    eqs: list[LinConstraint] = []
+    lowers: list[LinConstraint] = []
+    uppers: list[LinConstraint] = []
+    for c in cube.cons:
+        a = c.term.coeff(var)
+        if a == 0:
+            free.append(c)
+        elif c.rel is Rel.EQ:
+            eqs.append(c)
+        elif a > 0:
+            uppers.append(c)
+        else:
+            lowers.append(c)
+
+    if eqs:
+        pivot = min(eqs, key=lambda c: c.key())
+        a = pivot.term.coeff(var)
+        replacement = pivot.term.drop(var).scale(Fraction(-1) / a)
+        out = [
+            LinConstraint(c.term.subst(var, replacement), c.rel)
+            for c in cube.cons
+            if c is not pivot
+        ]
+        return ConjCube.make(out)
+
+    out = list(free)
+    for lo in lowers:
+        al = lo.term.coeff(var)
+        for up in uppers:
+            au = up.term.coeff(var)
+            combined = lo.term.scale(au) + up.term.scale(-al)
+            rel = Rel.LT if (lo.rel is Rel.LT or up.rel is Rel.LT) else Rel.LE
+            out.append(LinConstraint(combined, rel))
+    return ConjCube.make(out)
+
+
+def cube_is_sat(cube: ConjCube) -> bool:
+    current = cube
+    while True:
+        for c in current.cons:
+            if not c.term.coeffs and not c.rel.holds(c.term.const):
+                return False
+        remaining = sorted(current.vars)
+        if not remaining:
+            return True
+        current = fm_eliminate(current, remaining[0])
+
+
+def _tighten(cur, cand, better):
+    if cur[0] is None or better(cand[0], cur[0]):
+        return cand
+    if cand[0] == cur[0]:
+        return (cur[0], cur[1] or cand[1])
+    return cur
+
+
+def project_to_box(cube: ConjCube, variables):
+    """``None`` if unsatisfiable, else ``((lo, strict), (hi, strict))``
+    per variable, ``None`` values meaning unbounded."""
+    if not cube_is_sat(cube):
+        return None
+    result = []
+    for v in variables:
+        current = cube
+        while True:
+            others = sorted(current.vars - {v})
+            if not others:
+                break
+            current = fm_eliminate(current, others[0])
+        lo = hi = (None, True)
+        for c in current.cons:
+            a = c.term.coeff(v)
+            if a == 0:
+                continue
+            value = -c.term.const / a
+            if c.rel is Rel.EQ:
+                lo = _tighten(lo, (value, False), lambda x, y: x > y)
+                hi = _tighten(hi, (value, False), lambda x, y: x < y)
+            elif a > 0:
+                hi = _tighten(hi, (value, c.rel is Rel.LT), lambda x, y: x < y)
+            else:
+                lo = _tighten(lo, (value, c.rel is Rel.LT), lambda x, y: x > y)
+        result.append((lo, hi))
+    return result

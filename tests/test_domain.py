@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,11 @@ def test_zero_ary_box_is_reached_flag():
     assert str(Box.empty(0)) == "empty"
     assert Box.empty(0).leq(Box.top(0))
     assert not Box.top(0).leq(Box.empty(0))
+
+
+def test_box_make_rejects_wrong_arity():
+    with pytest.raises(ValueError, match="arity 2"):
+        Box.make(2, (Interval.top(),))
 
 
 def test_box_formula_and_complement_round_trip():
