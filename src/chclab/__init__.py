@@ -15,110 +15,19 @@ over the rationals.  It provides:
 The ``chclab`` console script exposes all of it; see ``chclab --help``.
 """
 
-from .concrete import (
-    GroundAtom,
-    check_combined_closure,
-    ground_relation,
-    is_model,
-    lfp_backward,
-    lfp_combined,
-    lfp_forward,
-)
-from .depgraph import Component, dependency_order
-from .domain import AbstractElement, Bound, Box, Interval
-from .linlogic import ResourceLimitError, is_sat, project_to_box, to_dnf
+from .depgraph import dependency_order
+from .linlogic import ResourceLimitError
 from .parser import ParseError, parse_model, parse_system
-from .qa import QASystem, qa_iterated, qa_transform, qa_two_step
-from .solver import (
-    AlternationTrace,
-    AnalysisConfig,
-    RefinedModel,
-    Verdict,
-    alternate,
-    analyze_backward,
-    analyze_forward,
-    certify_trace,
-    check_model,
-    coarse_backward,
-    goal_disjoint,
-    refined_model,
-)
-from .syntax import (
-    Clause,
-    GoalEntry,
-    GoalSpec,
-    LinConstraint,
-    LinTerm,
-    PredApp,
-    PredDecl,
-    System,
-    format_model,
-    format_system,
-)
-from .trees import (
-    DerivTree,
-    atoms_abstraction,
-    backward_trees,
-    check_tree_props,
-    forward_trees,
-    tree_post,
-    tree_pre,
-)
+from .solver import alternate, check_model
 
 __all__ = [
-    "AbstractElement",
-    "AlternationTrace",
-    "AnalysisConfig",
-    "Bound",
-    "Box",
-    "Clause",
-    "Component",
-    "DerivTree",
-    "GoalEntry",
-    "GoalSpec",
-    "GroundAtom",
-    "Interval",
-    "LinConstraint",
-    "LinTerm",
     "ParseError",
-    "PredApp",
-    "PredDecl",
-    "QASystem",
-    "RefinedModel",
     "ResourceLimitError",
-    "System",
-    "Verdict",
     "alternate",
-    "analyze_backward",
-    "analyze_forward",
-    "atoms_abstraction",
-    "backward_trees",
-    "certify_trace",
-    "check_combined_closure",
     "check_model",
-    "check_tree_props",
-    "coarse_backward",
     "dependency_order",
-    "forward_trees",
-    "format_model",
-    "format_system",
-    "goal_disjoint",
-    "ground_relation",
-    "is_model",
-    "is_sat",
-    "lfp_backward",
-    "lfp_combined",
-    "lfp_forward",
     "parse_model",
     "parse_system",
-    "project_to_box",
-    "qa_iterated",
-    "qa_transform",
-    "qa_two_step",
-    "refined_model",
-    "to_dnf",
-    "tree_post",
-    "tree_pre",
 ]
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ Subcommands: ``solve`` (abstract analyses, JSON or text reports),
 (derivation-tree checks), ``qa`` (print the query-answer transform) and
 ``check`` (verify a model file against a system).
 
-Exit codes: 0 success/SAFE, 1 failed check, 2 bad input, 3 resource cap
-exceeded, 10 UNKNOWN verdict.
+Exit codes: 0 success/SAFE, 1 failed check (for ``solve``: a false
+certificate), 2 bad input, 3 resource cap exceeded, 10 UNKNOWN verdict.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from .concrete import (
     check_combined_closure,
@@ -78,13 +79,9 @@ def cmd_solve(args) -> int:
     config = _config_from_args(args)
     started = time.monotonic()
     if args.mode == "fwd":
-        trace, verdict = alternate(
-            system, config=AnalysisConfig(
-                max_rounds=1,
-                widening_delay=config.widening_delay,
-                descending_passes=config.descending_passes,
-            )
-        )
+        # One forward pass: the direction options do not apply.
+        single = replace(config, max_rounds=1, start_direction="forward", coarse_first=False)
+        trace, verdict = alternate(system, config=single)
         step_laws_ok = trace.certified
     elif args.mode == "alt":
         trace, verdict = alternate(system, config=config)
@@ -143,7 +140,19 @@ def cmd_solve(args) -> int:
     if args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as handle:
             handle.write(format_model(model, system))
-    return EXIT_OK if verdict.status == "SAFE" else EXIT_UNKNOWN
+    failed = [
+        name
+        for name, ok in (
+            ("step_laws", step_laws_ok),
+            ("model_check", model_ok.ok),
+            ("goal_disjoint", disjoint or not verdict.safe),
+        )
+        if ok is False
+    ]
+    if failed:
+        print(f"error: certificate failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK if verdict.safe else EXIT_UNKNOWN
 
 
 def _trace_pairs(trace):

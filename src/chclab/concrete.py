@@ -21,10 +21,8 @@ from .syntax import (
     Formula,
     GoalSpec,
     Lin,
-    Or,
     System,
     TrueF,
-    format_rat,
 )
 
 VALUATION_CAP = 10**6
@@ -43,7 +41,7 @@ class GroundAtom:
     def __str__(self) -> str:
         if not self.args:
             return self.pred
-        return f"{self.pred}({', '.join(format_rat(a) for a in self.args)})"
+        return f"{self.pred}({', '.join(str(a) for a in self.args)})"
 
 
 @dataclass(frozen=True)

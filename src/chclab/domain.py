@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linlogic import ConjCube, RawBound, project_to_box, to_dnf
+from .linlogic import RawBound, project_to_box, to_dnf
 from .syntax import (
     Clause,
     Formula,
@@ -29,7 +29,6 @@ from .syntax import (
     FALSE,
     conj,
     disj,
-    param_vars,
 )
 
 
@@ -281,10 +280,6 @@ class AbstractElement:
     def top(system: System) -> "AbstractElement":
         return AbstractElement.of({d.name: Box.top(d.arity) for d in system.decls})
 
-    @property
-    def boxes(self) -> dict[str, Box]:
-        return dict(self.items)
-
     def get(self, name: str) -> Box:
         for n, box in self.items:
             if n == name:
@@ -320,11 +315,6 @@ class AbstractElement:
 
     def gamma_contains(self, pred: str, args: Sequence[Fraction]) -> bool:
         return self.get(pred).contains(args)
-
-    def to_formulas(self) -> dict[str, Formula]:
-        return {
-            name: box.formula(param_vars(box.arity)) for name, box in self.items
-        }
 
     def __str__(self) -> str:
         return "; ".join(f"{n}: {b}" for n, b in self.items)

@@ -20,10 +20,9 @@ from .solver import (
     RefinedModel,
     Verdict,
     analyze_forward,
-    certify_trace,
     default_goal,
     goal_element,
-    refined_model,
+    run_rounds,
 )
 from .syntax import (
     Clause,
@@ -148,23 +147,7 @@ def qa_two_step(
     qa_element = analyze_forward(qa.system, None, config)
     answers = _project(qa, qa_element, system, "answer")
     queries = _project(qa, qa_element, system, "query")
-
-    strengthened_clauses = tuple(
-        Clause(
-            clause.body,
-            conj(
-                [
-                    clause.constraint,
-                    answers.get(clause.head.pred.name).formula(clause.head.args),
-                ]
-            ),
-            clause.head,
-        )
-        for clause in system.clauses
-    )
-    strengthened = System(system.decls, strengthened_clauses, system.universe, system.goal)
-    final = analyze_forward(strengthened, answers, config)
-
+    final = analyze_forward(_strengthen_heads(system, answers), answers, config)
     g = goal_element(system, spec)
     safe = g.meet(final).is_bottom
     model = RefinedModel(final, ((AbstractElement.top(system), queries),))
@@ -222,25 +205,11 @@ def qa_iterated(
     which is the precision difference this mode exists to demonstrate.
     """
     spec = goal if goal is not None else default_goal(system)
-    bottom = AbstractElement.bottom(system)
-    trace = AlternationTrace(bs=[AbstractElement.top(system)])
-    safe = False
-    rounds = 0
-    for i in range(1, config.max_rounds + 1):
-        rounds = i
-        d = analyze_forward(_strengthen_heads(system, trace.bs[-1]), None, config)
-        trace.ds.append(d)
-        if d.is_bottom:
-            safe = True
-            break
-        b = analyze_forward(_reverse_system(system, d, spec), None, config)
-        trace.bs.append(b)
-        if b.is_bottom:
-            trace.ds.append(bottom)
-            safe = True
-            break
-        if i >= 2 and d == trace.ds[-2] and b == trace.bs[-2]:
-            break
-    trace.certs = certify_trace(system, goal_element(system, spec), trace)
-    model = refined_model(trace)
-    return trace, Verdict("SAFE" if safe else "UNKNOWN", model, rounds)
+
+    def forward(i: int, b: AbstractElement) -> AbstractElement:
+        return analyze_forward(_strengthen_heads(system, b), None, config)
+
+    def backward(i: int, d: AbstractElement) -> AbstractElement:
+        return analyze_forward(_reverse_system(system, d, spec), None, config)
+
+    return run_rounds(system, goal_element(system, spec), config, forward, backward)

@@ -8,10 +8,14 @@ two, feeding each result to the next pass as the restriction, which
 narrows both until the goal is proved unreachable (SAFE) or the
 sequence stabilizes (UNKNOWN).
 
-Every analysis result is re-certified by exact inclusion checks on the
-final elements, so widening and iteration-order choices cannot affect
-soundness, only precision.  From a full alternation trace a refined
-model is composed; :func:`check_model` verifies any candidate model
+Each direction has one transformer, built by :func:`forward_flow` and
+:func:`backward_flow`; the analyses iterate it and :func:`certify_trace`
+evaluates it once more on every element of the trace.  That exact check
+is the only inductiveness check, so widening and iteration-order choices
+cannot affect soundness, only precision.  :func:`run_rounds` is the one
+round loop, shared with the transformation-based alternation in
+:mod:`chclab.qa`.  From a full alternation trace a refined model is
+composed; :func:`check_model` verifies any candidate model
 independently, clause by clause.
 """
 
@@ -27,7 +31,7 @@ from .domain import (
     clause_pre_restricted,
     formula_box,
 )
-from .linlogic import is_sat, to_dnf, cube_is_sat, ConjCube
+from .linlogic import is_sat, to_dnf, cube_is_sat
 from .syntax import (
     Clause,
     Formula,
@@ -142,27 +146,50 @@ def goal_element(system: System, goal: GoalSpec | None = None) -> AbstractElemen
     return elem
 
 
-def _clauses_by_head(system: System) -> dict[str, list[Clause]]:
-    out: dict[str, list[Clause]] = {d.name: [] for d in system.decls}
+def forward_flow(system: System, r: AbstractElement):
+    """The forward transformer of each predicate within restriction ``r``:
+    ``flow(p, elem)`` joins what every clause with head ``p`` derives
+    from ``elem``, met with ``r[p]``."""
+    heads: dict[str, list[Clause]] = {d.name: [] for d in system.decls}
     for clause in system.clauses:
-        out[clause.head.pred.name].append(clause)
-    return out
+        heads[clause.head.pred.name].append(clause)
+
+    def flow(p: str, elem: AbstractElement) -> Box:
+        acc = Box.empty(r.get(p).arity)
+        for clause in heads[p]:
+            acc = acc.join(clause_post(clause, elem))
+        return acc.meet(r.get(p))
+
+    return flow
 
 
-def _body_positions(system: System) -> dict[str, list[tuple[Clause, int]]]:
-    out: dict[str, list[tuple[Clause, int]]] = {d.name: [] for d in system.decls}
+def backward_flow(system: System, g: AbstractElement, r: AbstractElement):
+    """The backward transformer of each predicate within restriction
+    ``r``: ``flow(p, elem)`` joins the goal seed ``(g meet r)[p]`` with
+    every body position of ``p`` from which a clause reaches ``elem``
+    while all of its body atoms stay inside ``r``."""
+    seed = g.meet(r)
+    positions: dict[str, list[tuple[Clause, int]]] = {d.name: [] for d in system.decls}
     for clause in system.clauses:
         for j, app in enumerate(clause.body):
-            out[app.pred.name].append((clause, j))
-    return out
+            positions[app.pred.name].append((clause, j))
+
+    def flow(p: str, elem: AbstractElement) -> Box:
+        acc = seed.get(p)
+        for clause, j in positions[p]:
+            acc = acc.join(clause_pre_restricted(clause, j, r, elem))
+        return acc
+
+    return flow
 
 
-def _solve_components(system, components, flow, start, restriction, config):
+def _solve_components(components, flow, start, restriction, config):
     """Generic chaotic iteration with delayed widening and narrowing.
 
     ``flow(pred, elem)`` must be monotone in ``elem`` and bounded by the
-    restriction; the result satisfies ``flow(p, result) <= result[p]``
-    for every predicate (checked by the callers).
+    restriction.  The result is meant to satisfy ``flow(p, result) <=
+    result[p]`` for every predicate; nothing here checks that, because
+    :func:`certify_trace` re-checks every law of every round exactly.
     """
     elem = start
     for comp in components:
@@ -201,26 +228,13 @@ def analyze_forward(
 ) -> AbstractElement:
     """Boxes covering everything derivable within ``restriction``."""
     r = restriction if restriction is not None else AbstractElement.top(system)
-    heads = _clauses_by_head(system)
-
-    def flow(p: str, elem: AbstractElement) -> Box:
-        acc = Box.empty(r.get(p).arity)
-        for clause in heads[p]:
-            acc = acc.join(clause_post(clause, elem))
-        return acc.meet(r.get(p))
-
-    result = _solve_components(
-        system,
+    return _solve_components(
         dependency_order(system),
-        flow,
+        forward_flow(system, r),
         AbstractElement.bottom(system),
         r,
         config,
     )
-    for name, _ in result.items:
-        if not flow(name, result).leq(result.get(name)):
-            raise AssertionError(f"forward result not inductive at {name}")
-    return result
 
 
 def analyze_backward(
@@ -232,27 +246,13 @@ def analyze_backward(
     """Boxes covering everything inside ``restriction`` that can reach
     the goal element through body atoms also inside ``restriction``."""
     r = restriction if restriction is not None else AbstractElement.top(system)
-    seed = goal_elem.meet(r)
-    positions = _body_positions(system)
-
-    def flow(p: str, elem: AbstractElement) -> Box:
-        acc = seed.get(p)
-        for clause, j in positions[p]:
-            acc = acc.join(clause_pre_restricted(clause, j, r, elem))
-        return acc
-
-    result = _solve_components(
-        system,
+    return _solve_components(
         list(reversed(dependency_order(system))),
-        flow,
-        seed,
+        backward_flow(system, goal_elem, r),
+        goal_elem.meet(r),
         r,
         config,
     )
-    for name, _ in result.items:
-        if not flow(name, result).leq(result.get(name)):
-            raise AssertionError(f"backward result not inductive at {name}")
-    return result
 
 
 def coarse_backward(system: System, goal: GoalSpec | None = None):
@@ -280,6 +280,40 @@ def _coarse_element(system: System, goal: GoalSpec | None) -> AbstractElement:
     return AbstractElement.of(boxes)
 
 
+def run_rounds(
+    system: System, g: AbstractElement, config: AnalysisConfig, forward, backward
+) -> tuple[AlternationTrace, Verdict]:
+    """The round loop shared by every alternation.
+
+    Round ``i`` computes ``d = forward(i, b_prev)`` and then
+    ``b = backward(i, d)``.  The loop stops with SAFE as soon as either
+    element is empty, and with UNKNOWN once a round repeats the previous
+    one or the round budget runs out.  The trace is then certified
+    against goal element ``g`` and packaged into a refined model.
+    """
+    bottom = AbstractElement.bottom(system)
+    trace = AlternationTrace(bs=[AbstractElement.top(system)])
+    safe = False
+    rounds = 0
+    for i in range(1, config.max_rounds + 1):
+        rounds = i
+        d = forward(i, trace.bs[-1])
+        trace.ds.append(d)
+        if d.is_bottom:
+            safe = True
+            break
+        b = backward(i, d)
+        trace.bs.append(b)
+        if b.is_bottom:
+            trace.ds.append(bottom)  # the next forward pass would be empty
+            safe = True
+            break
+        if i >= 2 and d == trace.ds[-2] and b == trace.bs[-2]:
+            break
+    trace.certs = certify_trace(system, g, trace)
+    return trace, Verdict("SAFE" if safe else "UNKNOWN", refined_model(trace), rounds)
+
+
 def alternate(
     system: System,
     goal: GoalSpec | None = None,
@@ -294,66 +328,47 @@ def alternate(
     """
     spec = goal if goal is not None else default_goal(system)
     g = goal_element(system, spec)
-    bottom = AbstractElement.bottom(system)
-    trace = AlternationTrace(bs=[AbstractElement.top(system)])
-    safe = False
-    rounds = 0
-    for i in range(1, config.max_rounds + 1):
-        rounds = i
-        backward_start = config.start_direction == "backward" or config.coarse_first
+    backward_start = config.start_direction == "backward" or config.coarse_first
+
+    def forward(i: int, b: AbstractElement) -> AbstractElement:
         if i == 1 and backward_start:
-            d = AbstractElement.top(system)
-        else:
-            d = analyze_forward(system, trace.bs[-1], config)
-        trace.ds.append(d)
-        if d.is_bottom:
-            safe = True
-            break
+            return AbstractElement.top(system)
+        return analyze_forward(system, b, config)
+
+    def backward(i: int, d: AbstractElement) -> AbstractElement:
         if i == 1 and config.coarse_first:
-            b = _coarse_element(system, spec).meet(d)
-        else:
-            b = analyze_backward(system, g, d, config)
-        trace.bs.append(b)
-        if b.is_bottom:
-            trace.ds.append(bottom)  # the next forward pass would be empty
-            safe = True
-            break
-        if i >= 2 and d == trace.ds[-2] and b == trace.bs[-2]:
-            break
-    trace.certs = certify_trace(system, g, trace)
-    model = refined_model(trace)
-    return trace, Verdict("SAFE" if safe else "UNKNOWN", model, rounds)
+            return _coarse_element(system, spec).meet(d)
+        return analyze_backward(system, g, d, config)
+
+    return run_rounds(system, g, config, forward, backward)
 
 
 def certify_trace(system: System, g: AbstractElement, trace: AlternationTrace) -> list[RoundCert]:
-    """Exact per-round inclusion checks of the alternation laws."""
-    heads = _clauses_by_head(system)
-    positions = _body_positions(system)
+    """Exact per-round inclusion checks of the alternation laws.
+
+    The forward and backward laws evaluate the flows the analyses
+    iterate, so a law holds exactly when the round's element is a
+    post-fixpoint of its flow.
+    """
+    bottom = AbstractElement.bottom(system)
     certs: list[RoundCert] = []
     for i, d in enumerate(trace.ds, start=1):
         b_prev = trace.bs[i - 1]
-        forward_ok = True
-        for name, box in d.items:
-            acc = Box.empty(box.arity)
-            for clause in heads[name]:
-                acc = acc.join(clause_post(clause, d))
-            if not acc.meet(b_prev.get(name)).leq(box):
-                forward_ok = False
+        forward_ok = _closed(forward_flow(system, b_prev), d)
         b = trace.bs[i] if i < len(trace.bs) else None
         if b is None:
             certs.append(RoundCert(forward_law=forward_ok))
             continue
         seed_ok = g.meet(d).leq(b)
-        backward_ok = True
-        for name, box in b.items:
-            acc = Box.empty(box.arity)
-            for clause, j in positions[name]:
-                acc = acc.join(clause_pre_restricted(clause, j, d, b))
-            if not acc.leq(box):
-                backward_ok = False
+        backward_ok = _closed(backward_flow(system, bottom, d), b)
         chain_ok = b.leq(d) and d.leq(b_prev)
         certs.append(RoundCert(forward_ok, seed_ok, backward_ok, chain_ok))
     return certs
+
+
+def _closed(flow, elem: AbstractElement) -> bool:
+    """Does ``flow(p, elem) <= elem[p]`` hold for every predicate?"""
+    return all(flow(name, elem).leq(box) for name, box in elem.items)
 
 
 def refined_model(trace: AlternationTrace) -> RefinedModel:

@@ -26,10 +26,6 @@ def rat(value: int | str | Fraction) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def format_rat(value: Fraction) -> str:
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # Linear terms
 # ---------------------------------------------------------------------------
@@ -125,20 +121,20 @@ class LinTerm:
 
     def __str__(self) -> str:
         if not self.coeffs:
-            return format_rat(self.const)
+            return str(self.const)
         parts: list[str] = []
         for i, (v, c) in enumerate(self.coeffs):
             mag = abs(c)
-            piece = v if mag == 1 else f"{format_rat(mag)}*{v}"
+            piece = v if mag == 1 else f"{mag!s}*{v}"
             if i == 0:
                 parts.append(piece if c > 0 else f"-{piece}")
             else:
                 parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
         if self.const != 0:
             parts.append(
-                f"+ {format_rat(self.const)}"
+                f"+ {self.const!s}"
                 if self.const > 0
-                else f"- {format_rat(-self.const)}"
+                else f"- {-self.const!s}"
             )
         return " ".join(parts)
 
@@ -189,9 +185,9 @@ class LinConstraint:
 
     def __str__(self) -> str:
         if not self.term.coeffs:
-            return f"{format_rat(self.term.const)} {self.rel.value} 0"
+            return f"{self.term.const!s} {self.rel.value} 0"
         lhs = str(LinTerm(self.term.coeffs))
-        return f"{lhs} {self.rel.value} {format_rat(-self.term.const)}"
+        return f"{lhs} {self.rel.value} {-self.term.const!s}"
 
 
 @dataclass(frozen=True)
@@ -427,9 +423,6 @@ class System:
                 return d
         raise ValueError("system lacks a falsity declaration")
 
-    def clauses_with_head(self, name: str) -> list[Clause]:
-        return [c for c in self.clauses if c.head.pred.name == name]
-
     def __str__(self) -> str:
         return format_system(self)
 
@@ -494,7 +487,7 @@ def format_system(system: System) -> str:
         if not d.is_false:
             lines.append(f"pred {d.name}/{d.arity}.")
     if system.universe is not None:
-        vals = ", ".join(format_rat(v) for v in system.universe)
+        vals = ", ".join(str(v) for v in system.universe)
         lines.append(f"universe {{{vals}}}.")
     for clause in system.clauses:
         lines.append(format_clause(clause))

@@ -11,6 +11,7 @@ semantics, which is checked explicitly by :func:`check_tree_props`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .concrete import (
@@ -118,26 +119,43 @@ def tree_pre(rel: GroundRelation, trees: frozenset[DerivTree]) -> frozenset[Deri
     return frozenset(out)
 
 
+def _grow(
+    step, rounds: int, max_trees: int | None = None, what: str = ""
+) -> tuple[frozenset[DerivTree], int | None]:
+    """Apply ``step`` to the empty tree set up to ``rounds`` times.
+
+    Returns the last set and the round at which it stopped changing, or
+    None if it still changed in the last round.  A set that stops
+    changing stays the same, so stopping early returns what the
+    remaining rounds would.
+    """
+    current: frozenset[DerivTree] = frozenset()
+    for depth in range(rounds):
+        nxt = step(current)
+        if max_trees is not None and len(nxt) > max_trees:
+            raise ResourceLimitError(f"more than {max_trees} {what} trees")
+        if nxt == current:
+            return current, depth
+        current = nxt
+    return current, None
+
+
 def forward_trees(system: System, depth: int) -> frozenset[DerivTree]:
     """``depth`` rounds of bottom-up tree construction from nothing."""
-    rel = ground_relation(system)
-    current: frozenset[DerivTree] = frozenset()
-    for _ in range(depth):
-        current = tree_post(rel, current)
-    return current
+    return _grow(partial(tree_post, ground_relation(system)), depth)[0]
+
+
+def _backward_step(rel: GroundRelation, goal_set: Interpretation):
+    seed = frozenset(DerivTree(a) for a in goal_set)
+    return lambda trees: seed | tree_pre(rel, trees)
 
 
 def backward_trees(
     system: System, goal: Interpretation | None = None, depth: int = 1
 ) -> frozenset[DerivTree]:
     """``depth`` rounds of top-down expansion from the goal atoms."""
-    rel = ground_relation(system)
     goal_set = goal if goal is not None else goal_atoms(system)
-    seed = frozenset(DerivTree(a) for a in goal_set)
-    current: frozenset[DerivTree] = frozenset()
-    for _ in range(depth):
-        current = seed | tree_pre(rel, current)
-    return current
+    return _grow(_backward_step(ground_relation(system), goal_set), depth)[0]
 
 
 def atoms_abstraction(trees) -> Interpretation:
@@ -204,40 +222,21 @@ def check_tree_props(
     goal_set = goal if goal is not None else goal_atoms(system)
     report = TreePropsReport()
 
-    fwd: frozenset[DerivTree] | None = frozenset()
-    for depth in range(depth_cap):
-        nxt = tree_post(rel, fwd)
-        if len(nxt) > max_trees:
-            raise ResourceLimitError(f"more than {max_trees} forward trees")
-        if nxt == fwd:
-            report.forward_depth = depth
-            break
-        fwd = nxt
-    else:
-        fwd = None
-
-    seed = frozenset(DerivTree(a) for a in goal_set)
-    bwd: frozenset[DerivTree] | None = frozenset()
-    for depth in range(depth_cap):
-        nxt = seed | tree_pre(rel, bwd)
-        if len(nxt) > max_trees:
-            raise ResourceLimitError(f"more than {max_trees} backward trees")
-        if nxt == bwd:
-            report.backward_depth = depth
-            break
-        bwd = nxt
-    else:
-        bwd = None
-
-    if fwd is not None:
+    fwd, report.forward_depth = _grow(partial(tree_post, rel), depth_cap, max_trees, "forward")
+    bwd, report.backward_depth = _grow(
+        _backward_step(rel, goal_set), depth_cap, max_trees, "backward"
+    )
+    fwd_stable = report.forward_depth is not None
+    bwd_stable = report.backward_depth is not None
+    if fwd_stable:
         report.forward_count = len(fwd)
         agrees = atoms_abstraction(fwd) == lfp_forward_rel(rel)
         report.forward_agrees = "PASS" if agrees else "FAIL"
-    if bwd is not None:
+    if bwd_stable:
         report.backward_count = len(bwd)
         agrees = atoms_abstraction(bwd) == lfp_backward_rel(rel, goal_set)
         report.backward_agrees = "PASS" if agrees else "FAIL"
-    if fwd is not None and bwd is not None:
+    if fwd_stable and bwd_stable:
         agrees = atoms_abstraction(fwd & bwd) == lfp_combined_rel(rel, goal_set)
         report.combined_agrees = "PASS" if agrees else "FAIL"
     return report

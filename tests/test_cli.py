@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
+from chclab import solver
 from chclab.cli import main
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 LADDER = str(CORPUS / "ladder.chc")
 ADDITION_LOOPS = str(CORPUS / "addition_loops.chc")
@@ -56,6 +57,54 @@ def test_solve_flags_accepted(capsys):
         "--coarse-first",
     )
     assert code == 0
+
+
+def solve_json(capsys, *argv):
+    """The ``--json -`` report of ``solve`` with its timing removed and
+    the exit code added."""
+    code, out, _ = run(capsys, "solve", *argv, "--json", "-")
+    report = json.loads(out)
+    report["stats"].pop("wall_ms")
+    report["exit"] = code
+    return report
+
+
+def test_reports_match_golden(capsys, monkeypatch):
+    golden = json.loads((ROOT / "bench" / "golden" / "corpus.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(ROOT)
+    mismatched = []
+    for key, expected in golden.items():
+        path, mode = key.split("|")
+        if solve_json(capsys, path, "--mode", mode) != expected:
+            mismatched.append(key)
+    assert len(golden) == 100 and not mismatched
+
+
+def test_fwd_ignores_direction_options(capsys):
+    plain = solve_json(capsys, ADDITION_LOOPS, "--mode", "fwd")
+    flagged = solve_json(
+        capsys, ADDITION_LOOPS, "--mode", "fwd", "--start", "bwd", "--coarse-first"
+    )
+    assert flagged == plain
+
+
+def test_false_step_law_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        solver, "certify_trace", lambda system, g, trace: [solver.RoundCert(backward_law=False)]
+    )
+    code, out, err = run(capsys, "solve", ADDITION_LOOPS, "--json", "-")
+    assert code == 1
+    assert json.loads(out)["certs"]["step_laws"] is False  # the report is still written
+    assert err == "error: certificate failed: step_laws\n"  # a message, no traceback
+
+
+@pytest.mark.parametrize(("mode", "code"), [("alt", 1), ("fwd", 10)])
+def test_goal_overlap_fails_only_safe_verdicts(capsys, monkeypatch, mode, code):
+    # alt is SAFE on this file, fwd UNKNOWN; an UNKNOWN model may meet the goal
+    monkeypatch.setattr("chclab.cli.goal_disjoint", lambda system, model: False)
+    got, _, err = run(capsys, "solve", ADDITION_LOOPS, "--mode", mode)
+    assert got == code
+    assert ("certificate failed: goal_disjoint" in err) == (code == 1)
 
 
 def test_json_report_shape_and_determinism(capsys):

@@ -159,11 +159,24 @@ def test_certify_trace_detects_tampering(addition_loops):
     g = goal_element(addition_loops)
     good = certify_trace(addition_loops, g, trace)
     assert all(c.ok for c in good)
-    # tamper: shrink the first descent below what the laws allow
-    bad_ds = [AbstractElement.bottom(addition_loops), *trace.ds[1:]]
-    tampered = type(trace)(ds=bad_ds, bs=trace.bs)
-    bad = certify_trace(addition_loops, g, tampered)
-    assert not all(c.ok for c in bad)
+    # the trace is one full round (d1, b1) and the empty d2
+    assert len(trace.ds) == 2 and len(trace.bs) == 2
+    top = AbstractElement.top(addition_loops)
+    bottom = AbstractElement.bottom(addition_loops)
+    d1 = trace.ds[0]
+    tampered = {
+        # a first descent below what the facts derive
+        "forward_law": ([bottom, *trace.ds[1:]], trace.bs),
+        # a backward element without the goal
+        "seed_law": (trace.ds, [top, bottom]),
+        # the goal seed alone, without the atoms that reach it
+        "backward_law": (trace.ds, [top, g.meet(d1)]),
+        # a backward element outside the forward one
+        "chain_law": (trace.ds, [top, top]),
+    }
+    for law, (ds, bs) in tampered.items():
+        bad = certify_trace(addition_loops, g, type(trace)(ds=ds, bs=bs))
+        assert not getattr(bad[0], law), law
 
 
 # -- refined models ----------------------------------------------------------------
