@@ -1,8 +1,15 @@
 """Exact reasoning about negation-free linear rational formulas.
 
-Formulas are converted to disjunctive normal form (lists of conjunctive
-cubes) under a cube cap, ``DEFAULT_CUBE_CAP``.  Cubes are decided
-(:func:`cube_is_sat`) and projected onto interval bounds
+Satisfiability of a formula is decided by :func:`sat_cube`, a depth-first
+search over the disjunct choices of its And/Or tree that never builds the
+disjunctive normal form: it gathers the atoms of the current conjunction,
+drops the branch as soon as they are unsatisfiable, and branches on the
+pending disjunction with the fewest children first.  A search that visits
+more than ``DEFAULT_CUBE_CAP`` branches raises :class:`ResourceLimitError`.
+Only projections, which need every cube, convert a formula to disjunctive
+normal form (:func:`to_dnf`, under the same cap).
+
+Cubes are decided (:func:`cube_is_sat`) and projected onto interval bounds
 (:func:`project_to_box`) by one Fourier-Motzkin engine:
 
 * **Equalities first.**  Each equality is solved for one of its variables
@@ -82,13 +89,14 @@ class ConjCube:
         return ", ".join(str(c) for c in self.cons)
 
 
-def to_dnf(formula: Formula, cap: int = DEFAULT_CUBE_CAP) -> list[ConjCube]:
+def to_dnf(formula: Formula) -> list[ConjCube]:
     """Disjunctive normal form as a list of cubes.
 
     ``true`` yields one empty cube, ``false`` yields no cube.  Raises
     :class:`ResourceLimitError` when an intermediate cube count exceeds
-    ``cap``.
+    ``DEFAULT_CUBE_CAP``.
     """
+    cap = DEFAULT_CUBE_CAP
 
     def go(f: Formula) -> list[tuple[LinConstraint, ...]]:
         if isinstance(f, TrueF):
@@ -120,6 +128,61 @@ def to_dnf(formula: Formula, cap: int = DEFAULT_CUBE_CAP) -> list[ConjCube]:
         raise TypeError(f"not a formula: {f!r}")
 
     return [ConjCube.make(cs) for cs in go(formula)]
+
+
+def _gather(f: Formula, atoms: list[LinConstraint], pending: list[Or]) -> bool:
+    """Add the atoms of the conjunction ``f`` to ``atoms`` and its
+    disjunctions to ``pending``; ``False`` when ``f`` holds a ``false``
+    conjunct.  A disjunction with a ``true`` child holds already."""
+    if isinstance(f, Lin):
+        atoms.append(f.con)
+    elif isinstance(f, And):
+        return all(_gather(g, atoms, pending) for g in f.items)
+    elif isinstance(f, Or):
+        if not any(isinstance(g, TrueF) for g in f.items):
+            pending.append(f)
+    elif isinstance(f, FalseF):
+        return False
+    elif not isinstance(f, TrueF):
+        raise TypeError(f"not a formula: {f!r}")
+    return True
+
+
+def sat_cube(formula: Formula) -> ConjCube | None:
+    """A satisfiable cube of the formula's DNF, or ``None`` if it has none.
+
+    Depth-first search over the disjunct choices.  Each branch gathers
+    every atom its choices imply and is dropped as soon as those atoms
+    are unsatisfiable; it then branches on the pending disjunction with
+    the fewest children, trying them in formula order.  The first branch
+    left with no pending disjunction is the answer.  Raises
+    :class:`ResourceLimitError` after ``DEFAULT_CUBE_CAP`` branches.
+    """
+    cap = DEFAULT_CUBE_CAP
+    # A branch: the atoms chosen so far (satisfiable together), the
+    # disjunctions still to decide, and the child just chosen.
+    stack: list[tuple[frozenset[LinConstraint], tuple[Or, ...], Formula]] = [
+        (frozenset(), (), formula)
+    ]
+    visited = 0
+    while stack:
+        visited += 1
+        if visited > cap:
+            raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
+        atoms, pending, choice = stack.pop()
+        new_atoms: list[LinConstraint] = []
+        pending = list(pending)
+        if not _gather(choice, new_atoms, pending):
+            continue
+        if not atoms.issuperset(new_atoms):
+            atoms = atoms.union(new_atoms)
+            if not cube_is_sat(ConjCube.make(atoms)):
+                continue
+        if not pending:
+            return ConjCube.make(atoms)
+        split = pending.pop(min(range(len(pending)), key=lambda k: len(pending[k].items)))
+        stack.extend((atoms, tuple(pending), child) for child in reversed(split.items))
+    return None
 
 
 # One row of a RowSet: (coeffs, const, strict, history, varmask) stands for
@@ -303,8 +366,8 @@ def cube_is_sat(cube: ConjCube) -> bool:
     return not _eliminate(rows, (1 << len(rows.names)) - 1).unsat
 
 
-def is_sat(formula: Formula, cap: int = DEFAULT_CUBE_CAP) -> bool:
-    return any(cube_is_sat(cube) for cube in to_dnf(formula, cap))
+def is_sat(formula: Formula) -> bool:
+    return sat_cube(formula) is not None
 
 
 # A one-sided bound: (value, strict); value None means unbounded.

@@ -31,7 +31,7 @@ from .domain import (
     clause_pre_restricted,
     formula_box,
 )
-from .linlogic import is_sat, to_dnf, cube_is_sat
+from .linlogic import is_sat, sat_cube
 from .syntax import (
     Clause,
     Formula,
@@ -396,7 +396,11 @@ def check_model(system: System, model) -> ModelCheckResult:
 
     For each clause, body formulas plus the constraint must entail the
     head formula: the conjunction with the negated head formula has to
-    be unsatisfiable.  Violations carry a witness cube.
+    be unsatisfiable.  That conjunction is decided by :func:`sat_cube`,
+    which never expands it to DNF: the negation of a refined model has
+    about (2·arity + 1)^layers cubes.  A violation carries the
+    satisfiable cube the search found as its witness.  Raises
+    :class:`ResourceLimitError` when a search passes its branch budget.
     """
     formulas = model.as_dict() if isinstance(model, RefinedModel) else dict(model)
     violations: list[tuple[int, str, str]] = []
@@ -405,10 +409,9 @@ def check_model(system: System, model) -> ModelCheckResult:
         for app in clause.body:
             parts.append(_instantiate(formulas[app.pred.name], app))
         parts.append(negate_formula(_instantiate(formulas[clause.head.pred.name], clause.head)))
-        for cube in to_dnf(conj(parts)):
-            if cube_is_sat(cube):
-                violations.append((idx, format_clause(clause), str(cube)))
-                break
+        witness = sat_cube(conj(parts))
+        if witness is not None:
+            violations.append((idx, format_clause(clause), str(witness)))
     return ModelCheckResult(not violations, violations)
 
 

@@ -15,6 +15,7 @@ from conftest import CORPUS, ROOT
 LADDER = str(CORPUS / "ladder.chc")
 ADDITION_LOOPS = str(CORPUS / "addition_loops.chc")
 NO_INIT = str(CORPUS / "no_init.chc")
+STRESS_ROUNDS = str(CORPUS / "stress" / "rounds.chc")
 
 
 def run(capsys, *argv):
@@ -123,6 +124,20 @@ def test_json_report_shape_and_determinism(capsys):
     assert r1 == r2
 
 
+@pytest.mark.parametrize(
+    ("argv", "rounds"), [((), 5), (("--max-rounds", "8"), 8)], ids=["default", "max-rounds-8"]
+)
+def test_every_round_budget_is_certified(capsys, argv, rounds):
+    # the model gains a layer per round and its negation about 9 cubes per
+    # layer; certification must not fail where the alternation succeeded
+    code, out, err = run(capsys, "solve", STRESS_ROUNDS, *argv, "--json", "-")
+    report = json.loads(out)
+    assert code == 10 and err == ""
+    assert report["verdict"] == "UNKNOWN" and report["rounds"] == rounds
+    assert report["certs"]["step_laws"] is True
+    assert report["certs"]["model_check"] is True
+
+
 def test_json_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "solve", ADDITION_LOOPS, "--json", str(target))
@@ -221,6 +236,21 @@ def test_resource_limit(tmp_path, capsys):
     blow.write_text(f"pred p/1.\np(X) :- {body}, X = 0.\n")
     code, _, err = run(capsys, "solve", str(blow))
     assert code == 3 and "resource limit" in err
+
+
+def test_search_budget_exits_3_from_cli():
+    script = (
+        "import sys; import chclab.linlogic as l; l.DEFAULT_CUBE_CAP = 16; "
+        "from chclab.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", STRESS_ROUNDS, "--max-rounds", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource limit: satisfiability search")
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_script_entry_point():

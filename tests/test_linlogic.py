@@ -28,6 +28,7 @@ from chclab.linlogic import (
     fm_eliminate,
     is_sat,
     project_to_box,
+    sat_cube,
     to_dnf,
 )
 from chclab.parser import parse_system
@@ -141,6 +142,35 @@ def test_is_sat_formulas():
     assert is_sat(TRUE)
     assert is_sat(Or((FALSE, Lin(le(X)))))
     assert not is_sat(And((Lin(lt(X)), Lin(lt(LinTerm.make({}, 0) - X)))))
+
+
+def random_formula(rng, depth):
+    """An And/Or tree of depth at most ``depth`` over atoms of random cubes
+    (at most four variables), with ``true`` and ``false`` leaves."""
+    if depth == 0 or rng.random() < 0.3:
+        r = rng.random()
+        if r < 0.1:
+            return TRUE
+        if r < 0.2:
+            return FALSE
+        cons = random_cube(rng)
+        return Lin(rng.choice(cons)) if cons else TRUE
+    kind = And if rng.random() < 0.5 else Or
+    return kind(tuple(random_formula(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+def test_sat_cube_agrees_with_full_dnf():
+    found = 0
+    for seed in range(1000):
+        f = random_formula(random.Random(seed), 3)
+        cubes = to_dnf(f)
+        got = sat_cube(f)
+        assert (got is None) == (not any(cube_is_sat(c) for c in cubes)), f"seed {seed}: {f}"
+        if got is not None:
+            found += 1
+            assert got in cubes and cube_is_sat(got), f"seed {seed}: {f}"
+    # both answers occur often enough to mean something
+    assert 200 < found < 900
 
 
 # -- box projection ------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from chclab import linlogic
 from chclab.concrete import ground_relation, lfp_forward, post
 from chclab.domain import AbstractElement, Box, Interval
 from chclab.parser import parse_system
@@ -23,6 +25,7 @@ from chclab.solver import (
     goal_element,
     refined_model,
 )
+from conftest import CORPUS
 
 F = Fraction
 
@@ -221,6 +224,15 @@ def test_check_model_flags_violation(ladder):
     assert check_model(ladder, honest).ok
 
 
+def test_check_model_search_budget(monkeypatch):
+    system = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
+    trace, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
+    assert trace.certified and check_model(system, verdict.witness).ok
+    monkeypatch.setattr(linlogic, "DEFAULT_CUBE_CAP", 16)
+    with pytest.raises(linlogic.ResourceLimitError, match="satisfiability search"):
+        check_model(system, verdict.witness)
+
+
 def test_goal_disjoint_requires_empty_overlap(ladder):
     from chclab.syntax import TRUE
 
@@ -296,3 +308,49 @@ def test_unknown_never_lies_on_seeded_systems():
             assert verdict.status != "SAFE", seed
             flagged += 1
     assert flagged > 0  # the sample does contain genuinely unsafe systems
+
+
+# -- certification of multi-round models on random systems ----------------------------
+
+
+def _fuzz_comparison(rng: random.Random, variables) -> str:
+    v, w = rng.choice(variables), rng.choice(variables)
+    op = rng.choice(["<=", "<", "=", ">=", ">"])
+    kind = rng.random()
+    if kind < 0.4:
+        return f"{v} {op} {rng.randint(0, 3)}"
+    if kind < 0.7:
+        return f"{v} {op} {w}"
+    shift = rng.randint(-2, 2)
+    return f"{v} {op} {w} {'-' if shift < 0 else '+'} {abs(shift)}"
+
+
+def fuzz_text(seed: int) -> str:
+    """A random system of 2-4 predicates of arity 2-4 and 3-8 clauses,
+    shaped like the multi-round repro in ``corpus/stress/rounds.chc``."""
+    rng = random.Random(seed)
+    arities = [rng.randint(2, 4) for _ in range(rng.randint(2, 4))]
+    variables = "ABCDEF"
+    lines = [f"pred p{i}/{a}." for i, a in enumerate(arities)]
+
+    def atom() -> str:
+        i = rng.randrange(len(arities))
+        return f"p{i}({', '.join(rng.choice(variables) for _ in range(arities[i]))})"
+
+    nclauses = rng.randint(3, 8)
+    for k in range(nclauses):
+        body = [atom() for _ in range(rng.choices([0, 1, 2], weights=[30, 50, 20])[0])]
+        body += [_fuzz_comparison(rng, variables) for _ in range(rng.randint(0, 3))]
+        head = "false" if k == nclauses - 1 else atom()
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return "\n".join(lines) + "\n"
+
+
+def test_multi_round_models_certify_on_seeded_systems():
+    for seed in range(200):
+        system = parse_system(fuzz_text(seed))
+        trace, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
+        assert trace.certified, seed
+        assert check_model(system, verdict.witness).ok, seed
+        if verdict.safe:
+            assert goal_disjoint(system, verdict.witness), seed
