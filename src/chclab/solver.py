@@ -14,14 +14,30 @@ evaluates it once more on every element of the trace.  That exact check
 is the only inductiveness check, so widening and iteration-order choices
 cannot affect soundness, only precision.  :func:`run_rounds` is the one
 round loop, shared with the transformation-based alternation in
-:mod:`chclab.qa`.  From a full alternation trace a refined model is
-composed; :func:`check_model` verifies any candidate model
-independently, clause by clause.
+:mod:`chclab.qa`.
+
+The flows compute each clause transformer through a
+:class:`ClauseResults` table that lives for one run.  A forward result
+is keyed on the clause's index in ``system.clauses`` and the boxes of
+its body atoms; a backward result on that index, the body position,
+the head box and the restriction boxes of all body atoms.  Those inputs
+determine the exact result, so the iterations of a recursive component,
+the descending pass, later rounds and :func:`certify_trace` look up
+what the run already computed instead of recomputing it; the
+restriction meet and the goal seed are applied outside the table.
+:func:`alternate` creates the table and hands it to the certifier
+through the trace; :func:`analyze_forward`, :func:`analyze_backward`
+and :func:`certify_trace` called on their own each use a fresh one.
+
+From a full alternation trace a refined model is composed;
+:func:`check_model` verifies any candidate model independently, clause
+by clause, without the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .depgraph import dependency_order
 from .domain import (
@@ -33,7 +49,6 @@ from .domain import (
 )
 from .linlogic import is_sat, sat_cube
 from .syntax import (
-    Clause,
     Formula,
     GoalEntry,
     GoalSpec,
@@ -79,6 +94,9 @@ class AlternationTrace:
     ds: list[AbstractElement] = field(default_factory=list)
     bs: list[AbstractElement] = field(default_factory=list)
     certs: list[RoundCert] = field(default_factory=list)
+    # The clause results of the run that computed the trace, which
+    # certify_trace reuses; the run drops them once the trace is certified.
+    results: ClauseResults | None = field(default=None, repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
@@ -146,38 +164,79 @@ def goal_element(system: System, goal: GoalSpec | None = None) -> AbstractElemen
     return elem
 
 
-def forward_flow(system: System, r: AbstractElement):
+class ClauseResults:
+    """The exact clause-transformer results of one solve run.
+
+    ``post(i, elem)`` is ``clause_post`` of clause ``i`` of the system and
+    ``pre(i, j, r, elem)`` is ``clause_pre_restricted`` of its body
+    position ``j``, each computed once per key (see the module
+    docstring), so a lookup returns exactly what a fresh call would.
+    """
+
+    def __init__(self, system: System):
+        self.system = system
+        self._post: dict[tuple, Box] = {}
+        self._pre: dict[tuple, Box] = {}
+
+    @cached_property
+    def order(self):
+        """The system's dependency order, computed once per run."""
+        return dependency_order(self.system)
+
+    def post(self, i: int, elem: AbstractElement) -> Box:
+        clause = self.system.clauses[i]
+        key = (i, *[elem.get(app.pred.name) for app in clause.body])
+        box = self._post.get(key)
+        if box is None:
+            box = self._post[key] = clause_post(clause, elem)
+        return box
+
+    def pre(self, i: int, j: int, r: AbstractElement, elem: AbstractElement) -> Box:
+        clause = self.system.clauses[i]
+        key = (
+            i,
+            j,
+            elem.get(clause.head.pred.name),
+            *[r.get(app.pred.name) for app in clause.body],
+        )
+        box = self._pre.get(key)
+        if box is None:
+            box = self._pre[key] = clause_pre_restricted(clause, j, r, elem)
+        return box
+
+
+def forward_flow(results: ClauseResults, r: AbstractElement):
     """The forward transformer of each predicate within restriction ``r``:
     ``flow(p, elem)`` joins what every clause with head ``p`` derives
     from ``elem``, met with ``r[p]``."""
-    heads: dict[str, list[Clause]] = {d.name: [] for d in system.decls}
-    for clause in system.clauses:
-        heads[clause.head.pred.name].append(clause)
+    heads: dict[str, list[int]] = {d.name: [] for d in results.system.decls}
+    for i, clause in enumerate(results.system.clauses):
+        heads[clause.head.pred.name].append(i)
 
     def flow(p: str, elem: AbstractElement) -> Box:
         acc = Box.empty(r.get(p).arity)
-        for clause in heads[p]:
-            acc = acc.join(clause_post(clause, elem))
+        for i in heads[p]:
+            acc = acc.join(results.post(i, elem))
         return acc.meet(r.get(p))
 
     return flow
 
 
-def backward_flow(system: System, g: AbstractElement, r: AbstractElement):
+def backward_flow(results: ClauseResults, g: AbstractElement, r: AbstractElement):
     """The backward transformer of each predicate within restriction
     ``r``: ``flow(p, elem)`` joins the goal seed ``(g meet r)[p]`` with
     every body position of ``p`` from which a clause reaches ``elem``
     while all of its body atoms stay inside ``r``."""
     seed = g.meet(r)
-    positions: dict[str, list[tuple[Clause, int]]] = {d.name: [] for d in system.decls}
-    for clause in system.clauses:
+    positions: dict[str, list[tuple[int, int]]] = {d.name: [] for d in results.system.decls}
+    for i, clause in enumerate(results.system.clauses):
         for j, app in enumerate(clause.body):
-            positions[app.pred.name].append((clause, j))
+            positions[app.pred.name].append((i, j))
 
     def flow(p: str, elem: AbstractElement) -> Box:
         acc = seed.get(p)
-        for clause, j in positions[p]:
-            acc = acc.join(clause_pre_restricted(clause, j, r, elem))
+        for i, j in positions[p]:
+            acc = acc.join(results.pre(i, j, r, elem))
         return acc
 
     return flow
@@ -227,14 +286,7 @@ def analyze_forward(
     config: AnalysisConfig = AnalysisConfig(),
 ) -> AbstractElement:
     """Boxes covering everything derivable within ``restriction``."""
-    r = restriction if restriction is not None else AbstractElement.top(system)
-    return _solve_components(
-        dependency_order(system),
-        forward_flow(system, r),
-        AbstractElement.bottom(system),
-        r,
-        config,
-    )
+    return _forward(ClauseResults(system), restriction, config)
 
 
 def analyze_backward(
@@ -245,10 +297,26 @@ def analyze_backward(
 ) -> AbstractElement:
     """Boxes covering everything inside ``restriction`` that can reach
     the goal element through body atoms also inside ``restriction``."""
+    return _backward(ClauseResults(system), goal_elem, restriction, config)
+
+
+def _forward(results: ClauseResults, restriction, config) -> AbstractElement:
+    system = results.system
     r = restriction if restriction is not None else AbstractElement.top(system)
     return _solve_components(
-        list(reversed(dependency_order(system))),
-        backward_flow(system, goal_elem, r),
+        results.order,
+        forward_flow(results, r),
+        AbstractElement.bottom(system),
+        r,
+        config,
+    )
+
+
+def _backward(results: ClauseResults, goal_elem, restriction, config) -> AbstractElement:
+    r = restriction if restriction is not None else AbstractElement.top(results.system)
+    return _solve_components(
+        reversed(results.order),
+        backward_flow(results, goal_elem, r),
         goal_elem.meet(r),
         r,
         config,
@@ -281,7 +349,12 @@ def _coarse_element(system: System, goal: GoalSpec | None) -> AbstractElement:
 
 
 def run_rounds(
-    system: System, g: AbstractElement, config: AnalysisConfig, forward, backward
+    system: System,
+    g: AbstractElement,
+    config: AnalysisConfig,
+    forward,
+    backward,
+    results: ClauseResults | None = None,
 ) -> tuple[AlternationTrace, Verdict]:
     """The round loop shared by every alternation.
 
@@ -289,7 +362,8 @@ def run_rounds(
     ``b = backward(i, d)``.  The loop stops with SAFE as soon as either
     element is empty, and with UNKNOWN once a round repeats the previous
     one or the round budget runs out.  The trace is then certified
-    against goal element ``g`` and packaged into a refined model.
+    against goal element ``g``, reusing the run's clause ``results``
+    when the analyses shared them, and packaged into a refined model.
     """
     bottom = AbstractElement.bottom(system)
     trace = AlternationTrace(bs=[AbstractElement.top(system)])
@@ -310,7 +384,11 @@ def run_rounds(
             break
         if i >= 2 and d == trace.ds[-2] and b == trace.bs[-2]:
             break
+    # certify_trace takes the run's table through the trace, and the
+    # table must not outlive the run.
+    trace.results = results
     trace.certs = certify_trace(system, g, trace)
+    trace.results = None
     return trace, Verdict("SAFE" if safe else "UNKNOWN", refined_model(trace), rounds)
 
 
@@ -329,18 +407,19 @@ def alternate(
     spec = goal if goal is not None else default_goal(system)
     g = goal_element(system, spec)
     backward_start = config.start_direction == "backward" or config.coarse_first
+    results = ClauseResults(system)
 
     def forward(i: int, b: AbstractElement) -> AbstractElement:
         if i == 1 and backward_start:
             return AbstractElement.top(system)
-        return analyze_forward(system, b, config)
+        return _forward(results, b, config)
 
     def backward(i: int, d: AbstractElement) -> AbstractElement:
         if i == 1 and config.coarse_first:
             return _coarse_element(system, spec).meet(d)
-        return analyze_backward(system, g, d, config)
+        return _backward(results, g, d, config)
 
-    return run_rounds(system, g, config, forward, backward)
+    return run_rounds(system, g, config, forward, backward, results)
 
 
 def certify_trace(system: System, g: AbstractElement, trace: AlternationTrace) -> list[RoundCert]:
@@ -348,19 +427,24 @@ def certify_trace(system: System, g: AbstractElement, trace: AlternationTrace) -
 
     The forward and backward laws evaluate the flows the analyses
     iterate, so a law holds exactly when the round's element is a
-    post-fixpoint of its flow.
+    post-fixpoint of its flow.  They look clause results up in
+    ``trace.results`` when it holds those of ``system``, and else in a
+    fresh table.
     """
+    results = trace.results
+    if results is None or results.system is not system:
+        results = ClauseResults(system)
     bottom = AbstractElement.bottom(system)
     certs: list[RoundCert] = []
     for i, d in enumerate(trace.ds, start=1):
         b_prev = trace.bs[i - 1]
-        forward_ok = _closed(forward_flow(system, b_prev), d)
+        forward_ok = _closed(forward_flow(results, b_prev), d)
         b = trace.bs[i] if i < len(trace.bs) else None
         if b is None:
             certs.append(RoundCert(forward_law=forward_ok))
             continue
         seed_ok = g.meet(d).leq(b)
-        backward_ok = _closed(backward_flow(system, bottom, d), b)
+        backward_ok = _closed(backward_flow(results, bottom, d), b)
         chain_ok = b.leq(d) and d.leq(b_prev)
         certs.append(RoundCert(forward_ok, seed_ok, backward_ok, chain_ok))
     return certs

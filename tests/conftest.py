@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,12 @@ from chclab import parse_system
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 RAND = CORPUS / "rand"
+
+# pyproject's ``pythonpath`` puts src/ on the test process's path; the
+# tests that run chclab in a child process need it there too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def load(name: str):

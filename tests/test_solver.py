@@ -7,20 +7,24 @@ from fractions import Fraction
 
 import pytest
 
-from chclab import linlogic
+from chclab import linlogic, solver
 from chclab.concrete import ground_relation, lfp_forward, post
-from chclab.domain import AbstractElement, Box, Interval
+from chclab.domain import AbstractElement, Box, Interval, clause_post, clause_pre_restricted
 from chclab.parser import parse_system
 from chclab.randgen import random_finite_system
+from chclab.qa import qa_two_step
 from chclab.solver import (
+    AlternationTrace,
     AnalysisConfig,
     alternate,
     analyze_backward,
     analyze_forward,
+    backward_flow,
     certify_trace,
     check_model,
     coarse_backward,
     default_goal,
+    forward_flow,
     goal_disjoint,
     goal_element,
     refined_model,
@@ -54,8 +58,6 @@ def test_forward_no_init_is_bottom(no_init):
 
 
 def test_forward_result_is_inductive(corpus_systems):
-    from chclab.domain import clause_post
-
     for name, system in corpus_systems:
         elem = analyze_forward(system)
         for clause in system.clauses:
@@ -157,17 +159,14 @@ def test_alternation_chain_shrinks(addition_loops):
         assert trace.ds[i].leq(trace.bs[min(i, len(trace.bs) - 1)])
 
 
-def test_certify_trace_detects_tampering(addition_loops):
-    trace, _ = alternate(addition_loops)
-    g = goal_element(addition_loops)
-    good = certify_trace(addition_loops, g, trace)
-    assert all(c.ok for c in good)
-    # the trace is one full round (d1, b1) and the empty d2
+def _tampered(system, trace, g):
+    """One tampered (ds, bs) per round law, each breaking only that law
+    of round 1 of a one-round trace (d1, b1) plus the empty d2."""
     assert len(trace.ds) == 2 and len(trace.bs) == 2
-    top = AbstractElement.top(addition_loops)
-    bottom = AbstractElement.bottom(addition_loops)
+    top = AbstractElement.top(system)
+    bottom = AbstractElement.bottom(system)
     d1 = trace.ds[0]
-    tampered = {
+    return {
         # a first descent below what the facts derive
         "forward_law": ([bottom, *trace.ds[1:]], trace.bs),
         # a backward element without the goal
@@ -177,9 +176,111 @@ def test_certify_trace_detects_tampering(addition_loops):
         # a backward element outside the forward one
         "chain_law": (trace.ds, [top, top]),
     }
-    for law, (ds, bs) in tampered.items():
-        bad = certify_trace(addition_loops, g, type(trace)(ds=ds, bs=bs))
+
+
+def test_certify_trace_detects_tampering(addition_loops):
+    trace, _ = alternate(addition_loops)
+    g = goal_element(addition_loops)
+    good = certify_trace(addition_loops, g, trace)
+    assert all(c.ok for c in good)
+    for law, (ds, bs) in _tampered(addition_loops, trace, g).items():
+        bad = certify_trace(addition_loops, g, AlternationTrace(ds=ds, bs=bs))
         assert not getattr(bad[0], law), law
+
+
+def run_with_results(system, **kwargs):
+    """``alternate`` plus the clause results its analyses filled, taken
+    from the trace the run hands to ``certify_trace``."""
+    handed = []
+
+    def spy(system, g, trace):
+        handed.append(trace.results)
+        return certify_trace(system, g, trace)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "certify_trace", spy)
+        trace, verdict = alternate(system, **kwargs)
+    (results,) = handed
+    assert trace.results is None  # the run drops its table
+    return trace, verdict, results
+
+
+def test_certify_trace_detects_tampering_with_warm_results(addition_loops):
+    trace, _, warm = run_with_results(addition_loops)
+    assert warm is not None and warm.system is addition_loops
+    g = goal_element(addition_loops)
+    assert all(c.ok for c in certify_trace(addition_loops, g, trace))
+    for law, (ds, bs) in _tampered(addition_loops, trace, g).items():
+        bad = certify_trace(addition_loops, g, AlternationTrace(ds=ds, bs=bs, results=warm))
+        assert not getattr(bad[0], law), law
+
+
+def _one_box_changed(system, elem):
+    """``elem`` with one predicate's box replaced by top, per predicate."""
+    return [
+        elem.with_box(d.name, Box.top(d.arity))
+        for d in system.decls
+        if elem.get(d.name) != Box.top(d.arity)
+    ]
+
+
+def test_flow_memo_matches_direct_transformers():
+    # Each memoized flow must equal the transformers called directly, at
+    # the trace's elements and restrictions and at those with one box
+    # changed, all through the one table the run filled.
+    for seed in range(200):
+        system = parse_system(fuzz_text(seed))
+        trace, _, results = run_with_results(system)
+        g = goal_element(system)
+        for i, d in enumerate(trace.ds, start=1):
+            b_prev = trace.bs[i - 1]
+            pairs = [(b_prev, d)]
+            pairs += [(r, d) for r in _one_box_changed(system, b_prev)]
+            pairs += [(b_prev, e) for e in _one_box_changed(system, d)]
+            for r, e in pairs:
+                flow = forward_flow(results, r)
+                for decl in system.decls:
+                    p = decl.name
+                    direct = Box.empty(decl.arity)
+                    for clause in system.clauses:
+                        if clause.head.pred.name == p:
+                            direct = direct.join(clause_post(clause, e))
+                    assert flow(p, e) == direct.meet(r.get(p)), (seed, i, p)
+            if i == len(trace.bs):
+                continue
+            b = trace.bs[i]
+            pairs = [(d, b)]
+            pairs += [(r, b) for r in _one_box_changed(system, d)]
+            pairs += [(d, e) for e in _one_box_changed(system, b)]
+            for r, e in pairs:
+                flow = backward_flow(results, g, r)
+                for decl in system.decls:
+                    p = decl.name
+                    direct = g.meet(r).get(p)
+                    for clause in system.clauses:
+                        for j, app in enumerate(clause.body):
+                            if app.pred.name == p:
+                                direct = direct.join(clause_pre_restricted(clause, j, r, e))
+                    assert flow(p, e) == direct, (seed, i, p)
+
+
+def test_no_clause_results_outlive_a_call(monkeypatch, addition_loops):
+    calls = 0
+    post = solver.clause_post
+
+    def counting(clause, elem):
+        nonlocal calls
+        calls += 1
+        return post(clause, elem)
+
+    monkeypatch.setattr(solver, "clause_post", counting)
+    for run in (alternate, qa_two_step):
+        counts = []
+        for _ in range(2):
+            calls = 0
+            run(addition_loops)
+            counts.append(calls)
+        assert counts[0] == counts[1] > 0, run.__name__
 
 
 # -- refined models ----------------------------------------------------------------
