@@ -1,17 +1,20 @@
 """Reference semantics by exhaustive enumeration over a finite universe.
 
 Grounds every clause over the declared universe into a set of
-consequences (premise set, conclusion), then computes the forward,
-backward and combined collecting semantics as naive fixpoints of the
-``post``/``pre`` operators.  Deliberately simple and independent of the
-abstract analyses so it can act as an oracle for them.
+consequences (premise set, conclusion), then computes each collecting
+semantics as the least fixpoint it is defined as, by one Kleene
+iteration (:func:`kleene`) from the empty set: forward ``lfp post``,
+backward ``lfp λX. G ∪ pre(X)`` and combined
+``lfp λX. (G ∩ M) ∪ pre_M(X)`` with ``M`` the forward semantics.
+Deliberately simple and independent of the abstract analyses so it can
+act as an oracle for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import Callable, Iterable, Mapping
 
 from .linlogic import ResourceLimitError
@@ -149,33 +152,37 @@ def pre_restricted(
     )
 
 
-def lfp_forward_rel(rel: GroundRelation) -> Interpretation:
-    current: Interpretation = frozenset()
-    while True:
-        nxt = post(rel, current)
+def kleene(
+    step: Callable[[frozenset], frozenset], rounds: int | None = None
+) -> tuple[frozenset, int | None]:
+    """Iterate ``step`` from the empty set until the set stops changing.
+
+    Returns the last set and the number of steps after which it stopped
+    changing, or None when it still changed after ``rounds`` steps.  A
+    set that stops changing stays the same, so stopping early returns
+    what the remaining rounds would.
+    """
+    current: frozenset = frozenset()
+    for depth in count() if rounds is None else range(rounds):
+        nxt = step(current)
         if nxt == current:
-            return current
+            return current, depth
         current = nxt
+    return current, None
+
+
+def lfp_forward_rel(rel: GroundRelation) -> Interpretation:
+    return kleene(lambda xs: post(rel, xs))[0]
 
 
 def lfp_backward_rel(rel: GroundRelation, goal: Interpretation) -> Interpretation:
-    current: Interpretation = frozenset()
-    while True:
-        nxt = goal | pre(rel, current)
-        if nxt == current:
-            return current
-        current = nxt
+    return kleene(lambda xs: goal | pre(rel, xs))[0]
 
 
 def lfp_combined_rel(rel: GroundRelation, goal: Interpretation) -> Interpretation:
     """Atoms both derivable and useful for deriving a goal atom."""
     forward = lfp_forward_rel(rel)
-    current: Interpretation = frozenset()
-    while True:
-        nxt = (goal & forward) | pre_restricted(rel, forward, current)
-        if nxt == current:
-            return current
-        current = nxt
+    return kleene(lambda xs: (goal & forward) | pre_restricted(rel, forward, xs))[0]
 
 
 def lfp_forward(system: System) -> Interpretation:
@@ -207,10 +214,4 @@ def check_combined_closure(system: System, goal: Interpretation | None = None) -
     rel = ground_relation(system)
     goal_set = goal if goal is not None else goal_atoms(system)
     combined = lfp_combined_rel(rel, goal_set)
-    current: Interpretation = frozenset()
-    while True:
-        nxt = post(rel, current) & combined
-        if nxt == current:
-            break
-        current = nxt
-    return current == combined
+    return kleene(lambda xs: post(rel, xs) & combined)[0] == combined

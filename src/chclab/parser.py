@@ -419,7 +419,8 @@ class _Parser:
             return -self.parse_rat()
         return self.parse_rat()
 
-    def parse_goal(self) -> tuple[RawApp, Formula]:
+    def parse_goal(self) -> tuple[Token, RawApp, Formula]:
+        keyword = self.peek()
         self.expect("goal")
         app = self.parse_head()
         guard: Formula = TRUE
@@ -427,7 +428,7 @@ class _Parser:
             self.next()
             guard = self.parse_cform()
         self.expect(".")
-        return app, guard
+        return keyword, app, guard
 
     def parse_clause(self) -> RawClause:
         head = self.parse_head()
@@ -456,7 +457,7 @@ class _Parser:
 
     def parse_system(self) -> System:
         raw_clauses: list[RawClause] = []
-        raw_goals: list[tuple[RawApp, Formula]] = []
+        raw_goals: list[tuple[Token, RawApp, Formula]] = []
         universe: list[Fraction] | None = None
         while self.peek().kind != "EOF":
             t = self.peek()
@@ -476,11 +477,11 @@ class _Parser:
         clauses = tuple(normalize_clause(rc) for rc in raw_clauses)
         goal = None
         if raw_goals:
-            goal = GoalSpec(tuple(self._normalize_goal(app, g) for app, g in raw_goals))
+            goal = GoalSpec(tuple(self._normalize_goal(*raw) for raw in raw_goals))
         uni = tuple(sorted(set(universe))) if universe is not None else None
         return System(decls=decls, clauses=clauses, universe=uni, goal=goal)
 
-    def _normalize_goal(self, app: RawApp, guard: Formula) -> GoalEntry:
+    def _normalize_goal(self, keyword: Token, app: RawApp, guard: Formula) -> GoalEntry:
         # Reuse clause normalization on a synthetic body-less clause.
         raw = RawClause((), guard, app)
         norm = normalize_clause(raw)
@@ -490,8 +491,8 @@ class _Parser:
             raise ParseError(
                 "goal constraint may only mention the goal arguments "
                 f"(foreign: {', '.join(sorted(extra))})",
-                1,
-                1,
+                keyword.line,
+                keyword.col,
             )
         return entry
 

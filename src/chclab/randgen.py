@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from math import prod
 
-from .concrete import ground_relation
+from .concrete import Consequence, ground_relation
 from .parser import parse_system
 from .syntax import LinConstraint, LinTerm, Rel, System
 
@@ -79,75 +80,18 @@ def random_finite_system(seed: int) -> System:
     return parse_system(random_finite_text(seed))
 
 
-def _count_forward_trees(rel) -> int | None:
-    """Number of complete derivation trees, or None if derivations cycle."""
-    atoms = {c.conclusion for c in rel}
-    counts: dict = {}
-    visiting: set = set()
+def _count_trees(rel, roots) -> int:
+    """Number of complete derivation trees rooted at ``roots``.
 
-    def count(atom) -> int | None:
-        if atom in counts:
-            return counts[atom]
-        if atom in visiting:
-            return None
-        visiting.add(atom)
-        total = 0
-        for c in rel:
-            if c.conclusion != atom:
-                continue
-            prod = 1
-            for premise in c.premises:
-                sub = count(premise)
-                if sub is None:
-                    return None
-                prod *= sub
-            total += prod
-        visiting.discard(atom)
-        counts[atom] = total
-        return total
+    ``rel`` must not cycle, which holds by construction for the acyclic
+    generator; a cycle would end in ``RecursionError``.
+    """
 
-    total = 0
-    for atom in atoms:
-        sub = count(atom)
-        if sub is None:
-            return None
-        total += sub
-    return total
+    @cache
+    def count(atom) -> int:
+        return sum(prod(count(a) for a in c.premises) for c in rel if c.conclusion == atom)
 
-
-def _count_partial_trees(rel, roots) -> int | None:
-    """Number of goal-rooted partial derivation trees (leaves allowed)."""
-    counts: dict = {}
-    visiting: set = set()
-
-    def count(atom) -> int | None:
-        if atom in counts:
-            return counts[atom]
-        if atom in visiting:
-            return None
-        visiting.add(atom)
-        total = 1  # the bare leaf
-        for c in rel:
-            if c.conclusion != atom or not c.premises:
-                continue
-            prod = 1
-            for premise in c.premises:
-                sub = count(premise)
-                if sub is None:
-                    return None
-                prod *= sub
-            total += prod
-        visiting.discard(atom)
-        counts[atom] = total
-        return total
-
-    total = 0
-    for atom in roots:
-        sub = count(atom)
-        if sub is None:
-            return None
-        total += sub
-    return total
+    return sum(count(atom) for atom in roots)
 
 
 def random_acyclic_text(seed: int, max_trees: int = 3000) -> str:
@@ -155,8 +99,11 @@ def random_acyclic_text(seed: int, max_trees: int = 3000) -> str:
 
     Clause bodies only mention strictly lower-numbered predicates, so
     every derivation tree is finite and the tree enumeration stabilizes.
-    Instances whose exact tree counts exceed ``max_trees`` are redrawn
-    from a seed-derived sequence, keeping generation deterministic.
+    Instances whose exact numbers of complete plus partial derivation
+    trees exceed ``max_trees`` are redrawn from a seed-derived sequence,
+    keeping generation deterministic.  A partial tree is a complete tree
+    of the relation in which every atom is also a fact, so one counter
+    counts both.
     """
     for attempt in range(64):
         rng = random.Random(seed * 1009 + attempt)
@@ -202,9 +149,9 @@ def random_acyclic_text(seed: int, max_trees: int = 3000) -> str:
         rel = ground_relation(system)
         if len(rel) > 40:
             continue
-        fwd = _count_forward_trees(rel)
-        bwd = _count_partial_trees(rel, {c.conclusion for c in rel})
-        if fwd is not None and bwd is not None and fwd + bwd <= max_trees:
+        roots = {c.conclusion for c in rel}
+        facts = {Consequence(frozenset(), a) for c in rel for a in (c.conclusion, *c.premises)}
+        if _count_trees(rel, roots) + _count_trees(rel | facts, roots) <= max_trees:
             return text
     raise RuntimeError(f"no tame acyclic system found for seed {seed}")
 

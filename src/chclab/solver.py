@@ -25,9 +25,9 @@ determine the exact result, so the iterations of a recursive component,
 the descending pass, later rounds and :func:`certify_trace` look up
 what the run already computed instead of recomputing it; the
 restriction meet and the goal seed are applied outside the table.
-:func:`alternate` creates the table and hands it to the certifier
-through the trace; :func:`analyze_forward`, :func:`analyze_backward`
-and :func:`certify_trace` called on their own each use a fresh one.
+:func:`alternate` creates the table and passes it to the certifier as
+an argument; :func:`analyze_forward`, :func:`analyze_backward` and
+:func:`certify_trace` called without one each use a fresh one.
 
 From a full alternation trace a refined model is composed;
 :func:`check_model` verifies any candidate model independently, clause
@@ -72,6 +72,17 @@ class AnalysisConfig:
     start_direction: str = "forward"  # "forward" or "backward"
     coarse_first: bool = False
 
+    def __post_init__(self):
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
+        for name in ("widening_delay", "descending_passes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.start_direction not in ("forward", "backward"):
+            raise ValueError(
+                f"start_direction must be 'forward' or 'backward', got {self.start_direction!r}"
+            )
+
 
 @dataclass(frozen=True)
 class RoundCert:
@@ -94,9 +105,6 @@ class AlternationTrace:
     ds: list[AbstractElement] = field(default_factory=list)
     bs: list[AbstractElement] = field(default_factory=list)
     certs: list[RoundCert] = field(default_factory=list)
-    # The clause results of the run that computed the trace, which
-    # certify_trace reuses; the run drops them once the trace is certified.
-    results: ClauseResults | None = field(default=None, repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
@@ -384,11 +392,7 @@ def run_rounds(
             break
         if i >= 2 and d == trace.ds[-2] and b == trace.bs[-2]:
             break
-    # certify_trace takes the run's table through the trace, and the
-    # table must not outlive the run.
-    trace.results = results
-    trace.certs = certify_trace(system, g, trace)
-    trace.results = None
+    trace.certs = certify_trace(system, g, trace, results)
     return trace, Verdict("SAFE" if safe else "UNKNOWN", refined_model(trace), rounds)
 
 
@@ -422,18 +426,25 @@ def alternate(
     return run_rounds(system, g, config, forward, backward, results)
 
 
-def certify_trace(system: System, g: AbstractElement, trace: AlternationTrace) -> list[RoundCert]:
+def certify_trace(
+    system: System,
+    g: AbstractElement,
+    trace: AlternationTrace,
+    results: ClauseResults | None = None,
+) -> list[RoundCert]:
     """Exact per-round inclusion checks of the alternation laws.
 
     The forward and backward laws evaluate the flows the analyses
     iterate, so a law holds exactly when the round's element is a
     post-fixpoint of its flow.  They look clause results up in
-    ``trace.results`` when it holds those of ``system``, and else in a
-    fresh table.
+    ``results``, the table of the run that computed the trace, or in a
+    fresh table when none is given.  A table of another system raises
+    :class:`ValueError`.
     """
-    results = trace.results
-    if results is None or results.system is not system:
+    if results is None:
         results = ClauseResults(system)
+    elif results.system is not system:
+        raise ValueError("certify_trace was given the clause results of another system")
     bottom = AbstractElement.bottom(system)
     certs: list[RoundCert] = []
     for i, d in enumerate(trace.ds, start=1):

@@ -2,17 +2,21 @@
 
 A derivation tree is a ground atom with subtrees for the premises of
 one clause instance; leaves are atoms awaiting derivation (or axioms).
-Growing trees bottom-up enumerates complete derivations; growing them
-top-down from a goal enumerates partial derivations rooted in the goal.
-Collapsing a tree set to its atoms recovers the corresponding set
-semantics, which is checked explicitly by :func:`check_tree_props`.
+Both tree semantics are least fixpoints, grown by the same Kleene
+iteration as the set semantics (:func:`chclab.concrete.kleene`), up to a
+depth bound: ``lfp tree_post`` grows complete derivations bottom-up, and
+``lfp λX. leaves(G) ∪ tree_pre(X)`` grows partial derivations top-down
+from the goal atoms ``G``.  A growth step stops as soon as it has built
+more trees than its cap.  Collapsing a tree set to its atoms recovers
+the corresponding set semantics, which is checked explicitly by
+:func:`check_tree_props`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 from .concrete import (
     Consequence,
@@ -21,6 +25,7 @@ from .concrete import (
     Interpretation,
     goal_atoms,
     ground_relation,
+    kleene,
     lfp_backward_rel,
     lfp_combined_rel,
     lfp_forward_rel,
@@ -56,98 +61,76 @@ def _node(root: GroundAtom, children) -> DerivTree:
     return DerivTree(root, tuple(sorted(children, key=lambda t: t.root.key())))
 
 
-def tree_post(rel: GroundRelation, trees: frozenset[DerivTree]) -> frozenset[DerivTree]:
-    """Trees built by one clause instance on top of existing trees."""
-    by_root: dict[GroundAtom, list[DerivTree]] = {}
-    for t in trees:
-        by_root.setdefault(t.root, []).append(t)
+def _capped(trees, max_trees: int | None, what: str) -> frozenset[DerivTree]:
+    """The set of ``trees``, built only while it holds at most ``max_trees``."""
     out: set[DerivTree] = set()
-    for c in rel:
-        if not c.premises:
-            out.add(DerivTree(c.conclusion))
-            continue
-        pools = []
-        for atom in sorted(c.premises, key=lambda a: a.key()):
-            pool = by_root.get(atom)
-            if pool is None:
-                break
-            pools.append(pool)
-        else:
-            for combo in product(*pools):
-                out.add(DerivTree(c.conclusion, tuple(combo)))
+    for t in trees:
+        out.add(t)
+        if max_trees is not None and len(out) > max_trees:
+            raise ResourceLimitError(f"more than {max_trees} {what} trees")
     return frozenset(out)
 
 
-def _leaf_paths(t: DerivTree) -> list[tuple[int, ...]]:
+def tree_post(
+    rel: GroundRelation, trees: frozenset[DerivTree], max_trees: int | None = None
+) -> frozenset[DerivTree]:
+    """Trees built by one clause instance on top of existing trees.
+
+    Raises :class:`ResourceLimitError` as soon as more than ``max_trees``
+    have been built.
+    """
+    by_root: dict[GroundAtom, list[DerivTree]] = {}
+    for t in trees:
+        by_root.setdefault(t.root, []).append(t)
+    built = (
+        DerivTree(c.conclusion, combo)
+        for c in rel
+        for combo in product(
+            *(by_root.get(a, ()) for a in sorted(c.premises, key=GroundAtom.key))
+        )
+    )
+    return _capped(built, max_trees, "forward")
+
+
+def _expansions(t: DerivTree, by_conclusion):
+    """``t`` with one of its leaves expanded by one clause instance, each way."""
     if t.is_leaf:
-        return [()]
-    return [(i, *p) for i, c in enumerate(t.children) for p in _leaf_paths(c)]
+        for c in by_conclusion.get(t.root, ()):
+            yield _node(t.root, (DerivTree(a) for a in c.premises))
+    for i, child in enumerate(t.children):
+        for sub in _expansions(child, by_conclusion):
+            yield DerivTree(t.root, (*t.children[:i], sub, *t.children[i + 1 :]))
 
 
-def _leaf_at(t: DerivTree, path: tuple[int, ...]) -> GroundAtom:
-    for i in path:
-        t = t.children[i]
-    return t.root
-
-
-def _replace(t: DerivTree, path: tuple[int, ...], sub: DerivTree) -> DerivTree:
-    if not path:
-        return sub
-    kids = list(t.children)
-    kids[path[0]] = _replace(kids[path[0]], path[1:], sub)
-    return DerivTree(t.root, tuple(kids))
-
-
-def tree_pre(rel: GroundRelation, trees: frozenset[DerivTree]) -> frozenset[DerivTree]:
-    """Trees obtained by expanding one leaf with one clause instance.
+def tree_pre(
+    rel: GroundRelation,
+    trees: frozenset[DerivTree],
+    max_trees: int | None = None,
+    seed: frozenset[DerivTree] = frozenset(),
+) -> frozenset[DerivTree]:
+    """``seed`` plus the trees obtained by expanding one leaf with one
+    clause instance.
 
     Only instances with at least one premise apply; expanding by a fact
     would not change the atom set and complete trees are the business
-    of :func:`tree_post`.
+    of :func:`tree_post`.  Raises :class:`ResourceLimitError` as soon as
+    the result holds more than ``max_trees`` trees, seed included.
     """
     by_conclusion: dict[GroundAtom, list[Consequence]] = {}
     for c in rel:
         if c.premises:
             by_conclusion.setdefault(c.conclusion, []).append(c)
-    out: set[DerivTree] = set()
-    for t in trees:
-        for path in _leaf_paths(t):
-            leaf = _leaf_at(t, path)
-            for c in by_conclusion.get(leaf, ()):  # leaf becomes interior
-                expansion = _node(leaf, (DerivTree(a) for a in c.premises))
-                out.add(_replace(t, path, expansion))
-    return frozenset(out)
+    built = chain(seed, (e for t in trees for e in _expansions(t, by_conclusion)))
+    return _capped(built, max_trees, "backward")
 
 
-def _grow(
-    step, rounds: int, max_trees: int | None = None, what: str = ""
-) -> tuple[frozenset[DerivTree], int | None]:
-    """Apply ``step`` to the empty tree set up to ``rounds`` times.
-
-    Returns the last set and the round at which it stopped changing, or
-    None if it still changed in the last round.  A set that stops
-    changing stays the same, so stopping early returns what the
-    remaining rounds would.
-    """
-    current: frozenset[DerivTree] = frozenset()
-    for depth in range(rounds):
-        nxt = step(current)
-        if max_trees is not None and len(nxt) > max_trees:
-            raise ResourceLimitError(f"more than {max_trees} {what} trees")
-        if nxt == current:
-            return current, depth
-        current = nxt
-    return current, None
+def _leaves(atoms: Interpretation) -> frozenset[DerivTree]:
+    return frozenset(DerivTree(a) for a in atoms)
 
 
 def forward_trees(system: System, depth: int) -> frozenset[DerivTree]:
     """``depth`` rounds of bottom-up tree construction from nothing."""
-    return _grow(partial(tree_post, ground_relation(system)), depth)[0]
-
-
-def _backward_step(rel: GroundRelation, goal_set: Interpretation):
-    seed = frozenset(DerivTree(a) for a in goal_set)
-    return lambda trees: seed | tree_pre(rel, trees)
+    return kleene(partial(tree_post, ground_relation(system)), depth)[0]
 
 
 def backward_trees(
@@ -155,7 +138,8 @@ def backward_trees(
 ) -> frozenset[DerivTree]:
     """``depth`` rounds of top-down expansion from the goal atoms."""
     goal_set = goal if goal is not None else goal_atoms(system)
-    return _grow(_backward_step(ground_relation(system), goal_set), depth)[0]
+    step = partial(tree_pre, ground_relation(system), seed=_leaves(goal_set))
+    return kleene(step, depth)[0]
 
 
 def atoms_abstraction(trees) -> Interpretation:
@@ -222,9 +206,9 @@ def check_tree_props(
     goal_set = goal if goal is not None else goal_atoms(system)
     report = TreePropsReport()
 
-    fwd, report.forward_depth = _grow(partial(tree_post, rel), depth_cap, max_trees, "forward")
-    bwd, report.backward_depth = _grow(
-        _backward_step(rel, goal_set), depth_cap, max_trees, "backward"
+    fwd, report.forward_depth = kleene(partial(tree_post, rel, max_trees=max_trees), depth_cap)
+    bwd, report.backward_depth = kleene(
+        partial(tree_pre, rel, max_trees=max_trees, seed=_leaves(goal_set)), depth_cap
     )
     fwd_stable = report.forward_depth is not None
     bwd_stable = report.backward_depth is not None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -81,6 +82,40 @@ def test_reports_match_golden(capsys, monkeypatch):
     assert len(golden) == 100 and not mismatched
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--max-rounds", "0"),
+        ("--max-rounds", "-1"),
+        ("--widen-delay", "-1"),
+        ("--descending-passes", "-1"),
+    ],
+)
+def test_out_of_range_analysis_options_exit_2(capsys, flags):
+    code, _, err = run(capsys, "solve", LADDER, *flags)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # ``bench/run.py --trace 1`` wraps each of these names; a rename or a
+    # deletion in chclab must fail here rather than in a traced run.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing under bench/
+    try:
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.modules.pop("tracer", None)
+    missing = []
+    for module_name, attr in tracer.TARGETS:
+        owner = importlib.import_module(f"chclab.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{attr}")
+    assert tracer.TARGETS and not missing
+
+
 def test_fwd_ignores_direction_options(capsys):
     plain = solve_json(capsys, ADDITION_LOOPS, "--mode", "fwd")
     flagged = solve_json(
@@ -91,7 +126,9 @@ def test_fwd_ignores_direction_options(capsys):
 
 def test_false_step_law_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
-        solver, "certify_trace", lambda system, g, trace: [solver.RoundCert(backward_law=False)]
+        solver,
+        "certify_trace",
+        lambda system, g, trace, results=None: [solver.RoundCert(backward_law=False)],
     )
     code, out, err = run(capsys, "solve", ADDITION_LOOPS, "--json", "-")
     assert code == 1

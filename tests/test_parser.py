@@ -109,10 +109,18 @@ def test_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_error_carries_position():
+@pytest.mark.parametrize(
+    ("text", "line", "col"),
+    [
+        ("pred p/1.\np(X) :- q(X).\n", 2, 9),
+        ("pred p/1.\np(X) :- X = 0.\n  goal p(X) : Y > 0.\n", 3, 3),
+    ],
+    ids=["clause", "goal"],
+)
+def test_error_carries_position(text, line, col):
     with pytest.raises(ParseError) as err:
-        parse_system("pred p/1.\np(X) :- q(X).\n")
-    assert err.value.line == 2 and err.value.col == 9
+        parse_system(text)
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_model_round_trip(addition_loops):

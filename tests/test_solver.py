@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 from chclab import linlogic, solver
-from chclab.concrete import ground_relation, lfp_forward, post
+from chclab.concrete import (
+    goal_atoms,
+    ground_relation,
+    lfp_combined_rel,
+    lfp_forward,
+    lfp_forward_rel,
+    post,
+)
 from chclab.domain import AbstractElement, Box, Interval, clause_post, clause_pre_restricted
 from chclab.parser import parse_system
 from chclab.randgen import random_finite_system
@@ -190,29 +197,32 @@ def test_certify_trace_detects_tampering(addition_loops):
 
 def run_with_results(system, **kwargs):
     """``alternate`` plus the clause results its analyses filled, taken
-    from the trace the run hands to ``certify_trace``."""
+    from the run's call to ``certify_trace``."""
     handed = []
 
-    def spy(system, g, trace):
-        handed.append(trace.results)
-        return certify_trace(system, g, trace)
+    def spy(system, g, trace, results=None):
+        handed.append(results)
+        return certify_trace(system, g, trace, results)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver, "certify_trace", spy)
         trace, verdict = alternate(system, **kwargs)
     (results,) = handed
-    assert trace.results is None  # the run drops its table
+    # the returned trace holds no table
+    assert not any(isinstance(v, solver.ClauseResults) for v in vars(trace).values())
     return trace, verdict, results
 
 
-def test_certify_trace_detects_tampering_with_warm_results(addition_loops):
+def test_certify_trace_detects_tampering_with_warm_results(addition_loops, ladder):
     trace, _, warm = run_with_results(addition_loops)
     assert warm is not None and warm.system is addition_loops
     g = goal_element(addition_loops)
     assert all(c.ok for c in certify_trace(addition_loops, g, trace))
     for law, (ds, bs) in _tampered(addition_loops, trace, g).items():
-        bad = certify_trace(addition_loops, g, AlternationTrace(ds=ds, bs=bs, results=warm))
+        bad = certify_trace(addition_loops, g, AlternationTrace(ds=ds, bs=bs), warm)
         assert not getattr(bad[0], law), law
+    with pytest.raises(ValueError):  # a table of another system
+        certify_trace(ladder, goal_element(ladder), AlternationTrace(), warm)
 
 
 def _one_box_changed(system, elem):
@@ -376,6 +386,20 @@ def test_coarse_first_sound(corpus_systems):
             assert goal_disjoint(system, model), name
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"max_rounds": 0},
+        {"widening_delay": -1},
+        {"descending_passes": -1},
+        {"start_direction": "sideways"},
+    ],
+)
+def test_config_rejects_out_of_range_values(fields):
+    with pytest.raises(ValueError):
+        AnalysisConfig(**fields)
+
+
 def test_default_config_values():
     config = AnalysisConfig()
     assert config.max_rounds == 5
@@ -386,28 +410,45 @@ def test_default_config_values():
 # -- soundness against the ground semantics ------------------------------------------
 
 
+def finite_systems(seeds: int):
+    """``random_finite_system`` of each of its first ``seeds`` seeds, then
+    the arity 3-4 systems of ``wide_finite_text``, with a label each."""
+    for seed in range(seeds):
+        yield seed, random_finite_system(seed)
+    for seed in range(WIDE_SEEDS):
+        yield f"wide-{seed}", parse_system(wide_finite_text(seed))
+
+
 def test_forward_covers_concrete_on_seeded_systems():
-    for seed in range(40):
-        system = random_finite_system(seed)
+    for label, system in finite_systems(40):
         elem = analyze_forward(system)
         for atom in lfp_forward(system):
-            assert elem.gamma_contains(atom.pred, atom.args), (seed, str(atom))
+            assert elem.gamma_contains(atom.pred, atom.args), (label, str(atom))
+
+
+def _model_contains(model, atom) -> bool:
+    """Is the ground atom in the denotation of the refined model?"""
+
+    def inside(elem) -> bool:
+        return elem.gamma_contains(atom.pred, atom.args)
+
+    return inside(model.final) or any(inside(d) and not inside(b) for d, b in model.layers)
 
 
 def test_unknown_never_lies_on_seeded_systems():
     # whenever the concrete goal set is actually reachable, the abstract
-    # verdict must not claim SAFE
-    from chclab.concrete import goal_atoms, lfp_combined
-
+    # verdict must not claim SAFE; SAFE or not, the refined model holds
+    # on every concretely derivable atom
     flagged = 0
-    for seed in range(60):
-        system = random_finite_system(seed)
+    for label, system in finite_systems(60):
+        rel = ground_relation(system)
         goal = goal_atoms(system)
-        reachable = lfp_combined(system, goal)
         _, verdict = alternate(system)
-        if reachable & goal:
-            assert verdict.status != "SAFE", seed
+        if lfp_combined_rel(rel, goal) & goal:
+            assert verdict.status != "SAFE", label
             flagged += 1
+        for atom in lfp_forward_rel(rel):
+            assert _model_contains(verdict.witness, atom), (label, str(atom))
     assert flagged > 0  # the sample does contain genuinely unsafe systems
 
 
@@ -444,6 +485,39 @@ def fuzz_text(seed: int) -> str:
         body += [_fuzz_comparison(rng, variables) for _ in range(rng.randint(0, 3))]
         head = "false" if k == nclauses - 1 else atom()
         lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return "\n".join(lines) + "\n"
+
+
+WIDE_SEEDS = 60
+
+
+def wide_finite_text(seed: int) -> str:
+    """A random system of 1-3 predicates of arity 3-4 over a universe of
+    2-3 values.  Grounding a clause enumerates the universe to the power
+    of its variable count, and normalization gives each argument position
+    its own variable, so a clause has at most seven argument positions and
+    its comparisons mention only variables of its atoms."""
+    rng = random.Random(seed)
+    arities = [rng.randint(3, 4) for _ in range(rng.randint(1, 3))]
+    universe = sorted(rng.sample(range(4), rng.randint(2, 3)))
+    lines = [f"pred p{i}/{a}." for i, a in enumerate(arities)]
+    lines.append("universe {" + ", ".join(map(str, universe)) + "}.")
+    nclauses = rng.randint(2, 6)
+    for k in range(nclauses):
+        head = None if k == nclauses - 1 else rng.randrange(len(arities))
+        room = 7 - (0 if head is None else arities[head])
+        preds = [] if head is None else [head]
+        for _ in range(rng.choices([0, 1, 2], weights=[30, 50, 20])[0]):
+            i = rng.randrange(len(arities))
+            if arities[i] <= room:
+                preds.append(i)
+                room -= arities[i]
+        atoms = [f"p{i}({', '.join(rng.choice('ABCD') for _ in range(arities[i]))})" for i in preds]
+        used = sorted({v for a in atoms for v in a if v in "ABCD"}) or ["A"]
+        body = atoms if head is None else atoms[1:]
+        body += [_fuzz_comparison(rng, used) for _ in range(rng.randint(0, 2))]
+        head_text = "false" if head is None else atoms[0]
+        lines.append(f"{head_text} :- {', '.join(body)}." if body else f"{head_text}.")
     return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,8 @@ from chclab.concrete import (
     lfp_forward,
     post,
 )
+from chclab.linlogic import ResourceLimitError
+from chclab.parser import parse_system
 from chclab.randgen import random_acyclic_system, random_finite_system
 from chclab.trees import (
     DerivTree,
@@ -114,6 +119,35 @@ def test_step_law_on_closed_set(ladder):
     trees = forward_trees(ladder, depth=6)
     grown = tree_post(rel, trees)
     assert atoms_abstraction(grown | trees) == post(rel, atoms_abstraction(trees)) | atoms_abstraction(trees)
+
+
+@contextmanager
+def time_budget(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_tree_growth_stops_at_its_cap():
+    # Step 4 holds 1352 forward trees; step 5 would build 916,658 of them,
+    # which takes far longer than the budget.  The cap stops the build.
+    system = parse_system("pred p/1.\nuniverse {0, 1}.\np(X).\np(X) :- p(Y), p(Z).\n")
+    with time_budget(2.0), pytest.raises(ResourceLimitError, match="more than 2000 forward trees"):
+        check_tree_props(system, max_trees=2000)
+
+
+def test_tree_cap_counts_the_goal_seed(ladder):
+    # ladder's last backward step holds 5 trees: the goal leaf and 4 expansions
+    assert check_tree_props(ladder, max_trees=5).all_pass
+    with pytest.raises(ResourceLimitError, match="more than 4 backward trees"):
+        check_tree_props(ladder, max_trees=4)
 
 
 @given(st.integers(0, 10**9))
