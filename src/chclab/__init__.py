@@ -13,7 +13,13 @@ over the rationals.  It provides:
 * a small text format for systems and models (:mod:`chclab.parser`).
 
 The ``chclab`` console script exposes all of it; see ``chclab --help``.
+Its subcommands import only the modules they use.  ``concrete``, ``qa``
+and ``trees``, which ``import chclab.cli`` no longer loads, are imported
+on first attribute access, so ``chclab.qa`` works after a bare
+``import chclab``.
 """
+
+import importlib
 
 from .depgraph import dependency_order
 from .linlogic import ResourceLimitError
@@ -31,3 +37,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_LAZY = frozenset({"concrete", "qa", "trees"})
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,6 +7,10 @@ Subcommands: ``solve`` (abstract analyses, JSON or text reports),
 
 Exit codes: 0 success/SAFE, 1 failed check (for ``solve``: a false
 certificate), 2 bad input, 3 resource cap exceeded, 10 UNKNOWN verdict.
+
+The oracles, the tree semantics and the query-answer analyses are
+imported by the subcommands and modes that use them, so ``chclab solve``
+starts without them.
 """
 
 from __future__ import annotations
@@ -17,17 +21,8 @@ import sys
 import time
 from dataclasses import replace
 
-from .concrete import (
-    check_combined_closure,
-    goal_atoms,
-    lfp_backward_rel,
-    lfp_combined_rel,
-    lfp_forward_rel,
-    ground_relation,
-)
 from .linlogic import ResourceLimitError
 from .parser import ParseError, parse_model, parse_system
-from .qa import qa_iterated, qa_transform, qa_two_step
 from .solver import (
     AnalysisConfig,
     alternate,
@@ -35,7 +30,6 @@ from .solver import (
     goal_disjoint,
 )
 from .syntax import format_formula, format_model, format_system
-from .trees import check_tree_props
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -87,10 +81,14 @@ def cmd_solve(args) -> int:
         trace, verdict = alternate(system, config=config)
         step_laws_ok = trace.certified
     elif args.mode == "qa2":
+        from .qa import qa_two_step
+
         _, verdict = qa_two_step(system, config=config)
         trace = None
         step_laws_ok = None
     else:  # qa-iter
+        from .qa import qa_iterated
+
         trace, verdict = qa_iterated(system, config=config)
         step_laws_ok = trace.certified
     wall_ms = int((time.monotonic() - started) * 1000)
@@ -161,6 +159,15 @@ def _trace_pairs(trace):
 
 
 def cmd_oracle(args) -> int:
+    from .concrete import (
+        check_combined_closure,
+        goal_atoms,
+        ground_relation,
+        lfp_backward_rel,
+        lfp_combined_rel,
+        lfp_forward_rel,
+    )
+
     system = _read_system(args.file)
     if system.universe is None:
         raise SystemExit2(f"{args.file}: oracle needs a universe declaration")
@@ -183,6 +190,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_trees(args) -> int:
+    from .trees import check_tree_props
+
     system = _read_system(args.file)
     if system.universe is None:
         raise SystemExit2(f"{args.file}: tree enumeration needs a universe declaration")
@@ -198,6 +207,8 @@ def cmd_trees(args) -> int:
 
 
 def cmd_qa(args) -> int:
+    from .qa import qa_transform
+
     system = _read_system(args.file)
     print(format_system(qa_transform(system).system), end="")
     return EXIT_OK

@@ -7,22 +7,37 @@ unreached/reached, which is how the falsity predicate is tracked.  An
 :class:`AbstractElement` maps every declared predicate to a box.
 
 Per-clause transformers compute the tightest box implied by the clause
-constraint together with the boxes of the occurring predicates, going
-through DNF conversion and exact projection.
+constraint together with the boxes of the occurring predicates.  A
+:class:`CompiledClause` converts the constraint to DNF and lowers it to
+integer rows once; each call only adds the bounds of its input boxes as
+rows and projects exactly (:mod:`chclab.linlogic`).  :func:`clause_post`
+and :func:`clause_pre_restricted` compile the clause on the fly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linlogic import RawBound, project_to_box, to_dnf
+from .linlogic import (
+    Lowered,
+    RawBound,
+    RowSet,
+    bound_row,
+    extend,
+    lower,
+    project_rows,
+    project_to_box,
+    to_dnf,
+)
 from .syntax import (
     Clause,
     Formula,
     LinConstraint,
     LinTerm,
+    PredApp,
     Rel,
     System,
     TRUE,
@@ -221,22 +236,28 @@ class Box:
             return self
         return Box(self.arity, tuple(a.widen(b) for a, b in zip(self.intervals, other.intervals)))
 
+    def bounds(self, variables: Sequence[str]) -> Iterator[tuple[str, Fraction, Rel, bool]]:
+        """The bounds of a nonempty box over ``variables``, each as
+        ``(v, value, rel, upper)``: ``v - value rel 0`` when ``upper``,
+        else ``value - v rel 0``.  A point interval is one equality."""
+        for v, iv in zip(variables, self.intervals):
+            lo, hi = iv.lo, iv.hi
+            if lo.value is not None and lo == hi:
+                yield v, lo.value, Rel.EQ, True
+                continue
+            if lo.value is not None:
+                yield v, lo.value, Rel.LT if lo.strict else Rel.LE, False
+            if hi.value is not None:
+                yield v, hi.value, Rel.LT if hi.strict else Rel.LE, True
+
     def formula(self, variables: Sequence[str]) -> Formula:
         """The box as a constraint formula over ``variables``."""
         if self.intervals is None:
             return FALSE
         parts: list[Formula] = []
-        for v, iv in zip(variables, self.intervals):
-            var = LinTerm.var(v)
-            if iv.lo.value is not None and iv.hi.value is not None and iv.lo == iv.hi:
-                parts.append(LinConstraint(var - LinTerm.constant(iv.lo.value), Rel.EQ).formula())
-                continue
-            if iv.lo.value is not None:
-                rel = Rel.LT if iv.lo.strict else Rel.LE
-                parts.append(LinConstraint(LinTerm.constant(iv.lo.value) - var, rel).formula())
-            if iv.hi.value is not None:
-                rel = Rel.LT if iv.hi.strict else Rel.LE
-                parts.append(LinConstraint(var - LinTerm.constant(iv.hi.value), rel).formula())
+        for v, value, rel, upper in self.bounds(variables):
+            var, const = LinTerm.var(v), LinTerm.constant(value)
+            parts.append(LinConstraint(var - const if upper else const - var, rel).formula())
         return conj(parts)
 
     def complement(self, variables: Sequence[str]) -> Formula:
@@ -332,12 +353,77 @@ def formula_box(formula: Formula, variables: Sequence[str]) -> Box:
     return acc
 
 
+class CompiledClause:
+    """The transformers of one clause over integer rows.
+
+    The constraint's DNF is computed and lowered to integer rows once,
+    on the first call with no empty input box.  Per target (the head
+    arguments, or the arguments of body position ``j``) each cube then
+    becomes a template: its rows with the equalities solved for
+    variables outside the target substituted away, plus those pivots
+    (see :func:`chclab.linlogic.extend`).  A call lowers each bound of
+    its input boxes to a one-variable row, extends every template with
+    those rows and projects the result onto the target.
+    """
+
+    def __init__(self, clause: Clause):
+        self.clause = clause
+        self._templates: dict[int | None, tuple] = {}
+
+    @cached_property
+    def lowered(self) -> tuple[tuple[str, ...], dict[str, int], list[list[Lowered]]]:
+        """The clause's variables, their positions, and the rows of each
+        cube of the constraint's DNF."""
+        clause = self.clause
+        cubes = to_dnf(clause.constraint)
+        names = {v for app in (clause.head, *clause.body) for v in app.args}
+        names.update(v for cube in cubes for c in cube.cons for v, _ in c.term.coeffs)
+        names = tuple(sorted(names))
+        index = {v: j for j, v in enumerate(names)}
+        return names, index, [[lower(c, index) for c in cube.cons] for cube in cubes]
+
+    def post(self, body: Sequence[Box]) -> Box:
+        """The head box derived from the boxes of the body atoms."""
+        return self._apply(None, self.clause.body, body)
+
+    def pre(self, position: int, head: Box, body: Sequence[Box]) -> Box:
+        """The box of body atom ``position`` from which the clause derives
+        a head inside ``head`` with every body atom inside ``body``."""
+        return self._apply(position, (self.clause.head, *self.clause.body), (head, *body))
+
+    def _apply(self, target: int | None, apps: Sequence[PredApp], boxes: Sequence[Box]) -> Box:
+        clause = self.clause
+        args = clause.head.args if target is None else clause.body[target].args
+        if any(box.is_empty for box in boxes):
+            return Box.empty(len(args))
+        names, index, _ = self.lowered
+        free, templates = self._template(target, args)
+        rows = [
+            bound_row(len(names), index[v], value, rel, upper)
+            for app, box in zip(apps, boxes)
+            for v, value, rel, upper in box.bounds(app.args)
+        ]
+        acc = Box.empty(len(args))
+        for template in templates:
+            cube, _ = extend(*template, rows, free)
+            raw = project_rows(RowSet.from_rows(names, cube), args)
+            if raw is not None:
+                acc = acc.join(Box.from_raw(len(args), raw))
+        return acc
+
+    def _template(self, target: int | None, args: Sequence[str]) -> tuple:
+        found = self._templates.get(target)
+        if found is None:
+            names, _, cubes = self.lowered
+            free = sum(1 << j for j, v in enumerate(names) if v not in args)
+            templates = [extend((), (), cube, free) for cube in cubes]
+            found = self._templates[target] = (free, templates)
+        return found
+
+
 def clause_post(clause: Clause, elem: AbstractElement) -> Box:
     """Tightest head box a clause derives when its body holds in ``elem``."""
-    parts: list[Formula] = [clause.constraint]
-    for app in clause.body:
-        parts.append(elem.get(app.pred.name).formula(app.args))
-    return formula_box(conj(parts), clause.head.args)
+    return CompiledClause(clause).post([elem.get(app.pred.name) for app in clause.body])
 
 
 def clause_pre_restricted(
@@ -348,8 +434,8 @@ def clause_pre_restricted(
 ) -> Box:
     """Tightest box for one body atom from which the clause can reach
     a head in ``elem``, with every body atom kept inside ``restriction``."""
-    head = clause.head
-    parts: list[Formula] = [clause.constraint, elem.get(head.pred.name).formula(head.args)]
-    for app in clause.body:
-        parts.append(restriction.get(app.pred.name).formula(app.args))
-    return formula_box(conj(parts), clause.body[position].args)
+    return CompiledClause(clause).pre(
+        position,
+        elem.get(clause.head.pred.name),
+        [restriction.get(app.pred.name) for app in clause.body],
+    )

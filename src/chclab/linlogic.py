@@ -9,19 +9,25 @@ more than ``DEFAULT_CUBE_CAP`` branches raises :class:`ResourceLimitError`.
 Only projections, which need every cube, convert a formula to disjunctive
 normal form (:func:`to_dnf`, under the same cap).
 
-Cubes are decided (:func:`cube_is_sat`) and projected onto interval bounds
-(:func:`project_to_box`) by one Fourier-Motzkin engine:
+Constraints are lowered to integer rows once (:func:`lower`, and
+:func:`bound_row` for an interval bound), and one Fourier-Motzkin engine
+works on those rows:
 
-* **Equalities first.**  Each equality is solved for one of its variables
-  and substituted away.  A projection pivots only on variables it was not
-  asked for; an equality over requested variables alone becomes two
-  inequalities.
-* **Integer rows.**  Every remaining inequality becomes a row of a
-  :class:`RowSet`: integer coefficients and constant without a common
-  divisor, a strict flag, a history (the bitmask of the original
-  inequalities the row combines) and the mask of the variables those
-  originals mention.  Combining a strict with a non-strict row yields a
-  strict one.
+* **Equalities first.**  :func:`extend` conjoins new rows with rows whose
+  equalities are already substituted away: it rewrites the new rows
+  through the recorded pivots, solves each new equality for one of its
+  free variables and substitutes it into every other row.  A projection
+  pivots only on variables it was not asked for; an equality over
+  requested variables alone becomes two inequalities.  The result can be
+  extended again: the search extends a branch's rows with a child's
+  atoms, and :class:`chclab.domain.CompiledClause` extends the template of
+  a constraint cube with the bounds of its input boxes.
+* **Integer rows.**  :meth:`RowSet.from_rows` turns every remaining
+  constraint into inequality rows: integer coefficients and constant
+  without a common divisor, a strict flag, a history (the bitmask of the
+  original inequalities the row combines) and the mask of the variables
+  those originals mention.  Combining a strict with a non-strict row
+  yields a strict one.
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.
@@ -36,9 +42,11 @@ Cubes are decided (:func:`cube_is_sat`) and projected onto interval bounds
 * **Budget.**  An elimination step that holds more than
   ``DEFAULT_FM_CAP`` rows raises :class:`ResourceLimitError`.
 
-:func:`project_to_box` eliminates the variables it was not asked for once,
-then reads each requested variable's bounds off its single-variable
-projection, which also decides satisfiability.
+A cube is decided by :func:`cube_is_sat` and projected onto interval
+bounds by :func:`project_to_box`, which lowers it and calls
+:func:`project_rows`: that eliminates the variables it was not asked for
+once, then reads each requested variable's bounds off its
+single-variable projection, which also decides satisfiability.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Mapping
 
 from .syntax import (
     And,
@@ -56,6 +65,7 @@ from .syntax import (
     Or,
     Rel,
     TrueF,
+    formula_vars,
 )
 
 DEFAULT_CUBE_CAP = 4096
@@ -151,38 +161,153 @@ def _gather(f: Formula, atoms: list[LinConstraint], pending: list[Or]) -> bool:
 def sat_cube(formula: Formula) -> ConjCube | None:
     """A satisfiable cube of the formula's DNF, or ``None`` if it has none.
 
-    Depth-first search over the disjunct choices.  Each branch gathers
-    every atom its choices imply and is dropped as soon as those atoms
-    are unsatisfiable; it then branches on the pending disjunction with
-    the fewest children, trying them in formula order.  The first branch
-    left with no pending disjunction is the answer.  Raises
+    Depth-first search over the disjunct choices.  The formula's
+    variables are indexed once, and each branch carries the substituted
+    rows and pivots of the atoms its choices imply (see :func:`extend`):
+    a child lowers and substitutes only its new atoms and eliminates a
+    copy of the result.  A branch is dropped as soon as its atoms are
+    unsatisfiable; it then branches on the pending disjunction with the
+    fewest children, trying them in formula order.  A root left with
+    exactly one pending disjunction skips its own check and hands it to
+    every child, even one that adds no atom.  The first branch left with
+    no pending disjunction is the answer.  Raises
     :class:`ResourceLimitError` after ``DEFAULT_CUBE_CAP`` branches.
     """
+    # A constant needs no search, and indexing its variables would cost
+    # more than the answer: the refined model's formulas are mostly
+    # constants.
+    if isinstance(formula, FalseF):
+        return None
+    if isinstance(formula, TrueF):
+        return ConjCube(())
     cap = DEFAULT_CUBE_CAP
-    # A branch: the atoms chosen so far (satisfiable together), the
-    # disjunctions still to decide, and the child just chosen.
-    stack: list[tuple[frozenset[LinConstraint], tuple[Or, ...], Formula]] = [
-        (frozenset(), (), formula)
-    ]
+    names = tuple(sorted(formula_vars(formula)))
+    index = {v: j for j, v in enumerate(names)}
+    everything = (1 << len(names)) - 1
+    # A branch: the atoms chosen so far, the keys of their distinct rows,
+    # those rows substituted and their pivots, whether the atoms are known
+    # to be satisfiable together, the disjunctions still to decide, and
+    # the child just chosen.  Rows hash far faster than the Fractions of
+    # their atoms, and two atoms with one row are the same constraint.
+    stack: list[tuple] = [((), frozenset(), (), (), True, (), formula)]
     visited = 0
     while stack:
         visited += 1
         if visited > cap:
             raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
-        atoms, pending, choice = stack.pop()
+        atoms, keys, rows, pivots, checked, pending, choice = stack.pop()
         new_atoms: list[LinConstraint] = []
         pending = list(pending)
         if not _gather(choice, new_atoms, pending):
             continue
-        if not atoms.issuperset(new_atoms):
-            atoms = atoms.union(new_atoms)
-            if not cube_is_sat(ConjCube.make(atoms)):
+        atoms += tuple(new_atoms)
+        fresh: dict[tuple, Lowered] = {}
+        for c in new_atoms:
+            row = lower(c, index)
+            key = (*row[0], row[1], row[2])
+            if key not in keys:
+                fresh[key] = row
+        if fresh:
+            keys = keys.union(fresh)
+            rows, pivots = extend(rows, pivots, fresh.values(), everything)
+            checked = False
+        # The root leaves its check to the children when they are the
+        # only choice to make: its atoms, a clause body in the model
+        # check, are nearly always satisfiable.  Deeper branches keep
+        # theirs, since most of those that reach a check fail it.
+        if not checked and (visited > 1 or len(pending) != 1):
+            if _eliminate(RowSet.from_rows(names, rows), everything).unsat:
                 continue
+            checked = True
         if not pending:
             return ConjCube.make(atoms)
         split = pending.pop(min(range(len(pending)), key=lambda k: len(pending[k].items)))
-        stack.extend((atoms, tuple(pending), child) for child in reversed(split.items))
+        stack.extend(
+            (atoms, keys, rows, pivots, checked, tuple(pending), child)
+            for child in reversed(split.items)
+        )
     return None
+
+
+# A constraint lowered to integers: (vec, const, rel) stands for
+# ``sum(vec[i] * names[i]) + const rel 0`` over the names of its run.
+Lowered = tuple[list[int], int, Rel]
+# An equality solved for position j: (j, vec, const) of that equality.
+Pivot = tuple[int, list[int], int]
+
+
+def lower(con: LinConstraint, index: Mapping[str, int]) -> Lowered:
+    """``con`` over the positions of ``index``, with its coefficients and
+    constant multiplied by the lcm of their denominators."""
+    term = con.term
+    den = term.const.denominator
+    for _, a in term.coeffs:
+        den = lcm(den, a.denominator)
+    vec = [0] * len(index)
+    for v, a in term.coeffs:
+        vec[index[v]] = a.numerator * (den // a.denominator)
+    return (vec, term.const.numerator * (den // term.const.denominator), con.rel)
+
+
+def bound_row(n: int, j: int, value: Fraction, rel: Rel, upper: bool) -> Lowered:
+    """``x_j - value rel 0`` if ``upper``, else ``value - x_j rel 0``, as
+    a row of width ``n``."""
+    vec = [0] * n
+    if upper:
+        vec[j] = value.denominator
+        return (vec, -value.numerator, rel)
+    vec[j] = -value.denominator
+    return (vec, value.numerator, rel)
+
+
+def _substitute(row: Lowered, pivots) -> Lowered:
+    """``row`` with the position of each pivot rewritten away, in order."""
+    vec, const, rel = row
+    for j, evec, econst in pivots:
+        f = vec[j]
+        if f:
+            # Add the multiple of the equality that cancels position j to
+            # |a| times the row; |a| > 0 keeps an inequality's direction.
+            a = evec[j]
+            scale = abs(a)
+            if a < 0:
+                f = -f
+            vec = [scale * x - f * y for x, y in zip(vec, evec)]
+            const = scale * const - f * econst
+    return (vec, const, rel)
+
+
+def extend(
+    rows: tuple[Lowered, ...], pivots: tuple[Pivot, ...], new, free: int
+) -> tuple[tuple[Lowered, ...], tuple[Pivot, ...]]:
+    """Conjoin the lowered constraints ``new`` with ``rows``.
+
+    ``rows`` hold no equality with a coefficient at a position in the
+    mask ``free``, and ``pivots`` are the equalities substituted away to
+    get there.  Each new row is rewritten through the pivots; then, while
+    a new equality has a coefficient at a free position, it is solved for
+    the first such position and substituted into every other row.
+    Returns the rows and pivots of the conjunction.  Neither input is
+    modified, so a template can be extended again and again.
+    """
+    new = [_substitute(r, pivots) for r in new] if pivots else list(new)
+    # An equality passed over has no coefficient at a free position, so no
+    # later substitution changes it and the scan never has to restart.
+    k = 0
+    while k < len(new):
+        evec, econst, rel = new[k]
+        j = -1
+        if rel is Rel.EQ:
+            j = next((j for j, x in enumerate(evec) if x and free >> j & 1), -1)
+        if j < 0:
+            k += 1
+            continue
+        del new[k]
+        solved = ((j, evec, econst),)
+        pivots += solved
+        rows = tuple(_substitute(r, solved) if r[0][j] else r for r in rows)
+        new = [_substitute(r, solved) if r[0][j] else r for r in new]
+    return (*rows, *new), pivots
 
 
 # One row of a RowSet: (coeffs, const, strict, history, varmask) stands for
@@ -212,48 +337,16 @@ class RowSet:
         pivoting only on variables outside ``requested``."""
         names = tuple(sorted(cube.vars))
         index = {v: j for j, v in enumerate(names)}
-        n = len(names)
-        free = [v not in requested for v in names]
-        rows: list[tuple[list[int], int, Rel]] = []
-        for c in cube.cons:
-            term = c.term
-            den = term.const.denominator
-            for _, a in term.coeffs:
-                den = lcm(den, a.denominator)
-            vec = [0] * n
-            for v, a in term.coeffs:
-                vec[index[v]] = a.numerator * (den // a.denominator)
-            rows.append((vec, term.const.numerator * (den // term.const.denominator), c.rel))
+        free = sum(1 << j for j, v in enumerate(names) if v not in requested)
+        rows, _ = extend((), (), [lower(c, index) for c in cube.cons], free)
+        return RowSet.from_rows(names, rows)
 
-        while True:
-            pivot = next(
-                (
-                    (k, j)
-                    for k, (vec, _, rel) in enumerate(rows)
-                    if rel is Rel.EQ
-                    for j in range(n)
-                    if vec[j] and free[j]
-                ),
-                None,
-            )
-            if pivot is None:
-                break
-            k, j = pivot
-            evec, econst, _ = rows.pop(k)
-            a = evec[j]
-            # Add the multiple of the equality that cancels position j to
-            # |a| times each other row; |a| > 0 keeps an inequality's
-            # direction.
-            scale, sign = abs(a), (1 if a > 0 else -1)
-            for i, (vec, const, rel) in enumerate(rows):
-                if vec[j]:
-                    f = sign * vec[j]
-                    rows[i] = (
-                        [scale * x - f * y for x, y in zip(vec, evec)],
-                        scale * const - f * econst,
-                        rel,
-                    )
-
+    @staticmethod
+    def from_rows(names: tuple[str, ...], rows) -> RowSet:
+        """The inequalities of the lowered constraints ``rows``: each
+        divided by the gcd of its integers, an equality split into two
+        inequalities, ground rows that hold dropped and exact duplicates
+        merged.  A ground row that fails makes the set ``unsat``."""
         out: dict[tuple, Row] = {}
         for vec, const, rel in rows:
             if rel is Rel.EQ:
@@ -402,14 +495,22 @@ def project_to_box(
     ``(value, strict)`` pair and ``value None`` means unbounded.
     Variables not mentioned by the cube come back unbounded.
     """
+    return project_rows(RowSet.of(cube, frozenset(variables)), variables)
+
+
+def project_rows(rows: RowSet, variables) -> list[tuple[RawBound, RawBound]] | None:
+    """:func:`project_to_box` of the conjunction ``rows`` stands for."""
     requested = frozenset(variables)
-    rows = RowSet.of(cube, requested)
     keep = {j for j, v in enumerate(rows.names) if v in requested}
     rows = _eliminate(rows, sum(1 << j for j in range(len(rows.names)) if j not in keep))
     if rows.unsat:
         return None
     bounds: dict[str, tuple[RawBound, RawBound]] = {}
     for j in sorted(keep):
+        if not any(vec[j] for vec, *_ in rows.cons):
+            # Unbounded; the projection onto any variable a row mentions
+            # decides satisfiability.
+            continue
         single = _eliminate(rows, sum(1 << i for i in keep if i != j))
         if single.unsat:
             return None

@@ -17,7 +17,10 @@ round loop, shared with the transformation-based alternation in
 :mod:`chclab.qa`.
 
 The flows compute each clause transformer through a
-:class:`ClauseResults` table that lives for one run.  A forward result
+:class:`ClauseResults` table that lives for one run.  The table compiles
+each clause on its first lookup (:class:`~chclab.domain.CompiledClause`),
+so a clause's constraint is converted to DNF and lowered to integer rows
+once per run, and every miss only adds the input boxes.  A forward result
 is keyed on the clause's index in ``system.clauses`` and the boxes of
 its body atoms; a backward result on that index, the body position,
 the head box and the restriction boxes of all body atoms.  Those inputs
@@ -40,13 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .depgraph import dependency_order
-from .domain import (
-    AbstractElement,
-    Box,
-    clause_post,
-    clause_pre_restricted,
-    formula_box,
-)
+from .domain import AbstractElement, Box, CompiledClause, formula_box
 from .linlogic import is_sat, sat_cube
 from .syntax import (
     Formula,
@@ -179,10 +176,13 @@ class ClauseResults:
     ``pre(i, j, r, elem)`` is ``clause_pre_restricted`` of its body
     position ``j``, each computed once per key (see the module
     docstring), so a lookup returns exactly what a fresh call would.
+    Each clause is compiled (:class:`~chclab.domain.CompiledClause`) on
+    its first lookup, and its compiled form serves every later miss.
     """
 
     def __init__(self, system: System):
         self.system = system
+        self._compiled: dict[int, CompiledClause] = {}
         self._post: dict[tuple, Box] = {}
         self._pre: dict[tuple, Box] = {}
 
@@ -191,12 +191,19 @@ class ClauseResults:
         """The system's dependency order, computed once per run."""
         return dependency_order(self.system)
 
+    def compiled(self, i: int) -> CompiledClause:
+        """Clause ``i`` compiled, once per run."""
+        found = self._compiled.get(i)
+        if found is None:
+            found = self._compiled[i] = CompiledClause(self.system.clauses[i])
+        return found
+
     def post(self, i: int, elem: AbstractElement) -> Box:
         clause = self.system.clauses[i]
         key = (i, *[elem.get(app.pred.name) for app in clause.body])
         box = self._post.get(key)
         if box is None:
-            box = self._post[key] = clause_post(clause, elem)
+            box = self._post[key] = self.compiled(i).post(key[1:])
         return box
 
     def pre(self, i: int, j: int, r: AbstractElement, elem: AbstractElement) -> Box:
@@ -209,7 +216,7 @@ class ClauseResults:
         )
         box = self._pre.get(key)
         if box is None:
-            box = self._pre[key] = clause_pre_restricted(clause, j, r, elem)
+            box = self._pre[key] = self.compiled(i).pre(j, key[2], key[3:])
         return box
 
 

@@ -275,11 +275,7 @@ def disj(items: Iterable[Formula]) -> Formula:
 
 
 def formula_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (TrueF, FalseF)):
-        return frozenset()
-    if isinstance(f, Lin):
-        return f.con.vars
-    return frozenset().union(*(formula_vars(g) for g in f.items))
+    return frozenset(v for c in iter_formula_constraints(f) for v, _ in c.term.coeffs)
 
 
 def eval_formula(f: Formula, env: Mapping[str, Fraction]) -> bool:

@@ -298,3 +298,16 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("SAFE")
+
+
+def test_cli_import_leaves_oracles_and_qa_unloaded():
+    # ``chclab solve`` starts without the modules only other subcommands
+    # and modes use; the package still resolves them on attribute access.
+    script = (
+        "import sys, chclab.cli; "
+        "print(sorted(m for m in ('chclab.concrete', 'chclab.qa', 'chclab.trees') if m in sys.modules)); "
+        "import chclab; print(chclab.qa.qa_iterated.__name__, 'chclab.qa' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "qa_iterated True"]

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import transformer_reference
+from chclab import linlogic
 from chclab.concrete import ground_relation, post as concrete_post
 from chclab.domain import (
     AbstractElement,
     Box,
+    CompiledClause,
     Interval,
     clause_post,
     clause_pre_restricted,
@@ -20,8 +23,19 @@ from chclab.domain import (
 )
 from chclab.linlogic import is_sat
 from chclab.parser import parse_system
-from chclab.randgen import random_box, random_element, random_finite_system
-from chclab.syntax import conj, eval_formula, param_vars
+from chclab.randgen import random_box, random_element, random_finite_system, random_interval
+from chclab.syntax import (
+    Clause,
+    LinConstraint,
+    LinTerm,
+    PredApp,
+    PredDecl,
+    Rel,
+    conj,
+    eval_formula,
+    param_vars,
+)
+from test_solver import fuzz_text
 
 F = Fraction
 
@@ -250,3 +264,128 @@ def test_clause_pre_restricted_example():
     )
     box = clause_pre_restricted(clause, 0, restriction, elem)
     assert str(box) == "[0, 2]"
+
+
+# -- compiled transformers vs. the formula route ---------------------------------
+
+# Repeated argument variables: the parser gives each position its own
+# variable and an equality, which the compiled templates pivot on.
+REPEATED_TEXT = """\
+pred p1/2.
+pred p2/4.
+p1(X, Y) :- X >= 0, Y = X + 1.
+p2(C, C, A, A) :- p1(A, C), C <= A + 3.
+p1(A, C) :- p2(C, C, A, A), A < 5.
+p2(A, B, A, B) :- p2(B, A, B, A), p1(A, A), A + B <= 7.
+false :- p2(A, B, C, D), A + B > C + D + 10.
+"""
+
+
+def _repeated_clauses():
+    """Clauses built directly, so that one variable fills several
+    argument positions of an atom, which the parser never produces."""
+    p1, p2 = PredDecl("p1", 2), PredDecl("p2", 4)
+    a, c = LinTerm.var("A"), LinTerm.var("C")
+    le = LinConstraint(c - a - LinTerm.constant(3), Rel.LE).formula()
+    eq = LinConstraint(c - a, Rel.EQ).formula()
+    return [
+        Clause((PredApp(p2, ("C", "C", "A", "A")),), le, PredApp(p1, ("A", "C"))),
+        Clause((PredApp(p1, ("A", "A")), PredApp(p1, ("C", "A"))), eq, PredApp(p2, ("C", "C", "A", "C"))),
+    ]
+
+
+def _probe_interval(rng, kind):
+    if kind == "top":
+        return Interval.top()
+    if kind == "point":
+        return Interval.point(Fraction(rng.randint(-4, 4), rng.choice((1, 2))))
+    if kind == "half-open":
+        v = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3)))
+        return rng.choice(
+            (
+                Interval.of(v, None, lo_strict=rng.random() < 0.5),
+                Interval.of(None, v, hi_strict=rng.random() < 0.5),
+                Interval.of(v, v + 2, hi_strict=True),
+            )
+        )
+    return random_interval(rng)
+
+
+def _probe_element(rng, decls):
+    """Every box top, empty, a point, half-open or a mix of those."""
+    boxes = {}
+    for d in decls:
+        kind = rng.choice(("top", "empty", "point", "half-open", "mixed"))
+        if kind == "empty":
+            boxes[d.name] = Box.empty(d.arity)
+            continue
+        kinds = [
+            rng.choice(("top", "point", "half-open", "random")) if kind == "mixed" else kind
+            for _ in range(d.arity)
+        ]
+        boxes[d.name] = Box.make(d.arity, (_probe_interval(rng, k) for k in kinds))
+    return AbstractElement.of(boxes)
+
+
+def _assert_matches_reference(clauses, decls, rng, count, label):
+    """One compiled form per clause, called on ``count`` elements."""
+    compiled = [CompiledClause(c) for c in clauses]
+    for k in range(count):
+        elem, restriction = _probe_element(rng, decls), _probe_element(rng, decls)
+        for clause, cc in zip(clauses, compiled):
+            body = [elem.get(app.pred.name) for app in clause.body]
+            want = transformer_reference.clause_post(clause, elem)
+            assert cc.post(body) == want, (label, k, str(clause))
+            head = elem.get(clause.head.pred.name)
+            body = [restriction.get(app.pred.name) for app in clause.body]
+            for j in range(len(clause.body)):
+                want = transformer_reference.clause_pre_restricted(clause, j, restriction, elem)
+                assert cc.pre(j, head, body) == want, (label, k, j, str(clause))
+
+
+def test_compiled_transformers_match_formula_route(corpus_systems):
+    rng = random.Random(7)
+    for name, system in corpus_systems:
+        _assert_matches_reference(system.clauses, system.decls, rng, 6, name)
+    for seed in range(200):
+        system = parse_system(fuzz_text(seed))
+        _assert_matches_reference(system.clauses, system.decls, rng, 2, seed)
+    system = parse_system(REPEATED_TEXT)
+    _assert_matches_reference(system.clauses, system.decls, rng, 100, "repeated")
+    decls = (PredDecl("p1", 2), PredDecl("p2", 4))
+    _assert_matches_reference(_repeated_clauses(), decls, rng, 100, "shared")
+    # the calls on the fly compile the same way
+    elem = _probe_element(rng, system.decls)
+    for clause in system.clauses[1:]:
+        assert clause_post(clause, elem) == transformer_reference.clause_post(clause, elem)
+        assert clause_pre_restricted(clause, 0, elem, elem) == (
+            transformer_reference.clause_pre_restricted(clause, 0, elem, elem)
+        )
+
+
+def test_empty_input_box_skips_elimination(monkeypatch, addition_loops):
+    calls = 0
+    eliminate = linlogic._eliminate
+
+    def counting(rows, mask):
+        nonlocal calls
+        calls += 1
+        return eliminate(rows, mask)
+
+    monkeypatch.setattr(linlogic, "_eliminate", counting)
+    bottom = AbstractElement.bottom(addition_loops)
+    top = AbstractElement.top(addition_loops)
+    for clause in addition_loops.clauses:
+        cc = CompiledClause(clause)
+        empty = [bottom.get(app.pred.name) for app in clause.body]
+        full = [top.get(app.pred.name) for app in clause.body]
+        if clause.body:
+            assert cc.post(empty) == Box.empty(clause.head.pred.arity)
+        for j, app in enumerate(clause.body):
+            assert cc.pre(j, bottom.get(clause.head.pred.name), full) == Box.empty(app.pred.arity)
+            assert cc.pre(j, top.get(clause.head.pred.name), empty) == Box.empty(app.pred.arity)
+        # not even the constraint's DNF was computed
+        assert "lowered" not in vars(cc)
+    assert calls == 0
+    assert not CompiledClause(addition_loops.clauses[1]).post([Box.top(2)]).is_empty
+    assert calls > 0

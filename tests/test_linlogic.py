@@ -173,6 +173,47 @@ def test_sat_cube_agrees_with_full_dnf():
     assert 200 < found < 900
 
 
+def _pivot_atom(rng, names, rels):
+    coeffs = [
+        (v, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2))))
+        for v in rng.sample(names, rng.randint(1, 3))
+    ]
+    term = LinTerm.make(coeffs, Fraction(rng.randint(-4, 4)))
+    return Lin(LinConstraint(term, rng.choice(rels)))
+
+
+def pivot_formula(rng):
+    """Inequalities over 5-7 variables at the root, and one or two
+    disjunctions whose children bring equalities over the same variables
+    (some under a nested disjunction): the search meets each equality in
+    a child, after the rows it has to be substituted into."""
+    names = [f"v{i}" for i in range(rng.randint(5, 7))]
+    ineqs = [_pivot_atom(rng, names, (Rel.LE, Rel.LT)) for _ in range(rng.randint(2, len(names) + 2))]
+
+    def child(depth):
+        parts = [_pivot_atom(rng, names, (Rel.EQ,)) for _ in range(rng.randint(1, 2))]
+        parts += [_pivot_atom(rng, names, (Rel.LE, Rel.LT)) for _ in range(rng.randint(0, 1))]
+        if depth and rng.random() < 0.5:
+            parts.append(Or(tuple(child(depth - 1) for _ in range(rng.randint(1, 3)))))
+        return And(tuple(parts))
+
+    ors = [Or(tuple(child(1) for _ in range(rng.randint(1, 3)))) for _ in range(rng.randint(1, 2))]
+    return And((*ineqs, *ors))
+
+
+def test_incremental_search_agrees_with_cube_is_sat():
+    found = 0
+    for seed in range(400):
+        f = pivot_formula(random.Random(seed))
+        cubes = to_dnf(f)
+        got = sat_cube(f)
+        assert (got is None) == (not any(cube_is_sat(c) for c in cubes)), f"seed {seed}: {f}"
+        if got is not None:
+            found += 1
+            assert got in cubes and cube_is_sat(got), f"seed {seed}: {f}"
+    assert 40 < found < 360
+
+
 # -- box projection ------------------------------------------------------------
 
 

@@ -16,7 +16,14 @@ from chclab.concrete import (
     lfp_forward_rel,
     post,
 )
-from chclab.domain import AbstractElement, Box, Interval, clause_post, clause_pre_restricted
+from chclab.domain import (
+    AbstractElement,
+    Box,
+    CompiledClause,
+    Interval,
+    clause_post,
+    clause_pre_restricted,
+)
 from chclab.parser import parse_system
 from chclab.randgen import random_finite_system
 from chclab.qa import qa_two_step
@@ -276,14 +283,14 @@ def test_flow_memo_matches_direct_transformers():
 
 def test_no_clause_results_outlive_a_call(monkeypatch, addition_loops):
     calls = 0
-    post = solver.clause_post
+    post = CompiledClause.post
 
-    def counting(clause, elem):
+    def counting(self, body):
         nonlocal calls
         calls += 1
-        return post(clause, elem)
+        return post(self, body)
 
-    monkeypatch.setattr(solver, "clause_post", counting)
+    monkeypatch.setattr(CompiledClause, "post", counting)
     for run in (alternate, qa_two_step):
         counts = []
         for _ in range(2):
