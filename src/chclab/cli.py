@@ -128,7 +128,8 @@ def cmd_solve(args) -> int:
             with open(args.json, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
     else:
-        print(f"{verdict.status} after {verdict.rounds_used} round(s)")
+        reason = verdict.stop_reason.replace("_", " ")
+        print(f"{verdict.status} after {verdict.rounds_used} round(s): {reason}")
         certs = report["certs"]
         print(
             "certs: step_laws={step_laws} model_check={model_check} "

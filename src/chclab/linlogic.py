@@ -45,8 +45,10 @@ works on those rows:
 A cube is decided by :func:`cube_is_sat` and projected onto interval
 bounds by :func:`project_to_box`, which lowers it and calls
 :func:`project_rows`: that eliminates the variables it was not asked for
-once, then reads each requested variable's bounds off its
-single-variable projection, which also decides satisfiability.
+once and splits the rows left into groups that share no variable.  It
+reads each requested variable's bounds off its single-variable
+projection within its group, which also decides the group's
+satisfiability; a variable alone in its group needs no elimination.
 """
 
 from __future__ import annotations
@@ -499,33 +501,49 @@ def project_to_box(
 
 
 def project_rows(rows: RowSet, variables) -> list[tuple[RawBound, RawBound]] | None:
-    """:func:`project_to_box` of the conjunction ``rows`` stands for."""
+    """:func:`project_to_box` of the conjunction ``rows`` stands for.
+
+    Once the variables not asked for are eliminated, the rows fall into
+    groups that share no variable, and their conjunction projects to the
+    product of the groups' projections.  A group of one variable holds
+    its bounds as they are; a larger group eliminates, for each of its
+    variables, the others from its own rows alone.
+    """
     requested = frozenset(variables)
-    keep = {j for j, v in enumerate(rows.names) if v in requested}
-    rows = _eliminate(rows, sum(1 << j for j in range(len(rows.names)) if j not in keep))
+    keep = sum(1 << j for j, v in enumerate(rows.names) if v in requested)
+    rows = _eliminate(rows, ((1 << len(rows.names)) - 1) & ~keep)
     if rows.unsat:
         return None
+    # Every row left mentions a requested variable; a requested variable
+    # no row mentions is unbounded.
+    groups: list[tuple[int, list[Row]]] = []
+    for row in rows.cons:
+        mask = sum(1 << j for j, x in enumerate(row[0]) if x)
+        members = [row]
+        for g in [g for g in groups if g[0] & mask]:
+            groups.remove(g)
+            mask |= g[0]
+            members += g[1]
+        groups.append((mask, members))
     bounds: dict[str, tuple[RawBound, RawBound]] = {}
-    for j in sorted(keep):
-        if not any(vec[j] for vec, *_ in rows.cons):
-            # Unbounded; the projection onto any variable a row mentions
-            # decides satisfiability.
-            continue
-        single = _eliminate(rows, sum(1 << i for i in keep if i != j))
-        if single.unsat:
-            return None
-        lo = hi = _UNBOUNDED
-        for vec, const, strict, _, _ in single.cons:
-            a = vec[j]
-            if a > 0:
-                hi = _tighten_upper(hi, (Fraction(-const, a), strict))
-            else:
-                lo = _tighten_lower(lo, (Fraction(-const, a), strict))
-        # The projection onto one variable is exact, so an empty interval
-        # means an unsatisfiable cube.
-        if lo[0] is not None and hi[0] is not None and (
-            lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1]))
-        ):
-            return None
-        bounds[rows.names[j]] = (lo, hi)
+    for mask, members in groups:
+        group = RowSet(rows.names, tuple(members), rows.eliminated)
+        for j in (j for j in range(mask.bit_length()) if mask >> j & 1):
+            single = group if mask == 1 << j else _eliminate(group, mask & ~(1 << j))
+            if single.unsat:
+                return None
+            lo = hi = _UNBOUNDED
+            for vec, const, strict, _, _ in single.cons:
+                a = vec[j]
+                if a > 0:
+                    hi = _tighten_upper(hi, (Fraction(-const, a), strict))
+                else:
+                    lo = _tighten_lower(lo, (Fraction(-const, a), strict))
+            # The projection onto one variable is exact, so an empty
+            # interval means an unsatisfiable group.
+            if lo[0] is not None and hi[0] is not None and (
+                lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1]))
+            ):
+                return None
+            bounds[rows.names[j]] = (lo, hi)
     return [bounds.get(v, (_UNBOUNDED, _UNBOUNDED)) for v in variables]

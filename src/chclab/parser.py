@@ -20,6 +20,13 @@ are capitalized identifiers.
 argument positions hold pairwise-distinct variables, introducing fresh
 variables and equality conjuncts for constants, compound terms and
 repeated variables.
+
+The text is tokenized in one pass of the token pattern.  A token's line
+and column come from the offset where its line starts, which moves only
+at a whitespace chunk holding a newline; a character no token matches
+is reported at its own position.  Both sides of a comparison are summed
+into one table of coefficients, integer literals staying ``int``, so
+each constraint and each argument term builds its ``LinTerm`` once.
 """
 
 from __future__ import annotations
@@ -83,24 +90,24 @@ _TOKEN_RE = re.compile(
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        chunk = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+    line, start = 1, 0  # ``start``: the offset where the current line begins
+    end = 0
+    for m in _TOKEN_RE.finditer(text):
+        pos, nxt = m.span()
+        if pos != end:
+            break
+        end = nxt
+        kind = m.lastgroup
+        if kind == "WS":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                start = text.rindex("\n", pos, end) + 1
+        elif kind != "COMMENT":
+            tokens.append(Token(kind, m.group(), line, pos - start + 1))
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", line, end - start + 1)
+    tokens.append(Token("EOF", "", line, end - start + 1))
     return tokens
 
 
@@ -130,6 +137,14 @@ def _fresh_names(used: set[str]):
         if name not in used:
             used.add(name)
             yield name
+
+
+def _linterm(acc: dict[str, int | Fraction], sign: int) -> LinTerm:
+    """``sign`` times the term accumulated in ``acc`` (see
+    :meth:`_Parser.add_linterm`), which this consumes."""
+    const = acc.pop("", 0)
+    coeffs = tuple((v, Fraction(sign * acc[v])) for v in sorted(acc) if acc[v])
+    return LinTerm(coeffs, Fraction(sign * const))
 
 
 def _raw_vars(raw: RawClause) -> set[str]:
@@ -166,7 +181,9 @@ def normalize_clause(raw: RawClause) -> Clause:
             else:
                 w = next(fresh)
                 seen.add(w)
-                extra.append(Lin(LinConstraint(LinTerm.var(w) - term, Rel.EQ)))
+                # ``w - term = 0``; ``w`` is fresh, so no coefficient merges.
+                coeffs = sorted([(w, Fraction(1)), *((v, -c) for v, c in term.coeffs)])
+                extra.append(Lin(LinConstraint(LinTerm(tuple(coeffs), -term.const), Rel.EQ)))
                 out.append(w)
         return PredApp(app.pred, tuple(out))
 
@@ -190,8 +207,8 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -200,11 +217,12 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "EOF"
+        # ``text`` is never empty, so the EOF token never matches.
+        return self.tokens[self.pos].text == text
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "EOF":
+        t = self.tokens[self.pos]
+        if t.text != text:
             got = t.text or "end of input"
             raise ParseError(f"expected {text!r}, found {got!r}", t.line, t.col)
         return self.next()
@@ -215,89 +233,86 @@ class _Parser:
 
     # -- terms and formulas -------------------------------------------------
 
-    def parse_rat(self) -> Fraction:
+    def parse_rat(self) -> int | Fraction:
+        """A number: an ``int`` for an integer literal, else a ``Fraction``."""
         t = self.peek()
         if t.kind != "NUM":
             raise self.fail(f"expected number, found {t.text!r}")
         self.next()
-        value = Fraction(t.text)
-        if self.at("/"):
-            if "." in t.text:
-                raise ParseError("decimal numerator in rational", t.line, t.col)
-            self.next()
-            d = self.peek()
-            if d.kind != "NUM" or "." in d.text:
-                raise self.fail("expected integer denominator")
-            self.next()
-            if int(d.text) == 0:
-                raise ParseError("zero denominator", d.line, d.col)
-            value = Fraction(int(t.text), int(d.text))
-        return value
+        if not self.at("/"):
+            return Fraction(t.text) if "." in t.text else int(t.text)
+        if "." in t.text:
+            raise ParseError("decimal numerator in rational", t.line, t.col)
+        self.next()
+        d = self.peek()
+        if d.kind != "NUM" or "." in d.text:
+            raise self.fail("expected integer denominator")
+        self.next()
+        if int(d.text) == 0:
+            raise ParseError("zero denominator", d.line, d.col)
+        return Fraction(int(t.text), int(d.text))
 
-    def parse_factor(self) -> LinTerm:
+    def add_factor(self, acc: dict[str, int | Fraction], sign: int) -> None:
         t = self.peek()
         if t.kind == "NUM":
             value = self.parse_rat()
+            name = ""
             if self.at("*"):
                 self.next()
                 v = self.peek()
                 if v.kind != "VAR":
                     raise self.fail("expected variable after '*'")
                 self.next()
-                return LinTerm.var(v.text).scale(value)
-            return LinTerm.constant(value)
-        if t.kind == "VAR":
+                name = v.text
+        elif t.kind == "VAR":
             self.next()
+            name, value = t.text, 1
             if self.at("*"):
                 self.next()
                 n = self.peek()
                 if n.kind == "VAR":
                     raise ParseError("non-linear term (variable product)", n.line, n.col)
                 value = self.parse_rat()
-                return LinTerm.var(t.text).scale(value)
-            return LinTerm.var(t.text)
-        raise self.fail(f"expected term, found {t.text or 'end of input'!r}")
+        else:
+            raise self.fail(f"expected term, found {t.text or 'end of input'!r}")
+        acc[name] = acc.get(name, 0) + sign * value
+
+    def add_linterm(self, acc: dict[str, int | Fraction], sign: int) -> None:
+        """Add ``sign`` times the next linear term to ``acc``, which maps
+        each variable to its coefficient and ``""`` to the constant."""
+        op = "+"
+        if self.at("-"):
+            op = self.next().text
+        while True:
+            self.add_factor(acc, sign if op == "+" else -sign)
+            op = self.tokens[self.pos].text
+            if op != "+" and op != "-":
+                return
+            self.next()
 
     def parse_linterm(self) -> LinTerm:
-        negate = False
-        if self.at("-"):
-            self.next()
-            negate = True
-        term = self.parse_factor()
-        if negate:
-            term = -term
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            nxt = self.parse_factor()
-            term = term + nxt if op == "+" else term - nxt
-        return term
+        acc: dict[str, int | Fraction] = {}
+        self.add_linterm(acc, 1)
+        return _linterm(acc, 1)
 
-    _RELS = {
-        "<=": lambda l, r: Lin(LinConstraint(l - r, Rel.LE)),
-        "<": lambda l, r: Lin(LinConstraint(l - r, Rel.LT)),
-        ">=": lambda l, r: Lin(LinConstraint(r - l, Rel.LE)),
-        ">": lambda l, r: Lin(LinConstraint(r - l, Rel.LT)),
-        "=": lambda l, r: Lin(LinConstraint(l - r, Rel.EQ)),
-    }
+    # Each comparator as the relation of its stored term to zero, and the
+    # sign of ``lhs - rhs`` in that term: ``a >= b`` is kept as ``b - a <= 0``.
+    _RELS = {"<=": (Rel.LE, 1), "<": (Rel.LT, 1), ">=": (Rel.LE, -1), ">": (Rel.LT, -1),
+             "=": (Rel.EQ, 1), "!=": (Rel.LT, 1)}
 
     def parse_comparison(self) -> Formula:
-        lhs = self.parse_linterm()
+        acc: dict[str, int | Fraction] = {}
+        self.add_linterm(acc, 1)
         t = self.peek()
-        if t.text == "!=":
-            self.next()
-            rhs = self.parse_linterm()
-            return disj(
-                [
-                    Lin(LinConstraint(lhs - rhs, Rel.LT)),
-                    Lin(LinConstraint(rhs - lhs, Rel.LT)),
-                ]
-            )
-        builder = self._RELS.get(t.text)
-        if builder is None:
+        if t.text not in self._RELS:
             raise self.fail(f"expected comparator, found {t.text or 'end of input'!r}")
+        rel, sign = self._RELS[t.text]
         self.next()
-        rhs = self.parse_linterm()
-        return builder(lhs, rhs)
+        self.add_linterm(acc, -1)
+        term = _linterm(acc, sign)
+        if t.text == "!=":
+            return disj([Lin(LinConstraint(term, rel)), Lin(LinConstraint(-term, rel))])
+        return Lin(LinConstraint(term, rel))
 
     def parse_cprim(self) -> Formula:
         t = self.peek()
@@ -316,29 +331,17 @@ class _Parser:
             raise self.fail(f"unexpected identifier {t.text!r} in constraint")
         return self.parse_comparison()
 
+    def chain(self, sep: str, item, combine):
+        """``combine`` of the list of one or more ``item()`` separated by ``sep``."""
+        items = [item()]
+        while self.at(sep):
+            self.next()
+            items.append(item())
+        return combine(items)
+
     def parse_cform(self) -> Formula:
         """Full constraint grammar: ``,`` conjunction binds tighter than ``;``."""
-        disjuncts = [self._parse_cconj()]
-        while self.at(";"):
-            self.next()
-            disjuncts.append(self._parse_cconj())
-        return disj(disjuncts)
-
-    def _parse_cconj(self) -> Formula:
-        conjuncts = [self.parse_cprim()]
-        while self.at(","):
-            self.next()
-            conjuncts.append(self.parse_cprim())
-        return conj(conjuncts)
-
-    def parse_body_formula(self) -> Formula:
-        # One body item: a ";"-chain of primaries.  Top-level commas belong
-        # to the clause body, so they are not consumed here.
-        disjuncts = [self.parse_cprim()]
-        while self.at(";"):
-            self.next()
-            disjuncts.append(self.parse_cprim())
-        return disj(disjuncts)
+        return self.chain(";", lambda: self.chain(",", self.parse_cprim, conj), disj)
 
     # -- predicates ----------------------------------------------------------
 
@@ -354,13 +357,10 @@ class _Parser:
             raise self.fail("expected predicate name")
         self.next()
         decl = self.lookup(t.text, t)
-        args: list[LinTerm] = []
+        args: tuple[LinTerm, ...] = ()
         if self.at("("):
             self.next()
-            args.append(self.parse_linterm())
-            while self.at(","):
-                self.next()
-                args.append(self.parse_linterm())
+            args = self.chain(",", self.parse_linterm, tuple)
             self.expect(")")
         if len(args) != decl.arity:
             raise ParseError(
@@ -368,7 +368,7 @@ class _Parser:
                 t.line,
                 t.col,
             )
-        return RawApp(decl, tuple(args))
+        return RawApp(decl, args)
 
     def parse_head(self) -> RawApp:
         t = self.peek()
@@ -405,10 +405,7 @@ class _Parser:
     def parse_universe(self) -> list[Fraction]:
         self.expect("universe")
         self.expect("{")
-        values = [self._signed_rat()]
-        while self.at(","):
-            self.next()
-            values.append(self._signed_rat())
+        values = self.chain(",", self._signed_rat, list)
         self.expect("}")
         self.expect(".")
         return values
@@ -416,8 +413,8 @@ class _Parser:
     def _signed_rat(self) -> Fraction:
         if self.at("-"):
             self.next()
-            return -self.parse_rat()
-        return self.parse_rat()
+            return -Fraction(self.parse_rat())
+        return Fraction(self.parse_rat())
 
     def parse_goal(self) -> tuple[Token, RawApp, Formula]:
         keyword = self.peek()
@@ -447,7 +444,9 @@ class _Parser:
                 if t.kind == "IDENT" and t.text != "true":
                     body.append(self.parse_predapp())
                 else:
-                    items.append(self.parse_body_formula())
+                    # One body item: a ";"-chain of primaries.  Top-level
+                    # commas belong to the clause body.
+                    items.append(self.chain(";", self.parse_cprim, disj))
                 if self.at(","):
                     self.next()
                     continue

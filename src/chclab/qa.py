@@ -151,7 +151,9 @@ def qa_two_step(
     g = goal_element(system, spec)
     safe = g.meet(final).is_bottom
     model = RefinedModel(final, ((AbstractElement.top(system), queries),))
-    return final, Verdict("SAFE" if safe else "UNKNOWN", model, 2)
+    # The two steps are fixed, so an UNKNOWN here has spent its budget.
+    reason = "empty_element" if safe else "round_budget"
+    return final, Verdict("SAFE" if safe else "UNKNOWN", model, 2, reason)
 
 
 def _strengthen_heads(system: System, b: AbstractElement) -> System:

@@ -145,6 +145,9 @@ class Verdict:
     status: str  # "SAFE" or "UNKNOWN"
     witness: RefinedModel
     rounds_used: int
+    # Why the rounds ended: "empty_element" (SAFE), "stabilized" (a round
+    # repeated the previous one) or "round_budget".
+    stop_reason: str
 
     @property
     def safe(self) -> bool:
@@ -382,25 +385,27 @@ def run_rounds(
     """
     bottom = AbstractElement.bottom(system)
     trace = AlternationTrace(bs=[AbstractElement.top(system)])
-    safe = False
+    reason = "round_budget"
     rounds = 0
     for i in range(1, config.max_rounds + 1):
         rounds = i
         d = forward(i, trace.bs[-1])
         trace.ds.append(d)
         if d.is_bottom:
-            safe = True
+            reason = "empty_element"
             break
         b = backward(i, d)
         trace.bs.append(b)
         if b.is_bottom:
             trace.ds.append(bottom)  # the next forward pass would be empty
-            safe = True
+            reason = "empty_element"
             break
         if i >= 2 and d == trace.ds[-2] and b == trace.bs[-2]:
+            reason = "stabilized"
             break
     trace.certs = certify_trace(system, g, trace, results)
-    return trace, Verdict("SAFE" if safe else "UNKNOWN", refined_model(trace), rounds)
+    status = "SAFE" if reason == "empty_element" else "UNKNOWN"
+    return trace, Verdict(status, refined_model(trace), rounds, reason)
 
 
 def alternate(

@@ -35,6 +35,12 @@ def test_solve_alt_safe(capsys):
     assert "step_laws=True" in out and "goal_disjoint=True" in out
 
 
+def test_solve_text_names_the_stop_reason(capsys):
+    code, out, _ = run(capsys, "solve", STRESS_ROUNDS)
+    assert code == 10
+    assert out.splitlines()[0] == "UNKNOWN after 5 round(s): round budget"
+
+
 def test_solve_fwd_unknown(capsys):
     code, out, _ = run(capsys, "solve", ADDITION_LOOPS, "--mode", "fwd")
     assert code == 10

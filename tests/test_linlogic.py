@@ -329,6 +329,50 @@ def test_pruned_elimination_matches_unpruned_reference():
         assert got == want, f"seed {seed}: {c} onto {requested}"
 
 
+def _block_cube(rng, unsat_block):
+    """2-3 sub-cubes over disjoint sets of 1-3 variables, and 2-4
+    requested variables.  With ``unsat_block``, one more block holds a
+    cycle of strict differences, unsatisfiable only as a whole, and one
+    of its variables is requested along with variables of other blocks."""
+    blocks = []
+    for b in range(rng.randint(2, 3)):
+        names = [f"b{b}x{i}" for i in range(rng.randint(1, 3))]
+        cons = []
+        for _ in range(rng.randint(1, len(names) + 2)):
+            coeffs = [
+                (v, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2))))
+                for v in rng.sample(names, rng.randint(1, len(names)))
+            ]
+            const = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2)))
+            cons.append(LinConstraint(LinTerm.make(coeffs, const), rng.choice(list(Rel))))
+        blocks.append((names, cons))
+    if unsat_block:
+        names = [f"u{i}" for i in range(rng.randint(2, 3))]
+        cycle = [
+            lt(LinTerm.var(a) - LinTerm.var(b))
+            for a, b in zip(names, names[1:] + names[:1])
+        ]
+        blocks.insert(rng.randint(1, len(blocks)), (names, cycle))
+    everything = [v for names, _ in blocks for v in names]
+    requested = rng.sample(everything, rng.randint(2, min(4, len(everything))))
+    if unsat_block and not any(v[0] == "u" for v in requested):
+        requested[rng.randrange(len(requested))] = rng.choice([v for v in everything if v[0] == "u"])
+    return ConjCube.make(c for _, cons in blocks for c in cons), requested
+
+
+def test_block_projection_matches_unpruned_reference():
+    # The rows left after the unrequested variables are eliminated split
+    # into groups over disjoint variables.  Each group must be decided on
+    # its own: an unsatisfiable group makes the whole projection None even
+    # when every requested variable of the other groups is bounded.
+    for seed in range(600):
+        rng = random.Random(seed)
+        c, requested = _block_cube(rng, unsat_block=seed % 3 == 0)
+        got = project_to_box(c, requested)
+        want = fm_reference.project_to_box(c, requested)
+        assert got == want, f"seed {seed}: {c} onto {requested}"
+
+
 # -- elimination budget -----------------------------------------------------------
 
 # Six variables in a cycle of differences: eliminating any one of them

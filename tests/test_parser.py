@@ -7,14 +7,19 @@ from fractions import Fraction
 import pytest
 
 from chclab import ParseError, parse_model, parse_system
+from chclab.randgen import random_acyclic_text, random_finite_text
 from chclab.syntax import (
     And,
+    Lin,
+    LinConstraint,
+    LinTerm,
     Or,
     Rel,
     format_model,
     format_system,
     iter_formula_constraints,
 )
+from test_solver import fuzz_text, wide_finite_text
 
 
 def test_ladder_shape(ladder):
@@ -50,6 +55,64 @@ def test_format_parse_round_trip(corpus_systems):
         text = format_system(system)
         again = parse_system(text)
         assert format_system(again) == text, name
+
+
+@pytest.mark.parametrize(
+    ("make", "seeds"),
+    [
+        (random_finite_text, 100),
+        (random_acyclic_text, 100),
+        (fuzz_text, 50),
+        (wide_finite_text, 50),
+    ],
+    ids=["finite", "acyclic", "fuzz", "wide-finite"],
+)
+def test_format_parse_round_trip_on_generated_texts(make, seeds):
+    for seed in range(seeds):
+        system = parse_system(make(seed))
+        assert parse_system(format_system(system)) == system, seed
+
+
+def _constraint(text: str):
+    return parse_system(f"pred p/0.\np :- {text}.\n").clauses[0].constraint
+
+
+def _exact(coeffs, const, rel) -> Lin:
+    return Lin(LinConstraint(LinTerm(coeffs, Fraction(const)), rel))
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        (
+            "2*X - 3*Y + 1/2 - X >= Z - 0.5",
+            _exact(
+                (("X", Fraction(-1)), ("Y", Fraction(3)), ("Z", Fraction(1))), -1, Rel.LE
+            ),
+        ),
+        ("X - X + 1 <= 2", _exact((), -1, Rel.LE)),
+        ("-X*2/3 < 4", _exact((("X", Fraction(-2, 3)),), -4, Rel.LT)),
+        (
+            "X != Y + 1",
+            Or(
+                (
+                    _exact((("X", Fraction(1)), ("Y", Fraction(-1))), -1, Rel.LT),
+                    _exact((("X", Fraction(-1)), ("Y", Fraction(1))), 1, Rel.LT),
+                )
+            ),
+        ),
+    ],
+    ids=["mixed", "cancelled", "scaled", "neq"],
+)
+def test_linear_terms_accumulate_exactly(text, expected):
+    got = _constraint(text)
+    assert got == expected
+    # Equal is not enough: an int coefficient compares equal to its
+    # Fraction, but prints and hashes through another type.
+    for con in iter_formula_constraints(got):
+        assert type(con.term.const) is Fraction
+        assert all(type(c) is Fraction for _, c in con.term.coeffs)
+    assert repr(got) == repr(expected)
 
 
 def test_neq_expands_to_disjunction():
@@ -114,8 +177,25 @@ def test_rejects(text, fragment):
     [
         ("pred p/1.\np(X) :- q(X).\n", 2, 9),
         ("pred p/1.\np(X) :- X = 0.\n  goal p(X) : Y > 0.\n", 3, 3),
+        ("pred p/1.\n# a comment line\np(1) :- X @ 1.\n", 3, 11),
+        ("pred p/1.\np(1)\n", 3, 1),
+        ("pred p/1.\np(X) :- X = 1/0.\n", 2, 15),
+        ("pred p/2.\np(X, Y) :- X * Y = 1.\n", 2, 16),
+        ("pred p/1.\np(X) :- X = 1.5/2.\n", 2, 13),
+        ("pred p/2.\np(X, Y) :- p(X).\n", 2, 12),
+        ("pred p/1.\n\tp(1).\n\tp(X) :- q(X).\n", 3, 10),
     ],
-    ids=["clause", "goal"],
+    ids=[
+        "clause",
+        "goal",
+        "after-comment",
+        "missing-period",
+        "zero-denominator",
+        "variable-product",
+        "decimal-numerator",
+        "arity",
+        "after-tab",
+    ],
 )
 def test_error_carries_position(text, line, col):
     with pytest.raises(ParseError) as err:

@@ -148,6 +148,27 @@ def test_alternate_ladder_unknown(ladder):
     assert trace.certified
 
 
+@pytest.mark.parametrize(
+    ("name", "status", "rounds", "reason"),
+    [
+        ("ladder.chc", "UNKNOWN", 2, "stabilized"),
+        ("stress/rounds.chc", "UNKNOWN", 5, "round_budget"),
+        ("addition_loops.chc", "SAFE", 2, "empty_element"),
+    ],
+)
+def test_verdict_names_its_stop_reason(name, status, rounds, reason):
+    system = parse_system((CORPUS / name).read_text(encoding="utf-8"))
+    _, verdict = alternate(system)
+    assert (verdict.status, verdict.rounds_used, verdict.stop_reason) == (status, rounds, reason)
+
+
+def test_qa_two_step_stop_reason(addition_loops, no_init):
+    # Its two steps are fixed: SAFE found an empty element, and UNKNOWN
+    # has spent the budget.
+    assert qa_two_step(addition_loops)[1].stop_reason == "round_budget"
+    assert qa_two_step(no_init)[1].stop_reason == "empty_element"
+
+
 def test_alternate_no_init_safe_first_round(no_init):
     trace, verdict = alternate(no_init)
     assert verdict.status == "SAFE" and verdict.rounds_used == 1
