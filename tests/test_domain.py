@@ -151,6 +151,27 @@ def test_box_formula_and_complement_round_trip():
     assert not is_sat(conj((inside, outside)))
 
 
+@pytest.mark.parametrize(
+    "box, text",
+    [
+        (Box.make(1, (Interval.point(3),)), "x < 3; -x < -3"),
+        (
+            Box.make(2, (Interval.of(0, None, lo_strict=True), Interval.of(None, F(5, 2), hi_strict=True))),
+            "x <= 0; -y <= -5/2",
+        ),
+        (Box.make(2, (Interval.of(-1, 4), Interval.of(0, 2, hi_strict=True))), "x < -1; -x < -4; y < 0; -y <= -2"),
+        (Box.make(2, (Interval.point(F(1, 3)), Interval.of(2, None))), "x < 1/3; -x < -1/3; y < 2"),
+        (Box.top(2), "false"),
+        (Box.empty(2), "true"),
+        (Box.top(0), "false"),
+        (Box.empty(0), "true"),
+    ],
+    ids=["point", "half-open-strict", "closed", "point-and-ray", "top", "empty", "reached", "unreached"],
+)
+def test_box_complement_text(box, text):
+    assert str(box.complement(("x", "y")[: box.arity])) == text
+
+
 def test_point_box_formula_uses_equality():
     box = Box.make(1, (Interval.point(4),))
     f = box.formula(("X1",))
