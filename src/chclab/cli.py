@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -36,6 +37,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_UNKNOWN = 10
+
+
+def _print(*args, **kwargs) -> None:
+    """``print`` to stdout; once its reader has closed it, send stdout to
+    ``os.devnull``, so the run still ends with its own exit status."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _read_system(path: str):
@@ -123,19 +135,19 @@ def cmd_solve(args) -> int:
     if args.json is not None:
         payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
         if args.json == "-":
-            print(payload)
+            _print(payload)
         else:
             with open(args.json, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
     else:
         reason = verdict.stop_reason.replace("_", " ")
-        print(f"{verdict.status} after {verdict.rounds_used} round(s): {reason}")
+        _print(f"{verdict.status} after {verdict.rounds_used} round(s): {reason}")
         certs = report["certs"]
-        print(
+        _print(
             "certs: step_laws={step_laws} model_check={model_check} "
             "goal_disjoint={goal_disjoint}".format(**certs)
         )
-        print(format_model(model, system), end="")
+        _print(format_model(model, system), end="")
     if args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as handle:
             handle.write(format_model(model, system))
@@ -181,10 +193,10 @@ def cmd_oracle(args) -> int:
     else:
         atoms = lfp_combined_rel(rel, goal)
     for atom in sorted(atoms, key=lambda a: a.key()):
-        print(atom)
+        _print(atom)
     if args.check_closure:
         ok = check_combined_closure(system)
-        print("closure", "PASS" if ok else "FAIL")
+        _print("closure", "PASS" if ok else "FAIL")
         if not ok:
             return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -199,9 +211,9 @@ def cmd_trees(args) -> int:
     report = check_tree_props(system, depth_cap=args.depth)
     if args.check_props:
         for name, verdict in report.verdicts.items():
-            print(name, verdict)
-    print(f"forward trees: {report.forward_count} (stable depth {report.forward_depth})")
-    print(f"backward trees: {report.backward_count} (stable depth {report.backward_depth})")
+            _print(name, verdict)
+    _print(f"forward trees: {report.forward_count} (stable depth {report.forward_depth})")
+    _print(f"backward trees: {report.backward_count} (stable depth {report.backward_depth})")
     if args.check_props and not report.all_ok:
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -211,7 +223,7 @@ def cmd_qa(args) -> int:
     from .qa import qa_transform
 
     system = _read_system(args.file)
-    print(format_system(qa_transform(system).system), end="")
+    _print(format_system(qa_transform(system).system), end="")
     return EXIT_OK
 
 
@@ -228,12 +240,12 @@ def cmd_check(args) -> int:
         raise SystemExit2(f"{args.model}:{exc}")
     result = check_model(system, model)
     if result.ok:
-        print("PASS: model satisfies every clause")
+        _print("PASS: model satisfies every clause")
         return EXIT_OK
-    print(f"FAIL: {len(result.violations)} clause(s) violated")
+    _print(f"FAIL: {len(result.violations)} clause(s) violated")
     for idx, clause, witness in result.violations:
-        print(f"  clause {idx}: {clause}")
-        print(f"    witness: {witness}")
+        _print(f"  clause {idx}: {clause}")
+        _print(f"    witness: {witness}")
     return EXIT_CHECK_FAILED
 
 
@@ -305,16 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        status = EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        status = EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        status = EXIT_INPUT
+    # Output still buffered meets a closed stdout here at the latest.
+    _print(end="", flush=True)
+    return status
 
 
 if __name__ == "__main__":

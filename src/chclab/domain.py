@@ -1,17 +1,19 @@
 """Interval boxes over predicates: the abstract domain of the analyses.
 
-A :class:`Box` assigns one rational interval (with open or closed ends)
-to each argument position of a predicate; the empty box is the bottom
-element.  A box for a 0-ary predicate is the two-point lattice
-unreached/reached, which is how the falsity predicate is tracked.  An
-:class:`AbstractElement` maps every declared predicate to a box.
+A :class:`Box` assigns one rational interval to each argument position
+of a predicate; the empty box is the bottom element.  A box for a 0-ary
+predicate is the two-point lattice unreached/reached, which is how the
+falsity predicate is tracked.  An :class:`AbstractElement` maps every
+declared predicate to a box.
 
 Per-clause transformers compute the tightest box implied by the clause
 constraint together with the boxes of the occurring predicates.  A
 :class:`CompiledClause` converts the constraint to DNF and lowers it to
 integer rows once; each call only adds the bounds of its input boxes as
-rows and projects exactly (:mod:`chclab.linlogic`).  :func:`clause_post`
-and :func:`clause_pre_restricted` compile the clause on the fly.
+rows and projects exactly (:mod:`chclab.linlogic`), whose intervals
+(:class:`~chclab.linlogic.Interval`) form the box as they are.
+:func:`clause_post` and :func:`clause_pre_restricted` compile the clause
+on the fly.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linlogic import (
+    Interval,
     Lowered,
-    RawBound,
     RowSet,
     bound_row,
     extend,
@@ -40,132 +42,10 @@ from .syntax import (
     PredApp,
     Rel,
     System,
-    TRUE,
     FALSE,
     conj,
-    disj,
+    negate_formula,
 )
-
-
-@dataclass(frozen=True)
-class Bound:
-    """One side of an interval; ``value None`` means unbounded."""
-
-    value: Fraction | None
-    strict: bool
-
-    @staticmethod
-    def unbounded() -> "Bound":
-        return Bound(None, True)
-
-    @staticmethod
-    def at(value, strict: bool = False) -> "Bound":
-        return Bound(Fraction(value), strict)
-
-    @staticmethod
-    def from_raw(raw: RawBound) -> "Bound":
-        value, strict = raw
-        return Bound(value, True if value is None else strict)
-
-
-def _lower_covers(a: Bound, b: Bound) -> bool:
-    """Does lower bound ``a`` admit everything lower bound ``b`` admits?"""
-    if a.value is None:
-        return True
-    if b.value is None:
-        return False
-    if a.value != b.value:
-        return a.value < b.value
-    return b.strict or not a.strict
-
-
-def _upper_covers(a: Bound, b: Bound) -> bool:
-    if a.value is None:
-        return True
-    if b.value is None:
-        return False
-    if a.value != b.value:
-        return a.value > b.value
-    return b.strict or not a.strict
-
-
-UNBOUNDED = Bound.unbounded()
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: Bound
-    hi: Bound
-
-    @staticmethod
-    def top() -> "Interval":
-        return Interval(UNBOUNDED, UNBOUNDED)
-
-    @staticmethod
-    def point(value) -> "Interval":
-        b = Bound.at(value)
-        return Interval(b, b)
-
-    @staticmethod
-    def of(lo, hi, lo_strict: bool = False, hi_strict: bool = False) -> "Interval":
-        lob = UNBOUNDED if lo is None else Bound.at(lo, lo_strict)
-        hib = UNBOUNDED if hi is None else Bound.at(hi, hi_strict)
-        return Interval(lob, hib)
-
-    @property
-    def is_empty(self) -> bool:
-        if self.lo.value is None or self.hi.value is None:
-            return False
-        if self.lo.value > self.hi.value:
-            return True
-        return self.lo.value == self.hi.value and (self.lo.strict or self.hi.strict)
-
-    def contains(self, x: Fraction) -> bool:
-        if self.lo.value is not None:
-            if x < self.lo.value or (x == self.lo.value and self.lo.strict):
-                return False
-        if self.hi.value is not None:
-            if x > self.hi.value or (x == self.hi.value and self.hi.strict):
-                return False
-        return True
-
-    def leq(self, other: "Interval") -> bool:
-        if self.is_empty:
-            return True
-        if other.is_empty:
-            return False
-        return _lower_covers(other.lo, self.lo) and _upper_covers(other.hi, self.hi)
-
-    def join(self, other: "Interval") -> "Interval":
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        lo = self.lo if _lower_covers(self.lo, other.lo) else other.lo
-        hi = self.hi if _upper_covers(self.hi, other.hi) else other.hi
-        return Interval(lo, hi)
-
-    def meet(self, other: "Interval") -> "Interval":
-        lo = other.lo if _lower_covers(self.lo, other.lo) else self.lo
-        hi = other.hi if _upper_covers(self.hi, other.hi) else self.hi
-        return Interval(lo, hi)
-
-    def widen(self, other: "Interval") -> "Interval":
-        """Standard interval widening: unstable bounds go unbounded."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        lo = self.lo if _lower_covers(self.lo, other.lo) else UNBOUNDED
-        hi = self.hi if _upper_covers(self.hi, other.hi) else UNBOUNDED
-        return Interval(lo, hi)
-
-    def __str__(self) -> str:
-        if self.is_empty:
-            return "(empty)"
-        left = "(-oo" if self.lo.value is None else ("(" if self.lo.strict else "[") + str(self.lo.value)
-        right = "+oo)" if self.hi.value is None else str(self.hi.value) + (")" if self.hi.strict else "]")
-        return f"{left}, {right}"
 
 
 @dataclass(frozen=True)
@@ -191,13 +71,6 @@ class Box:
     @staticmethod
     def top(arity: int) -> "Box":
         return Box(arity, tuple(Interval.top() for _ in range(arity)))
-
-    @staticmethod
-    def from_raw(arity: int, raw: Sequence[tuple[RawBound, RawBound]]) -> "Box":
-        return Box.make(
-            arity,
-            (Interval(Bound.from_raw(lo), Bound.from_raw(hi)) for lo, hi in raw),
-        )
 
     @property
     def is_empty(self) -> bool:
@@ -240,8 +113,7 @@ class Box:
         """The bounds of a nonempty box over ``variables``, each as
         ``(v, value, rel, upper)``: ``v - value rel 0`` when ``upper``,
         else ``value - v rel 0``.  A point interval is one equality."""
-        for v, iv in zip(variables, self.intervals):
-            lo, hi = iv.lo, iv.hi
+        for v, (lo, hi) in zip(variables, self.intervals):
             if lo.value is not None and lo == hi:
                 yield v, lo.value, Rel.EQ, True
                 continue
@@ -262,18 +134,7 @@ class Box:
 
     def complement(self, variables: Sequence[str]) -> Formula:
         """Negation-free formula for the outside of the box."""
-        if self.intervals is None:
-            return TRUE
-        parts: list[Formula] = []
-        for v, iv in zip(variables, self.intervals):
-            var = LinTerm.var(v)
-            if iv.lo.value is not None:
-                rel = Rel.LE if iv.lo.strict else Rel.LT
-                parts.append(LinConstraint(var - LinTerm.constant(iv.lo.value), rel).formula())
-            if iv.hi.value is not None:
-                rel = Rel.LE if iv.hi.strict else Rel.LT
-                parts.append(LinConstraint(LinTerm.constant(iv.hi.value) - var, rel).formula())
-        return disj(parts)
+        return negate_formula(self.formula(variables))
 
     def __str__(self) -> str:
         if self.intervals is None:
@@ -346,10 +207,9 @@ def formula_box(formula: Formula, variables: Sequence[str]) -> Box:
     arity = len(variables)
     acc = Box.empty(arity)
     for cube in to_dnf(formula):
-        raw = project_to_box(cube, variables)
-        if raw is None:
-            continue
-        acc = acc.join(Box.from_raw(arity, raw))
+        intervals = project_to_box(cube, variables)
+        if intervals is not None:
+            acc = acc.join(Box.make(arity, intervals))
     return acc
 
 
@@ -406,9 +266,9 @@ class CompiledClause:
         acc = Box.empty(len(args))
         for template in templates:
             cube, _ = extend(*template, rows, free)
-            raw = project_rows(RowSet.from_rows(names, cube), args)
-            if raw is not None:
-                acc = acc.join(Box.from_raw(len(args), raw))
+            intervals = project_rows(RowSet.from_rows(names, cube), args)
+            if intervals is not None:
+                acc = acc.join(Box.make(len(args), intervals))
         return acc
 
     def _template(self, target: int | None, args: Sequence[str]) -> tuple:

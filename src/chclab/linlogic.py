@@ -42,13 +42,16 @@ works on those rows:
 * **Budget.**  An elimination step that holds more than
   ``DEFAULT_FM_CAP`` rows raises :class:`ResourceLimitError`.
 
-A cube is decided by :func:`cube_is_sat` and projected onto interval
-bounds by :func:`project_to_box`, which lowers it and calls
-:func:`project_rows`: that eliminates the variables it was not asked for
-once and splits the rows left into groups that share no variable.  It
-reads each requested variable's bounds off its single-variable
-projection within its group, which also decides the group's
-satisfiability; a variable alone in its group needs no elimination.
+A cube is decided by :func:`cube_is_sat` and projected onto one
+:class:`Interval` per requested variable by :func:`project_to_box`,
+which lowers it and calls :func:`project_rows`: that eliminates the
+variables it was not asked for once and splits the rows left into
+groups that share no variable.  It reads each requested variable's
+bounds off its single-variable projection within its group, which also
+decides the group's satisfiability; a variable alone in its group needs
+no elimination.  :class:`Interval` and its sides (:class:`Bound`) are
+the one interval type of the package: :mod:`chclab.domain` builds its
+boxes from them.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .syntax import (
     And,
@@ -465,42 +468,129 @@ def is_sat(formula: Formula) -> bool:
     return sat_cube(formula) is not None
 
 
-# A one-sided bound: (value, strict); value None means unbounded.
-RawBound = tuple[Fraction | None, bool]
+class Bound(NamedTuple):
+    """One side of an interval; ``value None`` means unbounded."""
 
-_UNBOUNDED: RawBound = (None, True)
+    value: Fraction | None
+    strict: bool
 
-
-def _tighten_lower(cur: RawBound, cand: RawBound) -> RawBound:
-    if cur[0] is None or cand[0] > cur[0]:
-        return cand
-    if cand[0] == cur[0]:
-        return (cur[0], cur[1] or cand[1])
-    return cur
+    @staticmethod
+    def at(value, strict: bool = False) -> Bound:
+        return Bound(Fraction(value), strict)
 
 
-def _tighten_upper(cur: RawBound, cand: RawBound) -> RawBound:
-    if cur[0] is None or cand[0] < cur[0]:
-        return cand
-    if cand[0] == cur[0]:
-        return (cur[0], cur[1] or cand[1])
-    return cur
+UNBOUNDED = Bound(None, True)
 
 
-def project_to_box(
-    cube: ConjCube, variables
-) -> list[tuple[RawBound, RawBound]] | None:
-    """Tightest per-variable interval bounds of a cube.
+def _lower_covers(a: Bound, b: Bound) -> bool:
+    """Does lower bound ``a`` admit everything lower bound ``b`` admits?"""
+    if a.value is None:
+        return True
+    if b.value is None:
+        return False
+    if a.value != b.value:
+        return a.value < b.value
+    return b.strict or not a.strict
+
+
+def _upper_covers(a: Bound, b: Bound) -> bool:
+    if a.value is None:
+        return True
+    if b.value is None:
+        return False
+    if a.value != b.value:
+        return a.value > b.value
+    return b.strict or not a.strict
+
+
+class Interval(NamedTuple):
+    """A rational interval with open or closed ends."""
+
+    lo: Bound
+    hi: Bound
+
+    @staticmethod
+    def top() -> Interval:
+        return Interval(UNBOUNDED, UNBOUNDED)
+
+    @staticmethod
+    def point(value) -> Interval:
+        b = Bound.at(value)
+        return Interval(b, b)
+
+    @staticmethod
+    def of(lo, hi, lo_strict: bool = False, hi_strict: bool = False) -> Interval:
+        lob = UNBOUNDED if lo is None else Bound.at(lo, lo_strict)
+        hib = UNBOUNDED if hi is None else Bound.at(hi, hi_strict)
+        return Interval(lob, hib)
+
+    @property
+    def is_empty(self) -> bool:
+        if self.lo.value is None or self.hi.value is None:
+            return False
+        if self.lo.value > self.hi.value:
+            return True
+        return self.lo.value == self.hi.value and (self.lo.strict or self.hi.strict)
+
+    def contains(self, x: Fraction) -> bool:
+        if self.lo.value is not None:
+            if x < self.lo.value or (x == self.lo.value and self.lo.strict):
+                return False
+        if self.hi.value is not None:
+            if x > self.hi.value or (x == self.hi.value and self.hi.strict):
+                return False
+        return True
+
+    def leq(self, other: Interval) -> bool:
+        if self.is_empty:
+            return True
+        if other.is_empty:
+            return False
+        return _lower_covers(other.lo, self.lo) and _upper_covers(other.hi, self.hi)
+
+    def join(self, other: Interval) -> Interval:
+        if self.is_empty:
+            return other
+        if other.is_empty:
+            return self
+        lo = self.lo if _lower_covers(self.lo, other.lo) else other.lo
+        hi = self.hi if _upper_covers(self.hi, other.hi) else other.hi
+        return Interval(lo, hi)
+
+    def meet(self, other: Interval) -> Interval:
+        lo = other.lo if _lower_covers(self.lo, other.lo) else self.lo
+        hi = other.hi if _upper_covers(self.hi, other.hi) else self.hi
+        return Interval(lo, hi)
+
+    def widen(self, other: Interval) -> Interval:
+        """Standard interval widening: unstable bounds go unbounded."""
+        if self.is_empty:
+            return other
+        if other.is_empty:
+            return self
+        lo = self.lo if _lower_covers(self.lo, other.lo) else UNBOUNDED
+        hi = self.hi if _upper_covers(self.hi, other.hi) else UNBOUNDED
+        return Interval(lo, hi)
+
+    def __str__(self) -> str:
+        if self.is_empty:
+            return "(empty)"
+        left = "(-oo" if self.lo.value is None else ("(" if self.lo.strict else "[") + str(self.lo.value)
+        right = "+oo)" if self.hi.value is None else str(self.hi.value) + (")" if self.hi.strict else "]")
+        return f"{left}, {right}"
+
+
+def project_to_box(cube: ConjCube, variables) -> list[Interval] | None:
+    """Tightest per-variable intervals of a cube.
 
     Returns ``None`` when the cube is unsatisfiable; otherwise one
-    ``(lower, upper)`` pair per requested variable, where each side is a
-    ``(value, strict)`` pair and ``value None`` means unbounded.
-    Variables not mentioned by the cube come back unbounded.
+    interval per requested variable.  Variables not mentioned by the
+    cube come back unbounded.
     """
     return project_rows(RowSet.of(cube, frozenset(variables)), variables)
 
 
-def project_rows(rows: RowSet, variables) -> list[tuple[RawBound, RawBound]] | None:
+def project_rows(rows: RowSet, variables) -> list[Interval] | None:
     """:func:`project_to_box` of the conjunction ``rows`` stands for.
 
     Once the variables not asked for are eliminated, the rows fall into
@@ -525,25 +615,23 @@ def project_rows(rows: RowSet, variables) -> list[tuple[RawBound, RawBound]] | N
             mask |= g[0]
             members += g[1]
         groups.append((mask, members))
-    bounds: dict[str, tuple[RawBound, RawBound]] = {}
+    bounds: dict[str, Interval] = {}
     for mask, members in groups:
         group = RowSet(rows.names, tuple(members), rows.eliminated)
         for j in (j for j in range(mask.bit_length()) if mask >> j & 1):
             single = group if mask == 1 << j else _eliminate(group, mask & ~(1 << j))
             if single.unsat:
                 return None
-            lo = hi = _UNBOUNDED
+            interval = Interval.top()
             for vec, const, strict, _, _ in single.cons:
                 a = vec[j]
-                if a > 0:
-                    hi = _tighten_upper(hi, (Fraction(-const, a), strict))
-                else:
-                    lo = _tighten_lower(lo, (Fraction(-const, a), strict))
+                side = Bound(Fraction(-const, a), strict)
+                interval = interval.meet(
+                    Interval(UNBOUNDED, side) if a > 0 else Interval(side, UNBOUNDED)
+                )
             # The projection onto one variable is exact, so an empty
             # interval means an unsatisfiable group.
-            if lo[0] is not None and hi[0] is not None and (
-                lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1]))
-            ):
+            if interval.is_empty:
                 return None
-            bounds[rows.names[j]] = (lo, hi)
-    return [bounds.get(v, (_UNBOUNDED, _UNBOUNDED)) for v in variables]
+            bounds[rows.names[j]] = interval
+    return [bounds.get(v, Interval.top()) for v in variables]

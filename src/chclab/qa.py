@@ -117,17 +117,17 @@ def qa_transform(system: System, goal: GoalSpec | None = None) -> QASystem:
     return QASystem(qa_system, tuple(pairs))
 
 
-def _project(qa: QASystem, element: AbstractElement, system: System, which: str) -> AbstractElement:
+def _project(qa: QASystem, element: AbstractElement, which: str) -> AbstractElement:
     """Pull the query or answer boxes back onto the original predicates."""
     boxes: dict[str, Box] = {}
     for pair in qa.pairs:
         name = pair.query if which == "query" else pair.answer
         boxes[pair.orig] = element.get(name)
     # The transformed system has its own (never derived) falsity.
+    split = {p.query for p in qa.pairs} | {p.answer for p in qa.pairs}
     for name, box in element.items:
-        if name not in {p.query for p in qa.pairs} | {p.answer for p in qa.pairs}:
-            if not box.is_empty:
-                raise RuntimeError(f"query-answer analysis derived {name}: {box}")
+        if name not in split and not box.is_empty:
+            raise RuntimeError(f"query-answer analysis derived {name}: {box}")
     return AbstractElement.of(boxes)
 
 
@@ -145,8 +145,8 @@ def qa_two_step(
     spec = goal if goal is not None else default_goal(system)
     qa = qa_transform(system, spec)
     qa_element = analyze_forward(qa.system, None, config)
-    answers = _project(qa, qa_element, system, "answer")
-    queries = _project(qa, qa_element, system, "query")
+    answers = _project(qa, qa_element, "answer")
+    queries = _project(qa, qa_element, "query")
     final = analyze_forward(_strengthen_heads(system, answers), answers, config)
     g = goal_element(system, spec)
     safe = g.meet(final).is_bottom

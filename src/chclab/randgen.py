@@ -161,11 +161,11 @@ def random_acyclic_system(seed: int) -> System:
 
 
 def random_interval(rng: random.Random):
-    from .domain import Bound, Interval
+    from .linlogic import UNBOUNDED, Bound, Interval
 
     def side() -> Bound:
         if rng.random() < 0.25:
-            return Bound.unbounded()
+            return UNBOUNDED
         return Bound.at(rng.randint(-2, 4), rng.random() < 0.3)
 
     return Interval(side(), side())

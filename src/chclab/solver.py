@@ -17,10 +17,10 @@ round loop, shared with the transformation-based alternation in
 :mod:`chclab.qa`.
 
 The flows compute each clause transformer through a
-:class:`ClauseResults` table that lives for one run.  The table compiles
-each clause on its first lookup (:class:`~chclab.domain.CompiledClause`),
-so a clause's constraint is converted to DNF and lowered to integer rows
-once per run, and every miss only adds the input boxes.  A forward result
+:class:`ClauseResults` table that lives for one run.  The table holds
+each clause compiled (:class:`~chclab.domain.CompiledClause`), so a
+clause's constraint is converted to DNF and lowered to integer rows once
+per run, and every miss only adds the input boxes.  A forward result
 is keyed on the clause's index in ``system.clauses`` and the boxes of
 its body atoms; a backward result on that index, the body position,
 the head box and the restriction boxes of all body atoms.  Those inputs
@@ -28,9 +28,10 @@ determine the exact result, so the iterations of a recursive component,
 the descending pass, later rounds and :func:`certify_trace` look up
 what the run already computed instead of recomputing it; the
 restriction meet and the goal seed are applied outside the table.
-:func:`alternate` creates the table and passes it to the certifier as
-an argument; :func:`analyze_forward`, :func:`analyze_backward` and
-:func:`certify_trace` called without one each use a fresh one.
+:func:`alternate` creates the table and passes it to both analyses and
+to the certifier as their last argument; :func:`analyze_forward`,
+:func:`analyze_backward` and :func:`certify_trace` called without one
+each use a fresh one, with the same results.
 
 From a full alternation trace a refined model is composed;
 :func:`check_model` verifies any candidate model independently, clause
@@ -179,34 +180,43 @@ class ClauseResults:
     ``pre(i, j, r, elem)`` is ``clause_pre_restricted`` of its body
     position ``j``, each computed once per key (see the module
     docstring), so a lookup returns exactly what a fresh call would.
-    Each clause is compiled (:class:`~chclab.domain.CompiledClause`) on
-    its first lookup, and its compiled form serves every later miss.
+    ``heads[p]`` lists the clauses with head ``p`` and ``positions[p]``
+    the ``(clause, body position)`` pairs where ``p`` occurs in a body.
     """
 
     def __init__(self, system: System):
         self.system = system
-        self._compiled: dict[int, CompiledClause] = {}
+        # A compiled clause does its work on its first call.
+        self.compiled = [CompiledClause(clause) for clause in system.clauses]
+        self.heads: dict[str, list[int]] = {d.name: [] for d in system.decls}
+        self.positions: dict[str, list[tuple[int, int]]] = {d.name: [] for d in system.decls}
+        for i, clause in enumerate(system.clauses):
+            self.heads[clause.head.pred.name].append(i)
+            for j, app in enumerate(clause.body):
+                self.positions[app.pred.name].append((i, j))
         self._post: dict[tuple, Box] = {}
         self._pre: dict[tuple, Box] = {}
+
+    @staticmethod
+    def of(system: System, results: ClauseResults | None) -> ClauseResults:
+        """``results``, or a fresh table; one of another system raises."""
+        if results is None:
+            return ClauseResults(system)
+        if results.system is not system:
+            raise ValueError("clause results of another system")
+        return results
 
     @cached_property
     def order(self):
         """The system's dependency order, computed once per run."""
         return dependency_order(self.system)
 
-    def compiled(self, i: int) -> CompiledClause:
-        """Clause ``i`` compiled, once per run."""
-        found = self._compiled.get(i)
-        if found is None:
-            found = self._compiled[i] = CompiledClause(self.system.clauses[i])
-        return found
-
     def post(self, i: int, elem: AbstractElement) -> Box:
         clause = self.system.clauses[i]
         key = (i, *[elem.get(app.pred.name) for app in clause.body])
         box = self._post.get(key)
         if box is None:
-            box = self._post[key] = self.compiled(i).post(key[1:])
+            box = self._post[key] = self.compiled[i].post(key[1:])
         return box
 
     def pre(self, i: int, j: int, r: AbstractElement, elem: AbstractElement) -> Box:
@@ -219,7 +229,7 @@ class ClauseResults:
         )
         box = self._pre.get(key)
         if box is None:
-            box = self._pre[key] = self.compiled(i).pre(j, key[2], key[3:])
+            box = self._pre[key] = self.compiled[i].pre(j, key[2], key[3:])
         return box
 
 
@@ -227,13 +237,10 @@ def forward_flow(results: ClauseResults, r: AbstractElement):
     """The forward transformer of each predicate within restriction ``r``:
     ``flow(p, elem)`` joins what every clause with head ``p`` derives
     from ``elem``, met with ``r[p]``."""
-    heads: dict[str, list[int]] = {d.name: [] for d in results.system.decls}
-    for i, clause in enumerate(results.system.clauses):
-        heads[clause.head.pred.name].append(i)
 
     def flow(p: str, elem: AbstractElement) -> Box:
         acc = Box.empty(r.get(p).arity)
-        for i in heads[p]:
+        for i in results.heads[p]:
             acc = acc.join(results.post(i, elem))
         return acc.meet(r.get(p))
 
@@ -246,14 +253,10 @@ def backward_flow(results: ClauseResults, g: AbstractElement, r: AbstractElement
     every body position of ``p`` from which a clause reaches ``elem``
     while all of its body atoms stay inside ``r``."""
     seed = g.meet(r)
-    positions: dict[str, list[tuple[int, int]]] = {d.name: [] for d in results.system.decls}
-    for i, clause in enumerate(results.system.clauses):
-        for j, app in enumerate(clause.body):
-            positions[app.pred.name].append((i, j))
 
     def flow(p: str, elem: AbstractElement) -> Box:
         acc = seed.get(p)
-        for i, j in positions[p]:
+        for i, j in results.positions[p]:
             acc = acc.join(results.pre(i, j, r, elem))
         return acc
 
@@ -302,24 +305,11 @@ def analyze_forward(
     system: System,
     restriction: AbstractElement | None = None,
     config: AnalysisConfig = AnalysisConfig(),
+    results: ClauseResults | None = None,
 ) -> AbstractElement:
-    """Boxes covering everything derivable within ``restriction``."""
-    return _forward(ClauseResults(system), restriction, config)
-
-
-def analyze_backward(
-    system: System,
-    goal_elem: AbstractElement,
-    restriction: AbstractElement | None = None,
-    config: AnalysisConfig = AnalysisConfig(),
-) -> AbstractElement:
-    """Boxes covering everything inside ``restriction`` that can reach
-    the goal element through body atoms also inside ``restriction``."""
-    return _backward(ClauseResults(system), goal_elem, restriction, config)
-
-
-def _forward(results: ClauseResults, restriction, config) -> AbstractElement:
-    system = results.system
+    """Boxes covering everything derivable within ``restriction``,
+    looking clause results up in the run's table ``results`` if given."""
+    results = ClauseResults.of(system, results)
     r = restriction if restriction is not None else AbstractElement.top(system)
     return _solve_components(
         results.order,
@@ -330,8 +320,18 @@ def _forward(results: ClauseResults, restriction, config) -> AbstractElement:
     )
 
 
-def _backward(results: ClauseResults, goal_elem, restriction, config) -> AbstractElement:
-    r = restriction if restriction is not None else AbstractElement.top(results.system)
+def analyze_backward(
+    system: System,
+    goal_elem: AbstractElement,
+    restriction: AbstractElement | None = None,
+    config: AnalysisConfig = AnalysisConfig(),
+    results: ClauseResults | None = None,
+) -> AbstractElement:
+    """Boxes covering everything inside ``restriction`` that can reach
+    the goal element through body atoms also inside ``restriction``;
+    ``results`` as in :func:`analyze_forward`."""
+    results = ClauseResults.of(system, results)
+    r = restriction if restriction is not None else AbstractElement.top(system)
     return _solve_components(
         reversed(results.order),
         backward_flow(results, goal_elem, r),
@@ -428,12 +428,12 @@ def alternate(
     def forward(i: int, b: AbstractElement) -> AbstractElement:
         if i == 1 and backward_start:
             return AbstractElement.top(system)
-        return _forward(results, b, config)
+        return analyze_forward(system, b, config, results)
 
     def backward(i: int, d: AbstractElement) -> AbstractElement:
         if i == 1 and config.coarse_first:
             return _coarse_element(system, spec).meet(d)
-        return _backward(results, g, d, config)
+        return analyze_backward(system, g, d, config, results)
 
     return run_rounds(system, g, config, forward, backward, results)
 
@@ -453,10 +453,7 @@ def certify_trace(
     fresh table when none is given.  A table of another system raises
     :class:`ValueError`.
     """
-    if results is None:
-        results = ClauseResults(system)
-    elif results.system is not system:
-        raise ValueError("certify_trace was given the clause results of another system")
+    results = ClauseResults.of(system, results)
     bottom = AbstractElement.bottom(system)
     certs: list[RoundCert] = []
     for i, d in enumerate(trace.ds, start=1):

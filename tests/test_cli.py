@@ -317,3 +317,28 @@ def test_cli_import_leaves_oracles_and_qa_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "qa_iterated True"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", STRESS_ROUNDS], 10),
+        (["solve", STRESS_ROUNDS, "--json", "-"], 10),
+        (["oracle", LADDER], 0),
+        (["qa", LADDER], 0),
+    ],
+    ids=["solve", "solve-json", "oracle", "qa"],
+)
+def test_closed_stdout_keeps_the_exit_status(argv, code):
+    # A reader that closes stdout at once must not turn the run's status
+    # into a traceback and exit 1, the code of a false certificate.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chclab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err

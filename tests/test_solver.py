@@ -251,6 +251,15 @@ def test_certify_trace_detects_tampering_with_warm_results(addition_loops, ladde
         assert not getattr(bad[0], law), law
     with pytest.raises(ValueError):  # a table of another system
         certify_trace(ladder, goal_element(ladder), AlternationTrace(), warm)
+    with pytest.raises(ValueError):
+        analyze_forward(ladder, None, AnalysisConfig(), warm)
+    with pytest.raises(ValueError):
+        analyze_backward(ladder, goal_element(ladder), None, AnalysisConfig(), warm)
+    # the table only shares results: each analysis gives what a fresh one does
+    d = analyze_forward(addition_loops)
+    assert analyze_forward(addition_loops, None, AnalysisConfig(), warm) == d == trace.ds[0]
+    b = analyze_backward(addition_loops, g, d)
+    assert analyze_backward(addition_loops, g, d, AnalysisConfig(), warm) == b == trace.bs[1]
 
 
 def _one_box_changed(system, elem):
