@@ -181,6 +181,16 @@ def test_every_round_budget_is_certified(capsys, argv, rounds):
     assert report["certs"]["model_check"] is True
 
 
+def test_rounds_repro_report_is_pinned(capsys, monkeypatch):
+    # The ``rounds`` workload runs this file, which bench/golden/corpus.json
+    # does not cover: its whole report at the top budget, timings removed.
+    expected = json.loads(
+        (ROOT / "tests" / "golden" / "rounds-max-rounds-8.json").read_text(encoding="utf-8")
+    )
+    monkeypatch.chdir(ROOT)
+    assert solve_json(capsys, "corpus/stress/rounds.chc", "--max-rounds", "8") == expected
+
+
 def test_json_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "solve", ADDITION_LOOPS, "--json", str(target))
