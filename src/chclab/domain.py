@@ -47,6 +47,8 @@ from .syntax import (
     negate_formula,
 )
 
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -128,8 +130,11 @@ class Box:
             return FALSE
         parts: list[Formula] = []
         for v, value, rel, upper in self.bounds(variables):
-            var, const = LinTerm.var(v), LinTerm.constant(value)
-            parts.append(LinConstraint(var - const if upper else const - var, rel).formula())
+            if upper:
+                term = LinTerm(((v, _ONE),), -Fraction(value))
+            else:
+                term = LinTerm(((v, -_ONE),), Fraction(value))
+            parts.append(LinConstraint(term, rel).formula())
         return conj(parts)
 
     def complement(self, variables: Sequence[str]) -> Formula:

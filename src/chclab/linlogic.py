@@ -52,6 +52,13 @@ decides the group's satisfiability; a variable alone in its group needs
 no elimination.  :class:`Interval` and its sides (:class:`Bound`) are
 the one interval type of the package: :mod:`chclab.domain` builds its
 boxes from them.
+
+A bound's value is an ``int`` when it is integral and a ``Fraction``
+otherwise, so the compares of the interval order and the hashes of the
+boxes that key clause results run on ``int`` for nearly every bound.
+``int`` and ``Fraction`` compare and hash equal, so the choice never
+changes an answer or a table lookup.  The terms of
+:mod:`chclab.syntax` keep ``Fraction`` coefficients and constants.
 """
 
 from __future__ import annotations
@@ -387,23 +394,27 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     eliminated = rows.eliminated | (1 << j)
     out: dict[tuple, Row] = {}
     lowers: list[Row] = []
-    uppers: list[Row] = []
+    # Each upper row carries the eliminated part of its variable mask,
+    # which the pruning test of every pair reads.
+    uppers: list[tuple] = []
     for row in rows.cons:
         a = row[0][j]
         if a == 0:
             out[row[:3]] = row
         elif a > 0:
-            uppers.append(row)
+            uppers.append((*row, row[4] & eliminated))
         else:
             lowers.append(row)
 
     for lvec, lconst, lstrict, lhist, lmask in lowers:
         al = -lvec[j]
-        for uvec, uconst, ustrict, uhist, umask in uppers:
+        lgone = lmask & eliminated
+        for uvec, uconst, ustrict, uhist, umask, ugone in uppers:
             hist = lhist | uhist
-            mask = lmask | umask
-            if hist.bit_count() > 1 + (mask & eliminated).bit_count():
+            size = hist.bit_count()
+            if size > 1 + (lgone | ugone).bit_count():
                 continue
+            mask = lmask | umask
             au = uvec[j]
             g = gcd(al, au)
             ml, mu = au // g, al // g
@@ -421,7 +432,7 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
                 continue
             key = (vec, const, strict)
             old = out.get(key)
-            if old is None or hist.bit_count() < old[3].bit_count():
+            if old is None or size < old[3].bit_count():
                 out[key] = (vec, const, strict, hist, mask)
         if len(out) > DEFAULT_FM_CAP:
             raise ResourceLimitError(
@@ -469,14 +480,22 @@ def is_sat(formula: Formula) -> bool:
 
 
 class Bound(NamedTuple):
-    """One side of an interval; ``value None`` means unbounded."""
+    """One side of an interval; ``value None`` means unbounded.
 
-    value: Fraction | None
+    An integral value is held as an ``int`` and any other as a
+    ``Fraction`` with a denominator above 1.  The two compare and hash
+    equal, so a bound made from ``Fraction(4)`` equals one made from
+    ``4``; the ``int`` only spares the ``Fraction`` methods on every
+    compare and hash.
+    """
+
+    value: int | Fraction | None
     strict: bool
 
     @staticmethod
     def at(value, strict: bool = False) -> Bound:
-        return Bound(Fraction(value), strict)
+        value = Fraction(value)
+        return Bound(value.numerator if value.denominator == 1 else value, strict)
 
 
 UNBOUNDED = Bound(None, True)
@@ -533,13 +552,7 @@ class Interval(NamedTuple):
         return self.lo.value == self.hi.value and (self.lo.strict or self.hi.strict)
 
     def contains(self, x: Fraction) -> bool:
-        if self.lo.value is not None:
-            if x < self.lo.value or (x == self.lo.value and self.lo.strict):
-                return False
-        if self.hi.value is not None:
-            if x > self.hi.value or (x == self.hi.value and self.hi.strict):
-                return False
-        return True
+        return Interval.point(x).leq(self)
 
     def leq(self, other: Interval) -> bool:
         if self.is_empty:
@@ -625,7 +638,8 @@ def project_rows(rows: RowSet, variables) -> list[Interval] | None:
             interval = Interval.top()
             for vec, const, strict, _, _ in single.cons:
                 a = vec[j]
-                side = Bound(Fraction(-const, a), strict)
+                q, r = divmod(-const, a)
+                side = Bound(Fraction(-const, a) if r else q, strict)
                 interval = interval.meet(
                     Interval(UNBOUNDED, side) if a > 0 else Interval(side, UNBOUNDED)
                 )

@@ -99,7 +99,7 @@ class LinTerm:
         return self + other.scale(-1)
 
     def __neg__(self) -> LinTerm:
-        return self.scale(-1)
+        return LinTerm(tuple((v, -c) for v, c in self.coeffs), -self.const)
 
     def subst(self, var: str, replacement: LinTerm) -> LinTerm:
         """Substitute ``replacement`` for ``var``."""
@@ -109,9 +109,12 @@ class LinTerm:
         return self.drop(var) + replacement.scale(c)
 
     def rename(self, mapping: Mapping[str, str]) -> LinTerm:
-        return LinTerm.make(
-            [(mapping.get(v, v), c) for v, c in self.coeffs], self.const
-        )
+        pairs = [(mapping.get(v, v), c) for v, c in self.coeffs]
+        # Distinct names keep every coefficient as it is: only the order
+        # can change.  A renaming that merges variables adds them up.
+        if len({v for v, _ in pairs}) == len(pairs):
+            return LinTerm(tuple(sorted(pairs)), self.const)
+        return LinTerm.make(pairs, self.const)
 
     def eval(self, env: Mapping[str, Fraction]) -> Fraction:
         total = self.const

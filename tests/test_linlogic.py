@@ -20,8 +20,12 @@ from hypothesis import strategies as st
 import fm_reference
 from brute import brute_cube_sat
 from chclab import linlogic
+from chclab.domain import AbstractElement, Box, CompiledClause
 from chclab.linlogic import (
+    UNBOUNDED,
+    Bound,
     ConjCube,
+    Interval,
     ResourceLimitError,
     RowSet,
     cube_is_sat,
@@ -32,7 +36,8 @@ from chclab.linlogic import (
     to_dnf,
 )
 from chclab.parser import parse_system
-from chclab.randgen import random_cube
+from chclab.randgen import random_cube, random_element
+from chclab.solver import ClauseResults
 from chclab.syntax import FALSE, TRUE, And, Lin, LinConstraint, LinTerm, Or, Rel
 
 X, Y, Z = (LinTerm.var(n) for n in "xyz")
@@ -240,6 +245,104 @@ def test_project_unsat_is_none():
 def test_project_unbounded():
     [(lo, hi)] = project_to_box(cube(), ["x"])
     assert lo == (None, True) and hi == (None, True)
+
+
+# -- canonical bounds -----------------------------------------------------------
+
+
+def canonical(interval: Interval) -> bool:
+    """Is every side of ``interval`` unbounded, an ``int``, or a
+    ``Fraction`` that is not integral?"""
+    return all(
+        b.value is None
+        or type(b.value) is int
+        or (type(b.value) is Fraction and b.value.denominator > 1)
+        for b in interval
+    )
+
+
+def test_bound_values_are_canonical(corpus_systems):
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        c = ConjCube.make(random_cube(rng))
+        for interval in project_to_box(c, sorted(c.vars)) or ():
+            assert canonical(interval), f"seed {seed}: {interval!r}"
+            kinds.update(type(b.value) for b in interval)
+    assert kinds == {int, Fraction, type(None)}
+    for name, system in corpus_systems:
+        rng = random.Random(name)
+        for clause in system.clauses:
+            compiled = CompiledClause(clause)
+            for _ in range(4):
+                elem = random_element(rng, system)
+                head = elem.get(clause.head.pred.name)
+                body = [elem.get(app.pred.name) for app in clause.body]
+                got = [compiled.post(body)]
+                got += [compiled.pre(j, head, body) for j in range(len(body))]
+                for box in got:
+                    assert all(canonical(iv) for iv in box.intervals or ()), name
+    for value in (4, -3, Fraction(4), Fraction(-6, 2), Fraction(3, 2), "5", "-7/2"):
+        assert canonical(Interval(Bound.at(value), Bound.at(value, True)))
+        assert canonical(Interval.point(value))
+        assert canonical(Interval.of(value, None)) and canonical(Interval.of(None, value))
+    assert Bound.at(Fraction(4)) == Bound.at(4) == (4, False)
+    assert hash(Bound.at(Fraction(4))) == hash(Bound.at(4))
+    assert type(Bound.at(Fraction(4)).value) is int
+
+
+def test_clause_table_hits_across_bound_types(addition_loops):
+    # A box whose bounds are integral Fractions is the same key as the box
+    # the projections build, with int bounds.
+    results = ClauseResults(addition_loops)
+    i = next(i for i, c in enumerate(addition_loops.clauses) if c.body)
+    pred = addition_loops.clauses[i].body[0].pred.name
+
+    def element(value):
+        box = Box(2, (Interval(Bound(value(0), False), Bound(value(3), True)), Interval.top()))
+        return AbstractElement.of({
+            d.name: box if d.name == pred else Box.top(d.arity) for d in addition_loops.decls
+        })
+
+    stored = results.post(i, element(int))
+    assert results.post(i, element(Fraction)) is stored
+
+
+def _contains_by_hand(interval: Interval, x) -> bool:
+    # Interval.contains before it became ``point(x).leq(self)``
+    if interval.lo.value is not None:
+        if x < interval.lo.value or (x == interval.lo.value and interval.lo.strict):
+            return False
+    if interval.hi.value is not None:
+        if x > interval.hi.value or (x == interval.hi.value and interval.hi.strict):
+            return False
+    return True
+
+
+def test_contains_matches_the_hand_written_order():
+    rng = random.Random(17)
+    values = [Fraction(n, 2) for n in range(-6, 7)]
+
+    def side():
+        if rng.random() < 0.2:
+            return UNBOUNDED
+        return Bound.at(rng.choice(values), rng.random() < 0.4)
+
+    shapes = set()
+    for _ in range(600):
+        interval = Interval(side(), side())
+        lo, hi = interval
+        if interval.is_empty:
+            shapes.add("empty")
+        elif lo.value is None or hi.value is None:
+            shapes.add("unbounded")
+        elif lo.strict == hi.strict:
+            shapes.add("strict" if lo.strict else "closed")
+        else:
+            shapes.add("half-open")
+        for x in (*range(-4, 5), *values):
+            assert interval.contains(x) == _contains_by_hand(interval, x), (interval, x)
+    assert shapes == {"empty", "unbounded", "strict", "closed", "half-open"}
 
 
 # -- agreement with the brute-force oracle -------------------------------------

@@ -115,6 +115,34 @@ def test_linear_terms_accumulate_exactly(text, expected):
     assert repr(got) == repr(expected)
 
 
+def test_term_negation_and_renaming_match_the_general_route(corpus_systems):
+    # ``-t`` and an injective ``rename`` skip the sorted rebuild of
+    # ``scale`` and ``make``; the result must print and compare the same.
+    def same(a: LinTerm, b: LinTerm) -> bool:
+        return a == b and repr(a) == repr(b)
+
+    count = 0
+    for _, system in corpus_systems:
+        for clause in system.clauses:
+            for con in iter_formula_constraints(clause.constraint):
+                t = con.term
+                names = [v for v, _ in t.coeffs]
+                mappings = [
+                    {v: f"z{len(names) - k}" for k, v in enumerate(names)},  # reverses the order
+                    {v: names[0] for v in names[1:]},  # merges every variable into one
+                    dict(zip(names[1::2], names[::2])),  # merges neighbours in pairs
+                ]
+                assert same(-t, t.scale(-1))
+                for m in mappings:
+                    merged = LinTerm.make([(m.get(v, v), c) for v, c in t.coeffs], t.const)
+                    assert same(t.rename(m), merged), (str(t), m)
+                count += 1
+    assert count > 100
+    x_minus_y = LinTerm.make({"x": 1, "y": -1}, 2)
+    assert same(x_minus_y.rename({"x": "z", "y": "z"}), LinTerm.constant(2))
+    assert same(x_minus_y.rename({"x": "y", "y": "x"}), LinTerm.make({"y": 1, "x": -1}, 2))
+
+
 def test_neq_expands_to_disjunction():
     system = parse_system("pred p/1.\nfalse :- p(X), X != 2.\n")
     f = system.clauses[0].constraint
