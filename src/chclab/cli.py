@@ -315,6 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact bounds can have any number of digits: lift the cap on
+    # converting between ``int`` and ``str`` (Python 3.11 and later).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)

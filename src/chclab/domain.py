@@ -11,9 +11,12 @@ constraint together with the boxes of the occurring predicates.  A
 :class:`CompiledClause` converts the constraint to DNF and lowers it to
 integer rows once; each call only adds the bounds of its input boxes as
 rows and projects exactly (:mod:`chclab.linlogic`), whose intervals
-(:class:`~chclab.linlogic.Interval`) form the box as they are.
+(:class:`~chclab.linlogic.Interval`) form the box as they are.  Goal
+guards take the same route, compiled as body-less clauses.
 :func:`clause_post` and :func:`clause_pre_restricted` compile the clause
-on the fly.
+on the fly.  :func:`formula_box`, which projects every cube of a whole
+formula's DNF, is the formula route the tests compare against; nothing
+on the solve path calls it.
 """
 
 from __future__ import annotations
@@ -191,11 +194,6 @@ class AbstractElement:
             tuple((n, a.meet(b)) for (n, a), (_, b) in zip(self.items, other.items))
         )
 
-    def widen(self, other: "AbstractElement") -> "AbstractElement":
-        return AbstractElement(
-            tuple((n, a.widen(b)) for (n, a), (_, b) in zip(self.items, other.items))
-        )
-
     @property
     def is_bottom(self) -> bool:
         return all(box.is_empty for _, box in self.items)
@@ -208,7 +206,8 @@ class AbstractElement:
 
 
 def formula_box(formula: Formula, variables: Sequence[str]) -> Box:
-    """Tightest box over ``variables`` containing all formula solutions."""
+    """Tightest box over ``variables`` containing all formula solutions;
+    the formula route the tests compare :class:`CompiledClause` against."""
     arity = len(variables)
     acc = Box.empty(arity)
     for cube in to_dnf(formula):
@@ -287,7 +286,8 @@ class CompiledClause:
 
 
 def clause_post(clause: Clause, elem: AbstractElement) -> Box:
-    """Tightest head box a clause derives when its body holds in ``elem``."""
+    """Tightest head box a clause derives when its body holds in ``elem``,
+    compiled afresh (the solver keeps one compiled clause per run)."""
     return CompiledClause(clause).post([elem.get(app.pred.name) for app in clause.body])
 
 
@@ -298,7 +298,8 @@ def clause_pre_restricted(
     elem: AbstractElement,
 ) -> Box:
     """Tightest box for one body atom from which the clause can reach
-    a head in ``elem``, with every body atom kept inside ``restriction``."""
+    a head in ``elem``, with every body atom kept inside ``restriction``;
+    compiled afresh like :func:`clause_post`."""
     return CompiledClause(clause).pre(
         position,
         elem.get(clause.head.pred.name),

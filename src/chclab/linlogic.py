@@ -42,16 +42,19 @@ works on those rows:
 * **Budget.**  An elimination step that holds more than
   ``DEFAULT_FM_CAP`` rows raises :class:`ResourceLimitError`.
 
-A cube is decided by :func:`cube_is_sat` and projected onto one
-:class:`Interval` per requested variable by :func:`project_to_box`,
-which lowers it and calls :func:`project_rows`: that eliminates the
-variables it was not asked for once and splits the rows left into
-groups that share no variable.  It reads each requested variable's
-bounds off its single-variable projection within its group, which also
-decides the group's satisfiability; a variable alone in its group needs
-no elimination.  :class:`Interval` and its sides (:class:`Bound`) are
+The solve path projects the rows of clause constraints and goal guards
+that :class:`chclab.domain.CompiledClause` lowered and extended onto one
+:class:`Interval` per requested variable with :func:`project_rows`: that
+eliminates the variables it was not asked for once and splits the rows
+left into groups that share no variable.  It reads each requested
+variable's bounds off its single-variable projection within its group,
+which also decides the group's satisfiability; a variable alone in its
+group needs no elimination.  :class:`Interval` and its sides (:class:`Bound`) are
 the one interval type of the package: :mod:`chclab.domain` builds its
-boxes from them.
+boxes from them.  :func:`cube_is_sat`, :func:`project_to_box` and
+:meth:`RowSet.of` take a whole :class:`ConjCube` instead: that is the
+formula route the tests compare the search and the compiled
+transformers against.
 
 A bound's value is an ``int`` when it is integral and a ``Fraction``
 otherwise, so the compares of the interval order and the hashes of the
@@ -346,7 +349,7 @@ class RowSet:
     @staticmethod
     def of(cube: ConjCube, requested=frozenset()) -> RowSet:
         """The rows of ``cube`` once its equalities are substituted away,
-        pivoting only on variables outside ``requested``."""
+        pivoting only on variables outside ``requested``; formula route."""
         names = tuple(sorted(cube.vars))
         index = {v: j for j, v in enumerate(names)}
         free = sum(1 << j for j, v in enumerate(names) if v not in requested)
@@ -470,7 +473,8 @@ def _eliminate(rows: RowSet, mask: int) -> RowSet:
 
 
 def cube_is_sat(cube: ConjCube) -> bool:
-    """Exact satisfiability of a cube over the rationals."""
+    """Exact satisfiability of a cube over the rationals; the formula
+    route the tests compare :func:`sat_cube` against."""
     rows = RowSet.of(cube)
     return not _eliminate(rows, (1 << len(rows.names)) - 1).unsat
 
@@ -598,7 +602,8 @@ def project_to_box(cube: ConjCube, variables) -> list[Interval] | None:
 
     Returns ``None`` when the cube is unsatisfiable; otherwise one
     interval per requested variable.  Variables not mentioned by the
-    cube come back unbounded.
+    cube come back unbounded.  The formula route (see the module
+    docstring).
     """
     return project_rows(RowSet.of(cube, frozenset(variables)), variables)
 

@@ -10,7 +10,8 @@ The surface syntax (UTF-8, ``#`` comments to end of line)::
 A ``HEAD`` is ``p(T1, ..., Tn)``, a bare 0-ary ``p``, or the keyword
 ``false``.  A body ``ITEM`` is a predicate application or a constraint;
 top-level commas conjoin items, ``;`` disjoins within an item, and
-parenthesized sub-formulas may use both (comma binding tighter).
+parenthesized sub-formulas may use both (comma binding tighter), nested
+at most ``MAX_NESTING`` (100) levels deep.
 Comparisons are ``<=  <  >=  >  =  !=`` between linear terms; ``!=`` is
 expanded into a disjunction of strict comparisons, so stored formulas
 are negation-free.  Rationals are ``p/q`` or decimal literals; variables
@@ -58,6 +59,11 @@ from .syntax import (
 )
 
 KEYWORDS = {"pred", "universe", "goal", "model", "true", "false"}
+
+# Constraints nest parentheses at most this deep, which keeps the descent
+# and the recursive formula walkers after it inside Python's recursion
+# limit.  A deeper opening parenthesis is a ParseError at its position.
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -201,6 +207,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current constraint
         self.decls: list[PredDecl] = []
         self.by_name: dict[str, PredDecl] = {}
         self.falsity = PredDecl(FALSITY_NAME, 0, is_false=True)
@@ -317,8 +324,12 @@ class _Parser:
     def parse_cprim(self) -> Formula:
         t = self.peek()
         if t.text == "(":
+            if self.depth == MAX_NESTING:
+                raise self.fail(f"parentheses nested deeper than {MAX_NESTING} levels")
             self.next()
+            self.depth += 1
             f = self.parse_cform()
+            self.depth -= 1
             self.expect(")")
             return f
         if t.kind == "IDENT" and t.text == "true":

@@ -33,9 +33,15 @@ to the certifier as their last argument; :func:`analyze_forward`,
 :func:`analyze_backward` and :func:`certify_trace` called without one
 each use a fresh one, with the same results.
 
-From a full alternation trace a refined model is composed;
-:func:`check_model` verifies any candidate model independently, clause
-by clause, without the table.
+The goal element takes the same route: :func:`goal_element` compiles
+each goal entry as the body-less clause ``app :- guard`` and projects it
+with ``post``, so a goal guard is converted to DNF and lowered like a
+clause constraint.
+
+From a full alternation trace a refined model is composed.  Its parts
+are boxes, so box order alone decides which of them are empty
+(:meth:`RefinedModel.as_dict`); :func:`check_model` verifies any
+candidate model independently, clause by clause, without the table.
 """
 
 from __future__ import annotations
@@ -44,9 +50,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .depgraph import dependency_order
-from .domain import AbstractElement, Box, CompiledClause, formula_box
+from .domain import AbstractElement, Box, CompiledClause
 from .linlogic import is_sat, sat_cube
 from .syntax import (
+    Clause,
     Formula,
     GoalEntry,
     GoalSpec,
@@ -127,17 +134,15 @@ class RefinedModel:
         for name, box in self.final.items:
             variables = param_vars(box.arity)
             parts: list[Formula] = [box.formula(variables)]
+            # Empty parts add nothing; drop them for readability.  An
+            # empty box is ``false``, which ``disj`` drops, and a layer
+            # ``d and not b`` is empty exactly when box ``d`` lies inside
+            # box ``b``.
             for d, b in self.layers:
-                parts.append(
-                    conj(
-                        [
-                            d.get(name).formula(variables),
-                            b.get(name).complement(variables),
-                        ]
-                    )
-                )
-            # Unsatisfiable layers add nothing; drop them for readability.
-            out[name] = disj([p for p in parts if is_sat(p)])
+                dp, bp = d.get(name), b.get(name)
+                if not dp.leq(bp):
+                    parts.append(conj([dp.formula(variables), bp.complement(variables)]))
+            out[name] = disj(parts)
         return out
 
 
@@ -168,7 +173,7 @@ def goal_element(system: System, goal: GoalSpec | None = None) -> AbstractElemen
     elem = AbstractElement.bottom(system)
     for entry in spec.entries:
         name = entry.app.pred.name
-        box = formula_box(entry.guard, entry.app.args)
+        box = CompiledClause(Clause((), entry.guard, entry.app)).post(())
         elem = elem.with_box(name, elem.get(name).join(box))
     return elem
 

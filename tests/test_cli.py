@@ -291,6 +291,66 @@ def test_resource_limit(tmp_path, capsys):
     assert code == 3 and "resource limit" in err
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Restore the int/str digit limit, which ``main`` lifts."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    before = get() if get else None
+    yield
+    if get:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    ("clause", "bound"),
+    [
+        (f"p(X, Y) :- Y = 1{'0' * 3000}, X = 1{'0' * 3000} * Y.", f"X1 = 1{'0' * 6000},"),
+        (f"p(X, Y) :- X = {'9' * 5000}, Y = X.", f"X1 = {'9' * 5000},"),
+    ],
+    ids=["product", "literal"],
+)
+def test_numbers_of_any_size_solve(tmp_path, capsys, int_digit_limit, clause, bound):
+    big = tmp_path / "big.chc"
+    big.write_text(f"pred p/2.\n{clause}\n")
+    code, out, err = run(capsys, "solve", str(big))
+    assert code == 0 and err == ""
+    assert out.startswith("SAFE") and f"model p : {bound}" in out
+
+
+def _nested(depth: int, alternate: bool) -> str:
+    """``depth`` parentheses around ``X1 >= 0``; when ``alternate``, each
+    level adds a comparison joined by ``,`` or ``;`` in turn."""
+    f = "X1 >= 0"
+    for i in range(depth):
+        f = (f"(X1 >= {-i}, {f})" if i % 2 else f"(X1 <= {i}; {f})") if alternate else f"({f})"
+    return f
+
+
+@pytest.mark.parametrize("alternate", [False, True], ids=["plain", "alternating"])
+def test_nesting_bound_is_bad_input_with_position(tmp_path, capsys, alternate):
+    deep = _nested(200, alternate)
+    # The 101st opening parenthesis is the first one past the bound.
+    offset = [i for i, ch in enumerate(deep) if ch == "("][100]
+    system = tmp_path / "deep.chc"
+    system.write_text(f"pred p/1.\np(X1) :- {deep}.\n")
+    code, _, err = run(capsys, "solve", str(system))
+    assert code == 2
+    assert f"deep.chc:2:{len('p(X1) :- ') + offset + 1}: parentheses nested deeper" in err
+    model = tmp_path / "deep.model"
+    model.write_text(f"model p : {deep}.\n")
+    code, _, err = run(capsys, "check", LADDER, str(model))
+    assert code == 2
+    assert f"deep.model:1:{len('model p : ') + offset + 1}: parentheses nested deeper" in err
+
+
+@pytest.mark.parametrize("alternate", [False, True], ids=["plain", "alternating"])
+def test_nesting_at_the_bound_solves(tmp_path, capsys, alternate):
+    system = tmp_path / "deep.chc"
+    system.write_text(f"pred p/1.\np(X1) :- {_nested(100, alternate)}.\n")
+    code, out, _ = run(capsys, "solve", str(system))
+    assert code == 0 and "model_check=True" in out
+
+
 def test_search_budget_exits_3_from_cli():
     script = (
         "import sys; import chclab.linlogic as l; l.DEFAULT_CUBE_CAP = 16; "

@@ -212,6 +212,7 @@ def test_rejects(text, fragment):
         ("pred p/1.\np(X) :- X = 1.5/2.\n", 2, 13),
         ("pred p/2.\np(X, Y) :- p(X).\n", 2, 12),
         ("pred p/1.\n\tp(1).\n\tp(X) :- q(X).\n", 3, 10),
+        ("pred p/1.\np(X) :- " + "(" * 101 + "X = 0" + ")" * 101 + ".\n", 2, 109),
     ],
     ids=[
         "clause",
@@ -223,6 +224,7 @@ def test_rejects(text, fragment):
         "decimal-numerator",
         "arity",
         "after-tab",
+        "nesting",
     ],
 )
 def test_error_carries_position(text, line, col):

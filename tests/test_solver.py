@@ -23,13 +23,15 @@ from chclab.domain import (
     Interval,
     clause_post,
     clause_pre_restricted,
+    formula_box,
 )
 from chclab.parser import parse_system
 from chclab.randgen import random_finite_system
-from chclab.qa import qa_two_step
+from chclab.qa import qa_iterated, qa_two_step
 from chclab.solver import (
     AlternationTrace,
     AnalysisConfig,
+    RefinedModel,
     alternate,
     analyze_backward,
     analyze_forward,
@@ -43,6 +45,7 @@ from chclab.solver import (
     goal_element,
     refined_model,
 )
+from chclab.syntax import GoalEntry, GoalSpec, conj, disj, param_vars
 from conftest import CORPUS
 
 F = Fraction
@@ -106,6 +109,32 @@ def test_goal_element_default_is_falsity(addition_loops):
     g = goal_element(addition_loops)
     assert not g.get("false").is_empty
     assert g.get("p1").is_empty and g.get("p2").is_empty
+
+
+def _goal_element_by_formulas(system, spec):
+    """The goal element by way of formulas: each guard converted to DNF
+    and every cube projected onto the goal arguments."""
+    elem = AbstractElement.bottom(system)
+    for entry in spec.entries:
+        name = entry.app.pred.name
+        elem = elem.with_box(name, elem.get(name).join(formula_box(entry.guard, entry.app.args)))
+    return elem
+
+
+def test_goal_element_matches_formula_route(corpus_systems):
+    systems = list(corpus_systems)
+    systems += [(seed, parse_system(fuzz_text(seed))) for seed in range(200)]
+    nonempty = 0
+    for label, system in systems:
+        # Besides the declared goal, every clause read as a goal entry: its
+        # head guarded by its constraint, which may mention other variables.
+        specs = [default_goal(system)]
+        specs.append(GoalSpec(tuple(GoalEntry(c.head, c.constraint) for c in system.clauses)))
+        for spec in specs:
+            got = goal_element(system, spec)
+            assert got == _goal_element_by_formulas(system, spec), label
+            nonempty += sum(not box.is_empty and box.arity > 0 for _, box in got.items)
+    assert nonempty > 100
 
 
 # -- coarse pass -------------------------------------------------------------------
@@ -356,6 +385,44 @@ def test_refined_model_layers_compose(addition_loops):
     assert len(rm.layers) == len(trace.ds) - 1
     # the witness carried by the verdict is the same construction
     assert verdict.witness.as_dict().keys() == rm.as_dict().keys()
+
+
+def _as_dict_by_search(model: RefinedModel) -> dict:
+    """The refined model's formulas with every part kept or dropped by
+    the exact satisfiability search instead of box order."""
+    out = {}
+    for name, box in model.final.items:
+        variables = param_vars(box.arity)
+        parts = [box.formula(variables)]
+        for d, b in model.layers:
+            parts.append(conj([d.get(name).formula(variables), b.get(name).complement(variables)]))
+        out[name] = disj([p for p in parts if linlogic.is_sat(p)])
+    return out
+
+
+def test_model_parts_by_box_order_match_the_search(corpus_systems):
+    runs = []
+    for name, system in corpus_systems:
+        runs.append((name, "fwd", alternate(system, config=AnalysisConfig(max_rounds=1))[1]))
+        runs.append((name, "alt", alternate(system)[1]))
+        runs.append((name, "qa2", qa_two_step(system)[1]))
+        runs.append((name, "qa-iter", qa_iterated(system)[1]))
+    rounds = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
+    for k in range(1, 9):
+        runs.append(("rounds.chc", k, alternate(rounds, config=AnalysisConfig(max_rounds=k))[1]))
+    kept = dropped = 0
+    for name, how, verdict in runs:
+        model = verdict.witness
+        assert model.as_dict() == _as_dict_by_search(model), (name, how)
+        for d, b in model.layers:
+            for (_, dp), (_, bp) in zip(d.items, b.items):
+                if dp.leq(bp):
+                    dropped += not dp.is_empty
+                else:
+                    kept += 1
+    # Both outcomes occur with a nonempty forward box, so the comparison
+    # covers layers box order keeps and layers it drops.
+    assert kept > 10 and dropped > 10
 
 
 def test_check_model_flags_violation(ladder):
