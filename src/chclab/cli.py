@@ -6,7 +6,8 @@ Subcommands: ``solve`` (abstract analyses, JSON or text reports),
 ``check`` (verify a model file against a system).
 
 Exit codes: 0 success/SAFE, 1 failed check (for ``solve``: a false
-certificate), 2 bad input, 3 resource cap exceeded, 10 UNKNOWN verdict.
+certificate), 2 bad input or an unwritable output path, 3 resource cap
+exceeded, 10 UNKNOWN verdict.
 
 The oracles, the tree semantics and the query-answer analyses are
 imported by the subcommands and modes that use them, so ``chclab solve``
@@ -50,12 +51,26 @@ def _print(*args, **kwargs) -> None:
         os.close(devnull)
 
 
-def _read_system(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"{path}: {exc}")
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _read_system(path: str):
+    text = _read_text(path)
     try:
         return parse_system(text)
     except ParseError as exc:
@@ -137,8 +152,7 @@ def cmd_solve(args) -> int:
         if args.json == "-":
             _print(payload)
         else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
+            _write_text(args.json, payload + "\n")
     else:
         reason = verdict.stop_reason.replace("_", " ")
         _print(f"{verdict.status} after {verdict.rounds_used} round(s): {reason}")
@@ -149,8 +163,7 @@ def cmd_solve(args) -> int:
         )
         _print(format_model(model, system), end="")
     if args.model_out:
-        with open(args.model_out, "w", encoding="utf-8") as handle:
-            handle.write(format_model(model, system))
+        _write_text(args.model_out, format_model(model, system))
     failed = [
         name
         for name, ok in (
@@ -229,11 +242,7 @@ def cmd_qa(args) -> int:
 
 def cmd_check(args) -> int:
     system = _read_system(args.file)
-    try:
-        with open(args.model, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise SystemExit2(f"cannot read {args.model}: {exc.strerror or exc}")
+    text = _read_text(args.model)
     try:
         model = parse_model(text, system)
     except ParseError as exc:
@@ -263,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["fwd", "alt", "qa2", "qa-iter"],
         default="alt",
         help="fwd: single forward pass; alt: forward/backward alternation; "
-        "qa2: two-phase query-answer analysis; qa-iter: transformation-based alternation",
+        "qa2: two-phase query-answer analysis; qa-iter: alternation with backward "
+        "passes run forward on the reversed system",
     )
     solve.add_argument("--max-rounds", type=int, default=5)
     solve.add_argument("--widen-delay", type=int, default=2, help="joins before widening kicks in")

@@ -22,12 +22,13 @@ argument positions hold pairwise-distinct variables, introducing fresh
 variables and equality conjuncts for constants, compound terms and
 repeated variables.
 
-The text is tokenized in one pass of the token pattern.  A token's line
-and column come from the offset where its line starts, which moves only
-at a whitespace chunk holding a newline; a character no token matches
-is reported at its own position.  Both sides of a comparison are summed
-into one table of coefficients, integer literals staying ``int``, so
-each constraint and each argument term builds its ``LinTerm`` once.
+The text is tokenized in one pass of the token pattern.  A token keeps
+only its offset in the text; :func:`error_at` turns an offset into the
+line and column of a :class:`ParseError` when one is raised, and a
+character no token matches is reported at its own offset.  Both sides
+of a comparison are summed into one table of coefficients, integer
+literals staying ``int``, so each constraint and each argument term
+builds its ``LinTerm`` once.
 """
 
 from __future__ import annotations
@@ -77,14 +78,12 @@ class ParseError(Exception):
 class Token(NamedTuple):
     kind: str  # IDENT | VAR | NUM | OP | EOF
     text: str
-    line: int
-    col: int
+    offset: int  # where the token starts in the text
 
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>\#[^\n]*)
+    (?P<SKIP>\s+|\#[^\n]*)
   | (?P<NUM>\d+(?:\.\d+)?)
   | (?P<IDENT>[a-z][A-Za-z0-9_]*)
   | (?P<VAR>[A-Z][A-Za-z0-9_]*)
@@ -94,26 +93,25 @@ _TOKEN_RE = re.compile(
 )
 
 
+def error_at(text: str, offset: int, message: str) -> ParseError:
+    """A :class:`ParseError` at the line and column of ``offset``."""
+    start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - start + 1)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, start = 1, 0  # ``start``: the offset where the current line begins
     end = 0
     for m in _TOKEN_RE.finditer(text):
         pos, nxt = m.span()
         if pos != end:
             break
         end = nxt
-        kind = m.lastgroup
-        if kind == "WS":
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                start = text.rindex("\n", pos, end) + 1
-        elif kind != "COMMENT":
-            tokens.append(Token(kind, m.group(), line, pos - start + 1))
+        if m.lastgroup != "SKIP":
+            tokens.append(Token(m.lastgroup, m.group(), pos))
     if end < len(text):
-        raise ParseError(f"unexpected character {text[end]!r}", line, end - start + 1)
-    tokens.append(Token("EOF", "", line, end - start + 1))
+        raise error_at(text, end, f"unexpected character {text[end]!r}")
+    tokens.append(Token("EOF", "", end))
     return tokens
 
 
@@ -205,6 +203,7 @@ def normalize_clause(raw: RawClause) -> Clause:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses around the current constraint
@@ -231,12 +230,12 @@ class _Parser:
         t = self.tokens[self.pos]
         if t.text != text:
             got = t.text or "end of input"
-            raise ParseError(f"expected {text!r}, found {got!r}", t.line, t.col)
+            raise self.fail(f"expected {text!r}, found {got!r}")
         return self.next()
 
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
+    def fail(self, message: str, t: Token | None = None) -> ParseError:
+        """A :class:`ParseError` at token ``t``, by default the next one."""
+        return error_at(self.text, (t or self.peek()).offset, message)
 
     # -- terms and formulas -------------------------------------------------
 
@@ -249,14 +248,14 @@ class _Parser:
         if not self.at("/"):
             return Fraction(t.text) if "." in t.text else int(t.text)
         if "." in t.text:
-            raise ParseError("decimal numerator in rational", t.line, t.col)
+            raise self.fail("decimal numerator in rational", t)
         self.next()
         d = self.peek()
         if d.kind != "NUM" or "." in d.text:
             raise self.fail("expected integer denominator")
         self.next()
         if int(d.text) == 0:
-            raise ParseError("zero denominator", d.line, d.col)
+            raise self.fail("zero denominator", d)
         return Fraction(int(t.text), int(d.text))
 
     def add_factor(self, acc: dict[str, int | Fraction], sign: int) -> None:
@@ -278,7 +277,7 @@ class _Parser:
                 self.next()
                 n = self.peek()
                 if n.kind == "VAR":
-                    raise ParseError("non-linear term (variable product)", n.line, n.col)
+                    raise self.fail("non-linear term (variable product)", n)
                 value = self.parse_rat()
         else:
             raise self.fail(f"expected term, found {t.text or 'end of input'!r}")
@@ -359,7 +358,7 @@ class _Parser:
     def lookup(self, name: str, tok: Token) -> PredDecl:
         decl = self.by_name.get(name)
         if decl is None:
-            raise ParseError(f"use of undeclared predicate {name!r}", tok.line, tok.col)
+            raise self.fail(f"use of undeclared predicate {name!r}", tok)
         return decl
 
     def parse_predapp(self) -> RawApp:
@@ -374,10 +373,9 @@ class _Parser:
             args = self.chain(",", self.parse_linterm, tuple)
             self.expect(")")
         if len(args) != decl.arity:
-            raise ParseError(
+            raise self.fail(
                 f"predicate {decl.name!r} expects {decl.arity} argument(s), got {len(args)}",
-                t.line,
-                t.col,
+                t,
             )
         return RawApp(decl, args)
 
@@ -398,7 +396,7 @@ class _Parser:
         if t.kind != "IDENT":
             raise self.fail("expected predicate name after 'pred'")
         if t.text in KEYWORDS:
-            raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
+            raise self.fail(f"{t.text!r} is reserved", t)
         self.next()
         self.expect("/")
         n = self.peek()
@@ -407,7 +405,7 @@ class _Parser:
         self.next()
         self.expect(".")
         if t.text in self.by_name:
-            raise ParseError(f"predicate {t.text!r} declared twice", t.line, t.col)
+            raise self.fail(f"predicate {t.text!r} declared twice", t)
         decl = PredDecl(t.text, int(n.text))
         self.decls.append(decl)
         self.by_name[t.text] = decl
@@ -447,11 +445,7 @@ class _Parser:
             while True:
                 t = self.peek()
                 if t.kind == "IDENT" and t.text == FALSITY_NAME:
-                    raise ParseError(
-                        "the falsity predicate cannot appear in a clause body",
-                        t.line,
-                        t.col,
-                    )
+                    raise self.fail("the falsity predicate cannot appear in a clause body", t)
                 if t.kind == "IDENT" and t.text != "true":
                     body.append(self.parse_predapp())
                 else:
@@ -475,7 +469,7 @@ class _Parser:
                 self.parse_decl()
             elif t.kind == "IDENT" and t.text == "universe":
                 if universe is not None:
-                    raise ParseError("duplicate universe declaration", t.line, t.col)
+                    raise self.fail("duplicate universe declaration", t)
                 universe = self.parse_universe()
             elif t.kind == "IDENT" and t.text == "goal":
                 raw_goals.append(self.parse_goal())
@@ -498,11 +492,10 @@ class _Parser:
         entry = GoalEntry(norm.head, norm.constraint)
         extra = formula_vars(entry.guard) - set(entry.app.args)
         if extra:
-            raise ParseError(
+            raise self.fail(
                 "goal constraint may only mention the goal arguments "
                 f"(foreign: {', '.join(sorted(extra))})",
-                keyword.line,
-                keyword.col,
+                keyword,
             )
         return entry
 
@@ -535,15 +528,14 @@ def parse_model(text: str, system: System) -> dict[str, Formula]:
         f = p.parse_cform()
         p.expect(".")
         if decl.name in out:
-            raise ParseError(f"duplicate model entry for {decl.name!r}", t.line, t.col)
+            raise p.fail(f"duplicate model entry for {decl.name!r}", t)
         allowed = set(param_vars(decl.arity))
         extra = formula_vars(f) - allowed
         if extra:
-            raise ParseError(
+            raise p.fail(
                 f"model formula for {decl.name!r} uses unknown variables "
                 f"{', '.join(sorted(extra))} (parameters are X1..X{decl.arity})",
-                t.line,
-                t.col,
+                t,
             )
         out[decl.name] = f
     for d in system.decls:

@@ -4,9 +4,13 @@ The transformation splits every predicate ``p`` into a query predicate
 (tuples the goal search asks about) and an answer predicate (queried
 tuples that are also derivable), so that a single forward analysis of
 the transformed system simulates goal-directed propagation.  On top of
-it sit the two-phase strengthened analysis and the transformation-based
-emulation of the forward/backward alternation, both for comparison with
-the native alternating solver.
+it sits the two-phase strengthened analysis, for comparison with the
+native alternating solver.
+
+:func:`qa_iterated` emulates the alternation by transforming only the
+backward direction; its rounds run in :func:`~chclab.solver.run_rounds`
+and are certified against the native flows, like those of
+:func:`~chclab.solver.alternate`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .domain import AbstractElement, Box
 from .solver import (
     AlternationTrace,
     AnalysisConfig,
+    ClauseResults,
     RefinedModel,
     Verdict,
     analyze_forward,
@@ -170,10 +175,12 @@ def _strengthen_heads(system: System, b: AbstractElement) -> System:
     return System(system.decls, clauses, system.universe, system.goal)
 
 
-def _reverse_system(system: System, d: AbstractElement, spec: GoalSpec) -> System:
+def _reverse_system(
+    system: System, d: AbstractElement, spec: GoalSpec, seed: AbstractElement
+) -> System:
     """The backward pass as a forward system: clauses run head-to-body
-    under the current forward boxes, seeded by the goal where the
-    forward analysis reaches it."""
+    under the current forward boxes, and each goal entry is seeded with
+    the box ``seed[p]`` at the entry's arguments."""
     clauses: list[Clause] = []
     for clause in system.clauses:
         if not clause.body:
@@ -185,10 +192,8 @@ def _reverse_system(system: System, d: AbstractElement, spec: GoalSpec) -> Syste
         for app in clause.body:
             clauses.append(Clause((clause.head,), gate, app))
     for entry in spec.entries:
-        seed = conj(
-            [entry.guard, d.get(entry.app.pred.name).formula(entry.app.args)]
-        )
-        clauses.append(Clause((), seed, entry.app))
+        box = seed.get(entry.app.pred.name)
+        clauses.append(Clause((), box.formula(entry.app.args), entry.app))
     return System(system.decls, tuple(clauses), system.universe, None)
 
 
@@ -197,21 +202,22 @@ def qa_iterated(
     goal: GoalSpec | None = None,
     config: AnalysisConfig = AnalysisConfig(),
 ) -> tuple[AlternationTrace, Verdict]:
-    """Emulate the alternation purely by system transformations.
+    """Emulate the alternation with a backward pass by transformation.
 
-    Forward elements come from analyzing the original system with the
-    previous backward boxes conjoined into every clause head; backward
-    elements from a forward analysis of the reversed, forward-gated
-    system.  Unlike the native alternation, no cross-iteration
-    restriction is imposed, so widening may overshoot between rounds —
-    which is the precision difference this mode exists to demonstrate.
+    Forward elements come from the native forward pass within the
+    previous backward element; backward elements from a forward analysis
+    of the reversed, forward-gated system within the forward element.
+    One clause table serves the forward passes and the certificate.
     """
     spec = goal if goal is not None else default_goal(system)
+    g = goal_element(system, spec)
+    results = ClauseResults(system)
 
     def forward(i: int, b: AbstractElement) -> AbstractElement:
-        return analyze_forward(_strengthen_heads(system, b), None, config)
+        return analyze_forward(system, b, config, results)
 
     def backward(i: int, d: AbstractElement) -> AbstractElement:
-        return analyze_forward(_reverse_system(system, d, spec), None, config)
+        # The native seed g meet d, so the seed law holds as for alt.
+        return analyze_forward(_reverse_system(system, d, spec, g.meet(d)), d, config)
 
-    return run_rounds(system, goal_element(system, spec), config, forward, backward)
+    return run_rounds(system, g, config, forward, backward, results)

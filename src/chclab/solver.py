@@ -29,9 +29,11 @@ the descending pass, later rounds and :func:`certify_trace` look up
 what the run already computed instead of recomputing it; the
 restriction meet and the goal seed are applied outside the table.
 :func:`alternate` creates the table and passes it to both analyses and
-to the certifier as their last argument; :func:`analyze_forward`,
-:func:`analyze_backward` and :func:`certify_trace` called without one
-each use a fresh one, with the same results.
+to the certifier as their last argument, and
+:func:`~chclab.qa.qa_iterated` does the same for its forward passes;
+:func:`analyze_forward`, :func:`analyze_backward` and
+:func:`certify_trace` called without one each use a fresh one, with the
+same results.
 
 The goal element takes the same route: :func:`goal_element` compiles
 each goal entry as the body-less clause ``app :- guard`` and projects it
@@ -377,7 +379,7 @@ def run_rounds(
     config: AnalysisConfig,
     forward,
     backward,
-    results: ClauseResults | None = None,
+    results: ClauseResults,
 ) -> tuple[AlternationTrace, Verdict]:
     """The round loop shared by every alternation.
 
@@ -385,8 +387,8 @@ def run_rounds(
     ``b = backward(i, d)``.  The loop stops with SAFE as soon as either
     element is empty, and with UNKNOWN once a round repeats the previous
     one or the round budget runs out.  The trace is then certified
-    against goal element ``g``, reusing the run's clause ``results``
-    when the analyses shared them, and packaged into a refined model.
+    against goal element ``g``, reusing the run's clause table
+    ``results``, and packaged into a refined model.
     """
     bottom = AbstractElement.bottom(system)
     trace = AlternationTrace(bs=[AbstractElement.top(system)])

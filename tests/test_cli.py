@@ -77,15 +77,34 @@ def solve_json(capsys, *argv):
     return report
 
 
+def _import_from_bench(monkeypatch, name: str):
+    """Import ``bench/<name>.py`` without writing bytecode under bench/."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.modules.pop(name, None)
+
+
 def test_reports_match_golden(capsys, monkeypatch):
     golden = json.loads((ROOT / "bench" / "golden" / "corpus.json").read_text(encoding="utf-8"))
+    # Every corpus file in every mode: a file added without re-recording
+    # the golden reports fails here.
+    workloads = _import_from_bench(monkeypatch, "workloads")
+    expected_keys = {
+        f"{path.relative_to(ROOT).as_posix()}|{mode}"
+        for path in workloads.corpus_files(ROOT)
+        for mode in workloads.MODES
+    }
+    assert set(golden) == expected_keys
     monkeypatch.chdir(ROOT)
     mismatched = []
     for key, expected in golden.items():
         path, mode = key.split("|")
         if solve_json(capsys, path, "--mode", mode) != expected:
             mismatched.append(key)
-    assert len(golden) == 100 and not mismatched
+    assert not mismatched
 
 
 @pytest.mark.parametrize(
@@ -106,12 +125,7 @@ def test_out_of_range_analysis_options_exit_2(capsys, flags):
 def test_tracer_targets_resolve(monkeypatch):
     # ``bench/run.py --trace 1`` wraps each of these names; a rename or a
     # deletion in chclab must fail here rather than in a traced run.
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing under bench/
-    try:
-        tracer = importlib.import_module("tracer")
-    finally:
-        sys.modules.pop("tracer", None)
+    tracer = _import_from_bench(monkeypatch, "tracer")
     missing = []
     for module_name, attr in tracer.TARGETS:
         owner = importlib.import_module(f"chclab.{module_name}")
@@ -168,12 +182,18 @@ def test_json_report_shape_and_determinism(capsys):
 
 
 @pytest.mark.parametrize(
-    ("argv", "rounds"), [((), 5), (("--max-rounds", "8"), 8)], ids=["default", "max-rounds-8"]
+    ("mode", "argv", "rounds"),
+    [
+        ("alt", (), 5),
+        ("alt", ("--max-rounds", "8"), 8),
+        *(("qa-iter", ("--max-rounds", str(b)), b) for b in range(1, 9)),
+    ],
+    ids=["default", "max-rounds-8", *(f"qa-iter-max-rounds-{b}" for b in range(1, 9))],
 )
-def test_every_round_budget_is_certified(capsys, argv, rounds):
+def test_every_round_budget_is_certified(capsys, mode, argv, rounds):
     # the model gains a layer per round and its negation about 9 cubes per
     # layer; certification must not fail where the alternation succeeded
-    code, out, err = run(capsys, "solve", STRESS_ROUNDS, *argv, "--json", "-")
+    code, out, err = run(capsys, "solve", STRESS_ROUNDS, "--mode", mode, *argv, "--json", "-")
     report = json.loads(out)
     assert code == 10 and err == ""
     assert report["verdict"] == "UNKNOWN" and report["rounds"] == rounds
@@ -197,6 +217,38 @@ def test_json_to_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = json.loads(target.read_text())
     assert report["verdict"] == "SAFE" and report["rounds"] == 2
+
+
+def test_qa_iter_seeds_the_backward_pass_like_alt(tmp_path, capsys):
+    # The goal guard is tighter than the goal box: a backward seed that
+    # keeps the guard misses part of the native seed g meet d.
+    system = tmp_path / "seed.chc"
+    system.write_text("pred p/2.\np(X, Y) :- X = 0.\ngoal p(X, Y) : X = Y.\n")
+    for mode in ("alt", "qa-iter"):
+        code, out, err = run(capsys, "solve", str(system), "--mode", mode)
+        assert code == 10 and err == "", mode
+        assert "step_laws=True model_check=True" in out, mode
+
+
+@pytest.mark.parametrize("option", ["--json", "--model-out"], ids=["json", "model-out"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_path_is_bad_input(tmp_path, capsys, option, target):
+    path = tmp_path / "no" / "such" / "out.txt" if target == "missing-dir" else tmp_path
+    code, _, err = run(capsys, "solve", ADDITION_LOOPS, option, str(path))
+    reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+    assert code == 2
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.chc"
+    bad.write_bytes(b"pred p/1.\np(X) :- X = 0. # caf\xe9\n")
+    argv = ("solve", str(bad)) if command == "solve" else ("check", LADDER, str(bad))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+    assert "Traceback" not in err
 
 
 def test_model_out_round_trips_through_check(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from chclab.qa import qa_iterated, qa_transform, qa_two_step
 from chclab.randgen import random_finite_system
 from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
 from chclab.syntax import format_system
+from test_solver import fuzz_text, wide_finite_text
 
 F = Fraction
 
@@ -181,3 +183,21 @@ def test_qa_iterated_respects_round_budget(addition_loops):
     trace, verdict = qa_iterated(addition_loops, config=AnalysisConfig(max_rounds=1))
     assert verdict.rounds_used <= 1
     assert verdict.status == "UNKNOWN"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [AnalysisConfig(), AnalysisConfig(descending_passes=0), AnalysisConfig(widening_delay=0)],
+    ids=["default", "descending-passes-0", "widening-delay-0"],
+)
+def test_qa_iterated_traces_certify(corpus_systems, config):
+    # qa-iter's rounds are certified against the native flows; these
+    # systems failed the forward, chain or seed law while its forward pass
+    # strengthened the clause heads and its backward pass ran unrestricted.
+    seeded = [(f"fuzz {s}", fuzz_text(s)) for s in (8, 51, 53, 275, 279)]
+    seeded.append(("wide 19", wide_finite_text(19)))
+    systems = corpus_systems + [(name, parse_system(text)) for name, text in seeded]
+    for name, system in systems:
+        trace, verdict = qa_iterated(system, config=config)
+        assert trace.certified, name
+        assert check_model(system, verdict.witness).ok, name
