@@ -27,7 +27,11 @@ works on those rows:
   without a common divisor, a strict flag, a history (the bitmask of the
   original inequalities the row combines) and the mask of the variables
   those originals mention.  Combining a strict with a non-strict row
-  yields a strict one.
+  yields a strict one.  While it builds them, it keeps the one-variable
+  rows of each position and combines each new one with those of the
+  opposite sign, as eliminating that variable would: a combination that
+  fails refutes the set before any elimination runs.  That decides most
+  unsatisfiable branches of the search.
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.
@@ -68,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
@@ -157,19 +162,23 @@ def to_dnf(formula: Formula) -> list[ConjCube]:
 
 def _gather(f: Formula, atoms: list[LinConstraint], pending: list[Or]) -> bool:
     """Add the atoms of the conjunction ``f`` to ``atoms`` and its
-    disjunctions to ``pending``; ``False`` when ``f`` holds a ``false``
-    conjunct.  A disjunction with a ``true`` child holds already."""
-    if isinstance(f, Lin):
-        atoms.append(f.con)
-    elif isinstance(f, And):
-        return all(_gather(g, atoms, pending) for g in f.items)
-    elif isinstance(f, Or):
-        if not any(isinstance(g, TrueF) for g in f.items):
-            pending.append(f)
-    elif isinstance(f, FalseF):
-        return False
-    elif not isinstance(f, TrueF):
-        raise TypeError(f"not a formula: {f!r}")
+    disjunctions to ``pending``, in pre-order; ``False`` when ``f`` holds
+    a ``false`` conjunct.  A disjunction with a ``true`` child holds
+    already.  An explicit stack keeps deep formulas off the call stack."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Lin):
+            atoms.append(f.con)
+        elif isinstance(f, And):
+            stack.extend(reversed(f.items))
+        elif isinstance(f, Or):
+            if not any(isinstance(g, TrueF) for g in f.items):
+                pending.append(f)
+        elif isinstance(f, FalseF):
+            return False
+        elif not isinstance(f, TrueF):
+            raise TypeError(f"not a formula: {f!r}")
     return True
 
 
@@ -333,8 +342,7 @@ def extend(
 Row = tuple[tuple[int, ...], int, bool, int, int]
 
 
-@dataclass(frozen=True)
-class RowSet:
+class RowSet(NamedTuple):
     """The inequalities of one elimination run, as integer rows.
 
     ``eliminated`` is the mask of the variable positions eliminated so
@@ -361,9 +369,21 @@ class RowSet:
         """The inequalities of the lowered constraints ``rows``: each
         divided by the gcd of its integers, an equality split into two
         inequalities, ground rows that hold dropped and exact duplicates
-        merged.  A ground row that fails makes the set ``unsat``."""
+        merged.  A ground row that fails makes the set ``unsat``.
+
+        So does a one-variable row that contradicts an earlier one of the
+        opposite sign on the same variable: the set then holds the ground
+        row the Fourier-Motzkin step on that variable makes of the pair.
+        Such a conflict refutes most unsatisfiable branches of
+        :func:`sat_cube` before any elimination runs.
+        """
+        bits = [1 << j for j in range(len(names))]
         out: dict[tuple, Row] = {}
+        # The one-variable rows kept so far, by position: lower bounds
+        # first, upper bounds second.
+        singles: dict[int, tuple[list[Row], list[Row]]] = {}
         for vec, const, rel in rows:
+            mask = sum(compress(bits, vec))
             if rel is Rel.EQ:
                 sides = ((vec, const, False), ([-x for x in vec], -const, False))
             else:
@@ -373,15 +393,41 @@ class RowSet:
                 if d > 1:
                     vec = [x // d for x in vec]
                     const //= d
-                if not any(vec):
+                if not mask:
                     if const > 0 or (const == 0 and strict):
                         return RowSet(names, ((tuple(vec), const, strict, 0, 0),), unsat=True)
                     continue
                 key = (tuple(vec), const, strict)
-                if key not in out:
-                    mask = sum(1 << j for j, x in enumerate(vec) if x)
-                    out[key] = (*key, 1 << len(out), mask)
+                if key in out:
+                    continue
+                row = out[key] = (*key, 1 << len(out), mask)
+                if mask & (mask - 1):
+                    continue
+                j = mask.bit_length() - 1
+                upper = vec[j] > 0
+                bounds = singles.setdefault(j, ([], []))
+                for other in bounds[not upper]:
+                    ground = _combine(other, row, j) if upper else _combine(row, other, j)
+                    if ground[1] > 0 or (ground[1] == 0 and ground[2]):
+                        return RowSet(names, (ground,), unsat=True)
+                bounds[upper].append(row)
         return RowSet(names, tuple(out.values()))
+
+
+def _combine(lower: Row, upper: Row, j: int) -> Row:
+    """The ground row that eliminating position ``j`` makes of a lower and
+    an upper bound row that mention no other position, reduced as
+    :func:`fm_eliminate` reduces it."""
+    al, au = -lower[0][j], upper[0][j]
+    g = gcd(al, au)
+    const = au // g * lower[1] + al // g * upper[1]
+    return (
+        (0,) * len(lower[0]),
+        (const > 0) - (const < 0),
+        lower[2] or upper[2],
+        lower[3] | upper[3],
+        lower[4] | upper[4],
+    )
 
 
 def fm_eliminate(rows: RowSet, var: str) -> RowSet:
@@ -390,9 +436,12 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     Every pair of a lower and an upper bound on ``var`` is combined,
     unless history pruning shows the combination redundant.  A ground
     contradiction ends the run: the result then holds that row alone and
-    is marked ``unsat``.  Raises :class:`ResourceLimitError` when the
-    result would hold more than ``DEFAULT_FM_CAP`` rows.
+    is marked ``unsat``.  Rows already marked ``unsat`` come back
+    unchanged.  Raises :class:`ResourceLimitError` when the result would
+    hold more than ``DEFAULT_FM_CAP`` rows.
     """
+    if rows.unsat:
+        return rows
     j = rows.names.index(var)
     eliminated = rows.eliminated | (1 << j)
     out: dict[tuple, Row] = {}
@@ -624,9 +673,10 @@ def project_rows(rows: RowSet, variables) -> list[Interval] | None:
         return None
     # Every row left mentions a requested variable; a requested variable
     # no row mentions is unbounded.
+    bits = [1 << j for j in range(len(rows.names))]
     groups: list[tuple[int, list[Row]]] = []
     for row in rows.cons:
-        mask = sum(1 << j for j, x in enumerate(row[0]) if x)
+        mask = sum(compress(bits, row[0]))
         members = [row]
         for g in [g for g in groups if g[0] & mask]:
             groups.remove(g)

@@ -510,8 +510,12 @@ def format_model(model: Mapping[str, Formula], system: System) -> str:
 
 
 def iter_formula_constraints(f: Formula) -> Iterator[LinConstraint]:
-    if isinstance(f, Lin):
-        yield f.con
-    elif isinstance(f, (And, Or)):
-        for g in f.items:
-            yield from iter_formula_constraints(g)
+    """The atoms of ``f`` in pre-order, walked with an explicit stack so
+    that a deep formula does not exhaust the call stack."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Lin):
+            yield f.con
+        elif isinstance(f, (And, Or)):
+            stack.extend(reversed(f.items))

@@ -4,13 +4,18 @@ A reference for the differential tests of ``chclab.linlogic``: it keeps
 every combined inequality, eliminates variables in name order and runs
 one full elimination per requested variable, so it shares no pruning,
 ordering or row representation with the engine under test.
+
+:func:`from_rows` is the engine's row builder as it was before it refuted
+conflicting one-variable bounds itself: the rows of every set it does not
+refute must come out the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from chclab.linlogic import ConjCube
+from chclab.linlogic import ConjCube, RowSet
 from chclab.syntax import LinConstraint, Rel
 
 
@@ -102,3 +107,28 @@ def project_to_box(cube: ConjCube, variables):
                 lo = _tighten(lo, (value, c.rel is Rel.LT), lambda x, y: x > y)
         result.append((lo, hi))
     return result
+
+
+def from_rows(names, rows) -> RowSet:
+    """:meth:`chclab.linlogic.RowSet.from_rows` without the conflict
+    check: only a failing ground row refutes the set."""
+    out = {}
+    for vec, const, rel in rows:
+        if rel is Rel.EQ:
+            sides = ((vec, const, False), ([-x for x in vec], -const, False))
+        else:
+            sides = ((vec, const, rel is Rel.LT),)
+        for vec, const, strict in sides:
+            d = gcd(*vec, const)
+            if d > 1:
+                vec = [x // d for x in vec]
+                const //= d
+            if not any(vec):
+                if const > 0 or (const == 0 and strict):
+                    return RowSet(names, ((tuple(vec), const, strict, 0, 0),), unsat=True)
+                continue
+            key = (tuple(vec), const, strict)
+            if key not in out:
+                mask = sum(1 << j for j, x in enumerate(vec) if x)
+                out[key] = (*key, 1 << len(out), mask)
+    return RowSet(names, tuple(out.values()))

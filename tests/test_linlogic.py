@@ -38,7 +38,20 @@ from chclab.linlogic import (
 from chclab.parser import parse_system
 from chclab.randgen import random_cube, random_element
 from chclab.solver import ClauseResults
-from chclab.syntax import FALSE, TRUE, And, Lin, LinConstraint, LinTerm, Or, Rel
+from chclab.syntax import (
+    FALSE,
+    TRUE,
+    And,
+    Lin,
+    LinConstraint,
+    LinTerm,
+    Or,
+    Rel,
+    conj,
+    disj,
+    formula_vars,
+    iter_formula_constraints,
+)
 
 X, Y, Z = (LinTerm.var(n) for n in "xyz")
 
@@ -134,6 +147,81 @@ def test_eliminate_keeps_ground_contradiction():
     assert not cube_is_sat(as_cube(out))
 
 
+def test_eliminate_returns_unsat_input_unchanged():
+    # A failing ground row refutes the set as it is built; eliminating a
+    # variable afterwards must not drop the mark.
+    rows = RowSet.from_rows(("x", "y"), [([0, 0], 3, Rel.LE), ([1, 1], 0, Rel.LE)])
+    assert rows.unsat
+    assert fm_eliminate(rows, "x") == rows
+
+
+# -- one-variable bound conflicts -----------------------------------------------
+
+
+def _rows_cube(names, rows):
+    """The cube the lowered rows over ``names`` stand for."""
+    return ConjCube.make(
+        LinConstraint(LinTerm.make(zip(names, vec), const), rel) for vec, const, rel in rows
+    )
+
+
+def test_bound_conflict_frozen_cases():
+    x_le_2, x_ge_2 = ([1], -2, Rel.LE), ([-1], 2, Rel.LE)
+    assert not RowSet.from_rows(("x",), [x_le_2, x_ge_2]).unsat
+    # x < 2, x >= 2: the pair combines to the ground row 0 < 0.
+    got = RowSet.from_rows(("x",), [([1], -2, Rel.LT), x_ge_2])
+    assert got.unsat and got.cons == (((0,), 0, True, 0b11, 0b1),)
+    # 2x <= 3, 3x >= 5: 3/2 < 5/3.
+    assert RowSet.from_rows(("x",), [([2], -3, Rel.LE), ([-3], 5, Rel.LE)]).unsat
+    # x = 1, x <= 0: the equality's lower side meets the bound.
+    assert RowSet.from_rows(("x",), [([1], -1, Rel.EQ), ([1], 0, Rel.LE)]).unsat
+    # The refuting row carries the histories of both rows and the union
+    # of their masks, not the rows before them.
+    got = RowSet.from_rows(
+        ("x", "y"), [([0, 1], 0, Rel.LE), ([2, 0], -3, Rel.LE), ([-1, 0], 2, Rel.LE)]
+    )
+    assert got.unsat and got.cons == (((0, 0), 1, False, 0b110, 0b01),)
+
+
+def _bound_rows(rng):
+    """Lowered rows over 1-3 variables: mostly one-variable bounds of
+    either sign with coefficients up to 3, strict, non-strict or
+    equalities, some repeated, some over two or three variables, and now
+    and then a ground row."""
+    names = ("x", "y", "z")[: rng.randint(1, 3)]
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        if rows and rng.random() < 0.15:
+            rows.append(rng.choice(rows))
+            continue
+        vec = [0] * len(names)
+        width = 1 if rng.random() < 0.75 else rng.randint(0, len(names))
+        for j in rng.sample(range(len(names)), width):
+            vec[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        rows.append((vec, rng.randint(-6, 6), rng.choice((Rel.LE, Rel.LE, Rel.LT, Rel.EQ))))
+    return names, rows
+
+
+def test_bound_conflicts_match_unpruned_reference():
+    # The conflict check refutes only what elimination refutes, and a set
+    # it does not refute keeps the rows the builder made without it.
+    refuted = satisfiable = 0
+    for seed in range(1200):
+        names, rows = _bound_rows(random.Random(seed))
+        got = RowSet.from_rows(names, rows)
+        want = fm_reference.from_rows(names, rows)
+        sat = not linlogic._eliminate(got, (1 << len(names)) - 1).unsat
+        assert sat == fm_reference.cube_is_sat(_rows_cube(names, rows)), f"seed {seed}: {rows}"
+        if got.unsat:
+            [(vec, const, strict, hist, _)] = got.cons
+            assert not any(vec) and (const > 0 or (const == 0 and strict))
+            refuted += not want.unsat and hist.bit_count() == 2
+        else:
+            assert got == want, f"seed {seed}: {rows}"
+        satisfiable += sat
+    assert refuted > 200 and satisfiable > 200
+
+
 def test_cube_sat_frozen_cases():
     assert cube_is_sat(cube())
     assert cube_is_sat(cube(lt(X - Y)))
@@ -147,6 +235,30 @@ def test_is_sat_formulas():
     assert is_sat(TRUE)
     assert is_sat(Or((FALSE, Lin(le(X)))))
     assert not is_sat(And((Lin(lt(X)), Lin(lt(LinTerm.make({}, 0) - X)))))
+
+
+def test_deep_formula_decided_without_recursion():
+    # 5,000 levels of alternating conjunctions and disjunctions, built
+    # through conj/disj.  The search descends the first disjunct of each
+    # level, meets x >= 100 at the bottom, and takes the last level's
+    # second disjunct instead.
+    rng = random.Random(5000)
+    leaf = Lin(le(LinTerm.constant(100) - X))
+    uppers, lowers = [], []
+    f = leaf
+    for level in range(5000):
+        if level % 2:
+            uppers.append(Lin(le(X - LinTerm.constant(rng.randint(0, 9)))))
+            f = conj([uppers[-1], f])
+        else:
+            lowers.append(Lin(le(LinTerm.constant(-rng.randint(0, 9)) - X)))
+            f = disj([f, lowers[-1]])
+    assert isinstance(f, And)
+    # Pre-order: the conjuncts top down, then the disjuncts bottom up.
+    atoms = [*reversed(uppers), leaf, *lowers]
+    assert list(iter_formula_constraints(f)) == [a.con for a in atoms]
+    assert formula_vars(f) == {"x"}
+    assert sat_cube(f) == ConjCube.make(a.con for a in (*uppers, lowers[0]))
 
 
 def random_formula(rng, depth):

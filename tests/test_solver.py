@@ -448,6 +448,24 @@ def test_check_model_search_budget(monkeypatch):
         check_model(system, verdict.witness)
 
 
+def test_check_model_elimination_count(monkeypatch):
+    # A guard on work, not time: refuting conflicting one-variable bounds
+    # while the rows are built took the model check of this run from 623
+    # Fourier-Motzkin steps to 155.
+    system = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
+    _, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
+    steps = []
+    step = linlogic.fm_eliminate
+
+    def counted(rows, var):
+        steps.append(var)
+        return step(rows, var)
+
+    monkeypatch.setattr(linlogic, "fm_eliminate", counted)
+    assert check_model(system, verdict.witness).ok
+    assert 0 < len(steps) <= 155
+
+
 def test_goal_disjoint_requires_empty_overlap(ladder):
     from chclab.syntax import TRUE
 
