@@ -30,6 +30,7 @@ from .linlogic import (
     Interval,
     Lowered,
     RowSet,
+    _RowBuilder,
     bound_row,
     extend,
     lower,
@@ -224,10 +225,14 @@ class CompiledClause:
     on the first call with no empty input box.  Per target (the head
     arguments, or the arguments of body position ``j``) each cube then
     becomes a template: its rows with the equalities solved for
-    variables outside the target substituted away, plus those pivots
-    (see :func:`chclab.linlogic.extend`).  A call lowers each bound of
-    its input boxes to a one-variable row, extends every template with
-    those rows and projects the result onto the target.
+    variables outside the target substituted away, those pivots (see
+    :func:`chclab.linlogic.extend`) and the builder of its row set.  A
+    cube whose rows alone are refuted gets no template.  A call lowers
+    each bound of its input boxes to a one-variable row, extends every
+    template with those rows, adds them to a copy of the template's
+    builder and projects the result onto the target.  Only a bound that
+    adds a pivot, a point on a variable outside the target, rewrites the
+    template's rows, and the set is then built afresh.
     """
 
     def __init__(self, clause: Clause):
@@ -268,9 +273,13 @@ class CompiledClause:
             for v, value, rel, upper in box.bounds(app.args)
         ]
         acc = Box.empty(len(args))
-        for template in templates:
-            cube, _ = extend(*template, rows, free)
-            intervals = project_rows(RowSet.from_rows(names, cube), args)
+        for template, pivots, builder in templates:
+            cube, solved = extend(template, pivots, rows, free)
+            if len(solved) == len(pivots):
+                rowset = builder.copy().add(cube[len(template) :])
+            else:
+                rowset = RowSet.from_rows(names, cube)
+            intervals = project_rows(rowset, args)
             if intervals is not None:
                 acc = acc.join(Box.make(len(args), intervals))
         return acc
@@ -280,7 +289,14 @@ class CompiledClause:
         if found is None:
             names, _, cubes = self.lowered
             free = sum(1 << j for j, v in enumerate(names) if v not in args)
-            templates = [extend((), (), cube, free) for cube in cubes]
+            templates = []
+            for cube in cubes:
+                rows, pivots = extend((), (), cube, free)
+                builder = _RowBuilder(names)
+                # A cube whose own rows are refuted projects to nothing,
+                # whatever bounds are added.
+                if not builder.add(rows).unsat:
+                    templates.append((rows, pivots, builder))
             found = self._templates[target] = (free, templates)
         return found
 

@@ -31,7 +31,13 @@ works on those rows:
   rows of each position and combines each new one with those of the
   opposite sign, as eliminating that variable would: a combination that
   fails refutes the set before any elimination runs.  That decides most
-  unsatisfiable branches of the search.
+  unsatisfiable branches of the search.  Each row is normalized once:
+  the builder behind :meth:`RowSet.from_rows` can be copied and
+  extended, so a search branch adds only its new rows to a copy of its
+  parent's builder, and a compiled clause adds only the bounds of its
+  input boxes to a copy of its template's.  Extending a builder gives
+  the set a fresh build would, as long as :func:`extend` solved no new
+  pivot, which would rewrite the rows already added.
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.
@@ -187,14 +193,19 @@ def sat_cube(formula: Formula) -> ConjCube | None:
 
     Depth-first search over the disjunct choices.  The formula's
     variables are indexed once, and each branch carries the substituted
-    rows and pivots of the atoms its choices imply (see :func:`extend`):
-    a child lowers and substitutes only its new atoms and eliminates a
-    copy of the result.  A branch is dropped as soon as its atoms are
-    unsatisfiable; it then branches on the pending disjunction with the
-    fewest children, trying them in formula order.  A root left with
-    exactly one pending disjunction skips its own check and hands it to
-    every child, even one that adds no atom.  The first branch left with
-    no pending disjunction is the answer.  Raises
+    rows and pivots of the atoms its choices imply (see :func:`extend`)
+    and the builder of their integer rows: a child lowers and
+    substitutes only its new atoms, adds their rows to a copy of its
+    parent's builder and eliminates a copy of the result.  Only a child
+    whose new equality solves for a variable, which rewrites the rows
+    before it, builds its rows afresh.  A branch is dropped as soon as
+    its atoms are unsatisfiable; it then branches on the pending
+    disjunction with the fewest children, trying them in formula order.
+    A root left with exactly one pending disjunction skips its
+    elimination and hands that check to every child, even one that adds
+    no atom; it still builds its rows, once for all children, and stops
+    the search if building them refutes them.  The first branch left
+    with no pending disjunction is the answer.  Raises
     :class:`ResourceLimitError` after ``DEFAULT_CUBE_CAP`` branches.
     """
     # A constant needs no search, and indexing its variables would cost
@@ -209,17 +220,20 @@ def sat_cube(formula: Formula) -> ConjCube | None:
     index = {v: j for j, v in enumerate(names)}
     everything = (1 << len(names)) - 1
     # A branch: the atoms chosen so far, the keys of their distinct rows,
-    # those rows substituted and their pivots, whether the atoms are known
-    # to be satisfiable together, the disjunctions still to decide, and
-    # the child just chosen.  Rows hash far faster than the Fractions of
-    # their atoms, and two atoms with one row are the same constraint.
-    stack: list[tuple] = [((), frozenset(), (), (), True, (), formula)]
+    # those rows substituted and their pivots, the builder of their row
+    # set and that set, whether the atoms are known to be satisfiable
+    # together, the disjunctions still to decide, and the child just
+    # chosen.  Rows hash far faster than the Fractions of their atoms,
+    # and two atoms with one row are the same constraint.
+    stack: list[tuple] = [
+        ((), frozenset(), (), (), _RowBuilder(names), None, True, (), formula)
+    ]
     visited = 0
     while stack:
         visited += 1
         if visited > cap:
             raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
-        atoms, keys, rows, pivots, checked, pending, choice = stack.pop()
+        atoms, keys, rows, pivots, builder, rowset, checked, pending, choice = stack.pop()
         new_atoms: list[LinConstraint] = []
         pending = list(pending)
         if not _gather(choice, new_atoms, pending):
@@ -233,21 +247,34 @@ def sat_cube(formula: Formula) -> ConjCube | None:
                 fresh[key] = row
         if fresh:
             keys = keys.union(fresh)
-            rows, pivots = extend(rows, pivots, fresh.values(), everything)
+            solved = len(pivots)
+            extended, pivots = extend(rows, pivots, fresh.values(), everything)
+            if len(pivots) == solved:
+                # The parent's rows come first and unchanged, so adding
+                # the new ones to a copy of its builder builds the set a
+                # fresh builder would.
+                builder = builder.copy()
+                rowset = builder.add(extended[len(rows) :])
+            else:
+                builder = _RowBuilder(names)
+                rowset = builder.add(extended)
+            rows = extended
+            if rowset.unsat:
+                continue
             checked = False
-        # The root leaves its check to the children when they are the
-        # only choice to make: its atoms, a clause body in the model
+        # The root leaves its elimination to the children when they are
+        # the only choice to make: its atoms, a clause body in the model
         # check, are nearly always satisfiable.  Deeper branches keep
         # theirs, since most of those that reach a check fail it.
         if not checked and (visited > 1 or len(pending) != 1):
-            if _eliminate(RowSet.from_rows(names, rows), everything).unsat:
+            if _eliminate(rowset, everything).unsat:
                 continue
             checked = True
         if not pending:
             return ConjCube.make(atoms)
         split = pending.pop(min(range(len(pending)), key=lambda k: len(pending[k].items)))
         stack.extend(
-            (atoms, keys, rows, pivots, checked, tuple(pending), child)
+            (atoms, keys, rows, pivots, builder, rowset, checked, tuple(pending), child)
             for child in reversed(split.items)
         )
     return None
@@ -377,11 +404,37 @@ class RowSet(NamedTuple):
         Such a conflict refutes most unsatisfiable branches of
         :func:`sat_cube` before any elimination runs.
         """
+        return _RowBuilder(names).add(rows)
+
+
+class _RowBuilder:
+    """The state of :meth:`RowSet.from_rows` between rows, so that a set
+    can be built once and extended by the rows of each branch.
+
+    ``out`` holds the distinct rows by key, and ``singles`` the
+    one-variable rows of each position: a tuple of lower and one of
+    upper bounds.  Those tuples are replaced, never changed in place, so
+    :meth:`copy` copies just the two dicts.  A builder whose :meth:`add`
+    refuted its rows stopped part way and must not be extended.
+    """
+
+    __slots__ = ("names", "out", "singles")
+
+    def __init__(self, names: tuple[str, ...], out=None, singles=None):
+        self.names = names
+        self.out: dict[tuple, Row] = {} if out is None else out
+        self.singles: dict[int, tuple[tuple[Row, ...], tuple[Row, ...]]] = (
+            {} if singles is None else singles
+        )
+
+    def copy(self) -> _RowBuilder:
+        return _RowBuilder(self.names, self.out.copy(), self.singles.copy())
+
+    def add(self, rows) -> RowSet:
+        """The set of the rows added so far and ``rows``, processed in
+        order as :meth:`RowSet.from_rows` processes them."""
+        names, out, singles = self.names, self.out, self.singles
         bits = [1 << j for j in range(len(names))]
-        out: dict[tuple, Row] = {}
-        # The one-variable rows kept so far, by position: lower bounds
-        # first, upper bounds second.
-        singles: dict[int, tuple[list[Row], list[Row]]] = {}
         for vec, const, rel in rows:
             mask = sum(compress(bits, vec))
             if rel is Rel.EQ:
@@ -405,12 +458,12 @@ class RowSet(NamedTuple):
                     continue
                 j = mask.bit_length() - 1
                 upper = vec[j] > 0
-                bounds = singles.setdefault(j, ([], []))
-                for other in bounds[not upper]:
+                lowers, uppers = singles.get(j, ((), ()))
+                for other in lowers if upper else uppers:
                     ground = _combine(other, row, j) if upper else _combine(row, other, j)
                     if ground[1] > 0 or (ground[1] == 0 and ground[2]):
                         return RowSet(names, (ground,), unsat=True)
-                bounds[upper].append(row)
+                singles[j] = (lowers, (*uppers, row)) if upper else ((*lowers, row), uppers)
         return RowSet(names, tuple(out.values()))
 
 

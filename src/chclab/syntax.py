@@ -293,34 +293,59 @@ def eval_formula(f: Formula, env: Mapping[str, Fraction]) -> bool:
     return any(eval_formula(g, env) for g in f.items)
 
 
+def _rebuild(f: Formula, leaf, node) -> Formula:
+    """``f`` rebuilt bottom up with an explicit stack, so that a deep
+    formula does not exhaust the call stack: ``leaf(g)`` replaces each
+    atom or constant and ``node(g, items)`` each conjunction or
+    disjunction, given its items already rebuilt."""
+    done: list[Formula] = []
+    # A connective is pushed again as a 1-tuple under its items, to be
+    # rebuilt once they are.
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            (g,) = g
+            split = len(done) - len(g.items)
+            items = done[split:]
+            del done[split:]
+            done.append(node(g, items))
+        elif isinstance(g, (And, Or)):
+            stack.append((g,))
+            stack += reversed(g.items)
+        else:
+            done.append(leaf(g))
+    return done[0]
+
+
 def rename_formula(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Simultaneous variable renaming."""
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Lin):
-        return Lin(f.con.rename(mapping))
-    if isinstance(f, And):
-        return And(tuple(rename_formula(g, mapping) for g in f.items))
-    return Or(tuple(rename_formula(g, mapping) for g in f.items))
+    return _rebuild(
+        f,
+        lambda g: Lin(g.con.rename(mapping)) if isinstance(g, Lin) else g,
+        lambda g, items: type(g)(tuple(items)),
+    )
 
 
-def negate_formula(f: Formula) -> Formula:
-    """Negation-free complement (De Morgan over comparisons)."""
+def _negate_leaf(f: Formula) -> Formula:
     if isinstance(f, TrueF):
         return FALSE
     if isinstance(f, FalseF):
         return TRUE
-    if isinstance(f, Lin):
-        t, r = f.con.term, f.con.rel
-        if r is Rel.LE:  # not (t <= 0)  <=>  -t < 0
-            return lin(-t, Rel.LT)
-        if r is Rel.LT:  # not (t < 0)  <=>  -t <= 0
-            return lin(-t, Rel.LE)
-        # not (t = 0)  <=>  t < 0  or  -t < 0
-        return disj([lin(t, Rel.LT), lin(-t, Rel.LT)])
-    if isinstance(f, And):
-        return disj(negate_formula(g) for g in f.items)
-    return conj(negate_formula(g) for g in f.items)
+    t, r = f.con.term, f.con.rel
+    if r is Rel.LE:  # not (t <= 0)  <=>  -t < 0
+        return lin(-t, Rel.LT)
+    if r is Rel.LT:  # not (t < 0)  <=>  -t <= 0
+        return lin(-t, Rel.LE)
+    # not (t = 0)  <=>  t < 0  or  -t < 0
+    return disj([lin(t, Rel.LT), lin(-t, Rel.LT)])
+
+
+def negate_formula(f: Formula) -> Formula:
+    """Negation-free complement (De Morgan over comparisons)."""
+    return _rebuild(
+        f, _negate_leaf, lambda g, items: disj(items) if isinstance(g, And) else conj(items)
+    )
 
 
 # ---------------------------------------------------------------------------

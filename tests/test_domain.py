@@ -21,7 +21,7 @@ from chclab.domain import (
     clause_pre_restricted,
     formula_box,
 )
-from chclab.linlogic import is_sat
+from chclab.linlogic import RowSet, is_sat
 from chclab.parser import parse_system
 from chclab.randgen import random_box, random_element, random_finite_system, random_interval
 from chclab.syntax import (
@@ -407,3 +407,76 @@ def test_empty_input_box_skips_elimination(monkeypatch, addition_loops):
     assert calls == 0
     assert not CompiledClause(addition_loops.clauses[1]).post([Box.top(2)]).is_empty
     assert calls > 0
+
+
+def _assert_both_directions_match(clause, elems):
+    """``post`` and every ``pre`` of one compiled clause equal the formula
+    route on each of ``elems``, used as input and as restriction."""
+    cc = CompiledClause(clause)
+    for elem in elems:
+        body = [elem.get(app.pred.name) for app in clause.body]
+        assert cc.post(body) == transformer_reference.clause_post(clause, elem), str(elem)
+        head = elem.get(clause.head.pred.name)
+        for j in range(len(clause.body)):
+            want = transformer_reference.clause_pre_restricted(clause, j, elem, elem)
+            assert cc.pre(j, head, body) == want, (j, str(elem))
+    return cc
+
+
+def test_point_bound_outside_the_target_rebuilds_the_rows(monkeypatch):
+    # No equality of the templates pivots on X or Y.  A point box for the
+    # body atom of post, or for the head of pre, is an equality on a
+    # variable outside the target: it becomes a pivot that rewrites the
+    # template's rows, so the set is built afresh.  A range box only adds
+    # rows to a copy of the template's builder.
+    system = parse_system("pred p/1. pred q/1.\np(Y) :- q(X), X >= 0, Y >= 2 * X.\n")
+    clause = system.clauses[0]
+    cc = CompiledClause(clause)
+    builds = 0
+    from_rows = RowSet.from_rows
+
+    def counting(names, rows):
+        nonlocal builds
+        builds += 1
+        return from_rows(names, rows)
+
+    monkeypatch.setattr(RowSet, "from_rows", staticmethod(counting))
+    assert cc.post([Box.make(1, [Interval.of(1, 2)])]) == Box.make(1, [Interval.of(2, None)])
+    assert builds == 0
+    assert cc.post([Box.make(1, [Interval.point(3)])]) == Box.make(1, [Interval.of(6, None)])
+    assert builds == 1
+    assert cc.pre(0, Box.make(1, [Interval.point(3)]), [Box.top(1)]) == Box.make(
+        1, [Interval.of(0, F(3, 2))]
+    )
+    assert builds == 2
+    monkeypatch.undo()
+    elems = [
+        AbstractElement.of({"p": Box.make(1, [p]), "q": Box.make(1, [q])})
+        for p, q in [
+            (Interval.point(3), Interval.point(1)),
+            (Interval.point(F(1, 2)), Interval.point(F(1, 2))),
+            (Interval.of(7, 9), Interval.point(4)),
+            (Interval.point(-1), Interval.of(1, 2)),
+            (Interval.top(), Interval.of(1, 2)),
+        ]
+    ]
+    _assert_both_directions_match(clause, elems)
+
+
+def test_refuted_cube_gets_no_template():
+    # The first disjunct is unsatisfiable on its own, so its builder is
+    # refuted as the template is made, and only the second is extended.
+    system = parse_system("pred p/1. pred q/1.\np(X) :- q(X), (X > 0, X < 0 ; X >= 5).\n")
+    clause = system.clauses[0]
+    elems = [
+        AbstractElement.of({"p": Box.make(1, [p]), "q": Box.make(1, [q])})
+        for p, q in [
+            (Interval.top(), Interval.top()),
+            (Interval.of(0, 6), Interval.of(-1, 3)),
+            (Interval.of(6, 8), Interval.of(2, 9)),
+            (Interval.top(), Interval.point(0)),
+        ]
+    ]
+    cc = _assert_both_directions_match(clause, elems)
+    assert cc.post([Box.top(1)]) == Box.make(1, [Interval.of(5, None)])
+    assert [len(templates) for _, templates in cc._templates.values()] == [1, 1]

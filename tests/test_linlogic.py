@@ -222,6 +222,33 @@ def test_bound_conflicts_match_unpruned_reference():
     assert refuted > 200 and satisfiable > 200
 
 
+def test_extended_builder_matches_a_fresh_build():
+    # Building a prefix and adding the rest to a copy gives the set a
+    # fresh build of the whole gives.  Neither that nor a sibling copy
+    # extended with other rows changes the prefix's builder.
+    extended = refuted = siblings = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        names, rows = _bound_rows(rng)
+        whole = RowSet.from_rows(names, rows)
+        split = rng.randint(0, len(rows))
+        builder = linlogic._RowBuilder(names)
+        prefix = builder.add(rows[:split])
+        if prefix.unsat:
+            assert whole.unsat, f"seed {seed}: {rows}"
+            refuted += 1
+            continue
+        assert builder.copy().add(rows[split:]) == whole, f"seed {seed}: {rows}"
+        other_names, other = _bound_rows(random.Random(-1 - seed))
+        if other_names == names:
+            want = RowSet.from_rows(names, rows[:split] + other)
+            assert builder.copy().add(other) == want, f"seed {seed}: {rows}, {other}"
+            siblings += 1
+        assert builder.add(()) == prefix, f"seed {seed}: {rows}"
+        extended += 1
+    assert extended > 1000 and refuted > 100 and siblings > 300
+
+
 def test_cube_sat_frozen_cases():
     assert cube_is_sat(cube())
     assert cube_is_sat(cube(lt(X - Y)))

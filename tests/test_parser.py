@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import formula_reference
 from chclab import ParseError, parse_model, parse_system
 from chclab.randgen import random_acyclic_text, random_finite_text
+from chclab.solver import alternate
 from chclab.syntax import (
+    FALSE,
+    TRUE,
     And,
     Lin,
     LinConstraint,
@@ -17,7 +22,10 @@ from chclab.syntax import (
     Rel,
     format_model,
     format_system,
+    formula_vars,
     iter_formula_constraints,
+    negate_formula,
+    rename_formula,
 )
 from test_solver import fuzz_text, wide_finite_text
 
@@ -141,6 +149,49 @@ def test_term_negation_and_renaming_match_the_general_route(corpus_systems):
     x_minus_y = LinTerm.make({"x": 1, "y": -1}, 2)
     assert same(x_minus_y.rename({"x": "z", "y": "z"}), LinTerm.constant(2))
     assert same(x_minus_y.rename({"x": "y", "y": "x"}), LinTerm.make({"y": 1, "x": -1}, 2))
+
+
+def _seeded_formula(rng: random.Random, depth: int):
+    """A raw And/Or tree over x, y and z that the smart constructors have
+    not flattened: connectives of zero to three items, nested in their
+    own kind, and constants among the atoms."""
+    if depth == 0 or rng.random() < 0.3:
+        k = rng.random()
+        if k < 0.1:
+            return TRUE
+        if k < 0.2:
+            return FALSE
+        names = rng.sample(("x", "y", "z"), rng.randint(0, 2))
+        term = LinTerm.make({v: rng.choice((-2, -1, 1, 3)) for v in names}, rng.randint(-3, 3))
+        return Lin(LinConstraint(term, rng.choice(list(Rel))))
+    kind = rng.choice((And, Or))
+    return kind(tuple(_seeded_formula(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+
+
+def test_formula_walkers_match_the_recursive_reference(corpus_systems):
+    # The stack-based rename_formula and negate_formula return the trees
+    # the recursive walkers returned, printed and compared alike.
+    formulas = []
+    for _, system in corpus_systems:
+        formulas += [c.constraint for c in system.clauses]
+        formulas += alternate(system)[1].witness.as_dict().values()
+    rng = random.Random(14)
+    formulas += [_seeded_formula(rng, 5) for _ in range(600)]
+    for f in formulas:
+        names = sorted(formula_vars(f))
+        mappings = [
+            dict(zip(names, reversed(names))),  # swaps names around
+            {v: names[0] for v in names[1:]},  # merges every variable into one
+            {v: v.lower() + "_" for v in names},
+        ]
+        for m in mappings:
+            want = formula_reference.rename_formula(f, m)
+            got = rename_formula(f, m)
+            assert got == want and repr(got) == repr(want), (str(f), m)
+        want = formula_reference.negate_formula(f)
+        got = negate_formula(f)
+        assert got == want and repr(got) == repr(want), str(f)
+    assert len(formulas) > 800
 
 
 def test_neq_expands_to_disjunction():

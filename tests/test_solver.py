@@ -45,7 +45,17 @@ from chclab.solver import (
     goal_element,
     refined_model,
 )
-from chclab.syntax import GoalEntry, GoalSpec, conj, disj, param_vars
+from chclab.syntax import (
+    FALSE,
+    GoalEntry,
+    GoalSpec,
+    LinTerm,
+    Rel,
+    conj,
+    disj,
+    lin,
+    param_vars,
+)
 from conftest import CORPUS
 
 F = Fraction
@@ -439,6 +449,28 @@ def test_check_model_flags_violation(ladder):
     assert check_model(ladder, honest).ok
 
 
+def test_check_model_of_a_deep_model():
+    # A model for p 5,000 levels deep, alternating conjunctions and
+    # disjunctions built through conj/disj.  Instantiating and negating
+    # it must not recurse.  Every level keeps 0, so the fact holds; the
+    # first disjunct of every level reaches x <= 100 at the bottom, which
+    # the integrity clause refutes with any x in (5, 100].
+    system = parse_system("pred p/1. p(X) :- X = 0. false :- p(X), X > 5.")
+    x = LinTerm.var(param_vars(1)[0])
+    bounds = [LinTerm.constant(b) for b in range(6)]
+    uppers = [lin(x - b, Rel.LE) for b in bounds]
+    lowers = [lin(-b - x, Rel.LE) for b in bounds]
+    rng = random.Random(5000)
+    f = lin(x - LinTerm.constant(100), Rel.LE)
+    for level in range(5000):
+        if level % 2:
+            f = conj([rng.choice(lowers), f])
+        else:
+            f = disj([f, rng.choice(uppers)])
+    [(idx, _, witness)] = check_model(system, {"p": f, "false": FALSE}).violations
+    assert idx == 1 and witness.startswith("-X < -5") and witness.endswith("X <= 100")
+
+
 def test_check_model_search_budget(monkeypatch):
     system = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
     trace, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
@@ -464,6 +496,26 @@ def test_check_model_elimination_count(monkeypatch):
     monkeypatch.setattr(linlogic, "fm_eliminate", counted)
     assert check_model(system, verdict.witness).ok
     assert 0 < len(steps) <= 155
+
+
+def test_check_model_row_normalization_count(monkeypatch):
+    # A guard on work, not time: a search branch adds only its new rows
+    # to a copy of its parent's row builder, which took the rows the
+    # model check of this run normalizes from 2,673 to 326.
+    system = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
+    _, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
+    normalized = 0
+    add = linlogic._RowBuilder.add
+
+    def counted(self, rows):
+        nonlocal normalized
+        rows = tuple(rows)
+        normalized += len(rows)
+        return add(self, rows)
+
+    monkeypatch.setattr(linlogic._RowBuilder, "add", counted)
+    assert check_model(system, verdict.witness).ok
+    assert 0 < normalized <= 326
 
 
 def test_goal_disjoint_requires_empty_overlap(ladder):
