@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .linlogic import ResourceLimitError
 from .parser import ParseError, parse_model, parse_system
@@ -101,7 +100,7 @@ def cmd_solve(args) -> int:
     started = time.monotonic()
     if args.mode == "fwd":
         # One forward pass: the direction options do not apply.
-        single = replace(config, max_rounds=1, start_direction="forward", coarse_first=False)
+        single = config._replace(max_rounds=1, start_direction="forward", coarse_first=False)
         trace, verdict = alternate(system, config=single)
         step_laws_ok = trace.certified
     elif args.mode == "alt":

@@ -12,10 +12,9 @@ act as an oracle for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .linlogic import ResourceLimitError
 from .syntax import (
@@ -33,8 +32,7 @@ VALUATION_CAP = 10**6
 Valuation = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class GroundAtom:
+class GroundAtom(NamedTuple):
     pred: str
     args: Valuation
 
@@ -47,8 +45,7 @@ class GroundAtom:
         return f"{self.pred}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Consequence:
+class Consequence(NamedTuple):
     """One ground clause instance: premises entail the conclusion."""
 
     premises: frozenset[GroundAtom]

@@ -9,13 +9,12 @@ candidates of the fixpoint engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import System
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     preds: tuple[str, ...]
     recursive: bool
 

@@ -21,10 +21,9 @@ on the solve path calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linlogic import (
     Interval,
@@ -54,8 +53,7 @@ from .syntax import (
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """Product of intervals; ``intervals is None`` encodes empty."""
 
     arity: int
@@ -153,8 +151,7 @@ class Box:
         return " x ".join(str(iv) for iv in self.intervals)
 
 
-@dataclass(frozen=True)
-class AbstractElement:
+class AbstractElement(NamedTuple):
     """A box for every declared predicate, ordered by predicate name."""
 
     items: tuple[tuple[str, Box], ...]

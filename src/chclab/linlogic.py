@@ -76,7 +76,6 @@ changes an answer or a table lookup.  The terms of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -91,6 +90,7 @@ from .syntax import (
     Or,
     Rel,
     TrueF,
+    fold_formula,
     formula_vars,
 )
 
@@ -102,8 +102,7 @@ class ResourceLimitError(Exception):
     """An enumeration or conversion exceeded its configured cap."""
 
 
-@dataclass(frozen=True)
-class ConjCube:
+class ConjCube(NamedTuple):
     """A conjunction of linear constraints, deduplicated and sorted."""
 
     cons: tuple[LinConstraint, ...]
@@ -130,40 +129,40 @@ def to_dnf(formula: Formula) -> list[ConjCube]:
 
     ``true`` yields one empty cube, ``false`` yields no cube.  Raises
     :class:`ResourceLimitError` when an intermediate cube count exceeds
-    ``DEFAULT_CUBE_CAP``.
+    ``DEFAULT_CUBE_CAP``.  An explicit stack keeps deep formulas off the
+    call stack.
     """
+    return [ConjCube.make(cs) for cs in fold_formula(formula, _dnf_leaf, _dnf_node)]
+
+
+def _dnf_leaf(f: Formula) -> list[tuple[LinConstraint, ...]]:
+    if isinstance(f, TrueF):
+        return [()]
+    if isinstance(f, FalseF):
+        return []
+    if isinstance(f, Lin):
+        return [(f.con,)]
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _dnf_node(f: And | Or, items: list) -> list[tuple[LinConstraint, ...]]:
+    """The cubes of ``f`` from the cubes of its items, checking the cap
+    after each item as the items are combined left to right."""
     cap = DEFAULT_CUBE_CAP
-
-    def go(f: Formula) -> list[tuple[LinConstraint, ...]]:
-        if isinstance(f, TrueF):
-            return [()]
-        if isinstance(f, FalseF):
-            return []
-        if isinstance(f, Lin):
-            return [(f.con,)]
-        if isinstance(f, And):
-            acc: list[tuple[LinConstraint, ...]] = [()]
-            for child in f.items:
-                branches = go(child)
-                nxt = [a + b for a in acc for b in branches]
-                if len(nxt) > cap:
-                    raise ResourceLimitError(
-                        f"DNF conversion exceeded {cap} cubes"
-                    )
-                acc = nxt
-            return acc
-        if isinstance(f, Or):
-            acc = []
-            for child in f.items:
-                acc.extend(go(child))
-                if len(acc) > cap:
-                    raise ResourceLimitError(
-                        f"DNF conversion exceeded {cap} cubes"
-                    )
-            return acc
-        raise TypeError(f"not a formula: {f!r}")
-
-    return [ConjCube.make(cs) for cs in go(formula)]
+    acc: list[tuple[LinConstraint, ...]]
+    if isinstance(f, And):
+        acc = [()]
+        for branches in items:
+            acc = [a + b for a in acc for b in branches]
+            if len(acc) > cap:
+                raise ResourceLimitError(f"DNF conversion exceeded {cap} cubes")
+        return acc
+    acc = []
+    for branches in items:
+        acc.extend(branches)
+        if len(acc) > cap:
+            raise ResourceLimitError(f"DNF conversion exceeded {cap} cubes")
+    return acc
 
 
 def _gather(f: Formula, atoms: list[LinConstraint], pending: list[Or]) -> bool:
@@ -550,27 +549,27 @@ def _eliminate(rows: RowSet, mask: int) -> RowSet:
     """Eliminate the variables at the positions in ``mask``, cheapest
     first, until none is left or the rows turn out unsatisfiable."""
     positions = [j for j in range(len(rows.names)) if mask >> j & 1]
-    while positions and not rows.unsat:
-        lowers = dict.fromkeys(positions, 0)
-        uppers = dict.fromkeys(positions, 0)
-        for vec, *_ in rows.cons:
-            for j in positions:
-                a = vec[j]
-                if a > 0:
-                    uppers[j] += 1
-                elif a < 0:
-                    lowers[j] += 1
-        # A variable no row mentions stays absent: combining never
-        # brings it back.
-        positions = [j for j in positions if lowers[j] or uppers[j]]
-        if not positions:
+    while positions and rows.cons and not rows.unsat:
+        # Count each position's lower and upper bounds in its column of
+        # coefficients; ``(0).__gt__`` tests ``a < 0``.  A variable no row
+        # mentions stays absent: combining never brings it back.
+        columns = list(zip(*[row[0] for row in rows.cons]))
+        mentioned: list[int] = []
+        best = least = -1
+        for j in positions:
+            column = columns[j]
+            lowers = sum(map((0).__gt__, column))
+            uppers = len(column) - column.count(0) - lowers
+            if lowers or uppers:
+                mentioned.append(j)
+                cost = lowers * uppers - lowers - uppers
+                if best < 0 or cost < least:
+                    best, least = j, cost
+        if best < 0:
             break
-        best = min(
-            positions,
-            key=lambda j: lowers[j] * uppers[j] - lowers[j] - uppers[j],
-        )
         rows = fm_eliminate(rows, rows.names[best])
-        positions.remove(best)
+        mentioned.remove(best)
+        positions = mentioned
     return rows
 
 

@@ -34,7 +34,6 @@ builds its ``LinTerm`` once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -120,14 +119,12 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RawApp:
+class RawApp(NamedTuple):
     pred: PredDecl
     args: tuple[LinTerm, ...]
 
 
-@dataclass(frozen=True)
-class RawClause:
+class RawClause(NamedTuple):
     body: tuple[RawApp, ...]
     constraint: Formula
     head: RawApp

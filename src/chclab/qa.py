@@ -15,7 +15,7 @@ and are certified against the native flows, like those of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import AbstractElement, Box
 from .solver import (
@@ -40,15 +40,13 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class QAPredPair:
+class QAPredPair(NamedTuple):
     orig: str
     query: str
     answer: str
 
 
-@dataclass(frozen=True)
-class QASystem:
+class QASystem(NamedTuple):
     system: System
     pairs: tuple[QAPredPair, ...]
 

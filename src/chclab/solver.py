@@ -48,8 +48,8 @@ candidate model independently, clause by clause, without the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from .depgraph import dependency_order
 from .domain import AbstractElement, Box, CompiledClause
@@ -71,15 +71,22 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class _AnalysisOptions(NamedTuple):
     max_rounds: int = 5
     widening_delay: int = 2
     descending_passes: int = 1
     start_direction: str = "forward"  # "forward" or "backward"
     coarse_first: bool = False
 
-    def __post_init__(self):
+
+class AnalysisConfig(_AnalysisOptions):
+    """The options of an analysis, checked whenever a config is built,
+    by :meth:`_replace` as well."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "AnalysisConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
         for name in ("widening_delay", "descending_passes"):
@@ -89,10 +96,15 @@ class AnalysisConfig:
             raise ValueError(
                 f"start_direction must be 'forward' or 'backward', got {self.start_direction!r}"
             )
+        return self
+
+    def _replace(self, **changes) -> "AnalysisConfig":
+        # NamedTuple's own _replace builds the copy through _make, which
+        # skips __new__ and so the checks.
+        return AnalysisConfig(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class RoundCert:
+class RoundCert(NamedTuple):
     """Exact checks of one alternation round against the step laws."""
 
     forward_law: bool = True
@@ -105,21 +117,37 @@ class RoundCert:
         return self.forward_law and self.seed_law and self.backward_law and self.chain_law
 
 
-@dataclass
 class AlternationTrace:
-    """The computed sequence d_1, b_1, d_2, ... plus the initial top."""
+    """The computed sequence d_1, b_1, d_2, ... plus the initial top.
 
-    ds: list[AbstractElement] = field(default_factory=list)
-    bs: list[AbstractElement] = field(default_factory=list)
-    certs: list[RoundCert] = field(default_factory=list)
+    Mutable: the round loop appends to the lists and sets ``certs`` once
+    the trace is certified.
+    """
+
+    def __init__(
+        self,
+        ds: list[AbstractElement] | None = None,
+        bs: list[AbstractElement] | None = None,
+        certs: list[RoundCert] | None = None,
+    ):
+        self.ds = [] if ds is None else ds
+        self.bs = [] if bs is None else bs
+        self.certs = [] if certs is None else certs
+
+    def __repr__(self) -> str:
+        return f"AlternationTrace(ds={self.ds!r}, bs={self.bs!r}, certs={self.certs!r})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AlternationTrace:
+            return NotImplemented
+        return (self.ds, self.bs, self.certs) == (other.ds, other.bs, other.certs)
 
     @property
     def certified(self) -> bool:
         return all(c.ok for c in self.certs)
 
 
-@dataclass(frozen=True)
-class RefinedModel:
+class RefinedModel(NamedTuple):
     """The last forward element plus the earlier (d, b) layers.
 
     Denotes the union of the final element with everything each earlier
@@ -148,8 +176,7 @@ class RefinedModel:
         return out
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # "SAFE" or "UNKNOWN"
     witness: RefinedModel
     rounds_used: int
@@ -492,10 +519,9 @@ def refined_model(trace: AlternationTrace) -> RefinedModel:
     return RefinedModel(trace.ds[k - 1], layers)
 
 
-@dataclass
-class ModelCheckResult:
+class ModelCheckResult(NamedTuple):
     ok: bool
-    violations: list[tuple[int, str, str]] = field(default_factory=list)
+    violations: Sequence[tuple[int, str, str]] = ()
     # (clause index, clause text, satisfiable witness cube)
 
     def __bool__(self) -> bool:

@@ -9,16 +9,18 @@ The object model is intentionally small and immutable:
 * systems bundling declarations, clauses, an optional finite universe
   (used by the enumerating reference semantics) and an optional goal.
 
-Everything here is hashable so clauses and formulas can live in sets.
-Pretty-printers produce text that re-parses to an equal object.
+Every record is a ``typing.NamedTuple``, so it hashes as the tuple of
+its fields and clauses and formulas can live in sets.  The formula nodes
+also compare their class: ``And((a, b))`` differs from ``Or((a, b))`` and
+``true`` from ``false``.  Pretty-printers produce text that re-parses to
+an equal object.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -31,8 +33,7 @@ def rat(value: int | str | Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinTerm:
+class LinTerm(NamedTuple):
     """A linear expression ``sum(coeff * var) + const`` over rationals.
 
     ``coeffs`` is kept sorted by variable name with zero coefficients
@@ -162,8 +163,7 @@ class Rel(enum.Enum):
         return value == 0
 
 
-@dataclass(frozen=True)
-class LinConstraint:
+class LinConstraint(NamedTuple):
     """The comparison ``term rel 0``."""
 
     term: LinTerm
@@ -193,37 +193,56 @@ class LinConstraint:
         return f"{lhs} {self.rel.value} {-self.term.const!s}"
 
 
-@dataclass(frozen=True)
-class TrueF:
+# A NamedTuple compares as the tuple of its fields, whatever its class.
+# The formula nodes compare their class too, and are always truthy, as
+# ``true`` and ``false`` hold no field.
+
+
+def _node_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _node_ne(self, other) -> bool:
+    return not _node_eq(self, other)
+
+
+def _node_bool(self) -> bool:
+    return True
+
+
+class TrueF(NamedTuple):
+    __eq__, __ne__, __hash__, __bool__ = _node_eq, _node_ne, tuple.__hash__, _node_bool
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
-class FalseF:
+class FalseF(NamedTuple):
+    __eq__, __ne__, __hash__, __bool__ = _node_eq, _node_ne, tuple.__hash__, _node_bool
+
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
-class Lin:
+class Lin(NamedTuple):
     con: LinConstraint
+    __eq__, __ne__, __hash__, __bool__ = _node_eq, _node_ne, tuple.__hash__, _node_bool
 
     def __str__(self) -> str:
         return str(self.con)
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     items: tuple["Formula", ...]
+    __eq__, __ne__, __hash__, __bool__ = _node_eq, _node_ne, tuple.__hash__, _node_bool
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     items: tuple["Formula", ...]
+    __eq__, __ne__, __hash__, __bool__ = _node_eq, _node_ne, tuple.__hash__, _node_bool
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -282,25 +301,42 @@ def formula_vars(f: Formula) -> frozenset[str]:
 
 
 def eval_formula(f: Formula, env: Mapping[str, Fraction]) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Lin):
-        return f.con.holds(env)
-    if isinstance(f, And):
-        return all(eval_formula(g, env) for g in f.items)
-    return any(eval_formula(g, env) for g in f.items)
+    """Does ``f`` hold at ``env``?  Conjunctions and disjunctions stop at
+    the first item that decides them, and an explicit stack keeps deep
+    formulas off the call stack."""
+    # The connectives entered and not yet decided: whether each is a
+    # conjunction, and its items not yet evaluated.
+    frames: list[tuple[bool, Iterator[Formula]]] = []
+    while True:
+        if isinstance(f, (And, Or)):
+            # An empty conjunction holds and an empty disjunction does not.
+            value = isinstance(f, And)
+            frames.append((value, iter(f.items)))
+        elif isinstance(f, Lin):
+            value = f.con.holds(env)
+        else:
+            value = isinstance(f, TrueF)
+        while frames:
+            is_and, rest = frames[-1]
+            if value == is_and:
+                f = next(rest, None)
+                if f is not None:
+                    break
+            # A false conjunct or a true disjunct decides, and so does
+            # the end of the items.
+            frames.pop()
+        else:
+            return value
 
 
-def _rebuild(f: Formula, leaf, node) -> Formula:
-    """``f`` rebuilt bottom up with an explicit stack, so that a deep
-    formula does not exhaust the call stack: ``leaf(g)`` replaces each
-    atom or constant and ``node(g, items)`` each conjunction or
-    disjunction, given its items already rebuilt."""
-    done: list[Formula] = []
+def fold_formula(f: Formula, leaf, node):
+    """The value of ``f`` computed bottom up with an explicit stack, so
+    that a deep formula does not exhaust the call stack: ``leaf(g)`` is
+    the value of each atom or constant and ``node(g, values)`` that of
+    each conjunction or disjunction, given the values of its items."""
+    done: list = []
     # A connective is pushed again as a 1-tuple under its items, to be
-    # rebuilt once they are.
+    # folded once they are.
     stack: list = [f]
     while stack:
         g = stack.pop()
@@ -320,7 +356,7 @@ def _rebuild(f: Formula, leaf, node) -> Formula:
 
 def rename_formula(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Simultaneous variable renaming."""
-    return _rebuild(
+    return fold_formula(
         f,
         lambda g: Lin(g.con.rename(mapping)) if isinstance(g, Lin) else g,
         lambda g, items: type(g)(tuple(items)),
@@ -343,7 +379,7 @@ def _negate_leaf(f: Formula) -> Formula:
 
 def negate_formula(f: Formula) -> Formula:
     """Negation-free complement (De Morgan over comparisons)."""
-    return _rebuild(
+    return fold_formula(
         f, _negate_leaf, lambda g, items: disj(items) if isinstance(g, And) else conj(items)
     )
 
@@ -355,8 +391,7 @@ def negate_formula(f: Formula) -> Formula:
 FALSITY_NAME = "false"
 
 
-@dataclass(frozen=True)
-class PredDecl:
+class PredDecl(NamedTuple):
     name: str
     arity: int
     is_false: bool = False
@@ -365,8 +400,7 @@ class PredDecl:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
-class PredApp:
+class PredApp(NamedTuple):
     """A predicate applied to argument *variables* (post-normalization)."""
 
     pred: PredDecl
@@ -378,8 +412,7 @@ class PredApp:
         return f"{self.pred.name}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """``body | constraint -> head`` with pairwise-distinct argument variables."""
 
     body: tuple[PredApp, ...]
@@ -397,19 +430,16 @@ class Clause:
         return format_clause(self)
 
 
-@dataclass(frozen=True)
-class GoalEntry:
+class GoalEntry(NamedTuple):
     app: PredApp
     guard: Formula = TRUE
 
 
-@dataclass(frozen=True)
-class GoalSpec:
+class GoalSpec(NamedTuple):
     entries: tuple[GoalEntry, ...]
 
 
-@dataclass(frozen=True)
-class System:
+class System(NamedTuple):
     """A conjunction of constrained Horn clauses.
 
     ``decls`` always contains the distinguished falsity declaration
@@ -462,20 +492,27 @@ def param_vars(arity: int) -> tuple[str, ...]:
 
 
 def format_formula(f: Formula) -> str:
-    """Render in full constraint syntax (commas for conjunction)."""
-    if isinstance(f, (TrueF, FalseF, Lin)):
-        return str(f)
-    if isinstance(f, And):
-        parts = [
-            f"({format_formula(g)})" if isinstance(g, Or) else format_formula(g)
-            for g in f.items
-        ]
-        return ", ".join(parts)
-    parts = [
-        f"({format_formula(g)})" if isinstance(g, And) else format_formula(g)
-        for g in f.items
-    ]
-    return "; ".join(parts)
+    """Render in full constraint syntax (commas for conjunction).  The
+    pieces of the text are emitted from an explicit stack, so that a deep
+    formula neither exhausts the call stack nor copies its text once per
+    level."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, (And, Or)):
+            # An item of the other connective is parenthesized.
+            sep, nested = (", ", Or) if isinstance(g, And) else ("; ", And)
+            for k in range(len(g.items) - 1, -1, -1):
+                h = g.items[k]
+                stack += (")", h, "(") if isinstance(h, nested) else (h,)
+                if k:
+                    stack.append(sep)
+        else:
+            out.append(str(g))
+    return "".join(out)
 
 
 def _format_body_item(f: Formula) -> str:

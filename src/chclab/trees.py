@@ -14,9 +14,9 @@ the corresponding set semantics, which is checked explicitly by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
+from typing import NamedTuple
 
 from .concrete import (
     Consequence,
@@ -34,8 +34,7 @@ from .linlogic import ResourceLimitError
 from .syntax import System
 
 
-@dataclass(frozen=True)
-class DerivTree:
+class DerivTree(NamedTuple):
     root: GroundAtom
     children: tuple["DerivTree", ...] = ()
 
@@ -155,8 +154,7 @@ def subtrees(t: DerivTree):
         yield from subtrees(child)
 
 
-@dataclass
-class TreePropsReport:
+class TreePropsReport(NamedTuple):
     """Outcome of comparing tree abstractions with the set semantics.
 
     Each verdict is PASS, FAIL, or SKIPPED when the tree sets did not
@@ -204,23 +202,28 @@ def check_tree_props(
     """
     rel = ground_relation(system)
     goal_set = goal if goal is not None else goal_atoms(system)
-    report = TreePropsReport()
-
-    fwd, report.forward_depth = kleene(partial(tree_post, rel, max_trees=max_trees), depth_cap)
-    bwd, report.backward_depth = kleene(
+    fwd, fwd_depth = kleene(partial(tree_post, rel, max_trees=max_trees), depth_cap)
+    bwd, bwd_depth = kleene(
         partial(tree_pre, rel, max_trees=max_trees, seed=_leaves(goal_set)), depth_cap
     )
-    fwd_stable = report.forward_depth is not None
-    bwd_stable = report.backward_depth is not None
+    fwd_stable = fwd_depth is not None
+    bwd_stable = bwd_depth is not None
+    forward = backward = combined = "SKIPPED"
     if fwd_stable:
-        report.forward_count = len(fwd)
         agrees = atoms_abstraction(fwd) == lfp_forward_rel(rel)
-        report.forward_agrees = "PASS" if agrees else "FAIL"
+        forward = "PASS" if agrees else "FAIL"
     if bwd_stable:
-        report.backward_count = len(bwd)
         agrees = atoms_abstraction(bwd) == lfp_backward_rel(rel, goal_set)
-        report.backward_agrees = "PASS" if agrees else "FAIL"
+        backward = "PASS" if agrees else "FAIL"
     if fwd_stable and bwd_stable:
         agrees = atoms_abstraction(fwd & bwd) == lfp_combined_rel(rel, goal_set)
-        report.combined_agrees = "PASS" if agrees else "FAIL"
-    return report
+        combined = "PASS" if agrees else "FAIL"
+    return TreePropsReport(
+        forward,
+        backward,
+        combined,
+        fwd_depth,
+        bwd_depth,
+        len(fwd) if fwd_stable else 0,
+        len(bwd) if bwd_stable else 0,
+    )

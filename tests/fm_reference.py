@@ -7,7 +7,9 @@ ordering or row representation with the engine under test.
 
 :func:`from_rows` is the engine's row builder as it was before it refuted
 conflicting one-variable bounds itself: the rows of every set it does not
-refute must come out the same.
+refute must come out the same.  :func:`eliminate_by_recount` is the
+engine's elimination loop as it was before it counted bounds by column:
+it must eliminate the same variables in the same order.
 """
 
 from __future__ import annotations
@@ -132,3 +134,31 @@ def from_rows(names, rows) -> RowSet:
                 mask = sum(1 << j for j, x in enumerate(vec) if x)
                 out[key] = (*key, 1 << len(out), mask)
     return RowSet(names, tuple(out.values()))
+
+
+def eliminate_by_recount(rows: RowSet, mask: int, fm_eliminate) -> RowSet:
+    """Eliminate the positions in ``mask`` with ``fm_eliminate``: before
+    each step, recount the lower and upper bounds of every remaining
+    position over every row, and take the first position of least
+    |L|·|U| − |L| − |U|."""
+    positions = [j for j in range(len(rows.names)) if mask >> j & 1]
+    while positions and not rows.unsat:
+        lowers = dict.fromkeys(positions, 0)
+        uppers = dict.fromkeys(positions, 0)
+        for vec, *_ in rows.cons:
+            for j in positions:
+                a = vec[j]
+                if a > 0:
+                    uppers[j] += 1
+                elif a < 0:
+                    lowers[j] += 1
+        positions = [j for j in positions if lowers[j] or uppers[j]]
+        if not positions:
+            break
+        best = min(
+            positions,
+            key=lambda j: lowers[j] * uppers[j] - lowers[j] - uppers[j],
+        )
+        rows = fm_eliminate(rows, rows.names[best])
+        positions.remove(best)
+    return rows

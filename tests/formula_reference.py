@@ -1,15 +1,20 @@
 """Recursive formula walkers.
 
-A reference for the differential tests of ``chclab.syntax``: these are
-the recursive bodies that ``rename_formula`` and ``negate_formula`` had
-before they walked with an explicit stack.  The rewritten walkers must
-return the same trees.
+A reference for the differential tests of ``chclab.syntax`` and
+``chclab.linlogic``: these are the recursive bodies that
+``rename_formula``, ``negate_formula``, ``format_formula``,
+``eval_formula`` and ``to_dnf`` had before they walked with an explicit
+stack.  The rewritten walkers must return the same trees, texts, truth
+values and cubes, in the same order.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
+from chclab import linlogic
+from chclab.linlogic import ConjCube, ResourceLimitError
 from chclab.syntax import (
     FALSE,
     TRUE,
@@ -54,3 +59,64 @@ def negate_formula(f: Formula) -> Formula:
     if isinstance(f, And):
         return disj(negate_formula(g) for g in f.items)
     return conj(negate_formula(g) for g in f.items)
+
+
+def format_formula(f: Formula) -> str:
+    """Render in full constraint syntax (commas for conjunction)."""
+    if isinstance(f, (TrueF, FalseF, Lin)):
+        return str(f)
+    if isinstance(f, And):
+        parts = [
+            f"({format_formula(g)})" if isinstance(g, Or) else format_formula(g)
+            for g in f.items
+        ]
+        return ", ".join(parts)
+    parts = [
+        f"({format_formula(g)})" if isinstance(g, And) else format_formula(g)
+        for g in f.items
+    ]
+    return "; ".join(parts)
+
+
+def eval_formula(f: Formula, env: Mapping[str, Fraction]) -> bool:
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, Lin):
+        return f.con.holds(env)
+    if isinstance(f, And):
+        return all(eval_formula(g, env) for g in f.items)
+    return any(eval_formula(g, env) for g in f.items)
+
+
+def to_dnf(formula: Formula) -> list[ConjCube]:
+    """Disjunctive normal form as a list of cubes, under the cube cap."""
+    cap = linlogic.DEFAULT_CUBE_CAP
+
+    def go(f: Formula) -> list[tuple]:
+        if isinstance(f, TrueF):
+            return [()]
+        if isinstance(f, FalseF):
+            return []
+        if isinstance(f, Lin):
+            return [(f.con,)]
+        if isinstance(f, And):
+            acc: list[tuple] = [()]
+            for child in f.items:
+                branches = go(child)
+                nxt = [a + b for a in acc for b in branches]
+                if len(nxt) > cap:
+                    raise ResourceLimitError(f"DNF conversion exceeded {cap} cubes")
+                acc = nxt
+            return acc
+        if isinstance(f, Or):
+            acc = []
+            for child in f.items:
+                acc.extend(go(child))
+                if len(acc) > cap:
+                    raise ResourceLimitError(f"DNF conversion exceeded {cap} cubes")
+            return acc
+        raise TypeError(f"not a formula: {f!r}")
+
+    return [ConjCube.make(cs) for cs in go(formula)]

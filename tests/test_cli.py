@@ -441,6 +441,15 @@ def test_cli_import_leaves_oracles_and_qa_unloaded():
     assert proc.stdout.splitlines() == ["[]", "qa_iterated True"]
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # The records are NamedTuples: generating the methods of a dataclass
+    # costs about a millisecond per class on every start.
+    script = "import sys, chclab.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -49,6 +49,8 @@ from chclab.syntax import (
     Rel,
     conj,
     disj,
+    eval_formula,
+    format_formula,
     formula_vars,
     iter_formula_constraints,
 )
@@ -286,6 +288,41 @@ def test_deep_formula_decided_without_recursion():
     assert list(iter_formula_constraints(f)) == [a.con for a in atoms]
     assert formula_vars(f) == {"x"}
     assert sat_cube(f) == ConjCube.make(a.con for a in (*uppers, lowers[0]))
+
+
+def test_deep_formula_walkers_do_not_recurse():
+    # 5,000 levels of alternating conjunctions and disjunctions, built
+    # through conj/disj: each conjunction adds (x >= 1; x >= 2) and each
+    # disjunction x >= 3.  Hashing, printing and evaluating walk the
+    # whole spine.  The DNF doubles at every conjunction, so to_dnf hits
+    # its cap; a chain of one-item connectives as deep has one cube.
+    leaf = Lin(le(-X))  # x >= 0
+    pair = disj([Lin(le(LinTerm.constant(1) - X)), Lin(le(LinTerm.constant(2) - X))])
+    other = Lin(le(LinTerm.constant(3) - X))
+    f, suffixes = leaf, []
+    for level in range(5000):
+        if level % 2:
+            f = disj([f, other])
+            suffixes.append(f"; {other}")
+        else:
+            f = conj([f, pair])
+            suffixes.append(f", ({pair})")
+    assert isinstance(f, Or)
+    assert f in {f} and hash(f) == hash(tuple(f))
+    # Every level but the top prints its spine child in parentheses.
+    text = "(" * 4999 + str(leaf) + suffixes[0] + "".join(")" + s for s in suffixes[1:])
+    assert format_formula(f) == text
+    # x = 1: the leaf and every pair hold, so the bottom conjunction and
+    # with it every level holds.  x = -1: the leaf fails, and with it
+    # every level, as no level's own atom holds either.
+    assert eval_formula(f, {"x": Fraction(1)})
+    assert not eval_formula(f, {"x": Fraction(-1)})
+    with pytest.raises(ResourceLimitError):
+        to_dnf(f)
+    chain = leaf
+    for level in range(5000):
+        chain = (And if level % 2 else Or)((chain,))
+    assert to_dnf(chain) == [ConjCube((leaf.con,))]
 
 
 def random_formula(rng, depth):
@@ -569,6 +606,29 @@ def test_pruned_elimination_matches_unpruned_reference():
         got = project_to_box(c, requested)
         want = fm_reference.project_to_box(c, requested)
         assert got == want, f"seed {seed}: {c} onto {requested}"
+
+
+def test_elimination_order_matches_the_recounting_reference(monkeypatch):
+    # _eliminate counts each position's bounds by column; it must pick
+    # the variable the loop that recounted every row picked, ties
+    # included, and so build the same rows.
+    order = []
+
+    def recorded(rows, var):
+        order.append(var)
+        return fm_eliminate(rows, var)
+
+    monkeypatch.setattr(linlogic, "fm_eliminate", recorded)
+    for seed in range(500):
+        c, requested = _differential_cube(random.Random(seed))
+        rows = RowSet.of(c, frozenset(requested))
+        everything = (1 << len(rows.names)) - 1
+        got = linlogic._eliminate(rows, everything)
+        got_order = order[:]
+        order.clear()
+        want = fm_reference.eliminate_by_recount(rows, everything, recorded)
+        assert got == want and got_order == order, f"seed {seed}: {c}"
+        order.clear()
 
 
 def _block_cube(rng, unsat_block):

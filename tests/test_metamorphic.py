@@ -6,7 +6,6 @@ the final boxes with the variables."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,11 +49,11 @@ def _substitute(system: System, replacement) -> System:
             term = term.subst(v, replacement(v))
         return term
 
-    clauses = tuple(replace(c, constraint=_map_terms(c.constraint, fn)) for c in system.clauses)
+    clauses = tuple(c._replace(constraint=_map_terms(c.constraint, fn)) for c in system.clauses)
     goal = system.goal
     if goal is not None:
         goal = GoalSpec(tuple(GoalEntry(e.app, _map_terms(e.guard, fn)) for e in goal.entries))
-    return replace(system, clauses=clauses, goal=goal)
+    return system._replace(clauses=clauses, goal=goal)
 
 
 def _translate(system: System, rng: random.Random):
@@ -72,7 +71,7 @@ def _scale(system: System, rng: random.Random):
 def _permute(system: System, rng: random.Random):
     clauses = list(system.clauses)
     rng.shuffle(clauses)
-    return replace(system, clauses=tuple(clauses)), lambda x: x
+    return system._replace(clauses=tuple(clauses)), lambda x: x
 
 
 def _moved(box: Box, move) -> Box:

@@ -9,6 +9,7 @@ import pytest
 
 import formula_reference
 from chclab import ParseError, parse_model, parse_system
+from chclab.linlogic import to_dnf
 from chclab.randgen import random_acyclic_text, random_finite_text
 from chclab.solver import alternate
 from chclab.syntax import (
@@ -20,6 +21,8 @@ from chclab.syntax import (
     LinTerm,
     Or,
     Rel,
+    eval_formula,
+    format_formula,
     format_model,
     format_system,
     formula_vars,
@@ -192,6 +195,44 @@ def test_formula_walkers_match_the_recursive_reference(corpus_systems):
         got = negate_formula(f)
         assert got == want and repr(got) == repr(want), str(f)
     assert len(formulas) > 800
+
+
+def test_printer_evaluation_and_dnf_match_the_recursive_reference(corpus_systems):
+    # The stack-based format_formula returns the text the recursive
+    # printer returned, eval_formula the same truth value at a seeded
+    # point, and to_dnf the same cubes in the same order.
+    formulas = []
+    for _, system in corpus_systems:
+        formulas += [c.constraint for c in system.clauses]
+        formulas += alternate(system)[1].witness.as_dict().values()
+    rng = random.Random(15)
+    formulas += [_seeded_formula(rng, 5) for _ in range(600)]
+    values, sizes = set(), set()
+    for f in formulas:
+        assert format_formula(f) == formula_reference.format_formula(f)
+        env = {v: Fraction(rng.randint(-3, 3)) for v in sorted(formula_vars(f))}
+        value = eval_formula(f, env)
+        assert value == formula_reference.eval_formula(f, env), (str(f), env)
+        want = formula_reference.to_dnf(f)
+        got = to_dnf(f)
+        assert got == want and repr(got) == repr(want), str(f)
+        values.add(value)
+        sizes.add(len(got))
+    assert len(formulas) > 800 and values == {True, False} and {0, 1} < sizes
+
+
+def test_formula_nodes_compare_their_class():
+    # A NamedTuple compares as the tuple of its fields; the formula nodes
+    # compare their class too, and ``true`` and ``false``, which hold no
+    # field, are truthy.
+    a = Lin(LinConstraint(LinTerm.var("x"), Rel.LE))
+    b = Lin(LinConstraint(LinTerm.var("y"), Rel.LT))
+    assert And((a, b)) != Or((a, b)) and not And((a, b)) == Or((a, b))
+    assert And((a, b)) == And((a, b)) and not And((a, b)) != And((a, b))
+    assert TRUE != FALSE and not TRUE == FALSE
+    assert TRUE != () and a != (a.con,)
+    assert bool(TRUE) and bool(FALSE)
+    assert len({And((a, b)), Or((a, b)), TRUE, FALSE, a}) == 5
 
 
 def test_neq_expands_to_disjunction():

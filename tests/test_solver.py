@@ -16,6 +16,7 @@ from chclab.concrete import (
     lfp_forward_rel,
     post,
 )
+from chclab.depgraph import dependency_order
 from chclab.domain import (
     AbstractElement,
     Box,
@@ -25,9 +26,9 @@ from chclab.domain import (
     clause_pre_restricted,
     formula_box,
 )
-from chclab.parser import parse_system
+from chclab.parser import RawApp, RawClause, parse_system
 from chclab.randgen import random_finite_system
-from chclab.qa import qa_iterated, qa_two_step
+from chclab.qa import qa_iterated, qa_transform, qa_two_step
 from chclab.solver import (
     AlternationTrace,
     AnalysisConfig,
@@ -47,6 +48,7 @@ from chclab.solver import (
 )
 from chclab.syntax import (
     FALSE,
+    TRUE,
     GoalEntry,
     GoalSpec,
     LinTerm,
@@ -56,6 +58,7 @@ from chclab.syntax import (
     lin,
     param_vars,
 )
+from chclab.trees import check_tree_props, forward_trees
 from conftest import CORPUS
 
 F = Fraction
@@ -572,6 +575,72 @@ def test_coarse_first_sound(corpus_systems):
 def test_config_rejects_out_of_range_values(fields):
     with pytest.raises(ValueError):
         AnalysisConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"max_rounds": 0},
+        {"widening_delay": -1},
+        {"descending_passes": -1},
+        {"start_direction": "sideways"},
+    ],
+)
+def test_config_copies_are_checked(fields):
+    # ``chclab solve --mode fwd`` runs on a copy made by _replace, which
+    # must check the values it changes as the constructor does.
+    with pytest.raises(ValueError):
+        AnalysisConfig()._replace(**fields)
+    copy = AnalysisConfig(max_rounds=3)._replace(start_direction="backward")
+    assert type(copy) is AnalysisConfig
+    assert copy == AnalysisConfig(max_rounds=3, start_direction="backward")
+
+
+def test_records_hash_as_the_tuple_of_their_fields(ladder):
+    # Every record is a NamedTuple and hashes as the tuple of its fields,
+    # as the frozen dataclasses they replaced did, so set and dict orders
+    # and with them every report stay the same.
+    trace, verdict = alternate(ladder)
+    guard = ladder.goal.entries[0].guard
+    con = guard.con
+    app = RawApp(ladder.decls[0], (con.term,))
+    consequence = next(iter(ground_relation(ladder)))
+    qa = qa_transform(ladder)
+    records = [
+        con.term,
+        con,
+        guard,
+        TRUE,
+        FALSE,
+        conj([guard, lin(con.term, Rel.LT)]),
+        disj([guard, lin(con.term, Rel.LT)]),
+        ladder.decls[0],
+        ladder.clauses[1].head,
+        ladder.clauses[1],
+        ladder.goal.entries[0],
+        ladder.goal,
+        ladder,
+        *linlogic.to_dnf(guard),
+        app,
+        RawClause((), TRUE, app),
+        *dependency_order(ladder),
+        trace.ds[0].get("p"),
+        trace.ds[0],
+        AnalysisConfig(),
+        *trace.certs,
+        verdict.witness,
+        verdict,
+        solver.ModelCheckResult(True),
+        qa.pairs[0],
+        qa,
+        consequence,
+        consequence.conclusion,
+        *forward_trees(ladder, 2),
+        check_tree_props(ladder, depth_cap=4),
+    ]
+    assert len({type(r) for r in records}) == 30
+    for r in records:
+        assert hash(r) == hash(tuple(r)), type(r).__name__
 
 
 def test_default_config_values():
