@@ -98,24 +98,20 @@ def cmd_solve(args) -> int:
     system = _read_system(args.file)
     config = _config_from_args(args)
     started = time.monotonic()
-    if args.mode == "fwd":
-        # One forward pass: the direction options do not apply.
-        single = config._replace(max_rounds=1, start_direction="forward", coarse_first=False)
-        trace, verdict = alternate(system, config=single)
-        step_laws_ok = trace.certified
-    elif args.mode == "alt":
-        trace, verdict = alternate(system, config=config)
-        step_laws_ok = trace.certified
-    elif args.mode == "qa2":
+    if args.mode == "qa2":
         from .qa import qa_two_step
 
         _, verdict = qa_two_step(system, config=config)
         trace = None
         step_laws_ok = None
-    else:  # qa-iter
-        from .qa import qa_iterated
-
-        trace, verdict = qa_iterated(system, config=config)
+    else:
+        if args.mode != "alt":
+            # fwd is alt's first forward pass and qa-iter alt's rounds
+            # (see qa.qa_iterated): the direction options do not apply.
+            config = config._replace(start_direction="forward", coarse_first=False)
+        if args.mode == "fwd":
+            config = config._replace(max_rounds=1)
+        trace, verdict = alternate(system, config=config)
         step_laws_ok = trace.certified
     wall_ms = int((time.monotonic() - started) * 1000)
 
@@ -271,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["fwd", "alt", "qa2", "qa-iter"],
         default="alt",
         help="fwd: single forward pass; alt: forward/backward alternation; "
-        "qa2: two-phase query-answer analysis; qa-iter: alternation with backward "
-        "passes run forward on the reversed system",
+        "qa2: two-phase query-answer analysis; qa-iter: alt from a forward start, "
+        "without --start and --coarse-first (kept for the benchmark)",
     )
     solve.add_argument("--max-rounds", type=int, default=5)
     solve.add_argument("--widen-delay", type=int, default=2, help="joins before widening kicks in")

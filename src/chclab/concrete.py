@@ -182,26 +182,6 @@ def lfp_combined_rel(rel: GroundRelation, goal: Interpretation) -> Interpretatio
     return kleene(lambda xs: (goal & forward) | pre_restricted(rel, forward, xs))[0]
 
 
-def lfp_forward(system: System) -> Interpretation:
-    """All derivable atoms: the least model of the system."""
-    return lfp_forward_rel(ground_relation(system))
-
-
-def lfp_backward(system: System, goal: Interpretation) -> Interpretation:
-    """Atoms that may take part in some derivation of a goal atom."""
-    return lfp_backward_rel(ground_relation(system), goal)
-
-
-def lfp_combined(system: System, goal: Interpretation) -> Interpretation:
-    """Derivable atoms that are also useful for deriving the goal."""
-    return lfp_combined_rel(ground_relation(system), goal)
-
-
-def is_model(system: System, atoms: Iterable[GroundAtom]) -> bool:
-    xs = frozenset(atoms)
-    return post(ground_relation(system), xs) <= xs
-
-
 def check_combined_closure(system: System, goal: Interpretation | None = None) -> bool:
     """Combining the two fixpoints needs no further iteration.
 

@@ -7,10 +7,11 @@ the transformed system simulates goal-directed propagation.  On top of
 it sits the two-phase strengthened analysis, for comparison with the
 native alternating solver.
 
-:func:`qa_iterated` emulates the alternation by transforming only the
-backward direction; its rounds run in :func:`~chclab.solver.run_rounds`
-and are certified against the native flows, like those of
-:func:`~chclab.solver.alternate`.
+:func:`qa_iterated` runs :func:`~chclab.solver.alternate` from a
+forward start.  A backward pass by transformation, the forward analysis
+of the reversed system, projects what the native backward pass
+projects; ``tests/qa_reference.py`` keeps it as the reference for
+:func:`~chclab.solver.analyze_backward`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from .domain import AbstractElement, Box
 from .solver import (
     AlternationTrace,
     AnalysisConfig,
-    ClauseResults,
     RefinedModel,
     Verdict,
+    alternate,
     analyze_forward,
     default_goal,
     goal_element,
-    run_rounds,
 )
 from .syntax import (
     Clause,
@@ -173,49 +173,12 @@ def _strengthen_heads(system: System, b: AbstractElement) -> System:
     return System(system.decls, clauses, system.universe, system.goal)
 
 
-def _reverse_system(
-    system: System, d: AbstractElement, spec: GoalSpec, seed: AbstractElement
-) -> System:
-    """The backward pass as a forward system: clauses run head-to-body
-    under the current forward boxes, and each goal entry is seeded with
-    the box ``seed[p]`` at the entry's arguments."""
-    clauses: list[Clause] = []
-    for clause in system.clauses:
-        if not clause.body:
-            continue
-        gate = conj(
-            [clause.constraint]
-            + [d.get(app.pred.name).formula(app.args) for app in clause.body]
-        )
-        for app in clause.body:
-            clauses.append(Clause((clause.head,), gate, app))
-    for entry in spec.entries:
-        box = seed.get(entry.app.pred.name)
-        clauses.append(Clause((), box.formula(entry.app.args), entry.app))
-    return System(system.decls, tuple(clauses), system.universe, None)
-
-
 def qa_iterated(
     system: System,
     goal: GoalSpec | None = None,
     config: AnalysisConfig = AnalysisConfig(),
 ) -> tuple[AlternationTrace, Verdict]:
-    """Emulate the alternation with a backward pass by transformation.
-
-    Forward elements come from the native forward pass within the
-    previous backward element; backward elements from a forward analysis
-    of the reversed, forward-gated system within the forward element.
-    One clause table serves the forward passes and the certificate.
-    """
-    spec = goal if goal is not None else default_goal(system)
-    g = goal_element(system, spec)
-    results = ClauseResults(system)
-
-    def forward(i: int, b: AbstractElement) -> AbstractElement:
-        return analyze_forward(system, b, config, results)
-
-    def backward(i: int, d: AbstractElement) -> AbstractElement:
-        # The native seed g meet d, so the seed law holds as for alt.
-        return analyze_forward(_reverse_system(system, d, spec, g.meet(d)), d, config)
-
-    return run_rounds(system, g, config, forward, backward, results)
+    """The ``qa-iter`` mode: the alternation from a forward start, the
+    direction options ignored.  It stays only because the benchmark
+    (``bench/measure.py``) calls it."""
+    return alternate(system, goal, config._replace(start_direction="forward", coarse_first=False))

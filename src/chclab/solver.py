@@ -12,9 +12,8 @@ Each direction has one transformer, built by :func:`forward_flow` and
 :func:`backward_flow`; the analyses iterate it and :func:`certify_trace`
 evaluates it once more on every element of the trace.  That exact check
 is the only inductiveness check, so widening and iteration-order choices
-cannot affect soundness, only precision.  :func:`run_rounds` is the one
-round loop, shared with the transformation-based alternation in
-:mod:`chclab.qa`.
+cannot affect soundness, only precision.  :func:`alternate` holds the
+one round loop; ``qa-iter`` runs it too (:func:`chclab.qa.qa_iterated`).
 
 The flows compute each clause transformer through a
 :class:`ClauseResults` table that lives for one run.  The table holds
@@ -29,11 +28,9 @@ the descending pass, later rounds and :func:`certify_trace` look up
 what the run already computed instead of recomputing it; the
 restriction meet and the goal seed are applied outside the table.
 :func:`alternate` creates the table and passes it to both analyses and
-to the certifier as their last argument, and
-:func:`~chclab.qa.qa_iterated` does the same for its forward passes;
-:func:`analyze_forward`, :func:`analyze_backward` and
-:func:`certify_trace` called without one each use a fresh one, with the
-same results.
+to the certifier as their last argument; :func:`analyze_forward`,
+:func:`analyze_backward` and :func:`certify_trace` called without one
+each use a fresh one, with the same results.
 
 The goal element takes the same route: :func:`goal_element` compiles
 each goal entry as the body-less clause ``app :- guard`` and projects it
@@ -117,30 +114,13 @@ class RoundCert(NamedTuple):
         return self.forward_law and self.seed_law and self.backward_law and self.chain_law
 
 
-class AlternationTrace:
-    """The computed sequence d_1, b_1, d_2, ... plus the initial top.
+class AlternationTrace(NamedTuple):
+    """The computed sequence d_1, b_1, d_2, ... plus the initial top
+    ``bs[0]``, and the certificate of each round."""
 
-    Mutable: the round loop appends to the lists and sets ``certs`` once
-    the trace is certified.
-    """
-
-    def __init__(
-        self,
-        ds: list[AbstractElement] | None = None,
-        bs: list[AbstractElement] | None = None,
-        certs: list[RoundCert] | None = None,
-    ):
-        self.ds = [] if ds is None else ds
-        self.bs = [] if bs is None else bs
-        self.certs = [] if certs is None else certs
-
-    def __repr__(self) -> str:
-        return f"AlternationTrace(ds={self.ds!r}, bs={self.bs!r}, certs={self.certs!r})"
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not AlternationTrace:
-            return NotImplemented
-        return (self.ds, self.bs, self.certs) == (other.ds, other.bs, other.certs)
+    ds: Sequence[AbstractElement] = ()
+    bs: Sequence[AbstractElement] = ()
+    certs: Sequence[RoundCert] = ()
 
     @property
     def certified(self) -> bool:
@@ -400,48 +380,6 @@ def _coarse_element(system: System, goal: GoalSpec | None) -> AbstractElement:
     return AbstractElement.of(boxes)
 
 
-def run_rounds(
-    system: System,
-    g: AbstractElement,
-    config: AnalysisConfig,
-    forward,
-    backward,
-    results: ClauseResults,
-) -> tuple[AlternationTrace, Verdict]:
-    """The round loop shared by every alternation.
-
-    Round ``i`` computes ``d = forward(i, b_prev)`` and then
-    ``b = backward(i, d)``.  The loop stops with SAFE as soon as either
-    element is empty, and with UNKNOWN once a round repeats the previous
-    one or the round budget runs out.  The trace is then certified
-    against goal element ``g``, reusing the run's clause table
-    ``results``, and packaged into a refined model.
-    """
-    bottom = AbstractElement.bottom(system)
-    trace = AlternationTrace(bs=[AbstractElement.top(system)])
-    reason = "round_budget"
-    rounds = 0
-    for i in range(1, config.max_rounds + 1):
-        rounds = i
-        d = forward(i, trace.bs[-1])
-        trace.ds.append(d)
-        if d.is_bottom:
-            reason = "empty_element"
-            break
-        b = backward(i, d)
-        trace.bs.append(b)
-        if b.is_bottom:
-            trace.ds.append(bottom)  # the next forward pass would be empty
-            reason = "empty_element"
-            break
-        if i >= 2 and d == trace.ds[-2] and b == trace.bs[-2]:
-            reason = "stabilized"
-            break
-    trace.certs = certify_trace(system, g, trace, results)
-    status = "SAFE" if reason == "empty_element" else "UNKNOWN"
-    return trace, Verdict(status, refined_model(trace), rounds, reason)
-
-
 def alternate(
     system: System,
     goal: GoalSpec | None = None,
@@ -449,27 +387,45 @@ def alternate(
 ) -> tuple[AlternationTrace, Verdict]:
     """Run the alternating analysis and certify the whole trace.
 
-    SAFE means some element of the sequence became empty, which proves
-    the goal unreachable; otherwise UNKNOWN is returned once the
-    sequence stabilizes or the round budget runs out.  In both cases a
-    refined model is composed from the trace.
+    Round ``i`` computes the forward element ``d_i`` within ``b_{i-1}``
+    and then the backward element ``b_i`` within ``d_i``.  SAFE means
+    some element became empty, which proves the goal unreachable;
+    otherwise UNKNOWN is returned once a round repeats the previous one
+    or the round budget runs out.  The trace is then certified against
+    the goal element, reusing the run's clause table, and a refined
+    model is composed from it.
     """
     spec = goal if goal is not None else default_goal(system)
     g = goal_element(system, spec)
     backward_start = config.start_direction == "backward" or config.coarse_first
     results = ClauseResults(system)
-
-    def forward(i: int, b: AbstractElement) -> AbstractElement:
-        if i == 1 and backward_start:
-            return AbstractElement.top(system)
-        return analyze_forward(system, b, config, results)
-
-    def backward(i: int, d: AbstractElement) -> AbstractElement:
+    top = AbstractElement.top(system)
+    ds: list[AbstractElement] = []
+    bs = [top]
+    reason = "round_budget"
+    for i in range(1, config.max_rounds + 1):
+        d = top if i == 1 and backward_start else analyze_forward(system, bs[-1], config, results)
+        ds.append(d)
+        if d.is_bottom:
+            reason = "empty_element"
+            break
         if i == 1 and config.coarse_first:
-            return _coarse_element(system, spec).meet(d)
-        return analyze_backward(system, g, d, config, results)
-
-    return run_rounds(system, g, config, forward, backward, results)
+            b = _coarse_element(system, spec).meet(d)
+        else:
+            b = analyze_backward(system, g, d, config, results)
+        bs.append(b)
+        if b.is_bottom:
+            # The next forward pass would be empty.
+            ds.append(AbstractElement.bottom(system))
+            reason = "empty_element"
+            break
+        if i >= 2 and d == ds[-2] and b == bs[-2]:
+            reason = "stabilized"
+            break
+    trace = AlternationTrace(tuple(ds), tuple(bs))
+    trace = trace._replace(certs=tuple(certify_trace(system, g, trace, results)))
+    status = "SAFE" if reason == "empty_element" else "UNKNOWN"
+    return trace, Verdict(status, refined_model(trace), i, reason)
 
 
 def certify_trace(

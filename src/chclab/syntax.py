@@ -195,19 +195,57 @@ class LinConstraint(NamedTuple):
 
 # A NamedTuple compares as the tuple of its fields, whatever its class.
 # The formula nodes compare their class too, and are always truthy, as
-# ``true`` and ``false`` hold no field.
+# ``true`` and ``false`` hold no field.  Conjunctions and disjunctions
+# compare and print their items from an explicit stack, so that a deep
+# formula does not exhaust the call stack.
 
 
 def _node_eq(self, other) -> bool:
     return type(other) is type(self) and tuple.__eq__(self, other)
 
 
+def _connective_eq(self, other) -> bool:
+    pairs = [(self, other)]
+    while pairs:
+        f, g = pairs.pop()
+        if type(g) is not type(f):
+            return False
+        if isinstance(f, (And, Or)):
+            if len(g.items) != len(f.items):
+                return False
+            pairs += zip(f.items, g.items)
+        elif not tuple.__eq__(f, g):
+            return False
+    return True
+
+
 def _node_ne(self, other) -> bool:
-    return not _node_eq(self, other)
+    return not self == other
 
 
 def _node_bool(self) -> bool:
     return True
+
+
+def _connective_repr(self) -> str:
+    """The NamedTuple repr, ``And(items=(...))``, without recursion."""
+    out: list[str] = []
+    stack: list = [self]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, (And, Or)):
+            # A one-item tuple prints its trailing comma.
+            stack.append(",))" if len(g.items) == 1 else "))")
+            for k in range(len(g.items) - 1, -1, -1):
+                stack.append(g.items[k])
+                if k:
+                    stack.append(", ")
+            stack.append(f"{type(g).__name__}(items=(")
+        else:
+            out.append(repr(g))
+    return "".join(out)
 
 
 class TrueF(NamedTuple):
@@ -234,7 +272,8 @@ class Lin(NamedTuple):
 
 class And(NamedTuple):
     items: tuple["Formula", ...]
-    __eq__, __ne__, __hash__, __bool__ = _node_eq, _node_ne, tuple.__hash__, _node_bool
+    __eq__, __ne__, __hash__, __bool__ = _connective_eq, _node_ne, tuple.__hash__, _node_bool
+    __repr__ = _connective_repr
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -242,7 +281,8 @@ class And(NamedTuple):
 
 class Or(NamedTuple):
     items: tuple["Formula", ...]
-    __eq__, __ne__, __hash__, __bool__ = _node_eq, _node_ne, tuple.__hash__, _node_bool
+    __eq__, __ne__, __hash__, __bool__ = _connective_eq, _node_ne, tuple.__hash__, _node_bool
+    __repr__ = _connective_repr
 
     def __str__(self) -> str:
         return format_formula(self)

@@ -19,9 +19,10 @@ from chclab.concrete import (
     GroundAtom,
     check_combined_closure,
     goal_atoms,
-    lfp_backward,
-    lfp_combined,
-    lfp_forward,
+    ground_relation,
+    lfp_backward_rel,
+    lfp_combined_rel,
+    lfp_forward_rel,
 )
 from chclab.domain import AbstractElement, Box, Interval, clause_post, clause_pre_restricted
 from chclab.linlogic import ConjCube, cube_is_sat
@@ -61,17 +62,19 @@ class budget:
 
 def test_c01_oracle_reproduces_exact_semantics(ladder):
     with budget(1.0):
+        rel = ground_relation(ladder)
         goal = goal_atoms(ladder)
-        assert lfp_forward(ladder) == {p(1), p(2), p(3), p(5)}
-        assert lfp_backward(ladder, goal) == {p(1), p(2), p(3), p(4), p(5)}
-        assert lfp_combined(ladder, goal) == {p(1), p(3), p(5)}
+        assert lfp_forward_rel(rel) == {p(1), p(2), p(3), p(5)}
+        assert lfp_backward_rel(rel, goal) == {p(1), p(2), p(3), p(4), p(5)}
+        assert lfp_combined_rel(rel, goal) == {p(1), p(3), p(5)}
 
 
 def test_c02_combined_strictly_sharper_than_intersection(ladder):
     with budget(1.0):
+        rel = ground_relation(ladder)
         goal = goal_atoms(ladder)
-        inter = lfp_forward(ladder) & lfp_backward(ladder, goal)
-        combined = lfp_combined(ladder, goal)
+        inter = lfp_forward_rel(rel) & lfp_backward_rel(rel, goal)
+        combined = lfp_combined_rel(rel, goal)
         assert combined < inter and p(2) in inter - combined
 
 
@@ -118,9 +121,11 @@ def test_c05_alternation_beats_single_pass_analyses(addition_loops):
 def test_c06_query_answer_least_model_overshoots(ladder):
     with budget(1.0):
         qa = qa_transform(ladder)
-        answers = lfp_forward(qa.system)
+        answers = lfp_forward_rel(ground_relation(qa.system))
         got = {a.args[0] for a in answers if a.pred == qa.answer_name("p")}
-        combined = {a.args[0] for a in lfp_combined(ladder, goal_atoms(ladder))}
+        combined = {
+            a.args[0] for a in lfp_combined_rel(ground_relation(ladder), goal_atoms(ladder))
+        }
         assert F(2) in got and F(2) not in combined
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import json
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import pytest
 from chclab import solver
 from chclab.cli import main
 from conftest import CORPUS, ROOT
+from test_bench_entry_points import _import_from_bench
 
 LADDER = str(CORPUS / "ladder.chc")
 ADDITION_LOOPS = str(CORPUS / "addition_loops.chc")
@@ -77,16 +77,6 @@ def solve_json(capsys, *argv):
     return report
 
 
-def _import_from_bench(monkeypatch, name: str):
-    """Import ``bench/<name>.py`` without writing bytecode under bench/."""
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.modules.pop(name, None)
-
-
 def test_reports_match_golden(capsys, monkeypatch):
     golden = json.loads((ROOT / "bench" / "golden" / "corpus.json").read_text(encoding="utf-8"))
     # Every corpus file in every mode: a file added without re-recording
@@ -120,20 +110,6 @@ def test_out_of_range_analysis_options_exit_2(capsys, flags):
     code, _, err = run(capsys, "solve", LADDER, *flags)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
-
-
-def test_tracer_targets_resolve(monkeypatch):
-    # ``bench/run.py --trace 1`` wraps each of these names; a rename or a
-    # deletion in chclab must fail here rather than in a traced run.
-    tracer = _import_from_bench(monkeypatch, "tracer")
-    missing = []
-    for module_name, attr in tracer.TARGETS:
-        owner = importlib.import_module(f"chclab.{module_name}")
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if owner is None:
-            missing.append(f"{module_name}.{attr}")
-    assert tracer.TARGETS and not missing
 
 
 def test_fwd_ignores_direction_options(capsys):

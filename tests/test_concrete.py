@@ -13,10 +13,9 @@ from chclab.concrete import (
     check_combined_closure,
     goal_atoms,
     ground_relation,
-    is_model,
-    lfp_backward,
-    lfp_combined,
-    lfp_forward,
+    lfp_backward_rel,
+    lfp_combined_rel,
+    lfp_forward_rel,
     post,
     pre,
     pre_restricted,
@@ -68,16 +67,18 @@ def test_pre_restricted_blocks_underivable_premise(ladder):
 
 
 def test_ladder_fixpoints(ladder):
-    assert lfp_forward(ladder) == LADDER_FWD
+    rel = ground_relation(ladder)
+    assert lfp_forward_rel(rel) == LADDER_FWD
     goal = goal_atoms(ladder)
-    assert lfp_backward(ladder, goal) == LADDER_BWD
-    assert lfp_combined(ladder, goal) == LADDER_COMBINED
+    assert lfp_backward_rel(rel, goal) == LADDER_BWD
+    assert lfp_combined_rel(rel, goal) == LADDER_COMBINED
 
 
 def test_combined_strictly_below_intersection(ladder):
+    rel = ground_relation(ladder)
     goal = goal_atoms(ladder)
-    inter = lfp_forward(ladder) & lfp_backward(ladder, goal)
-    combined = lfp_combined(ladder, goal)
+    inter = lfp_forward_rel(rel) & lfp_backward_rel(rel, goal)
+    combined = lfp_combined_rel(rel, goal)
     assert combined < inter
     assert p(2) in inter - combined
 
@@ -88,13 +89,16 @@ def test_lockstep_forward(lockstep):
         GroundAtom("p", (F(1), F(1))),
         GroundAtom("p", (F(2), F(2))),
     }
-    assert lfp_forward(lockstep) == frozenset(want)
+    assert lfp_forward_rel(ground_relation(lockstep)) == frozenset(want)
 
 
 def test_is_model(ladder):
-    assert is_model(ladder, lfp_forward(ladder))
-    assert not is_model(ladder, frozenset())  # nothing satisfies the init clause
-    assert not is_model(ladder, atom_set(p(1)))  # p(2), p(3) missing
+    # a set of atoms is a model when one step derives nothing new
+    rel = ground_relation(ladder)
+    m = lfp_forward_rel(rel)
+    assert post(rel, m) <= m
+    assert not post(rel, frozenset()) <= frozenset()  # nothing satisfies the init clause
+    assert not post(rel, atom_set(p(1))) <= atom_set(p(1))  # p(2), p(3) missing
 
 
 def test_combined_closure_ladder(ladder):
@@ -103,8 +107,8 @@ def test_combined_closure_ladder(ladder):
 
 def test_least_model_property(ladder):
     # the forward fixpoint is a model and is contained in itself after a step
-    m = lfp_forward(ladder)
     rel = ground_relation(ladder)
+    m = lfp_forward_rel(rel)
     assert post(rel, m) <= m
 
 
@@ -133,10 +137,11 @@ def test_post_pre_monotone(seed):
 @settings(max_examples=60, deadline=None)
 def test_combined_between_bounds(seed):
     system = random_finite_system(seed)
+    rel = ground_relation(system)
     goal = goal_atoms(system)
-    fwd = lfp_forward(system)
-    bwd = lfp_backward(system, goal)
-    combined = lfp_combined(system, goal)
+    fwd = lfp_forward_rel(rel)
+    bwd = lfp_backward_rel(rel, goal)
+    combined = lfp_combined_rel(rel, goal)
     assert combined <= fwd & bwd
 
 

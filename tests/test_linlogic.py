@@ -53,6 +53,7 @@ from chclab.syntax import (
     format_formula,
     formula_vars,
     iter_formula_constraints,
+    rename_formula,
 )
 
 X, Y, Z = (LinTerm.var(n) for n in "xyz")
@@ -293,22 +294,33 @@ def test_deep_formula_decided_without_recursion():
 def test_deep_formula_walkers_do_not_recurse():
     # 5,000 levels of alternating conjunctions and disjunctions, built
     # through conj/disj: each conjunction adds (x >= 1; x >= 2) and each
-    # disjunction x >= 3.  Hashing, printing and evaluating walk the
-    # whole spine.  The DNF doubles at every conjunction, so to_dnf hits
-    # its cap; a chain of one-item connectives as deep has one cube.
+    # disjunction x >= 3.  Hashing, comparing, printing and evaluating
+    # walk the whole spine.  The DNF doubles at every conjunction, so
+    # to_dnf hits its cap; a chain of one-item connectives as deep has
+    # one cube.
     leaf = Lin(le(-X))  # x >= 0
     pair = disj([Lin(le(LinTerm.constant(1) - X)), Lin(le(LinTerm.constant(2) - X))])
     other = Lin(le(LinTerm.constant(3) - X))
-    f, suffixes = leaf, []
+    f, suffixes, repr_suffixes = leaf, [], []
     for level in range(5000):
         if level % 2:
             f = disj([f, other])
             suffixes.append(f"; {other}")
+            repr_suffixes.append(f", {other!r}))")
         else:
             f = conj([f, pair])
             suffixes.append(f", ({pair})")
+            repr_suffixes.append(f", {pair!r}))")
     assert isinstance(f, Or)
     assert f in {f} and hash(f) == hash(tuple(f))
+    copy = rename_formula(f, {})
+    assert copy is not f and copy == f and not copy != f
+    assert copy != rename_formula(f, {"x": "y"})
+    # The repr is the NamedTuple's, checked on shallow formulas first.
+    assert repr(pair) == f"Or(items=({pair.items[0]!r}, {pair.items[1]!r}))"
+    assert repr(And((leaf,))) == f"And(items=({leaf!r},))"
+    prefixes = ("Or(items=(" if level % 2 else "And(items=(" for level in range(4999, -1, -1))
+    assert repr(f) == "".join(prefixes) + repr(leaf) + "".join(repr_suffixes)
     # Every level but the top prints its spine child in parentheses.
     text = "(" * 4999 + str(leaf) + suffixes[0] + "".join(")" + s for s in suffixes[1:])
     assert format_formula(f) == text

@@ -8,18 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qa_reference
 from chclab.concrete import (
     GroundAtom,
     goal_atoms,
-    lfp_combined,
-    lfp_forward,
+    ground_relation,
+    lfp_combined_rel,
+    lfp_forward_rel,
 )
 from chclab.parser import parse_system
 from chclab.qa import qa_iterated, qa_transform, qa_two_step
 from chclab.randgen import random_finite_system
-from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
+from chclab.solver import (
+    AnalysisConfig,
+    ClauseResults,
+    alternate,
+    analyze_backward,
+    check_model,
+    default_goal,
+    goal_disjoint,
+    goal_element,
+)
 from chclab.syntax import format_system
-from test_solver import fuzz_text, wide_finite_text
+from conftest import CORPUS
+from test_solver import _one_box_changed, fuzz_text, wide_finite_text
 
 F = Fraction
 
@@ -91,7 +103,9 @@ def test_transform_reparses(corpus_systems):
 def test_transform_reparse_preserves_semantics(ladder):
     qa = qa_transform(ladder)
     reparsed = parse_system(format_system(qa.system))
-    assert lfp_forward(reparsed) == lfp_forward(qa.system)
+    assert lfp_forward_rel(ground_relation(reparsed)) == lfp_forward_rel(
+        ground_relation(qa.system)
+    )
 
 
 def test_fresh_names_avoid_collisions():
@@ -106,10 +120,12 @@ def test_fresh_names_avoid_collisions():
 
 def test_qa_least_model_overapproximates_combined(ladder):
     qa = qa_transform(ladder)
-    answers = lfp_forward(qa.system)
+    answers = lfp_forward_rel(ground_relation(qa.system))
     aname = qa.answer_name("p")
     got = {a.args[0] for a in answers if a.pred == aname}
-    combined = {a.args[0] for a in lfp_combined(ladder, goal_atoms(ladder))}
+    combined = {
+        a.args[0] for a in lfp_combined_rel(ground_relation(ladder), goal_atoms(ladder))
+    }
     assert combined <= got
     # the known precision gap: the transformed system derives p_a(2)
     assert F(2) in got and F(2) not in combined
@@ -121,8 +137,8 @@ def test_qa_least_model_overapproximates_combined(ladder):
 def test_qa_answers_cover_combined_on_random_systems(seed):
     system = random_finite_system(seed)
     qa = qa_transform(system)
-    answers = lfp_forward(qa.system)
-    combined = lfp_combined(system, goal_atoms(system))
+    answers = lfp_forward_rel(ground_relation(qa.system))
+    combined = lfp_combined_rel(ground_relation(system), goal_atoms(system))
     names = {p.orig: p.answer for p in qa.pairs}
     renamed = {GroundAtom(names[a.pred], a.args) for a in combined}
     assert renamed <= answers
@@ -170,13 +186,35 @@ def test_qa_iterated_models_check_out(corpus_systems):
             assert goal_disjoint(system, model), name
 
 
-def test_qa_iterated_agrees_with_alternation_on_corpus(corpus_systems):
-    # both implement the same refinement idea; on this corpus neither
-    # should prove something the other misses
-    for name, system in corpus_systems:
-        _, via_alt = alternate(system)
-        _, via_qa = qa_iterated(system)
-        assert via_alt.status == via_qa.status, name
+def test_backward_pass_matches_the_reversed_system(corpus_systems):
+    # analyze_backward against an independent route, the forward analysis
+    # of the reversed system, within every nonempty forward element of
+    # alt's traces and within each of those with one box lifted to top.
+    # Each system keeps one clause table across its runs, so a table
+    # result keyed on too few inputs is looked up where it is wrong.
+    systems = corpus_systems + [
+        ("rounds", parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))),
+        *((f"fuzz {s}", parse_system(fuzz_text(s))) for s in range(150)),
+        *((f"wide {s}", parse_system(wide_finite_text(s))) for s in range(40)),
+    ]
+    assert len(systems) == 216
+    compared = 0
+    for name, system in systems:
+        spec = default_goal(system)
+        g = goal_element(system, spec)
+        results = ClauseResults(system)
+        for budget in (5, 8):
+            config = AnalysisConfig(max_rounds=budget)
+            trace, _ = alternate(system, config=config)
+            for i, d in enumerate(trace.ds):
+                if d.is_bottom:
+                    continue
+                for r in (d, *_one_box_changed(system, d)):
+                    want = qa_reference.backward(system, spec, g, r, config)
+                    got = analyze_backward(system, g, r, config, results)
+                    assert got == want, (name, budget, i)
+                compared += 1
+    assert compared == 709
 
 
 def test_qa_iterated_respects_round_budget(addition_loops):

@@ -14,8 +14,8 @@ from chclab.concrete import (
     GroundAtom,
     goal_atoms,
     ground_relation,
-    lfp_backward,
-    lfp_forward,
+    lfp_backward_rel,
+    lfp_forward_rel,
     post,
 )
 from chclab.linlogic import ResourceLimitError
@@ -72,14 +72,15 @@ def test_forward_trees_ladder_stable(ladder):
     # four complete derivations: p(1); p(2); p(3); p(5) via p(3)
     trees = forward_trees(ladder, depth=6)
     assert len(trees) == 4
-    assert atoms_abstraction(trees) == lfp_forward(ladder)
+    assert atoms_abstraction(trees) == lfp_forward_rel(ground_relation(ladder))
     # the p(5) derivation through p(2), p(4) never completes
     assert all(t.root != p(4) for t in trees)
 
 
 def test_backward_trees_ladder_stable(ladder):
     trees = backward_trees(ladder, depth=6)
-    assert atoms_abstraction(trees) == lfp_backward(ladder, goal_atoms(ladder))
+    rel = ground_relation(ladder)
+    assert atoms_abstraction(trees) == lfp_backward_rel(rel, goal_atoms(ladder))
 
 
 def test_forward_trees_are_subtree_closed(ladder):
@@ -162,7 +163,7 @@ def test_tree_props_on_acyclic_systems(seed):
 @settings(max_examples=25, deadline=None)
 def test_forward_abstraction_never_exceeds_fixpoint(seed):
     system = random_finite_system(seed)
-    fwd = lfp_forward(system)
+    fwd = lfp_forward_rel(ground_relation(system))
     for depth in (1, 2, 3):
         trees = forward_trees(system, depth)
         assert atoms_abstraction(trees) <= fwd
