@@ -26,12 +26,10 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linlogic import (
+    Conjunction,
     Interval,
     Lowered,
-    RowSet,
-    _RowBuilder,
     bound_row,
-    extend,
     lower,
     project_rows,
     project_to_box,
@@ -221,20 +219,19 @@ class CompiledClause:
     The constraint's DNF is computed and lowered to integer rows once,
     on the first call with no empty input box.  Per target (the head
     arguments, or the arguments of body position ``j``) each cube then
-    becomes a template: its rows with the equalities solved for
-    variables outside the target substituted away, those pivots (see
-    :func:`chclab.linlogic.extend`) and the builder of its row set.  A
-    cube whose rows alone are refuted gets no template.  A call lowers
-    each bound of its input boxes to a one-variable row, extends every
-    template with those rows, adds them to a copy of the template's
-    builder and projects the result onto the target.  Only a bound that
-    adds a pivot, a point on a variable outside the target, rewrites the
-    template's rows, and the set is then built afresh.
+    becomes a template: the :class:`~chclab.linlogic.Conjunction` of its
+    rows that pivots only on variables outside the target.  A cube whose
+    rows alone are refuted gets no template.  A call lowers each bound of
+    its input boxes to a one-variable row, conjoins those rows with every
+    template and projects the result onto the target.  Only a bound that
+    adds a pivot, a point on a variable outside the target, makes the
+    conjunction build its set afresh (see
+    :class:`~chclab.linlogic.Conjunction`).
     """
 
     def __init__(self, clause: Clause):
         self.clause = clause
-        self._templates: dict[int | None, tuple] = {}
+        self._templates: dict[int | None, list[Conjunction]] = {}
 
     @cached_property
     def lowered(self) -> tuple[tuple[str, ...], dict[str, int], list[list[Lowered]]]:
@@ -263,38 +260,27 @@ class CompiledClause:
         if any(box.is_empty for box in boxes):
             return Box.empty(len(args))
         names, index, _ = self.lowered
-        free, templates = self._template(target, args)
         rows = [
             bound_row(len(names), index[v], value, rel, upper)
             for app, box in zip(apps, boxes)
             for v, value, rel, upper in box.bounds(app.args)
         ]
         acc = Box.empty(len(args))
-        for template, pivots, builder in templates:
-            cube, solved = extend(template, pivots, rows, free)
-            if len(solved) == len(pivots):
-                rowset = builder.copy().add(cube[len(template) :])
-            else:
-                rowset = RowSet.from_rows(names, cube)
-            intervals = project_rows(rowset, args)
+        for template in self._template(target, args):
+            intervals = project_rows(template.conjoin(rows).rowset, args)
             if intervals is not None:
                 acc = acc.join(Box.make(len(args), intervals))
         return acc
 
-    def _template(self, target: int | None, args: Sequence[str]) -> tuple:
+    def _template(self, target: int | None, args: Sequence[str]) -> list[Conjunction]:
         found = self._templates.get(target)
         if found is None:
             names, _, cubes = self.lowered
             free = sum(1 << j for j, v in enumerate(names) if v not in args)
-            templates = []
-            for cube in cubes:
-                rows, pivots = extend((), (), cube, free)
-                builder = _RowBuilder(names)
-                # A cube whose own rows are refuted projects to nothing,
-                # whatever bounds are added.
-                if not builder.add(rows).unsat:
-                    templates.append((rows, pivots, builder))
-            found = self._templates[target] = (free, templates)
+            conjunctions = [Conjunction(names, free).conjoin(cube) for cube in cubes]
+            # A cube whose own rows are refuted projects to nothing,
+            # whatever bounds are added.
+            found = self._templates[target] = [t for t in conjunctions if not t.rowset.unsat]
         return found
 
 

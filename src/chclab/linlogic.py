@@ -18,10 +18,7 @@ works on those rows:
   through the recorded pivots, solves each new equality for one of its
   free variables and substitutes it into every other row.  A projection
   pivots only on variables it was not asked for; an equality over
-  requested variables alone becomes two inequalities.  The result can be
-  extended again: the search extends a branch's rows with a child's
-  atoms, and :class:`chclab.domain.CompiledClause` extends the template of
-  a constraint cube with the bounds of its input boxes.
+  requested variables alone becomes two inequalities.
 * **Integer rows.**  :meth:`RowSet.from_rows` turns every remaining
   constraint into inequality rows: integer coefficients and constant
   without a common divisor, a strict flag, a history (the bitmask of the
@@ -31,13 +28,12 @@ works on those rows:
   rows of each position and combines each new one with those of the
   opposite sign, as eliminating that variable would: a combination that
   fails refutes the set before any elimination runs.  That decides most
-  unsatisfiable branches of the search.  Each row is normalized once:
-  the builder behind :meth:`RowSet.from_rows` can be copied and
-  extended, so a search branch adds only its new rows to a copy of its
-  parent's builder, and a compiled clause adds only the bounds of its
-  input boxes to a copy of its template's.  Extending a builder gives
-  the set a fresh build would, as long as :func:`extend` solved no new
-  pivot, which would rewrite the rows already added.
+  unsatisfiable branches of the search.  A :class:`Conjunction` keeps
+  the rows, pivots and build state of a conjunction, so the search
+  extends a branch with a child's atoms, and
+  :class:`chclab.domain.CompiledClause` the template of a constraint
+  cube with the bounds of its input boxes, normalizing only the new rows
+  (see :class:`Conjunction` for when the set is built afresh).
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.
@@ -191,13 +187,11 @@ def sat_cube(formula: Formula) -> ConjCube | None:
     """A satisfiable cube of the formula's DNF, or ``None`` if it has none.
 
     Depth-first search over the disjunct choices.  The formula's
-    variables are indexed once, and each branch carries the substituted
-    rows and pivots of the atoms its choices imply (see :func:`extend`)
-    and the builder of their integer rows: a child lowers and
-    substitutes only its new atoms, adds their rows to a copy of its
-    parent's builder and eliminates a copy of the result.  Only a child
-    whose new equality solves for a variable, which rewrites the rows
-    before it, builds its rows afresh.  A branch is dropped as soon as
+    variables are indexed once, and each branch carries the
+    :class:`Conjunction` of the atoms its choices imply: a child lowers
+    only its new atoms, conjoins them with its parent's (see
+    :class:`Conjunction` for which rows are normalized again) and
+    eliminates a copy of the result.  A branch is dropped as soon as
     its atoms are unsatisfiable; it then branches on the pending
     disjunction with the fewest children, trying them in formula order.
     A root left with exactly one pending disjunction skips its
@@ -219,20 +213,17 @@ def sat_cube(formula: Formula) -> ConjCube | None:
     index = {v: j for j, v in enumerate(names)}
     everything = (1 << len(names)) - 1
     # A branch: the atoms chosen so far, the keys of their distinct rows,
-    # those rows substituted and their pivots, the builder of their row
-    # set and that set, whether the atoms are known to be satisfiable
-    # together, the disjunctions still to decide, and the child just
-    # chosen.  Rows hash far faster than the Fractions of their atoms,
-    # and two atoms with one row are the same constraint.
-    stack: list[tuple] = [
-        ((), frozenset(), (), (), _RowBuilder(names), None, True, (), formula)
-    ]
+    # the conjunction of those rows, whether the atoms are known to be
+    # satisfiable together, the disjunctions still to decide, and the
+    # child just chosen.  Rows hash far faster than the Fractions of
+    # their atoms, and two atoms with one row are the same constraint.
+    stack: list[tuple] = [((), frozenset(), Conjunction(names, everything), True, (), formula)]
     visited = 0
     while stack:
         visited += 1
         if visited > cap:
             raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
-        atoms, keys, rows, pivots, builder, rowset, checked, pending, choice = stack.pop()
+        atoms, keys, branch, checked, pending, choice = stack.pop()
         new_atoms: list[LinConstraint] = []
         pending = list(pending)
         if not _gather(choice, new_atoms, pending):
@@ -246,19 +237,8 @@ def sat_cube(formula: Formula) -> ConjCube | None:
                 fresh[key] = row
         if fresh:
             keys = keys.union(fresh)
-            solved = len(pivots)
-            extended, pivots = extend(rows, pivots, fresh.values(), everything)
-            if len(pivots) == solved:
-                # The parent's rows come first and unchanged, so adding
-                # the new ones to a copy of its builder builds the set a
-                # fresh builder would.
-                builder = builder.copy()
-                rowset = builder.add(extended[len(rows) :])
-            else:
-                builder = _RowBuilder(names)
-                rowset = builder.add(extended)
-            rows = extended
-            if rowset.unsat:
+            branch = branch.conjoin(fresh.values())
+            if branch.rowset.unsat:
                 continue
             checked = False
         # The root leaves its elimination to the children when they are
@@ -266,16 +246,14 @@ def sat_cube(formula: Formula) -> ConjCube | None:
         # check, are nearly always satisfiable.  Deeper branches keep
         # theirs, since most of those that reach a check fail it.
         if not checked and (visited > 1 or len(pending) != 1):
-            if _eliminate(rowset, everything).unsat:
+            if _eliminate(branch.rowset, everything).unsat:
                 continue
             checked = True
         if not pending:
             return ConjCube.make(atoms)
         split = pending.pop(min(range(len(pending)), key=lambda k: len(pending[k].items)))
-        stack.extend(
-            (atoms, keys, rows, pivots, builder, rowset, checked, tuple(pending), child)
-            for child in reversed(split.items)
-        )
+        pending = tuple(pending)
+        stack.extend((atoms, keys, branch, checked, pending, c) for c in reversed(split.items))
     return None
 
 
@@ -387,8 +365,7 @@ class RowSet(NamedTuple):
         names = tuple(sorted(cube.vars))
         index = {v: j for j, v in enumerate(names)}
         free = sum(1 << j for j, v in enumerate(names) if v not in requested)
-        rows, _ = extend((), (), [lower(c, index) for c in cube.cons], free)
-        return RowSet.from_rows(names, rows)
+        return Conjunction(names, free).conjoin([lower(c, index) for c in cube.cons]).rowset
 
     @staticmethod
     def from_rows(names: tuple[str, ...], rows) -> RowSet:
@@ -403,35 +380,61 @@ class RowSet(NamedTuple):
         Such a conflict refutes most unsatisfiable branches of
         :func:`sat_cube` before any elimination runs.
         """
-        return _RowBuilder(names).add(rows)
+        return Conjunction(names).conjoin(rows).rowset
 
 
-class _RowBuilder:
-    """The state of :meth:`RowSet.from_rows` between rows, so that a set
-    can be built once and extended by the rows of each branch.
+class Conjunction:
+    """A conjunction of lowered constraints over ``names``, conjoined one
+    batch at a time.
 
-    ``out`` holds the distinct rows by key, and ``singles`` the
-    one-variable rows of each position: a tuple of lower and one of
-    upper bounds.  Those tuples are replaced, never changed in place, so
-    :meth:`copy` copies just the two dicts.  A builder whose :meth:`add`
-    refuted its rows stopped part way and must not be extended.
+    ``rows`` and ``pivots`` are what :func:`extend` made of the batches
+    so far, pivoting only on the positions in the mask ``free``, and
+    ``rowset`` is their :class:`RowSet` as :meth:`RowSet.from_rows`
+    builds it.  ``out`` (the distinct rows by key) and ``singles`` (the
+    one-variable rows of each position, a tuple of lower and one of upper
+    bounds) are the state of that build between rows.
+
+    **Copy or rebuild.**  When :func:`extend` solved no new pivot, the
+    rows conjoined before come first and unchanged, so :meth:`conjoin`
+    adds only the new rows to a copy of the state and gets the set a
+    fresh build would; the ``singles`` tuples are replaced, never changed
+    in place, so copying the two dicts is enough.  A new pivot rewrites
+    the rows already added, and the set is then built afresh.  A refuted
+    build stopped part way, so a refuted conjunction is never extended:
+    :meth:`conjoin` returns it unchanged.
     """
 
-    __slots__ = ("names", "out", "singles")
+    __slots__ = ("names", "free", "rows", "pivots", "out", "singles", "rowset")
 
-    def __init__(self, names: tuple[str, ...], out=None, singles=None):
+    def __init__(self, names: tuple[str, ...], free: int = 0):
         self.names = names
-        self.out: dict[tuple, Row] = {} if out is None else out
-        self.singles: dict[int, tuple[tuple[Row, ...], tuple[Row, ...]]] = (
-            {} if singles is None else singles
-        )
+        self.free = free
+        self.rows: tuple[Lowered, ...] = ()
+        self.pivots: tuple[Pivot, ...] = ()
+        self.out: dict[tuple, Row] = {}
+        self.singles: dict[int, tuple[tuple[Row, ...], tuple[Row, ...]]] = {}
+        self.rowset = RowSet(names, ())
 
-    def copy(self) -> _RowBuilder:
-        return _RowBuilder(self.names, self.out.copy(), self.singles.copy())
+    def conjoin(self, lowered) -> Conjunction:
+        """This conjunction and the lowered constraints ``lowered``."""
+        if self.rowset.unsat:
+            return self
+        rows, pivots = extend(self.rows, self.pivots, lowered, self.free)
+        # Set every slot here: __init__ would make a state and a set only
+        # to drop them.
+        child = object.__new__(Conjunction)
+        child.names, child.free, child.rows, child.pivots = self.names, self.free, rows, pivots
+        if len(pivots) == len(self.pivots):
+            child.out, child.singles = self.out.copy(), self.singles.copy()
+            rows = rows[len(self.rows) :]
+        else:
+            child.out, child.singles = {}, {}
+        child.rowset = child._normalize(rows)
+        return child
 
-    def add(self, rows) -> RowSet:
-        """The set of the rows added so far and ``rows``, processed in
-        order as :meth:`RowSet.from_rows` processes them."""
+    def _normalize(self, rows) -> RowSet:
+        """The set of the rows normalized so far and ``rows``, processed
+        in order as :meth:`RowSet.from_rows` processes them."""
         names, out, singles = self.names, self.out, self.singles
         bits = [1 << j for j in range(len(names))]
         for vec, const, rel in rows:

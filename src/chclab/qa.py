@@ -79,7 +79,7 @@ def qa_transform(system: System, goal: GoalSpec | None = None) -> QASystem:
     descends into the i-th premise once the earlier premises have
     answers).  Goal entries seed the query predicates.
     """
-    spec = goal if goal is not None else default_goal(system)
+    spec = default_goal(system, goal)
     taken = {d.name for d in system.decls} | {"false"}
     pairs = []
     decls: dict[str, tuple[PredDecl, PredDecl]] = {}
@@ -145,7 +145,7 @@ def qa_two_step(
     clause heads, and the second forward run is kept inside them; the
     returned model maps every predicate to "queried implies covered".
     """
-    spec = goal if goal is not None else default_goal(system)
+    spec = default_goal(system, goal)
     qa = qa_transform(system, spec)
     qa_element = analyze_forward(qa.system, None, config)
     answers = _project(qa, qa_element, "answer")

@@ -45,6 +45,7 @@ candidate model independently, clause by clause, without the table.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -58,6 +59,7 @@ from .syntax import (
     GoalSpec,
     PredApp,
     System,
+    FALSE,
     TRUE,
     conj,
     disj,
@@ -169,8 +171,11 @@ class Verdict(NamedTuple):
         return self.status == "SAFE"
 
 
-def default_goal(system: System) -> GoalSpec:
-    """The declared goal, or reaching the falsity predicate."""
+def default_goal(system: System, goal: GoalSpec | None = None) -> GoalSpec:
+    """``goal`` if one is given, else the declared goal, else reaching
+    the falsity predicate."""
+    if goal is not None:
+        return goal
     if system.goal is not None:
         return system.goal
     return GoalSpec((GoalEntry(PredApp(system.falsity, ()), TRUE),))
@@ -178,9 +183,8 @@ def default_goal(system: System) -> GoalSpec:
 
 def goal_element(system: System, goal: GoalSpec | None = None) -> AbstractElement:
     """Tightest element whose concretization covers the goal atoms."""
-    spec = goal if goal is not None else default_goal(system)
     elem = AbstractElement.bottom(system)
-    for entry in spec.entries:
+    for entry in default_goal(system, goal).entries:
         name = entry.app.pred.name
         box = CompiledClause(Clause((), entry.guard, entry.app)).post(())
         elem = elem.with_box(name, elem.get(name).join(box))
@@ -358,8 +362,7 @@ def analyze_backward(
 def coarse_backward(system: System, goal: GoalSpec | None = None):
     """Predicates from which a goal predicate is reachable in the
     clause graph; a cheap predicate-level backward approximation."""
-    spec = goal if goal is not None else default_goal(system)
-    relevant = {entry.app.pred.name for entry in spec.entries}
+    relevant = {entry.app.pred.name for entry in default_goal(system, goal).entries}
     changed = True
     while changed:
         changed = False
@@ -395,7 +398,7 @@ def alternate(
     the goal element, reusing the run's clause table, and a refined
     model is composed from it.
     """
-    spec = goal if goal is not None else default_goal(system)
+    spec = default_goal(system, goal)
     g = goal_element(system, spec)
     backward_start = config.start_direction == "backward" or config.coarse_first
     results = ClauseResults(system)
@@ -477,7 +480,7 @@ def refined_model(trace: AlternationTrace) -> RefinedModel:
 
 class ModelCheckResult(NamedTuple):
     ok: bool
-    violations: Sequence[tuple[int, str, str]] = ()
+    violations: tuple[tuple[int, str, str], ...] = ()
     # (clause index, clause text, satisfiable witness cube)
 
     def __bool__(self) -> bool:
@@ -495,7 +498,7 @@ def check_model(system: System, model) -> ModelCheckResult:
     satisfiable cube the search found as its witness.  Raises
     :class:`ResourceLimitError` when a search passes its branch budget.
     """
-    formulas = model.as_dict() if isinstance(model, RefinedModel) else dict(model)
+    formulas = _formulas(model)
     violations: list[tuple[int, str, str]] = []
     for idx, clause in enumerate(system.clauses):
         parts: list[Formula] = [clause.constraint]
@@ -505,18 +508,24 @@ def check_model(system: System, model) -> ModelCheckResult:
         witness = sat_cube(conj(parts))
         if witness is not None:
             violations.append((idx, format_clause(clause), str(witness)))
-    return ModelCheckResult(not violations, violations)
+    return ModelCheckResult(not violations, tuple(violations))
 
 
 def goal_disjoint(system: System, model, goal: GoalSpec | None = None) -> bool:
     """Is the model disjoint from every goal instance?"""
-    formulas = model.as_dict() if isinstance(model, RefinedModel) else dict(model)
-    spec = goal if goal is not None else default_goal(system)
-    for entry in spec.entries:
+    formulas = _formulas(model)
+    for entry in default_goal(system, goal).entries:
         f = conj([entry.guard, _instantiate(formulas[entry.app.pred.name], entry.app)])
         if is_sat(f):
             return False
     return True
+
+
+def _formulas(model) -> defaultdict[str, Formula]:
+    """The formula of each predicate in a :class:`RefinedModel` or a
+    mapping; a missing entry reads ``false``, as in
+    :func:`chclab.parser.parse_model`."""
+    return defaultdict(lambda: FALSE, model.as_dict() if isinstance(model, RefinedModel) else model)
 
 
 def _instantiate(formula: Formula, app: PredApp) -> Formula:

@@ -21,7 +21,7 @@ from chclab.domain import (
     clause_pre_restricted,
     formula_box,
 )
-from chclab.linlogic import RowSet, is_sat
+from chclab.linlogic import Conjunction, is_sat
 from chclab.parser import parse_system
 from chclab.randgen import random_box, random_element, random_finite_system, random_interval
 from chclab.syntax import (
@@ -428,19 +428,22 @@ def test_point_bound_outside_the_target_rebuilds_the_rows(monkeypatch):
     # body atom of post, or for the head of pre, is an equality on a
     # variable outside the target: it becomes a pivot that rewrites the
     # template's rows, so the set is built afresh.  A range box only adds
-    # rows to a copy of the template's builder.
+    # rows on top of the template's build.  Both targets' templates are
+    # made first, so every build that starts empty is a fresh one.
     system = parse_system("pred p/1. pred q/1.\np(Y) :- q(X), X >= 0, Y >= 2 * X.\n")
     clause = system.clauses[0]
     cc = CompiledClause(clause)
+    assert cc.post([Box.top(1)]) == Box.make(1, [Interval.of(0, None)])
+    assert cc.pre(0, Box.top(1), [Box.top(1)]) == Box.make(1, [Interval.of(0, None)])
     builds = 0
-    from_rows = RowSet.from_rows
+    normalize = Conjunction._normalize
 
-    def counting(names, rows):
+    def counting(self, rows):
         nonlocal builds
-        builds += 1
-        return from_rows(names, rows)
+        builds += not self.out
+        return normalize(self, rows)
 
-    monkeypatch.setattr(RowSet, "from_rows", staticmethod(counting))
+    monkeypatch.setattr(Conjunction, "_normalize", counting)
     assert cc.post([Box.make(1, [Interval.of(1, 2)])]) == Box.make(1, [Interval.of(2, None)])
     assert builds == 0
     assert cc.post([Box.make(1, [Interval.point(3)])]) == Box.make(1, [Interval.of(6, None)])
@@ -464,8 +467,8 @@ def test_point_bound_outside_the_target_rebuilds_the_rows(monkeypatch):
 
 
 def test_refuted_cube_gets_no_template():
-    # The first disjunct is unsatisfiable on its own, so its builder is
-    # refuted as the template is made, and only the second is extended.
+    # The first disjunct is unsatisfiable on its own, so its conjunction
+    # is refuted as the template is made, and only the second is extended.
     system = parse_system("pred p/1. pred q/1.\np(X) :- q(X), (X > 0, X < 0 ; X >= 5).\n")
     clause = system.clauses[0]
     elems = [
@@ -479,4 +482,4 @@ def test_refuted_cube_gets_no_template():
     ]
     cc = _assert_both_directions_match(clause, elems)
     assert cc.post([Box.top(1)]) == Box.make(1, [Interval.of(5, None)])
-    assert [len(templates) for _, templates in cc._templates.values()] == [1, 1]
+    assert [len(templates) for templates in cc._templates.values()] == [1, 1]

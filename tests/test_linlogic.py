@@ -25,6 +25,7 @@ from chclab.linlogic import (
     UNBOUNDED,
     Bound,
     ConjCube,
+    Conjunction,
     Interval,
     ResourceLimitError,
     RowSet,
@@ -226,30 +227,89 @@ def test_bound_conflicts_match_unpruned_reference():
 
 
 def test_extended_builder_matches_a_fresh_build():
-    # Building a prefix and adding the rest to a copy gives the set a
-    # fresh build of the whole gives.  Neither that nor a sibling copy
-    # extended with other rows changes the prefix's builder.
+    # Building a prefix and conjoining the rest with it gives the set a
+    # fresh build of the whole gives.  Neither that nor a sibling
+    # conjoined with other rows changes the prefix's set.
     extended = refuted = siblings = 0
     for seed in range(1500):
         rng = random.Random(seed)
         names, rows = _bound_rows(rng)
         whole = RowSet.from_rows(names, rows)
         split = rng.randint(0, len(rows))
-        builder = linlogic._RowBuilder(names)
-        prefix = builder.add(rows[:split])
+        base = Conjunction(names).conjoin(rows[:split])
+        prefix = base.rowset
         if prefix.unsat:
             assert whole.unsat, f"seed {seed}: {rows}"
             refuted += 1
             continue
-        assert builder.copy().add(rows[split:]) == whole, f"seed {seed}: {rows}"
+        assert base.conjoin(rows[split:]).rowset == whole, f"seed {seed}: {rows}"
         other_names, other = _bound_rows(random.Random(-1 - seed))
         if other_names == names:
             want = RowSet.from_rows(names, rows[:split] + other)
-            assert builder.copy().add(other) == want, f"seed {seed}: {rows}, {other}"
+            assert base.conjoin(other).rowset == want, f"seed {seed}: {rows}, {other}"
             siblings += 1
-        assert builder.add(()) == prefix, f"seed {seed}: {rows}"
+        assert base.conjoin(()).rowset == prefix, f"seed {seed}: {rows}"
         extended += 1
     assert extended > 1000 and refuted > 100 and siblings > 300
+
+
+def _batches(rng: random.Random):
+    """Variable names, a mask of free positions and batches of lowered
+    rows over them: equalities on free positions that solve new pivots,
+    equalities over requested (non-free) positions only, and inequalities
+    of one or two variables."""
+    n = rng.randint(2, 5)
+    names = tuple("abcde"[:n])
+    free = rng.randrange(1 << n)
+    requested = [j for j in range(n) if not free >> j & 1]
+    batches = []
+    for _ in range(rng.randint(2, 4)):
+        batch = []
+        for _ in range(rng.randint(1, 3)):
+            rel = rng.choice((Rel.LE, Rel.LE, Rel.LT, Rel.EQ, Rel.EQ))
+            positions = requested if rel is Rel.EQ and requested and rng.random() < 0.3 else range(n)
+            vec = [0] * n
+            for j in rng.sample(positions, rng.randint(1, min(2, len(positions)))):
+                vec[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+            batch.append((vec, rng.randint(-6, 6), rel))
+        batches.append(batch)
+    return names, free, batches
+
+
+def test_conjoining_batches_matches_conjoining_them_at_once():
+    # Conjoining batches one at a time gives the rows, pivots and set
+    # that conjoining them all at once gives, whether a later batch
+    # solves a new pivot (the set is built afresh) or not (the new rows
+    # are added to a copy).  A refuted conjunction comes back unchanged
+    # from every later batch, and the whole conjunction is unsatisfiable.
+    rebuilt = copied = refuted = requested_only = 0
+    for seed in range(2000):
+        names, free, batches = _batches(random.Random(seed))
+        whole = Conjunction(names, free).conjoin([row for batch in batches for row in batch])
+        requested_only += any(
+            rel is Rel.EQ and not any(x and free >> j & 1 for j, x in enumerate(vec))
+            for batch in batches
+            for vec, _, rel in batch
+        )
+        step = Conjunction(names, free)
+        for batch in batches:
+            if step.rowset.unsat:
+                assert step.conjoin(batch) is step, f"seed {seed}"
+                continue
+            parent, step = step, step.conjoin(batch)
+            if parent.rows and not step.rowset.unsat:
+                if len(step.pivots) > len(parent.pivots):
+                    rebuilt += 1
+                else:
+                    copied += 1
+        if step.rowset.unsat:
+            assert linlogic._eliminate(whole.rowset, (1 << len(names)) - 1).unsat, f"seed {seed}"
+            refuted += 1
+            continue
+        assert step.rows == whole.rows, f"seed {seed}"
+        assert step.pivots == whole.pivots, f"seed {seed}"
+        assert step.rowset == whole.rowset, f"seed {seed}"
+    assert rebuilt > 300 and copied > 1000 and refuted > 200 and requested_only > 500
 
 
 def test_cube_sat_frozen_cases():

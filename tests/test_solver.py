@@ -25,7 +25,7 @@ from chclab.domain import (
     clause_pre_restricted,
     formula_box,
 )
-from chclab.parser import RawApp, RawClause, parse_system
+from chclab.parser import RawApp, RawClause, parse_model, parse_system
 from chclab.randgen import random_finite_system
 from chclab.qa import qa_iterated, qa_transform, qa_two_step
 from chclab.solver import (
@@ -451,6 +451,28 @@ def test_check_model_flags_violation(ladder):
     assert check_model(ladder, honest).ok
 
 
+def test_a_missing_model_entry_reads_false(addition_loops):
+    # As in parse_model: a mapping without an entry for a predicate
+    # (here for every one) is checked as if that entry were ``false``.
+    # The result hashes, since its violations are a tuple.
+    from chclab.syntax import TRUE
+
+    everything_false = parse_model("", addition_loops)
+    result = check_model(addition_loops, {})
+    assert result == check_model(addition_loops, everything_false)
+    assert [idx for idx, _, _ in result.violations] == [0]
+    assert hash(result) == hash(check_model(addition_loops, everything_false))
+    assert goal_disjoint(addition_loops, {})
+    assert not goal_disjoint(addition_loops, {"false": TRUE})
+    assert not check_model(addition_loops, {"p1": TRUE}).ok
+
+
+def test_default_goal_keeps_a_given_goal(addition_loops):
+    spec = default_goal(parse_system("pred q/0. false :- q. goal q."))
+    assert default_goal(addition_loops, spec) is spec
+    assert default_goal(addition_loops).entries[0].app.pred.name == "false"
+
+
 def test_check_model_of_a_deep_model():
     # A model for p 5,000 levels deep, alternating conjunctions and
     # disjunctions built through conj/disj.  Instantiating and negating
@@ -501,21 +523,21 @@ def test_check_model_elimination_count(monkeypatch):
 
 
 def test_check_model_row_normalization_count(monkeypatch):
-    # A guard on work, not time: a search branch adds only its new rows
-    # to a copy of its parent's row builder, which took the rows the
+    # A guard on work, not time: a search branch normalizes only its new
+    # rows on top of its parent's conjunction, which took the rows the
     # model check of this run normalizes from 2,673 to 326.
     system = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
     _, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
     normalized = 0
-    add = linlogic._RowBuilder.add
+    normalize = linlogic.Conjunction._normalize
 
     def counted(self, rows):
         nonlocal normalized
         rows = tuple(rows)
         normalized += len(rows)
-        return add(self, rows)
+        return normalize(self, rows)
 
-    monkeypatch.setattr(linlogic._RowBuilder, "add", counted)
+    monkeypatch.setattr(linlogic.Conjunction, "_normalize", counted)
     assert check_model(system, verdict.witness).ok
     assert 0 < normalized <= 326
 
