@@ -85,8 +85,7 @@ def _config_from_args(args) -> AnalysisConfig:
         max_rounds=args.max_rounds,
         widening_delay=args.widen_delay,
         descending_passes=args.descending_passes,
-        start_direction={"fwd": "forward", "bwd": "backward"}[args.start],
-        coarse_first=args.coarse_first,
+        start={"fwd": "forward", "bwd": "backward", "coarse": "coarse"}[args.start],
     )
 
 
@@ -107,8 +106,8 @@ def cmd_solve(args) -> int:
     else:
         if args.mode != "alt":
             # fwd is alt's first forward pass and qa-iter alt's rounds
-            # (see qa.qa_iterated): the direction options do not apply.
-            config = config._replace(start_direction="forward", coarse_first=False)
+            # (see qa.qa_iterated): --start does not apply.
+            config = config._replace(start="forward")
         if args.mode == "fwd":
             config = config._replace(max_rounds=1)
         trace, verdict = alternate(system, config=config)
@@ -139,7 +138,7 @@ def cmd_solve(args) -> int:
     if trace is not None:
         report["trace"] = [
             {"d": _element_digest(d)} if b is None else {"d": _element_digest(d), "b": _element_digest(b)}
-            for d, b in _trace_pairs(trace)
+            for d, b in trace.rounds
         ]
 
     if args.json is not None:
@@ -172,11 +171,6 @@ def cmd_solve(args) -> int:
         print(f"error: certificate failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK if verdict.safe else EXIT_UNKNOWN
-
-
-def _trace_pairs(trace):
-    for i, d in enumerate(trace.ds, start=1):
-        yield d, (trace.bs[i] if i < len(trace.bs) else None)
 
 
 def cmd_oracle(args) -> int:
@@ -268,16 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="alt",
         help="fwd: single forward pass; alt: forward/backward alternation; "
         "qa2: two-phase query-answer analysis; qa-iter: alt from a forward start, "
-        "without --start and --coarse-first (kept for the benchmark)",
+        "without --start (kept for the benchmark)",
     )
     solve.add_argument("--max-rounds", type=int, default=5)
     solve.add_argument("--widen-delay", type=int, default=2, help="joins before widening kicks in")
     solve.add_argument("--descending-passes", type=int, default=1)
-    solve.add_argument("--start", choices=["fwd", "bwd"], default="fwd")
     solve.add_argument(
-        "--coarse-first",
-        action="store_true",
-        help="seed the first backward pass from the predicate-level reachability skeleton",
+        "--start",
+        choices=["fwd", "bwd", "coarse"],
+        default="fwd",
+        help="alt's first round: a forward pass, a backward pass from top, or the "
+        "predicate-level reachability skeleton in place of that backward pass",
     )
     solve.add_argument(
         "--json",

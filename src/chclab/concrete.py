@@ -25,6 +25,7 @@ from .syntax import (
     Lin,
     System,
     TrueF,
+    default_goal,
 )
 
 VALUATION_CAP = 10**6
@@ -104,15 +105,12 @@ def ground_relation(system: System, cap: int = VALUATION_CAP) -> GroundRelation:
 
 
 def goal_atoms(system: System, goal: GoalSpec | None = None) -> Interpretation:
-    """Ground instances of the goal; defaults to the falsity atom."""
-    spec = goal if goal is not None else system.goal
-    if spec is None:
-        return frozenset([GroundAtom(system.falsity.name, ())])
+    """Ground instances of the goal (:func:`~chclab.syntax.default_goal`)."""
     if system.universe is None:
         raise ValueError("system declares no universe")
     uni = system.universe
     out: set[GroundAtom] = set()
-    for entry in spec.entries:
+    for entry in default_goal(system, goal).entries:
         variables = sorted(set(entry.app.args))
         index = {v: i for i, v in enumerate(variables)}
         ok = _compile(entry.guard, index)

@@ -26,7 +26,6 @@ from .solver import (
     Verdict,
     alternate,
     analyze_forward,
-    default_goal,
     goal_element,
 )
 from .syntax import (
@@ -37,6 +36,7 @@ from .syntax import (
     PredDecl,
     System,
     conj,
+    default_goal,
 )
 
 
@@ -155,8 +155,7 @@ def qa_two_step(
     safe = g.meet(final).is_bottom
     model = RefinedModel(final, ((AbstractElement.top(system), queries),))
     # The two steps are fixed, so an UNKNOWN here has spent its budget.
-    reason = "empty_element" if safe else "round_budget"
-    return final, Verdict("SAFE" if safe else "UNKNOWN", model, 2, reason)
+    return final, Verdict(model, 2, "empty_element" if safe else "round_budget")
 
 
 def _strengthen_heads(system: System, b: AbstractElement) -> System:
@@ -178,7 +177,7 @@ def qa_iterated(
     goal: GoalSpec | None = None,
     config: AnalysisConfig = AnalysisConfig(),
 ) -> tuple[AlternationTrace, Verdict]:
-    """The ``qa-iter`` mode: the alternation from a forward start, the
-    direction options ignored.  It stays only because the benchmark
+    """The ``qa-iter`` mode: the alternation with ``start="forward"``,
+    whatever ``config.start`` says.  It stays only because the benchmark
     (``bench/measure.py``) calls it."""
-    return alternate(system, goal, config._replace(start_direction="forward", coarse_first=False))
+    return alternate(system, goal, config._replace(start="forward"))

@@ -55,13 +55,12 @@ from .linlogic import is_sat, sat_cube
 from .syntax import (
     Clause,
     Formula,
-    GoalEntry,
     GoalSpec,
     PredApp,
     System,
     FALSE,
-    TRUE,
     conj,
+    default_goal,
     disj,
     format_clause,
     negate_formula,
@@ -74,8 +73,7 @@ class _AnalysisOptions(NamedTuple):
     max_rounds: int = 5
     widening_delay: int = 2
     descending_passes: int = 1
-    start_direction: str = "forward"  # "forward" or "backward"
-    coarse_first: bool = False
+    start: str = "forward"  # round 1: "forward", "backward" or "coarse" (see alternate)
 
 
 class AnalysisConfig(_AnalysisOptions):
@@ -91,10 +89,8 @@ class AnalysisConfig(_AnalysisOptions):
         for name in ("widening_delay", "descending_passes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
-        if self.start_direction not in ("forward", "backward"):
-            raise ValueError(
-                f"start_direction must be 'forward' or 'backward', got {self.start_direction!r}"
-            )
+        if self.start not in ("forward", "backward", "coarse"):
+            raise ValueError(f"start must be forward, backward or coarse, got {self.start!r}")
         return self
 
     def _replace(self, **changes) -> "AnalysisConfig":
@@ -117,11 +113,11 @@ class RoundCert(NamedTuple):
 
 
 class AlternationTrace(NamedTuple):
-    """The computed sequence d_1, b_1, d_2, ... plus the initial top
-    ``bs[0]``, and the certificate of each round."""
+    """The computed sequence d_1, b_1, d_2, ... as the rounds ``(d_i,
+    b_i)``, and the certificate of each round.  ``b_i`` is ``None`` only
+    in a last round whose ``d_i`` is empty."""
 
-    ds: Sequence[AbstractElement] = ()
-    bs: Sequence[AbstractElement] = ()
+    rounds: Sequence[tuple[AbstractElement, AbstractElement | None]] = ()
     certs: Sequence[RoundCert] = ()
 
     @property
@@ -159,7 +155,6 @@ class RefinedModel(NamedTuple):
 
 
 class Verdict(NamedTuple):
-    status: str  # "SAFE" or "UNKNOWN"
     witness: RefinedModel
     rounds_used: int
     # Why the rounds ended: "empty_element" (SAFE), "stabilized" (a round
@@ -168,17 +163,11 @@ class Verdict(NamedTuple):
 
     @property
     def safe(self) -> bool:
-        return self.status == "SAFE"
+        return self.stop_reason == "empty_element"
 
-
-def default_goal(system: System, goal: GoalSpec | None = None) -> GoalSpec:
-    """``goal`` if one is given, else the declared goal, else reaching
-    the falsity predicate."""
-    if goal is not None:
-        return goal
-    if system.goal is not None:
-        return system.goal
-    return GoalSpec((GoalEntry(PredApp(system.falsity, ()), TRUE),))
+    @property
+    def status(self) -> str:
+        return "SAFE" if self.safe else "UNKNOWN"
 
 
 def goal_element(system: System, goal: GoalSpec | None = None) -> AbstractElement:
@@ -391,44 +380,44 @@ def alternate(
     """Run the alternating analysis and certify the whole trace.
 
     Round ``i`` computes the forward element ``d_i`` within ``b_{i-1}``
-    and then the backward element ``b_i`` within ``d_i``.  SAFE means
-    some element became empty, which proves the goal unreachable;
-    otherwise UNKNOWN is returned once a round repeats the previous one
-    or the round budget runs out.  The trace is then certified against
-    the goal element, reusing the run's clause table, and a refined
-    model is composed from it.
+    (top in round 1) and then the backward element ``b_i`` within
+    ``d_i``; ``config.start`` "backward" takes top for ``d_1``, and
+    "coarse" also :func:`coarse_backward` for ``b_1``.  SAFE means some
+    element became empty, which proves the goal unreachable; its trace
+    ends with the round ``(empty d, None)``.  UNKNOWN is returned once a
+    round repeats the previous one or the round budget runs out.  The
+    trace is certified against the goal element, reusing the run's
+    clause table, and a refined model is composed from it.
     """
     spec = default_goal(system, goal)
     g = goal_element(system, spec)
-    backward_start = config.start_direction == "backward" or config.coarse_first
     results = ClauseResults(system)
-    top = AbstractElement.top(system)
-    ds: list[AbstractElement] = []
-    bs = [top]
+    b = top = AbstractElement.top(system)
+    rounds: list[tuple[AbstractElement, AbstractElement | None]] = []
     reason = "round_budget"
     for i in range(1, config.max_rounds + 1):
-        d = top if i == 1 and backward_start else analyze_forward(system, bs[-1], config, results)
-        ds.append(d)
+        forward = i > 1 or config.start == "forward"
+        d = analyze_forward(system, b, config, results) if forward else top
         if d.is_bottom:
+            rounds.append((d, None))
             reason = "empty_element"
             break
-        if i == 1 and config.coarse_first:
+        if i == 1 and config.start == "coarse":
             b = _coarse_element(system, spec).meet(d)
         else:
             b = analyze_backward(system, g, d, config, results)
-        bs.append(b)
+        rounds.append((d, b))
         if b.is_bottom:
             # The next forward pass would be empty.
-            ds.append(AbstractElement.bottom(system))
+            rounds.append((AbstractElement.bottom(system), None))
             reason = "empty_element"
             break
-        if i >= 2 and d == ds[-2] and b == bs[-2]:
+        if i >= 2 and rounds[-1] == rounds[-2]:
             reason = "stabilized"
             break
-    trace = AlternationTrace(tuple(ds), tuple(bs))
+    trace = AlternationTrace(tuple(rounds))
     trace = trace._replace(certs=tuple(certify_trace(system, g, trace, results)))
-    status = "SAFE" if reason == "empty_element" else "UNKNOWN"
-    return trace, Verdict(status, refined_model(trace), i, reason)
+    return trace, Verdict(refined_model(trace), i, reason)
 
 
 def certify_trace(
@@ -439,20 +428,21 @@ def certify_trace(
 ) -> list[RoundCert]:
     """Exact per-round inclusion checks of the alternation laws.
 
-    The forward and backward laws evaluate the flows the analyses
-    iterate, so a law holds exactly when the round's element is a
-    post-fixpoint of its flow.  They look clause results up in
-    ``results``, the table of the run that computed the trace, or in a
-    fresh table when none is given.  A table of another system raises
+    Round ``(d, b)`` is checked with the previous round's ``b`` as the
+    forward restriction (top in round 1); a round ``(d, None)`` has only
+    its forward law checked.  The forward and backward laws evaluate the
+    flows the analyses iterate, so a law holds exactly when the round's
+    element is a post-fixpoint of its flow.  They look clause results up
+    in ``results``, the table of the run that computed the trace, or in
+    a fresh table when none is given.  A table of another system raises
     :class:`ValueError`.
     """
     results = ClauseResults.of(system, results)
     bottom = AbstractElement.bottom(system)
+    b_prev = AbstractElement.top(system)
     certs: list[RoundCert] = []
-    for i, d in enumerate(trace.ds, start=1):
-        b_prev = trace.bs[i - 1]
+    for d, b in trace.rounds:
         forward_ok = _closed(forward_flow(results, b_prev), d)
-        b = trace.bs[i] if i < len(trace.bs) else None
         if b is None:
             certs.append(RoundCert(forward_law=forward_ok))
             continue
@@ -460,6 +450,7 @@ def certify_trace(
         backward_ok = _closed(backward_flow(results, bottom, d), b)
         chain_ok = b.leq(d) and d.leq(b_prev)
         certs.append(RoundCert(forward_ok, seed_ok, backward_ok, chain_ok))
+        b_prev = b
     return certs
 
 
@@ -473,15 +464,16 @@ def refined_model(trace: AlternationTrace) -> RefinedModel:
     for every earlier round, what the forward element covered beyond
     the matching backward element (those tuples cannot reach the goal,
     so keeping all of them preserves model-ness)."""
-    k = len(trace.ds)
-    layers = tuple((trace.ds[i - 1], trace.bs[i]) for i in range(1, k))
-    return RefinedModel(trace.ds[k - 1], layers)
+    return RefinedModel(trace.rounds[-1][0], tuple(trace.rounds[:-1]))
 
 
 class ModelCheckResult(NamedTuple):
-    ok: bool
     violations: tuple[tuple[int, str, str], ...] = ()
     # (clause index, clause text, satisfiable witness cube)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.ok
@@ -508,7 +500,7 @@ def check_model(system: System, model) -> ModelCheckResult:
         witness = sat_cube(conj(parts))
         if witness is not None:
             violations.append((idx, format_clause(clause), str(witness)))
-    return ModelCheckResult(not violations, tuple(violations))
+    return ModelCheckResult(tuple(violations))
 
 
 def goal_disjoint(system: System, model, goal: GoalSpec | None = None) -> bool:

@@ -485,7 +485,7 @@ class System(NamedTuple):
     ``decls`` always contains the distinguished falsity declaration
     (exactly one entry has ``is_false``), even when no integrity
     constraint mentions it.  ``universe`` and ``goal`` are optional; a
-    missing goal means "the falsity atom".
+    missing goal means "the falsity atom" (:func:`default_goal`).
     """
 
     decls: tuple[PredDecl, ...]
@@ -519,6 +519,16 @@ class System(NamedTuple):
 
     def __str__(self) -> str:
         return format_system(self)
+
+
+def default_goal(system: System, goal: GoalSpec | None = None) -> GoalSpec:
+    """``goal`` if one is given, else the declared goal, else reaching
+    the falsity predicate."""
+    if goal is not None:
+        return goal
+    if system.goal is not None:
+        return system.goal
+    return GoalSpec((GoalEntry(PredApp(system.falsity, ()), TRUE),))
 
 
 def param_vars(arity: int) -> tuple[str, ...]:

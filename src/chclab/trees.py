@@ -199,7 +199,10 @@ def check_tree_props(
     intersection of the two tree sets must abstract to the combined
     semantics.  Tree sets are grown until they literally stabilize,
     which is guaranteed for systems without recursive derivations.
+    A negative ``depth_cap`` raises :class:`ValueError`.
     """
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must not be negative, got {depth_cap}")
     rel = ground_relation(system)
     goal_set = goal if goal is not None else goal_atoms(system)
     fwd, fwd_depth = kleene(partial(tree_post, rel, max_trees=max_trees), depth_cap)

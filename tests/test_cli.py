@@ -61,8 +61,7 @@ def test_solve_flags_accepted(capsys):
         ADDITION_LOOPS,
         "--max-rounds", "7",
         "--widen-delay", "3",
-        "--start", "bwd",
-        "--coarse-first",
+        "--start", "coarse",
     )
     assert code == 0
 
@@ -100,24 +99,25 @@ def test_reports_match_golden(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flags",
     [
-        ("--max-rounds", "0"),
-        ("--max-rounds", "-1"),
-        ("--widen-delay", "-1"),
-        ("--descending-passes", "-1"),
+        ("solve", "--max-rounds", "0"),
+        ("solve", "--max-rounds", "-1"),
+        ("solve", "--widen-delay", "-1"),
+        ("solve", "--descending-passes", "-1"),
+        ("trees", "--depth", "-3"),
     ],
 )
 def test_out_of_range_analysis_options_exit_2(capsys, flags):
-    code, _, err = run(capsys, "solve", LADDER, *flags)
+    command, *options = flags
+    code, _, err = run(capsys, command, LADDER, *options)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_fwd_ignores_direction_options(capsys):
     plain = solve_json(capsys, ADDITION_LOOPS, "--mode", "fwd")
-    flagged = solve_json(
-        capsys, ADDITION_LOOPS, "--mode", "fwd", "--start", "bwd", "--coarse-first"
-    )
-    assert flagged == plain
+    for start in ("bwd", "coarse"):
+        flagged = solve_json(capsys, ADDITION_LOOPS, "--mode", "fwd", "--start", start)
+        assert flagged == plain, start
 
 
 def test_false_step_law_exits_1(capsys, monkeypatch):

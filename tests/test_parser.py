@@ -263,6 +263,8 @@ def test_rationals_and_decimals():
         if c.rel is Rel.EQ
     ]
     assert any(abs(c.term.const) == Fraction(1, 2) for c in eqs)
+    signed = parse_system("pred p/1.\nuniverse {-1, 0, 1/2}.\n")
+    assert signed.universe == (Fraction(-1), Fraction(0), Fraction(1, 2))
 
 
 def test_true_literal_is_empty_constraint():
@@ -284,6 +286,13 @@ def test_true_literal_is_empty_constraint():
         ("pred p/1.\np(X) :- X = 1/0.\n", "zero denominator"),
         ("pred p/1.\np(X) :- X * X = 1.\n", "non-linear"),
         ("pred p/1.\ngoal p(X) : Y > 0.\n", "goal constraint"),
+        ("pred p/1.\nuniverse {x}.\n", "expected number"),
+        ("pred p/1.\np(X) :- X <= 1/x.\n", "expected integer denominator"),
+        ("pred p/1.\np(X) :- X <= .\n", "expected term"),
+        ("pred p/1.\np(X) :- X 1.\n", "expected comparator"),
+        ("pred p/1.\np(X) :- (foo).\n", "unexpected identifier"),
+        ("pred p/1.\ngoal 3.\n", "expected clause head"),
+        ("pred p/x.\n", "expected arity"),
     ],
 )
 def test_rejects(text, fragment):
@@ -305,6 +314,13 @@ def test_rejects(text, fragment):
         ("pred p/2.\np(X, Y) :- p(X).\n", 2, 12),
         ("pred p/1.\n\tp(1).\n\tp(X) :- q(X).\n", 3, 10),
         ("pred p/1.\np(X) :- " + "(" * 101 + "X = 0" + ")" * 101 + ".\n", 2, 109),
+        ("pred p/1.\nuniverse {x}.\n", 2, 11),
+        ("pred p/1.\np(X) :- X <= 1/x.\n", 2, 16),
+        ("pred p/1.\np(X) :- X <= .\n", 2, 14),
+        ("pred p/1.\np(X) :- X 1.\n", 2, 11),
+        ("pred p/1.\np(X) :- (foo).\n", 2, 10),
+        ("pred p/1.\ngoal 3.\n", 2, 6),
+        ("pred p/x.\n", 1, 8),
     ],
     ids=[
         "clause",
@@ -317,6 +333,13 @@ def test_rejects(text, fragment):
         "arity",
         "after-tab",
         "nesting",
+        "universe-value",
+        "denominator",
+        "term",
+        "comparator",
+        "identifier",
+        "clause-head",
+        "arity-number",
     ],
 )
 def test_error_carries_position(text, line, col):
@@ -338,3 +361,7 @@ def test_model_rejects_unknown_and_duplicate(addition_loops):
         parse_model("model nosuch : true.\n", addition_loops)
     with pytest.raises(ParseError):
         parse_model("model p1 : true.\nmodel p1 : true.\n", addition_loops)
+    with pytest.raises(ParseError, match="expected predicate name after 'model'"):
+        parse_model("model 3 : true.\n", addition_loops)
+    with pytest.raises(ParseError, match="uses unknown variables"):
+        parse_model("model p : X2 >= 0.\n", parse_system("pred p/1.\n"))

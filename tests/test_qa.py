@@ -206,7 +206,7 @@ def test_backward_pass_matches_the_reversed_system(corpus_systems):
         for budget in (5, 8):
             config = AnalysisConfig(max_rounds=budget)
             trace, _ = alternate(system, config=config)
-            for i, d in enumerate(trace.ds):
+            for i, (d, _) in enumerate(trace.rounds):
                 if d.is_bottom:
                     continue
                 for r in (d, *_one_box_changed(system, d)):

@@ -225,32 +225,33 @@ def test_alternate_trivially_disjoint_goal():
 
 
 def test_alternation_chain_shrinks(addition_loops):
-    # bs[0] is the initial unrestricted top; thereafter b_i <= d_i <= b_{i-1}
+    # b_i <= d_i <= b_{i-1}, with b_0 the initial unrestricted top; only
+    # the last round lacks a b
     trace, _ = alternate(addition_loops)
-    assert trace.bs[0] == AbstractElement.top(addition_loops)
-    for i in range(1, len(trace.bs)):
-        assert trace.bs[i].leq(trace.ds[i - 1])
-        assert trace.ds[i - 1].leq(trace.bs[i - 1])
-    for i in range(1, len(trace.ds)):
-        assert trace.ds[i].leq(trace.bs[min(i, len(trace.bs) - 1)])
+    b_prev = AbstractElement.top(addition_loops)
+    for d, b in trace.rounds[:-1]:
+        assert b.leq(d) and d.leq(b_prev)
+        b_prev = b
+    d, b = trace.rounds[-1]
+    assert b is None and d.leq(b_prev)
 
 
 def _tampered(system, trace, g):
-    """One tampered (ds, bs) per round law, each breaking only that law
-    of round 1 of a one-round trace (d1, b1) plus the empty d2."""
-    assert len(trace.ds) == 2 and len(trace.bs) == 2
+    """One tampered trace per round law, each breaking only that law of
+    round 1 of a trace of the rounds (d1, b1) and (empty d2, None)."""
+    (d1, b1), last = trace.rounds
+    assert last[0].is_bottom and last[1] is None
     top = AbstractElement.top(system)
     bottom = AbstractElement.bottom(system)
-    d1 = trace.ds[0]
     return {
         # a first descent below what the facts derive
-        "forward_law": ([bottom, *trace.ds[1:]], trace.bs),
+        "forward_law": [(bottom, b1), last],
         # a backward element without the goal
-        "seed_law": (trace.ds, [top, bottom]),
+        "seed_law": [(d1, bottom), last],
         # the goal seed alone, without the atoms that reach it
-        "backward_law": (trace.ds, [top, g.meet(d1)]),
+        "backward_law": [(d1, g.meet(d1)), last],
         # a backward element outside the forward one
-        "chain_law": (trace.ds, [top, top]),
+        "chain_law": [(d1, top), last],
     }
 
 
@@ -259,8 +260,8 @@ def test_certify_trace_detects_tampering(addition_loops):
     g = goal_element(addition_loops)
     good = certify_trace(addition_loops, g, trace)
     assert all(c.ok for c in good)
-    for law, (ds, bs) in _tampered(addition_loops, trace, g).items():
-        bad = certify_trace(addition_loops, g, AlternationTrace(ds=ds, bs=bs))
+    for law, rounds in _tampered(addition_loops, trace, g).items():
+        bad = certify_trace(addition_loops, g, AlternationTrace(rounds))
         assert not getattr(bad[0], law), law
 
 
@@ -287,8 +288,8 @@ def test_certify_trace_detects_tampering_with_warm_results(addition_loops, ladde
     assert warm is not None and warm.system is addition_loops
     g = goal_element(addition_loops)
     assert all(c.ok for c in certify_trace(addition_loops, g, trace))
-    for law, (ds, bs) in _tampered(addition_loops, trace, g).items():
-        bad = certify_trace(addition_loops, g, AlternationTrace(ds=ds, bs=bs), warm)
+    for law, rounds in _tampered(addition_loops, trace, g).items():
+        bad = certify_trace(addition_loops, g, AlternationTrace(rounds), warm)
         assert not getattr(bad[0], law), law
     with pytest.raises(ValueError):  # a table of another system
         certify_trace(ladder, goal_element(ladder), AlternationTrace(), warm)
@@ -298,9 +299,9 @@ def test_certify_trace_detects_tampering_with_warm_results(addition_loops, ladde
         analyze_backward(ladder, goal_element(ladder), None, AnalysisConfig(), warm)
     # the table only shares results: each analysis gives what a fresh one does
     d = analyze_forward(addition_loops)
-    assert analyze_forward(addition_loops, None, AnalysisConfig(), warm) == d == trace.ds[0]
+    assert analyze_forward(addition_loops, None, AnalysisConfig(), warm) == d == trace.rounds[0][0]
     b = analyze_backward(addition_loops, g, d)
-    assert analyze_backward(addition_loops, g, d, AnalysisConfig(), warm) == b == trace.bs[1]
+    assert analyze_backward(addition_loops, g, d, AnalysisConfig(), warm) == b == trace.rounds[0][1]
 
 
 def _one_box_changed(system, elem):
@@ -320,8 +321,8 @@ def test_flow_memo_matches_direct_transformers():
         system = parse_system(fuzz_text(seed))
         trace, _, results = run_with_results(system)
         g = goal_element(system)
-        for i, d in enumerate(trace.ds, start=1):
-            b_prev = trace.bs[i - 1]
+        b_prev = AbstractElement.top(system)
+        for i, (d, b) in enumerate(trace.rounds, start=1):
             pairs = [(b_prev, d)]
             pairs += [(r, d) for r in _one_box_changed(system, b_prev)]
             pairs += [(b_prev, e) for e in _one_box_changed(system, d)]
@@ -334,9 +335,8 @@ def test_flow_memo_matches_direct_transformers():
                         if clause.head.pred.name == p:
                             direct = direct.join(clause_post(clause, e))
                     assert flow(p, e) == direct.meet(r.get(p)), (seed, i, p)
-            if i == len(trace.bs):
+            if b is None:
                 continue
-            b = trace.bs[i]
             pairs = [(d, b)]
             pairs += [(r, b) for r in _one_box_changed(system, d)]
             pairs += [(d, e) for e in _one_box_changed(system, b)]
@@ -350,6 +350,7 @@ def test_flow_memo_matches_direct_transformers():
                             if app.pred.name == p:
                                 direct = direct.join(clause_pre_restricted(clause, j, r, e))
                     assert flow(p, e) == direct, (seed, i, p)
+            b_prev = b
 
 
 def test_no_clause_results_outlive_a_call(monkeypatch, addition_loops):
@@ -393,8 +394,8 @@ def test_safe_models_are_goal_disjoint(corpus_systems):
 def test_refined_model_layers_compose(addition_loops):
     trace, verdict = alternate(addition_loops)
     rm = refined_model(trace)
-    assert rm.final == trace.ds[-1]
-    assert len(rm.layers) == len(trace.ds) - 1
+    assert rm.final == trace.rounds[-1][0]
+    assert rm.layers == tuple(trace.rounds[:-1])
     # the witness carried by the verdict is the same construction
     assert verdict.witness.as_dict().keys() == rm.as_dict().keys()
 
@@ -554,7 +555,7 @@ def test_goal_disjoint_requires_empty_overlap(ladder):
 def test_max_rounds_cap_respected(ladder):
     trace, verdict = alternate(ladder, config=AnalysisConfig(max_rounds=1))
     assert verdict.rounds_used <= 1
-    assert len(trace.ds) <= 1
+    assert len(trace.rounds) <= 1
 
 
 def test_more_rounds_never_lose_safety(corpus_systems):
@@ -568,14 +569,14 @@ def test_more_rounds_never_lose_safety(corpus_systems):
 
 
 def test_backward_start_direction(addition_loops):
-    config = AnalysisConfig(start_direction="backward")
+    config = AnalysisConfig(start="backward")
     trace, verdict = alternate(addition_loops, config=config)
     assert verdict.status == "SAFE"
     assert trace.certified
 
 
 def test_coarse_first_sound(corpus_systems):
-    config = AnalysisConfig(coarse_first=True)
+    config = AnalysisConfig(start="coarse")
     for name, system in corpus_systems:
         trace, verdict = alternate(system, config=config)
         model = verdict.witness.as_dict()
@@ -590,7 +591,7 @@ def test_coarse_first_sound(corpus_systems):
         {"max_rounds": 0},
         {"widening_delay": -1},
         {"descending_passes": -1},
-        {"start_direction": "sideways"},
+        {"start": "sideways"},
     ],
 )
 def test_config_rejects_out_of_range_values(fields):
@@ -604,7 +605,7 @@ def test_config_rejects_out_of_range_values(fields):
         {"max_rounds": 0},
         {"widening_delay": -1},
         {"descending_passes": -1},
-        {"start_direction": "sideways"},
+        {"start": "sideways"},
     ],
 )
 def test_config_copies_are_checked(fields):
@@ -612,9 +613,9 @@ def test_config_copies_are_checked(fields):
     # must check the values it changes as the constructor does.
     with pytest.raises(ValueError):
         AnalysisConfig()._replace(**fields)
-    copy = AnalysisConfig(max_rounds=3)._replace(start_direction="backward")
+    copy = AnalysisConfig(max_rounds=3)._replace(start="backward")
     assert type(copy) is AnalysisConfig
-    assert copy == AnalysisConfig(max_rounds=3, start_direction="backward")
+    assert copy == AnalysisConfig(max_rounds=3, start="backward")
 
 
 def test_records_hash_as_the_tuple_of_their_fields(ladder):
@@ -645,13 +646,13 @@ def test_records_hash_as_the_tuple_of_their_fields(ladder):
         app,
         RawClause((), TRUE, app),
         *dependency_order(ladder),
-        trace.ds[0].get("p"),
-        trace.ds[0],
+        trace.rounds[0][0].get("p"),
+        trace.rounds[0][0],
         AnalysisConfig(),
         *trace.certs,
         verdict.witness,
         verdict,
-        solver.ModelCheckResult(True),
+        solver.ModelCheckResult(()),
         qa.pairs[0],
         qa,
         consequence,
