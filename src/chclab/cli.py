@@ -7,7 +7,9 @@ Subcommands: ``solve`` (abstract analyses, JSON or text reports),
 
 Exit codes: 0 success/SAFE, 1 failed check (for ``solve``: a false
 certificate), 2 bad input or an unwritable output path, 3 resource cap
-exceeded, 10 UNKNOWN verdict.
+exceeded, 10 UNKNOWN verdict (for ``trees --check-props``: no check
+failed, but one was skipped).  Input files are UTF-8, with or without a
+leading byte order mark.
 
 The oracles, the tree semantics and the query-answer analyses are
 imported by the subcommands and modes that use them, so ``chclab solve``
@@ -52,7 +54,7 @@ def _print(*args, **kwargs) -> None:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc.strerror or exc}")
@@ -218,6 +220,8 @@ def cmd_trees(args) -> int:
     _print(f"backward trees: {report.backward_count} (stable depth {report.backward_depth})")
     if args.check_props and not report.all_ok:
         return EXIT_CHECK_FAILED
+    if args.check_props and not report.all_pass:
+        return EXIT_UNKNOWN
     return EXIT_OK
 
 

@@ -22,19 +22,27 @@ argument positions hold pairwise-distinct variables, introducing fresh
 variables and equality conjuncts for constants, compound terms and
 repeated variables.
 
-The text is tokenized in one pass of the token pattern.  A token keeps
-only its offset in the text; :func:`error_at` turns an offset into the
-line and column of a :class:`ParseError` when one is raised, and a
-character no token matches is reported at its own offset.  Both sides
-of a comparison are summed into one table of coefficients, integer
-literals staying ``int``, so each constraint and each argument term
-builds its ``LinTerm`` once.
+The text is tokenized by one ``findall`` of the token pattern, blanks and
+comments included, and the running sum of the token lengths gives each
+token's offset.  A sum short of the text's length means that some
+character matches no token; only then does a ``finditer`` pass of the
+same pattern find it, to report it at its own offset.  Blanks and
+comments are then dropped, and the descent walks the token strings with
+an index, telling a token's kind by its first character as the pattern
+does: a decimal digit (``str.isdecimal``, which is ``\\d``) starts a
+number, an ASCII letter an identifier or a variable, anything else an
+operator.  :func:`error_at` turns an offset into the line and column of
+a :class:`ParseError` when one is raised.  Both sides of a comparison
+are summed into one table of coefficients, integer literals staying
+``int``, so each constraint and each argument term builds its
+``LinTerm`` once, and a bare variable argument is kept as its name.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .syntax import (
@@ -74,19 +82,14 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT | VAR | NUM | OP | EOF
-    text: str
-    offset: int  # where the token starts in the text
-
-
+# Blanks and comments, numbers, identifiers and variables, operators.  No
+# alternative matches the empty string.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<SKIP>\s+|\#[^\n]*)
-  | (?P<NUM>\d+(?:\.\d+)?)
-  | (?P<IDENT>[a-z][A-Za-z0-9_]*)
-  | (?P<VAR>[A-Z][A-Za-z0-9_]*)
-  | (?P<OP>:-|<=|>=|!=|[.,;:(){}+\-*/=<>])
+    \s+ | \#[^\n]*
+  | \d+(?:\.\d+)?
+  | [A-Za-z][A-Za-z0-9_]*
+  | :- | <= | >= | != | [.,;:(){}+\-*/=<>]
     """,
     re.VERBOSE,
 )
@@ -98,20 +101,24 @@ def error_at(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - start + 1)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    end = 0
-    for m in _TOKEN_RE.finditer(text):
-        pos, nxt = m.span()
-        if pos != end:
-            break
-        end = nxt
-        if m.lastgroup != "SKIP":
-            tokens.append(Token(m.lastgroup, m.group(), pos))
-    if end < len(text):
+def tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of ``text`` without blanks and comments, and the offset
+    of each, both ending in the end-of-input token ``""`` at ``len(text)``."""
+    parts = _TOKEN_RE.findall(text)
+    starts = list(accumulate(map(len, parts), initial=0))
+    if starts[-1] != len(text):
+        end = 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != end:
+                break
+            end = m.end()
         raise error_at(text, end, f"unexpected character {text[end]!r}")
-    tokens.append(Token("EOF", "", end))
-    return tokens
+    keep = [not (p.isspace() or p[0] == "#") for p in parts]
+    tokens = list(compress(parts, keep))
+    offsets = list(compress(starts, keep))
+    tokens.append("")
+    offsets.append(len(text))
+    return tokens, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +128,7 @@ def tokenize(text: str) -> list[Token]:
 
 class RawApp(NamedTuple):
     pred: PredDecl
-    args: tuple[LinTerm, ...]
+    args: tuple[str | LinTerm, ...]  # a bare variable argument is its name
 
 
 class RawClause(NamedTuple):
@@ -130,7 +137,10 @@ class RawClause(NamedTuple):
     head: RawApp
 
 
-def _fresh_names(used: set[str]):
+def _fresh_names(raw: RawClause):
+    """Variable names ``V0``, ``V1``, ... that ``raw`` does not use.  The
+    names ``raw`` uses are collected when the first one is asked for."""
+    used = _raw_vars(raw)
     i = 0
     while True:
         name = f"V{i}"
@@ -152,7 +162,10 @@ def _raw_vars(raw: RawClause) -> set[str]:
     vs = set(formula_vars(raw.constraint))
     for app in (*raw.body, raw.head):
         for t in app.args:
-            vs.update(t.vars)
+            if isinstance(t, str):
+                vs.add(t)
+            else:
+                vs.update(t.vars)
     return vs
 
 
@@ -167,41 +180,47 @@ def normalize_clause(raw: RawClause) -> Clause:
     for app in raw.body:
         if app.pred.is_false:
             raise ValueError("the falsity predicate cannot appear in a clause body")
-    used = _raw_vars(raw)
-    fresh = _fresh_names(used)
+    fresh = _fresh_names(raw)
     seen: set[str] = set()
     extra: list[Formula] = []
-
-    def norm_app(app: RawApp) -> PredApp:
+    apps: list[PredApp] = []
+    for app in (*raw.body, raw.head):
         out: list[str] = []
         for term in app.args:
-            v = term.as_var()
-            if v is not None and v not in seen:
-                seen.add(v)
-                out.append(v)
-            else:
-                w = next(fresh)
-                seen.add(w)
-                # ``w - term = 0``; ``w`` is fresh, so no coefficient merges.
-                coeffs = sorted([(w, Fraction(1)), *((v, -c) for v, c in term.coeffs)])
-                extra.append(Lin(LinConstraint(LinTerm(tuple(coeffs), -term.const), Rel.EQ)))
-                out.append(w)
-        return PredApp(app.pred, tuple(out))
+            v = term if isinstance(term, str) else term.as_var()
+            if v is None or v in seen:
+                v = next(fresh)
+                extra.append(_equals(v, term))
+            seen.add(v)
+            out.append(v)
+        apps.append(PredApp(app.pred, tuple(out)))
+    head = apps.pop()
+    return Clause(body=tuple(apps), constraint=conj([raw.constraint, *extra]), head=head)
 
-    body = tuple(norm_app(a) for a in raw.body)
-    head = norm_app(raw.head)
-    return Clause(body=body, constraint=conj([raw.constraint, *extra]), head=head)
+
+def _equals(w: str, term: str | LinTerm) -> Formula:
+    """``w = term`` for a fresh variable ``w``, stored as ``w - term = 0``."""
+    if isinstance(term, str):
+        term = LinTerm.var(term)
+    # ``w`` is fresh, so no coefficient merges.
+    coeffs = sorted([(w, Fraction(1)), *((v, -c) for v, c in term.coeffs)])
+    return Lin(LinConstraint(LinTerm(tuple(coeffs), -term.const), Rel.EQ))
 
 
 # ---------------------------------------------------------------------------
 # Parser proper
 # ---------------------------------------------------------------------------
 
+# A token's kind follows from its first character, as in ``_TOKEN_RE``:
+# ``t[:1].isdecimal()`` for a number, ``"a" <= t < "{"`` for an identifier
+# and ``"A" <= t < "["`` for a variable (``{`` and ``[`` follow ``z`` and
+# ``Z``).  The end-of-input token ``""`` is none of them.
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens, self.offsets = tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses around the current constraint
         self.decls: list[PredDecl] = []
@@ -210,74 +229,66 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
     def at(self, text: str) -> bool:
-        # ``text`` is never empty, so the EOF token never matches.
-        return self.tokens[self.pos].text == text
+        # ``text`` is never empty, so the end of input never matches.
+        return self.tokens[self.pos] == text
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         t = self.tokens[self.pos]
-        if t.text != text:
-            got = t.text or "end of input"
-            raise self.fail(f"expected {text!r}, found {got!r}")
-        return self.next()
+        if t != text:
+            raise self.fail(f"expected {text!r}, found {t or 'end of input'!r}")
+        self.pos += 1
 
-    def fail(self, message: str, t: Token | None = None) -> ParseError:
-        """A :class:`ParseError` at token ``t``, by default the next one."""
-        return error_at(self.text, (t or self.peek()).offset, message)
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """A :class:`ParseError` at the token with index ``at``, by default
+        the next one."""
+        return error_at(self.text, self.offsets[self.pos if at is None else at], message)
 
     # -- terms and formulas -------------------------------------------------
 
     def parse_rat(self) -> int | Fraction:
         """A number: an ``int`` for an integer literal, else a ``Fraction``."""
-        t = self.peek()
-        if t.kind != "NUM":
-            raise self.fail(f"expected number, found {t.text!r}")
-        self.next()
+        t = self.tokens[self.pos]
+        if not t[:1].isdecimal():
+            raise self.fail(f"expected number, found {t!r}")
+        self.pos += 1
         if not self.at("/"):
-            return Fraction(t.text) if "." in t.text else int(t.text)
-        if "." in t.text:
-            raise self.fail("decimal numerator in rational", t)
-        self.next()
-        d = self.peek()
-        if d.kind != "NUM" or "." in d.text:
+            return Fraction(t) if "." in t else int(t)
+        if "." in t:
+            raise self.fail("decimal numerator in rational", self.pos - 1)
+        self.pos += 1
+        d = self.tokens[self.pos]
+        if not d[:1].isdecimal() or "." in d:
             raise self.fail("expected integer denominator")
-        self.next()
-        if int(d.text) == 0:
-            raise self.fail("zero denominator", d)
-        return Fraction(int(t.text), int(d.text))
+        self.pos += 1
+        if int(d) == 0:
+            raise self.fail("zero denominator", self.pos - 1)
+        return Fraction(int(t), int(d))
 
     def add_factor(self, acc: dict[str, int | Fraction], sign: int) -> None:
-        t = self.peek()
-        if t.kind == "NUM":
+        t = self.tokens[self.pos]
+        if t[:1].isdecimal():
             value = self.parse_rat()
             name = ""
             if self.at("*"):
-                self.next()
-                v = self.peek()
-                if v.kind != "VAR":
+                self.pos += 1
+                name = self.tokens[self.pos]
+                if not "A" <= name < "[":
                     raise self.fail("expected variable after '*'")
-                self.next()
-                name = v.text
-        elif t.kind == "VAR":
-            self.next()
-            name, value = t.text, 1
+                self.pos += 1
+        elif "A" <= t < "[":
+            self.pos += 1
+            name, value = t, 1
             if self.at("*"):
-                self.next()
-                n = self.peek()
-                if n.kind == "VAR":
-                    raise self.fail("non-linear term (variable product)", n)
+                self.pos += 1
+                if "A" <= self.tokens[self.pos] < "[":
+                    raise self.fail("non-linear term (variable product)")
                 value = self.parse_rat()
         else:
-            raise self.fail(f"expected term, found {t.text or 'end of input'!r}")
+            raise self.fail(f"expected term, found {t or 'end of input'!r}")
         acc[name] = acc.get(name, 0) + sign * value
 
     def add_linterm(self, acc: dict[str, int | Fraction], sign: int) -> None:
@@ -285,15 +296,21 @@ class _Parser:
         each variable to its coefficient and ``""`` to the constant."""
         op = "+"
         if self.at("-"):
-            op = self.next().text
+            self.pos += 1
+            op = "-"
         while True:
             self.add_factor(acc, sign if op == "+" else -sign)
-            op = self.tokens[self.pos].text
+            op = self.tokens[self.pos]
             if op != "+" and op != "-":
                 return
-            self.next()
+            self.pos += 1
 
-    def parse_linterm(self) -> LinTerm:
+    def parse_arg(self) -> str | LinTerm:
+        """A predicate argument: a bare variable is kept as its name."""
+        t = self.tokens[self.pos]
+        if "A" <= t < "[" and self.tokens[self.pos + 1] in (",", ")"):
+            self.pos += 1
+            return t
         acc: dict[str, int | Fraction] = {}
         self.add_linterm(acc, 1)
         return _linterm(acc, 1)
@@ -306,43 +323,43 @@ class _Parser:
     def parse_comparison(self) -> Formula:
         acc: dict[str, int | Fraction] = {}
         self.add_linterm(acc, 1)
-        t = self.peek()
-        if t.text not in self._RELS:
-            raise self.fail(f"expected comparator, found {t.text or 'end of input'!r}")
-        rel, sign = self._RELS[t.text]
-        self.next()
+        t = self.tokens[self.pos]
+        if t not in self._RELS:
+            raise self.fail(f"expected comparator, found {t or 'end of input'!r}")
+        rel, sign = self._RELS[t]
+        self.pos += 1
         self.add_linterm(acc, -1)
         term = _linterm(acc, sign)
-        if t.text == "!=":
+        if t == "!=":
             return disj([Lin(LinConstraint(term, rel)), Lin(LinConstraint(-term, rel))])
         return Lin(LinConstraint(term, rel))
 
     def parse_cprim(self) -> Formula:
-        t = self.peek()
-        if t.text == "(":
+        t = self.tokens[self.pos]
+        if t == "(":
             if self.depth == MAX_NESTING:
                 raise self.fail(f"parentheses nested deeper than {MAX_NESTING} levels")
-            self.next()
+            self.pos += 1
             self.depth += 1
             f = self.parse_cform()
             self.depth -= 1
             self.expect(")")
             return f
-        if t.kind == "IDENT" and t.text == "true":
-            self.next()
+        if t == "true":
+            self.pos += 1
             return TRUE
-        if t.kind == "IDENT" and t.text == "false":
-            self.next()
+        if t == "false":
+            self.pos += 1
             return FALSE
-        if t.kind == "IDENT":
-            raise self.fail(f"unexpected identifier {t.text!r} in constraint")
+        if "a" <= t < "{":
+            raise self.fail(f"unexpected identifier {t!r} in constraint")
         return self.parse_comparison()
 
     def chain(self, sep: str, item, combine):
         """``combine`` of the list of one or more ``item()`` separated by ``sep``."""
         items = [item()]
         while self.at(sep):
-            self.next()
+            self.pos += 1
             items.append(item())
         return combine(items)
 
@@ -352,60 +369,62 @@ class _Parser:
 
     # -- predicates ----------------------------------------------------------
 
-    def lookup(self, name: str, tok: Token) -> PredDecl:
+    def lookup(self, name: str, at: int) -> PredDecl:
         decl = self.by_name.get(name)
         if decl is None:
-            raise self.fail(f"use of undeclared predicate {name!r}", tok)
+            raise self.fail(f"use of undeclared predicate {name!r}", at)
         return decl
 
     def parse_predapp(self) -> RawApp:
-        t = self.peek()
-        if t.kind != "IDENT":
+        at = self.pos
+        t = self.tokens[at]
+        if not "a" <= t < "{":
             raise self.fail("expected predicate name")
-        self.next()
-        decl = self.lookup(t.text, t)
-        args: tuple[LinTerm, ...] = ()
+        self.pos += 1
+        decl = self.lookup(t, at)
+        args: tuple[str | LinTerm, ...] = ()
         if self.at("("):
-            self.next()
-            args = self.chain(",", self.parse_linterm, tuple)
+            self.pos += 1
+            args = self.chain(",", self.parse_arg, tuple)
             self.expect(")")
         if len(args) != decl.arity:
             raise self.fail(
                 f"predicate {decl.name!r} expects {decl.arity} argument(s), got {len(args)}",
-                t,
+                at,
             )
         return RawApp(decl, args)
 
     def parse_head(self) -> RawApp:
-        t = self.peek()
-        if t.kind == "IDENT" and t.text == FALSITY_NAME:
-            self.next()
+        t = self.tokens[self.pos]
+        if t == FALSITY_NAME:
+            self.pos += 1
             return RawApp(self.falsity, ())
-        if t.kind != "IDENT":
-            raise self.fail(f"expected clause head, found {t.text or 'end of input'!r}")
+        if not "a" <= t < "{":
+            raise self.fail(f"expected clause head, found {t or 'end of input'!r}")
         return self.parse_predapp()
 
     # -- statements ----------------------------------------------------------
 
     def parse_decl(self) -> PredDecl:
         self.expect("pred")
-        t = self.peek()
-        if t.kind != "IDENT":
+        at = self.pos
+        t = self.tokens[at]
+        if not "a" <= t < "{":
             raise self.fail("expected predicate name after 'pred'")
-        if t.text in KEYWORDS:
-            raise self.fail(f"{t.text!r} is reserved", t)
-        self.next()
+        if t in KEYWORDS:
+            raise self.fail(f"{t!r} is reserved")
+        self.pos += 1
         self.expect("/")
-        n = self.peek()
-        if n.kind != "NUM" or "." in n.text:
+        n = self.tokens[self.pos]
+        if not n[:1].isdecimal() or "." in n:
             raise self.fail("expected arity (a natural number)")
-        self.next()
+        self.pos += 1
         self.expect(".")
-        if t.text in self.by_name:
-            raise self.fail(f"predicate {t.text!r} declared twice", t)
-        decl = PredDecl(t.text, int(n.text))
+        if t in self.by_name:
+            raise self.fail(f"predicate {t!r} declared twice", at)
+        decl = PredDecl(t, int(n))
         self.decls.append(decl)
-        self.by_name[t.text] = decl
+        self.by_name[t] = decl
         return decl
 
     def parse_universe(self) -> list[Fraction]:
@@ -418,17 +437,17 @@ class _Parser:
 
     def _signed_rat(self) -> Fraction:
         if self.at("-"):
-            self.next()
+            self.pos += 1
             return -Fraction(self.parse_rat())
         return Fraction(self.parse_rat())
 
-    def parse_goal(self) -> tuple[Token, RawApp, Formula]:
-        keyword = self.peek()
+    def parse_goal(self) -> tuple[int, RawApp, Formula]:
+        keyword = self.pos
         self.expect("goal")
         app = self.parse_head()
         guard: Formula = TRUE
         if self.at(":"):
-            self.next()
+            self.pos += 1
             guard = self.parse_cform()
         self.expect(".")
         return keyword, app, guard
@@ -438,19 +457,19 @@ class _Parser:
         body: list[RawApp] = []
         items: list[Formula] = []
         if self.at(":-"):
-            self.next()
+            self.pos += 1
             while True:
-                t = self.peek()
-                if t.kind == "IDENT" and t.text == FALSITY_NAME:
-                    raise self.fail("the falsity predicate cannot appear in a clause body", t)
-                if t.kind == "IDENT" and t.text != "true":
+                t = self.tokens[self.pos]
+                if t == FALSITY_NAME:
+                    raise self.fail("the falsity predicate cannot appear in a clause body")
+                if "a" <= t < "{" and t != "true":
                     body.append(self.parse_predapp())
                 else:
                     # One body item: a ";"-chain of primaries.  Top-level
                     # commas belong to the clause body.
                     items.append(self.chain(";", self.parse_cprim, disj))
                 if self.at(","):
-                    self.next()
+                    self.pos += 1
                     continue
                 break
         self.expect(".")
@@ -458,22 +477,21 @@ class _Parser:
 
     def parse_system(self) -> System:
         raw_clauses: list[RawClause] = []
-        raw_goals: list[tuple[Token, RawApp, Formula]] = []
+        raw_goals: list[tuple[int, RawApp, Formula]] = []
         universe: list[Fraction] | None = None
-        while self.peek().kind != "EOF":
-            t = self.peek()
-            if t.kind == "IDENT" and t.text == "pred":
+        while t := self.tokens[self.pos]:
+            if t == "pred":
                 self.parse_decl()
-            elif t.kind == "IDENT" and t.text == "universe":
+            elif t == "universe":
                 if universe is not None:
-                    raise self.fail("duplicate universe declaration", t)
+                    raise self.fail("duplicate universe declaration")
                 universe = self.parse_universe()
-            elif t.kind == "IDENT" and t.text == "goal":
+            elif t == "goal":
                 raw_goals.append(self.parse_goal())
-            elif t.kind == "IDENT":
+            elif "a" <= t < "{":
                 raw_clauses.append(self.parse_clause())
             else:
-                raise self.fail(f"unexpected token {t.text!r}")
+                raise self.fail(f"unexpected token {t!r}")
         decls = tuple([*self.decls, self.falsity])
         clauses = tuple(normalize_clause(rc) for rc in raw_clauses)
         goal = None
@@ -482,7 +500,7 @@ class _Parser:
         uni = tuple(sorted(set(universe))) if universe is not None else None
         return System(decls=decls, clauses=clauses, universe=uni, goal=goal)
 
-    def _normalize_goal(self, keyword: Token, app: RawApp, guard: Formula) -> GoalEntry:
+    def _normalize_goal(self, keyword: int, app: RawApp, guard: Formula) -> GoalEntry:
         # Reuse clause normalization on a synthetic body-less clause.
         raw = RawClause((), guard, app)
         norm = normalize_clause(raw)
@@ -511,28 +529,29 @@ def parse_model(text: str, system: System) -> dict[str, Formula]:
     p = _Parser(text)
     p.by_name = {d.name: d for d in system.decls if not d.is_false}
     out: dict[str, Formula] = {}
-    while p.peek().kind != "EOF":
+    while p.peek():
         p.expect("model")
+        at = p.pos
         t = p.peek()
-        if t.kind != "IDENT":
+        if not "a" <= t < "{":
             raise p.fail("expected predicate name after 'model'")
-        p.next()
-        if t.text == FALSITY_NAME:
+        p.pos += 1
+        if t == FALSITY_NAME:
             decl = system.falsity
         else:
-            decl = p.lookup(t.text, t)
+            decl = p.lookup(t, at)
         p.expect(":")
         f = p.parse_cform()
         p.expect(".")
         if decl.name in out:
-            raise p.fail(f"duplicate model entry for {decl.name!r}", t)
+            raise p.fail(f"duplicate model entry for {decl.name!r}", at)
         allowed = set(param_vars(decl.arity))
         extra = formula_vars(f) - allowed
         if extra:
             raise p.fail(
                 f"model formula for {decl.name!r} uses unknown variables "
                 f"{', '.join(sorted(extra))} (parameters are X1..X{decl.arity})",
-                t,
+                at,
             )
         out[decl.name] = f
     for d in system.decls:

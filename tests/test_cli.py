@@ -227,6 +227,30 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def _with_bom(tmp_path, path) -> str:
+    """A copy of ``path`` that starts with the UTF-8 byte order mark."""
+    copy = tmp_path / f"bom-{path.name}"
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return str(copy)
+
+
+@pytest.mark.parametrize("name", ["ladder.chc", "addition_loops.chc", "stress/rounds.chc"])
+def test_solve_reads_a_leading_byte_order_mark(tmp_path, capsys, name):
+    plain = solve_json(capsys, str(CORPUS / name))
+    marked = solve_json(capsys, _with_bom(tmp_path, CORPUS / name))
+    assert marked.pop("file") != plain.pop("file")
+    assert marked == plain
+
+
+@pytest.mark.parametrize("name", ["ladder.chc", "addition_loops.chc"])
+def test_check_reads_a_leading_byte_order_mark(tmp_path, capsys, name):
+    model = tmp_path / "model"
+    run(capsys, "solve", str(CORPUS / name), "--model-out", str(model))
+    system = _with_bom(tmp_path, CORPUS / name)
+    code, out, err = run(capsys, "check", system, _with_bom(tmp_path, model))
+    assert code == 0 and out.startswith("PASS") and err == ""
+
+
 def test_model_out_round_trips_through_check(tmp_path, capsys):
     model = tmp_path / "addition_loops.model"
     code, _, _ = run(capsys, "solve", ADDITION_LOOPS, "--model-out", str(model))
@@ -276,6 +300,13 @@ def test_trees_check_props(capsys):
     lines = out.splitlines()
     assert lines[:3] == ["forward PASS", "backward PASS", "combined PASS"]
     assert lines[3].startswith("forward trees: 4")
+
+
+def test_trees_check_props_below_the_stable_depth_exits_10(capsys):
+    # Nothing failed, but nothing was checked either: that is no pass.
+    code, out, _ = run(capsys, "trees", LADDER, "--depth", "1", "--check-props")
+    assert code == 10
+    assert out.splitlines()[:3] == ["forward SKIPPED", "backward SKIPPED", "combined SKIPPED"]
 
 
 def test_trees_counts_only_by_default(capsys):

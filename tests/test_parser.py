@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 import formula_reference
+import tokenize_reference
 from chclab import ParseError, parse_model, parse_system
 from chclab.linlogic import to_dnf
+from chclab.parser import tokenize
 from chclab.randgen import random_acyclic_text, random_finite_text
 from chclab.solver import alternate
 from chclab.syntax import (
@@ -30,6 +32,7 @@ from chclab.syntax import (
     negate_formula,
     rename_formula,
 )
+from conftest import CORPUS
 from test_solver import fuzz_text, wide_finite_text
 
 
@@ -82,6 +85,44 @@ def test_format_parse_round_trip_on_generated_texts(make, seeds):
     for seed in range(seeds):
         system = parse_system(make(seed))
         assert parse_system(format_system(system)) == system, seed
+
+
+# Texts a tokenizer can get wrong: no token at all, line ends other than
+# "\n", blanks other than ASCII, and a character that no token matches at
+# the start, in the middle and at the end.
+HOSTILE_TEXTS = [
+    "",
+    "# only a comment",
+    "# one comment\n\n   # and another\n",
+    "pred p/1.\r\np(X) :- X = 0.\r\n",
+    "pred\u00a0p/1.\u2003\np(X) :-\u3000X = \u0663.\n",
+    "pred p/1.\r\n\tp(X) :-\tX = 0.\r\n\t",
+    "\tpred\tp/1.\n\t\tp(X) :- X >= 1/2 # comment\n.",
+    "@pred p/1.\n",
+    "pred p/1.\np(X) :- X = 0 @ 1.\n",
+    "pred p/1.\r\np(X) :- X = 0\r\n?",
+    "pred p/1.\np(X) :- X = 0.\n\u00e9",
+]
+
+
+def test_tokenizer_matches_the_reference():
+    texts = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.rglob("*.chc"))]
+    for make in (random_finite_text, random_acyclic_text):
+        texts += [make(seed) for seed in range(200)]
+    texts += HOSTILE_TEXTS
+    gaps = 0
+    for text in texts:
+        try:
+            want = [(t.text, t.offset) for t in tokenize_reference.tokenize(text)]
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                tokenize(text)
+            got = got.value
+            assert (got.message, got.line, got.col) == (err.message, err.line, err.col), text
+            gaps += 1
+            continue
+        assert list(zip(*tokenize(text))) == want, text
+    assert len(texts) > 400 and gaps == 4
 
 
 def _constraint(text: str):
@@ -267,6 +308,21 @@ def test_rationals_and_decimals():
     assert signed.universe == (Fraction(-1), Fraction(0), Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    ("text", "same_as"),
+    [
+        ("pred p/1.\np(X) :- X = \u0663.\n", "pred p/1.\np(X) :- X = 3.\n"),
+        ("pred p/1.\np(X)\u00a0:-\u2003X = 3.\n", "pred p/1.\np(X) :- X = 3.\n"),
+        ("pred p/\u0662.\np(X, Y).\n", "pred p/2.\np(X, Y).\n"),
+    ],
+    ids=["arabic-indic-digit", "unicode-blanks", "arabic-indic-arity"],
+)
+def test_unicode_digits_and_blanks_read_as_the_token_pattern_reads_them(text, same_as):
+    # ``\d`` is any decimal digit and ``\s`` any blank, so the token kinds
+    # follow ``str.isdecimal`` and ``str.isspace``, not ASCII.
+    assert parse_system(text) == parse_system(same_as)
+
+
 def test_true_literal_is_empty_constraint():
     system = parse_system("pred p/0.\np :- true.\n")
     clause = system.clauses[0]
@@ -293,6 +349,8 @@ def test_true_literal_is_empty_constraint():
         ("pred p/1.\np(X) :- (foo).\n", "unexpected identifier"),
         ("pred p/1.\ngoal 3.\n", "expected clause head"),
         ("pred p/x.\n", "expected arity"),
+        ("pred p/1.\np(X) :- X = \u00b2.\n", "unexpected character '\u00b2'"),
+        ("pred p/1.\np(X) :- X = \u00e9.\n", "unexpected character '\u00e9'"),
     ],
 )
 def test_rejects(text, fragment):
@@ -321,6 +379,8 @@ def test_rejects(text, fragment):
         ("pred p/1.\np(X) :- (foo).\n", 2, 10),
         ("pred p/1.\ngoal 3.\n", 2, 6),
         ("pred p/x.\n", 1, 8),
+        ("pred p/1.\np(X) :- X = \u00b2.\n", 2, 13),
+        ("pred p/1.\np(X) :- X = \u00e9.\n", 2, 13),
     ],
     ids=[
         "clause",
@@ -340,6 +400,8 @@ def test_rejects(text, fragment):
         "identifier",
         "clause-head",
         "arity-number",
+        "superscript-digit",
+        "non-ascii-letter",
     ],
 )
 def test_error_carries_position(text, line, col):
