@@ -28,12 +28,15 @@ works on those rows:
   rows of each position and combines each new one with those of the
   opposite sign, as eliminating that variable would: a combination that
   fails refutes the set before any elimination runs.  That decides most
-  unsatisfiable branches of the search.  A :class:`Conjunction` keeps
-  the rows, pivots and build state of a conjunction, so the search
-  extends a branch with a child's atoms, and
-  :class:`chclab.domain.CompiledClause` the template of a constraint
-  cube with the bounds of its input boxes, normalizing only the new rows
-  (see :class:`Conjunction` for when the set is built afresh).
+  unsatisfiable branches of the search.  Each elimination step applies
+  the same rule (:func:`_refute`) to the one-variable rows it makes, so
+  a conflict is refuted in the step that makes it, not left for the step
+  on its variable.  A :class:`Conjunction` keeps the rows, pivots and
+  build state of a conjunction, so the search extends a branch with a
+  child's atoms, and :class:`chclab.domain.CompiledClause` the template
+  of a constraint cube with the bounds of its input boxes, normalizing
+  only the new rows (see :class:`Conjunction` for when the set is built
+  afresh).
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.
@@ -458,15 +461,28 @@ class Conjunction:
                 row = out[key] = (*key, 1 << len(out), mask)
                 if mask & (mask - 1):
                     continue
-                j = mask.bit_length() - 1
-                upper = vec[j] > 0
-                lowers, uppers = singles.get(j, ((), ()))
-                for other in lowers if upper else uppers:
-                    ground = _combine(other, row, j) if upper else _combine(row, other, j)
-                    if ground[1] > 0 or (ground[1] == 0 and ground[2]):
-                        return RowSet(names, (ground,), unsat=True)
-                singles[j] = (lowers, (*uppers, row)) if upper else ((*lowers, row), uppers)
+                ground = _refute(singles, row, mask.bit_length() - 1)
+                if ground is not None:
+                    return RowSet(names, (ground,), unsat=True)
         return RowSet(names, tuple(out.values()))
+
+
+def _refute(singles: dict, row: Row, j: int) -> Row | None:
+    """Check the one-variable row ``row``, a bound on position ``j``,
+    against the one-variable rows of the opposite sign in ``singles``: the
+    first failing ground row that eliminating ``j`` makes of it and one of
+    them, or ``None`` after recording ``row`` there.  ``singles`` maps a
+    position to a tuple of lower and one of upper bound rows; the tuples
+    are replaced, never changed in place, so a copy of the dict is a copy
+    of the index."""
+    upper = row[0][j] > 0
+    lowers, uppers = singles.get(j, ((), ()))
+    for other in lowers if upper else uppers:
+        ground = _combine(other, row, j) if upper else _combine(row, other, j)
+        if ground[1] > 0 or (ground[1] == 0 and ground[2]):
+            return ground
+    singles[j] = (lowers, (*uppers, row)) if upper else ((*lowers, row), uppers)
+    return None
 
 
 def _combine(lower: Row, upper: Row, j: int) -> Row:
@@ -491,15 +507,25 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     Every pair of a lower and an upper bound on ``var`` is combined,
     unless history pruning shows the combination redundant.  A ground
     contradiction ends the run: the result then holds that row alone and
-    is marked ``unsat``.  Rows already marked ``unsat`` come back
-    unchanged.  Raises :class:`ResourceLimitError` when the result would
-    hold more than ``DEFAULT_FM_CAP`` rows.
+    is marked ``unsat``.  So does a new row over one variable that
+    contradicts a row of the opposite sign on that variable which the
+    step already holds, carried over or made: the result holds the ground
+    row the next step on that variable would make of the pair, as
+    :meth:`RowSet.from_rows` does while rows are built.  The index of
+    those rows is built on the first new one-variable row, so a step that
+    makes none pays nothing for it.  Rows already marked ``unsat`` come
+    back unchanged.  Raises :class:`ResourceLimitError` when the result
+    would hold more than ``DEFAULT_FM_CAP`` rows.
     """
     if rows.unsat:
         return rows
-    j = rows.names.index(var)
+    names = rows.names
+    j = names.index(var)
     eliminated = rows.eliminated | (1 << j)
     out: dict[tuple, Row] = {}
+    # A one-variable row has a zero at every other position.
+    zeros = len(names) - 1
+    singles: dict | None = None
     lowers: list[Row] = []
     # Each upper row carries the eliminated part of its variable mask,
     # which the pruning test of every pair reads.
@@ -535,17 +561,34 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
             if not any(vec):
                 if const > 0 or (const == 0 and strict):
                     row = (vec, const, strict, hist, mask)
-                    return RowSet(rows.names, (row,), eliminated, True)
+                    return RowSet(names, (row,), eliminated, True)
                 continue
             key = (vec, const, strict)
             old = out.get(key)
-            if old is None or size < old[3].bit_count():
-                out[key] = (vec, const, strict, hist, mask)
+            if old is not None:
+                if size < old[3].bit_count():
+                    out[key] = (vec, const, strict, hist, mask)
+                continue
+            row = out[key] = (vec, const, strict, hist, mask)
+            if vec.count(0) != zeros:
+                continue
+            # The first new one-variable row indexes the one-variable rows
+            # kept so far, the carried ones first and itself last.
+            if singles is None:
+                singles = {}
+                pending = [kept for kept in out.values() if kept[0].count(0) == zeros]
+            else:
+                pending = (row,)
+            for kept in pending:
+                kvec = kept[0]
+                ground = _refute(singles, kept, kvec.index(next(filter(None, kvec))))
+                if ground is not None:
+                    return RowSet(names, (ground,), eliminated, True)
         if len(out) > DEFAULT_FM_CAP:
             raise ResourceLimitError(
                 f"Fourier-Motzkin elimination exceeded {DEFAULT_FM_CAP} rows"
             )
-    return RowSet(rows.names, tuple(out.values()), eliminated)
+    return RowSet(names, tuple(out.values()), eliminated)
 
 
 def _eliminate(rows: RowSet, mask: int) -> RowSet:

@@ -32,6 +32,7 @@ from chclab.linlogic import (
     cube_is_sat,
     fm_eliminate,
     is_sat,
+    project_rows,
     project_to_box,
     sat_cube,
     to_dnf,
@@ -185,6 +186,34 @@ def test_bound_conflict_frozen_cases():
         ("x", "y"), [([0, 1], 0, Rel.LE), ([2, 0], -3, Rel.LE), ([-1, 0], 2, Rel.LE)]
     )
     assert got.unsat and got.cons == (((0, 0), 1, False, 0b110, 0b01),)
+
+
+def test_step_refutes_conflicting_one_variable_rows():
+    # -x <= 0, x + y <= 0, x - y + 1 <= 0, y + z + 5 <= 0: no two
+    # one-variable rows conflict as the set is built.  Eliminating x makes
+    # y <= 0 and -y + 1 <= 0, which the step itself must refute, with
+    # the history of all three rows and the union of their masks.
+    rows = RowSet.from_rows(
+        ("x", "y", "z"),
+        [
+            ([-1, 0, 0], 0, Rel.LE),
+            ([1, 1, 0], 0, Rel.LE),
+            ([1, -1, 0], 1, Rel.LE),
+            ([0, 1, 1], 5, Rel.LE),
+        ],
+    )
+    assert not rows.unsat
+    got = fm_eliminate(rows, "x")
+    assert got.unsat and got.cons == (((0, 0, 0), 1, False, 0b111, 0b011),)
+    assert got.eliminated == 0b001
+    # A row the step carries over counts too: y <= 0 conflicts with the
+    # -y + 1 <= 0 that eliminating x makes.
+    rows = RowSet.from_rows(
+        ("x", "y"), [([0, 1], 0, Rel.LE), ([-1, 0], 0, Rel.LE), ([1, -1], 1, Rel.LE)]
+    )
+    assert not rows.unsat
+    got = fm_eliminate(rows, "x")
+    assert got.unsat and got.cons == (((0, 0), 1, False, 0b111, 0b11),)
 
 
 def _bound_rows(rng):
@@ -678,6 +707,54 @@ def test_pruned_elimination_matches_unpruned_reference():
         got = project_to_box(c, requested)
         want = fm_reference.project_to_box(c, requested)
         assert got == want, f"seed {seed}: {c} onto {requested}"
+
+
+def _wide_cube(rng):
+    """6-8 variables, n + 2 to 2n constraints, most over one or two of
+    them and some over three, with rational coefficients and constants,
+    and 1-3 requested variables."""
+    n = rng.randint(6, 8)
+    names = [f"x{i}" for i in range(n)]
+    cons = []
+    for _ in range(rng.randint(n + 2, 2 * n)):
+        coeffs = [
+            (v, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 1, 2))))
+            for v in rng.sample(names, rng.choice((1, 1, 2, 2, 2, 3)))
+        ]
+        const = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2)))
+        rel = rng.choice((Rel.LE, Rel.LE, Rel.LT, Rel.EQ))
+        cons.append(LinConstraint(LinTerm.make(coeffs, const), rel))
+    return ConjCube.make(cons), rng.sample(names, rng.randint(1, 3))
+
+
+def test_step_refutation_matches_unpruned_reference_on_wide_cubes(monkeypatch):
+    # Refuting conflicting one-variable rows inside each elimination step
+    # must decide satisfiability, and project, as unpruned elimination
+    # does, on cubes wider than the other differential tests reach.
+    cases = []
+    for seed in range(160):
+        c, requested = _wide_cube(random.Random(seed))
+        cases.append((seed, c, requested, RowSet.of(c), RowSet.of(c, frozenset(requested))))
+    in_step = 0
+    refute = linlogic._refute
+
+    def counted(singles, row, j):
+        nonlocal in_step
+        ground = refute(singles, row, j)
+        in_step += ground is not None
+        return ground
+
+    # Every row set is built above, so only elimination steps count.
+    monkeypatch.setattr(linlogic, "_refute", counted)
+    satisfiable = 0
+    for seed, c, requested, rows, restricted in cases:
+        sat = not linlogic._eliminate(rows, (1 << len(rows.names)) - 1).unsat
+        assert sat == fm_reference.cube_is_sat(c), f"seed {seed}: {c}"
+        got = project_rows(restricted, requested)
+        want = fm_reference.project_to_box(c, requested)
+        assert got == want, f"seed {seed}: {c} onto {requested}"
+        satisfiable += sat
+    assert in_step > 20 and 20 < satisfiable < len(cases) - 20
 
 
 def test_elimination_order_matches_the_recounting_reference(monkeypatch):

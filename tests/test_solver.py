@@ -543,6 +543,31 @@ def test_check_model_row_normalization_count(monkeypatch):
     assert 0 < normalized <= 326
 
 
+def test_wide_elimination_row_counts(monkeypatch):
+    # A guard on work, not time, on the k = 12 structure of the benchmark's
+    # wide family (structure 0, translation 0): refuting conflicting
+    # one-variable rows inside each Fourier-Motzkin step took the rows the
+    # steps return from 1,147 to 700 while solving and from 1,081 to 300
+    # in the model check.
+    system = parse_system((CORPUS / "stress" / "wide-k12.chc").read_text(encoding="utf-8"))
+    returned = 0
+    step = linlogic.fm_eliminate
+
+    def counted(rows, var):
+        nonlocal returned
+        out = step(rows, var)
+        returned += len(out.cons)
+        return out
+
+    monkeypatch.setattr(linlogic, "fm_eliminate", counted)
+    _, verdict = alternate(system)
+    assert verdict.status == "SAFE"
+    assert 0 < returned <= 700
+    returned = 0
+    assert check_model(system, verdict.witness).ok
+    assert 0 < returned <= 300
+
+
 def test_goal_disjoint_requires_empty_overlap(ladder):
     from chclab.syntax import TRUE
 
