@@ -199,7 +199,7 @@ def cmd_oracle(args) -> int:
     for atom in sorted(atoms, key=lambda a: a.key()):
         _print(atom)
     if args.check_closure:
-        ok = check_combined_closure(system)
+        ok = check_combined_closure(rel, goal)
         _print("closure", "PASS" if ok else "FAIL")
         if not ok:
             return EXIT_CHECK_FAILED

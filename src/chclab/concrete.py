@@ -21,7 +21,6 @@ from .syntax import (
     And,
     FalseF,
     Formula,
-    GoalSpec,
     Lin,
     System,
     TrueF,
@@ -74,25 +73,31 @@ def _compile(formula: Formula, index: Mapping[str, int]) -> Callable[[Valuation]
     return lambda vals: any(s(vals) for s in subs)
 
 
-def ground_relation(system: System, cap: int = VALUATION_CAP) -> GroundRelation:
+def _valuations(universe: Valuation, n: int, what: str):
+    """Every tuple of ``n`` values of ``universe``.  Raises
+    :class:`ResourceLimitError` when there are more than
+    ``VALUATION_CAP`` of them, the cap read at call time."""
+    cap = VALUATION_CAP
+    if len(universe) ** n > cap:
+        raise ResourceLimitError(f"grounding {what} needs more than {cap} valuations")
+    return product(universe, repeat=n)
+
+
+def ground_relation(system: System) -> GroundRelation:
     if system.universe is None:
         raise ValueError("system declares no universe")
-    uni = system.universe
     out: set[Consequence] = set()
     for clause in system.clauses:
         variables = sorted(clause.vars)
         index = {v: i for i, v in enumerate(variables)}
-        if len(uni) ** len(variables) > cap:
-            raise ResourceLimitError(
-                f"grounding a clause needs more than {cap} valuations"
-            )
+        valuations = _valuations(system.universe, len(variables), "a clause")
         ok = _compile(clause.constraint, index)
         body_ix = [
             (app.pred.name, tuple(index[x] for x in app.args)) for app in clause.body
         ]
         head_name = clause.head.pred.name
         head_ix = tuple(index[x] for x in clause.head.args)
-        for vals in product(uni, repeat=len(variables)):
+        for vals in valuations:
             if not ok(vals):
                 continue
             premises = frozenset(
@@ -104,18 +109,20 @@ def ground_relation(system: System, cap: int = VALUATION_CAP) -> GroundRelation:
     return frozenset(out)
 
 
-def goal_atoms(system: System, goal: GoalSpec | None = None) -> Interpretation:
-    """Ground instances of the goal (:func:`~chclab.syntax.default_goal`)."""
+def goal_atoms(system: System) -> Interpretation:
+    """Ground instances of the system's goal
+    (:func:`~chclab.syntax.default_goal`), under the same valuation cap
+    as :func:`ground_relation`."""
     if system.universe is None:
         raise ValueError("system declares no universe")
-    uni = system.universe
     out: set[GroundAtom] = set()
-    for entry in default_goal(system, goal).entries:
+    for entry in default_goal(system).entries:
         variables = sorted(set(entry.app.args))
         index = {v: i for i, v in enumerate(variables)}
+        valuations = _valuations(system.universe, len(variables), "a goal entry")
         ok = _compile(entry.guard, index)
         arg_ix = tuple(index[x] for x in entry.app.args)
-        for vals in product(uni, repeat=len(variables)):
+        for vals in valuations:
             if ok(vals):
                 out.add(GroundAtom(entry.app.pred.name, tuple(vals[i] for i in arg_ix)))
     return frozenset(out)
@@ -180,13 +187,12 @@ def lfp_combined_rel(rel: GroundRelation, goal: Interpretation) -> Interpretatio
     return kleene(lambda xs: (goal & forward) | pre_restricted(rel, forward, xs))[0]
 
 
-def check_combined_closure(system: System, goal: Interpretation | None = None) -> bool:
+def check_combined_closure(rel: GroundRelation, goal: Interpretation) -> bool:
     """Combining the two fixpoints needs no further iteration.
 
-    With ``M'`` the combined semantics, the least fixpoint of
-    ``X -> post(X) & M'`` must already be ``M'`` itself.
+    With ``M'`` the combined semantics of ``rel`` and the goal atoms
+    ``goal``, the least fixpoint of ``X -> post(X) & M'`` must already
+    be ``M'`` itself.
     """
-    rel = ground_relation(system)
-    goal_set = goal if goal is not None else goal_atoms(system)
-    combined = lfp_combined_rel(rel, goal_set)
+    combined = lfp_combined_rel(rel, goal)
     return kleene(lambda xs: post(rel, xs) & combined)[0] == combined

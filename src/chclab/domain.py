@@ -78,11 +78,6 @@ class Box(NamedTuple):
     def is_empty(self) -> bool:
         return self.intervals is None
 
-    def contains(self, args: Sequence[Fraction]) -> bool:
-        if self.intervals is None:
-            return False
-        return all(iv.contains(x) for iv, x in zip(self.intervals, args))
-
     def leq(self, other: "Box") -> bool:
         if self.intervals is None:
             return True
@@ -193,9 +188,6 @@ class AbstractElement(NamedTuple):
     @property
     def is_bottom(self) -> bool:
         return all(box.is_empty for _, box in self.items)
-
-    def gamma_contains(self, pred: str, args: Sequence[Fraction]) -> bool:
-        return self.get(pred).contains(args)
 
     def __str__(self) -> str:
         return "; ".join(f"{n}: {b}" for n, b in self.items)

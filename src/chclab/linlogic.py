@@ -19,7 +19,7 @@ works on those rows:
   free variables and substitutes it into every other row.  A projection
   pivots only on variables it was not asked for; an equality over
   requested variables alone becomes two inequalities.
-* **Integer rows.**  :meth:`RowSet.from_rows` turns every remaining
+* **Integer rows.**  :meth:`Conjunction.conjoin` turns every remaining
   constraint into inequality rows: integer coefficients and constant
   without a common divisor, a strict flag, a history (the bitmask of the
   original inequalities the row combines) and the mask of the variables
@@ -370,21 +370,6 @@ class RowSet(NamedTuple):
         free = sum(1 << j for j, v in enumerate(names) if v not in requested)
         return Conjunction(names, free).conjoin([lower(c, index) for c in cube.cons]).rowset
 
-    @staticmethod
-    def from_rows(names: tuple[str, ...], rows) -> RowSet:
-        """The inequalities of the lowered constraints ``rows``: each
-        divided by the gcd of its integers, an equality split into two
-        inequalities, ground rows that hold dropped and exact duplicates
-        merged.  A ground row that fails makes the set ``unsat``.
-
-        So does a one-variable row that contradicts an earlier one of the
-        opposite sign on the same variable: the set then holds the ground
-        row the Fourier-Motzkin step on that variable makes of the pair.
-        Such a conflict refutes most unsatisfiable branches of
-        :func:`sat_cube` before any elimination runs.
-        """
-        return Conjunction(names).conjoin(rows).rowset
-
 
 class Conjunction:
     """A conjunction of lowered constraints over ``names``, conjoined one
@@ -392,8 +377,8 @@ class Conjunction:
 
     ``rows`` and ``pivots`` are what :func:`extend` made of the batches
     so far, pivoting only on the positions in the mask ``free``, and
-    ``rowset`` is their :class:`RowSet` as :meth:`RowSet.from_rows`
-    builds it.  ``out`` (the distinct rows by key) and ``singles`` (the
+    ``rowset`` is their :class:`RowSet` as :meth:`conjoin` describes
+    it.  ``out`` (the distinct rows by key) and ``singles`` (the
     one-variable rows of each position, a tuple of lower and one of upper
     bounds) are the state of that build between rows.
 
@@ -419,7 +404,18 @@ class Conjunction:
         self.rowset = RowSet(names, ())
 
     def conjoin(self, lowered) -> Conjunction:
-        """This conjunction and the lowered constraints ``lowered``."""
+        """This conjunction and the lowered constraints ``lowered``.
+
+        Its ``rowset`` holds the inequalities of the rows: each divided by
+        the gcd of its integers, an equality split into two inequalities,
+        ground rows that hold dropped and exact duplicates merged.  A
+        ground row that fails makes the set ``unsat``.  So does a
+        one-variable row that contradicts an earlier one of the opposite
+        sign on the same variable: the set then holds the ground row the
+        Fourier-Motzkin step on that variable makes of the pair.  Such a
+        conflict refutes most unsatisfiable branches of :func:`sat_cube`
+        before any elimination runs.
+        """
         if self.rowset.unsat:
             return self
         rows, pivots = extend(self.rows, self.pivots, lowered, self.free)
@@ -437,7 +433,7 @@ class Conjunction:
 
     def _normalize(self, rows) -> RowSet:
         """The set of the rows normalized so far and ``rows``, processed
-        in order as :meth:`RowSet.from_rows` processes them."""
+        in order as :meth:`conjoin` describes."""
         names, out, singles = self.names, self.out, self.singles
         bits = [1 << j for j in range(len(names))]
         for vec, const, rel in rows:
@@ -511,7 +507,7 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     contradicts a row of the opposite sign on that variable which the
     step already holds, carried over or made: the result holds the ground
     row the next step on that variable would make of the pair, as
-    :meth:`RowSet.from_rows` does while rows are built.  The index of
+    :meth:`Conjunction.conjoin` does while rows are built.  The index of
     those rows is built on the first new one-variable row, so a step that
     makes none pays nothing for it.  Rows already marked ``unsat`` come
     back unchanged.  Raises :class:`ResourceLimitError` when the result
@@ -684,11 +680,6 @@ class Interval(NamedTuple):
         return Interval(UNBOUNDED, UNBOUNDED)
 
     @staticmethod
-    def point(value) -> Interval:
-        b = Bound.at(value)
-        return Interval(b, b)
-
-    @staticmethod
     def of(lo, hi, lo_strict: bool = False, hi_strict: bool = False) -> Interval:
         lob = UNBOUNDED if lo is None else Bound.at(lo, lo_strict)
         hib = UNBOUNDED if hi is None else Bound.at(hi, hi_strict)
@@ -701,9 +692,6 @@ class Interval(NamedTuple):
         if self.lo.value > self.hi.value:
             return True
         return self.lo.value == self.hi.value and (self.lo.strict or self.hi.strict)
-
-    def contains(self, x: Fraction) -> bool:
-        return Interval.point(x).leq(self)
 
     def leq(self, other: Interval) -> bool:
         if self.is_empty:

@@ -50,18 +50,6 @@ class QASystem(NamedTuple):
     system: System
     pairs: tuple[QAPredPair, ...]
 
-    def query_name(self, orig: str) -> str:
-        return self._pair(orig).query
-
-    def answer_name(self, orig: str) -> str:
-        return self._pair(orig).answer
-
-    def _pair(self, orig: str) -> QAPredPair:
-        for p in self.pairs:
-            if p.orig == orig:
-                return p
-        raise KeyError(orig)
-
 
 def _fresh(base: str, taken: set[str]) -> str:
     name = base
@@ -71,7 +59,7 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
-def qa_transform(system: System, goal: GoalSpec | None = None) -> QASystem:
+def qa_transform(system: System) -> QASystem:
     """Split predicates into query/answer pairs and rewrite the clauses.
 
     Every original clause yields one answer clause (derivable and
@@ -79,7 +67,7 @@ def qa_transform(system: System, goal: GoalSpec | None = None) -> QASystem:
     descends into the i-th premise once the earlier premises have
     answers).  Goal entries seed the query predicates.
     """
-    spec = default_goal(system, goal)
+    spec = default_goal(system)
     taken = {d.name for d in system.decls} | {"false"}
     pairs = []
     decls: dict[str, tuple[PredDecl, PredDecl]] = {}
@@ -135,9 +123,7 @@ def _project(qa: QASystem, element: AbstractElement, which: str) -> AbstractElem
 
 
 def qa_two_step(
-    system: System,
-    goal: GoalSpec | None = None,
-    config: AnalysisConfig = AnalysisConfig(),
+    system: System, config: AnalysisConfig = AnalysisConfig()
 ) -> tuple[AbstractElement, Verdict]:
     """Analyze the transformed system, then the strengthened original.
 
@@ -145,13 +131,12 @@ def qa_two_step(
     clause heads, and the second forward run is kept inside them; the
     returned model maps every predicate to "queried implies covered".
     """
-    spec = default_goal(system, goal)
-    qa = qa_transform(system, spec)
+    qa = qa_transform(system)
     qa_element = analyze_forward(qa.system, None, config)
     answers = _project(qa, qa_element, "answer")
     queries = _project(qa, qa_element, "query")
     final = analyze_forward(_strengthen_heads(system, answers), answers, config)
-    g = goal_element(system, spec)
+    g = goal_element(system)
     safe = g.meet(final).is_bottom
     model = RefinedModel(final, ((AbstractElement.top(system), queries),))
     # The two steps are fixed, so an UNKNOWN here has spent its budget.
@@ -173,11 +158,9 @@ def _strengthen_heads(system: System, b: AbstractElement) -> System:
 
 
 def qa_iterated(
-    system: System,
-    goal: GoalSpec | None = None,
-    config: AnalysisConfig = AnalysisConfig(),
+    system: System, config: AnalysisConfig = AnalysisConfig()
 ) -> tuple[AlternationTrace, Verdict]:
     """The ``qa-iter`` mode: the alternation with ``start="forward"``,
     whatever ``config.start`` says.  It stays only because the benchmark
     (``bench/measure.py``) calls it."""
-    return alternate(system, goal, config._replace(start="forward"))
+    return alternate(system, config._replace(start="forward"))

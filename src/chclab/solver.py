@@ -55,7 +55,6 @@ from .linlogic import is_sat, sat_cube
 from .syntax import (
     Clause,
     Formula,
-    GoalSpec,
     PredApp,
     System,
     FALSE,
@@ -170,10 +169,10 @@ class Verdict(NamedTuple):
         return "SAFE" if self.safe else "UNKNOWN"
 
 
-def goal_element(system: System, goal: GoalSpec | None = None) -> AbstractElement:
+def goal_element(system: System) -> AbstractElement:
     """Tightest element whose concretization covers the goal atoms."""
     elem = AbstractElement.bottom(system)
-    for entry in default_goal(system, goal).entries:
+    for entry in default_goal(system).entries:
         name = entry.app.pred.name
         box = CompiledClause(Clause((), entry.guard, entry.app)).post(())
         elem = elem.with_box(name, elem.get(name).join(box))
@@ -348,10 +347,10 @@ def analyze_backward(
     )
 
 
-def coarse_backward(system: System, goal: GoalSpec | None = None):
+def coarse_backward(system: System):
     """Predicates from which a goal predicate is reachable in the
     clause graph; a cheap predicate-level backward approximation."""
-    relevant = {entry.app.pred.name for entry in default_goal(system, goal).entries}
+    relevant = {entry.app.pred.name for entry in default_goal(system).entries}
     changed = True
     while changed:
         changed = False
@@ -364,8 +363,8 @@ def coarse_backward(system: System, goal: GoalSpec | None = None):
     return frozenset(system.decl(name) for name in relevant)
 
 
-def _coarse_element(system: System, goal: GoalSpec | None) -> AbstractElement:
-    members = {d.name for d in coarse_backward(system, goal)}
+def _coarse_element(system: System) -> AbstractElement:
+    members = {d.name for d in coarse_backward(system)}
     boxes = {}
     for d in system.decls:
         boxes[d.name] = Box.top(d.arity) if d.name in members else Box.empty(d.arity)
@@ -373,9 +372,7 @@ def _coarse_element(system: System, goal: GoalSpec | None) -> AbstractElement:
 
 
 def alternate(
-    system: System,
-    goal: GoalSpec | None = None,
-    config: AnalysisConfig = AnalysisConfig(),
+    system: System, config: AnalysisConfig = AnalysisConfig()
 ) -> tuple[AlternationTrace, Verdict]:
     """Run the alternating analysis and certify the whole trace.
 
@@ -389,8 +386,7 @@ def alternate(
     trace is certified against the goal element, reusing the run's
     clause table, and a refined model is composed from it.
     """
-    spec = default_goal(system, goal)
-    g = goal_element(system, spec)
+    g = goal_element(system)
     results = ClauseResults(system)
     b = top = AbstractElement.top(system)
     rounds: list[tuple[AbstractElement, AbstractElement | None]] = []
@@ -403,7 +399,7 @@ def alternate(
             reason = "empty_element"
             break
         if i == 1 and config.start == "coarse":
-            b = _coarse_element(system, spec).meet(d)
+            b = _coarse_element(system).meet(d)
         else:
             b = analyze_backward(system, g, d, config, results)
         rounds.append((d, b))
@@ -503,10 +499,10 @@ def check_model(system: System, model) -> ModelCheckResult:
     return ModelCheckResult(tuple(violations))
 
 
-def goal_disjoint(system: System, model, goal: GoalSpec | None = None) -> bool:
+def goal_disjoint(system: System, model) -> bool:
     """Is the model disjoint from every goal instance?"""
     formulas = _formulas(model)
-    for entry in default_goal(system, goal).entries:
+    for entry in default_goal(system).entries:
         f = conj([entry.guard, _instantiate(formulas[entry.app.pred.name], entry.app)])
         if is_sat(f):
             return False

@@ -60,16 +60,6 @@ class LinTerm(NamedTuple):
     def var(name: str) -> LinTerm:
         return LinTerm(((name, Fraction(1)),))
 
-    @staticmethod
-    def constant(value: int | Fraction) -> LinTerm:
-        return LinTerm((), rat(value))
-
-    def coeff(self, var: str) -> Fraction:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return Fraction(0)
-
     @property
     def vars(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.coeffs)
@@ -79,9 +69,6 @@ class LinTerm(NamedTuple):
         if self.const == 0 and len(self.coeffs) == 1 and self.coeffs[0][1] == 1:
             return self.coeffs[0][0]
         return None
-
-    def drop(self, var: str) -> LinTerm:
-        return LinTerm(tuple((v, c) for v, c in self.coeffs if v != var), self.const)
 
     def scale(self, k: int | Fraction) -> LinTerm:
         k = rat(k)
@@ -102,13 +89,6 @@ class LinTerm(NamedTuple):
     def __neg__(self) -> LinTerm:
         return LinTerm(tuple((v, -c) for v, c in self.coeffs), -self.const)
 
-    def subst(self, var: str, replacement: LinTerm) -> LinTerm:
-        """Substitute ``replacement`` for ``var``."""
-        c = self.coeff(var)
-        if c == 0:
-            return self
-        return self.drop(var) + replacement.scale(c)
-
     def rename(self, mapping: Mapping[str, str]) -> LinTerm:
         pairs = [(mapping.get(v, v), c) for v, c in self.coeffs]
         # Distinct names keep every coefficient as it is: only the order
@@ -116,12 +96,6 @@ class LinTerm(NamedTuple):
         if len({v for v, _ in pairs}) == len(pairs):
             return LinTerm(tuple(sorted(pairs)), self.const)
         return LinTerm.make(pairs, self.const)
-
-    def eval(self, env: Mapping[str, Fraction]) -> Fraction:
-        total = self.const
-        for v, c in self.coeffs:
-            total += c * env[v]
-        return total
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -172,9 +146,6 @@ class LinConstraint(NamedTuple):
     @property
     def vars(self) -> frozenset[str]:
         return self.term.vars
-
-    def holds(self, env: Mapping[str, Fraction]) -> bool:
-        return self.rel.holds(self.term.eval(env))
 
     def rename(self, mapping: Mapping[str, str]) -> LinConstraint:
         return LinConstraint(self.term.rename(mapping), self.rel)
@@ -340,35 +311,6 @@ def formula_vars(f: Formula) -> frozenset[str]:
     return frozenset(v for c in iter_formula_constraints(f) for v, _ in c.term.coeffs)
 
 
-def eval_formula(f: Formula, env: Mapping[str, Fraction]) -> bool:
-    """Does ``f`` hold at ``env``?  Conjunctions and disjunctions stop at
-    the first item that decides them, and an explicit stack keeps deep
-    formulas off the call stack."""
-    # The connectives entered and not yet decided: whether each is a
-    # conjunction, and its items not yet evaluated.
-    frames: list[tuple[bool, Iterator[Formula]]] = []
-    while True:
-        if isinstance(f, (And, Or)):
-            # An empty conjunction holds and an empty disjunction does not.
-            value = isinstance(f, And)
-            frames.append((value, iter(f.items)))
-        elif isinstance(f, Lin):
-            value = f.con.holds(env)
-        else:
-            value = isinstance(f, TrueF)
-        while frames:
-            is_and, rest = frames[-1]
-            if value == is_and:
-                f = next(rest, None)
-                if f is not None:
-                    break
-            # A false conjunct or a true disjunct decides, and so does
-            # the end of the items.
-            frames.pop()
-        else:
-            return value
-
-
 def fold_formula(f: Formula, leaf, node):
     """The value of ``f`` computed bottom up with an explicit stack, so
     that a deep formula does not exhaust the call stack: ``leaf(g)`` is
@@ -521,11 +463,9 @@ class System(NamedTuple):
         return format_system(self)
 
 
-def default_goal(system: System, goal: GoalSpec | None = None) -> GoalSpec:
-    """``goal`` if one is given, else the declared goal, else reaching
-    the falsity predicate."""
-    if goal is not None:
-        return goal
+def default_goal(system: System) -> GoalSpec:
+    """The declared goal, or reaching the falsity predicate when the
+    system declares none."""
     if system.goal is not None:
         return system.goal
     return GoalSpec((GoalEntry(PredApp(system.falsity, ()), TRUE),))

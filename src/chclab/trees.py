@@ -127,31 +127,11 @@ def _leaves(atoms: Interpretation) -> frozenset[DerivTree]:
     return frozenset(DerivTree(a) for a in atoms)
 
 
-def forward_trees(system: System, depth: int) -> frozenset[DerivTree]:
-    """``depth`` rounds of bottom-up tree construction from nothing."""
-    return kleene(partial(tree_post, ground_relation(system)), depth)[0]
-
-
-def backward_trees(
-    system: System, goal: Interpretation | None = None, depth: int = 1
-) -> frozenset[DerivTree]:
-    """``depth`` rounds of top-down expansion from the goal atoms."""
-    goal_set = goal if goal is not None else goal_atoms(system)
-    step = partial(tree_pre, ground_relation(system), seed=_leaves(goal_set))
-    return kleene(step, depth)[0]
-
-
 def atoms_abstraction(trees) -> Interpretation:
     out: set[GroundAtom] = set()
     for t in trees:
         out |= t.atoms()
     return frozenset(out)
-
-
-def subtrees(t: DerivTree):
-    yield t
-    for child in t.children:
-        yield from subtrees(child)
 
 
 class TreePropsReport(NamedTuple):
@@ -187,10 +167,7 @@ class TreePropsReport(NamedTuple):
 
 
 def check_tree_props(
-    system: System,
-    goal: Interpretation | None = None,
-    depth_cap: int = 10,
-    max_trees: int = 200000,
+    system: System, depth_cap: int = 10, max_trees: int = 200000
 ) -> TreePropsReport:
     """Grow both tree semantics to a fixed point and compare atom sets.
 
@@ -204,7 +181,7 @@ def check_tree_props(
     if depth_cap < 0:
         raise ValueError(f"depth_cap must not be negative, got {depth_cap}")
     rel = ground_relation(system)
-    goal_set = goal if goal is not None else goal_atoms(system)
+    goal_set = goal_atoms(system)
     fwd, fwd_depth = kleene(partial(tree_post, rel, max_trees=max_trees), depth_cap)
     bwd, bwd_depth = kleene(
         partial(tree_pre, rel, max_trees=max_trees, seed=_leaves(goal_set)), depth_cap

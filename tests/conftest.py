@@ -1,4 +1,5 @@
-"""Shared fixtures: parsed corpus systems and corpus paths."""
+"""Shared fixtures: parsed corpus systems and corpus paths; and the box
+of one ground tuple."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from chclab import parse_system
+from chclab.domain import Box
+from chclab.linlogic import Interval
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -18,6 +21,12 @@ RAND = CORPUS / "rand"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
 )
+
+
+def point_box(args) -> Box:
+    """The box that holds the tuple ``args`` alone: a box holds the
+    tuple exactly when this box is below it."""
+    return Box.make(len(args), (Interval.of(x, x) for x in args))
 
 
 def load(name: str):

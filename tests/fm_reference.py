@@ -18,7 +18,16 @@ from fractions import Fraction
 from math import gcd
 
 from chclab.linlogic import ConjCube, RowSet
-from chclab.syntax import LinConstraint, Rel
+from chclab.syntax import LinConstraint, LinTerm, Rel
+
+
+def _coeff(term: LinTerm, var: str) -> Fraction:
+    return dict(term.coeffs).get(var, Fraction(0))
+
+
+def _subst(term: LinTerm, var: str, replacement: LinTerm) -> LinTerm:
+    """``term`` with ``replacement`` put for ``var``."""
+    return term + (replacement - LinTerm.var(var)).scale(_coeff(term, var))
 
 
 def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
@@ -29,7 +38,7 @@ def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
     lowers: list[LinConstraint] = []
     uppers: list[LinConstraint] = []
     for c in cube.cons:
-        a = c.term.coeff(var)
+        a = _coeff(c.term, var)
         if a == 0:
             free.append(c)
         elif c.rel is Rel.EQ:
@@ -41,10 +50,10 @@ def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
 
     if eqs:
         pivot = min(eqs, key=lambda c: c.key())
-        a = pivot.term.coeff(var)
-        replacement = pivot.term.drop(var).scale(Fraction(-1) / a)
+        a = _coeff(pivot.term, var)
+        replacement = (pivot.term - LinTerm.var(var).scale(a)).scale(Fraction(-1) / a)
         out = [
-            LinConstraint(c.term.subst(var, replacement), c.rel)
+            LinConstraint(_subst(c.term, var, replacement), c.rel)
             for c in cube.cons
             if c is not pivot
         ]
@@ -52,9 +61,9 @@ def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
 
     out = list(free)
     for lo in lowers:
-        al = lo.term.coeff(var)
+        al = _coeff(lo.term, var)
         for up in uppers:
-            au = up.term.coeff(var)
+            au = _coeff(up.term, var)
             combined = lo.term.scale(au) + up.term.scale(-al)
             rel = Rel.LT if (lo.rel is Rel.LT or up.rel is Rel.LT) else Rel.LE
             out.append(LinConstraint(combined, rel))
@@ -96,7 +105,7 @@ def project_to_box(cube: ConjCube, variables):
             current = fm_eliminate(current, others[0])
         lo = hi = (None, True)
         for c in current.cons:
-            a = c.term.coeff(v)
+            a = _coeff(c.term, v)
             if a == 0:
                 continue
             value = -c.term.const / a
@@ -112,8 +121,9 @@ def project_to_box(cube: ConjCube, variables):
 
 
 def from_rows(names, rows) -> RowSet:
-    """:meth:`chclab.linlogic.RowSet.from_rows` without the conflict
-    check: only a failing ground row refutes the set."""
+    """The row set :meth:`chclab.linlogic.Conjunction.conjoin` builds
+    without pivots, less the conflict check: only a failing ground row
+    refutes the set."""
     out = {}
     for vec, const, rel in rows:
         if rel is Rel.EQ:

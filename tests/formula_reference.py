@@ -2,10 +2,11 @@
 
 A reference for the differential tests of ``chclab.syntax`` and
 ``chclab.linlogic``: these are the recursive bodies that
-``rename_formula``, ``negate_formula``, ``format_formula``,
-``eval_formula`` and ``to_dnf`` had before they walked with an explicit
-stack.  The rewritten walkers must return the same trees, texts, truth
-values and cubes, in the same order.
+``rename_formula``, ``negate_formula``, ``format_formula`` and ``to_dnf``
+had before they walked with an explicit stack.  The rewritten walkers
+must return the same trees, texts and cubes, in the same order.
+:func:`eval_formula` is the truth value of a formula at a point, for the
+tests that check a formula against ground values.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def eval_formula(f: Formula, env: Mapping[str, Fraction]) -> bool:
     if isinstance(f, FalseF):
         return False
     if isinstance(f, Lin):
-        return f.con.holds(env)
+        term = f.con.term
+        return f.con.rel.holds(term.const + sum(c * env[v] for v, c in term.coeffs))
     if isinstance(f, And):
         return all(eval_formula(g, env) for g in f.items)
     return any(eval_formula(g, env) for g in f.items)

@@ -1,10 +1,10 @@
 """Seeded random systems and cubes for the property suites.
 
 Everything here is deterministic in the seed, so failures reproduce and
-the bundled random corpus can be regenerated byte-for-byte (see
-``python -m chclab.randgen``).  Sizes are tuned to keep the concrete
-enumeration oracles fast: small universes, few predicates, and bounded
-variable counts per clause.
+the bundled random corpus can be regenerated byte-for-byte with
+``PYTHONPATH=src python3 tests/randgen.py corpus/rand``.  Sizes are
+tuned to keep the concrete enumeration oracles fast: small universes,
+few predicates, and bounded variable counts per clause.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import cache
 from math import prod
 
-from .concrete import Consequence, ground_relation
-from .parser import parse_system
-from .syntax import LinConstraint, LinTerm, Rel, System
+from chclab.concrete import Consequence, ground_relation
+from chclab.parser import parse_system
+from chclab.syntax import LinConstraint, LinTerm, Rel, System
 
 _VARS = ("A", "B", "C", "D", "E")
 
@@ -161,7 +161,7 @@ def random_acyclic_system(seed: int) -> System:
 
 
 def random_interval(rng: random.Random):
-    from .linlogic import UNBOUNDED, Bound, Interval
+    from chclab.linlogic import UNBOUNDED, Bound, Interval
 
     def side() -> Bound:
         if rng.random() < 0.25:
@@ -172,7 +172,7 @@ def random_interval(rng: random.Random):
 
 
 def random_box(rng: random.Random, arity: int):
-    from .domain import Box
+    from chclab.domain import Box
 
     if rng.random() < 0.1:
         return Box.empty(arity)
@@ -180,7 +180,7 @@ def random_box(rng: random.Random, arity: int):
 
 
 def random_element(rng: random.Random, system: System):
-    from .domain import AbstractElement
+    from chclab.domain import AbstractElement
 
     return AbstractElement.of(
         {d.name: random_box(rng, d.arity) for d in system.decls}

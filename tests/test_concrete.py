@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chclab import concrete
+from chclab.cli import main as cli_main
 from chclab.concrete import (
     GroundAtom,
     check_combined_closure,
@@ -20,7 +22,9 @@ from chclab.concrete import (
     pre,
     pre_restricted,
 )
-from chclab.randgen import random_finite_system
+from chclab.linlogic import ResourceLimitError
+from chclab.parser import parse_system
+from randgen import random_finite_system
 
 F = Fraction
 
@@ -102,7 +106,7 @@ def test_is_model(ladder):
 
 
 def test_combined_closure_ladder(ladder):
-    assert check_combined_closure(ladder)
+    assert check_combined_closure(ground_relation(ladder), goal_atoms(ladder))
 
 
 def test_least_model_property(ladder):
@@ -148,4 +152,18 @@ def test_combined_between_bounds(seed):
 @given(st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_closure_on_random_finite_systems(seed):
-    assert check_combined_closure(random_finite_system(seed))
+    system = random_finite_system(seed)
+    assert check_combined_closure(ground_relation(system), goal_atoms(system))
+
+
+def test_goal_grounding_is_capped(monkeypatch, tmp_path):
+    # A 5-ary goal over a universe of 3 has 243 valuations, more than the
+    # cap; grounding it must raise, as grounding a clause does, and the
+    # oracle exit 3 rather than enumerate them.
+    text = "pred p/5.\nuniverse {0, 1, 2}.\ngoal p(A, B, C, D, E).\n"
+    monkeypatch.setattr(concrete, "VALUATION_CAP", 100)
+    with pytest.raises(ResourceLimitError, match="goal"):
+        goal_atoms(parse_system(text))
+    path = tmp_path / "wide_goal.chc"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["oracle", str(path)]) == 3

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formula_reference
 import transformer_reference
 from chclab import linlogic
 from chclab.concrete import ground_relation, post as concrete_post
@@ -23,7 +24,6 @@ from chclab.domain import (
 )
 from chclab.linlogic import Conjunction, is_sat
 from chclab.parser import parse_system
-from chclab.randgen import random_box, random_element, random_finite_system, random_interval
 from chclab.syntax import (
     Clause,
     LinConstraint,
@@ -32,9 +32,10 @@ from chclab.syntax import (
     PredDecl,
     Rel,
     conj,
-    eval_formula,
     param_vars,
 )
+from conftest import point_box
+from randgen import random_box, random_element, random_finite_system, random_interval
 from test_solver import fuzz_text
 
 F = Fraction
@@ -50,9 +51,9 @@ def boxes(seed: int, arity: int = 2, n: int = 3):
 
 def test_interval_basics():
     i = Interval.of(0, 2, hi_strict=True)
-    assert i.contains(F(0)) and i.contains(F(3, 2)) and not i.contains(F(2))
+    assert Interval.of(0, 0).leq(i) and Interval.of(F(3, 2), F(3, 2)).leq(i)
+    assert not Interval.of(2, 2).leq(i)
     assert str(i) == "[0, 2)"
-    assert Interval.point(3).contains(F(3))
     assert Interval.of(2, 1).is_empty
     assert Interval.of(0, 0, lo_strict=True).is_empty
 
@@ -141,12 +142,13 @@ def test_box_formula_and_complement_round_trip():
     vs = param_vars(2)
     inside = box.formula(vs)
     outside = box.complement(vs)
+    holds = formula_reference.eval_formula
     for args in [(F(3), F(-1)), (F(10), F(-5))]:
         env = dict(zip(vs, args))
-        assert eval_formula(inside, env) and not eval_formula(outside, env)
+        assert holds(inside, env) and not holds(outside, env)
     for args in [(F(2), F(-1)), (F(3), F(0)), (F(-7), F(7))]:
         env = dict(zip(vs, args))
-        assert not eval_formula(inside, env) and eval_formula(outside, env)
+        assert not holds(inside, env) and holds(outside, env)
     # the two pieces partition the plane
     assert not is_sat(conj((inside, outside)))
 
@@ -154,13 +156,13 @@ def test_box_formula_and_complement_round_trip():
 @pytest.mark.parametrize(
     "box, text",
     [
-        (Box.make(1, (Interval.point(3),)), "x < 3; -x < -3"),
+        (Box.make(1, (Interval.of(3, 3),)), "x < 3; -x < -3"),
         (
             Box.make(2, (Interval.of(0, None, lo_strict=True), Interval.of(None, F(5, 2), hi_strict=True))),
             "x <= 0; -y <= -5/2",
         ),
         (Box.make(2, (Interval.of(-1, 4), Interval.of(0, 2, hi_strict=True))), "x < -1; -x < -4; y < 0; -y <= -2"),
-        (Box.make(2, (Interval.point(F(1, 3)), Interval.of(2, None))), "x < 1/3; -x < -1/3; y < 2"),
+        (Box.make(2, (Interval.of(F(1, 3), F(1, 3)), Interval.of(2, None))), "x < 1/3; -x < -1/3; y < 2"),
         (Box.top(2), "false"),
         (Box.empty(2), "true"),
         (Box.top(0), "false"),
@@ -173,9 +175,9 @@ def test_box_complement_text(box, text):
 
 
 def test_point_box_formula_uses_equality():
-    box = Box.make(1, (Interval.point(4),))
+    box = Box.make(1, (Interval.of(4, 4),))
     f = box.formula(("X1",))
-    assert "=" in str(f) and eval_formula(f, {"X1": F(4)})
+    assert "=" in str(f) and formula_reference.eval_formula(f, {"X1": F(4)})
 
 
 @given(st.integers(0, 10**9))
@@ -220,11 +222,7 @@ def _element_from_atoms(system, atoms):
     """Smallest box element whose concretization covers the given atoms."""
     elem = AbstractElement.bottom(system)
     for atom in atoms:
-        decl = system.decl(atom.pred)
-        box = Box.make(
-            decl.arity, (Interval.point(a) for a in atom.args)
-        ) if decl.arity else Box.top(0)
-        elem = elem.with_box(atom.pred, elem.get(atom.pred).join(box))
+        elem = elem.with_box(atom.pred, elem.get(atom.pred).join(point_box(atom.args)))
     return elem
 
 
@@ -250,7 +248,7 @@ def test_clause_post_sound_on_seeded_systems():
                 # the per-clause check is the union over clauses, so only
                 # assert for single-clause heads
                 if sum(c.head.pred == clause.head.pred for c in system.clauses) == 1:
-                    assert box.contains(atom.args), (seed, str(clause), str(atom))
+                    assert point_box(atom.args).leq(box), (seed, str(clause), str(atom))
                     checked += 1
     assert checked > 50
 
@@ -304,7 +302,7 @@ def _repeated_clauses():
     argument positions of an atom, which the parser never produces."""
     p1, p2 = PredDecl("p1", 2), PredDecl("p2", 4)
     a, c = LinTerm.var("A"), LinTerm.var("C")
-    le = LinConstraint(c - a - LinTerm.constant(3), Rel.LE).formula()
+    le = LinConstraint(c - a - LinTerm.make({}, 3), Rel.LE).formula()
     eq = LinConstraint(c - a, Rel.EQ).formula()
     return [
         Clause((PredApp(p2, ("C", "C", "A", "A")),), le, PredApp(p1, ("A", "C"))),
@@ -316,7 +314,8 @@ def _probe_interval(rng, kind):
     if kind == "top":
         return Interval.top()
     if kind == "point":
-        return Interval.point(Fraction(rng.randint(-4, 4), rng.choice((1, 2))))
+        v = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        return Interval.of(v, v)
     if kind == "half-open":
         v = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3)))
         return rng.choice(
@@ -446,9 +445,9 @@ def test_point_bound_outside_the_target_rebuilds_the_rows(monkeypatch):
     monkeypatch.setattr(Conjunction, "_normalize", counting)
     assert cc.post([Box.make(1, [Interval.of(1, 2)])]) == Box.make(1, [Interval.of(2, None)])
     assert builds == 0
-    assert cc.post([Box.make(1, [Interval.point(3)])]) == Box.make(1, [Interval.of(6, None)])
+    assert cc.post([Box.make(1, [Interval.of(3, 3)])]) == Box.make(1, [Interval.of(6, None)])
     assert builds == 1
-    assert cc.pre(0, Box.make(1, [Interval.point(3)]), [Box.top(1)]) == Box.make(
+    assert cc.pre(0, Box.make(1, [Interval.of(3, 3)]), [Box.top(1)]) == Box.make(
         1, [Interval.of(0, F(3, 2))]
     )
     assert builds == 2
@@ -456,10 +455,10 @@ def test_point_bound_outside_the_target_rebuilds_the_rows(monkeypatch):
     elems = [
         AbstractElement.of({"p": Box.make(1, [p]), "q": Box.make(1, [q])})
         for p, q in [
-            (Interval.point(3), Interval.point(1)),
-            (Interval.point(F(1, 2)), Interval.point(F(1, 2))),
-            (Interval.of(7, 9), Interval.point(4)),
-            (Interval.point(-1), Interval.of(1, 2)),
+            (Interval.of(3, 3), Interval.of(1, 1)),
+            (Interval.of(F(1, 2), F(1, 2)), Interval.of(F(1, 2), F(1, 2))),
+            (Interval.of(7, 9), Interval.of(4, 4)),
+            (Interval.of(-1, -1), Interval.of(1, 2)),
             (Interval.top(), Interval.of(1, 2)),
         ]
     ]
@@ -477,7 +476,7 @@ def test_refuted_cube_gets_no_template():
             (Interval.top(), Interval.top()),
             (Interval.of(0, 6), Interval.of(-1, 3)),
             (Interval.of(6, 8), Interval.of(2, 9)),
-            (Interval.top(), Interval.point(0)),
+            (Interval.top(), Interval.of(0, 0)),
         ]
     ]
     cc = _assert_both_directions_match(clause, elems)

@@ -45,9 +45,10 @@ def _substitute(system: System, replacement) -> System:
     constraints and the goal guards."""
 
     def fn(term: LinTerm) -> LinTerm:
-        for v in term.vars:
-            term = term.subst(v, replacement(v))
-        return term
+        out = LinTerm.make({}, term.const)
+        for v, c in term.coeffs:
+            out += replacement(v).scale(c)
+        return out
 
     clauses = tuple(c._replace(constraint=_map_terms(c.constraint, fn)) for c in system.clauses)
     goal = system.goal

@@ -12,7 +12,6 @@ import tokenize_reference
 from chclab import ParseError, parse_model, parse_system
 from chclab.linlogic import to_dnf
 from chclab.parser import tokenize
-from chclab.randgen import random_acyclic_text, random_finite_text
 from chclab.solver import alternate
 from chclab.syntax import (
     FALSE,
@@ -23,7 +22,6 @@ from chclab.syntax import (
     LinTerm,
     Or,
     Rel,
-    eval_formula,
     format_formula,
     format_model,
     format_system,
@@ -33,6 +31,7 @@ from chclab.syntax import (
     rename_formula,
 )
 from conftest import CORPUS
+from randgen import random_acyclic_text, random_finite_text
 from test_solver import fuzz_text, wide_finite_text
 
 
@@ -54,7 +53,7 @@ def test_head_constants_become_equalities(ladder):
     (v,) = init.head.args
     cons = list(iter_formula_constraints(init.constraint))
     assert len(cons) == 1 and cons[0].rel is Rel.EQ
-    assert cons[0].holds({v: Fraction(1)})
+    assert formula_reference.eval_formula(init.constraint, {v: Fraction(1)})
 
 
 def test_arg_positions_are_distinct_variables(corpus_systems):
@@ -191,7 +190,7 @@ def test_term_negation_and_renaming_match_the_general_route(corpus_systems):
                 count += 1
     assert count > 100
     x_minus_y = LinTerm.make({"x": 1, "y": -1}, 2)
-    assert same(x_minus_y.rename({"x": "z", "y": "z"}), LinTerm.constant(2))
+    assert same(x_minus_y.rename({"x": "z", "y": "z"}), LinTerm.make({}, 2))
     assert same(x_minus_y.rename({"x": "y", "y": "x"}), LinTerm.make({"y": 1, "x": -1}, 2))
 
 
@@ -240,26 +239,21 @@ def test_formula_walkers_match_the_recursive_reference(corpus_systems):
 
 def test_printer_evaluation_and_dnf_match_the_recursive_reference(corpus_systems):
     # The stack-based format_formula returns the text the recursive
-    # printer returned, eval_formula the same truth value at a seeded
-    # point, and to_dnf the same cubes in the same order.
+    # printer returned, and to_dnf the same cubes in the same order.
     formulas = []
     for _, system in corpus_systems:
         formulas += [c.constraint for c in system.clauses]
         formulas += alternate(system)[1].witness.as_dict().values()
     rng = random.Random(15)
     formulas += [_seeded_formula(rng, 5) for _ in range(600)]
-    values, sizes = set(), set()
+    sizes = set()
     for f in formulas:
         assert format_formula(f) == formula_reference.format_formula(f)
-        env = {v: Fraction(rng.randint(-3, 3)) for v in sorted(formula_vars(f))}
-        value = eval_formula(f, env)
-        assert value == formula_reference.eval_formula(f, env), (str(f), env)
         want = formula_reference.to_dnf(f)
         got = to_dnf(f)
         assert got == want and repr(got) == repr(want), str(f)
-        values.add(value)
         sizes.add(len(got))
-    assert len(formulas) > 800 and values == {True, False} and {0, 1} < sizes
+    assert len(formulas) > 800 and {0, 1} < sizes
 
 
 def test_formula_nodes_compare_their_class():

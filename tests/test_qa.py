@@ -18,7 +18,6 @@ from chclab.concrete import (
 )
 from chclab.parser import parse_system
 from chclab.qa import qa_iterated, qa_transform, qa_two_step
-from chclab.randgen import random_finite_system
 from chclab.solver import (
     AnalysisConfig,
     ClauseResults,
@@ -31,6 +30,7 @@ from chclab.solver import (
 )
 from chclab.syntax import format_system
 from conftest import CORPUS
+from randgen import random_finite_system
 from test_solver import _one_box_changed, fuzz_text, wide_finite_text
 
 F = Fraction
@@ -55,9 +55,15 @@ def test_clause_counts(addition_loops):
     assert len(qa.system.clauses) == want
 
 
+def _names(qa, orig: str) -> tuple[str, str]:
+    """The query and the answer predicate of the original ``orig``."""
+    (pair,) = [pair for pair in qa.pairs if pair.orig == orig]
+    return pair.query, pair.answer
+
+
 def test_answer_clause_shape(ladder):
     qa = qa_transform(ladder)
-    aname, qname = qa.answer_name("p"), qa.query_name("p")
+    qname, aname = _names(qa, "p")
     # the init clause "p(1)." becomes "p_a(V) :- p_q(V), V = 1."
     answers = [
         c
@@ -69,7 +75,7 @@ def test_answer_clause_shape(ladder):
 
 def test_query_prefix_clauses(ladder):
     qa = qa_transform(ladder)
-    qname, aname = qa.query_name("p"), qa.answer_name("p")
+    qname, aname = _names(qa, "p")
     # from "p(5) :- p(2), p(4).": the second body atom's query clause
     # carries the first body atom's answer as context
     two_body = [
@@ -84,11 +90,11 @@ def test_query_prefix_clauses(ladder):
 
 def test_goal_seed_and_goal_spec(ladder):
     qa = qa_transform(ladder)
-    qname = qa.query_name("p")
+    qname, aname = _names(qa, "p")
     seeds = [c for c in qa.system.clauses if not c.body and c.head.pred.name == qname]
     assert len(seeds) == 1
     assert qa.system.goal is not None
-    assert {e.app.pred.name for e in qa.system.goal.entries} == {qa.answer_name("p")}
+    assert {e.app.pred.name for e in qa.system.goal.entries} == {aname}
 
 
 def test_transform_reparses(corpus_systems):
@@ -121,7 +127,7 @@ def test_fresh_names_avoid_collisions():
 def test_qa_least_model_overapproximates_combined(ladder):
     qa = qa_transform(ladder)
     answers = lfp_forward_rel(ground_relation(qa.system))
-    aname = qa.answer_name("p")
+    _, aname = _names(qa, "p")
     got = {a.args[0] for a in answers if a.pred == aname}
     combined = {
         a.args[0] for a in lfp_combined_rel(ground_relation(ladder), goal_atoms(ladder))
@@ -201,7 +207,7 @@ def test_backward_pass_matches_the_reversed_system(corpus_systems):
     compared = 0
     for name, system in systems:
         spec = default_goal(system)
-        g = goal_element(system, spec)
+        g = goal_element(system)
         results = ClauseResults(system)
         for budget in (5, 8):
             config = AnalysisConfig(max_rounds=budget)

@@ -5,13 +5,13 @@ from __future__ import annotations
 from chclab.concrete import ground_relation
 from chclab.depgraph import dependency_order
 from chclab.parser import parse_system
-from chclab.randgen import (
+from conftest import RAND
+from randgen import (
     random_acyclic_system,
     random_acyclic_text,
     random_finite_system,
     random_finite_text,
 )
-from conftest import RAND
 
 
 def test_finite_text_is_deterministic():

@@ -26,7 +26,6 @@ from chclab.domain import (
     formula_box,
 )
 from chclab.parser import RawApp, RawClause, parse_model, parse_system
-from chclab.randgen import random_finite_system
 from chclab.qa import qa_iterated, qa_transform, qa_two_step
 from chclab.solver import (
     AlternationTrace,
@@ -57,8 +56,10 @@ from chclab.syntax import (
     lin,
     param_vars,
 )
-from chclab.trees import check_tree_props, forward_trees
-from conftest import CORPUS
+from chclab.trees import check_tree_props
+from conftest import CORPUS, point_box
+from randgen import random_finite_system
+from test_trees import forward_trees
 
 F = Fraction
 
@@ -78,7 +79,7 @@ def test_forward_ladder_box(ladder):
     assert str(elem.get("p")) == "[1, 5]"
     # covers the concrete forward fixpoint
     for atom in lfp_forward_rel(ground_relation(ladder)):
-        assert elem.gamma_contains(atom.pred, atom.args)
+        assert point_box(atom.args).leq(elem.get(atom.pred))
 
 
 def test_forward_no_init_is_bottom(no_init):
@@ -143,7 +144,7 @@ def test_goal_element_matches_formula_route(corpus_systems):
         specs = [default_goal(system)]
         specs.append(GoalSpec(tuple(GoalEntry(c.head, c.constraint) for c in system.clauses)))
         for spec in specs:
-            got = goal_element(system, spec)
+            got = goal_element(system._replace(goal=spec))
             assert got == _goal_element_by_formulas(system, spec), label
             nonempty += sum(not box.is_empty and box.arity > 0 for _, box in got.items)
     assert nonempty > 100
@@ -167,7 +168,7 @@ def test_coarse_backward_prunes_unrelated():
 
 
 def test_coarse_backward_explicit_goal(ladder):
-    reach = coarse_backward(ladder, ladder.goal)
+    reach = coarse_backward(ladder)
     assert {d.name for d in reach} == {"p"}
 
 
@@ -469,8 +470,8 @@ def test_a_missing_model_entry_reads_false(addition_loops):
 
 
 def test_default_goal_keeps_a_given_goal(addition_loops):
-    spec = default_goal(parse_system("pred q/0. false :- q. goal q."))
-    assert default_goal(addition_loops, spec) is spec
+    system = parse_system("pred q/0. false :- q. goal q.")
+    assert default_goal(system) is system.goal
     assert default_goal(addition_loops).entries[0].app.pred.name == "false"
 
 
@@ -482,11 +483,11 @@ def test_check_model_of_a_deep_model():
     # the integrity clause refutes with any x in (5, 100].
     system = parse_system("pred p/1. p(X) :- X = 0. false :- p(X), X > 5.")
     x = LinTerm.var(param_vars(1)[0])
-    bounds = [LinTerm.constant(b) for b in range(6)]
+    bounds = [LinTerm.make({}, b) for b in range(6)]
     uppers = [lin(x - b, Rel.LE) for b in bounds]
     lowers = [lin(-b - x, Rel.LE) for b in bounds]
     rng = random.Random(5000)
-    f = lin(x - LinTerm.constant(100), Rel.LE)
+    f = lin(x - LinTerm.make({}, 100), Rel.LE)
     for level in range(5000):
         if level % 2:
             f = conj([rng.choice(lowers), f])
@@ -713,14 +714,14 @@ def test_forward_covers_concrete_on_seeded_systems():
     for label, system in finite_systems(40):
         elem = analyze_forward(system)
         for atom in lfp_forward_rel(ground_relation(system)):
-            assert elem.gamma_contains(atom.pred, atom.args), (label, str(atom))
+            assert point_box(atom.args).leq(elem.get(atom.pred)), (label, str(atom))
 
 
 def _model_contains(model, atom) -> bool:
     """Is the ground atom in the denotation of the refined model?"""
 
     def inside(elem) -> bool:
-        return elem.gamma_contains(atom.pred, atom.args)
+        return point_box(atom.args).leq(elem.get(atom.pred))
 
     return inside(model.final) or any(inside(d) and not inside(b) for d, b in model.layers)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,25 +15,40 @@ from chclab.concrete import (
     GroundAtom,
     goal_atoms,
     ground_relation,
+    kleene,
     lfp_backward_rel,
     lfp_forward_rel,
     post,
 )
 from chclab.linlogic import ResourceLimitError
 from chclab.parser import parse_system
-from chclab.randgen import random_acyclic_system, random_finite_system
 from chclab.trees import (
     DerivTree,
     atoms_abstraction,
-    backward_trees,
     check_tree_props,
-    forward_trees,
-    subtrees,
     tree_post,
     tree_pre,
 )
+from randgen import random_acyclic_system, random_finite_system
 
 F = Fraction
+
+
+def forward_trees(system, depth: int) -> frozenset[DerivTree]:
+    """``depth`` rounds of bottom-up tree construction from nothing."""
+    return kleene(partial(tree_post, ground_relation(system)), depth)[0]
+
+
+def backward_trees(system, depth: int) -> frozenset[DerivTree]:
+    """``depth`` rounds of top-down expansion from the goal atoms."""
+    seed = frozenset(DerivTree(a) for a in goal_atoms(system))
+    return kleene(partial(tree_pre, ground_relation(system), seed=seed), depth)[0]
+
+
+def subtrees(t: DerivTree):
+    yield t
+    for child in t.children:
+        yield from subtrees(child)
 
 
 def p(*args):
