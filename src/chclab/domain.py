@@ -175,11 +175,6 @@ class AbstractElement(NamedTuple):
     def leq(self, other: "AbstractElement") -> bool:
         return all(a.leq(b) for (_, a), (_, b) in zip(self.items, other.items))
 
-    def join(self, other: "AbstractElement") -> "AbstractElement":
-        return AbstractElement(
-            tuple((n, a.join(b)) for (n, a), (_, b) in zip(self.items, other.items))
-        )
-
     def meet(self, other: "AbstractElement") -> "AbstractElement":
         return AbstractElement(
             tuple((n, a.meet(b)) for (n, a), (_, b) in zip(self.items, other.items))
@@ -215,10 +210,8 @@ class CompiledClause:
     rows that pivots only on variables outside the target.  A cube whose
     rows alone are refuted gets no template.  A call lowers each bound of
     its input boxes to a one-variable row, conjoins those rows with every
-    template and projects the result onto the target.  Only a bound that
-    adds a pivot, a point on a variable outside the target, makes the
-    conjunction build its set afresh (see
-    :class:`~chclab.linlogic.Conjunction`).
+    template and projects the result onto the target; the template's rows
+    are normalized once, and a call normalizes only its bounds.
     """
 
     def __init__(self, clause: Clause):

@@ -13,12 +13,12 @@ Constraints are lowered to integer rows once (:func:`lower`, and
 :func:`bound_row` for an interval bound), and one Fourier-Motzkin engine
 works on those rows:
 
-* **Equalities first.**  :func:`extend` conjoins new rows with rows whose
-  equalities are already substituted away: it rewrites the new rows
-  through the recorded pivots, solves each new equality for one of its
-  free variables and substitutes it into every other row.  A projection
-  pivots only on variables it was not asked for; an equality over
-  requested variables alone becomes two inequalities.
+* **Equalities first.**  :func:`extend` rewrites new rows through the
+  recorded pivots, solves each new equality for one of its free
+  variables and substitutes it into the other new rows.  A projection
+  pivots only on variables it was not asked for, and a conjunction only
+  until it holds a normalized row; any other equality becomes two
+  inequalities.
 * **Integer rows.**  :meth:`Conjunction.conjoin` turns every remaining
   constraint into inequality rows: integer coefficients and constant
   without a common divisor, a strict flag, a history (the bitmask of the
@@ -31,12 +31,11 @@ works on those rows:
   unsatisfiable branches of the search.  Each elimination step applies
   the same rule (:func:`_refute`) to the one-variable rows it makes, so
   a conflict is refuted in the step that makes it, not left for the step
-  on its variable.  A :class:`Conjunction` keeps the rows, pivots and
-  build state of a conjunction, so the search extends a branch with a
-  child's atoms, and :class:`chclab.domain.CompiledClause` the template
-  of a constraint cube with the bounds of its input boxes, normalizing
-  only the new rows (see :class:`Conjunction` for when the set is built
-  afresh).
+  on its variable.  A :class:`Conjunction` keeps the pivots and build
+  state of a conjunction, so the search extends a branch with a child's
+  atoms, and :class:`chclab.domain.CompiledClause` the template of a
+  constraint cube with the bounds of its input boxes, normalizing only
+  the new rows.
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.
@@ -192,11 +191,10 @@ def sat_cube(formula: Formula) -> ConjCube | None:
     Depth-first search over the disjunct choices.  The formula's
     variables are indexed once, and each branch carries the
     :class:`Conjunction` of the atoms its choices imply: a child lowers
-    only its new atoms, conjoins them with its parent's (see
-    :class:`Conjunction` for which rows are normalized again) and
-    eliminates a copy of the result.  A branch is dropped as soon as
-    its atoms are unsatisfiable; it then branches on the pending
-    disjunction with the fewest children, trying them in formula order.
+    only its new atoms, conjoins them with its parent's and eliminates
+    a copy of the result.  A branch is dropped as soon as its atoms are
+    unsatisfiable; it then branches on the pending disjunction with the
+    fewest children, trying them in formula order.
     A root left with exactly one pending disjunction skips its
     elimination and hands that check to every child, even one that adds
     no atom; it still builds its rows, once for all children, and stops
@@ -309,17 +307,14 @@ def _substitute(row: Lowered, pivots) -> Lowered:
 
 
 def extend(
-    rows: tuple[Lowered, ...], pivots: tuple[Pivot, ...], new, free: int
+    pivots: tuple[Pivot, ...], new, free: int
 ) -> tuple[tuple[Lowered, ...], tuple[Pivot, ...]]:
-    """Conjoin the lowered constraints ``new`` with ``rows``.
-
-    ``rows`` hold no equality with a coefficient at a position in the
-    mask ``free``, and ``pivots`` are the equalities substituted away to
-    get there.  Each new row is rewritten through the pivots; then, while
-    a new equality has a coefficient at a free position, it is solved for
-    the first such position and substituted into every other row.
-    Returns the rows and pivots of the conjunction.  Neither input is
-    modified, so a template can be extended again and again.
+    """Rewrite the lowered constraints ``new`` through ``pivots``, the
+    equalities substituted away so far; then, while one of them is an
+    equality with a coefficient at a position in the mask ``free``, solve
+    it for the first such position and substitute it into the others.
+    Returns the rows left and the pivots.  Neither input is modified, so
+    a template can be extended again and again.
     """
     new = [_substitute(r, pivots) for r in new] if pivots else list(new)
     # An equality passed over has no coefficient at a free position, so no
@@ -336,9 +331,8 @@ def extend(
         del new[k]
         solved = ((j, evec, econst),)
         pivots += solved
-        rows = tuple(_substitute(r, solved) if r[0][j] else r for r in rows)
         new = [_substitute(r, solved) if r[0][j] else r for r in new]
-    return (*rows, *new), pivots
+    return tuple(new), pivots
 
 
 # One row of a RowSet: (coeffs, const, strict, history, varmask) stands for
@@ -375,29 +369,21 @@ class Conjunction:
     """A conjunction of lowered constraints over ``names``, conjoined one
     batch at a time.
 
-    ``rows`` and ``pivots`` are what :func:`extend` made of the batches
-    so far, pivoting only on the positions in the mask ``free``, and
-    ``rowset`` is their :class:`RowSet` as :meth:`conjoin` describes
-    it.  ``out`` (the distinct rows by key) and ``singles`` (the
-    one-variable rows of each position, a tuple of lower and one of upper
-    bounds) are the state of that build between rows.
-
-    **Copy or rebuild.**  When :func:`extend` solved no new pivot, the
-    rows conjoined before come first and unchanged, so :meth:`conjoin`
-    adds only the new rows to a copy of the state and gets the set a
-    fresh build would; the ``singles`` tuples are replaced, never changed
-    in place, so copying the two dicts is enough.  A new pivot rewrites
-    the rows already added, and the set is then built afresh.  A refuted
-    build stopped part way, so a refuted conjunction is never extended:
-    :meth:`conjoin` returns it unchanged.
+    ``pivots`` are the equalities :func:`extend` solved, each for a
+    position in the mask ``free``, and ``rowset`` is the :class:`RowSet`
+    of the rows left, as :meth:`conjoin` describes it.  ``out`` (the
+    distinct rows by key) and ``singles`` (the one-variable rows of each
+    position, a tuple of lower and one of upper bounds) are the state of
+    that build between rows.  A batch adds only its own rows to a copy
+    of the two dicts, whose ``singles`` tuples are replaced, never
+    changed in place.
     """
 
-    __slots__ = ("names", "free", "rows", "pivots", "out", "singles", "rowset")
+    __slots__ = ("names", "free", "pivots", "out", "singles", "rowset")
 
-    def __init__(self, names: tuple[str, ...], free: int = 0):
+    def __init__(self, names: tuple[str, ...], free: int):
         self.names = names
         self.free = free
-        self.rows: tuple[Lowered, ...] = ()
         self.pivots: tuple[Pivot, ...] = ()
         self.out: dict[tuple, Row] = {}
         self.singles: dict[int, tuple[tuple[Row, ...], tuple[Row, ...]]] = {}
@@ -406,7 +392,8 @@ class Conjunction:
     def conjoin(self, lowered) -> Conjunction:
         """This conjunction and the lowered constraints ``lowered``.
 
-        Its ``rowset`` holds the inequalities of the rows: each divided by
+        New pivots are solved only while no row is normalized.  Its
+        ``rowset`` holds the inequalities of the rows: each divided by
         the gcd of its integers, an equality split into two inequalities,
         ground rows that hold dropped and exact duplicates merged.  A
         ground row that fails makes the set ``unsat``.  So does a
@@ -414,20 +401,17 @@ class Conjunction:
         sign on the same variable: the set then holds the ground row the
         Fourier-Motzkin step on that variable makes of the pair.  Such a
         conflict refutes most unsatisfiable branches of :func:`sat_cube`
-        before any elimination runs.
+        before any elimination runs.  A refuted build stopped part way,
+        so a refuted conjunction comes back unchanged.
         """
         if self.rowset.unsat:
             return self
-        rows, pivots = extend(self.rows, self.pivots, lowered, self.free)
+        rows, pivots = extend(self.pivots, lowered, 0 if self.out else self.free)
         # Set every slot here: __init__ would make a state and a set only
         # to drop them.
         child = object.__new__(Conjunction)
-        child.names, child.free, child.rows, child.pivots = self.names, self.free, rows, pivots
-        if len(pivots) == len(self.pivots):
-            child.out, child.singles = self.out.copy(), self.singles.copy()
-            rows = rows[len(self.rows) :]
-        else:
-            child.out, child.singles = {}, {}
+        child.names, child.free, child.pivots = self.names, self.free, pivots
+        child.out, child.singles = self.out.copy(), self.singles.copy()
         child.rowset = child._normalize(rows)
         return child
 
@@ -639,11 +623,6 @@ class Bound(NamedTuple):
     value: int | Fraction | None
     strict: bool
 
-    @staticmethod
-    def at(value, strict: bool = False) -> Bound:
-        value = Fraction(value)
-        return Bound(value.numerator if value.denominator == 1 else value, strict)
-
 
 UNBOUNDED = Bound(None, True)
 
@@ -678,12 +657,6 @@ class Interval(NamedTuple):
     @staticmethod
     def top() -> Interval:
         return Interval(UNBOUNDED, UNBOUNDED)
-
-    @staticmethod
-    def of(lo, hi, lo_strict: bool = False, hi_strict: bool = False) -> Interval:
-        lob = UNBOUNDED if lo is None else Bound.at(lo, lo_strict)
-        hib = UNBOUNDED if hi is None else Bound.at(hi, hi_strict)
-        return Interval(lob, hib)
 
     @property
     def is_empty(self) -> bool:

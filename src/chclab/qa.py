@@ -22,6 +22,7 @@ from .domain import AbstractElement, Box
 from .solver import (
     AlternationTrace,
     AnalysisConfig,
+    ClauseResults,
     RefinedModel,
     Verdict,
     alternate,
@@ -132,10 +133,10 @@ def qa_two_step(
     returned model maps every predicate to "queried implies covered".
     """
     qa = qa_transform(system)
-    qa_element = analyze_forward(qa.system, None, config)
+    qa_element = analyze_forward(ClauseResults(qa.system), AbstractElement.top(qa.system), config)
     answers = _project(qa, qa_element, "answer")
     queries = _project(qa, qa_element, "query")
-    final = analyze_forward(_strengthen_heads(system, answers), answers, config)
+    final = analyze_forward(ClauseResults(_strengthen_heads(system, answers)), answers, config)
     g = goal_element(system)
     safe = g.meet(final).is_bottom
     model = RefinedModel(final, ((AbstractElement.top(system), queries),))

@@ -28,9 +28,7 @@ the descending pass, later rounds and :func:`certify_trace` look up
 what the run already computed instead of recomputing it; the
 restriction meet and the goal seed are applied outside the table.
 :func:`alternate` creates the table and passes it to both analyses and
-to the certifier as their last argument; :func:`analyze_forward`,
-:func:`analyze_backward` and :func:`certify_trace` called without one
-each use a fresh one, with the same results.
+to the certifier, which read the system from it.
 
 The goal element takes the same route: :func:`goal_element` compiles
 each goal entry as the body-less clause ``app :- guard`` and projects it
@@ -47,7 +45,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .depgraph import dependency_order
 from .domain import AbstractElement, Box, CompiledClause
@@ -203,15 +201,6 @@ class ClauseResults:
         self._post: dict[tuple, Box] = {}
         self._pre: dict[tuple, Box] = {}
 
-    @staticmethod
-    def of(system: System, results: ClauseResults | None) -> ClauseResults:
-        """``results``, or a fresh table; one of another system raises."""
-        if results is None:
-            return ClauseResults(system)
-        if results.system is not system:
-            raise ValueError("clause results of another system")
-        return results
-
     @cached_property
     def order(self):
         """The system's dependency order, computed once per run."""
@@ -308,41 +297,33 @@ def _solve_components(components, flow, start, restriction, config):
 
 
 def analyze_forward(
-    system: System,
-    restriction: AbstractElement | None = None,
-    config: AnalysisConfig = AnalysisConfig(),
-    results: ClauseResults | None = None,
+    results: ClauseResults, restriction: AbstractElement, config: AnalysisConfig
 ) -> AbstractElement:
-    """Boxes covering everything derivable within ``restriction``,
-    looking clause results up in the run's table ``results`` if given."""
-    results = ClauseResults.of(system, results)
-    r = restriction if restriction is not None else AbstractElement.top(system)
+    """Boxes covering everything of ``results.system`` derivable within
+    ``restriction``, looking clause results up in the run's table."""
     return _solve_components(
         results.order,
-        forward_flow(results, r),
-        AbstractElement.bottom(system),
-        r,
+        forward_flow(results, restriction),
+        AbstractElement.bottom(results.system),
+        restriction,
         config,
     )
 
 
 def analyze_backward(
-    system: System,
+    results: ClauseResults,
     goal_elem: AbstractElement,
-    restriction: AbstractElement | None = None,
-    config: AnalysisConfig = AnalysisConfig(),
-    results: ClauseResults | None = None,
+    restriction: AbstractElement,
+    config: AnalysisConfig,
 ) -> AbstractElement:
     """Boxes covering everything inside ``restriction`` that can reach
     the goal element through body atoms also inside ``restriction``;
     ``results`` as in :func:`analyze_forward`."""
-    results = ClauseResults.of(system, results)
-    r = restriction if restriction is not None else AbstractElement.top(system)
     return _solve_components(
         reversed(results.order),
-        backward_flow(results, goal_elem, r),
-        goal_elem.meet(r),
-        r,
+        backward_flow(results, goal_elem, restriction),
+        goal_elem.meet(restriction),
+        restriction,
         config,
     )
 
@@ -393,7 +374,7 @@ def alternate(
     reason = "round_budget"
     for i in range(1, config.max_rounds + 1):
         forward = i > 1 or config.start == "forward"
-        d = analyze_forward(system, b, config, results) if forward else top
+        d = analyze_forward(results, b, config) if forward else top
         if d.is_bottom:
             rounds.append((d, None))
             reason = "empty_element"
@@ -401,7 +382,7 @@ def alternate(
         if i == 1 and config.start == "coarse":
             b = _coarse_element(system).meet(d)
         else:
-            b = analyze_backward(system, g, d, config, results)
+            b = analyze_backward(results, g, d, config)
         rounds.append((d, b))
         if b.is_bottom:
             # The next forward pass would be empty.
@@ -412,15 +393,12 @@ def alternate(
             reason = "stabilized"
             break
     trace = AlternationTrace(tuple(rounds))
-    trace = trace._replace(certs=tuple(certify_trace(system, g, trace, results)))
+    trace = trace._replace(certs=tuple(certify_trace(results, g, trace)))
     return trace, Verdict(refined_model(trace), i, reason)
 
 
 def certify_trace(
-    system: System,
-    g: AbstractElement,
-    trace: AlternationTrace,
-    results: ClauseResults | None = None,
+    results: ClauseResults, g: AbstractElement, trace: AlternationTrace
 ) -> list[RoundCert]:
     """Exact per-round inclusion checks of the alternation laws.
 
@@ -429,13 +407,10 @@ def certify_trace(
     its forward law checked.  The forward and backward laws evaluate the
     flows the analyses iterate, so a law holds exactly when the round's
     element is a post-fixpoint of its flow.  They look clause results up
-    in ``results``, the table of the run that computed the trace, or in
-    a fresh table when none is given.  A table of another system raises
-    :class:`ValueError`.
+    in ``results``, the table of the run that computed the trace.
     """
-    results = ClauseResults.of(system, results)
-    bottom = AbstractElement.bottom(system)
-    b_prev = AbstractElement.top(system)
+    bottom = AbstractElement.bottom(results.system)
+    b_prev = AbstractElement.top(results.system)
     certs: list[RoundCert] = []
     for d, b in trace.rounds:
         forward_ok = _closed(forward_flow(results, b_prev), d)
@@ -475,7 +450,7 @@ class ModelCheckResult(NamedTuple):
         return self.ok
 
 
-def check_model(system: System, model) -> ModelCheckResult:
+def check_model(system: System, model: Mapping[str, Formula]) -> ModelCheckResult:
     """Clause-by-clause verification of a candidate model.
 
     For each clause, body formulas plus the constraint must entail the
@@ -499,7 +474,7 @@ def check_model(system: System, model) -> ModelCheckResult:
     return ModelCheckResult(tuple(violations))
 
 
-def goal_disjoint(system: System, model) -> bool:
+def goal_disjoint(system: System, model: Mapping[str, Formula]) -> bool:
     """Is the model disjoint from every goal instance?"""
     formulas = _formulas(model)
     for entry in default_goal(system).entries:
@@ -509,11 +484,10 @@ def goal_disjoint(system: System, model) -> bool:
     return True
 
 
-def _formulas(model) -> defaultdict[str, Formula]:
-    """The formula of each predicate in a :class:`RefinedModel` or a
-    mapping; a missing entry reads ``false``, as in
-    :func:`chclab.parser.parse_model`."""
-    return defaultdict(lambda: FALSE, model.as_dict() if isinstance(model, RefinedModel) else model)
+def _formulas(model: Mapping[str, Formula]) -> defaultdict[str, Formula]:
+    """The formula of each predicate in ``model``; a missing entry reads
+    ``false``, as in :func:`chclab.parser.parse_model`."""
+    return defaultdict(lambda: FALSE, model)
 
 
 def _instantiate(formula: Formula, app: PredApp) -> Formula:

@@ -33,6 +33,8 @@ from .concrete import (
 from .linlogic import ResourceLimitError
 from .syntax import System
 
+TREE_CAP = 200_000
+
 
 class DerivTree(NamedTuple):
     root: GroundAtom
@@ -60,22 +62,22 @@ def _node(root: GroundAtom, children) -> DerivTree:
     return DerivTree(root, tuple(sorted(children, key=lambda t: t.root.key())))
 
 
-def _capped(trees, max_trees: int | None, what: str) -> frozenset[DerivTree]:
-    """The set of ``trees``, built only while it holds at most ``max_trees``."""
+def _capped(trees, what: str) -> frozenset[DerivTree]:
+    """The set of ``trees``, built only while it holds at most
+    ``TREE_CAP`` of them, the cap read at call time."""
+    cap = TREE_CAP
     out: set[DerivTree] = set()
     for t in trees:
         out.add(t)
-        if max_trees is not None and len(out) > max_trees:
-            raise ResourceLimitError(f"more than {max_trees} {what} trees")
+        if len(out) > cap:
+            raise ResourceLimitError(f"more than {cap} {what} trees")
     return frozenset(out)
 
 
-def tree_post(
-    rel: GroundRelation, trees: frozenset[DerivTree], max_trees: int | None = None
-) -> frozenset[DerivTree]:
+def tree_post(rel: GroundRelation, trees: frozenset[DerivTree]) -> frozenset[DerivTree]:
     """Trees built by one clause instance on top of existing trees.
 
-    Raises :class:`ResourceLimitError` as soon as more than ``max_trees``
+    Raises :class:`ResourceLimitError` as soon as more than ``TREE_CAP``
     have been built.
     """
     by_root: dict[GroundAtom, list[DerivTree]] = {}
@@ -88,7 +90,7 @@ def tree_post(
             *(by_root.get(a, ()) for a in sorted(c.premises, key=GroundAtom.key))
         )
     )
-    return _capped(built, max_trees, "forward")
+    return _capped(built, "forward")
 
 
 def _expansions(t: DerivTree, by_conclusion):
@@ -102,10 +104,7 @@ def _expansions(t: DerivTree, by_conclusion):
 
 
 def tree_pre(
-    rel: GroundRelation,
-    trees: frozenset[DerivTree],
-    max_trees: int | None = None,
-    seed: frozenset[DerivTree] = frozenset(),
+    rel: GroundRelation, trees: frozenset[DerivTree], seed: frozenset[DerivTree] = frozenset()
 ) -> frozenset[DerivTree]:
     """``seed`` plus the trees obtained by expanding one leaf with one
     clause instance.
@@ -113,14 +112,14 @@ def tree_pre(
     Only instances with at least one premise apply; expanding by a fact
     would not change the atom set and complete trees are the business
     of :func:`tree_post`.  Raises :class:`ResourceLimitError` as soon as
-    the result holds more than ``max_trees`` trees, seed included.
+    the result holds more than ``TREE_CAP`` trees, seed included.
     """
     by_conclusion: dict[GroundAtom, list[Consequence]] = {}
     for c in rel:
         if c.premises:
             by_conclusion.setdefault(c.conclusion, []).append(c)
     built = chain(seed, (e for t in trees for e in _expansions(t, by_conclusion)))
-    return _capped(built, max_trees, "backward")
+    return _capped(built, "backward")
 
 
 def _leaves(atoms: Interpretation) -> frozenset[DerivTree]:
@@ -166,9 +165,7 @@ class TreePropsReport(NamedTuple):
         return set(self.verdicts.values()) == {"PASS"}
 
 
-def check_tree_props(
-    system: System, depth_cap: int = 10, max_trees: int = 200000
-) -> TreePropsReport:
+def check_tree_props(system: System, depth_cap: int = 10) -> TreePropsReport:
     """Grow both tree semantics to a fixed point and compare atom sets.
 
     The forward comparison targets the forward collecting semantics,
@@ -182,10 +179,8 @@ def check_tree_props(
         raise ValueError(f"depth_cap must not be negative, got {depth_cap}")
     rel = ground_relation(system)
     goal_set = goal_atoms(system)
-    fwd, fwd_depth = kleene(partial(tree_post, rel, max_trees=max_trees), depth_cap)
-    bwd, bwd_depth = kleene(
-        partial(tree_pre, rel, max_trees=max_trees, seed=_leaves(goal_set)), depth_cap
-    )
+    fwd, fwd_depth = kleene(partial(tree_post, rel), depth_cap)
+    bwd, bwd_depth = kleene(partial(tree_pre, rel, seed=_leaves(goal_set)), depth_cap)
     fwd_stable = fwd_depth is not None
     bwd_stable = bwd_depth is not None
     forward = backward = combined = "SKIPPED"

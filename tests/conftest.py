@@ -1,16 +1,17 @@
-"""Shared fixtures: parsed corpus systems and corpus paths; and the box
-of one ground tuple."""
+"""Shared fixtures: parsed corpus systems and corpus paths; bounds,
+intervals and the box of one ground tuple; and the join of elements."""
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from chclab import parse_system
-from chclab.domain import Box
-from chclab.linlogic import Interval
+from chclab.domain import AbstractElement, Box
+from chclab.linlogic import UNBOUNDED, Bound, Interval
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -23,10 +24,30 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
+def bound(value, strict: bool = False) -> Bound:
+    """A bound at ``value``, held as :class:`Bound` holds it: an ``int``
+    when it is integral, a ``Fraction`` otherwise."""
+    value = Fraction(value)
+    return Bound(value.numerator if value.denominator == 1 else value, strict)
+
+
+def interval(lo, hi, lo_strict: bool = False, hi_strict: bool = False) -> Interval:
+    """The interval from ``lo`` to ``hi``; ``None`` leaves a side unbounded."""
+    return Interval(
+        UNBOUNDED if lo is None else bound(lo, lo_strict),
+        UNBOUNDED if hi is None else bound(hi, hi_strict),
+    )
+
+
 def point_box(args) -> Box:
     """The box that holds the tuple ``args`` alone: a box holds the
     tuple exactly when this box is below it."""
-    return Box.make(len(args), (Interval.of(x, x) for x in args))
+    return Box.make(len(args), (interval(x, x) for x in args))
+
+
+def join(a: AbstractElement, b: AbstractElement) -> AbstractElement:
+    """The join of two elements of one system, predicate by predicate."""
+    return AbstractElement(tuple((n, x.join(y)) for (n, x), (_, y) in zip(a.items, b.items)))
 
 
 def load(name: str):

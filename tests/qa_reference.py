@@ -15,7 +15,7 @@ It is the independent route the tests compare
 from __future__ import annotations
 
 from chclab.domain import AbstractElement
-from chclab.solver import AnalysisConfig, analyze_forward
+from chclab.solver import AnalysisConfig, ClauseResults, analyze_forward
 from chclab.syntax import Clause, GoalSpec, System, conj
 
 
@@ -50,4 +50,4 @@ def backward(
 ) -> AbstractElement:
     """The backward element of goal element ``g`` within ``d``, seeded
     with ``g ∩ d`` as the native backward pass is."""
-    return analyze_forward(reverse_system(system, d, spec, g.meet(d)), d, config)
+    return analyze_forward(ClauseResults(reverse_system(system, d, spec, g.meet(d))), d, config)

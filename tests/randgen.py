@@ -166,7 +166,7 @@ def random_interval(rng: random.Random):
     def side() -> Bound:
         if rng.random() < 0.25:
             return UNBOUNDED
-        return Bound.at(rng.randint(-2, 4), rng.random() < 0.3)
+        return Bound(rng.randint(-2, 4), rng.random() < 0.3)
 
     return Interval(side(), side())
 

@@ -124,7 +124,7 @@ def test_false_step_law_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         solver,
         "certify_trace",
-        lambda system, g, trace, results=None: [solver.RoundCert(backward_law=False)],
+        lambda results, g, trace: [solver.RoundCert(backward_law=False)],
     )
     code, out, err = run(capsys, "solve", ADDITION_LOOPS, "--json", "-")
     assert code == 1

@@ -34,7 +34,7 @@ from chclab.syntax import (
     conj,
     param_vars,
 )
-from conftest import point_box
+from conftest import interval, join, point_box
 from randgen import random_box, random_element, random_finite_system, random_interval
 from test_solver import fuzz_text
 
@@ -50,26 +50,26 @@ def boxes(seed: int, arity: int = 2, n: int = 3):
 
 
 def test_interval_basics():
-    i = Interval.of(0, 2, hi_strict=True)
-    assert Interval.of(0, 0).leq(i) and Interval.of(F(3, 2), F(3, 2)).leq(i)
-    assert not Interval.of(2, 2).leq(i)
+    i = interval(0, 2, hi_strict=True)
+    assert interval(0, 0).leq(i) and interval(F(3, 2), F(3, 2)).leq(i)
+    assert not interval(2, 2).leq(i)
     assert str(i) == "[0, 2)"
-    assert Interval.of(2, 1).is_empty
-    assert Interval.of(0, 0, lo_strict=True).is_empty
+    assert interval(2, 1).is_empty
+    assert interval(0, 0, lo_strict=True).is_empty
 
 
 def test_interval_join_meet():
-    a, b = Interval.of(0, 1), Interval.of(2, 5)
+    a, b = interval(0, 1), interval(2, 5)
     assert str(a.join(b)) == "[0, 5]"
     assert a.meet(b).is_empty
-    half = Interval.of(0, None)
+    half = interval(0, None)
     assert str(half) == "[0, +oo)"
-    assert half.meet(Interval.of(None, 3)).leq(Interval.of(0, 3))
+    assert half.meet(interval(None, 3)).leq(interval(0, 3))
 
 
 def test_interval_widen_unstable_to_infinity():
-    a = Interval.of(0, 1)
-    b = Interval.of(0, 2)
+    a = interval(0, 1)
+    b = interval(0, 2)
     w = a.widen(b)
     assert str(w) == "[0, +oo)"
     assert str(b.widen(a)) == "[0, 2]"  # stable upper bound is kept
@@ -82,7 +82,7 @@ def test_interval_lattice_laws(seed):
 
     def draw():
         box = random_box(rng, 1)
-        return box.intervals[0] if box.intervals else Interval.of(1, 0)
+        return box.intervals[0] if box.intervals else interval(1, 0)
 
     a, b, c = draw(), draw(), draw()
     assert a.join(b).leq(b.join(a)) and b.join(a).leq(a.join(b))
@@ -97,10 +97,10 @@ def test_interval_lattice_laws(seed):
 
 
 def test_widening_chains_stabilize():
-    cur = Interval.of(0, 0)
+    cur = interval(0, 0)
     steps = 0
     while True:
-        nxt = cur.widen(Interval.of(0, steps + 1).join(cur))
+        nxt = cur.widen(interval(0, steps + 1).join(cur))
         steps += 1
         if nxt.leq(cur) and cur.leq(nxt):
             break
@@ -138,7 +138,7 @@ def test_box_make_rejects_wrong_arity():
 
 
 def test_box_formula_and_complement_round_trip():
-    box = Box.make(2, (Interval.of(3, None), Interval.of(None, -1)))
+    box = Box.make(2, (interval(3, None), interval(None, -1)))
     vs = param_vars(2)
     inside = box.formula(vs)
     outside = box.complement(vs)
@@ -156,13 +156,13 @@ def test_box_formula_and_complement_round_trip():
 @pytest.mark.parametrize(
     "box, text",
     [
-        (Box.make(1, (Interval.of(3, 3),)), "x < 3; -x < -3"),
+        (Box.make(1, (interval(3, 3),)), "x < 3; -x < -3"),
         (
-            Box.make(2, (Interval.of(0, None, lo_strict=True), Interval.of(None, F(5, 2), hi_strict=True))),
+            Box.make(2, (interval(0, None, lo_strict=True), interval(None, F(5, 2), hi_strict=True))),
             "x <= 0; -y <= -5/2",
         ),
-        (Box.make(2, (Interval.of(-1, 4), Interval.of(0, 2, hi_strict=True))), "x < -1; -x < -4; y < 0; -y <= -2"),
-        (Box.make(2, (Interval.of(F(1, 3), F(1, 3)), Interval.of(2, None))), "x < 1/3; -x < -1/3; y < 2"),
+        (Box.make(2, (interval(-1, 4), interval(0, 2, hi_strict=True))), "x < -1; -x < -4; y < 0; -y <= -2"),
+        (Box.make(2, (interval(F(1, 3), F(1, 3)), interval(2, None))), "x < 1/3; -x < -1/3; y < 2"),
         (Box.top(2), "false"),
         (Box.empty(2), "true"),
         (Box.top(0), "false"),
@@ -175,7 +175,7 @@ def test_box_complement_text(box, text):
 
 
 def test_point_box_formula_uses_equality():
-    box = Box.make(1, (Interval.of(4, 4),))
+    box = Box.make(1, (interval(4, 4),))
     f = box.formula(("X1",))
     assert "=" in str(f) and formula_reference.eval_formula(f, {"X1": F(4)})
 
@@ -199,7 +199,7 @@ def test_element_order_and_bottom(addition_loops):
     top = AbstractElement.top(addition_loops)
     assert bot.is_bottom and bot.leq(top) and not top.leq(bot)
     assert top.meet(bot).is_bottom
-    assert bot.join(top).leq(top) and top.leq(bot.join(top))
+    assert join(bot, top).leq(top) and top.leq(join(bot, top))
     lifted = bot.with_box("p1", Box.top(2))
     assert not lifted.is_bottom
     assert lifted.get("p1") == Box.top(2) and lifted.get("p2").is_empty
@@ -212,7 +212,7 @@ def test_element_lattice_laws(seed):
     system = random_finite_system(rng.randrange(10**6))
     a = random_element(rng, system)
     b = random_element(rng, system)
-    assert a.meet(b).leq(a) and a.leq(a.join(b))
+    assert a.meet(b).leq(a) and a.leq(join(a, b))
 
 
 # -- abstract transformers vs. ground truth ------------------------------------------
@@ -258,7 +258,7 @@ def test_clause_post_example():
         "pred p/1.\npred q/1.\nq(Y) :- p(X), Y = X + 1, X >= 0.\n"
     )
     elem = AbstractElement.bottom(system).with_box(
-        "p", Box.make(1, (Interval.of(-5, 3),))
+        "p", Box.make(1, (interval(-5, 3),))
     )
     clause = system.clauses[0]
     box = clause_post(clause, elem)
@@ -273,10 +273,10 @@ def test_clause_pre_restricted_example():
     )
     clause = system.clauses[0]
     elem = AbstractElement.bottom(system).with_box(
-        "q", Box.make(1, (Interval.of(0, 10),))
+        "q", Box.make(1, (interval(0, 10),))
     )
     restriction = AbstractElement.top(system).with_box(
-        "p", Box.make(1, (Interval.of(None, 2),))
+        "p", Box.make(1, (interval(None, 2),))
     )
     box = clause_pre_restricted(clause, 0, restriction, elem)
     assert str(box) == "[0, 2]"
@@ -315,14 +315,14 @@ def _probe_interval(rng, kind):
         return Interval.top()
     if kind == "point":
         v = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-        return Interval.of(v, v)
+        return interval(v, v)
     if kind == "half-open":
         v = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3)))
         return rng.choice(
             (
-                Interval.of(v, None, lo_strict=rng.random() < 0.5),
-                Interval.of(None, v, hi_strict=rng.random() < 0.5),
-                Interval.of(v, v + 2, hi_strict=True),
+                interval(v, None, lo_strict=rng.random() < 0.5),
+                interval(None, v, hi_strict=rng.random() < 0.5),
+                interval(v, v + 2, hi_strict=True),
             )
         )
     return random_interval(rng)
@@ -422,18 +422,18 @@ def _assert_both_directions_match(clause, elems):
     return cc
 
 
-def test_point_bound_outside_the_target_rebuilds_the_rows(monkeypatch):
+def test_point_bound_outside_the_target_adds_rows(monkeypatch):
     # No equality of the templates pivots on X or Y.  A point box for the
     # body atom of post, or for the head of pre, is an equality on a
-    # variable outside the target: it becomes a pivot that rewrites the
-    # template's rows, so the set is built afresh.  A range box only adds
+    # variable outside the target; the templates already hold rows, so
+    # it is split into two inequalities and, like a range box, only adds
     # rows on top of the template's build.  Both targets' templates are
-    # made first, so every build that starts empty is a fresh one.
+    # made first, so a build that starts empty would be a fresh one.
     system = parse_system("pred p/1. pred q/1.\np(Y) :- q(X), X >= 0, Y >= 2 * X.\n")
     clause = system.clauses[0]
     cc = CompiledClause(clause)
-    assert cc.post([Box.top(1)]) == Box.make(1, [Interval.of(0, None)])
-    assert cc.pre(0, Box.top(1), [Box.top(1)]) == Box.make(1, [Interval.of(0, None)])
+    assert cc.post([Box.top(1)]) == Box.make(1, [interval(0, None)])
+    assert cc.pre(0, Box.top(1), [Box.top(1)]) == Box.make(1, [interval(0, None)])
     builds = 0
     normalize = Conjunction._normalize
 
@@ -443,23 +443,23 @@ def test_point_bound_outside_the_target_rebuilds_the_rows(monkeypatch):
         return normalize(self, rows)
 
     monkeypatch.setattr(Conjunction, "_normalize", counting)
-    assert cc.post([Box.make(1, [Interval.of(1, 2)])]) == Box.make(1, [Interval.of(2, None)])
+    assert cc.post([Box.make(1, [interval(1, 2)])]) == Box.make(1, [interval(2, None)])
     assert builds == 0
-    assert cc.post([Box.make(1, [Interval.of(3, 3)])]) == Box.make(1, [Interval.of(6, None)])
-    assert builds == 1
-    assert cc.pre(0, Box.make(1, [Interval.of(3, 3)]), [Box.top(1)]) == Box.make(
-        1, [Interval.of(0, F(3, 2))]
+    assert cc.post([Box.make(1, [interval(3, 3)])]) == Box.make(1, [interval(6, None)])
+    assert builds == 0
+    assert cc.pre(0, Box.make(1, [interval(3, 3)]), [Box.top(1)]) == Box.make(
+        1, [interval(0, F(3, 2))]
     )
-    assert builds == 2
+    assert builds == 0
     monkeypatch.undo()
     elems = [
         AbstractElement.of({"p": Box.make(1, [p]), "q": Box.make(1, [q])})
         for p, q in [
-            (Interval.of(3, 3), Interval.of(1, 1)),
-            (Interval.of(F(1, 2), F(1, 2)), Interval.of(F(1, 2), F(1, 2))),
-            (Interval.of(7, 9), Interval.of(4, 4)),
-            (Interval.of(-1, -1), Interval.of(1, 2)),
-            (Interval.top(), Interval.of(1, 2)),
+            (interval(3, 3), interval(1, 1)),
+            (interval(F(1, 2), F(1, 2)), interval(F(1, 2), F(1, 2))),
+            (interval(7, 9), interval(4, 4)),
+            (interval(-1, -1), interval(1, 2)),
+            (Interval.top(), interval(1, 2)),
         ]
     ]
     _assert_both_directions_match(clause, elems)
@@ -474,11 +474,11 @@ def test_refuted_cube_gets_no_template():
         AbstractElement.of({"p": Box.make(1, [p]), "q": Box.make(1, [q])})
         for p, q in [
             (Interval.top(), Interval.top()),
-            (Interval.of(0, 6), Interval.of(-1, 3)),
-            (Interval.of(6, 8), Interval.of(2, 9)),
-            (Interval.top(), Interval.of(0, 0)),
+            (interval(0, 6), interval(-1, 3)),
+            (interval(6, 8), interval(2, 9)),
+            (Interval.top(), interval(0, 0)),
         ]
     ]
     cc = _assert_both_directions_match(clause, elems)
-    assert cc.post([Box.top(1)]) == Box.make(1, [Interval.of(5, None)])
+    assert cc.post([Box.top(1)]) == Box.make(1, [interval(5, None)])
     assert [len(templates) for templates in cc._templates.values()] == [1, 1]

@@ -55,6 +55,7 @@ from chclab.syntax import (
     iter_formula_constraints,
     rename_formula,
 )
+from conftest import bound, interval
 from randgen import random_cube, random_element
 
 X, Y, Z = (LinTerm.var(n) for n in "xyz")
@@ -154,7 +155,7 @@ def test_eliminate_keeps_ground_contradiction():
 def test_eliminate_returns_unsat_input_unchanged():
     # A failing ground row refutes the set as it is built; eliminating a
     # variable afterwards must not drop the mark.
-    rows = Conjunction(("x", "y")).conjoin([([0, 0], 3, Rel.LE), ([1, 1], 0, Rel.LE)]).rowset
+    rows = Conjunction(("x", "y"), 0).conjoin([([0, 0], 3, Rel.LE), ([1, 1], 0, Rel.LE)]).rowset
     assert rows.unsat
     assert fm_eliminate(rows, "x") == rows
 
@@ -171,17 +172,17 @@ def _rows_cube(names, rows):
 
 def test_bound_conflict_frozen_cases():
     x_le_2, x_ge_2 = ([1], -2, Rel.LE), ([-1], 2, Rel.LE)
-    assert not Conjunction(("x",)).conjoin([x_le_2, x_ge_2]).rowset.unsat
+    assert not Conjunction(("x",), 0).conjoin([x_le_2, x_ge_2]).rowset.unsat
     # x < 2, x >= 2: the pair combines to the ground row 0 < 0.
-    got = Conjunction(("x",)).conjoin([([1], -2, Rel.LT), x_ge_2]).rowset
+    got = Conjunction(("x",), 0).conjoin([([1], -2, Rel.LT), x_ge_2]).rowset
     assert got.unsat and got.cons == (((0,), 0, True, 0b11, 0b1),)
     # 2x <= 3, 3x >= 5: 3/2 < 5/3.
-    assert Conjunction(("x",)).conjoin([([2], -3, Rel.LE), ([-3], 5, Rel.LE)]).rowset.unsat
+    assert Conjunction(("x",), 0).conjoin([([2], -3, Rel.LE), ([-3], 5, Rel.LE)]).rowset.unsat
     # x = 1, x <= 0: the equality's lower side meets the bound.
-    assert Conjunction(("x",)).conjoin([([1], -1, Rel.EQ), ([1], 0, Rel.LE)]).rowset.unsat
+    assert Conjunction(("x",), 0).conjoin([([1], -1, Rel.EQ), ([1], 0, Rel.LE)]).rowset.unsat
     # The refuting row carries the histories of both rows and the union
     # of their masks, not the rows before them.
-    got = Conjunction(("x", "y")).conjoin(
+    got = Conjunction(("x", "y"), 0).conjoin(
         [([0, 1], 0, Rel.LE), ([2, 0], -3, Rel.LE), ([-1, 0], 2, Rel.LE)]
     ).rowset
     assert got.unsat and got.cons == (((0, 0), 1, False, 0b110, 0b01),)
@@ -192,7 +193,7 @@ def test_step_refutes_conflicting_one_variable_rows():
     # one-variable rows conflict as the set is built.  Eliminating x makes
     # y <= 0 and -y + 1 <= 0, which the step itself must refute, with
     # the history of all three rows and the union of their masks.
-    rows = Conjunction(("x", "y", "z")).conjoin(
+    rows = Conjunction(("x", "y", "z"), 0).conjoin(
         [
             ([-1, 0, 0], 0, Rel.LE),
             ([1, 1, 0], 0, Rel.LE),
@@ -206,7 +207,7 @@ def test_step_refutes_conflicting_one_variable_rows():
     assert got.eliminated == 0b001
     # A row the step carries over counts too: y <= 0 conflicts with the
     # -y + 1 <= 0 that eliminating x makes.
-    rows = Conjunction(("x", "y")).conjoin(
+    rows = Conjunction(("x", "y"), 0).conjoin(
         [([0, 1], 0, Rel.LE), ([-1, 0], 0, Rel.LE), ([1, -1], 1, Rel.LE)]
     ).rowset
     assert not rows.unsat
@@ -239,7 +240,7 @@ def test_bound_conflicts_match_unpruned_reference():
     refuted = satisfiable = 0
     for seed in range(1200):
         names, rows = _bound_rows(random.Random(seed))
-        got = Conjunction(names).conjoin(rows).rowset
+        got = Conjunction(names, 0).conjoin(rows).rowset
         want = fm_reference.from_rows(names, rows)
         sat = not linlogic._eliminate(got, (1 << len(names)) - 1).unsat
         assert sat == fm_reference.cube_is_sat(_rows_cube(names, rows)), f"seed {seed}: {rows}"
@@ -261,9 +262,9 @@ def test_extended_builder_matches_a_fresh_build():
     for seed in range(1500):
         rng = random.Random(seed)
         names, rows = _bound_rows(rng)
-        whole = Conjunction(names).conjoin(rows).rowset
+        whole = Conjunction(names, 0).conjoin(rows).rowset
         split = rng.randint(0, len(rows))
-        base = Conjunction(names).conjoin(rows[:split])
+        base = Conjunction(names, 0).conjoin(rows[:split])
         prefix = base.rowset
         if prefix.unsat:
             assert whole.unsat, f"seed {seed}: {rows}"
@@ -272,7 +273,7 @@ def test_extended_builder_matches_a_fresh_build():
         assert base.conjoin(rows[split:]).rowset == whole, f"seed {seed}: {rows}"
         other_names, other = _bound_rows(random.Random(-1 - seed))
         if other_names == names:
-            want = Conjunction(names).conjoin(rows[:split] + other).rowset
+            want = Conjunction(names, 0).conjoin(rows[:split] + other).rowset
             assert base.conjoin(other).rowset == want, f"seed {seed}: {rows}, {other}"
             siblings += 1
         assert base.conjoin(()).rowset == prefix, f"seed {seed}: {rows}"
@@ -304,14 +305,18 @@ def _batches(rng: random.Random):
 
 
 def test_conjoining_batches_matches_conjoining_them_at_once():
-    # Conjoining batches one at a time gives the rows, pivots and set
-    # that conjoining them all at once gives, whether a later batch
-    # solves a new pivot (the set is built afresh) or not (the new rows
-    # are added to a copy).  A refuted conjunction comes back unchanged
-    # from every later batch, and the whole conjunction is unsatisfiable.
-    rebuilt = copied = refuted = requested_only = 0
+    # A batch conjoined onto a conjunction that holds rows never adds a
+    # pivot: an equality with a coefficient at a free position is split
+    # into two inequalities instead.  Without such an equality, batches
+    # conjoined one at a time give the pivots and set that conjoining
+    # them all at once gives; with one, the two sets agree on
+    # satisfiability and on the projection onto the requested variables.
+    # A refuted conjunction comes back unchanged from every later batch,
+    # and the whole conjunction is unsatisfiable.
+    split = copied = refuted = requested_only = 0
     for seed in range(2000):
         names, free, batches = _batches(random.Random(seed))
+        everything = (1 << len(names)) - 1
         whole = Conjunction(names, free).conjoin([row for batch in batches for row in batch])
         requested_only += any(
             rel is Rel.EQ and not any(x and free >> j & 1 for j, x in enumerate(vec))
@@ -319,24 +324,35 @@ def test_conjoining_batches_matches_conjoining_them_at_once():
             for vec, _, rel in batch
         )
         step = Conjunction(names, free)
+        splits = 0
         for batch in batches:
             if step.rowset.unsat:
                 assert step.conjoin(batch) is step, f"seed {seed}"
                 continue
             parent, step = step, step.conjoin(batch)
-            if parent.rows and not step.rowset.unsat:
-                if len(step.pivots) > len(parent.pivots):
-                    rebuilt += 1
-                else:
-                    copied += 1
+            if parent.rowset.cons:
+                assert step.pivots == parent.pivots, f"seed {seed}"
+                rewritten, _ = linlogic.extend(parent.pivots, batch, 0)
+                splits += sum(
+                    rel is Rel.EQ and any(x and free >> j & 1 for j, x in enumerate(vec))
+                    for vec, _, rel in rewritten
+                )
+                copied += not step.rowset.unsat
+        split += splits
         if step.rowset.unsat:
-            assert linlogic._eliminate(whole.rowset, (1 << len(names)) - 1).unsat, f"seed {seed}"
+            assert linlogic._eliminate(whole.rowset, everything).unsat, f"seed {seed}"
             refuted += 1
             continue
-        assert step.rows == whole.rows, f"seed {seed}"
-        assert step.pivots == whole.pivots, f"seed {seed}"
-        assert step.rowset == whole.rowset, f"seed {seed}"
-    assert rebuilt > 300 and copied > 1000 and refuted > 200 and requested_only > 500
+        if not splits:
+            assert step.pivots == whole.pivots, f"seed {seed}"
+            assert step.rowset == whole.rowset, f"seed {seed}"
+            continue
+        unsat = linlogic._eliminate(step.rowset, everything).unsat
+        assert unsat == linlogic._eliminate(whole.rowset, everything).unsat, f"seed {seed}"
+        requested = [v for j, v in enumerate(names) if not free >> j & 1]
+        got = project_rows(step.rowset, requested)
+        assert got == project_rows(whole.rowset, requested), f"seed {seed}"
+    assert split > 300 and copied > 1000 and refuted > 200 and requested_only > 500
 
 
 def test_cube_sat_frozen_cases():
@@ -536,9 +552,9 @@ def test_bound_values_are_canonical(corpus_systems):
     for seed in range(300):
         rng = random.Random(seed)
         c = ConjCube.make(random_cube(rng))
-        for interval in project_to_box(c, sorted(c.vars)) or ():
-            assert canonical(interval), f"seed {seed}: {interval!r}"
-            kinds.update(type(b.value) for b in interval)
+        for iv in project_to_box(c, sorted(c.vars)) or ():
+            assert canonical(iv), f"seed {seed}: {iv!r}"
+            kinds.update(type(b.value) for b in iv)
     assert kinds == {int, Fraction, type(None)}
     for name, system in corpus_systems:
         rng = random.Random(name)
@@ -553,12 +569,12 @@ def test_bound_values_are_canonical(corpus_systems):
                 for box in got:
                     assert all(canonical(iv) for iv in box.intervals or ()), name
     for value in (4, -3, Fraction(4), Fraction(-6, 2), Fraction(3, 2), "5", "-7/2"):
-        assert canonical(Interval(Bound.at(value), Bound.at(value, True)))
-        assert canonical(Interval.of(value, value))
-        assert canonical(Interval.of(value, None)) and canonical(Interval.of(None, value))
-    assert Bound.at(Fraction(4)) == Bound.at(4) == (4, False)
-    assert hash(Bound.at(Fraction(4))) == hash(Bound.at(4))
-    assert type(Bound.at(Fraction(4)).value) is int
+        assert canonical(Interval(bound(value), bound(value, True)))
+        assert canonical(interval(value, value))
+        assert canonical(interval(value, None)) and canonical(interval(None, value))
+    assert bound(Fraction(4)) == bound(4) == (4, False)
+    assert hash(bound(Fraction(4))) == hash(bound(4))
+    assert type(bound(Fraction(4)).value) is int
 
 
 def test_clause_table_hits_across_bound_types(addition_loops):
@@ -597,13 +613,13 @@ def test_contains_matches_the_hand_written_order():
     def side():
         if rng.random() < 0.2:
             return UNBOUNDED
-        return Bound.at(rng.choice(values), rng.random() < 0.4)
+        return bound(rng.choice(values), rng.random() < 0.4)
 
     shapes = set()
     for _ in range(600):
-        interval = Interval(side(), side())
-        lo, hi = interval
-        if interval.is_empty:
+        iv = Interval(side(), side())
+        lo, hi = iv
+        if iv.is_empty:
             shapes.add("empty")
         elif lo.value is None or hi.value is None:
             shapes.add("unbounded")
@@ -612,7 +628,7 @@ def test_contains_matches_the_hand_written_order():
         else:
             shapes.add("half-open")
         for x in (*range(-4, 5), *values):
-            assert Interval.of(x, x).leq(interval) == _contains_by_hand(interval, x), (interval, x)
+            assert interval(x, x).leq(iv) == _contains_by_hand(iv, x), (iv, x)
     assert shapes == {"empty", "unbounded", "strict", "closed", "half-open"}
 
 

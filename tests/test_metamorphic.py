@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from chclab.domain import Box
-from chclab.linlogic import Bound, Interval
+from chclab.linlogic import Interval
 from chclab.parser import parse_system
 from chclab.qa import qa_iterated, qa_two_step
 from chclab.solver import alternate, check_model
@@ -26,6 +26,7 @@ from chclab.syntax import (
     Or,
     System,
 )
+from conftest import bound
 from test_solver import fuzz_text
 
 SEED = 3
@@ -81,7 +82,7 @@ def _moved(box: Box, move) -> Box:
     return Box(
         box.arity,
         tuple(
-            Interval(*(b if b.value is None else Bound.at(move(b.value), b.strict) for b in iv))
+            Interval(*(b if b.value is None else bound(move(b.value), b.strict) for b in iv))
             for iv in box.intervals
         ),
     )
@@ -95,7 +96,7 @@ def _outcome(system: System, mode: str, move=lambda x: x) -> tuple:
     else:
         trace, verdict = (alternate if mode == "alt" else qa_iterated)(system)
         certified = trace.certified
-    model_ok = check_model(system, verdict.witness).ok
+    model_ok = check_model(system, verdict.witness.as_dict()).ok
     final = [(name, _moved(box, move)) for name, box in verdict.witness.final.items]
     return verdict.status, verdict.rounds_used, verdict.stop_reason, certified, model_ok, final
 

@@ -217,7 +217,7 @@ def test_backward_pass_matches_the_reversed_system(corpus_systems):
                     continue
                 for r in (d, *_one_box_changed(system, d)):
                     want = qa_reference.backward(system, spec, g, r, config)
-                    got = analyze_backward(system, g, r, config, results)
+                    got = analyze_backward(results, g, r, config)
                     assert got == want, (name, budget, i)
                 compared += 1
     assert compared == 709
@@ -244,4 +244,4 @@ def test_qa_iterated_traces_certify(corpus_systems, config):
     for name, system in systems:
         trace, verdict = qa_iterated(system, config=config)
         assert trace.certified, name
-        assert check_model(system, verdict.witness).ok, name
+        assert check_model(system, verdict.witness.as_dict()).ok, name

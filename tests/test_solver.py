@@ -20,7 +20,6 @@ from chclab.domain import (
     AbstractElement,
     Box,
     CompiledClause,
-    Interval,
     clause_post,
     clause_pre_restricted,
     formula_box,
@@ -30,6 +29,7 @@ from chclab.qa import qa_iterated, qa_transform, qa_two_step
 from chclab.solver import (
     AlternationTrace,
     AnalysisConfig,
+    ClauseResults,
     RefinedModel,
     alternate,
     analyze_backward,
@@ -57,25 +57,38 @@ from chclab.syntax import (
     param_vars,
 )
 from chclab.trees import check_tree_props
-from conftest import CORPUS, point_box
+from conftest import CORPUS, interval, point_box
 from randgen import random_finite_system
 from test_trees import forward_trees
 
 F = Fraction
 
 
+def forward(system):
+    """The forward analysis of ``system`` within top, on a fresh clause
+    table."""
+    return analyze_forward(ClauseResults(system), AbstractElement.top(system), AnalysisConfig())
+
+
+def backward(system, g):
+    """The backward analysis of ``system`` from goal element ``g``, as
+    :func:`forward` runs the forward one."""
+    top = AbstractElement.top(system)
+    return analyze_backward(ClauseResults(system), g, top, AnalysisConfig())
+
+
 # -- forward analysis -----------------------------------------------------------
 
 
 def test_forward_lockstep_boxes(lockstep):
-    elem = analyze_forward(lockstep)
+    elem = forward(lockstep)
     assert str(elem.get("p")) == "[0, +oo) x [0, +oo)"
     # the box hull of p admits x != y, so the integrity clause fires abstractly
     assert not elem.get("false").is_empty
 
 
 def test_forward_ladder_box(ladder):
-    elem = analyze_forward(ladder)
+    elem = forward(ladder)
     assert str(elem.get("p")) == "[1, 5]"
     # covers the concrete forward fixpoint
     for atom in lfp_forward_rel(ground_relation(ladder)):
@@ -83,13 +96,13 @@ def test_forward_ladder_box(ladder):
 
 
 def test_forward_no_init_is_bottom(no_init):
-    elem = analyze_forward(no_init)
+    elem = forward(no_init)
     assert elem.get("p").is_empty and elem.get("false").is_empty
 
 
 def test_forward_result_is_inductive(corpus_systems):
     for name, system in corpus_systems:
-        elem = analyze_forward(system)
+        elem = forward(system)
         for clause in system.clauses:
             box = clause_post(clause, elem)
             assert box.leq(elem.get(clause.head.pred.name)), (name, str(clause))
@@ -97,9 +110,9 @@ def test_forward_result_is_inductive(corpus_systems):
 
 def test_forward_respects_restriction(ladder):
     restriction = AbstractElement.top(ladder).with_box(
-        "p", Box.make(1, (Interval.of(None, 2),))
+        "p", Box.make(1, (interval(None, 2),))
     )
-    elem = analyze_forward(ladder, restriction=restriction)
+    elem = analyze_forward(ClauseResults(ladder), restriction, AnalysisConfig())
     assert str(elem.get("p")) == "[1, 2]"
 
 
@@ -109,12 +122,12 @@ def test_forward_respects_restriction(ladder):
 def test_backward_ladder(ladder):
     g = goal_element(ladder)
     assert str(g.get("p")) == "[5, 5]"
-    elem = analyze_backward(ladder, g)
+    elem = backward(ladder, g)
     assert str(elem.get("p")) == "[1, 5]"
 
 
 def test_backward_bottom_goal_is_bottom(ladder):
-    elem = analyze_backward(ladder, AbstractElement.bottom(ladder))
+    elem = backward(ladder, AbstractElement.bottom(ladder))
     assert elem.is_bottom
 
 
@@ -259,10 +272,10 @@ def _tampered(system, trace, g):
 def test_certify_trace_detects_tampering(addition_loops):
     trace, _ = alternate(addition_loops)
     g = goal_element(addition_loops)
-    good = certify_trace(addition_loops, g, trace)
+    good = certify_trace(ClauseResults(addition_loops), g, trace)
     assert all(c.ok for c in good)
     for law, rounds in _tampered(addition_loops, trace, g).items():
-        bad = certify_trace(addition_loops, g, AlternationTrace(rounds))
+        bad = certify_trace(ClauseResults(addition_loops), g, AlternationTrace(rounds))
         assert not getattr(bad[0], law), law
 
 
@@ -271,9 +284,9 @@ def run_with_results(system, **kwargs):
     from the run's call to ``certify_trace``."""
     handed = []
 
-    def spy(system, g, trace, results=None):
+    def spy(results, g, trace):
         handed.append(results)
-        return certify_trace(system, g, trace, results)
+        return certify_trace(results, g, trace)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver, "certify_trace", spy)
@@ -284,25 +297,20 @@ def run_with_results(system, **kwargs):
     return trace, verdict, results
 
 
-def test_certify_trace_detects_tampering_with_warm_results(addition_loops, ladder):
+def test_certify_trace_detects_tampering_with_warm_results(addition_loops):
     trace, _, warm = run_with_results(addition_loops)
     assert warm is not None and warm.system is addition_loops
     g = goal_element(addition_loops)
-    assert all(c.ok for c in certify_trace(addition_loops, g, trace))
+    assert all(c.ok for c in certify_trace(ClauseResults(addition_loops), g, trace))
     for law, rounds in _tampered(addition_loops, trace, g).items():
-        bad = certify_trace(addition_loops, g, AlternationTrace(rounds), warm)
+        bad = certify_trace(warm, g, AlternationTrace(rounds))
         assert not getattr(bad[0], law), law
-    with pytest.raises(ValueError):  # a table of another system
-        certify_trace(ladder, goal_element(ladder), AlternationTrace(), warm)
-    with pytest.raises(ValueError):
-        analyze_forward(ladder, None, AnalysisConfig(), warm)
-    with pytest.raises(ValueError):
-        analyze_backward(ladder, goal_element(ladder), None, AnalysisConfig(), warm)
     # the table only shares results: each analysis gives what a fresh one does
-    d = analyze_forward(addition_loops)
-    assert analyze_forward(addition_loops, None, AnalysisConfig(), warm) == d == trace.rounds[0][0]
-    b = analyze_backward(addition_loops, g, d)
-    assert analyze_backward(addition_loops, g, d, AnalysisConfig(), warm) == b == trace.rounds[0][1]
+    top, config = AbstractElement.top(addition_loops), AnalysisConfig()
+    d = analyze_forward(ClauseResults(addition_loops), top, config)
+    assert analyze_forward(warm, top, config) == d == trace.rounds[0][0]
+    b = analyze_backward(ClauseResults(addition_loops), g, d, config)
+    assert analyze_backward(warm, g, d, config) == b == trace.rounds[0][1]
 
 
 def _one_box_changed(system, elem):
@@ -500,10 +508,10 @@ def test_check_model_of_a_deep_model():
 def test_check_model_search_budget(monkeypatch):
     system = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
     trace, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
-    assert trace.certified and check_model(system, verdict.witness).ok
+    assert trace.certified and check_model(system, verdict.witness.as_dict()).ok
     monkeypatch.setattr(linlogic, "DEFAULT_CUBE_CAP", 16)
     with pytest.raises(linlogic.ResourceLimitError, match="satisfiability search"):
-        check_model(system, verdict.witness)
+        check_model(system, verdict.witness.as_dict())
 
 
 def test_check_model_elimination_count(monkeypatch):
@@ -520,7 +528,7 @@ def test_check_model_elimination_count(monkeypatch):
         return step(rows, var)
 
     monkeypatch.setattr(linlogic, "fm_eliminate", counted)
-    assert check_model(system, verdict.witness).ok
+    assert check_model(system, verdict.witness.as_dict()).ok
     assert 0 < len(steps) <= 155
 
 
@@ -540,7 +548,7 @@ def test_check_model_row_normalization_count(monkeypatch):
         return normalize(self, rows)
 
     monkeypatch.setattr(linlogic.Conjunction, "_normalize", counted)
-    assert check_model(system, verdict.witness).ok
+    assert check_model(system, verdict.witness.as_dict()).ok
     assert 0 < normalized <= 326
 
 
@@ -565,7 +573,7 @@ def test_wide_elimination_row_counts(monkeypatch):
     assert verdict.status == "SAFE"
     assert 0 < returned <= 700
     returned = 0
-    assert check_model(system, verdict.witness).ok
+    assert check_model(system, verdict.witness.as_dict()).ok
     assert 0 < returned <= 300
 
 
@@ -712,7 +720,7 @@ def finite_systems(seeds: int):
 
 def test_forward_covers_concrete_on_seeded_systems():
     for label, system in finite_systems(40):
-        elem = analyze_forward(system)
+        elem = forward(system)
         for atom in lfp_forward_rel(ground_relation(system)):
             assert point_box(atom.args).leq(elem.get(atom.pred)), (label, str(atom))
 
@@ -817,6 +825,6 @@ def test_multi_round_models_certify_on_seeded_systems():
         system = parse_system(fuzz_text(seed))
         trace, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
         assert trace.certified, seed
-        assert check_model(system, verdict.witness).ok, seed
+        assert check_model(system, verdict.witness.as_dict()).ok, seed
         if verdict.safe:
-            assert goal_disjoint(system, verdict.witness), seed
+            assert goal_disjoint(system, verdict.witness.as_dict()), seed

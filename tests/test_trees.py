@@ -152,19 +152,22 @@ def time_budget(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_tree_growth_stops_at_its_cap():
+def test_tree_growth_stops_at_its_cap(monkeypatch):
     # Step 4 holds 1352 forward trees; step 5 would build 916,658 of them,
     # which takes far longer than the budget.  The cap stops the build.
+    monkeypatch.setattr("chclab.trees.TREE_CAP", 2000)
     system = parse_system("pred p/1.\nuniverse {0, 1}.\np(X).\np(X) :- p(Y), p(Z).\n")
     with time_budget(2.0), pytest.raises(ResourceLimitError, match="more than 2000 forward trees"):
-        check_tree_props(system, max_trees=2000)
+        check_tree_props(system)
 
 
-def test_tree_cap_counts_the_goal_seed(ladder):
+def test_tree_cap_counts_the_goal_seed(ladder, monkeypatch):
     # ladder's last backward step holds 5 trees: the goal leaf and 4 expansions
-    assert check_tree_props(ladder, max_trees=5).all_pass
+    monkeypatch.setattr("chclab.trees.TREE_CAP", 5)
+    assert check_tree_props(ladder).all_pass
+    monkeypatch.setattr("chclab.trees.TREE_CAP", 4)
     with pytest.raises(ResourceLimitError, match="more than 4 backward trees"):
-        check_tree_props(ladder, max_trees=4)
+        check_tree_props(ladder)
 
 
 @given(st.integers(0, 10**9))
