@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from .linlogic import ResourceLimitError
 from .syntax import (
     And,
+    Clause,
     FalseF,
     Formula,
     Lin,
@@ -83,49 +84,47 @@ def _valuations(universe: Valuation, n: int, what: str):
     return product(universe, repeat=n)
 
 
-def ground_relation(system: System) -> GroundRelation:
-    if system.universe is None:
-        raise ValueError("system declares no universe")
-    out: set[Consequence] = set()
-    for clause in system.clauses:
-        variables = sorted(clause.vars)
-        index = {v: i for i, v in enumerate(variables)}
-        valuations = _valuations(system.universe, len(variables), "a clause")
-        ok = _compile(clause.constraint, index)
-        body_ix = [
-            (app.pred.name, tuple(index[x] for x in app.args)) for app in clause.body
-        ]
-        head_name = clause.head.pred.name
-        head_ix = tuple(index[x] for x in clause.head.args)
-        for vals in valuations:
-            if not ok(vals):
-                continue
+def _instances(universe: Valuation, clause: Clause, what: str) -> Iterable[Consequence]:
+    """The ground instances of ``clause``: one per valuation of its
+    variables over ``universe`` that satisfies its constraint, under the
+    valuation cap."""
+    variables = sorted(clause.vars)
+    index = {v: i for i, v in enumerate(variables)}
+    valuations = _valuations(universe, len(variables), what)
+    ok = _compile(clause.constraint, index)
+    body_ix = [
+        (app.pred.name, tuple(index[x] for x in app.args)) for app in clause.body
+    ]
+    head_name = clause.head.pred.name
+    head_ix = tuple(index[x] for x in clause.head.args)
+    for vals in valuations:
+        if ok(vals):
             premises = frozenset(
                 GroundAtom(name, tuple(vals[i] for i in ix)) for name, ix in body_ix
             )
-            out.add(
-                Consequence(premises, GroundAtom(head_name, tuple(vals[i] for i in head_ix)))
-            )
-    return frozenset(out)
+            yield Consequence(premises, GroundAtom(head_name, tuple(vals[i] for i in head_ix)))
+
+
+def ground_relation(system: System) -> GroundRelation:
+    if system.universe is None:
+        raise ValueError("system declares no universe")
+    return frozenset(
+        c for clause in system.clauses for c in _instances(system.universe, clause, "a clause")
+    )
 
 
 def goal_atoms(system: System) -> Interpretation:
     """Ground instances of the system's goal
-    (:func:`~chclab.syntax.default_goal`), under the same valuation cap
-    as :func:`ground_relation`."""
+    (:func:`~chclab.syntax.default_goal`), each entry grounded as the
+    body-less clause ``app :- guard``, under the same valuation cap as
+    :func:`ground_relation`."""
     if system.universe is None:
         raise ValueError("system declares no universe")
-    out: set[GroundAtom] = set()
-    for entry in default_goal(system).entries:
-        variables = sorted(set(entry.app.args))
-        index = {v: i for i, v in enumerate(variables)}
-        valuations = _valuations(system.universe, len(variables), "a goal entry")
-        ok = _compile(entry.guard, index)
-        arg_ix = tuple(index[x] for x in entry.app.args)
-        for vals in valuations:
-            if ok(vals):
-                out.add(GroundAtom(entry.app.pred.name, tuple(vals[i] for i in arg_ix)))
-    return frozenset(out)
+    return frozenset(
+        c.conclusion
+        for entry in default_goal(system).entries
+        for c in _instances(system.universe, Clause((), entry.guard, entry.app), "a goal entry")
+    )
 
 
 def post(rel: GroundRelation, atoms: Iterable[GroundAtom]) -> Interpretation:

@@ -24,13 +24,13 @@ works on those rows:
   without a common divisor, a strict flag, a history (the bitmask of the
   original inequalities the row combines) and the mask of the variables
   those originals mention.  Combining a strict with a non-strict row
-  yields a strict one.  While it builds them, it keeps the one-variable
-  rows of each position and combines each new one with those of the
-  opposite sign, as eliminating that variable would: a combination that
-  fails refutes the set before any elimination runs.  That decides most
-  unsatisfiable branches of the search.  Each elimination step applies
-  the same rule (:func:`_refute`) to the one-variable rows it makes, so
-  a conflict is refuted in the step that makes it, not left for the step
+  yields a strict one.  Beside the rows, every :class:`RowSet` keeps the
+  ``bounds`` of each position: the :class:`Interval` meet of its
+  one-variable rows (:func:`_refute`).  A one-variable row whose meet is
+  empty refutes the set before any elimination runs, which decides most
+  unsatisfiable branches of the search.  Each elimination step carries
+  the index over and meets the one-variable rows it makes into it, so a
+  conflict is refuted in the step that makes it, not left for the step
   on its variable.  A :class:`Conjunction` keeps the pivots and build
   state of a conjunction, so the search extends a branch with a child's
   atoms, and :class:`chclab.domain.CompiledClause` the template of a
@@ -54,15 +54,14 @@ The solve path projects the rows of clause constraints and goal guards
 that :class:`chclab.domain.CompiledClause` lowered and extended onto one
 :class:`Interval` per requested variable with :func:`project_rows`: that
 eliminates the variables it was not asked for once and splits the rows
-left into groups that share no variable.  It reads each requested
-variable's bounds off its single-variable projection within its group,
-which also decides the group's satisfiability; a variable alone in its
-group needs no elimination.  :class:`Interval` and its sides (:class:`Bound`) are
-the one interval type of the package: :mod:`chclab.domain` builds its
-boxes from them.  :func:`cube_is_sat`, :func:`project_to_box` and
-:meth:`RowSet.of` take a whole :class:`ConjCube` instead: that is the
-formula route the tests compare the search and the compiled
-transformers against.
+left into groups that share no variable.  A requested variable's
+interval is its ``bounds`` entry once the other variables of its group
+are eliminated; a variable alone in its group needs no elimination.
+:class:`Interval` and its sides (:class:`Bound`) are the one interval
+type of the package: :mod:`chclab.domain` builds its boxes from them.
+:func:`cube_is_sat`, :func:`project_to_box` and :meth:`RowSet.of` take
+a whole :class:`ConjCube` instead: that is the formula route the tests
+compare the search and the compiled transformers against.
 
 A bound's value is an ``int`` when it is integral and a ``Fraction``
 otherwise, so the compares of the interval order and the hashes of the
@@ -347,13 +346,17 @@ class RowSet(NamedTuple):
     """The inequalities of one elimination run, as integer rows.
 
     ``eliminated`` is the mask of the variable positions eliminated so
-    far; ``unsat`` is set once a ground contradiction has been derived.
+    far; ``unsat`` is set once the rows are refuted, and the set then
+    holds the one row ``1 <= 0``.  ``bounds`` maps each position that a
+    one-variable row mentions to the :class:`Interval` meet of those
+    rows; a set shares it and never changes it.
     """
 
     names: tuple[str, ...]
     cons: tuple[Row, ...]
     eliminated: int = 0
     unsat: bool = False
+    bounds: Mapping[int, Interval] = {}
 
     @staticmethod
     def of(cube: ConjCube, requested=frozenset()) -> RowSet:
@@ -365,6 +368,11 @@ class RowSet(NamedTuple):
         return Conjunction(names, free).conjoin([lower(c, index) for c in cube.cons]).rowset
 
 
+def _refuted(names: tuple[str, ...], eliminated: int = 0) -> RowSet:
+    """The refuted set over ``names``: the one row ``1 <= 0``."""
+    return RowSet(names, (((0,) * len(names), 1, False, 0, 0),), eliminated, True)
+
+
 class Conjunction:
     """A conjunction of lowered constraints over ``names``, conjoined one
     batch at a time.
@@ -372,21 +380,19 @@ class Conjunction:
     ``pivots`` are the equalities :func:`extend` solved, each for a
     position in the mask ``free``, and ``rowset`` is the :class:`RowSet`
     of the rows left, as :meth:`conjoin` describes it.  ``out`` (the
-    distinct rows by key) and ``singles`` (the one-variable rows of each
-    position, a tuple of lower and one of upper bounds) are the state of
-    that build between rows.  A batch adds only its own rows to a copy
-    of the two dicts, whose ``singles`` tuples are replaced, never
-    changed in place.
+    distinct rows by key) and ``bounds`` (the set's interval index) are
+    the state of that build between rows.  A batch adds only its own
+    rows to a copy of the two dicts.
     """
 
-    __slots__ = ("names", "free", "pivots", "out", "singles", "rowset")
+    __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset")
 
     def __init__(self, names: tuple[str, ...], free: int):
         self.names = names
         self.free = free
         self.pivots: tuple[Pivot, ...] = ()
         self.out: dict[tuple, Row] = {}
-        self.singles: dict[int, tuple[tuple[Row, ...], tuple[Row, ...]]] = {}
+        self.bounds: dict[int, Interval] = {}
         self.rowset = RowSet(names, ())
 
     def conjoin(self, lowered) -> Conjunction:
@@ -396,13 +402,11 @@ class Conjunction:
         ``rowset`` holds the inequalities of the rows: each divided by
         the gcd of its integers, an equality split into two inequalities,
         ground rows that hold dropped and exact duplicates merged.  A
-        ground row that fails makes the set ``unsat``.  So does a
-        one-variable row that contradicts an earlier one of the opposite
-        sign on the same variable: the set then holds the ground row the
-        Fourier-Motzkin step on that variable makes of the pair.  Such a
-        conflict refutes most unsatisfiable branches of :func:`sat_cube`
-        before any elimination runs.  A refuted build stopped part way,
-        so a refuted conjunction comes back unchanged.
+        ground row that fails refutes the set, and so does a one-variable
+        row whose interval has an empty meet with the set's bounds on its
+        variable.  Such a conflict refutes most unsatisfiable branches of
+        :func:`sat_cube` before any elimination runs.  A refuted build
+        stopped part way, so a refuted conjunction comes back unchanged.
         """
         if self.rowset.unsat:
             return self
@@ -411,14 +415,14 @@ class Conjunction:
         # to drop them.
         child = object.__new__(Conjunction)
         child.names, child.free, child.pivots = self.names, self.free, pivots
-        child.out, child.singles = self.out.copy(), self.singles.copy()
+        child.out, child.bounds = self.out.copy(), self.bounds.copy()
         child.rowset = child._normalize(rows)
         return child
 
     def _normalize(self, rows) -> RowSet:
         """The set of the rows normalized so far and ``rows``, processed
         in order as :meth:`conjoin` describes."""
-        names, out, singles = self.names, self.out, self.singles
+        names, out, bounds = self.names, self.out, self.bounds
         bits = [1 << j for j in range(len(names))]
         for vec, const, rel in rows:
             mask = sum(compress(bits, vec))
@@ -433,69 +437,48 @@ class Conjunction:
                     const //= d
                 if not mask:
                     if const > 0 or (const == 0 and strict):
-                        return RowSet(names, ((tuple(vec), const, strict, 0, 0),), unsat=True)
+                        return _refuted(names)
                     continue
                 key = (tuple(vec), const, strict)
                 if key in out:
                     continue
                 row = out[key] = (*key, 1 << len(out), mask)
-                if mask & (mask - 1):
-                    continue
-                ground = _refute(singles, row, mask.bit_length() - 1)
-                if ground is not None:
-                    return RowSet(names, (ground,), unsat=True)
-        return RowSet(names, tuple(out.values()))
+                if not mask & (mask - 1) and _refute(bounds, row, mask.bit_length() - 1):
+                    return _refuted(names)
+        return RowSet(names, tuple(out.values()), 0, False, bounds)
 
 
-def _refute(singles: dict, row: Row, j: int) -> Row | None:
-    """Check the one-variable row ``row``, a bound on position ``j``,
-    against the one-variable rows of the opposite sign in ``singles``: the
-    first failing ground row that eliminating ``j`` makes of it and one of
-    them, or ``None`` after recording ``row`` there.  ``singles`` maps a
-    position to a tuple of lower and one of upper bound rows; the tuples
-    are replaced, never changed in place, so a copy of the dict is a copy
-    of the index."""
-    upper = row[0][j] > 0
-    lowers, uppers = singles.get(j, ((), ()))
-    for other in lowers if upper else uppers:
-        ground = _combine(other, row, j) if upper else _combine(row, other, j)
-        if ground[1] > 0 or (ground[1] == 0 and ground[2]):
-            return ground
-    singles[j] = (lowers, (*uppers, row)) if upper else ((*lowers, row), uppers)
-    return None
+def _bound(row: Row, j: int) -> Interval:
+    """The interval the one-variable row ``row`` allows position ``j``."""
+    vec, const, strict, _, _ = row
+    a = vec[j]
+    q, r = divmod(-const, a)
+    side = Bound(Fraction(-const, a) if r else q, strict)
+    return Interval(UNBOUNDED, side) if a > 0 else Interval(side, UNBOUNDED)
 
 
-def _combine(lower: Row, upper: Row, j: int) -> Row:
-    """The ground row that eliminating position ``j`` makes of a lower and
-    an upper bound row that mention no other position, reduced as
-    :func:`fm_eliminate` reduces it."""
-    al, au = -lower[0][j], upper[0][j]
-    g = gcd(al, au)
-    const = au // g * lower[1] + al // g * upper[1]
-    return (
-        (0,) * len(lower[0]),
-        (const > 0) - (const < 0),
-        lower[2] or upper[2],
-        lower[3] | upper[3],
-        lower[4] | upper[4],
-    )
+def _refute(bounds: dict[int, Interval], row: Row, j: int) -> bool:
+    """Meet the interval of the one-variable row ``row``, a bound on
+    position ``j``, into ``bounds[j]``: ``True`` when the meet is empty,
+    so that the rows conflict, as eliminating ``j`` would show."""
+    interval = _bound(row, j)
+    if j in bounds:
+        interval = interval.meet(bounds[j])
+    bounds[j] = interval
+    return interval.is_empty
 
 
 def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     """Eliminate ``var`` from ``rows``, preserving the projection.
 
     Every pair of a lower and an upper bound on ``var`` is combined,
-    unless history pruning shows the combination redundant.  A ground
-    contradiction ends the run: the result then holds that row alone and
-    is marked ``unsat``.  So does a new row over one variable that
-    contradicts a row of the opposite sign on that variable which the
-    step already holds, carried over or made: the result holds the ground
-    row the next step on that variable would make of the pair, as
-    :meth:`Conjunction.conjoin` does while rows are built.  The index of
-    those rows is built on the first new one-variable row, so a step that
-    makes none pays nothing for it.  Rows already marked ``unsat`` come
-    back unchanged.  Raises :class:`ResourceLimitError` when the result
-    would hold more than ``DEFAULT_FM_CAP`` rows.
+    unless history pruning shows the combination redundant.  The result
+    carries the ``bounds`` of ``rows`` without ``var`` and meets each new
+    one-variable row into them.  A ground contradiction or an empty meet
+    ends the run: the result is then refuted (see :class:`RowSet`).
+    Rows already marked ``unsat`` come back unchanged.  Raises
+    :class:`ResourceLimitError` when the result would hold more than
+    ``DEFAULT_FM_CAP`` rows.
     """
     if rows.unsat:
         return rows
@@ -503,9 +486,10 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     j = names.index(var)
     eliminated = rows.eliminated | (1 << j)
     out: dict[tuple, Row] = {}
+    bounds = dict(rows.bounds)
+    bounds.pop(j, None)
     # A one-variable row has a zero at every other position.
     zeros = len(names) - 1
-    singles: dict | None = None
     lowers: list[Row] = []
     # Each upper row carries the eliminated part of its variable mask,
     # which the pruning test of every pair reads.
@@ -540,8 +524,7 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
                 const //= d
             if not any(vec):
                 if const > 0 or (const == 0 and strict):
-                    row = (vec, const, strict, hist, mask)
-                    return RowSet(names, (row,), eliminated, True)
+                    return _refuted(names, eliminated)
                 continue
             key = (vec, const, strict)
             old = out.get(key)
@@ -550,25 +533,13 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
                     out[key] = (vec, const, strict, hist, mask)
                 continue
             row = out[key] = (vec, const, strict, hist, mask)
-            if vec.count(0) != zeros:
-                continue
-            # The first new one-variable row indexes the one-variable rows
-            # kept so far, the carried ones first and itself last.
-            if singles is None:
-                singles = {}
-                pending = [kept for kept in out.values() if kept[0].count(0) == zeros]
-            else:
-                pending = (row,)
-            for kept in pending:
-                kvec = kept[0]
-                ground = _refute(singles, kept, kvec.index(next(filter(None, kvec))))
-                if ground is not None:
-                    return RowSet(names, (ground,), eliminated, True)
+            if vec.count(0) == zeros and _refute(bounds, row, vec.index(next(filter(None, vec)))):
+                return _refuted(names, eliminated)
         if len(out) > DEFAULT_FM_CAP:
             raise ResourceLimitError(
                 f"Fourier-Motzkin elimination exceeded {DEFAULT_FM_CAP} rows"
             )
-    return RowSet(names, tuple(out.values()), eliminated)
+    return RowSet(names, tuple(out.values()), eliminated, False, bounds)
 
 
 def _eliminate(rows: RowSet, mask: int) -> RowSet:
@@ -721,9 +692,11 @@ def project_rows(rows: RowSet, variables) -> list[Interval] | None:
 
     Once the variables not asked for are eliminated, the rows fall into
     groups that share no variable, and their conjunction projects to the
-    product of the groups' projections.  A group of one variable holds
-    its bounds as they are; a larger group eliminates, for each of its
-    variables, the others from its own rows alone.
+    product of the groups' projections.  Each group shares the ``bounds``
+    of the set.  A group of one variable holds its interval there as it
+    is; a larger group eliminates, for each of its variables, the others
+    from its own rows alone, and reads the variable's interval off the
+    ``bounds`` of what is left.
     """
     requested = frozenset(variables)
     keep = sum(1 << j for j, v in enumerate(rows.names) if v in requested)
@@ -742,24 +715,12 @@ def project_rows(rows: RowSet, variables) -> list[Interval] | None:
             mask |= g[0]
             members += g[1]
         groups.append((mask, members))
-    bounds: dict[str, Interval] = {}
+    out: dict[str, Interval] = {}
     for mask, members in groups:
-        group = RowSet(rows.names, tuple(members), rows.eliminated)
+        group = RowSet(rows.names, tuple(members), rows.eliminated, False, rows.bounds)
         for j in (j for j in range(mask.bit_length()) if mask >> j & 1):
             single = group if mask == 1 << j else _eliminate(group, mask & ~(1 << j))
             if single.unsat:
                 return None
-            interval = Interval.top()
-            for vec, const, strict, _, _ in single.cons:
-                a = vec[j]
-                q, r = divmod(-const, a)
-                side = Bound(Fraction(-const, a) if r else q, strict)
-                interval = interval.meet(
-                    Interval(UNBOUNDED, side) if a > 0 else Interval(side, UNBOUNDED)
-                )
-            # The projection onto one variable is exact, so an empty
-            # interval means an unsatisfiable group.
-            if interval.is_empty:
-                return None
-            bounds[rows.names[j]] = interval
-    return [bounds.get(v, Interval.top()) for v in variables]
+            out[rows.names[j]] = single.bounds.get(j, Interval.top())
+    return [out.get(v, Interval.top()) for v in variables]

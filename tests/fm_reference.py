@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from chclab.linlogic import ConjCube, RowSet
+from chclab.linlogic import Bound, ConjCube, Interval, RowSet
 from chclab.syntax import LinConstraint, LinTerm, Rel
 
 
@@ -120,10 +120,32 @@ def project_to_box(cube: ConjCube, variables):
     return result
 
 
+def bounds_of(cons):
+    """The interval of each position one of the rows ``cons`` alone
+    mentions: the greatest lower and the least upper bound such a row
+    sets, in ``Fraction`` arithmetic, strict on a tie if either is."""
+    lower: dict = {}
+    upper: dict = {}
+    for vec, const, strict, *_ in cons:
+        positions = [j for j, a in enumerate(vec) if a]
+        if len(positions) != 1:
+            continue
+        [j] = positions
+        value = (Fraction(-const, vec[j]), strict)
+        if vec[j] > 0:
+            upper[j] = _tighten(upper.get(j, (None, True)), value, lambda x, y: x < y)
+        else:
+            lower[j] = _tighten(lower.get(j, (None, True)), value, lambda x, y: x > y)
+    return {
+        j: Interval(Bound(*lower.get(j, (None, True))), Bound(*upper.get(j, (None, True))))
+        for j in lower.keys() | upper.keys()
+    }
+
+
 def from_rows(names, rows) -> RowSet:
     """The row set :meth:`chclab.linlogic.Conjunction.conjoin` builds
     without pivots, less the conflict check: only a failing ground row
-    refutes the set."""
+    refutes the set.  Its ``bounds`` are :func:`bounds_of` its rows."""
     out = {}
     for vec, const, rel in rows:
         if rel is Rel.EQ:
@@ -143,7 +165,8 @@ def from_rows(names, rows) -> RowSet:
             if key not in out:
                 mask = sum(1 << j for j, x in enumerate(vec) if x)
                 out[key] = (*key, 1 << len(out), mask)
-    return RowSet(names, tuple(out.values()))
+    cons = tuple(out.values())
+    return RowSet(names, cons, bounds=bounds_of(cons))
 
 
 def eliminate_by_recount(rows: RowSet, mask: int, fm_eliminate) -> RowSet:

@@ -172,27 +172,26 @@ def _rows_cube(names, rows):
 
 def test_bound_conflict_frozen_cases():
     x_le_2, x_ge_2 = ([1], -2, Rel.LE), ([-1], 2, Rel.LE)
-    assert not Conjunction(("x",), 0).conjoin([x_le_2, x_ge_2]).rowset.unsat
-    # x < 2, x >= 2: the pair combines to the ground row 0 < 0.
+    got = Conjunction(("x",), 0).conjoin([x_le_2, x_ge_2]).rowset
+    assert not got.unsat and got.bounds == {0: interval(2, 2)}
+    # x < 2, x >= 2: the meet is empty, and the set holds 1 <= 0.
     got = Conjunction(("x",), 0).conjoin([([1], -2, Rel.LT), x_ge_2]).rowset
-    assert got.unsat and got.cons == (((0,), 0, True, 0b11, 0b1),)
+    assert got.unsat and got.cons == (((0,), 1, False, 0, 0),)
     # 2x <= 3, 3x >= 5: 3/2 < 5/3.
     assert Conjunction(("x",), 0).conjoin([([2], -3, Rel.LE), ([-3], 5, Rel.LE)]).rowset.unsat
     # x = 1, x <= 0: the equality's lower side meets the bound.
     assert Conjunction(("x",), 0).conjoin([([1], -1, Rel.EQ), ([1], 0, Rel.LE)]).rowset.unsat
-    # The refuting row carries the histories of both rows and the union
-    # of their masks, not the rows before them.
+    # The refuted set keeps none of the rows before the conflict.
     got = Conjunction(("x", "y"), 0).conjoin(
         [([0, 1], 0, Rel.LE), ([2, 0], -3, Rel.LE), ([-1, 0], 2, Rel.LE)]
     ).rowset
-    assert got.unsat and got.cons == (((0, 0), 1, False, 0b110, 0b01),)
+    assert got.unsat and got.cons == (((0, 0), 1, False, 0, 0),)
 
 
 def test_step_refutes_conflicting_one_variable_rows():
     # -x <= 0, x + y <= 0, x - y + 1 <= 0, y + z + 5 <= 0: no two
     # one-variable rows conflict as the set is built.  Eliminating x makes
-    # y <= 0 and -y + 1 <= 0, which the step itself must refute, with
-    # the history of all three rows and the union of their masks.
+    # y <= 0 and -y + 1 <= 0, which the step itself must refute.
     rows = Conjunction(("x", "y", "z"), 0).conjoin(
         [
             ([-1, 0, 0], 0, Rel.LE),
@@ -203,7 +202,7 @@ def test_step_refutes_conflicting_one_variable_rows():
     ).rowset
     assert not rows.unsat
     got = fm_eliminate(rows, "x")
-    assert got.unsat and got.cons == (((0, 0, 0), 1, False, 0b111, 0b011),)
+    assert got.unsat and got.cons == (((0, 0, 0), 1, False, 0, 0),)
     assert got.eliminated == 0b001
     # A row the step carries over counts too: y <= 0 conflicts with the
     # -y + 1 <= 0 that eliminating x makes.
@@ -212,7 +211,7 @@ def test_step_refutes_conflicting_one_variable_rows():
     ).rowset
     assert not rows.unsat
     got = fm_eliminate(rows, "x")
-    assert got.unsat and got.cons == (((0, 0), 1, False, 0b111, 0b11),)
+    assert got.unsat and got.cons == (((0, 0), 1, False, 0, 0),)
 
 
 def _bound_rows(rng):
@@ -236,7 +235,8 @@ def _bound_rows(rng):
 
 def test_bound_conflicts_match_unpruned_reference():
     # The conflict check refutes only what elimination refutes, and a set
-    # it does not refute keeps the rows the builder made without it.
+    # it does not refute keeps the rows the builder made without it, with
+    # the meet of its one-variable rows as its bounds.
     refuted = satisfiable = 0
     for seed in range(1200):
         names, rows = _bound_rows(random.Random(seed))
@@ -245,9 +245,8 @@ def test_bound_conflicts_match_unpruned_reference():
         sat = not linlogic._eliminate(got, (1 << len(names)) - 1).unsat
         assert sat == fm_reference.cube_is_sat(_rows_cube(names, rows)), f"seed {seed}: {rows}"
         if got.unsat:
-            [(vec, const, strict, hist, _)] = got.cons
-            assert not any(vec) and (const > 0 or (const == 0 and strict))
-            refuted += not want.unsat and hist.bit_count() == 2
+            assert got.cons == (((0,) * len(names), 1, False, 0, 0),), f"seed {seed}: {rows}"
+            refuted += not want.unsat
         else:
             assert got == want, f"seed {seed}: {rows}"
         satisfiable += sat
@@ -737,6 +736,23 @@ def _wide_cube(rng):
     return ConjCube.make(cons), rng.sample(names, rng.randint(1, 3))
 
 
+def test_bounds_index_is_the_meet_of_one_variable_rows():
+    # A built set and every step of a full elimination keep, per
+    # position, the meet of the one-variable rows they hold.
+    checked = 0
+    for seed in range(300):
+        c, requested = _wide_cube(random.Random(seed))
+        for rows in (RowSet.of(c), RowSet.of(c, frozenset(requested))):
+            while True:
+                assert rows.bounds == fm_reference.bounds_of(rows.cons), f"seed {seed}: {c}"
+                checked += 1
+                left = [v for j, v in enumerate(rows.names) if not rows.eliminated >> j & 1]
+                if rows.unsat or not left:
+                    break
+                rows = fm_eliminate(rows, left[0])
+    assert checked > 2000
+
+
 def test_step_refutation_matches_unpruned_reference_on_wide_cubes(monkeypatch):
     # Refuting conflicting one-variable rows inside each elimination step
     # must decide satisfiability, and project, as unpruned elimination
@@ -748,11 +764,11 @@ def test_step_refutation_matches_unpruned_reference_on_wide_cubes(monkeypatch):
     in_step = 0
     refute = linlogic._refute
 
-    def counted(singles, row, j):
+    def counted(bounds, row, j):
         nonlocal in_step
-        ground = refute(singles, row, j)
-        in_step += ground is not None
-        return ground
+        empty = refute(bounds, row, j)
+        in_step += empty
+        return empty
 
     # Every row set is built above, so only elimination steps count.
     monkeypatch.setattr(linlogic, "_refute", counted)
