@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from chclab import solver
+from chclab import parse_system, solver
 from chclab.cli import main
 from conftest import CORPUS, ROOT
 from test_bench_entry_points import _import_from_bench
@@ -185,6 +185,28 @@ def test_rounds_repro_report_is_pinned(capsys, monkeypatch):
     )
     monkeypatch.chdir(ROOT)
     assert solve_json(capsys, "corpus/stress/rounds.chc", "--max-rounds", "8") == expected
+
+
+def test_goal_reading_commands_are_pinned(capsys, monkeypatch):
+    # ``qa`` prints the goal-seeded transform and the backward oracle grounds
+    # the goal; bench/golden/corpus.json covers neither.  Stdout and exit
+    # code of ``qa`` on every corpus and stress file, and of the backward
+    # oracle with its closure check on each one that declares a universe.
+    expected = json.loads(
+        (ROOT / "tests" / "golden" / "goal-commands.json").read_text(encoding="utf-8")
+    )
+    monkeypatch.chdir(ROOT)
+    got = {}
+    for path in sorted(CORPUS.glob("**/*.chc")):
+        name = path.relative_to(ROOT).as_posix()
+        runs = [("qa", name)]
+        if parse_system(path.read_text(encoding="utf-8")).universe is not None:
+            runs.append(("oracle", name, "--semantics", "bwd", "--check-closure"))
+        for argv in runs:
+            code, out, _ = run(capsys, *argv)
+            got[" ".join(argv)] = {"exit": code, "stdout": out}
+    assert len(got) == 27 + 22
+    assert got == expected
 
 
 def test_json_to_file(tmp_path, capsys):
