@@ -25,7 +25,6 @@ from .syntax import (
     Lin,
     System,
     TrueF,
-    default_goal,
 )
 
 VALUATION_CAP = 10**6
@@ -114,16 +113,15 @@ def ground_relation(system: System) -> GroundRelation:
 
 
 def goal_atoms(system: System) -> Interpretation:
-    """Ground instances of the system's goal
-    (:func:`~chclab.syntax.default_goal`), each entry grounded as the
-    body-less clause ``app :- guard``, under the same valuation cap as
-    :func:`ground_relation`."""
+    """Ground instances of the system's goal: the conclusions of the
+    ground instances of its goal clauses (``System.goal``), under the same
+    valuation cap as :func:`ground_relation`."""
     if system.universe is None:
         raise ValueError("system declares no universe")
     return frozenset(
         c.conclusion
-        for entry in default_goal(system).entries
-        for c in _instances(system.universe, Clause((), entry.guard, entry.app), "a goal entry")
+        for goal in system.goal
+        for c in _instances(system.universe, goal, "a goal entry")
     )
 
 

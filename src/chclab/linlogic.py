@@ -577,10 +577,6 @@ def cube_is_sat(cube: ConjCube) -> bool:
     return not _eliminate(rows, (1 << len(rows.names)) - 1).unsat
 
 
-def is_sat(formula: Formula) -> bool:
-    return sat_cube(formula) is not None
-
-
 class Bound(NamedTuple):
     """One side of an interval; ``value None`` means unbounded.
 

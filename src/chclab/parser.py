@@ -51,8 +51,6 @@ from .syntax import (
     TRUE,
     Clause,
     Formula,
-    GoalEntry,
-    GoalSpec,
     Lin,
     LinConstraint,
     LinTerm,
@@ -492,27 +490,24 @@ class _Parser:
                 raw_clauses.append(self.parse_clause())
             else:
                 raise self.fail(f"unexpected token {t!r}")
-        decls = tuple([*self.decls, self.falsity])
         clauses = tuple(normalize_clause(rc) for rc in raw_clauses)
-        goal = None
-        if raw_goals:
-            goal = GoalSpec(tuple(self._normalize_goal(*raw) for raw in raw_goals))
+        goal = tuple(self._normalize_goal(*raw) for raw in raw_goals)
         uni = tuple(sorted(set(universe))) if universe is not None else None
-        return System(decls=decls, clauses=clauses, universe=uni, goal=goal)
+        return System.make(self.decls, clauses, uni, goal)
 
-    def _normalize_goal(self, keyword: int, app: RawApp, guard: Formula) -> GoalEntry:
-        # Reuse clause normalization on a synthetic body-less clause.
-        raw = RawClause((), guard, app)
-        norm = normalize_clause(raw)
-        entry = GoalEntry(norm.head, norm.constraint)
-        extra = formula_vars(entry.guard) - set(entry.app.args)
+    def _normalize_goal(self, keyword: int, app: RawApp, guard: Formula) -> Clause:
+        """The goal entry ``goal app : guard`` as the body-less clause
+        ``app :- guard``, normalized as every clause is; the guard may
+        mention only the goal arguments."""
+        goal = normalize_clause(RawClause((), guard, app))
+        extra = formula_vars(goal.constraint) - set(goal.head.args)
         if extra:
             raise self.fail(
                 "goal constraint may only mention the goal arguments "
                 f"(foreign: {', '.join(sorted(extra))})",
                 keyword,
             )
-        return entry
+        return goal
 
 
 def parse_system(text: str) -> System:

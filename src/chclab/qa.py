@@ -3,7 +3,10 @@
 The transformation splits every predicate ``p`` into a query predicate
 (tuples the goal search asks about) and an answer predicate (queried
 tuples that are also derivable), so that a single forward analysis of
-the transformed system simulates goal-directed propagation.  On top of
+the transformed system simulates goal-directed propagation.  Each goal
+clause ``app :- guard`` of the system becomes the query seed
+``app_q :- guard``, and the transformed system's goal clauses are the
+same clauses on the answer predicates, ``app_a :- guard``.  On top of
 it sits the two-phase strengthened analysis, for comparison with the
 native alternating solver.
 
@@ -29,16 +32,7 @@ from .solver import (
     analyze_forward,
     goal_element,
 )
-from .syntax import (
-    Clause,
-    GoalEntry,
-    GoalSpec,
-    PredApp,
-    PredDecl,
-    System,
-    conj,
-    default_goal,
-)
+from .syntax import Clause, PredApp, PredDecl, System, conj
 
 
 class QAPredPair(NamedTuple):
@@ -66,9 +60,8 @@ def qa_transform(system: System) -> QASystem:
     Every original clause yields one answer clause (derivable and
     queried) and one query clause per body atom (the goal search
     descends into the i-th premise once the earlier premises have
-    answers).  Goal entries seed the query predicates.
+    answers).  Goal clauses seed the query predicates.
     """
-    spec = default_goal(system)
     taken = {d.name for d in system.decls} | {"false"}
     pairs = []
     decls: dict[str, tuple[PredDecl, PredDecl]] = {}
@@ -98,13 +91,10 @@ def qa_transform(system: System) -> QASystem:
                     q_app(app),
                 )
             )
-    for entry in spec.entries:
-        clauses.append(Clause((), entry.guard, q_app(entry.app)))
+    clauses.extend(goal._replace(head=q_app(goal.head)) for goal in system.goal)
 
     flat = [decl for pair in decls.values() for decl in pair]
-    qa_goal = GoalSpec(
-        tuple(GoalEntry(a_app(entry.app), entry.guard) for entry in spec.entries)
-    )
+    qa_goal = tuple(goal._replace(head=a_app(goal.head)) for goal in system.goal)
     qa_system = System.make(flat, tuple(clauses), system.universe, qa_goal)
     return QASystem(qa_system, tuple(pairs))
 
@@ -155,7 +145,7 @@ def _strengthen_heads(system: System, b: AbstractElement) -> System:
         )
         for clause in system.clauses
     )
-    return System(system.decls, clauses, system.universe, system.goal)
+    return system._replace(clauses=clauses)
 
 
 def qa_iterated(

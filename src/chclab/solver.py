@@ -30,10 +30,10 @@ restriction meet and the goal seed are applied outside the table.
 :func:`alternate` creates the table and passes it to both analyses and
 to the certifier, which read the system from it.
 
-The goal element takes the same route: :func:`goal_element` compiles
-each goal entry as the body-less clause ``app :- guard`` and projects it
-with ``post``, so a goal guard is converted to DNF and lowered like a
-clause constraint.
+The goal element takes the same route: the goal of a system is a tuple
+of body-less clauses (``System.goal``), and :func:`goal_element`
+compiles each of them and projects it onto its head with ``post``, so a
+goal guard is converted to DNF and lowered like a clause constraint.
 
 From a full alternation trace a refined model is composed.  Its parts
 are boxes, so box order alone decides which of them are empty
@@ -49,15 +49,13 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .depgraph import dependency_order
 from .domain import AbstractElement, Box, CompiledClause
-from .linlogic import is_sat, sat_cube
+from .linlogic import sat_cube
 from .syntax import (
-    Clause,
     Formula,
     PredApp,
     System,
     FALSE,
     conj,
-    default_goal,
     disj,
     format_clause,
     negate_formula,
@@ -168,11 +166,12 @@ class Verdict(NamedTuple):
 
 
 def goal_element(system: System) -> AbstractElement:
-    """Tightest element whose concretization covers the goal atoms."""
+    """Tightest element whose concretization covers the goal atoms: the
+    join, per head predicate, of ``post`` of each goal clause."""
     elem = AbstractElement.bottom(system)
-    for entry in default_goal(system).entries:
-        name = entry.app.pred.name
-        box = CompiledClause(Clause((), entry.guard, entry.app)).post(())
+    for goal in system.goal:
+        name = goal.head.pred.name
+        box = CompiledClause(goal).post(())
         elem = elem.with_box(name, elem.get(name).join(box))
     return elem
 
@@ -328,10 +327,10 @@ def analyze_backward(
     )
 
 
-def coarse_backward(system: System):
-    """Predicates from which a goal predicate is reachable in the
-    clause graph; a cheap predicate-level backward approximation."""
-    relevant = {entry.app.pred.name for entry in default_goal(system).entries}
+def coarse_backward(system: System) -> frozenset[str]:
+    """Names of the predicates from which a goal predicate is reachable
+    in the clause graph; a cheap predicate-level backward approximation."""
+    relevant = {goal.head.pred.name for goal in system.goal}
     changed = True
     while changed:
         changed = False
@@ -341,11 +340,11 @@ def coarse_backward(system: System):
                     if app.pred.name not in relevant:
                         relevant.add(app.pred.name)
                         changed = True
-    return frozenset(system.decl(name) for name in relevant)
+    return frozenset(relevant)
 
 
 def _coarse_element(system: System) -> AbstractElement:
-    members = {d.name for d in coarse_backward(system)}
+    members = coarse_backward(system)
     boxes = {}
     for d in system.decls:
         boxes[d.name] = Box.top(d.arity) if d.name in members else Box.empty(d.arity)
@@ -477,9 +476,9 @@ def check_model(system: System, model: Mapping[str, Formula]) -> ModelCheckResul
 def goal_disjoint(system: System, model: Mapping[str, Formula]) -> bool:
     """Is the model disjoint from every goal instance?"""
     formulas = _formulas(model)
-    for entry in default_goal(system).entries:
-        f = conj([entry.guard, _instantiate(formulas[entry.app.pred.name], entry.app)])
-        if is_sat(f):
+    for goal in system.goal:
+        f = conj([goal.constraint, _instantiate(formulas[goal.head.pred.name], goal.head)])
+        if sat_cube(f) is not None:
             return False
     return True
 

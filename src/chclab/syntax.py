@@ -412,45 +412,37 @@ class Clause(NamedTuple):
         return format_clause(self)
 
 
-class GoalEntry(NamedTuple):
-    app: PredApp
-    guard: Formula = TRUE
-
-
-class GoalSpec(NamedTuple):
-    entries: tuple[GoalEntry, ...]
-
-
 class System(NamedTuple):
-    """A conjunction of constrained Horn clauses.
+    """A conjunction of constrained Horn clauses and its goal.
 
     ``decls`` always contains the distinguished falsity declaration
     (exactly one entry has ``is_false``), even when no integrity
-    constraint mentions it.  ``universe`` and ``goal`` are optional; a
-    missing goal means "the falsity atom" (:func:`default_goal`).
+    constraint mentions it.  ``universe`` is optional.  ``goal`` holds
+    the goal as body-less clauses whose heads are the goal atoms: the
+    entry ``goal app : guard`` is the clause ``app :- guard``, and a
+    system without goal entries has the one goal clause ``false.``
+    (:meth:`make`).
     """
 
     decls: tuple[PredDecl, ...]
     clauses: tuple[Clause, ...]
-    universe: tuple[Fraction, ...] | None = None
-    goal: GoalSpec | None = None
+    universe: tuple[Fraction, ...] | None
+    goal: tuple[Clause, ...]
 
     @staticmethod
-    def make(decls, clauses, universe=None, goal=None) -> "System":
-        """Build a system, appending a falsity declaration if absent."""
+    def make(decls, clauses, universe=None, goal=()) -> "System":
+        """Build a system, appending a falsity declaration if absent; with
+        no goal clauses, the goal is the falsity atom."""
         ds = tuple(decls)
-        if not any(d.is_false for d in ds):
+        falsity = next((d for d in ds if d.is_false), None)
+        if falsity is None:
             name = FALSITY_NAME
             while any(d.name == name for d in ds):
                 name += "_"
-            ds += (PredDecl(name, 0, is_false=True),)
+            falsity = PredDecl(name, 0, is_false=True)
+            ds += (falsity,)
+        goal = tuple(goal) or (Clause((), TRUE, PredApp(falsity, ())),)
         return System(ds, tuple(clauses), universe, goal)
-
-    def decl(self, name: str) -> PredDecl:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        raise KeyError(name)
 
     @property
     def falsity(self) -> PredDecl:
@@ -461,14 +453,6 @@ class System(NamedTuple):
 
     def __str__(self) -> str:
         return format_system(self)
-
-
-def default_goal(system: System) -> GoalSpec:
-    """The declared goal, or reaching the falsity predicate when the
-    system declares none."""
-    if system.goal is not None:
-        return system.goal
-    return GoalSpec((GoalEntry(PredApp(system.falsity, ()), TRUE),))
 
 
 def param_vars(arity: int) -> tuple[str, ...]:
@@ -526,10 +510,10 @@ def format_clause(clause: Clause) -> str:
     return f"{head}."
 
 
-def format_goal_entry(entry: GoalEntry) -> str:
-    if isinstance(entry.guard, TrueF):
-        return f"goal {entry.app}."
-    return f"goal {entry.app} : {format_formula(entry.guard)}."
+def format_goal(goal: Clause) -> str:
+    if isinstance(goal.constraint, TrueF):
+        return f"goal {goal.head}."
+    return f"goal {goal.head} : {format_formula(goal.constraint)}."
 
 
 def format_system(system: System) -> str:
@@ -542,9 +526,7 @@ def format_system(system: System) -> str:
         lines.append(f"universe {{{vals}}}.")
     for clause in system.clauses:
         lines.append(format_clause(clause))
-    if system.goal is not None:
-        for entry in system.goal.entries:
-            lines.append(format_goal_entry(entry))
+    lines.extend(format_goal(goal) for goal in system.goal)
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,8 @@ of the reversed system.
 Every clause ``h :- b_1, ..., b_n, c`` with a body yields the reversed
 clauses ``b_j :- h, c ∧ d[b_1] ∧ ... ∧ d[b_n]``, so a fact runs from the
 head to each body atom while every body atom stays inside the forward
-element ``d``; each goal entry becomes the fact ``app :- seed[p](args)``.
+element ``d``; each goal clause ``app :- guard`` becomes the fact
+``app :- seed[p](args)``.
 Analyzed forward within ``d`` and seeded with ``(g ∩ d)[p]``, the
 reversed system projects what ``CompiledClause.pre`` projects, through
 ``syntax`` formulas and fresh clause tables instead of the run's table.
@@ -16,15 +17,13 @@ from __future__ import annotations
 
 from chclab.domain import AbstractElement
 from chclab.solver import AnalysisConfig, ClauseResults, analyze_forward
-from chclab.syntax import Clause, GoalSpec, System, conj
+from chclab.syntax import Clause, System, conj
 
 
-def reverse_system(
-    system: System, d: AbstractElement, spec: GoalSpec, seed: AbstractElement
-) -> System:
+def reverse_system(system: System, d: AbstractElement, seed: AbstractElement) -> System:
     """The backward pass as a forward system: clauses run head-to-body
-    under the forward boxes ``d``, and each goal entry is seeded with the
-    box ``seed[p]`` at the entry's arguments."""
+    under the forward boxes ``d``, and each goal clause is seeded with the
+    box ``seed[p]`` at its head's arguments."""
     clauses: list[Clause] = []
     for clause in system.clauses:
         if not clause.body:
@@ -35,19 +34,18 @@ def reverse_system(
         )
         for app in clause.body:
             clauses.append(Clause((clause.head,), gate, app))
-    for entry in spec.entries:
-        box = seed.get(entry.app.pred.name)
-        clauses.append(Clause((), box.formula(entry.app.args), entry.app))
-    return System(system.decls, tuple(clauses), system.universe, None)
+    for goal in system.goal:
+        box = seed.get(goal.head.pred.name)
+        clauses.append(goal._replace(constraint=box.formula(goal.head.args)))
+    return system._replace(clauses=tuple(clauses))
 
 
 def backward(
     system: System,
-    spec: GoalSpec,
     g: AbstractElement,
     d: AbstractElement,
     config: AnalysisConfig = AnalysisConfig(),
 ) -> AbstractElement:
     """The backward element of goal element ``g`` within ``d``, seeded
     with ``g ∩ d`` as the native backward pass is."""
-    return analyze_forward(ClauseResults(reverse_system(system, d, spec, g.meet(d))), d, config)
+    return analyze_forward(ClauseResults(reverse_system(system, d, g.meet(d))), d, config)

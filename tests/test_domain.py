@@ -22,7 +22,7 @@ from chclab.domain import (
     clause_pre_restricted,
     formula_box,
 )
-from chclab.linlogic import Conjunction, is_sat
+from chclab.linlogic import Conjunction, sat_cube
 from chclab.parser import parse_system
 from chclab.syntax import (
     Clause,
@@ -150,7 +150,7 @@ def test_box_formula_and_complement_round_trip():
         env = dict(zip(vs, args))
         assert not holds(inside, env) and holds(outside, env)
     # the two pieces partition the plane
-    assert not is_sat(conj((inside, outside)))
+    assert sat_cube(conj((inside, outside))) is None
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,6 @@ from chclab.solver import alternate, check_model
 from chclab.syntax import (
     And,
     Formula,
-    GoalEntry,
-    GoalSpec,
     Lin,
     LinConstraint,
     LinTerm,
@@ -42,8 +40,8 @@ def _map_terms(f: Formula, fn) -> Formula:
 
 
 def _substitute(system: System, replacement) -> System:
-    """Substitute ``replacement(v)`` for every variable ``v`` in the clause
-    constraints and the goal guards."""
+    """Substitute ``replacement(v)`` for every variable ``v`` in the
+    constraints of the clauses and of the goal clauses."""
 
     def fn(term: LinTerm) -> LinTerm:
         out = LinTerm.make({}, term.const)
@@ -51,11 +49,10 @@ def _substitute(system: System, replacement) -> System:
             out += replacement(v).scale(c)
         return out
 
-    clauses = tuple(c._replace(constraint=_map_terms(c.constraint, fn)) for c in system.clauses)
-    goal = system.goal
-    if goal is not None:
-        goal = GoalSpec(tuple(GoalEntry(e.app, _map_terms(e.guard, fn)) for e in goal.entries))
-    return system._replace(clauses=clauses, goal=goal)
+    def mapped(clauses):
+        return tuple(c._replace(constraint=_map_terms(c.constraint, fn)) for c in clauses)
+
+    return system._replace(clauses=mapped(system.clauses), goal=mapped(system.goal))
 
 
 def _translate(system: System, rng: random.Random):

@@ -42,9 +42,17 @@ def test_ladder_shape(ladder):
     assert len(ladder.clauses) == 5
     init = [c for c in ladder.clauses if not c.body]
     assert len(init) == 1 and init[0].head.pred.name == "p"
-    assert ladder.goal is not None and len(ladder.goal.entries) == 1
-    entry = ladder.goal.entries[0]
-    assert entry.app.pred.name == "p"
+    (goal,) = ladder.goal
+    assert goal.head.pred.name == "p" and not goal.body
+
+
+def test_a_system_without_goal_entries_has_the_goal_false():
+    system = parse_system("pred p/1.\np(0).\n")
+    (goal,) = system.goal
+    assert goal.head.pred == system.falsity and not goal.body and goal.constraint == TRUE
+    text = format_system(system)
+    assert text.endswith("\ngoal false.\n")
+    assert parse_system(text) == system
 
 
 def test_head_constants_become_equalities(ladder):

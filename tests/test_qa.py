@@ -24,7 +24,6 @@ from chclab.solver import (
     alternate,
     analyze_backward,
     check_model,
-    default_goal,
     goal_disjoint,
     goal_element,
 )
@@ -93,8 +92,7 @@ def test_goal_seed_and_goal_spec(ladder):
     qname, aname = _names(qa, "p")
     seeds = [c for c in qa.system.clauses if not c.body and c.head.pred.name == qname]
     assert len(seeds) == 1
-    assert qa.system.goal is not None
-    assert {e.app.pred.name for e in qa.system.goal.entries} == {aname}
+    assert {goal.head.pred.name for goal in qa.system.goal} == {aname}
 
 
 def test_transform_reparses(corpus_systems):
@@ -206,7 +204,6 @@ def test_backward_pass_matches_the_reversed_system(corpus_systems):
     assert len(systems) == 216
     compared = 0
     for name, system in systems:
-        spec = default_goal(system)
         g = goal_element(system)
         results = ClauseResults(system)
         for budget in (5, 8):
@@ -216,7 +213,7 @@ def test_backward_pass_matches_the_reversed_system(corpus_systems):
                 if d.is_bottom:
                     continue
                 for r in (d, *_one_box_changed(system, d)):
-                    want = qa_reference.backward(system, spec, g, r, config)
+                    want = qa_reference.backward(system, g, r, config)
                     got = analyze_backward(results, g, r, config)
                     assert got == want, (name, budget, i)
                 compared += 1

@@ -38,7 +38,6 @@ from chclab.solver import (
     certify_trace,
     check_model,
     coarse_backward,
-    default_goal,
     forward_flow,
     goal_disjoint,
     goal_element,
@@ -47,9 +46,9 @@ from chclab.solver import (
 from chclab.syntax import (
     FALSE,
     TRUE,
-    GoalEntry,
-    GoalSpec,
+    Clause,
     LinTerm,
+    PredApp,
     Rel,
     conj,
     disj,
@@ -137,13 +136,15 @@ def test_goal_element_default_is_falsity(addition_loops):
     assert g.get("p1").is_empty and g.get("p2").is_empty
 
 
-def _goal_element_by_formulas(system, spec):
-    """The goal element by way of formulas: each guard converted to DNF
-    and every cube projected onto the goal arguments."""
+def _goal_element_by_formulas(system, goal):
+    """The goal element by way of formulas: each goal clause's
+    constraint converted to DNF and every cube projected onto its head's
+    arguments."""
     elem = AbstractElement.bottom(system)
-    for entry in spec.entries:
-        name = entry.app.pred.name
-        elem = elem.with_box(name, elem.get(name).join(formula_box(entry.guard, entry.app.args)))
+    for clause in goal:
+        name = clause.head.pred.name
+        box = formula_box(clause.constraint, clause.head.args)
+        elem = elem.with_box(name, elem.get(name).join(box))
     return elem
 
 
@@ -152,13 +153,12 @@ def test_goal_element_matches_formula_route(corpus_systems):
     systems += [(seed, parse_system(fuzz_text(seed))) for seed in range(200)]
     nonempty = 0
     for label, system in systems:
-        # Besides the declared goal, every clause read as a goal entry: its
+        # Besides the declared goal, every clause read as a goal clause: its
         # head guarded by its constraint, which may mention other variables.
-        specs = [default_goal(system)]
-        specs.append(GoalSpec(tuple(GoalEntry(c.head, c.constraint) for c in system.clauses)))
-        for spec in specs:
-            got = goal_element(system._replace(goal=spec))
-            assert got == _goal_element_by_formulas(system, spec), label
+        goals = [system.goal, tuple(c._replace(body=()) for c in system.clauses)]
+        for goal in goals:
+            got = goal_element(system._replace(goal=goal))
+            assert got == _goal_element_by_formulas(system, goal), label
             nonempty += sum(not box.is_empty and box.arity > 0 for _, box in got.items)
     assert nonempty > 100
 
@@ -168,7 +168,7 @@ def test_goal_element_matches_formula_route(corpus_systems):
 
 def test_coarse_backward_lockstep_proc(lockstep_proc):
     reach = coarse_backward(lockstep_proc)
-    assert {d.name for d in reach} == {"false", "p", "f", "f_c"}
+    assert reach == {"false", "p", "f", "f_c"}
 
 
 def test_coarse_backward_prunes_unrelated():
@@ -177,12 +177,12 @@ def test_coarse_backward_prunes_unrelated():
         "p(X) :- X = 0.\nq(X) :- X = 1.\nfalse :- p(X), X > 0.\n"
     )
     reach = coarse_backward(parse_system(text))
-    assert {d.name for d in reach} == {"false", "p"}
+    assert reach == {"false", "p"}
 
 
 def test_coarse_backward_explicit_goal(ladder):
     reach = coarse_backward(ladder)
-    assert {d.name for d in reach} == {"p"}
+    assert reach == {"p"}
 
 
 # -- alternation -------------------------------------------------------------------
@@ -418,7 +418,7 @@ def _as_dict_by_search(model: RefinedModel) -> dict:
         parts = [box.formula(variables)]
         for d, b in model.layers:
             parts.append(conj([d.get(name).formula(variables), b.get(name).complement(variables)]))
-        out[name] = disj([p for p in parts if linlogic.is_sat(p)])
+        out[name] = disj([p for p in parts if linlogic.sat_cube(p) is not None])
     return out
 
 
@@ -478,9 +478,11 @@ def test_a_missing_model_entry_reads_false(addition_loops):
 
 
 def test_default_goal_keeps_a_given_goal(addition_loops):
+    # A goal entry replaces the default goal, the body-less clause ``false.``
     system = parse_system("pred q/0. false :- q. goal q.")
-    assert default_goal(system) is system.goal
-    assert default_goal(addition_loops).entries[0].app.pred.name == "false"
+    assert system.goal == (Clause((), TRUE, PredApp(system.decls[0], ())),)
+    assert addition_loops.goal == (Clause((), TRUE, PredApp(addition_loops.falsity, ())),)
+    assert addition_loops.goal[0].head.pred.name == "false"
 
 
 def test_check_model_of_a_deep_model():
@@ -657,7 +659,7 @@ def test_records_hash_as_the_tuple_of_their_fields(ladder):
     # as the frozen dataclasses they replaced did, so set and dict orders
     # and with them every report stay the same.
     trace, verdict = alternate(ladder)
-    guard = ladder.goal.entries[0].guard
+    guard = ladder.goal[0].constraint
     con = guard.con
     app = RawApp(ladder.decls[0], (con.term,))
     consequence = next(iter(ground_relation(ladder)))
@@ -673,8 +675,7 @@ def test_records_hash_as_the_tuple_of_their_fields(ladder):
         ladder.decls[0],
         ladder.clauses[1].head,
         ladder.clauses[1],
-        ladder.goal.entries[0],
-        ladder.goal,
+        ladder.goal[0],
         ladder,
         *linlogic.to_dnf(guard),
         app,
@@ -694,7 +695,7 @@ def test_records_hash_as_the_tuple_of_their_fields(ladder):
         *forward_trees(ladder, 2),
         check_tree_props(ladder, depth_cap=4),
     ]
-    assert len({type(r) for r in records}) == 30
+    assert len({type(r) for r in records}) == 28
     for r in records:
         assert hash(r) == hash(tuple(r)), type(r).__name__
 
