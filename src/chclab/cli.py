@@ -92,7 +92,7 @@ def _config_from_args(args) -> AnalysisConfig:
 
 
 def _element_digest(elem) -> dict:
-    return {name: str(box) for name, box in elem.items}
+    return {name: str(box) for name, box in elem.items()}
 
 
 def cmd_solve(args) -> int:

@@ -3,8 +3,9 @@
 A :class:`Box` assigns one rational interval to each argument position
 of a predicate; the empty box is the bottom element.  A box for a 0-ary
 predicate is the two-point lattice unreached/reached, which is how the
-falsity predicate is tracked.  An :class:`AbstractElement` maps every
-declared predicate to a box.
+falsity predicate is tracked.  An :class:`AbstractElement` is a dict
+from the name of every declared predicate to its box; callers index it
+and iterate its items.
 
 Per-clause transformers compute the tightest box implied by the clause
 constraint together with the boxes of the occurring predicates.  A
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linlogic import (
     Conjunction,
@@ -144,48 +145,29 @@ class Box(NamedTuple):
         return " x ".join(str(iv) for iv in self.intervals)
 
 
-class AbstractElement(NamedTuple):
-    """A box for every declared predicate, ordered by predicate name."""
-
-    items: tuple[tuple[str, Box], ...]
-
-    @staticmethod
-    def of(boxes: Mapping[str, Box]) -> "AbstractElement":
-        return AbstractElement(tuple(sorted(boxes.items())))
+class AbstractElement(dict):
+    """A box for every declared predicate, keyed by predicate name in
+    ``system.decls`` order.  Only the fixpoint engine and
+    :func:`~chclab.solver.goal_element` assign into an element, and
+    each only into one it built."""
 
     @staticmethod
     def bottom(system: System) -> "AbstractElement":
-        return AbstractElement.of({d.name: Box.empty(d.arity) for d in system.decls})
+        return AbstractElement((d.name, Box.empty(d.arity)) for d in system.decls)
 
     @staticmethod
     def top(system: System) -> "AbstractElement":
-        return AbstractElement.of({d.name: Box.top(d.arity) for d in system.decls})
-
-    def get(self, name: str) -> Box:
-        for n, box in self.items:
-            if n == name:
-                return box
-        raise KeyError(name)
-
-    def with_box(self, name: str, box: Box) -> "AbstractElement":
-        return AbstractElement(
-            tuple((n, box if n == name else b) for n, b in self.items)
-        )
+        return AbstractElement((d.name, Box.top(d.arity)) for d in system.decls)
 
     def leq(self, other: "AbstractElement") -> bool:
-        return all(a.leq(b) for (_, a), (_, b) in zip(self.items, other.items))
+        return all(box.leq(other[name]) for name, box in self.items())
 
     def meet(self, other: "AbstractElement") -> "AbstractElement":
-        return AbstractElement(
-            tuple((n, a.meet(b)) for (n, a), (_, b) in zip(self.items, other.items))
-        )
+        return AbstractElement((name, box.meet(other[name])) for name, box in self.items())
 
     @property
     def is_bottom(self) -> bool:
-        return all(box.is_empty for _, box in self.items)
-
-    def __str__(self) -> str:
-        return "; ".join(f"{n}: {b}" for n, b in self.items)
+        return all(box.is_empty for box in self.values())
 
 
 def formula_box(formula: Formula, variables: Sequence[str]) -> Box:
@@ -272,7 +254,7 @@ class CompiledClause:
 def clause_post(clause: Clause, elem: AbstractElement) -> Box:
     """Tightest head box a clause derives when its body holds in ``elem``,
     compiled afresh (the solver keeps one compiled clause per run)."""
-    return CompiledClause(clause).post([elem.get(app.pred.name) for app in clause.body])
+    return CompiledClause(clause).post([elem[app.pred.name] for app in clause.body])
 
 
 def clause_pre_restricted(
@@ -286,6 +268,6 @@ def clause_pre_restricted(
     compiled afresh like :func:`clause_post`."""
     return CompiledClause(clause).pre(
         position,
-        elem.get(clause.head.pred.name),
-        [restriction.get(app.pred.name) for app in clause.body],
+        elem[clause.head.pred.name],
+        [restriction[app.pred.name] for app in clause.body],
     )

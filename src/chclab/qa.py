@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domain import AbstractElement, Box
+from .domain import AbstractElement
 from .solver import (
     AlternationTrace,
     AnalysisConfig,
@@ -101,16 +101,15 @@ def qa_transform(system: System) -> QASystem:
 
 def _project(qa: QASystem, element: AbstractElement, which: str) -> AbstractElement:
     """Pull the query or answer boxes back onto the original predicates."""
-    boxes: dict[str, Box] = {}
-    for pair in qa.pairs:
-        name = pair.query if which == "query" else pair.answer
-        boxes[pair.orig] = element.get(name)
     # The transformed system has its own (never derived) falsity.
     split = {p.query for p in qa.pairs} | {p.answer for p in qa.pairs}
-    for name, box in element.items:
+    for name, box in element.items():
         if name not in split and not box.is_empty:
             raise RuntimeError(f"query-answer analysis derived {name}: {box}")
-    return AbstractElement.of(boxes)
+    return AbstractElement(
+        (pair.orig, element[pair.query if which == "query" else pair.answer])
+        for pair in qa.pairs
+    )
 
 
 def qa_two_step(
@@ -139,7 +138,7 @@ def _strengthen_heads(system: System, b: AbstractElement) -> System:
         Clause(
             clause.body,
             conj(
-                [clause.constraint, b.get(clause.head.pred.name).formula(clause.head.args)]
+                [clause.constraint, b[clause.head.pred.name].formula(clause.head.args)]
             ),
             clause.head,
         )

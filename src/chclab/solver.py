@@ -134,7 +134,7 @@ class RefinedModel(NamedTuple):
     def as_dict(self) -> dict[str, Formula]:
         """Negation-free formulas over positional variables X1, X2, ..."""
         out: dict[str, Formula] = {}
-        for name, box in self.final.items:
+        for name, box in self.final.items():
             variables = param_vars(box.arity)
             parts: list[Formula] = [box.formula(variables)]
             # Empty parts add nothing; drop them for readability.  An
@@ -142,7 +142,7 @@ class RefinedModel(NamedTuple):
             # ``d and not b`` is empty exactly when box ``d`` lies inside
             # box ``b``.
             for d, b in self.layers:
-                dp, bp = d.get(name), b.get(name)
+                dp, bp = d[name], b[name]
                 if not dp.leq(bp):
                     parts.append(conj([dp.formula(variables), bp.complement(variables)]))
             out[name] = disj(parts)
@@ -167,12 +167,12 @@ class Verdict(NamedTuple):
 
 def goal_element(system: System) -> AbstractElement:
     """Tightest element whose concretization covers the goal atoms: the
-    join, per head predicate, of ``post`` of each goal clause."""
+    join, per head predicate, of ``post`` of each goal clause, assigned
+    into the fresh bottom element this function returns."""
     elem = AbstractElement.bottom(system)
     for goal in system.goal:
         name = goal.head.pred.name
-        box = CompiledClause(goal).post(())
-        elem = elem.with_box(name, elem.get(name).join(box))
+        elem[name] = elem[name].join(CompiledClause(goal).post(()))
     return elem
 
 
@@ -207,7 +207,7 @@ class ClauseResults:
 
     def post(self, i: int, elem: AbstractElement) -> Box:
         clause = self.system.clauses[i]
-        key = (i, *[elem.get(app.pred.name) for app in clause.body])
+        key = (i, *[elem[app.pred.name] for app in clause.body])
         box = self._post.get(key)
         if box is None:
             box = self._post[key] = self.compiled[i].post(key[1:])
@@ -218,8 +218,8 @@ class ClauseResults:
         key = (
             i,
             j,
-            elem.get(clause.head.pred.name),
-            *[r.get(app.pred.name) for app in clause.body],
+            elem[clause.head.pred.name],
+            *[r[app.pred.name] for app in clause.body],
         )
         box = self._pre.get(key)
         if box is None:
@@ -233,10 +233,10 @@ def forward_flow(results: ClauseResults, r: AbstractElement):
     from ``elem``, met with ``r[p]``."""
 
     def flow(p: str, elem: AbstractElement) -> Box:
-        acc = Box.empty(r.get(p).arity)
+        acc = Box.empty(r[p].arity)
         for i in results.heads[p]:
             acc = acc.join(results.post(i, elem))
-        return acc.meet(r.get(p))
+        return acc.meet(r[p])
 
     return flow
 
@@ -249,7 +249,7 @@ def backward_flow(results: ClauseResults, g: AbstractElement, r: AbstractElement
     seed = g.meet(r)
 
     def flow(p: str, elem: AbstractElement) -> Box:
-        acc = seed.get(p)
+        acc = seed[p]
         for i, j in results.positions[p]:
             acc = acc.join(results.pre(i, j, r, elem))
         return acc
@@ -264,19 +264,21 @@ def _solve_components(components, flow, start, restriction, config):
     restriction.  The result is meant to satisfy ``flow(p, result) <=
     result[p]`` for every predicate; nothing here checks that, because
     :func:`certify_trace` re-checks every law of every round exactly.
+    ``start`` is copied once and each new box is assigned into the copy,
+    so the element this returns is the only one it changes.
     """
-    elem = start
+    elem = AbstractElement(start)
     for comp in components:
         if not comp.recursive:
             for p in comp.preds:
-                elem = elem.with_box(p, flow(p, elem))
+                elem[p] = flow(p, elem)
             continue
         joins = {p: 0 for p in comp.preds}
         while True:
             changed = False
             for p in comp.preds:
                 new = flow(p, elem)
-                cur = elem.get(p)
+                cur = elem[p]
                 if new.leq(cur):
                     continue
                 grown = cur.join(new)
@@ -284,14 +286,14 @@ def _solve_components(components, flow, start, restriction, config):
                 if joins[p] > config.widening_delay:
                     # Clip widening overshoot right away; the restriction
                     # is constant, so this cannot oscillate.
-                    grown = cur.widen(grown).meet(restriction.get(p))
-                elem = elem.with_box(p, grown)
+                    grown = cur.widen(grown).meet(restriction[p])
+                elem[p] = grown
                 changed = True
             if not changed:
                 break
         for _ in range(config.descending_passes):
             for p in comp.preds:
-                elem = elem.with_box(p, flow(p, elem))
+                elem[p] = flow(p, elem)
     return elem
 
 
@@ -345,10 +347,10 @@ def coarse_backward(system: System) -> frozenset[str]:
 
 def _coarse_element(system: System) -> AbstractElement:
     members = coarse_backward(system)
-    boxes = {}
-    for d in system.decls:
-        boxes[d.name] = Box.top(d.arity) if d.name in members else Box.empty(d.arity)
-    return AbstractElement.of(boxes)
+    return AbstractElement(
+        (d.name, Box.top(d.arity) if d.name in members else Box.empty(d.arity))
+        for d in system.decls
+    )
 
 
 def alternate(
@@ -426,7 +428,7 @@ def certify_trace(
 
 def _closed(flow, elem: AbstractElement) -> bool:
     """Does ``flow(p, elem) <= elem[p]`` hold for every predicate?"""
-    return all(flow(name, elem).leq(box) for name, box in elem.items)
+    return all(flow(name, elem).leq(box) for name, box in elem.items())
 
 
 def refined_model(trace: AlternationTrace) -> RefinedModel:

@@ -47,7 +47,7 @@ def point_box(args) -> Box:
 
 def join(a: AbstractElement, b: AbstractElement) -> AbstractElement:
     """The join of two elements of one system, predicate by predicate."""
-    return AbstractElement(tuple((n, x.join(y)) for (n, x), (_, y) in zip(a.items, b.items)))
+    return AbstractElement((n, x.join(b[n])) for n, x in a.items())
 
 
 def load(name: str):

@@ -30,12 +30,12 @@ def reverse_system(system: System, d: AbstractElement, seed: AbstractElement) ->
             continue
         gate = conj(
             [clause.constraint]
-            + [d.get(app.pred.name).formula(app.args) for app in clause.body]
+            + [d[app.pred.name].formula(app.args) for app in clause.body]
         )
         for app in clause.body:
             clauses.append(Clause((clause.head,), gate, app))
     for goal in system.goal:
-        box = seed.get(goal.head.pred.name)
+        box = seed[goal.head.pred.name]
         clauses.append(goal._replace(constraint=box.formula(goal.head.args)))
     return system._replace(clauses=tuple(clauses))
 

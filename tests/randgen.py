@@ -182,9 +182,7 @@ def random_box(rng: random.Random, arity: int):
 def random_element(rng: random.Random, system: System):
     from chclab.domain import AbstractElement
 
-    return AbstractElement.of(
-        {d.name: random_box(rng, d.arity) for d in system.decls}
-    )
+    return AbstractElement((d.name, random_box(rng, d.arity)) for d in system.decls)
 
 
 def random_cube(rng: random.Random, max_vars: int = 4) -> list[LinConstraint]:

@@ -147,7 +147,7 @@ def _point_cover(system: System, atoms):
     """Smallest box element containing every given atom."""
     elem = AbstractElement.bottom(system)
     for atom in atoms:
-        elem = elem.with_box(atom.pred, elem.get(atom.pred).join(point_box(atom.args)))
+        elem[atom.pred] = elem[atom.pred].join(point_box(atom.args))
     return elem
 
 

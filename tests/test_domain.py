@@ -200,9 +200,12 @@ def test_element_order_and_bottom(addition_loops):
     assert bot.is_bottom and bot.leq(top) and not top.leq(bot)
     assert top.meet(bot).is_bottom
     assert join(bot, top).leq(top) and top.leq(join(bot, top))
-    lifted = bot.with_box("p1", Box.top(2))
-    assert not lifted.is_bottom
-    assert lifted.get("p1") == Box.top(2) and lifted.get("p2").is_empty
+    # Keys follow the declarations; a copy with one box changed leaves
+    # the element it copies as it was.
+    assert list(bot) == list(top) == [d.name for d in addition_loops.decls]
+    lifted = AbstractElement(bot, p1=Box.top(2))
+    assert not lifted.is_bottom and bot.is_bottom
+    assert lifted["p1"] == Box.top(2) and lifted["p2"].is_empty
 
 
 @given(st.integers(0, 10**9))
@@ -222,7 +225,7 @@ def _element_from_atoms(system, atoms):
     """Smallest box element whose concretization covers the given atoms."""
     elem = AbstractElement.bottom(system)
     for atom in atoms:
-        elem = elem.with_box(atom.pred, elem.get(atom.pred).join(point_box(atom.args)))
+        elem[atom.pred] = elem[atom.pred].join(point_box(atom.args))
     return elem
 
 
@@ -257,9 +260,7 @@ def test_clause_post_example():
     system = parse_system(
         "pred p/1.\npred q/1.\nq(Y) :- p(X), Y = X + 1, X >= 0.\n"
     )
-    elem = AbstractElement.bottom(system).with_box(
-        "p", Box.make(1, (interval(-5, 3),))
-    )
+    elem = AbstractElement(AbstractElement.bottom(system), p=Box.make(1, (interval(-5, 3),)))
     clause = system.clauses[0]
     box = clause_post(clause, elem)
     assert str(box) == "[1, 4]"
@@ -272,12 +273,8 @@ def test_clause_pre_restricted_example():
         "pred p/1.\npred q/1.\nq(Y) :- p(X), Y = X + 1, X >= 0.\n"
     )
     clause = system.clauses[0]
-    elem = AbstractElement.bottom(system).with_box(
-        "q", Box.make(1, (interval(0, 10),))
-    )
-    restriction = AbstractElement.top(system).with_box(
-        "p", Box.make(1, (interval(None, 2),))
-    )
+    elem = AbstractElement(AbstractElement.bottom(system), q=Box.make(1, (interval(0, 10),)))
+    restriction = AbstractElement(AbstractElement.top(system), p=Box.make(1, (interval(None, 2),)))
     box = clause_pre_restricted(clause, 0, restriction, elem)
     assert str(box) == "[0, 2]"
 
@@ -341,7 +338,7 @@ def _probe_element(rng, decls):
             for _ in range(d.arity)
         ]
         boxes[d.name] = Box.make(d.arity, (_probe_interval(rng, k) for k in kinds))
-    return AbstractElement.of(boxes)
+    return AbstractElement(boxes)
 
 
 def _assert_matches_reference(clauses, decls, rng, count, label):
@@ -350,11 +347,11 @@ def _assert_matches_reference(clauses, decls, rng, count, label):
     for k in range(count):
         elem, restriction = _probe_element(rng, decls), _probe_element(rng, decls)
         for clause, cc in zip(clauses, compiled):
-            body = [elem.get(app.pred.name) for app in clause.body]
+            body = [elem[app.pred.name] for app in clause.body]
             want = transformer_reference.clause_post(clause, elem)
             assert cc.post(body) == want, (label, k, str(clause))
-            head = elem.get(clause.head.pred.name)
-            body = [restriction.get(app.pred.name) for app in clause.body]
+            head = elem[clause.head.pred.name]
+            body = [restriction[app.pred.name] for app in clause.body]
             for j in range(len(clause.body)):
                 want = transformer_reference.clause_pre_restricted(clause, j, restriction, elem)
                 assert cc.pre(j, head, body) == want, (label, k, j, str(clause))
@@ -394,13 +391,13 @@ def test_empty_input_box_skips_elimination(monkeypatch, addition_loops):
     top = AbstractElement.top(addition_loops)
     for clause in addition_loops.clauses:
         cc = CompiledClause(clause)
-        empty = [bottom.get(app.pred.name) for app in clause.body]
-        full = [top.get(app.pred.name) for app in clause.body]
+        empty = [bottom[app.pred.name] for app in clause.body]
+        full = [top[app.pred.name] for app in clause.body]
         if clause.body:
             assert cc.post(empty) == Box.empty(clause.head.pred.arity)
         for j, app in enumerate(clause.body):
-            assert cc.pre(j, bottom.get(clause.head.pred.name), full) == Box.empty(app.pred.arity)
-            assert cc.pre(j, top.get(clause.head.pred.name), empty) == Box.empty(app.pred.arity)
+            assert cc.pre(j, bottom[clause.head.pred.name], full) == Box.empty(app.pred.arity)
+            assert cc.pre(j, top[clause.head.pred.name], empty) == Box.empty(app.pred.arity)
         # not even the constraint's DNF was computed
         assert "lowered" not in vars(cc)
     assert calls == 0
@@ -413,9 +410,9 @@ def _assert_both_directions_match(clause, elems):
     route on each of ``elems``, used as input and as restriction."""
     cc = CompiledClause(clause)
     for elem in elems:
-        body = [elem.get(app.pred.name) for app in clause.body]
+        body = [elem[app.pred.name] for app in clause.body]
         assert cc.post(body) == transformer_reference.clause_post(clause, elem), str(elem)
-        head = elem.get(clause.head.pred.name)
+        head = elem[clause.head.pred.name]
         for j in range(len(clause.body)):
             want = transformer_reference.clause_pre_restricted(clause, j, elem, elem)
             assert cc.pre(j, head, body) == want, (j, str(elem))
@@ -453,7 +450,7 @@ def test_point_bound_outside_the_target_adds_rows(monkeypatch):
     assert builds == 0
     monkeypatch.undo()
     elems = [
-        AbstractElement.of({"p": Box.make(1, [p]), "q": Box.make(1, [q])})
+        AbstractElement(p=Box.make(1, [p]), q=Box.make(1, [q]))
         for p, q in [
             (interval(3, 3), interval(1, 1)),
             (interval(F(1, 2), F(1, 2)), interval(F(1, 2), F(1, 2))),
@@ -471,7 +468,7 @@ def test_refuted_cube_gets_no_template():
     system = parse_system("pred p/1. pred q/1.\np(X) :- q(X), (X > 0, X < 0 ; X >= 5).\n")
     clause = system.clauses[0]
     elems = [
-        AbstractElement.of({"p": Box.make(1, [p]), "q": Box.make(1, [q])})
+        AbstractElement(p=Box.make(1, [p]), q=Box.make(1, [q]))
         for p, q in [
             (Interval.top(), Interval.top()),
             (interval(0, 6), interval(-1, 3)),

@@ -560,8 +560,8 @@ def test_bound_values_are_canonical(corpus_systems):
             compiled = CompiledClause(clause)
             for _ in range(4):
                 elem = random_element(rng, system)
-                head = elem.get(clause.head.pred.name)
-                body = [elem.get(app.pred.name) for app in clause.body]
+                head = elem[clause.head.pred.name]
+                body = [elem[app.pred.name] for app in clause.body]
                 got = [compiled.post(body)]
                 got += [compiled.pre(j, head, body) for j in range(len(body))]
                 for box in got:
@@ -584,9 +584,9 @@ def test_clause_table_hits_across_bound_types(addition_loops):
 
     def element(value):
         box = Box(2, (Interval(Bound(value(0), False), Bound(value(3), True)), Interval.top()))
-        return AbstractElement.of({
-            d.name: box if d.name == pred else Box.top(d.arity) for d in addition_loops.decls
-        })
+        return AbstractElement(
+            (d.name, box if d.name == pred else Box.top(d.arity)) for d in addition_loops.decls
+        )
 
     stored = results.post(i, element(int))
     assert results.post(i, element(Fraction)) is stored

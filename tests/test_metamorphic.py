@@ -94,7 +94,7 @@ def _outcome(system: System, mode: str, move=lambda x: x) -> tuple:
         trace, verdict = (alternate if mode == "alt" else qa_iterated)(system)
         certified = trace.certified
     model_ok = check_model(system, verdict.witness.as_dict()).ok
-    final = [(name, _moved(box, move)) for name, box in verdict.witness.final.items]
+    final = {name: _moved(box, move) for name, box in verdict.witness.final.items()}
     return verdict.status, verdict.rounds_used, verdict.stop_reason, certified, model_ok, final
 
 

@@ -81,22 +81,22 @@ def backward(system, g):
 
 def test_forward_lockstep_boxes(lockstep):
     elem = forward(lockstep)
-    assert str(elem.get("p")) == "[0, +oo) x [0, +oo)"
+    assert str(elem["p"]) == "[0, +oo) x [0, +oo)"
     # the box hull of p admits x != y, so the integrity clause fires abstractly
-    assert not elem.get("false").is_empty
+    assert not elem["false"].is_empty
 
 
 def test_forward_ladder_box(ladder):
     elem = forward(ladder)
-    assert str(elem.get("p")) == "[1, 5]"
+    assert str(elem["p"]) == "[1, 5]"
     # covers the concrete forward fixpoint
     for atom in lfp_forward_rel(ground_relation(ladder)):
-        assert point_box(atom.args).leq(elem.get(atom.pred))
+        assert point_box(atom.args).leq(elem[atom.pred])
 
 
 def test_forward_no_init_is_bottom(no_init):
     elem = forward(no_init)
-    assert elem.get("p").is_empty and elem.get("false").is_empty
+    assert elem["p"].is_empty and elem["false"].is_empty
 
 
 def test_forward_result_is_inductive(corpus_systems):
@@ -104,15 +104,13 @@ def test_forward_result_is_inductive(corpus_systems):
         elem = forward(system)
         for clause in system.clauses:
             box = clause_post(clause, elem)
-            assert box.leq(elem.get(clause.head.pred.name)), (name, str(clause))
+            assert box.leq(elem[clause.head.pred.name]), (name, str(clause))
 
 
 def test_forward_respects_restriction(ladder):
-    restriction = AbstractElement.top(ladder).with_box(
-        "p", Box.make(1, (interval(None, 2),))
-    )
+    restriction = AbstractElement(AbstractElement.top(ladder), p=Box.make(1, (interval(None, 2),)))
     elem = analyze_forward(ClauseResults(ladder), restriction, AnalysisConfig())
-    assert str(elem.get("p")) == "[1, 2]"
+    assert str(elem["p"]) == "[1, 2]"
 
 
 # -- backward analysis ------------------------------------------------------------
@@ -120,9 +118,9 @@ def test_forward_respects_restriction(ladder):
 
 def test_backward_ladder(ladder):
     g = goal_element(ladder)
-    assert str(g.get("p")) == "[5, 5]"
+    assert str(g["p"]) == "[5, 5]"
     elem = backward(ladder, g)
-    assert str(elem.get("p")) == "[1, 5]"
+    assert str(elem["p"]) == "[1, 5]"
 
 
 def test_backward_bottom_goal_is_bottom(ladder):
@@ -132,8 +130,8 @@ def test_backward_bottom_goal_is_bottom(ladder):
 
 def test_goal_element_default_is_falsity(addition_loops):
     g = goal_element(addition_loops)
-    assert not g.get("false").is_empty
-    assert g.get("p1").is_empty and g.get("p2").is_empty
+    assert not g["false"].is_empty
+    assert g["p1"].is_empty and g["p2"].is_empty
 
 
 def _goal_element_by_formulas(system, goal):
@@ -144,7 +142,7 @@ def _goal_element_by_formulas(system, goal):
     for clause in goal:
         name = clause.head.pred.name
         box = formula_box(clause.constraint, clause.head.args)
-        elem = elem.with_box(name, elem.get(name).join(box))
+        elem[name] = elem[name].join(box)
     return elem
 
 
@@ -159,7 +157,7 @@ def test_goal_element_matches_formula_route(corpus_systems):
         for goal in goals:
             got = goal_element(system._replace(goal=goal))
             assert got == _goal_element_by_formulas(system, goal), label
-            nonempty += sum(not box.is_empty and box.arity > 0 for _, box in got.items)
+            nonempty += sum(not box.is_empty and box.arity > 0 for box in got.values())
     assert nonempty > 100
 
 
@@ -316,9 +314,9 @@ def test_certify_trace_detects_tampering_with_warm_results(addition_loops):
 def _one_box_changed(system, elem):
     """``elem`` with one predicate's box replaced by top, per predicate."""
     return [
-        elem.with_box(d.name, Box.top(d.arity))
+        AbstractElement({**elem, d.name: Box.top(d.arity)})
         for d in system.decls
-        if elem.get(d.name) != Box.top(d.arity)
+        if elem[d.name] != Box.top(d.arity)
     ]
 
 
@@ -343,7 +341,7 @@ def test_flow_memo_matches_direct_transformers():
                     for clause in system.clauses:
                         if clause.head.pred.name == p:
                             direct = direct.join(clause_post(clause, e))
-                    assert flow(p, e) == direct.meet(r.get(p)), (seed, i, p)
+                    assert flow(p, e) == direct.meet(r[p]), (seed, i, p)
             if b is None:
                 continue
             pairs = [(d, b)]
@@ -353,7 +351,7 @@ def test_flow_memo_matches_direct_transformers():
                 flow = backward_flow(results, g, r)
                 for decl in system.decls:
                     p = decl.name
-                    direct = g.meet(r).get(p)
+                    direct = g.meet(r)[p]
                     for clause in system.clauses:
                         for j, app in enumerate(clause.body):
                             if app.pred.name == p:
@@ -379,6 +377,46 @@ def test_no_clause_results_outlive_a_call(monkeypatch, addition_loops):
             run(addition_loops)
             counts.append(calls)
         assert counts[0] == counts[1] > 0, run.__name__
+
+
+def test_no_pass_changes_an_element_it_did_not_build(monkeypatch):
+    # A pass updates only the element it builds: every element it is
+    # given, a whole trace's included, reads the same after the call.
+    from chclab import qa
+
+    calls = 0
+
+    def keeps_its_arguments(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            elems = [a for a in (*args, *kwargs.values()) if isinstance(a, AbstractElement)]
+            for a in (*args, *kwargs.values()):
+                if isinstance(a, AlternationTrace):
+                    elems += [e for rnd in a.rounds for e in rnd if e is not None]
+            before = [dict(e) for e in elems]
+            result = fn(*args, **kwargs)
+            assert all(e == snapshot for e, snapshot in zip(elems, before)), fn.__name__
+            calls += 1
+            return result
+
+        return wrapper
+
+    for name in ("analyze_forward", "analyze_backward", "certify_trace"):
+        monkeypatch.setattr(solver, name, keeps_its_arguments(getattr(solver, name)))
+    # qa_two_step calls the forward analysis through its own binding.
+    monkeypatch.setattr(qa, "analyze_forward", solver.analyze_forward)
+    paths = sorted(CORPUS.glob("**/*.chc"))
+    assert len(paths) == 27
+    for path in paths:
+        system = parse_system(path.read_text(encoding="utf-8"))
+        names = {d.name for d in system.decls}
+        for start in ("forward", "backward", "coarse"):
+            trace, _ = alternate(system, config=AnalysisConfig(start=start))
+            for rnd in trace.rounds:
+                for e in rnd:
+                    assert e is None or e.keys() == names, (path.name, start)
+        qa.qa_two_step(system)
+    assert calls > 27 * 4 * 2
 
 
 # -- refined models ----------------------------------------------------------------
@@ -413,11 +451,11 @@ def _as_dict_by_search(model: RefinedModel) -> dict:
     """The refined model's formulas with every part kept or dropped by
     the exact satisfiability search instead of box order."""
     out = {}
-    for name, box in model.final.items:
+    for name, box in model.final.items():
         variables = param_vars(box.arity)
         parts = [box.formula(variables)]
         for d, b in model.layers:
-            parts.append(conj([d.get(name).formula(variables), b.get(name).complement(variables)]))
+            parts.append(conj([d[name].formula(variables), b[name].complement(variables)]))
         out[name] = disj([p for p in parts if linlogic.sat_cube(p) is not None])
     return out
 
@@ -437,8 +475,8 @@ def test_model_parts_by_box_order_match_the_search(corpus_systems):
         model = verdict.witness
         assert model.as_dict() == _as_dict_by_search(model), (name, how)
         for d, b in model.layers:
-            for (_, dp), (_, bp) in zip(d.items, b.items):
-                if dp.leq(bp):
+            for name, dp in d.items():
+                if dp.leq(b[name]):
                     dropped += not dp.is_empty
                 else:
                     kept += 1
@@ -681,12 +719,9 @@ def test_records_hash_as_the_tuple_of_their_fields(ladder):
         app,
         RawClause((), TRUE, app),
         *dependency_order(ladder),
-        trace.rounds[0][0].get("p"),
-        trace.rounds[0][0],
+        trace.rounds[0][0]["p"],
         AnalysisConfig(),
         *trace.certs,
-        verdict.witness,
-        verdict,
         solver.ModelCheckResult(()),
         qa.pairs[0],
         qa,
@@ -695,9 +730,14 @@ def test_records_hash_as_the_tuple_of_their_fields(ladder):
         *forward_trees(ladder, 2),
         check_tree_props(ladder, depth_cap=4),
     ]
-    assert len({type(r) for r in records}) == 28
+    assert len({type(r) for r in records}) == 25
     for r in records:
         assert hash(r) == hash(tuple(r)), type(r).__name__
+    # An element is a dict and does not hash; the records that hold
+    # elements are NamedTuples all the same.
+    assert isinstance(trace.rounds[0][0], dict)
+    for r in (trace, verdict.witness, verdict):
+        assert isinstance(r, tuple) and r._fields, type(r).__name__
 
 
 def test_default_config_values():
@@ -723,14 +763,14 @@ def test_forward_covers_concrete_on_seeded_systems():
     for label, system in finite_systems(40):
         elem = forward(system)
         for atom in lfp_forward_rel(ground_relation(system)):
-            assert point_box(atom.args).leq(elem.get(atom.pred)), (label, str(atom))
+            assert point_box(atom.args).leq(elem[atom.pred]), (label, str(atom))
 
 
 def _model_contains(model, atom) -> bool:
     """Is the ground atom in the denotation of the refined model?"""
 
     def inside(elem) -> bool:
-        return point_box(atom.args).leq(elem.get(atom.pred))
+        return point_box(atom.args).leq(elem[atom.pred])
 
     return inside(model.final) or any(inside(d) and not inside(b) for d, b in model.layers)
 

@@ -17,7 +17,7 @@ def clause_post(clause: Clause, elem: AbstractElement) -> Box:
     """Tightest head box a clause derives when its body holds in ``elem``."""
     parts: list[Formula] = [clause.constraint]
     for app in clause.body:
-        parts.append(elem.get(app.pred.name).formula(app.args))
+        parts.append(elem[app.pred.name].formula(app.args))
     return formula_box(conj(parts), clause.head.args)
 
 
@@ -30,7 +30,7 @@ def clause_pre_restricted(
     """Tightest box for one body atom from which the clause can reach
     a head in ``elem``, with every body atom kept inside ``restriction``."""
     head = clause.head
-    parts: list[Formula] = [clause.constraint, elem.get(head.pred.name).formula(head.args)]
+    parts: list[Formula] = [clause.constraint, elem[head.pred.name].formula(head.args)]
     for app in clause.body:
-        parts.append(restriction.get(app.pred.name).formula(app.args))
+        parts.append(restriction[app.pred.name].formula(app.args))
     return formula_box(conj(parts), clause.body[position].args)
