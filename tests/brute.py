@@ -13,63 +13,92 @@ The bounding box ``|x| <= BOX_BOUND`` is far larger than any vertex
 coordinate reachable with the small integer coefficients used by the
 test generators, so it never cuts off a satisfiable instance here; this
 is not a general-purpose solver.
+
+The arithmetic is in integers.  Every constraint is scaled to integer
+coefficients, and each square system is solved by fraction-free
+Gauss-Jordan elimination (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): every
+division is exact, and the vertex comes out as integer numerators over
+the system's determinant.  A row ``coeffs . x <= rhs`` then holds at the
+vertex iff ``coeffs . num <= rhs * det`` with ``det > 0``.  A vertex with
+``eps <= 0`` cannot be the witness, so it is skipped before its
+feasibility test.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from chclab.syntax import LinConstraint, Rel
+from chclab.syntax import Rel
 
 BOX_BOUND = 10**9
 
 
-def _solve_square(rows: list[tuple[list[Fraction], Fraction]]) -> list[Fraction] | None:
-    """Solve a square exact linear system; None if singular."""
+def _solve_square(rows: list[tuple[list[int], int]]) -> tuple[list[int], int] | None:
+    """Solve a square integer system: ``(num, det)`` with ``det > 0`` and
+    ``x[i] = num[i] / det``, or ``None`` if it is singular."""
     n = len(rows)
     a = [list(coeffs) + [rhs] for coeffs, rhs in rows]
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return None
         a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
+        top = a[col]
+        pv = top[col]
         for r in range(n):
-            if r == col or a[r][col] == 0:
+            if r == col:
                 continue
-            factor = a[r][col] / pv
-            for c in range(col, n + 1):
-                a[r][c] -= factor * a[col][c]
-    return [a[r][n] / a[r][r] for r in range(n)]
+            row = a[r]
+            f = row[col]
+            if not f and pv == previous:
+                continue
+            # Sylvester's identity makes each division exact.
+            row[col:] = [(pv * x - f * y) // previous for x, y in zip(row[col:], top[col:])]
+        previous = pv
+    # Every diagonal entry is now the determinant, and the last column
+    # holds the numerators of Cramer's rule.
+    det = previous
+    num = [a[r][n] for r in range(n)]
+    if det < 0:
+        det, num = -det, [-x for x in num]
+    return num, det
 
 
 def brute_cube_sat(constraints) -> bool:
     """Satisfiability of a conjunction of LinConstraints over Q."""
     constraints = list(constraints)
     variables = sorted({v for c in constraints for v in c.term.vars})
-    index = {v: i for i, v in enumerate(variables)}
-    eps = len(variables)
+    # Position 0 is eps: a square system no strict row takes part in is
+    # singular, and elimination finds that in its first column.
+    eps = 0
+    index = {v: i for i, v in enumerate(variables, 1)}
     dims = len(variables) + 1
 
-    # Rows mean coeffs . (x, eps) <= rhs, or == rhs when is_eq.
-    rows: list[tuple[list[Fraction], Fraction, bool]] = []
+    # Rows mean coeffs . (x, eps) <= rhs, or == rhs when is_eq, scaled
+    # to integers.
+    rows: list[tuple[list[int], int, bool]] = []
     for c in constraints:
-        coeffs = [Fraction(0)] * dims
+        den = c.term.const.denominator
+        for _, q in c.term.coeffs:
+            den = lcm(den, q.denominator)
+        coeffs = [0] * dims
         for v, q in c.term.coeffs:
-            coeffs[index[v]] = q
-        rhs = -c.term.const
+            coeffs[index[v]] = int(q * den)
+        rhs = int(-c.term.const * den)
         if c.rel is Rel.EQ:
             rows.append((coeffs, rhs, True))
         elif c.rel is Rel.LE:
             rows.append((coeffs, rhs, False))
         else:
-            coeffs[eps] = Fraction(1)
+            coeffs[eps] = den
             rows.append((coeffs, rhs, False))
 
     # Ground rows (all-zero coefficients) cannot take part in vertex
     # systems; decide them directly.
-    live: list[tuple[list[Fraction], Fraction, bool]] = []
+    live: list[tuple[list[int], int, bool]] = []
     for coeffs, rhs, is_eq in rows:
         if any(coeffs):
             live.append((coeffs, rhs, is_eq))
@@ -79,32 +108,28 @@ def brute_cube_sat(constraints) -> bool:
         elif rhs < 0:
             return False
 
-    def unit(i: int, sign: int) -> list[Fraction]:
-        row = [Fraction(0)] * dims
-        row[i] = Fraction(sign)
+    def unit(i: int, sign: int) -> list[int]:
+        row = [0] * dims
+        row[i] = sign
         return row
 
-    live.append((unit(eps, -1), Fraction(0), False))  # eps >= 0
-    live.append((unit(eps, 1), Fraction(1), False))  # eps <= 1
-    for i in range(len(variables)):
-        live.append((unit(i, 1), Fraction(BOX_BOUND), False))
-        live.append((unit(i, -1), Fraction(BOX_BOUND), False))
+    live.append((unit(eps, -1), 0, False))  # eps >= 0
+    live.append((unit(eps, 1), 1, False))  # eps <= 1
+    for i in range(1, dims):
+        live.append((unit(i, 1), BOX_BOUND, False))
+        live.append((unit(i, -1), BOX_BOUND, False))
 
     for subset in combinations(range(len(live)), dims):
-        chosen = [live[i] for i in subset]
-        point = _solve_square([(coeffs, rhs) for coeffs, rhs, _ in chosen])
-        if point is None:
+        solved = _solve_square([live[i][:2] for i in subset])
+        if solved is None:
             continue
-        feasible = True
+        num, det = solved
+        if num[eps] <= 0:
+            continue
         for coeffs, rhs, is_eq in live:
-            value = sum(c * x for c, x in zip(coeffs, point))
-            if is_eq:
-                if value != rhs:
-                    feasible = False
-                    break
-            elif value > rhs:
-                feasible = False
+            value = sum(c * x for c, x in zip(coeffs, num) if c)
+            if value != rhs * det if is_eq else value > rhs * det:
                 break
-        if feasible and point[eps] > 0:
+        else:
             return True
     return False
