@@ -17,28 +17,31 @@ works on those rows:
   recorded pivots, solves each new equality for one of its free
   variables and substitutes it into the other new rows.  A projection
   pivots only on variables it was not asked for, and a conjunction only
-  until it holds a normalized row; any other equality becomes two
-  inequalities.
+  until it holds a normalized row or bound; any other equality becomes
+  two inequalities.
 * **Integer rows.**  :meth:`Conjunction.conjoin` turns every remaining
   constraint into inequality rows: integer coefficients and constant
   without a common divisor, a strict flag, a history (the bitmask of the
   original inequalities the row combines) and the mask of the variables
   those originals mention.  Combining a strict with a non-strict row
-  yields a strict one.  Beside the rows, every :class:`RowSet` keeps the
-  ``bounds`` of each position: the :class:`Interval` meet of its
-  one-variable rows (:func:`_refute`).  A one-variable row whose meet is
-  empty refutes the set before any elimination runs, which decides most
-  unsatisfiable branches of the search.  Each elimination step carries
-  the index over and meets the one-variable rows it makes into it, so a
-  conflict is refuted in the step that makes it, not left for the step
-  on its variable.  A :class:`Conjunction` keeps the pivots and build
-  state of a conjunction, so the search extends a branch with a child's
-  atoms, and :class:`chclab.domain.CompiledClause` the template of a
-  constraint cube with the bounds of its input boxes, normalizing only
-  the new rows.
+  yields a strict one.  A one-variable row lives only in the ``bounds``
+  of its :class:`RowSet`, the :class:`Interval` meet of each position's
+  one-variable rows (:func:`_refute`); the rows of a set all mention two
+  or more variables.  An empty meet refutes the set before any
+  elimination runs, which decides most unsatisfiable branches of the
+  search.  Each elimination step carries the bounds over and meets the
+  one-variable rows it makes into them, so a conflict is refuted in the
+  step that makes it, not left for the step on its variable.  A
+  :class:`Conjunction` keeps the pivots and build state of a
+  conjunction, so the search extends a branch with a child's atoms, and
+  :class:`chclab.domain.CompiledClause` the template of a constraint
+  cube with the bounds of its input boxes, normalizing only the new
+  rows.
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
-  it from below and from above.
+  it from below and from above.  A variable that only ``bounds`` mention
+  is dropped without a step, and the step that eliminates a variable
+  enters its interval as at most one lower and one upper row.
 * **History pruning.**  A combined row is dropped when its history has
   more than 1 + k members, k being the number of eliminated variables its
   originals mention (Chernikov's rule with Kohler's count, after Imbert
@@ -46,7 +49,10 @@ works on those rows:
   exact duplicates merge, and the copy with the smaller history stays.
   Keeping just the tightest of the rows that share a coefficient vector
   would drop rows whose histories the pruning of later steps relies on,
-  and it gives wrong answers.
+  and it gives wrong answers.  A bound has no history bit: a row a step
+  makes from a bound has the history ``-1``, and neither it nor any row
+  later combined from it is ever pruned.  That only keeps rows the rule
+  would have dropped, so every answer stays exact.
 * **Budget.**  An elimination step that holds more than
   ``DEFAULT_FM_CAP`` rows raises :class:`ResourceLimitError`.
 
@@ -56,7 +62,7 @@ that :class:`chclab.domain.CompiledClause` lowered and extended onto one
 eliminates the variables it was not asked for once and splits the rows
 left into groups that share no variable.  A requested variable's
 interval is its ``bounds`` entry once the other variables of its group
-are eliminated; a variable alone in its group needs no elimination.
+are eliminated; a variable that no row mentions needs no elimination.
 :class:`Interval` and its sides (:class:`Bound`) are the one interval
 type of the package: :mod:`chclab.domain` builds its boxes from them.
 :func:`cube_is_sat`, :func:`project_to_box` and :meth:`RowSet.of` take
@@ -343,13 +349,17 @@ Row = tuple[tuple[int, ...], int, bool, int, int]
 
 
 class RowSet(NamedTuple):
-    """The inequalities of one elimination run, as integer rows.
+    """The inequalities of one elimination run: integer rows over two or
+    more variables, and an interval per variable for the rest.
 
-    ``eliminated`` is the mask of the variable positions eliminated so
-    far; ``unsat`` is set once the rows are refuted, and the set then
-    holds the one row ``1 <= 0``.  ``bounds`` maps each position that a
-    one-variable row mentions to the :class:`Interval` meet of those
-    rows; a set shares it and never changes it.
+    ``cons`` holds the rows that mention at least two variables.
+    ``bounds`` maps each position that a one-variable inequality of the
+    set bounds to the :class:`Interval` meet of those inequalities; such
+    an inequality lives there and never in ``cons``.  The set stands for
+    the conjunction of both.  ``eliminated`` is the mask of the variable
+    positions eliminated so far; ``unsat`` is set once the set is
+    refuted, and it then holds the one row ``1 <= 0`` and no bound.  A
+    set shares its ``bounds`` and never changes them.
     """
 
     names: tuple[str, ...]
@@ -380,9 +390,11 @@ class Conjunction:
     ``pivots`` are the equalities :func:`extend` solved, each for a
     position in the mask ``free``, and ``rowset`` is the :class:`RowSet`
     of the rows left, as :meth:`conjoin` describes it.  ``out`` (the
-    distinct rows by key) and ``bounds`` (the set's interval index) are
-    the state of that build between rows.  A batch adds only its own
-    rows to a copy of the two dicts.
+    distinct rows over two or more variables, by key) and ``bounds``
+    (the set's intervals) are the state of that build between rows.  A
+    batch adds only its own rows to a copy of the two dicts.  Pivots are
+    solved only while both are empty: once a bound sits in ``bounds``, a
+    pivot on its variable would leave the bound behind.
     """
 
     __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset")
@@ -398,19 +410,20 @@ class Conjunction:
     def conjoin(self, lowered) -> Conjunction:
         """This conjunction and the lowered constraints ``lowered``.
 
-        New pivots are solved only while no row is normalized.  Its
-        ``rowset`` holds the inequalities of the rows: each divided by
-        the gcd of its integers, an equality split into two inequalities,
-        ground rows that hold dropped and exact duplicates merged.  A
-        ground row that fails refutes the set, and so does a one-variable
-        row whose interval has an empty meet with the set's bounds on its
-        variable.  Such a conflict refutes most unsatisfiable branches of
-        :func:`sat_cube` before any elimination runs.  A refuted build
-        stopped part way, so a refuted conjunction comes back unchanged.
+        New pivots are solved only while no row and no bound is
+        normalized.  Its ``rowset`` holds the inequalities of the rows:
+        each divided by the gcd of its integers, an equality split into
+        two inequalities, ground rows that hold dropped and exact
+        duplicates merged.  A one-variable inequality is met into the
+        ``bounds`` of its variable instead of kept as a row.  A ground row
+        that fails refutes the set, and so does an empty meet.  Such a
+        conflict refutes most unsatisfiable branches of :func:`sat_cube`
+        before any elimination runs.  A refuted build stopped part way, so
+        a refuted conjunction comes back unchanged.
         """
         if self.rowset.unsat:
             return self
-        rows, pivots = extend(self.pivots, lowered, 0 if self.out else self.free)
+        rows, pivots = extend(self.pivots, lowered, 0 if self.out or self.bounds else self.free)
         # Set every slot here: __init__ would make a state and a set only
         # to drop them.
         child = object.__new__(Conjunction)
@@ -431,33 +444,35 @@ class Conjunction:
             else:
                 sides = ((vec, const, rel is Rel.LT),)
             for vec, const, strict in sides:
-                d = gcd(*vec, const)
-                if d > 1:
-                    vec = [x // d for x in vec]
-                    const //= d
                 if not mask:
                     if const > 0 or (const == 0 and strict):
                         return _refuted(names)
                     continue
-                key = (tuple(vec), const, strict)
-                if key in out:
+                if not mask & (mask - 1):
+                    if _refute(bounds, (vec, const, strict), mask.bit_length() - 1):
+                        return _refuted(names)
                     continue
-                row = out[key] = (*key, 1 << len(out), mask)
-                if not mask & (mask - 1) and _refute(bounds, row, mask.bit_length() - 1):
-                    return _refuted(names)
+                d = gcd(*vec, const)
+                if d > 1:
+                    vec = [x // d for x in vec]
+                    const //= d
+                key = (tuple(vec), const, strict)
+                if key not in out:
+                    out[key] = (*key, 1 << len(out), mask)
         return RowSet(names, tuple(out.values()), 0, False, bounds)
 
 
-def _bound(row: Row, j: int) -> Interval:
-    """The interval the one-variable row ``row`` allows position ``j``."""
-    vec, const, strict, _, _ = row
+def _bound(row: tuple, j: int) -> Interval:
+    """The interval the one-variable row ``row``, ``(vec, const,
+    strict)`` as in a :data:`Row`, allows position ``j``."""
+    vec, const, strict = row
     a = vec[j]
     q, r = divmod(-const, a)
     side = Bound(Fraction(-const, a) if r else q, strict)
     return Interval(UNBOUNDED, side) if a > 0 else Interval(side, UNBOUNDED)
 
 
-def _refute(bounds: dict[int, Interval], row: Row, j: int) -> bool:
+def _refute(bounds: dict[int, Interval], row: tuple, j: int) -> bool:
     """Meet the interval of the one-variable row ``row``, a bound on
     position ``j``, into ``bounds[j]``: ``True`` when the meet is empty,
     so that the rows conflict, as eliminating ``j`` would show."""
@@ -468,13 +483,29 @@ def _refute(bounds: dict[int, Interval], row: Row, j: int) -> bool:
     return interval.is_empty
 
 
+def _side(n: int, j: int, side: Bound, upper: bool) -> Row:
+    """The row of one side of position ``j``'s interval: ``x_j - value``
+    if ``upper``, else ``value - x_j``.  Its history is ``-1``: no pair's
+    history test prunes it, every row combined from it inherits it, and
+    it counts as one member when duplicates merge."""
+    vec = [0] * n
+    value = side.value
+    sign = 1 if upper else -1
+    vec[j] = sign * value.denominator
+    return (tuple(vec), -sign * value.numerator, side.strict, -1, 1 << j)
+
+
 def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     """Eliminate ``var`` from ``rows``, preserving the projection.
 
-    Every pair of a lower and an upper bound on ``var`` is combined,
-    unless history pruning shows the combination redundant.  The result
-    carries the ``bounds`` of ``rows`` without ``var`` and meets each new
-    one-variable row into them.  A ground contradiction or an empty meet
+    Every pair of a lower and an upper row on ``var`` is combined, unless
+    history pruning shows the combination redundant.  The interval of
+    ``var`` in ``bounds`` enters as at most one lower and one upper row,
+    each combined only with the rows of the other sign; a bound has no
+    history, and neither the rows it makes nor any row later combined
+    from them is ever pruned.  The result carries the ``bounds`` of
+    ``rows`` without ``var`` and meets each new one-variable row into
+    them instead of keeping it.  A ground contradiction or an empty meet
     ends the run: the result is then refuted (see :class:`RowSet`).
     Rows already marked ``unsat`` come back unchanged.  Raises
     :class:`ResourceLimitError` when the result would hold more than
@@ -487,7 +518,7 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     eliminated = rows.eliminated | (1 << j)
     out: dict[tuple, Row] = {}
     bounds = dict(rows.bounds)
-    bounds.pop(j, None)
+    lo, hi = bounds.pop(j, Interval.top())
     # A one-variable row has a zero at every other position.
     zeros = len(names) - 1
     lowers: list[Row] = []
@@ -502,11 +533,20 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
             uppers.append((*row, row[4] & eliminated))
         else:
             lowers.append(row)
+    # Each lower row is paired with every upper row.  A side of the
+    # interval pairs only with the rows of the other sign, not with the
+    # other side, with which it cannot conflict.
+    partners = uppers
+    if lowers and hi.value is not None:
+        partners = [*uppers, (*_side(len(names), j, hi, True), 1 << j)]
+    pairs = [(row, partners) for row in lowers]
+    if uppers and lo.value is not None:
+        pairs.append((_side(len(names), j, lo, False), uppers))
 
-    for lvec, lconst, lstrict, lhist, lmask in lowers:
+    for (lvec, lconst, lstrict, lhist, lmask), partners in pairs:
         al = -lvec[j]
         lgone = lmask & eliminated
-        for uvec, uconst, ustrict, uhist, umask, ugone in uppers:
+        for uvec, uconst, ustrict, uhist, umask, ugone in partners:
             hist = lhist | uhist
             size = hist.bit_count()
             if size > 1 + (lgone | ugone).bit_count():
@@ -518,23 +558,26 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
             vec = tuple([ml * x + mu * y for x, y in zip(lvec, uvec)])
             const = ml * lconst + mu * uconst
             strict = lstrict or ustrict
+            zero = vec.count(0)
+            if zero > zeros:
+                if const > 0 or (const == 0 and strict):
+                    return _refuted(names, eliminated)
+                continue
+            if zero == zeros:
+                if _refute(bounds, (vec, const, strict), vec.index(next(filter(None, vec)))):
+                    return _refuted(names, eliminated)
+                continue
             d = gcd(*vec, const)
             if d > 1:
                 vec = tuple([x // d for x in vec])
                 const //= d
-            if not any(vec):
-                if const > 0 or (const == 0 and strict):
-                    return _refuted(names, eliminated)
-                continue
             key = (vec, const, strict)
             old = out.get(key)
             if old is not None:
                 if size < old[3].bit_count():
                     out[key] = (vec, const, strict, hist, mask)
                 continue
-            row = out[key] = (vec, const, strict, hist, mask)
-            if vec.count(0) == zeros and _refute(bounds, row, vec.index(next(filter(None, vec)))):
-                return _refuted(names, eliminated)
+            out[key] = (vec, const, strict, hist, mask)
         if len(out) > DEFAULT_FM_CAP:
             raise ResourceLimitError(
                 f"Fourier-Motzkin elimination exceeded {DEFAULT_FM_CAP} rows"
@@ -547,9 +590,11 @@ def _eliminate(rows: RowSet, mask: int) -> RowSet:
     first, until none is left or the rows turn out unsatisfiable."""
     positions = [j for j in range(len(rows.names)) if mask >> j & 1]
     while positions and rows.cons and not rows.unsat:
-        # Count each position's lower and upper bounds in its column of
+        # Count each position's lower and upper rows in its column of
         # coefficients; ``(0).__gt__`` tests ``a < 0``.  A variable no row
-        # mentions stays absent: combining never brings it back.
+        # mentions stays absent: combining never brings it back, and an
+        # interval in ``bounds`` alone, never empty, constrains nothing
+        # else.
         columns = list(zip(*[row[0] for row in rows.cons]))
         mentioned: list[int] = []
         best = least = -1
@@ -688,20 +733,19 @@ def project_rows(rows: RowSet, variables) -> list[Interval] | None:
 
     Once the variables not asked for are eliminated, the rows fall into
     groups that share no variable, and their conjunction projects to the
-    product of the groups' projections.  Each group shares the ``bounds``
-    of the set.  A group of one variable holds its interval there as it
-    is; a larger group eliminates, for each of its variables, the others
-    from its own rows alone, and reads the variable's interval off the
-    ``bounds`` of what is left.
+    product of the groups' projections.  A requested variable that no
+    row mentions projects to its interval in ``bounds`` as it is.  A
+    group, which shares the ``bounds`` of the set, eliminates for each
+    of its variables the others from its own rows alone, and reads the
+    variable's interval off the ``bounds`` of what is left.
     """
     requested = frozenset(variables)
-    keep = sum(1 << j for j, v in enumerate(rows.names) if v in requested)
-    rows = _eliminate(rows, ((1 << len(rows.names)) - 1) & ~keep)
+    names = rows.names
+    keep = sum(1 << j for j, v in enumerate(names) if v in requested)
+    rows = _eliminate(rows, ((1 << len(names)) - 1) & ~keep)
     if rows.unsat:
         return None
-    # Every row left mentions a requested variable; a requested variable
-    # no row mentions is unbounded.
-    bits = [1 << j for j in range(len(rows.names))]
+    bits = [1 << j for j in range(len(names))]
     groups: list[tuple[int, list[Row]]] = []
     for row in rows.cons:
         mask = sum(compress(bits, row[0]))
@@ -711,12 +755,12 @@ def project_rows(rows: RowSet, variables) -> list[Interval] | None:
             mask |= g[0]
             members += g[1]
         groups.append((mask, members))
-    out: dict[str, Interval] = {}
+    out = {names[j]: interval for j, interval in rows.bounds.items()}
     for mask, members in groups:
-        group = RowSet(rows.names, tuple(members), rows.eliminated, False, rows.bounds)
+        group = RowSet(names, tuple(members), rows.eliminated, False, rows.bounds)
         for j in (j for j in range(mask.bit_length()) if mask >> j & 1):
-            single = group if mask == 1 << j else _eliminate(group, mask & ~(1 << j))
+            single = _eliminate(group, mask & ~(1 << j))
             if single.unsat:
                 return None
-            out[rows.names[j]] = single.bounds.get(j, Interval.top())
+            out[names[j]] = single.bounds.get(j, Interval.top())
     return [out.get(v, Interval.top()) for v in variables]

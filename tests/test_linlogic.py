@@ -77,11 +77,19 @@ def cube(*cons):
 
 
 def as_cube(rows):
-    """The inequalities a row set stands for."""
-    return ConjCube.make(
+    """The inequalities a row set stands for: its rows, and each side of
+    each interval in its ``bounds``."""
+    cons = [
         LinConstraint(LinTerm.make(zip(rows.names, vec), const), Rel.LT if strict else Rel.LE)
         for vec, const, strict, _, _ in rows.cons
-    )
+    ]
+    for j, (lo, hi) in rows.bounds.items():
+        x = LinTerm.var(rows.names[j])
+        if lo.value is not None:
+            cons.append(LinConstraint(LinTerm.make({}, lo.value) - x, Rel.LT if lo.strict else Rel.LE))
+        if hi.value is not None:
+            cons.append(LinConstraint(x - LinTerm.make({}, hi.value), Rel.LT if hi.strict else Rel.LE))
+    return ConjCube.make(cons)
 
 
 # -- DNF ---------------------------------------------------------------------
@@ -233,9 +241,11 @@ def _bound_rows(rng):
 
 
 def test_bound_conflicts_match_unpruned_reference():
-    # The conflict check refutes only what elimination refutes, and a set
-    # it does not refute keeps the rows the builder made without it, with
-    # the meet of its one-variable rows as its bounds.
+    # The conflict check refutes only what elimination refutes.  A set it
+    # does not refute keeps, as its rows, the rows over two or more
+    # variables that the builder made without it, in order and numbered
+    # by their own histories; its bounds are the meet of the one-variable
+    # rows that builder made.
     refuted = satisfiable = 0
     for seed in range(1200):
         names, rows = _bound_rows(random.Random(seed))
@@ -247,7 +257,11 @@ def test_bound_conflicts_match_unpruned_reference():
             assert got.cons == (((0,) * len(names), 1, False, 0, 0),), f"seed {seed}: {rows}"
             refuted += not want.unsat
         else:
-            assert got == want, f"seed {seed}: {rows}"
+            multi = [row for row in want.cons if row[4] & (row[4] - 1)]
+            assert [row[:3] + row[4:] for row in got.cons] == [row[:3] + row[4:] for row in multi]
+            assert [row[3] for row in got.cons] == [1 << i for i in range(len(multi))]
+            assert got.bounds == fm_reference.bounds_of(want.cons), f"seed {seed}: {rows}"
+            assert (got.names, got.eliminated) == (want.names, want.eliminated)
         satisfiable += sat
     assert refuted > 200 and satisfiable > 200
 
@@ -303,7 +317,7 @@ def _batches(rng: random.Random):
 
 
 def test_conjoining_batches_matches_conjoining_them_at_once():
-    # A batch conjoined onto a conjunction that holds rows never adds a
+    # A batch conjoined onto a conjunction that holds rows or bounds never adds a
     # pivot: an equality with a coefficient at a free position is split
     # into two inequalities instead.  Without such an equality, batches
     # conjoined one at a time give the pivots and set that conjoining
@@ -328,7 +342,7 @@ def test_conjoining_batches_matches_conjoining_them_at_once():
                 assert step.conjoin(batch) is step, f"seed {seed}"
                 continue
             parent, step = step, step.conjoin(batch)
-            if parent.rowset.cons:
+            if parent.rowset.cons or parent.rowset.bounds:
                 assert step.pivots == parent.pivots, f"seed {seed}"
                 rewritten, _ = linlogic.extend(parent.pivots, batch, 0)
                 splits += sum(
@@ -735,21 +749,61 @@ def _wide_cube(rng):
     return ConjCube.make(cons), rng.sample(names, rng.randint(1, 3))
 
 
+def _one_variable_meet(names, cube):
+    """:func:`fm_reference.bounds_of` the inequalities of ``cube``, lowered
+    over ``names``."""
+    index = {v: j for j, v in enumerate(names)}
+    return fm_reference.bounds_of(
+        (vec, const, rel is Rel.LT) for vec, const, rel in (linlogic.lower(c, index) for c in cube.cons)
+    )
+
+
 def test_bounds_index_is_the_meet_of_one_variable_rows():
-    # A built set and every step of a full elimination keep, per
-    # position, the meet of the one-variable rows they hold.
-    checked = 0
+    # A built set keeps, per position, the meet of the one-variable rows
+    # the builder makes.  Each step of a full elimination keeps the meet
+    # of the one-variable rows that unpruned elimination of the same
+    # variable makes from the cube the step's input stands for.  The one
+    # exception is a one-variable row that history pruning drops: the
+    # rows kept imply it, but the index alone need not, so there the
+    # step's interval only lies between the reference's and the input's.
+    # A set or a step is refuted only where its reference holds a failing
+    # ground row or an empty meet.
+    checked = differs = 0
+    top = Interval.top()
     for seed in range(300):
         c, requested = _wide_cube(random.Random(seed))
-        for rows in (RowSet.of(c), RowSet.of(c, frozenset(requested))):
+        for free in ((), requested):
+            rows = RowSet.of(c, frozenset(free))
+            index = {v: j for j, v in enumerate(rows.names)}
+            mask = sum(1 << j for j, v in enumerate(rows.names) if v not in free)
+            built, _ = linlogic.extend((), [linlogic.lower(k, index) for k in c.cons], mask)
+            want = fm_reference.from_rows(rows.names, built)
+            if rows.unsat:
+                assert want.unsat or any(iv.is_empty for iv in want.bounds.values()), f"seed {seed}: {c}"
+            else:
+                assert rows.bounds == want.bounds, f"seed {seed}: {c}"
+            checked += 1
             while True:
-                assert rows.bounds == fm_reference.bounds_of(rows.cons), f"seed {seed}: {c}"
-                checked += 1
                 left = [v for j, v in enumerate(rows.names) if not rows.eliminated >> j & 1]
                 if rows.unsat or not left:
                     break
-                rows = fm_eliminate(rows, left[0])
-    assert checked > 2000
+                step = fm_eliminate(rows, left[0])
+                reference = fm_reference.fm_eliminate(as_cube(rows), left[0])
+                checked += 1
+                want = _one_variable_meet(rows.names, reference)
+                if step.unsat:
+                    ground = [k for k in reference.cons if not k.term.coeffs]
+                    assert any(not k.rel.holds(k.term.const) for k in ground) or any(
+                        iv.is_empty for iv in want.values()
+                    ), f"seed {seed}: {c}"
+                    break
+                if step.bounds != want:
+                    differs += 1
+                    for j in want.keys() | step.bounds.keys():
+                        got = step.bounds.get(j, top)
+                        assert want.get(j, top).leq(got) and got.leq(rows.bounds.get(j, top)), f"seed {seed}: {c}"
+                rows = step
+    assert checked > 2000 and differs < checked // 100
 
 
 def test_step_refutation_matches_unpruned_reference_on_wide_cubes(monkeypatch):
