@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-from contextlib import contextmanager
 from pathlib import Path
 
 from chclab import cli, domain, linlogic, solver
@@ -79,7 +78,7 @@ def _normalized(counts: dict, fn):
     return wrapped
 
 
-@contextmanager
+@contextlib.contextmanager
 def counting():
     """Count the exact core's work into the yielded dict while the block
     runs; every wrapped name is restored afterwards."""
