@@ -10,9 +10,10 @@ and iterate its items.
 Per-clause transformers compute the tightest box implied by the clause
 constraint together with the boxes of the occurring predicates.  A
 :class:`CompiledClause` converts the constraint to DNF and lowers it to
-integer rows once; each call only adds the bounds of its input boxes as
-rows and projects exactly (:mod:`chclab.linlogic`), whose intervals
-(:class:`~chclab.linlogic.Interval`) form the box as they are.  Goal
+integer rows once; each call only meets the bounds of its input boxes
+into the rows' intervals and projects exactly (:mod:`chclab.linlogic`),
+whose intervals (:class:`~chclab.linlogic.Interval`) form the box as
+they are.  Goal
 guards take the same route, compiled as body-less clauses.
 :func:`clause_post` and :func:`clause_pre_restricted` compile the clause
 on the fly.  :func:`formula_box`, which projects every cube of a whole
@@ -30,7 +31,6 @@ from .linlogic import (
     Conjunction,
     Interval,
     Lowered,
-    bound_row,
     lower,
     project_rows,
     project_to_box,
@@ -190,10 +190,14 @@ class CompiledClause:
     arguments, or the arguments of body position ``j``) each cube then
     becomes a template: the :class:`~chclab.linlogic.Conjunction` of its
     rows that pivots only on variables outside the target.  A cube whose
-    rows alone are refuted gets no template.  A call lowers each bound of
-    its input boxes to a one-variable row, conjoins those rows with every
-    template and projects the result onto the target; the template's rows
-    are normalized once, and a call normalizes only its bounds.
+    rows alone are refuted gets no template.  A call conjoins the bounds
+    of its input boxes with every template
+    (:meth:`~chclab.linlogic.Conjunction.conjoin_bounds`) and projects
+    the result onto the target.  The template's rows are normalized once;
+    a bound on a variable whose image under the template's pivots has
+    one variable is met into a copy of the template's intervals, with no
+    row, and only a bound whose image spans two or more variables adds a
+    row to normalize.
     """
 
     def __init__(self, clause: Clause):
@@ -227,14 +231,14 @@ class CompiledClause:
         if any(box.is_empty for box in boxes):
             return Box.empty(len(args))
         names, index, _ = self.lowered
-        rows = [
-            bound_row(len(names), index[v], value, rel, upper)
+        bounds = [
+            (index[v], value, rel, upper)
             for app, box in zip(apps, boxes)
             for v, value, rel, upper in box.bounds(app.args)
         ]
         acc = Box.empty(len(args))
         for template in self._template(target, args):
-            intervals = project_rows(template.conjoin(rows).rowset, args)
+            intervals = project_rows(template.conjoin_bounds(bounds).rowset, args)
             if intervals is not None:
                 acc = acc.join(Box.make(len(args), intervals))
         return acc

@@ -4,14 +4,17 @@ Satisfiability of a formula is decided by :func:`sat_cube`, a depth-first
 search over the disjunct choices of its And/Or tree that never builds the
 disjunctive normal form: it gathers the atoms of the current conjunction,
 drops the branch as soon as they are unsatisfiable, and branches on the
-pending disjunction with the fewest children first.  A search that visits
-more than ``DEFAULT_CUBE_CAP`` branches raises :class:`ResourceLimitError`.
-Only projections, which need every cube, convert a formula to disjunctive
-normal form (:func:`to_dnf`, under the same cap).
+pending disjunction with the fewest children first.  A child whose new
+atoms conflict on their own with its parent's bounds is never built.  The
+formula may come with instances, formulas under a renaming of their
+variables, whose atoms are lowered through the renaming instead of
+renamed.  A search that visits more than ``DEFAULT_CUBE_CAP`` branches
+raises :class:`ResourceLimitError`.  Only projections, which need every
+cube, convert a formula to disjunctive normal form (:func:`to_dnf`, under
+the same cap).
 
-Constraints are lowered to integer rows once (:func:`lower`, and
-:func:`bound_row` for an interval bound), and one Fourier-Motzkin engine
-works on those rows:
+Constraints are lowered to integer rows once (:func:`lower`), and one
+Fourier-Motzkin engine works on those rows:
 
 * **Equalities first.**  :func:`extend` rewrites new rows through the
   recorded pivots, solves each new equality for one of its free
@@ -33,10 +36,15 @@ works on those rows:
   one-variable rows it makes into them, so a conflict is refuted in the
   step that makes it, not left for the step on its variable.  A
   :class:`Conjunction` keeps the pivots and build state of a
-  conjunction, so the search extends a branch with a child's atoms, and
-  :class:`chclab.domain.CompiledClause` the template of a constraint
-  cube with the bounds of its input boxes, normalizing only the new
-  rows.
+  conjunction, so the search extends a branch with a child's atoms,
+  normalizing only the new rows.  :class:`chclab.domain.CompiledClause`
+  extends the template of a constraint cube with the bounds of its input
+  boxes (:meth:`Conjunction.conjoin_bounds`): a bound on ``x_j`` is
+  rewritten through the image of ``x_j`` under the template's pivots,
+  and met into a copy of the template's ``bounds`` as an interval when
+  that image has one variable; only a bound whose image spans two or
+  more variables, or none, becomes a row (:func:`bound_row` is the row
+  of a bound).
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.  A variable that only ``bounds`` mention
@@ -190,16 +198,30 @@ def _gather(f: Formula, atoms: list[LinConstraint], pending: list[Or]) -> bool:
     return True
 
 
-def sat_cube(formula: Formula) -> ConjCube | None:
-    """A satisfiable cube of the formula's DNF, or ``None`` if it has none.
+def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
+    """A satisfiable cube of the DNF of ``formula`` conjoined with its
+    ``instances``, or ``None`` if it has none.
 
-    Depth-first search over the disjunct choices.  The formula's
-    variables are indexed once, and each branch carries the
-    :class:`Conjunction` of the atoms its choices imply: a child lowers
-    only its new atoms, conjoins them with its parent's and eliminates
-    a copy of the result.  A branch is dropped as soon as its atoms are
-    unsatisfiable; it then branches on the pending disjunction with the
-    fewest children, trying them in formula order.
+    Each instance is a ``(formula, mapping)`` pair that stands for the
+    formula with its variables renamed by ``mapping``; a variable the
+    mapping does not name keeps its own name.  The renamed formula is
+    never built: each atom of an instance is lowered straight onto the
+    positions of the variables it is renamed to, adding up the
+    coefficients of variables renamed to one name, and only the atoms of
+    the cube returned are renamed.
+
+    Depth-first search over the disjunct choices.  The variables are
+    indexed once, and each branch carries the :class:`Conjunction` of
+    the atoms its choices imply: a child lowers only its new atoms,
+    conjoins them with its parent's and eliminates a copy of the result.
+    A branch is dropped as soon as its atoms are unsatisfiable; it then
+    branches on the pending disjunction with the fewest children, trying
+    them in formula order.  Before a child is pushed, its new rows are
+    rewritten through the parent's pivots (:meth:`Conjunction.rewrite`).
+    A child with a row refuted on its own, a ground row that fails or a
+    one-variable row whose interval meets the parent's ``bounds`` to
+    empty, is never built and is not a branch; any other child conjoins
+    the rewritten rows when it is popped.
     A root left with exactly one pending disjunction skips its
     elimination and hands that check to every child, even one that adds
     no atom; it still builds its rows, once for all children, and stops
@@ -210,37 +232,72 @@ def sat_cube(formula: Formula) -> ConjCube | None:
     # A constant needs no search, and indexing its variables would cost
     # more than the answer: the refined model's formulas are mostly
     # constants.
-    if isinstance(formula, FalseF):
+    if isinstance(formula, FalseF) or any(isinstance(f, FalseF) for f, _ in instances):
         return None
-    if isinstance(formula, TrueF):
+    instances = [(f, mapping) for f, mapping in instances if not isinstance(f, TrueF)]
+    if isinstance(formula, TrueF) and not instances:
         return ConjCube(())
     cap = DEFAULT_CUBE_CAP
-    names = tuple(sorted(formula_vars(formula)))
+    # Each instance lowers its atoms onto the positions of the names its
+    # variables are renamed to.
+    renamed = [{v: mapping.get(v, v) for v in formula_vars(f)} for f, mapping in instances]
+    found = set(formula_vars(formula))
+    for targets in renamed:
+        found.update(targets.values())
+    names = tuple(sorted(found))
     index = {v: j for j, v in enumerate(names)}
-    everything = (1 << len(names)) - 1
-    # A branch: the atoms chosen so far, the keys of their distinct rows,
-    # the conjunction of those rows, whether the atoms are known to be
-    # satisfiable together, the disjunctions still to decide, and the
-    # child just chosen.  Rows hash far faster than the Fractions of
-    # their atoms, and two atoms with one row are the same constraint.
-    stack: list[tuple] = [((), frozenset(), Conjunction(names, everything), True, (), formula)]
+    n = len(names)
+    everything = (1 << n) - 1
+    # A part is a formula, the mapping its atoms are renamed by (``None``
+    # for ``formula`` itself) and the position of each of its variables.
+    parts = [(formula, None, index)]
+    for (f, mapping), targets in zip(instances, renamed):
+        parts.append((f, mapping, {v: index[w] for v, w in targets.items()}))
+
+    def grow(choices, keys: frozenset, branch: Conjunction):
+        """The atoms, the pending disjunctions and the fresh rows,
+        rewritten through the pivots of ``branch``, that ``choices`` add
+        to it; ``None`` when one of them is refuted on its own."""
+        atoms: list[tuple[LinConstraint, Mapping | None]] = []
+        pending: list[tuple[Or, Mapping | None, Mapping]] = []
+        fresh: dict[tuple, Lowered] = {}
+        for f, mapping, columns in choices:
+            new_atoms: list[LinConstraint] = []
+            new_pending: list[Or] = []
+            if not _gather(f, new_atoms, new_pending):
+                return None
+            for c in new_atoms:
+                row = lower(c, columns, n)
+                key = (*row[0], row[1], row[2])
+                if key in keys or key in fresh:
+                    continue
+                row = branch.rewrite(row)
+                if row is None:
+                    return None
+                fresh[key] = row
+            atoms += [(c, mapping) for c in new_atoms]
+            pending += [(g, mapping, columns) for g in new_pending]
+        return tuple(atoms), pending, fresh
+
+    # A branch: the atoms chosen so far with the mapping of each, the keys
+    # of their distinct rows, the conjunction of those rows, whether the
+    # atoms are known to be satisfiable together, the disjunctions still
+    # to decide, and what its last choice adds.  Rows hash far faster than
+    # the Fractions of their atoms, and two atoms with one row are the
+    # same constraint.
+    branch = Conjunction(names, everything)
+    root = grow(parts, frozenset(), branch)
+    if root is None:
+        return None
+    stack: list[tuple] = [((), frozenset(), branch, True, (), root)]
     visited = 0
     while stack:
         visited += 1
         if visited > cap:
             raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
-        atoms, keys, branch, checked, pending, choice = stack.pop()
-        new_atoms: list[LinConstraint] = []
-        pending = list(pending)
-        if not _gather(choice, new_atoms, pending):
-            continue
-        atoms += tuple(new_atoms)
-        fresh: dict[tuple, Lowered] = {}
-        for c in new_atoms:
-            row = lower(c, index)
-            key = (*row[0], row[1], row[2])
-            if key not in keys:
-                fresh[key] = row
+        atoms, keys, branch, checked, pending, (new_atoms, new_pending, fresh) = stack.pop()
+        atoms += new_atoms
+        pending = [*pending, *new_pending]
         if fresh:
             keys = keys.union(fresh)
             branch = branch.conjoin(fresh.values())
@@ -256,10 +313,14 @@ def sat_cube(formula: Formula) -> ConjCube | None:
                 continue
             checked = True
         if not pending:
-            return ConjCube.make(atoms)
-        split = pending.pop(min(range(len(pending)), key=lambda k: len(pending[k].items)))
+            return ConjCube.make(c if m is None else c.rename(m) for c, m in atoms)
+        fewest = min(range(len(pending)), key=lambda k: len(pending[k][0].items))
+        split, mapping, columns = pending.pop(fewest)
         pending = tuple(pending)
-        stack.extend((atoms, keys, branch, checked, pending, c) for c in reversed(split.items))
+        for c in reversed(split.items):
+            child = grow(((c, mapping, columns),), keys, branch)
+            if child is not None:
+                stack.append((atoms, keys, branch, checked, pending, child))
     return None
 
 
@@ -270,16 +331,19 @@ Lowered = tuple[list[int], int, Rel]
 Pivot = tuple[int, list[int], int]
 
 
-def lower(con: LinConstraint, index: Mapping[str, int]) -> Lowered:
-    """``con`` over the positions of ``index``, with its coefficients and
-    constant multiplied by the lcm of their denominators."""
+def lower(con: LinConstraint, index: Mapping[str, int], width: int | None = None) -> Lowered:
+    """``con`` over the positions of ``index``, a row of ``width``
+    positions (``len(index)`` by default), with its coefficients and
+    constant multiplied by the lcm of their denominators.  Variables that
+    ``index`` puts at one position add up there, so the row is a positive
+    multiple of the lowered renamed constraint."""
     term = con.term
     den = term.const.denominator
     for _, a in term.coeffs:
         den = lcm(den, a.denominator)
-    vec = [0] * len(index)
+    vec = [0] * (len(index) if width is None else width)
     for v, a in term.coeffs:
-        vec[index[v]] = a.numerator * (den // a.denominator)
+        vec[index[v]] += a.numerator * (den // a.denominator)
     return (vec, term.const.numerator * (den // term.const.denominator), con.rel)
 
 
@@ -297,18 +361,28 @@ def bound_row(n: int, j: int, value: Fraction, rel: Rel, upper: bool) -> Lowered
 def _substitute(row: Lowered, pivots) -> Lowered:
     """``row`` with the position of each pivot rewritten away, in order."""
     vec, const, rel = row
+    vec, const, _ = _rewrite(vec, const, pivots)
+    return (vec, const, rel)
+
+
+def _rewrite(vec: list[int], const: int, pivots) -> tuple[list[int], int, int]:
+    """``vec·x + const`` with the position of each pivot rewritten away,
+    in order, and the positive factor ``s`` it was multiplied by: on the
+    solutions of the pivots, the result is ``s`` times the input."""
+    scale = 1
     for j, evec, econst in pivots:
         f = vec[j]
         if f:
             # Add the multiple of the equality that cancels position j to
             # |a| times the row; |a| > 0 keeps an inequality's direction.
             a = evec[j]
-            scale = abs(a)
+            s = abs(a)
             if a < 0:
                 f = -f
-            vec = [scale * x - f * y for x, y in zip(vec, evec)]
-            const = scale * const - f * econst
-    return (vec, const, rel)
+            vec = [s * x - f * y for x, y in zip(vec, evec)]
+            const = s * const - f * econst
+            scale *= s
+    return vec, const, scale
 
 
 def extend(
@@ -394,10 +468,12 @@ class Conjunction:
     (the set's intervals) are the state of that build between rows.  A
     batch adds only its own rows to a copy of the two dicts.  Pivots are
     solved only while both are empty: once a bound sits in ``bounds``, a
-    pivot on its variable would leave the bound behind.
+    pivot on its variable would leave the bound behind.  ``images`` holds
+    the image of each pivot position under the pivots (:meth:`_images`)
+    once :meth:`conjoin_bounds` has needed them.
     """
 
-    __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset")
+    __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset", "images")
 
     def __init__(self, names: tuple[str, ...], free: int):
         self.names = names
@@ -406,6 +482,7 @@ class Conjunction:
         self.out: dict[tuple, Row] = {}
         self.bounds: dict[int, Interval] = {}
         self.rowset = RowSet(names, ())
+        self.images = None
 
     def conjoin(self, lowered) -> Conjunction:
         """This conjunction and the lowered constraints ``lowered``.
@@ -424,13 +501,122 @@ class Conjunction:
         if self.rowset.unsat:
             return self
         rows, pivots = extend(self.pivots, lowered, 0 if self.out or self.bounds else self.free)
+        return self._child(pivots, self.bounds.copy(), rows)
+
+    def conjoin_bounds(self, bounds) -> Conjunction:
+        """This conjunction and the bounds ``(j, value, rel, upper)``, each
+        ``x_j - value rel 0`` if ``upper``, else ``value - x_j rel 0``:
+        the set :meth:`conjoin` builds from their rows (:func:`bound_row`),
+        built without most of those rows.
+
+        Each bound is rewritten through the image of ``x_j`` under the
+        pivots, computed once per conjunction for the pivot positions
+        (:meth:`_images`); any other ``x_j`` is its own image.  A bound
+        whose image has one variable is met into a copy of ``bounds`` as
+        an interval, with an integer ``divmod`` and no ``Fraction`` unless
+        the end is not an integer.  A bound whose image has no variable or
+        two or more becomes a row and is normalized as by :meth:`conjoin`.
+        While this conjunction holds no row and no bound, :meth:`conjoin`
+        solves a point bound whose image has a free variable as a pivot; a
+        call with such a bound takes that route.
+        """
+        if self.rowset.unsat:
+            return self
+        images = self.images
+        if images is None:
+            images = self.images = self._images()
+        if not (self.out or self.bounds) and any(
+            rel is Rel.EQ and (images[j][0] if j in images else 1 << j) & self.free
+            for j, _, rel, _ in bounds
+        ):
+            n = len(self.names)
+            rows = [bound_row(n, j, value, rel, upper) for j, value, rel, upper in bounds]
+            rows, pivots = extend(self.pivots, rows, self.free)
+            return self._child(pivots, {}, rows)
+        met = self.bounds.copy()
+        rows = []
+        for j, value, rel, upper in bounds:
+            image = images.get(j)
+            if image is None:
+                k, end, upper_side = j, value.numerator if value.denominator == 1 else value, upper
+            else:
+                # On the solutions of the pivots, scale * x_j = vec·x +
+                # const, so with value = p/q the bound's row is
+                # ±(q·(vec·x + const) - scale·p) rel 0.
+                mask, vec, const, scale = image
+                p, q = value.numerator, value.denominator
+                num = scale * p - q * const
+                if not mask or mask & (mask - 1):
+                    sign = 1 if upper else -1
+                    rows.append(([sign * q * x for x in vec], -sign * num, rel))
+                    continue
+                k = mask.bit_length() - 1
+                den = q * vec[k]
+                end, r = divmod(num, den)
+                if r:
+                    end = Fraction(num, den)
+                upper_side = (den > 0) == upper
+            side = Bound(end, rel is Rel.LT)
+            if rel is Rel.EQ:
+                interval = Interval(side, side)
+            elif upper_side:
+                interval = Interval(UNBOUNDED, side)
+            else:
+                interval = Interval(side, UNBOUNDED)
+            if _meet(met, k, interval):
+                refuted = self._child(self.pivots, met, ())
+                refuted.rowset = _refuted(self.names)
+                return refuted
+        return self._child(self.pivots, met, rows)
+
+    def _child(self, pivots: tuple[Pivot, ...], bounds: dict[int, Interval], rows) -> Conjunction:
+        """This conjunction with ``pivots``, ``bounds`` and the normalized
+        ``rows`` added to a copy of ``out``."""
         # Set every slot here: __init__ would make a state and a set only
         # to drop them.
         child = object.__new__(Conjunction)
         child.names, child.free, child.pivots = self.names, self.free, pivots
-        child.out, child.bounds = self.out.copy(), self.bounds.copy()
+        child.out, child.bounds, child.images = self.out.copy(), bounds, None
         child.rowset = child._normalize(rows)
         return child
+
+    def _images(self) -> dict[int, tuple[int, list[int], int, int]]:
+        """For each pivot position ``j``, ``x_j`` rewritten through the
+        pivots: ``(mask, vec, const, scale)``, with ``scale * x_j = vec·x
+        + const`` on the solutions of the pivots and ``mask`` the
+        positions ``vec`` mentions.  The pivots leave any other ``x_j`` as
+        it is."""
+        n = len(self.names)
+        bits = [1 << j for j in range(n)]
+        out = {}
+        for j, _, _ in self.pivots:
+            unit = [0] * n
+            unit[j] = 1
+            vec, const, scale = _rewrite(unit, 0, self.pivots)
+            out[j] = (sum(compress(bits, vec)), vec, const, scale)
+        return out
+
+    def rewrite(self, row: Lowered) -> Lowered | None:
+        """The lowered ``row`` rewritten through the pivots, or ``None``
+        when it is refuted on its own: a ground row that fails, or a
+        one-variable row whose interval meets ``bounds`` to empty."""
+        if self.pivots:
+            row = _substitute(row, self.pivots)
+        vec, const, rel = row
+        zeros = vec.count(0)
+        if zeros == len(vec):
+            fails = const > 0 or (const == 0 and rel is Rel.LT) or (const < 0 and rel is Rel.EQ)
+            return None if fails else row
+        if zeros == len(vec) - 1:
+            j = vec.index(next(filter(None, vec)))
+            if j in self.bounds:
+                met = {j: self.bounds[j]}
+                sides = [(vec, const, rel is Rel.LT)]
+                if rel is Rel.EQ:
+                    sides.append(([-x for x in vec], -const, False))
+                if any(_refute(met, side, j) for side in sides):
+                    return None
+        return row
 
     def _normalize(self, rows) -> RowSet:
         """The set of the rows normalized so far and ``rows``, processed
@@ -476,7 +662,12 @@ def _refute(bounds: dict[int, Interval], row: tuple, j: int) -> bool:
     """Meet the interval of the one-variable row ``row``, a bound on
     position ``j``, into ``bounds[j]``: ``True`` when the meet is empty,
     so that the rows conflict, as eliminating ``j`` would show."""
-    interval = _bound(row, j)
+    return _meet(bounds, j, _bound(row, j))
+
+
+def _meet(bounds: dict[int, Interval], j: int, interval: Interval) -> bool:
+    """Meet ``interval`` into ``bounds[j]``: ``True`` when the meet is
+    empty."""
     if j in bounds:
         interval = interval.meet(bounds[j])
     bounds[j] = interval

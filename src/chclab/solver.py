@@ -60,7 +60,6 @@ from .syntax import (
     format_clause,
     negate_formula,
     param_vars,
-    rename_formula,
 )
 
 
@@ -458,18 +457,24 @@ def check_model(system: System, model: Mapping[str, Formula]) -> ModelCheckResul
     head formula: the conjunction with the negated head formula has to
     be unsatisfiable.  That conjunction is decided by :func:`sat_cube`,
     which never expands it to DNF: the negation of a refined model has
-    about (2·arity + 1)^layers cubes.  A violation carries the
-    satisfiable cube the search found as its witness.  Raises
-    :class:`ResourceLimitError` when a search passes its branch budget.
+    about (2·arity + 1)^layers cubes.  Each predicate's formula enters
+    the search as an instance, with the renaming of its parameters to
+    the atom's arguments, so no renamed formula is built, and a head
+    formula is negated once per predicate, not once per clause.  A
+    violation carries the satisfiable cube the search found as its
+    witness.  Raises :class:`ResourceLimitError` when a search passes
+    its branch budget.
     """
     formulas = _formulas(model)
+    negated: dict[str, Formula] = {}
     violations: list[tuple[int, str, str]] = []
     for idx, clause in enumerate(system.clauses):
-        parts: list[Formula] = [clause.constraint]
-        for app in clause.body:
-            parts.append(_instantiate(formulas[app.pred.name], app))
-        parts.append(negate_formula(_instantiate(formulas[clause.head.pred.name], clause.head)))
-        witness = sat_cube(conj(parts))
+        instances = [(formulas[app.pred.name], _params(app)) for app in clause.body]
+        head = clause.head.pred.name
+        if head not in negated:
+            negated[head] = negate_formula(formulas[head])
+        instances.append((negated[head], _params(clause.head)))
+        witness = sat_cube(clause.constraint, instances)
         if witness is not None:
             violations.append((idx, format_clause(clause), str(witness)))
     return ModelCheckResult(tuple(violations))
@@ -479,8 +484,8 @@ def goal_disjoint(system: System, model: Mapping[str, Formula]) -> bool:
     """Is the model disjoint from every goal instance?"""
     formulas = _formulas(model)
     for goal in system.goal:
-        f = conj([goal.constraint, _instantiate(formulas[goal.head.pred.name], goal.head)])
-        if sat_cube(f) is not None:
+        instance = (formulas[goal.head.pred.name], _params(goal.head))
+        if sat_cube(goal.constraint, (instance,)) is not None:
             return False
     return True
 
@@ -491,6 +496,7 @@ def _formulas(model: Mapping[str, Formula]) -> defaultdict[str, Formula]:
     return defaultdict(lambda: FALSE, model)
 
 
-def _instantiate(formula: Formula, app: PredApp) -> Formula:
-    mapping = dict(zip(param_vars(app.pred.arity), app.args))
-    return rename_formula(formula, mapping)
+def _params(app: PredApp) -> dict[str, str]:
+    """The renaming of a model formula's parameters to the arguments of
+    ``app``."""
+    return dict(zip(param_vars(app.pred.arity), app.args))

@@ -336,15 +336,6 @@ def fold_formula(f: Formula, leaf, node):
     return done[0]
 
 
-def rename_formula(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Simultaneous variable renaming."""
-    return fold_formula(
-        f,
-        lambda g: Lin(g.con.rename(mapping)) if isinstance(g, Lin) else g,
-        lambda g, items: type(g)(tuple(items)),
-    )
-
-
 def _negate_leaf(f: Formula) -> Formula:
     if isinstance(f, TrueF):
         return FALSE

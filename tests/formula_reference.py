@@ -1,12 +1,16 @@
-"""Recursive formula walkers.
+"""Formula walkers the package does not need.
 
 A reference for the differential tests of ``chclab.syntax`` and
-``chclab.linlogic``: these are the recursive bodies that
+``chclab.linlogic``: the recursive walkers are the bodies that
 ``rename_formula``, ``negate_formula``, ``format_formula`` and ``to_dnf``
-had before they walked with an explicit stack.  The rewritten walkers
+had before they walked with an explicit stack, and the rewritten walkers
 must return the same trees, texts and cubes, in the same order.
-:func:`eval_formula` is the truth value of a formula at a point, for the
-tests that check a formula against ground values.
+:func:`rename_formula` is the stack-based renaming, which left the
+package once the model check stopped renaming formulas
+(``chclab.linlogic.sat_cube`` lowers an instance's atoms through its
+mapping instead); :func:`rename_formula_recursive` is its recursive
+reference.  :func:`eval_formula` is the truth value of a formula at a
+point, for the tests that check a formula against ground values.
 """
 
 from __future__ import annotations
@@ -28,19 +32,30 @@ from chclab.syntax import (
     TrueF,
     conj,
     disj,
+    fold_formula,
     lin,
 )
 
 
 def rename_formula(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Simultaneous variable renaming."""
+    """Simultaneous variable renaming, walked with an explicit stack so
+    that a deep formula does not exhaust the call stack."""
+    return fold_formula(
+        f,
+        lambda g: Lin(g.con.rename(mapping)) if isinstance(g, Lin) else g,
+        lambda g, items: type(g)(tuple(items)),
+    )
+
+
+def rename_formula_recursive(f: Formula, mapping: Mapping[str, str]) -> Formula:
+    """Simultaneous variable renaming, recursively."""
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, Lin):
         return Lin(f.con.rename(mapping))
     if isinstance(f, And):
-        return And(tuple(rename_formula(g, mapping) for g in f.items))
-    return Or(tuple(rename_formula(g, mapping) for g in f.items))
+        return And(tuple(rename_formula_recursive(g, mapping) for g in f.items))
+    return Or(tuple(rename_formula_recursive(g, mapping) for g in f.items))
 
 
 def negate_formula(f: Formula) -> Formula:

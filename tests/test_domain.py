@@ -479,3 +479,62 @@ def test_refuted_cube_gets_no_template():
     cc = _assert_both_directions_match(clause, elems)
     assert cc.post([Box.top(1)]) == Box.make(1, [interval(5, None)])
     assert [len(templates) for templates in cc._templates.values()] == [1, 1]
+
+
+PIVOT_TEXT = """\
+pred p/1.
+pred q/1.
+pred r/2.
+pred s/2.
+p(X1) :- q(X), X1 = X + 1.
+p(Y) :- q(X), 2 * X = Y + 1.
+r(X1, Y1) :- s(X, Y), X1 = X + Y, Y1 = 2 * Y - 1.
+p(Y) :- q(X), s(Z, W), Y = X + Z, W >= Z.
+r(X, Y) :- q(X), X = 3, Y = 2 * X.
+p(Y) :- q(X), p(Z), (3 * Y = X + Z ; Y = X, Z <= 1).
+"""
+
+
+def test_box_bounds_met_as_intervals_match_the_row_route():
+    # A call meets each bound of its input boxes through the image of its
+    # variable under the template's pivots; the reference conjoins every
+    # bound as a row.  On templates that pivot, with point, strict and
+    # fractional bounds, both must build the same pivots and row set for
+    # every template and the same box.  The bounds hold each end as an
+    # int when it is integral.
+    system = parse_system(PIVOT_TEXT)
+    rng = random.Random(27)
+    routes = dict.fromkeys(("image", "rows", "pivot"), 0)
+    for clause in system.clauses:
+        cc = CompiledClause(clause)
+        names, index, _ = cc.lowered
+        for k in range(80):
+            elem = _probe_element(rng, system.decls)
+            body = [elem[app.pred.name] for app in clause.body]
+            head = elem[clause.head.pred.name]
+            calls = [(None, clause.body, body)]
+            apps = (clause.head, *clause.body)
+            calls += [(j, apps, (head, *body)) for j in range(len(clause.body))]
+            for target, apps, boxes in calls:
+                label = (str(clause), k, target)
+                got = cc.post(boxes) if target is None else cc.pre(target, boxes[0], boxes[1:])
+                assert got == transformer_reference.apply_by_rows(cc, target, apps, boxes), label
+                if any(box.is_empty for box in boxes):
+                    continue
+                rows = transformer_reference.bound_rows(cc, apps, boxes)
+                bounds = [
+                    (index[v], value, rel, upper)
+                    for app, box in zip(apps, boxes)
+                    for v, value, rel, upper in box.bounds(app.args)
+                ]
+                args = clause.head.args if target is None else clause.body[target].args
+                for template in cc._template(target, args):
+                    got, want = template.conjoin_bounds(bounds), template.conjoin(rows)
+                    assert got.pivots == want.pivots and got.rowset == want.rowset, label
+                    ends = [b.value for iv in got.rowset.bounds.values() for b in iv]
+                    assert all(type(v) is int or v.denominator > 1 for v in ends if v is not None)
+                    pivots = {j for j, _, _ in template.pivots}
+                    routes["image"] += any(j in pivots for j, *_ in bounds)
+                    routes["rows"] += len(got.rowset.cons) > len(template.rowset.cons)
+                    routes["pivot"] += got.pivots != template.pivots
+    assert all(count > 20 for count in routes.values()), routes

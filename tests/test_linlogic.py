@@ -52,9 +52,9 @@ from chclab.syntax import (
     format_formula,
     formula_vars,
     iter_formula_constraints,
-    rename_formula,
 )
 from conftest import bound, interval
+from formula_reference import rename_formula
 from randgen import random_cube, random_element
 
 X, Y, Z = (LinTerm.var(n) for n in "xyz")

@@ -24,6 +24,7 @@ from chclab.domain import (
     clause_pre_restricted,
     formula_box,
 )
+from chclab.linlogic import Interval
 from chclab.parser import RawApp, RawClause, parse_model, parse_system
 from chclab.qa import qa_iterated, qa_transform, qa_two_step
 from chclab.solver import (
@@ -52,11 +53,14 @@ from chclab.syntax import (
     Rel,
     conj,
     disj,
+    format_clause,
     lin,
+    negate_formula,
     param_vars,
 )
 from chclab.trees import check_tree_props
 from conftest import CORPUS, interval, point_box
+from formula_reference import rename_formula
 from randgen import random_finite_system
 from test_trees import forward_trees
 
@@ -618,6 +622,102 @@ def test_wide_elimination_row_counts(monkeypatch):
     returned = 0
     assert check_model(system, verdict.witness.as_dict()).ok
     assert 0 < returned <= 300
+
+
+def _tightened(model: RefinedModel):
+    """Models made from ``model`` by tightening one side of one interval
+    of one predicate's final box: most of them violate a clause."""
+    for name, box in model.final.items():
+        for k, (lo, hi) in enumerate(box.intervals or ()):
+            if hi.value is not None:
+                if lo.value is not None and hi.value - 1 <= lo.value:
+                    continue
+                tight = Interval(lo, hi._replace(value=hi.value - 1))
+            elif lo.value is not None:
+                tight = Interval(lo._replace(value=lo.value + 1), hi)
+            else:
+                tight = interval(0, None)
+            final = AbstractElement(model.final)
+            final[name] = Box.make(box.arity, [*box.intervals[:k], tight, *box.intervals[k + 1 :]])
+            yield RefinedModel(final, model.layers)
+
+
+def _relational_model(system, rng: random.Random) -> dict:
+    """A model whose formulas mix atoms over two or more parameters, with
+    fractional coefficients, under conjunctions and disjunctions."""
+
+    def atom(params):
+        chosen = rng.sample(params, min(len(params), rng.randint(1, 3)))
+        coeffs = {v: F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))) for v in chosen}
+        return lin(LinTerm.make(coeffs, rng.randint(-3, 3)), rng.choice(list(Rel)))
+
+    def cube(params):
+        return conj(atom(params) for _ in range(rng.randint(1, 3)))
+
+    model = {}
+    for d in system.decls:
+        params = list(param_vars(d.arity))
+        if params:
+            model[d.name] = disj(cube(params) for _ in range(rng.randint(1, 3)))
+    return model
+
+
+def test_sat_cube_instances_match_the_renamed_conjunction(corpus_systems):
+    # sat_cube(f, instances) lowers each instance's atoms through its
+    # mapping and skips the children a bound conflict refutes; it must
+    # find what the search over the renamed conjunction finds, with the
+    # same witness text: on the check of every clause and goal of corpus
+    # models in every mode, rounds.chc at every budget, fuzzed systems,
+    # models that violate clauses and models with atoms over several
+    # parameters, and on mappings that leave a variable unnamed or merge
+    # two variables.
+    rng = random.Random(27)
+    cases = []
+    for _, system in corpus_systems:
+        models = [
+            alternate(system, AnalysisConfig(max_rounds=1))[1].witness,
+            alternate(system)[1].witness,
+            qa_two_step(system)[1].witness,
+            qa_iterated(system)[1].witness,
+        ]
+        cases += [(system, m.as_dict()) for m in (*models, *_tightened(models[1]))]
+        cases += [(system, _relational_model(system, rng)) for _ in range(4)]
+    rounds = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
+    for budget in range(1, 9):
+        model = alternate(rounds, AnalysisConfig(max_rounds=budget))[1].witness
+        cases.append((rounds, model.as_dict()))
+        if budget == 4:
+            cases += [(rounds, m.as_dict()) for m in _tightened(model)]
+    for seed in range(60):
+        system = parse_system(fuzz_text(seed))
+        cases.append((system, alternate(system)[1].witness.as_dict()))
+    searches = witnesses = 0
+    for system, model in cases:
+        formulas = solver._formulas(model)
+        # A clause's head formula enters negated, a goal's as it is.
+        checks = [(c, True) for c in system.clauses] + [(g, False) for g in system.goal]
+        for clause, negated in checks:
+            instances = [(formulas[app.pred.name], solver._params(app)) for app in clause.body]
+            head = formulas[clause.head.pred.name]
+            head = negate_formula(head) if negated else head
+            instances.append((head, solver._params(clause.head)))
+            params = [m for _, m in instances if m]
+            variants = [instances]
+            if params:
+                # X1 keeps its own name; then X1 and X2 become one variable.
+                unnamed = {v: w for v, w in params[0].items() if v != "X1"}
+                variants.append([(g, unnamed if m is params[0] else m) for g, m in instances])
+                merged = {**params[0], "X2": params[0].get("X1", "X1")}
+                variants.append([(g, merged if m is params[0] else m) for g, m in instances])
+            for variant in variants:
+                renamed = [rename_formula(g, m) for g, m in variant]
+                want = linlogic.sat_cube(conj([clause.constraint, *renamed]))
+                got = linlogic.sat_cube(clause.constraint, variant)
+                assert (got is None) == (want is None), (format_clause(clause), str(want))
+                assert str(got) == str(want), format_clause(clause)
+                searches += 1
+                witnesses += got is not None
+    assert searches > 4000 and witnesses > 800, (searches, witnesses)
 
 
 def test_goal_disjoint_requires_empty_overlap(ladder):

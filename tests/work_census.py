@@ -11,8 +11,10 @@ work, not more) and counts, by wrapping the names the callers bind:
 * ``fm_eliminate.calls`` and ``fm_eliminate.rows``: the elimination
   steps and the rows they return;
 * ``_eliminate.calls``: the elimination runs;
-* ``conjoin.calls`` and ``normalize.rows``: the batches conjoined and
-  the lowered rows :meth:`Conjunction._normalize` receives;
+* ``conjoin.calls`` and ``normalize.rows``: the batches conjoined, by
+  :meth:`Conjunction.conjoin` or, for the bounds of a transformer's
+  input boxes, :meth:`Conjunction.conjoin_bounds`, and the lowered rows
+  :meth:`Conjunction._normalize` receives;
 * ``project_rows.calls``, ``_apply.calls`` and ``sat_cube.calls``: the
   projections, the clause transformer calls and the satisfiability
   searches.
@@ -52,9 +54,9 @@ COUNTERS = (
 
 
 def _calls(counts: dict, key: str, fn):
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         counts[key] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return wrapped
 
@@ -92,6 +94,7 @@ def counting():
         (linlogic, "fm_eliminate", _steps(counts, linlogic.fm_eliminate)),
         (linlogic, "_eliminate", _calls(counts, "_eliminate.calls", linlogic._eliminate)),
         (Conjunction, "conjoin", _calls(counts, "conjoin.calls", Conjunction.conjoin)),
+        (Conjunction, "conjoin_bounds", _calls(counts, "conjoin.calls", Conjunction.conjoin_bounds)),
         (Conjunction, "_normalize", _normalized(counts, Conjunction._normalize)),
         (CompiledClause, "_apply", _calls(counts, "_apply.calls", CompiledClause._apply)),
         (linlogic, "project_rows", project_rows),
