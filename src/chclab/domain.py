@@ -32,7 +32,6 @@ from .linlogic import (
     Interval,
     Lowered,
     lower,
-    project_rows,
     project_to_box,
     to_dnf,
 )
@@ -189,11 +188,15 @@ class CompiledClause:
     on the first call with no empty input box.  Per target (the head
     arguments, or the arguments of body position ``j``) each cube then
     becomes a template: the :class:`~chclab.linlogic.Conjunction` of its
-    rows that pivots only on variables outside the target.  A cube whose
-    rows alone are refuted gets no template.  A call conjoins the bounds
-    of its input boxes with every template
+    rows that pivots on variables outside the target, and then ties each
+    equality left between two target variables by pivoting on one of
+    them.  A cube whose rows alone are refuted gets no template.  A call
+    conjoins the bounds of its input boxes with every template
     (:meth:`~chclab.linlogic.Conjunction.conjoin_bounds`) and projects
-    the result onto the target.  The template's rows are normalized once;
+    the result onto the target
+    (:meth:`~chclab.linlogic.Conjunction.project`), reading each tied
+    target's interval through its equality from its partner's, with no
+    elimination.  The template's rows are normalized once;
     a bound on a variable whose image under the template's pivots has
     one variable is met into a copy of the template's intervals, with no
     row, and only a bound whose image spans two or more variables adds a
@@ -238,7 +241,7 @@ class CompiledClause:
         ]
         acc = Box.empty(len(args))
         for template in self._template(target, args):
-            intervals = project_rows(template.conjoin_bounds(bounds).rowset, args)
+            intervals = template.conjoin_bounds(bounds).project(args)
             if intervals is not None:
                 acc = acc.join(Box.make(len(args), intervals))
         return acc
@@ -247,8 +250,9 @@ class CompiledClause:
         found = self._templates.get(target)
         if found is None:
             names, _, cubes = self.lowered
-            free = sum(1 << j for j, v in enumerate(names) if v not in args)
-            conjunctions = [Conjunction(names, free).conjoin(cube) for cube in cubes]
+            targets = sum(1 << j for j, v in enumerate(names) if v in args)
+            free = ((1 << len(names)) - 1) & ~targets
+            conjunctions = [Conjunction(names, free).conjoin(cube, targets) for cube in cubes]
             # A cube whose own rows are refuted projects to nothing,
             # whatever bounds are added.
             found = self._templates[target] = [t for t in conjunctions if not t.rowset.unsat]

@@ -19,9 +19,12 @@ Fourier-Motzkin engine works on those rows:
 * **Equalities first.**  :func:`extend` rewrites new rows through the
   recorded pivots, solves each new equality for one of its free
   variables and substitutes it into the other new rows.  A projection
-  pivots only on variables it was not asked for, and a conjunction only
-  until it holds a normalized row or bound; any other equality becomes
-  two inequalities.
+  pivots on variables it was not asked for, and a conjunction only until
+  it holds a normalized row or bound.  A transformer template, as it is
+  built from its cube, also ties each equality left between exactly two
+  of its targets: it pivots on one, and :meth:`Conjunction.project`
+  reads that target's interval off the other's through the equality.
+  Any other equality becomes two inequalities.
 * **Integer rows.**  :meth:`Conjunction.conjoin` turns every remaining
   constraint into inequality rows: integer coefficients and constant
   without a common divisor, a strict flag, a history (the bitmask of the
@@ -66,7 +69,8 @@ Fourier-Motzkin engine works on those rows:
 
 The solve path projects the rows of clause constraints and goal guards
 that :class:`chclab.domain.CompiledClause` lowered and extended onto one
-:class:`Interval` per requested variable with :func:`project_rows`: that
+:class:`Interval` per requested variable with :func:`project_rows`
+(through :meth:`Conjunction.project`, which adds the tied targets): that
 eliminates the variables it was not asked for once and splits the rows
 left into groups that share no variable.  A requested variable's
 interval is its ``bounds`` entry once the other variables of its group
@@ -386,12 +390,14 @@ def _rewrite(vec: list[int], const: int, pivots) -> tuple[list[int], int, int]:
 
 
 def extend(
-    pivots: tuple[Pivot, ...], new, free: int
+    pivots: tuple[Pivot, ...], new, free: int, tie: int = 0
 ) -> tuple[tuple[Lowered, ...], tuple[Pivot, ...]]:
     """Rewrite the lowered constraints ``new`` through ``pivots``, the
     equalities substituted away so far; then, while one of them is an
     equality with a coefficient at a position in the mask ``free``, solve
     it for the first such position and substitute it into the others.
+    After that, while one is an equality over exactly two positions, both
+    in the mask ``tie``, solve it for the first of them in the same way.
     Returns the rows left and the pivots.  Neither input is modified, so
     a template can be extended again and again.
     """
@@ -411,7 +417,22 @@ def extend(
         solved = ((j, evec, econst),)
         pivots += solved
         new = [_substitute(r, solved) if r[0][j] else r for r in new]
+    # A tie rewrites rows passed over into pairs, so each scan starts anew.
+    while tie:
+        pair = next((r for r in new if r[2] is Rel.EQ and _pair(r[0], tie)), None)
+        if pair is None:
+            break
+        new.remove(pair)
+        j = next(j for j, x in enumerate(pair[0]) if x)
+        pivots += ((j, pair[0], pair[1]),)
+        new = [_substitute(r, pivots[-1:]) if r[0][j] else r for r in new]
     return tuple(new), pivots
+
+
+def _pair(vec: list[int], mask: int) -> bool:
+    """Does ``vec`` mention exactly two positions, both in ``mask``?"""
+    positions = [j for j, x in enumerate(vec) if x]
+    return len(positions) == 2 and all(mask >> j & 1 for j in positions)
 
 
 # One row of a RowSet: (coeffs, const, strict, history, varmask) stands for
@@ -470,10 +491,12 @@ class Conjunction:
     solved only while both are empty: once a bound sits in ``bounds``, a
     pivot on its variable would leave the bound behind.  ``images`` holds
     the image of each pivot position under the pivots (:meth:`_images`)
-    once :meth:`conjoin_bounds` has needed them.
+    once :meth:`conjoin_bounds` has needed them.  ``tied`` holds each
+    pivot that a :meth:`conjoin` with ``tie`` solved for a position
+    outside ``free``, with its image; every later conjunction keeps it.
     """
 
-    __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset", "images")
+    __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset", "images", "tied")
 
     def __init__(self, names: tuple[str, ...], free: int):
         self.names = names
@@ -483,25 +506,43 @@ class Conjunction:
         self.bounds: dict[int, Interval] = {}
         self.rowset = RowSet(names, ())
         self.images = None
+        self.tied: tuple[tuple[int, int, int, int, int], ...] = ()
 
-    def conjoin(self, lowered) -> Conjunction:
+    def conjoin(self, lowered, tie: int = 0) -> Conjunction:
         """This conjunction and the lowered constraints ``lowered``.
 
         New pivots are solved only while no row and no bound is
-        normalized.  Its ``rowset`` holds the inequalities of the rows:
-        each divided by the gcd of its integers, an equality split into
-        two inequalities, ground rows that hold dropped and exact
-        duplicates merged.  A one-variable inequality is met into the
-        ``bounds`` of its variable instead of kept as a row.  A ground row
-        that fails refutes the set, and so does an empty meet.  Such a
-        conflict refutes most unsatisfiable branches of :func:`sat_cube`
-        before any elimination runs.  A refuted build stopped part way, so
-        a refuted conjunction comes back unchanged.
+        normalized; while none is, :func:`extend` then also ties each
+        equality left between two positions of the mask ``tie``, which
+        lies outside ``free``.  ``tied`` records ``(j, k, a, c, s)`` for
+        each position ``j`` so pivoted, with ``x_j = (a·x_k + c) / s`` on
+        the solutions of the pivots (:meth:`_images`).  Its ``rowset``
+        holds the inequalities of the rows: each divided by the gcd of
+        its integers, an equality split into two inequalities, ground
+        rows that hold dropped and exact duplicates merged.  A
+        one-variable inequality is met into the ``bounds`` of its variable
+        instead of kept as a row.  A ground row that fails refutes the
+        set, and so does an empty meet.  Such a conflict refutes most
+        unsatisfiable branches of :func:`sat_cube` before any elimination
+        runs.  A refuted build stopped part way, so a refuted conjunction
+        comes back unchanged.
         """
         if self.rowset.unsat:
             return self
-        rows, pivots = extend(self.pivots, lowered, 0 if self.out or self.bounds else self.free)
-        return self._child(pivots, self.bounds.copy(), rows)
+        free = self.free
+        if self.out or self.bounds:
+            free = tie = 0
+        rows, pivots = extend(self.pivots, lowered, free, tie)
+        child = self._child(pivots, self.bounds.copy(), rows)
+        if tie:
+            child.images = child._images()
+            child.tied = tuple(
+                (j, k, vec[k], const, scale)
+                for j, (mask, vec, const, scale) in child.images.items()
+                if tie >> j & 1
+                for k in [mask.bit_length() - 1]
+            )
+        return child
 
     def conjoin_bounds(self, bounds) -> Conjunction:
         """This conjunction and the bounds ``(j, value, rel, upper)``, each
@@ -577,8 +618,27 @@ class Conjunction:
         child = object.__new__(Conjunction)
         child.names, child.free, child.pivots = self.names, self.free, pivots
         child.out, child.bounds, child.images = self.out.copy(), bounds, None
+        child.tied = self.tied
         child.rowset = child._normalize(rows)
         return child
+
+    def project(self, variables) -> list[Interval] | None:
+        """:func:`project_rows` of ``rowset`` onto ``variables``, which
+        must name every position of the ``tie`` mask, and so every
+        ``x_k`` of ``tied``.  A tied ``x_j``, which no row mentions, gets
+        the image of the interval of its ``x_k``: the ends swap when
+        ``a < 0``."""
+        intervals = project_rows(self.rowset, variables)
+        if not self.tied or intervals is None:
+            return intervals
+        names = self.names
+        at = dict(zip(variables, intervals))
+        for j, k, a, c, s in self.tied:
+            lo, hi = at[names[k]]
+            if a < 0:
+                lo, hi = hi, lo
+            at[names[j]] = Interval(_affine(lo, a, c, s), _affine(hi, a, c, s))
+        return [at[v] for v in variables]
 
     def _images(self) -> dict[int, tuple[int, list[int], int, int]]:
         """For each pivot position ``j``, ``x_j`` rewritten through the
@@ -646,6 +706,17 @@ class Conjunction:
                 if key not in out:
                     out[key] = (*key, 1 << len(out), mask)
         return RowSet(names, tuple(out.values()), 0, False, bounds)
+
+
+def _affine(side: Bound, a: int, c: int, s: int) -> Bound:
+    """The side ``side`` mapped by ``x -> (a·x + c) / s``, ``s > 0``, its
+    strictness kept and an integral end held as an ``int``."""
+    if side.value is None:
+        return side
+    p, q = side.value.numerator, side.value.denominator
+    num, den = a * p + c * q, s * q
+    end, r = divmod(num, den)
+    return Bound(Fraction(num, den) if r else end, side.strict)
 
 
 def _bound(row: tuple, j: int) -> Interval:

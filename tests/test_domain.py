@@ -538,3 +538,45 @@ def test_box_bounds_met_as_intervals_match_the_row_route():
                     routes["rows"] += len(got.rowset.cons) > len(template.rowset.cons)
                     routes["pivot"] += got.pivots != template.pivots
     assert all(count > 20 for count in routes.values()), routes
+
+
+# Atoms that repeat a variable or carry a constant or a term: the parser
+# gives such a position its own variable and an equation, which leaves an
+# equality between two variables of the atom, both targets of its
+# transformer.
+TIED_TEXT = """\
+pred p/2.
+pred q/2.
+pred r/3.
+p(X, X) :- q(X, Y), Y >= 0.
+p(X, 2*X + 1) :- q(X, Y), X <= Y.
+q(Y, 1 - Y) :- p(Y, Z), Z > 1.
+q(X, Y) :- r(X, Y, Z), 2*X = 3*Y + 1, Z >= X.
+r(X, X, 3) :- p(X, Y), q(Y, Y).
+r(2*X, 1 - 3*X, X) :- q(X, X), p(X, 4).
+false :- r(A, B, C), A + B > C.
+"""
+
+
+def test_tied_targets_match_the_formula_route(monkeypatch):
+    # Each template ties the equalities between two of its targets and
+    # reads a tied target's interval off its partner's, x_j = (a·x_k +
+    # c) / s, with no elimination; the formula route eliminates.  The
+    # inputs are point, strict, half-open and fractional boxes, and the
+    # tied route must run with a < 0 and with s > 1, on a nonempty box.
+    system = parse_system(TIED_TEXT)
+    seen = []
+    project = Conjunction.project
+
+    def recording(self, variables):
+        intervals = project(self, variables)
+        if intervals is not None:
+            seen.extend((a, s) for _, _, a, _, s in self.tied)
+        return intervals
+
+    monkeypatch.setattr(Conjunction, "project", recording)
+    _assert_matches_reference(system.clauses, system.decls, random.Random(28), 150, "tied")
+    assert len(seen) > 300
+    assert sum(a < 0 for a, _ in seen) > 50, seen
+    assert sum(s > 1 for _, s in seen) > 100, seen
+    assert sum(a < 0 and s > 1 for a, s in seen) > 10, seen

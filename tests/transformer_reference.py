@@ -8,7 +8,8 @@ cube onto the target (``formula_box``); they compile nothing and share no
 rows between calls.  :func:`apply_by_rows` is the compiled route as it was
 before box bounds were met as intervals: each bound of an input box is
 lowered to a one-variable row (``bound_row``) and conjoined with every
-template of the compiled clause (``Conjunction.conjoin``).
+template of the compiled clause (``Conjunction.conjoin``), and the result
+is projected as the compiled route projects it (``Conjunction.project``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from chclab.domain import AbstractElement, Box, CompiledClause, formula_box
-from chclab.linlogic import Lowered, bound_row, project_rows
+from chclab.linlogic import Lowered, bound_row
 from chclab.syntax import Clause, Formula, PredApp, conj
 
 
@@ -66,7 +67,7 @@ def apply_by_rows(
     rows = bound_rows(cc, apps, boxes)
     acc = Box.empty(len(args))
     for template in cc._template(target, args):
-        intervals = project_rows(template.conjoin(rows).rowset, args)
+        intervals = template.conjoin(rows).project(args)
         if intervals is not None:
             acc = acc.join(Box.make(len(args), intervals))
     return acc

@@ -86,9 +86,8 @@ def counting():
     runs; every wrapped name is restored afterwards."""
     counts = dict.fromkeys(COUNTERS, 0)
     Conjunction, CompiledClause = linlogic.Conjunction, domain.CompiledClause
-    # ``domain`` binds ``project_rows`` and ``solver`` binds ``sat_cube``
-    # by name: every name a caller binds gets the one wrapper.
-    project_rows = _calls(counts, "project_rows.calls", linlogic.project_rows)
+    # ``solver`` binds ``sat_cube`` by name: every name a caller binds
+    # gets the one wrapper.
     sat_cube = _calls(counts, "sat_cube.calls", linlogic.sat_cube)
     patches = [
         (linlogic, "fm_eliminate", _steps(counts, linlogic.fm_eliminate)),
@@ -97,8 +96,7 @@ def counting():
         (Conjunction, "conjoin_bounds", _calls(counts, "conjoin.calls", Conjunction.conjoin_bounds)),
         (Conjunction, "_normalize", _normalized(counts, Conjunction._normalize)),
         (CompiledClause, "_apply", _calls(counts, "_apply.calls", CompiledClause._apply)),
-        (linlogic, "project_rows", project_rows),
-        (domain, "project_rows", project_rows),
+        (linlogic, "project_rows", _calls(counts, "project_rows.calls", linlogic.project_rows)),
         (linlogic, "sat_cube", sat_cube),
         (solver, "sat_cube", sat_cube),
     ]
