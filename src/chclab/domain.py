@@ -10,10 +10,10 @@ and iterate its items.
 Per-clause transformers compute the tightest box implied by the clause
 constraint together with the boxes of the occurring predicates.  A
 :class:`CompiledClause` converts the constraint to DNF and lowers it to
-integer rows once; each call only meets the bounds of its input boxes
-into the rows' intervals and projects exactly (:mod:`chclab.linlogic`),
-whose intervals (:class:`~chclab.linlogic.Interval`) form the box as
-they are.  Goal
+integer rows once; each call only meets the intervals of its input
+boxes, whole, into the rows' intervals and projects exactly
+(:mod:`chclab.linlogic`), whose intervals
+(:class:`~chclab.linlogic.Interval`) form the box as they are.  Goal
 guards take the same route, compiled as body-less clauses.
 :func:`clause_post` and :func:`clause_pre_restricted` compile the clause
 on the fly.  :func:`formula_box`, which projects every cube of a whole
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linlogic import (
     Conjunction,
@@ -106,30 +106,21 @@ class Box(NamedTuple):
             return self
         return Box(self.arity, tuple(a.widen(b) for a, b in zip(self.intervals, other.intervals)))
 
-    def bounds(self, variables: Sequence[str]) -> Iterator[tuple[str, Fraction, Rel, bool]]:
-        """The bounds of a nonempty box over ``variables``, each as
-        ``(v, value, rel, upper)``: ``v - value rel 0`` when ``upper``,
-        else ``value - v rel 0``.  A point interval is one equality."""
-        for v, (lo, hi) in zip(variables, self.intervals):
-            if lo.value is not None and lo == hi:
-                yield v, lo.value, Rel.EQ, True
-                continue
-            if lo.value is not None:
-                yield v, lo.value, Rel.LT if lo.strict else Rel.LE, False
-            if hi.value is not None:
-                yield v, hi.value, Rel.LT if hi.strict else Rel.LE, True
-
     def formula(self, variables: Sequence[str]) -> Formula:
-        """The box as a constraint formula over ``variables``."""
+        """The box as a constraint formula over ``variables``: for each
+        bounded side, ``value - v rel 0`` below and ``v - value rel 0``
+        above, and for a point interval one equality ``v - value = 0``."""
         if self.intervals is None:
             return FALSE
         parts: list[Formula] = []
-        for v, value, rel, upper in self.bounds(variables):
-            if upper:
-                term = LinTerm(((v, _ONE),), -Fraction(value))
-            else:
-                term = LinTerm(((v, -_ONE),), Fraction(value))
-            parts.append(LinConstraint(term, rel).formula())
+        for v, (lo, hi) in zip(variables, self.intervals):
+            point = lo.value is not None and lo == hi
+            for side, upper in ((hi, True),) if point else ((lo, False), (hi, True)):
+                if side.value is not None:
+                    rel = Rel.EQ if point else Rel.LT if side.strict else Rel.LE
+                    value = Fraction(side.value)
+                    term = LinTerm(((v, _ONE),), -value) if upper else LinTerm(((v, -_ONE),), value)
+                    parts.append(LinConstraint(term, rel).formula())
         return conj(parts)
 
     def complement(self, variables: Sequence[str]) -> Formula:
@@ -191,16 +182,17 @@ class CompiledClause:
     rows that pivots on variables outside the target, and then ties each
     equality left between two target variables by pivoting on one of
     them.  A cube whose rows alone are refuted gets no template.  A call
-    conjoins the bounds of its input boxes with every template
+    conjoins each bounded interval of its input boxes, with the position
+    of its variable, with every template
     (:meth:`~chclab.linlogic.Conjunction.conjoin_bounds`) and projects
     the result onto the target
     (:meth:`~chclab.linlogic.Conjunction.project`), reading each tied
     target's interval through its equality from its partner's, with no
-    elimination.  The template's rows are normalized once;
-    a bound on a variable whose image under the template's pivots has
-    one variable is met into a copy of the template's intervals, with no
-    row, and only a bound whose image spans two or more variables adds a
-    row to normalize.
+    elimination.  The template's rows are normalized once; an interval
+    on a variable whose image under the template's pivots has one
+    variable is mapped and met once into a copy of the template's
+    intervals, with no row, and only an interval whose image spans two
+    or more variables adds rows to normalize.
     """
 
     def __init__(self, clause: Clause):
@@ -233,15 +225,16 @@ class CompiledClause:
         args = clause.head.args if target is None else clause.body[target].args
         if any(box.is_empty for box in boxes):
             return Box.empty(len(args))
-        names, index, _ = self.lowered
-        bounds = [
-            (index[v], value, rel, upper)
+        index = self.lowered[1]
+        bounded = [
+            (index[v], interval)
             for app, box in zip(apps, boxes)
-            for v, value, rel, upper in box.bounds(app.args)
+            for v, interval in zip(app.args, box.intervals)
+            if interval.lo.value is not None or interval.hi.value is not None
         ]
         acc = Box.empty(len(args))
         for template in self._template(target, args):
-            intervals = template.conjoin_bounds(bounds).project(args)
+            intervals = template.conjoin_bounds(bounded).project(args)
             if intervals is not None:
                 acc = acc.join(Box.make(len(args), intervals))
         return acc

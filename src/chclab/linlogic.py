@@ -41,13 +41,13 @@ Fourier-Motzkin engine works on those rows:
   :class:`Conjunction` keeps the pivots and build state of a
   conjunction, so the search extends a branch with a child's atoms,
   normalizing only the new rows.  :class:`chclab.domain.CompiledClause`
-  extends the template of a constraint cube with the bounds of its input
-  boxes (:meth:`Conjunction.conjoin_bounds`): a bound on ``x_j`` is
-  rewritten through the image of ``x_j`` under the template's pivots,
-  and met into a copy of the template's ``bounds`` as an interval when
-  that image has one variable; only a bound whose image spans two or
-  more variables, or none, becomes a row (:func:`bound_row` is the row
-  of a bound).
+  extends the template of a constraint cube with the intervals of its
+  input boxes (:meth:`Conjunction.conjoin_bounds`): an interval on
+  ``x_j`` is mapped through the image of ``x_j`` under the template's
+  pivots and met once into a copy of the template's ``bounds`` when that
+  image has one variable; only an interval whose image spans two or
+  more variables, or none, becomes rows, one per bounded side
+  (:func:`_rows`).
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.  A variable that only ``bounds`` mention
@@ -351,17 +351,6 @@ def lower(con: LinConstraint, index: Mapping[str, int], width: int | None = None
     return (vec, term.const.numerator * (den // term.const.denominator), con.rel)
 
 
-def bound_row(n: int, j: int, value: Fraction, rel: Rel, upper: bool) -> Lowered:
-    """``x_j - value rel 0`` if ``upper``, else ``value - x_j rel 0``, as
-    a row of width ``n``."""
-    vec = [0] * n
-    if upper:
-        vec[j] = value.denominator
-        return (vec, -value.numerator, rel)
-    vec[j] = -value.denominator
-    return (vec, value.numerator, rel)
-
-
 def _substitute(row: Lowered, pivots) -> Lowered:
     """``row`` with the position of each pivot rewritten away, in order."""
     vec, const, rel = row
@@ -489,14 +478,13 @@ class Conjunction:
     (the set's intervals) are the state of that build between rows.  A
     batch adds only its own rows to a copy of the two dicts.  Pivots are
     solved only while both are empty: once a bound sits in ``bounds``, a
-    pivot on its variable would leave the bound behind.  ``images`` holds
-    the image of each pivot position under the pivots (:meth:`_images`)
-    once :meth:`conjoin_bounds` has needed them.  ``tied`` holds each
-    pivot that a :meth:`conjoin` with ``tie`` solved for a position
-    outside ``free``, with its image; every later conjunction keeps it.
+    pivot on its variable would leave the bound behind.  ``images``
+    holds the images of the pivots and the ties among them
+    (:meth:`_images`) once a call has needed them; a child with the same
+    pivots shares them.
     """
 
-    __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset", "images", "tied")
+    __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset", "images")
 
     def __init__(self, names: tuple[str, ...], free: int):
         self.names = names
@@ -506,7 +494,6 @@ class Conjunction:
         self.bounds: dict[int, Interval] = {}
         self.rowset = RowSet(names, ())
         self.images = None
-        self.tied: tuple[tuple[int, int, int, int, int], ...] = ()
 
     def conjoin(self, lowered, tie: int = 0) -> Conjunction:
         """This conjunction and the lowered constraints ``lowered``.
@@ -514,18 +501,15 @@ class Conjunction:
         New pivots are solved only while no row and no bound is
         normalized; while none is, :func:`extend` then also ties each
         equality left between two positions of the mask ``tie``, which
-        lies outside ``free``.  ``tied`` records ``(j, k, a, c, s)`` for
-        each position ``j`` so pivoted, with ``x_j = (a·x_k + c) / s`` on
-        the solutions of the pivots (:meth:`_images`).  Its ``rowset``
-        holds the inequalities of the rows: each divided by the gcd of
-        its integers, an equality split into two inequalities, ground
-        rows that hold dropped and exact duplicates merged.  A
-        one-variable inequality is met into the ``bounds`` of its variable
-        instead of kept as a row.  A ground row that fails refutes the
-        set, and so does an empty meet.  Such a conflict refutes most
-        unsatisfiable branches of :func:`sat_cube` before any elimination
-        runs.  A refuted build stopped part way, so a refuted conjunction
-        comes back unchanged.
+        lies outside ``free``.  Its ``rowset`` holds the inequalities of
+        the rows: each divided by the gcd of its integers, an equality
+        split into two inequalities, ground rows that hold dropped and
+        exact duplicates merged.  A one-variable inequality is met into
+        the ``bounds`` of its variable instead of kept as a row.  A
+        ground row that fails refutes the set, and so does an empty meet.
+        Such a conflict refutes most unsatisfiable branches of
+        :func:`sat_cube` before any elimination runs.  A refuted build
+        stopped part way, so a refuted conjunction comes back unchanged.
         """
         if self.rowset.unsat:
             return self
@@ -533,77 +517,54 @@ class Conjunction:
         if self.out or self.bounds:
             free = tie = 0
         rows, pivots = extend(self.pivots, lowered, free, tie)
-        child = self._child(pivots, self.bounds.copy(), rows)
-        if tie:
-            child.images = child._images()
-            child.tied = tuple(
-                (j, k, vec[k], const, scale)
-                for j, (mask, vec, const, scale) in child.images.items()
-                if tie >> j & 1
-                for k in [mask.bit_length() - 1]
-            )
-        return child
+        return self._child(pivots, self.bounds.copy(), rows)
 
-    def conjoin_bounds(self, bounds) -> Conjunction:
-        """This conjunction and the bounds ``(j, value, rel, upper)``, each
-        ``x_j - value rel 0`` if ``upper``, else ``value - x_j rel 0``:
-        the set :meth:`conjoin` builds from their rows (:func:`bound_row`),
+    def conjoin_bounds(self, intervals) -> Conjunction:
+        """This conjunction and the pairs ``(j, interval)`` in the list
+        ``intervals``, each ``x_j`` in ``interval``: the set
+        :meth:`conjoin` builds from the intervals' rows (:func:`_rows`),
         built without most of those rows.
 
-        Each bound is rewritten through the image of ``x_j`` under the
-        pivots, computed once per conjunction for the pivot positions
-        (:meth:`_images`); any other ``x_j`` is its own image.  A bound
-        whose image has one variable is met into a copy of ``bounds`` as
-        an interval, with an integer ``divmod`` and no ``Fraction`` unless
-        the end is not an integer.  A bound whose image has no variable or
-        two or more becomes a row and is normalized as by :meth:`conjoin`.
-        While this conjunction holds no row and no bound, :meth:`conjoin`
-        solves a point bound whose image has a free variable as a pivot; a
-        call with such a bound takes that route.
+        An interval on ``x_j`` whose image under the pivots
+        (:meth:`_images`) has one variable is mapped onto that variable
+        (:func:`_map`) and met once into a copy of ``bounds``; when no
+        pivot rewrites ``x_j``, the interval is met as it is.  An
+        interval whose image has no variable or two or more adds its
+        rows, normalized as by :meth:`conjoin`.  While this conjunction
+        holds no row and no bound, :meth:`conjoin` solves a point interval
+        whose image has a free variable as a pivot; a call with such an
+        interval conjoins the rows of every interval.
         """
         if self.rowset.unsat:
             return self
-        images = self.images
-        if images is None:
-            images = self.images = self._images()
+        images, _ = self._images()
         if not (self.out or self.bounds) and any(
-            rel is Rel.EQ and (images[j][0] if j in images else 1 << j) & self.free
-            for j, _, rel, _ in bounds
+            iv.lo.value is not None and iv.lo == iv.hi
+            and (images[j][0] if j in images else 1 << j) & self.free
+            for j, iv in intervals
         ):
             n = len(self.names)
-            rows = [bound_row(n, j, value, rel, upper) for j, value, rel, upper in bounds]
+            rows = []
+            for j, interval in intervals:
+                rows += _rows([int(i == j) for i in range(n)], 0, 1, interval)
             rows, pivots = extend(self.pivots, rows, self.free)
             return self._child(pivots, {}, rows)
         met = self.bounds.copy()
         rows = []
-        for j, value, rel, upper in bounds:
+        for j, interval in intervals:
             image = images.get(j)
             if image is None:
-                k, end, upper_side = j, value.numerator if value.denominator == 1 else value, upper
+                k = j
             else:
-                # On the solutions of the pivots, scale * x_j = vec·x +
-                # const, so with value = p/q the bound's row is
-                # ±(q·(vec·x + const) - scale·p) rel 0.
                 mask, vec, const, scale = image
-                p, q = value.numerator, value.denominator
-                num = scale * p - q * const
                 if not mask or mask & (mask - 1):
-                    sign = 1 if upper else -1
-                    rows.append(([sign * q * x for x in vec], -sign * num, rel))
+                    rows += _rows(vec, const, scale, interval)
                     continue
+                # scale·x_j = a·x_k + const, so x_k = (scale·x_j - const) / a,
+                # with the signs moved so that the divisor is positive.
                 k = mask.bit_length() - 1
-                den = q * vec[k]
-                end, r = divmod(num, den)
-                if r:
-                    end = Fraction(num, den)
-                upper_side = (den > 0) == upper
-            side = Bound(end, rel is Rel.LT)
-            if rel is Rel.EQ:
-                interval = Interval(side, side)
-            elif upper_side:
-                interval = Interval(UNBOUNDED, side)
-            else:
-                interval = Interval(side, UNBOUNDED)
+                sign = 1 if vec[k] > 0 else -1
+                interval = _map(interval, sign * scale, -sign * const, sign * vec[k])
             if _meet(met, k, interval):
                 refuted = self._child(self.pivots, met, ())
                 refuted.rowset = _refuted(self.names)
@@ -617,44 +578,51 @@ class Conjunction:
         # to drop them.
         child = object.__new__(Conjunction)
         child.names, child.free, child.pivots = self.names, self.free, pivots
-        child.out, child.bounds, child.images = self.out.copy(), bounds, None
-        child.tied = self.tied
+        child.out, child.bounds = self.out.copy(), bounds
+        child.images = self.images if pivots is self.pivots else None
         child.rowset = child._normalize(rows)
         return child
 
     def project(self, variables) -> list[Interval] | None:
         """:func:`project_rows` of ``rowset`` onto ``variables``, which
-        must name every position of the ``tie`` mask, and so every
-        ``x_k`` of ``tied``.  A tied ``x_j``, which no row mentions, gets
-        the image of the interval of its ``x_k``: the ends swap when
-        ``a < 0``."""
+        must name every position of the ``tie`` mask.  A tied ``x_j``,
+        which no row mentions, gets the interval of its partner ``x_k``
+        mapped through its image (:func:`_map`)."""
         intervals = project_rows(self.rowset, variables)
-        if not self.tied or intervals is None:
+        _, ties = self._images()
+        if not ties or intervals is None:
             return intervals
-        names = self.names
         at = dict(zip(variables, intervals))
-        for j, k, a, c, s in self.tied:
-            lo, hi = at[names[k]]
-            if a < 0:
-                lo, hi = hi, lo
-            at[names[j]] = Interval(_affine(lo, a, c, s), _affine(hi, a, c, s))
+        for tied, partner, a, c, s in ties:
+            at[tied] = _map(at[partner], a, c, s)
         return [at[v] for v in variables]
 
-    def _images(self) -> dict[int, tuple[int, list[int], int, int]]:
+    def _images(self) -> tuple[dict[int, tuple[int, list[int], int, int]], tuple]:
         """For each pivot position ``j``, ``x_j`` rewritten through the
         pivots: ``(mask, vec, const, scale)``, with ``scale * x_j = vec·x
-        + const`` on the solutions of the pivots and ``mask`` the
-        positions ``vec`` mentions.  The pivots leave any other ``x_j`` as
-        it is."""
-        n = len(self.names)
-        bits = [1 << j for j in range(n)]
-        out = {}
-        for j, _, _ in self.pivots:
-            unit = [0] * n
-            unit[j] = 1
-            vec, const, scale = _rewrite(unit, 0, self.pivots)
-            out[j] = (sum(compress(bits, vec)), vec, const, scale)
-        return out
+        + const`` on the solutions of the pivots, the integers divided by
+        their gcd, and ``mask`` the positions ``vec`` mentions; the pivots
+        leave any other ``x_j`` as it is.  Then the ties, the pivots a
+        :meth:`conjoin` with ``tie`` solved for positions outside
+        ``free``: ``(names[j], names[k], a, c, s)`` with ``x_j = (a·x_k +
+        c) / s``.  Computed once and kept in ``images``."""
+        if self.images is None:
+            names, free = self.names, self.free
+            n = len(names)
+            bits = [1 << j for j in range(n)]
+            images, ties = {}, []
+            for j, _, _ in self.pivots:
+                vec, const, scale = _rewrite([int(i == j) for i in range(n)], 0, self.pivots)
+                d = gcd(*vec, const, scale)
+                if d > 1:
+                    vec, const, scale = [x // d for x in vec], const // d, scale // d
+                mask = sum(compress(bits, vec))
+                images[j] = (mask, vec, const, scale)
+                if not free >> j & 1:
+                    k = mask.bit_length() - 1
+                    ties.append((names[j], names[k], vec[k], const, scale))
+            self.images = (images, tuple(ties))
+        return self.images
 
     def rewrite(self, row: Lowered) -> Lowered | None:
         """The lowered ``row`` rewritten through the pivots, or ``None``
@@ -708,15 +676,41 @@ class Conjunction:
         return RowSet(names, tuple(out.values()), 0, False, bounds)
 
 
-def _affine(side: Bound, a: int, c: int, s: int) -> Bound:
-    """The side ``side`` mapped by ``x -> (a·x + c) / s``, ``s > 0``, its
-    strictness kept and an integral end held as an ``int``."""
-    if side.value is None:
-        return side
-    p, q = side.value.numerator, side.value.denominator
-    num, den = a * p + c * q, s * q
+def _ratio(num: int, den: int) -> int | Fraction:
+    """``num / den``, an ``int`` when it is integral, else a
+    ``Fraction``."""
     end, r = divmod(num, den)
-    return Bound(Fraction(num, den) if r else end, side.strict)
+    return Fraction(num, den) if r else end
+
+
+def _map(interval: Interval, a: int, c: int, s: int) -> Interval:
+    """The image of ``interval`` under ``x -> (a·x + c) / s``, ``s > 0``:
+    each end mapped with its strictness kept and held as by
+    :func:`_ratio`, and the ends swapped when ``a < 0``."""
+    sides = []
+    for side in interval:
+        if side.value is not None:
+            p, q = side.value.numerator, side.value.denominator
+            side = Bound(_ratio(a * p + c * q, s * q), side.strict)
+        sides.append(side)
+    lo, hi = sides
+    return Interval(hi, lo) if a < 0 else Interval(lo, hi)
+
+
+def _rows(vec: list[int], const: int, scale: int, interval: Interval) -> list[Lowered]:
+    """The rows over ``y`` that put ``x`` in ``interval``, where ``scale·x
+    = vec·y + const`` and ``scale > 0``: for an end ``p/q``, ``scale·p -
+    q·(vec·y + const)`` below and its negation above, ``<= 0`` or ``< 0``
+    as the end is closed or open; a point is the one row above ``= 0``."""
+    lo, hi = interval
+    point = lo.value is not None and lo == hi
+    rows = []
+    for side, sign in ((hi, 1),) if point else ((lo, -1), (hi, 1)):
+        if side.value is not None:
+            p, q = side.value.numerator, side.value.denominator
+            rel = Rel.EQ if point else Rel.LT if side.strict else Rel.LE
+            rows.append(([sign * q * x for x in vec], sign * (q * const - scale * p), rel))
+    return rows
 
 
 def _bound(row: tuple, j: int) -> Interval:
@@ -724,8 +718,7 @@ def _bound(row: tuple, j: int) -> Interval:
     strict)`` as in a :data:`Row`, allows position ``j``."""
     vec, const, strict = row
     a = vec[j]
-    q, r = divmod(-const, a)
-    side = Bound(Fraction(-const, a) if r else q, strict)
+    side = Bound(_ratio(-const, a), strict)
     return Interval(UNBOUNDED, side) if a > 0 else Interval(side, UNBOUNDED)
 
 

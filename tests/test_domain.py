@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -522,19 +523,20 @@ def test_box_bounds_met_as_intervals_match_the_row_route():
                 if any(box.is_empty for box in boxes):
                     continue
                 rows = transformer_reference.bound_rows(cc, apps, boxes)
-                bounds = [
-                    (index[v], value, rel, upper)
+                bounded = [
+                    (index[v], iv)
                     for app, box in zip(apps, boxes)
-                    for v, value, rel, upper in box.bounds(app.args)
+                    for v, iv in zip(app.args, box.intervals)
+                    if iv != Interval.top()
                 ]
                 args = clause.head.args if target is None else clause.body[target].args
                 for template in cc._template(target, args):
-                    got, want = template.conjoin_bounds(bounds), template.conjoin(rows)
+                    got, want = template.conjoin_bounds(bounded), template.conjoin(rows)
                     assert got.pivots == want.pivots and got.rowset == want.rowset, label
                     ends = [b.value for iv in got.rowset.bounds.values() for b in iv]
                     assert all(type(v) is int or v.denominator > 1 for v in ends if v is not None)
                     pivots = {j for j, _, _ in template.pivots}
-                    routes["image"] += any(j in pivots for j, *_ in bounds)
+                    routes["image"] += any(j in pivots for j, _ in bounded)
                     routes["rows"] += len(got.rowset.cons) > len(template.rowset.cons)
                     routes["pivot"] += got.pivots != template.pivots
     assert all(count > 20 for count in routes.values()), routes
@@ -554,6 +556,7 @@ q(Y, 1 - Y) :- p(Y, Z), Z > 1.
 q(X, Y) :- r(X, Y, Z), 2*X = 3*Y + 1, Z >= X.
 r(X, X, 3) :- p(X, Y), q(Y, Y).
 r(2*X, 1 - 3*X, X) :- q(X, X), p(X, 4).
+q(X, Y) :- p(X, Y), 2*X + 3*Y = 1.
 false :- r(A, B, C), A + B > C.
 """
 
@@ -571,7 +574,11 @@ def test_tied_targets_match_the_formula_route(monkeypatch):
     def recording(self, variables):
         intervals = project(self, variables)
         if intervals is not None:
-            seen.extend((a, s) for _, _, a, _, s in self.tied)
+            # A tie is a pivot outside ``free``; its image has one variable.
+            images, _ = self._images()
+            for j, (mask, vec, _, scale) in images.items():
+                if not self.free >> j & 1:
+                    seen.append((vec[mask.bit_length() - 1], scale))
         return intervals
 
     monkeypatch.setattr(Conjunction, "project", recording)
@@ -580,3 +587,47 @@ def test_tied_targets_match_the_formula_route(monkeypatch):
     assert sum(a < 0 for a, _ in seen) > 50, seen
     assert sum(s > 1 for _, s in seen) > 100, seen
     assert sum(a < 0 and s > 1 for a, s in seen) > 10, seen
+
+
+def test_an_interval_whose_image_has_one_variable_is_met_once(monkeypatch):
+    # A bounded interval of an input box whose image under the template's
+    # pivots has one variable, its own when no pivot rewrites it, is
+    # mapped whole and met once, not met as two half-lines.  An interval
+    # whose image has no variable or two or more adds rows and is not
+    # met, and neither is any interval of a call that pivots.
+    meets = 0
+    meet = linlogic._meet
+
+    def counting(bounds, j, interval):
+        nonlocal meets
+        meets += sys._getframe(1).f_code.co_name == "conjoin_bounds"
+        return meet(bounds, j, interval)
+
+    calls = []
+    conjoin_bounds = Conjunction.conjoin_bounds
+
+    def recording(self, intervals):
+        nonlocal meets
+        meets = 0
+        out = conjoin_bounds(self, intervals)
+        calls.append((self, intervals, out, meets))
+        return out
+
+    monkeypatch.setattr(linlogic, "_meet", counting)
+    monkeypatch.setattr(Conjunction, "conjoin_bounds", recording)
+    rng = random.Random(29)
+    for text in (PIVOT_TEXT, TIED_TEXT):
+        system = parse_system(text)
+        _assert_matches_reference(system.clauses, system.decls, rng, 40, "met once")
+    closed = 0
+    for template, intervals, out, count in calls:
+        images, _ = template._images()
+        single = [iv for j, iv in intervals if j not in images or images[j][0].bit_count() == 1]
+        if out.pivots != template.pivots:
+            assert count == 0
+        elif out.rowset.unsat:
+            assert count <= len(single)
+        else:
+            assert count == len(single)
+            closed += sum(None not in (iv.lo.value, iv.hi.value) and iv.lo != iv.hi for iv in single)
+    assert closed > 100, closed

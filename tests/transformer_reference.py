@@ -6,19 +6,21 @@ boxes into constraint formulas (``Box.formula``), conjoin them with the
 clause constraint, convert the whole conjunction to DNF and project every
 cube onto the target (``formula_box``); they compile nothing and share no
 rows between calls.  :func:`apply_by_rows` is the compiled route as it was
-before box bounds were met as intervals: each bound of an input box is
-lowered to a one-variable row (``bound_row``) and conjoined with every
-template of the compiled clause (``Conjunction.conjoin``), and the result
-is projected as the compiled route projects it (``Conjunction.project``).
+before box bounds were met as intervals: each bound of an input box
+(:func:`bounds`) is lowered to a one-variable row (:func:`bound_row`) and
+conjoined with every template of the compiled clause
+(``Conjunction.conjoin``), and the result is projected as the compiled
+route projects it (``Conjunction.project``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Iterator, Sequence
 
 from chclab.domain import AbstractElement, Box, CompiledClause, formula_box
-from chclab.linlogic import Lowered, bound_row
-from chclab.syntax import Clause, Formula, PredApp, conj
+from chclab.linlogic import Lowered
+from chclab.syntax import Clause, Formula, PredApp, Rel, conj
 
 
 def clause_post(clause: Clause, elem: AbstractElement) -> Box:
@@ -44,6 +46,31 @@ def clause_pre_restricted(
     return formula_box(conj(parts), clause.body[position].args)
 
 
+def bound_row(n: int, j: int, value: Fraction, rel: Rel, upper: bool) -> Lowered:
+    """``x_j - value rel 0`` if ``upper``, else ``value - x_j rel 0``, as
+    a row of width ``n``."""
+    vec = [0] * n
+    if upper:
+        vec[j] = value.denominator
+        return (vec, -value.numerator, rel)
+    vec[j] = -value.denominator
+    return (vec, value.numerator, rel)
+
+
+def bounds(box: Box, variables: Sequence[str]) -> Iterator[tuple[str, Fraction, Rel, bool]]:
+    """The bounds of a nonempty box over ``variables``, each as
+    ``(v, value, rel, upper)``: ``v - value rel 0`` when ``upper``, else
+    ``value - v rel 0``.  A point interval is one equality."""
+    for v, (lo, hi) in zip(variables, box.intervals):
+        if lo.value is not None and lo == hi:
+            yield v, lo.value, Rel.EQ, True
+            continue
+        if lo.value is not None:
+            yield v, lo.value, Rel.LT if lo.strict else Rel.LE, False
+        if hi.value is not None:
+            yield v, hi.value, Rel.LT if hi.strict else Rel.LE, True
+
+
 def bound_rows(cc: CompiledClause, apps: Sequence[PredApp], boxes: Sequence[Box]) -> list[Lowered]:
     """Each bound of each nonempty input box as a row over the variables
     of the compiled clause."""
@@ -51,7 +78,7 @@ def bound_rows(cc: CompiledClause, apps: Sequence[PredApp], boxes: Sequence[Box]
     return [
         bound_row(len(names), index[v], value, rel, upper)
         for app, box in zip(apps, boxes)
-        for v, value, rel, upper in box.bounds(app.args)
+        for v, value, rel, upper in bounds(box, app.args)
     ]
 
 

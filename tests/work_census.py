@@ -6,7 +6,10 @@ goal disjointness.  The runs cover every file under ``corpus/`` (the 25
 corpus files and the two stress files), the four modes and the budgets
 5 and 8, and are keyed ``path|mode|budget``.  For each run the census
 records its exit code (a run cut short by a resource cap does less
-work, not more) and counts, by wrapping the names the callers bind:
+work, not more), the sha256 ``digest`` of its stdout and stderr (the
+``--json`` report without ``stats.wall_ms`` and ``file``, which holds
+the absolute path of the run's input), and counts, by wrapping the
+names the callers bind:
 
 * ``fm_eliminate.calls`` and ``fm_eliminate.rows``: the elimination
   steps and the rows they return;
@@ -20,7 +23,8 @@ work, not more) and counts, by wrapping the names the callers bind:
   searches.
 
 Wall time needs many paired runs to show a change of a few per cent;
-these counts are the same on every machine and every hash seed.  To
+these counts and digests are the same on every machine and every hash
+seed.  To
 re-record ``tests/golden/work.json`` after a change that lowers a count:
 
     PYTHONPATH=src python tests/work_census.py
@@ -29,6 +33,7 @@ re-record ``tests/golden/work.json`` after a change that lowers a count:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -110,8 +115,19 @@ def counting():
             setattr(owner, attr, fn)
 
 
-def census() -> dict[str, dict[str, int]]:
-    """The counts of every run, keyed ``path|mode|budget``."""
+def digest(stdout: str, stderr: str) -> str:
+    """The sha256 of a run's stdout and stderr, with the report's
+    ``stats.wall_ms`` and ``file`` dropped."""
+    if stdout:
+        report = json.loads(stdout)
+        del report["file"], report["stats"]["wall_ms"]
+        stdout = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(f"{stdout}\0{stderr}".encode()).hexdigest()
+
+
+def census() -> dict[str, dict]:
+    """The exit code, digest and counts of every run, keyed
+    ``path|mode|budget``."""
     paths = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "corpus").glob("**/*.chc"))
     out = {}
     for path in paths:
@@ -119,10 +135,13 @@ def census() -> dict[str, dict[str, int]]:
             for budget in BUDGETS:
                 argv = ["solve", str(ROOT / path), "--mode", mode]
                 argv += ["--max-rounds", str(budget), "--json", "-"]
-                with counting() as counts, contextlib.redirect_stdout(io.StringIO()):
-                    with contextlib.redirect_stderr(io.StringIO()):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with counting() as counts, contextlib.redirect_stdout(stdout):
+                    with contextlib.redirect_stderr(stderr):
                         code = cli.main(argv)
-                out[f"{path}|{mode}|{budget}"] = {"exit": code, **counts}
+                key = f"{path}|{mode}|{budget}"
+                out[key] = {"exit": code, "digest": digest(stdout.getvalue(), stderr.getvalue())}
+                out[key].update(counts)
     return out
 
 
