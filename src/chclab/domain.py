@@ -52,7 +52,9 @@ _ONE = Fraction(1)
 
 
 class Box(NamedTuple):
-    """Product of intervals; ``intervals is None`` encodes empty."""
+    """Product of intervals; ``intervals is None`` encodes empty.  A box
+    never holds an empty interval: :meth:`make` turns one into the empty
+    box."""
 
     arity: int
     intervals: tuple[Interval, ...] | None

@@ -32,22 +32,24 @@ Fourier-Motzkin engine works on those rows:
   those originals mention.  Combining a strict with a non-strict row
   yields a strict one.  A one-variable row lives only in the ``bounds``
   of its :class:`RowSet`, the :class:`Interval` meet of each position's
-  one-variable rows (:func:`_refute`); the rows of a set all mention two
-  or more variables.  An empty meet refutes the set before any
-  elimination runs, which decides most unsatisfiable branches of the
-  search.  Each elimination step carries the bounds over and meets the
-  one-variable rows it makes into them, so a conflict is refuted in the
-  step that makes it, not left for the step on its variable.  A
+  one-variable rows, each a point for an equality and a half-line
+  otherwise (:func:`_bound`); the rows of a set all mention two or more
+  variables.  An empty meet refutes the set before any elimination runs,
+  which decides most unsatisfiable branches of the search.  Each
+  elimination step carries the bounds over and meets the one-variable
+  rows it makes into them, so a conflict is refuted in the step that
+  makes it, not left for the step on its variable.  A
   :class:`Conjunction` keeps the pivots and build state of a
   conjunction, so the search extends a branch with a child's atoms,
-  normalizing only the new rows.  :class:`chclab.domain.CompiledClause`
-  extends the template of a constraint cube with the intervals of its
-  input boxes (:meth:`Conjunction.conjoin_bounds`): an interval on
-  ``x_j`` is mapped through the image of ``x_j`` under the template's
-  pivots and met once into a copy of the template's ``bounds`` when that
-  image has one variable; only an interval whose image spans two or
-  more variables, or none, becomes rows, one per bounded side
-  (:func:`_rows`).
+  normalizing only the new rows.
+  :class:`chclab.domain.CompiledClause` extends the template of a
+  constraint cube with the intervals of its input boxes
+  (:meth:`Conjunction.conjoin_bounds`), which never adds a pivot: an
+  interval on ``x_j`` is mapped through the image of ``x_j`` under the
+  template's pivots and met once into a copy of the template's
+  ``bounds`` when that image has one variable; only an interval whose
+  image spans two or more variables, or none, becomes rows, one per
+  bounded side (:func:`_rows`).
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.  A variable that only ``bounds`` mention
@@ -71,10 +73,10 @@ The solve path projects the rows of clause constraints and goal guards
 that :class:`chclab.domain.CompiledClause` lowered and extended onto one
 :class:`Interval` per requested variable with :func:`project_rows`
 (through :meth:`Conjunction.project`, which adds the tied targets): that
-eliminates the variables it was not asked for once and splits the rows
-left into groups that share no variable.  A requested variable's
-interval is its ``bounds`` entry once the other variables of its group
-are eliminated; a variable that no row mentions needs no elimination.
+eliminates the variables it was not asked for once.  A requested
+variable's interval is then its ``bounds`` entry once the other
+requested variables that rows mention are eliminated; a variable that
+no row mentions needs no elimination.
 :class:`Interval` and its sides (:class:`Bound`) are the one interval
 type of the package: :mod:`chclab.domain` builds its boxes from them.
 :func:`cube_is_sat`, :func:`project_to_box` and :meth:`RowSet.of` take
@@ -502,14 +504,16 @@ class Conjunction:
         normalized; while none is, :func:`extend` then also ties each
         equality left between two positions of the mask ``tie``, which
         lies outside ``free``.  Its ``rowset`` holds the inequalities of
-        the rows: each divided by the gcd of its integers, an equality
-        split into two inequalities, ground rows that hold dropped and
-        exact duplicates merged.  A one-variable inequality is met into
-        the ``bounds`` of its variable instead of kept as a row.  A
-        ground row that fails refutes the set, and so does an empty meet.
-        Such a conflict refutes most unsatisfiable branches of
-        :func:`sat_cube` before any elimination runs.  A refuted build
-        stopped part way, so a refuted conjunction comes back unchanged.
+        the rows over two or more variables: each divided by the gcd of
+        its integers, an equality split into two inequalities, and exact
+        duplicates merged.  A one-variable row is met into the ``bounds``
+        of its variable as its interval (:func:`_bound`) instead of kept
+        as a row, and a ground row that holds is dropped.  A ground row
+        that fails (:meth:`~chclab.syntax.Rel.holds`) refutes the set,
+        and so does an empty meet.  Such a conflict refutes most
+        unsatisfiable branches of :func:`sat_cube` before any
+        elimination runs.  A refuted build stopped part way, so a
+        refuted conjunction comes back unchanged.
         """
         if self.rowset.unsat:
             return self
@@ -522,33 +526,20 @@ class Conjunction:
     def conjoin_bounds(self, intervals) -> Conjunction:
         """This conjunction and the pairs ``(j, interval)`` in the list
         ``intervals``, each ``x_j`` in ``interval``: the set
-        :meth:`conjoin` builds from the intervals' rows (:func:`_rows`),
-        built without most of those rows.
+        :meth:`conjoin` builds from the intervals' rows (:func:`_rows`)
+        when it solves no pivot, built without most of those rows.  The
+        pivots stay as they are.
 
         An interval on ``x_j`` whose image under the pivots
         (:meth:`_images`) has one variable is mapped onto that variable
         (:func:`_map`) and met once into a copy of ``bounds``; when no
         pivot rewrites ``x_j``, the interval is met as it is.  An
         interval whose image has no variable or two or more adds its
-        rows, normalized as by :meth:`conjoin`.  While this conjunction
-        holds no row and no bound, :meth:`conjoin` solves a point interval
-        whose image has a free variable as a pivot; a call with such an
-        interval conjoins the rows of every interval.
+        rows, normalized as by :meth:`conjoin`.
         """
         if self.rowset.unsat:
             return self
         images, _ = self._images()
-        if not (self.out or self.bounds) and any(
-            iv.lo.value is not None and iv.lo == iv.hi
-            and (images[j][0] if j in images else 1 << j) & self.free
-            for j, iv in intervals
-        ):
-            n = len(self.names)
-            rows = []
-            for j, interval in intervals:
-                rows += _rows([int(i == j) for i in range(n)], 0, 1, interval)
-            rows, pivots = extend(self.pivots, rows, self.free)
-            return self._child(pivots, {}, rows)
         met = self.bounds.copy()
         rows = []
         for j, interval in intervals:
@@ -633,17 +624,11 @@ class Conjunction:
         vec, const, rel = row
         zeros = vec.count(0)
         if zeros == len(vec):
-            fails = const > 0 or (const == 0 and rel is Rel.LT) or (const < 0 and rel is Rel.EQ)
-            return None if fails else row
+            return row if rel.holds(const) else None
         if zeros == len(vec) - 1:
             j = vec.index(next(filter(None, vec)))
-            if j in self.bounds:
-                met = {j: self.bounds[j]}
-                sides = [(vec, const, rel is Rel.LT)]
-                if rel is Rel.EQ:
-                    sides.append(([-x for x in vec], -const, False))
-                if any(_refute(met, side, j) for side in sides):
-                    return None
+            if j in self.bounds and _bound(vec, const, rel, j).meet(self.bounds[j]).is_empty:
+                return None
         return row
 
     def _normalize(self, rows) -> RowSet:
@@ -653,23 +638,24 @@ class Conjunction:
         bits = [1 << j for j in range(len(names))]
         for vec, const, rel in rows:
             mask = sum(compress(bits, vec))
+            if not mask:
+                if not rel.holds(const):
+                    return _refuted(names)
+                continue
+            if not mask & (mask - 1):
+                j = mask.bit_length() - 1
+                if _meet(bounds, j, _bound(vec, const, rel, j)):
+                    return _refuted(names)
+                continue
+            d = gcd(*vec, const)
+            if d > 1:
+                vec = [x // d for x in vec]
+                const //= d
             if rel is Rel.EQ:
                 sides = ((vec, const, False), ([-x for x in vec], -const, False))
             else:
                 sides = ((vec, const, rel is Rel.LT),)
             for vec, const, strict in sides:
-                if not mask:
-                    if const > 0 or (const == 0 and strict):
-                        return _refuted(names)
-                    continue
-                if not mask & (mask - 1):
-                    if _refute(bounds, (vec, const, strict), mask.bit_length() - 1):
-                        return _refuted(names)
-                    continue
-                d = gcd(*vec, const)
-                if d > 1:
-                    vec = [x // d for x in vec]
-                    const //= d
                 key = (tuple(vec), const, strict)
                 if key not in out:
                     out[key] = (*key, 1 << len(out), mask)
@@ -713,20 +699,15 @@ def _rows(vec: list[int], const: int, scale: int, interval: Interval) -> list[Lo
     return rows
 
 
-def _bound(row: tuple, j: int) -> Interval:
-    """The interval the one-variable row ``row``, ``(vec, const,
-    strict)`` as in a :data:`Row`, allows position ``j``."""
-    vec, const, strict = row
+def _bound(vec: list[int] | tuple[int, ...], const: int, rel: Rel, j: int) -> Interval:
+    """The interval that the one-variable row ``vec·x + const rel 0``, a
+    row on position ``j``, allows ``x_j``: a point for an equality and a
+    half-line otherwise."""
     a = vec[j]
-    side = Bound(_ratio(-const, a), strict)
+    side = Bound(_ratio(-const, a), rel is Rel.LT)
+    if rel is Rel.EQ:
+        return Interval(side, side)
     return Interval(UNBOUNDED, side) if a > 0 else Interval(side, UNBOUNDED)
-
-
-def _refute(bounds: dict[int, Interval], row: tuple, j: int) -> bool:
-    """Meet the interval of the one-variable row ``row``, a bound on
-    position ``j``, into ``bounds[j]``: ``True`` when the meet is empty,
-    so that the rows conflict, as eliminating ``j`` would show."""
-    return _meet(bounds, j, _bound(row, j))
 
 
 def _meet(bounds: dict[int, Interval], j: int, interval: Interval) -> bool:
@@ -813,13 +794,15 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
             vec = tuple([ml * x + mu * y for x, y in zip(lvec, uvec)])
             const = ml * lconst + mu * uconst
             strict = lstrict or ustrict
+            rel = Rel.LT if strict else Rel.LE
             zero = vec.count(0)
             if zero > zeros:
-                if const > 0 or (const == 0 and strict):
+                if not rel.holds(const):
                     return _refuted(names, eliminated)
                 continue
             if zero == zeros:
-                if _refute(bounds, (vec, const, strict), vec.index(next(filter(None, vec)))):
+                k = vec.index(next(filter(None, vec)))
+                if _meet(bounds, k, _bound(vec, const, rel, k)):
                     return _refuted(names, eliminated)
                 continue
             d = gcd(*vec, const)
@@ -916,7 +899,9 @@ def _upper_covers(a: Bound, b: Bound) -> bool:
 
 
 class Interval(NamedTuple):
-    """A rational interval with open or closed ends."""
+    """A rational interval with open or closed ends.  ``join`` and
+    ``widen`` take nonempty operands: a :class:`~chclab.domain.Box`
+    never holds an empty interval."""
 
     lo: Bound
     hi: Bound
@@ -936,15 +921,9 @@ class Interval(NamedTuple):
     def leq(self, other: Interval) -> bool:
         if self.is_empty:
             return True
-        if other.is_empty:
-            return False
         return _lower_covers(other.lo, self.lo) and _upper_covers(other.hi, self.hi)
 
     def join(self, other: Interval) -> Interval:
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
         lo = self.lo if _lower_covers(self.lo, other.lo) else other.lo
         hi = self.hi if _upper_covers(self.hi, other.hi) else other.hi
         return Interval(lo, hi)
@@ -956,10 +935,6 @@ class Interval(NamedTuple):
 
     def widen(self, other: Interval) -> Interval:
         """Standard interval widening: unstable bounds go unbounded."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
         lo = self.lo if _lower_covers(self.lo, other.lo) else UNBOUNDED
         hi = self.hi if _upper_covers(self.hi, other.hi) else UNBOUNDED
         return Interval(lo, hi)
@@ -986,13 +961,11 @@ def project_to_box(cube: ConjCube, variables) -> list[Interval] | None:
 def project_rows(rows: RowSet, variables) -> list[Interval] | None:
     """:func:`project_to_box` of the conjunction ``rows`` stands for.
 
-    Once the variables not asked for are eliminated, the rows fall into
-    groups that share no variable, and their conjunction projects to the
-    product of the groups' projections.  A requested variable that no
-    row mentions projects to its interval in ``bounds`` as it is.  A
-    group, which shares the ``bounds`` of the set, eliminates for each
-    of its variables the others from its own rows alone, and reads the
-    variable's interval off the ``bounds`` of what is left.
+    The variables not asked for are eliminated once.  A requested
+    variable that no row left mentions keeps its interval in ``bounds``.
+    For each that rows mention, the others they mention are eliminated
+    and its interval is read off ``bounds``.  Rows are not split into
+    variable-disjoint groups, so ``DEFAULT_FM_CAP`` counts all of them.
     """
     requested = frozenset(variables)
     names = rows.names
@@ -1000,22 +973,13 @@ def project_rows(rows: RowSet, variables) -> list[Interval] | None:
     rows = _eliminate(rows, ((1 << len(names)) - 1) & ~keep)
     if rows.unsat:
         return None
-    bits = [1 << j for j in range(len(names))]
-    groups: list[tuple[int, list[Row]]] = []
-    for row in rows.cons:
-        mask = sum(compress(bits, row[0]))
-        members = [row]
-        for g in [g for g in groups if g[0] & mask]:
-            groups.remove(g)
-            mask |= g[0]
-            members += g[1]
-        groups.append((mask, members))
+    columns = zip(*[row[0] for row in rows.cons])
+    mentioned = [j for j, column in enumerate(columns) if any(column)]
+    mask = sum(1 << j for j in mentioned)
     out = {names[j]: interval for j, interval in rows.bounds.items()}
-    for mask, members in groups:
-        group = RowSet(names, tuple(members), rows.eliminated, False, rows.bounds)
-        for j in (j for j in range(mask.bit_length()) if mask >> j & 1):
-            single = _eliminate(group, mask & ~(1 << j))
-            if single.unsat:
-                return None
-            out[names[j]] = single.bounds.get(j, Interval.top())
+    for j in mentioned:
+        single = _eliminate(rows, mask & ~(1 << j))
+        if single.unsat:
+            return None
+        out[names[j]] = single.bounds.get(j, Interval.top())
     return [out.get(v, Interval.top()) for v in variables]

@@ -195,6 +195,46 @@ def test_bound_conflict_frozen_cases():
     assert got.unsat and got.cons == (((0, 0), 1, False, 0, 0),)
 
 
+def test_one_variable_equality_is_met_once_as_a_point(monkeypatch):
+    # The row builder meets a one-variable row into ``bounds`` once, an
+    # equality as its point and not as two half-lines, and ``rewrite``
+    # drops exactly the one-variable rows whose conjunction with the
+    # bounds the builder refutes.
+    meets = []
+    meet = linlogic._meet
+
+    def recording(bounds, j, interval):
+        meets.append((j, interval))
+        return meet(bounds, j, interval)
+
+    monkeypatch.setattr(linlogic, "_meet", recording)
+    rng = random.Random(30)
+    refuted = points = 0
+    for _ in range(400):
+        # 2x >= lo and 2x <= hi, each strict or not, or no bound on x.
+        sides = []
+        if rng.random() < 0.85:
+            lo = rng.randint(-6, 4)
+            hi = rng.randint(lo, 6)
+            sides += [([-2, 0], lo, rng.choice((Rel.LE, Rel.LT)))]
+            sides += [([2, 0], -hi, rng.choice((Rel.LE, Rel.LT)))]
+        base = Conjunction(("x", "y"), 0).conjoin([*sides, ([1, 1], 0, Rel.LE)])
+        if base.rowset.unsat:
+            continue
+        a = rng.choice((-3, -2, -1, 1, 2, 3))
+        row = ([a, 0], rng.randint(-9, 9), rng.choice((Rel.EQ, Rel.EQ, Rel.LE, Rel.LT)))
+        meets.clear()
+        child = base.conjoin([row])
+        assert len(meets) == 1 and meets[0][0] == 0, row
+        if row[2] is Rel.EQ:
+            point = Bound(Fraction(-row[1], a), False)
+            assert meets[0][1] == Interval(point, point), row
+            points += 1
+        assert (base.rewrite(row) is None) == child.rowset.unsat, (base.bounds, row)
+        refuted += child.rowset.unsat
+    assert points > 150 and 50 < refuted < 250, (points, refuted)
+
+
 def test_step_refutes_conflicting_one_variable_rows():
     # -x <= 0, x + y <= 0, x - y + 1 <= 0, y + z + 5 <= 0: no two
     # one-variable rows conflict as the set is built.  Eliminating x makes
@@ -815,16 +855,15 @@ def test_step_refutation_matches_unpruned_reference_on_wide_cubes(monkeypatch):
         c, requested = _wide_cube(random.Random(seed))
         cases.append((seed, c, requested, RowSet.of(c), RowSet.of(c, frozenset(requested))))
     in_step = 0
-    refute = linlogic._refute
+    meet = linlogic._meet
 
-    def counted(bounds, row, j):
+    def counted(bounds, j, interval):
         nonlocal in_step
-        empty = refute(bounds, row, j)
-        in_step += empty
+        empty = meet(bounds, j, interval)
+        in_step += empty and sys._getframe(1).f_code.co_name == "fm_eliminate"
         return empty
 
-    # Every row set is built above, so only elimination steps count.
-    monkeypatch.setattr(linlogic, "_refute", counted)
+    monkeypatch.setattr(linlogic, "_meet", counted)
     satisfiable = 0
     for seed, c, requested, rows, restricted in cases:
         sat = not linlogic._eliminate(rows, (1 << len(rows.names)) - 1).unsat
@@ -890,17 +929,37 @@ def _block_cube(rng, unsat_block):
     return ConjCube.make(c for _, cons in blocks for c in cons), requested
 
 
+def _groups(rows: RowSet) -> int:
+    """The number of groups the rows of ``rows`` fall into when rows that
+    share a variable go together."""
+    masks: list[int] = []
+    for vec, *_ in rows.cons:
+        mask = sum(1 << j for j, a in enumerate(vec) if a)
+        for m in [m for m in masks if m & mask]:
+            masks.remove(m)
+            mask |= m
+        masks.append(mask)
+    return len(masks)
+
+
 def test_block_projection_matches_unpruned_reference():
-    # The rows left after the unrequested variables are eliminated split
-    # into groups over disjoint variables.  Each group must be decided on
-    # its own: an unsatisfiable group makes the whole projection None even
-    # when every requested variable of the other groups is bounded.
+    # The rows left after the unrequested variables are eliminated can
+    # fall into groups over disjoint variables.  An unsatisfiable group
+    # makes the whole projection None even when every requested variable
+    # of the other groups is bounded, and the rows of one group leave
+    # another's intervals as they are.
+    split = 0
     for seed in range(600):
         rng = random.Random(seed)
         c, requested = _block_cube(rng, unsat_block=seed % 3 == 0)
         got = project_to_box(c, requested)
         want = fm_reference.project_to_box(c, requested)
         assert got == want, f"seed {seed}: {c} onto {requested}"
+        rows = RowSet.of(c, frozenset(requested))
+        keep = sum(1 << j for j, v in enumerate(rows.names) if v in requested)
+        left = linlogic._eliminate(rows, ((1 << len(rows.names)) - 1) & ~keep)
+        split += not left.unsat and _groups(left) > 1
+    assert split > 10, split
 
 
 # -- elimination budget -----------------------------------------------------------
