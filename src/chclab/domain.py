@@ -23,7 +23,6 @@ on the solve path calls it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,8 +46,6 @@ from .syntax import (
     conj,
     negate_formula,
 )
-
-_ONE = Fraction(1)
 
 
 class Box(NamedTuple):
@@ -120,8 +117,7 @@ class Box(NamedTuple):
             for side, upper in ((hi, True),) if point else ((lo, False), (hi, True)):
                 if side.value is not None:
                     rel = Rel.EQ if point else Rel.LT if side.strict else Rel.LE
-                    value = Fraction(side.value)
-                    term = LinTerm(((v, _ONE),), -value) if upper else LinTerm(((v, -_ONE),), value)
+                    term = LinTerm(((v, 1),), -side.value) if upper else LinTerm(((v, -1),), side.value)
                     parts.append(LinConstraint(term, rel).formula())
         return conj(parts)
 

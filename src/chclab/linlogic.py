@@ -83,12 +83,13 @@ type of the package: :mod:`chclab.domain` builds its boxes from them.
 a whole :class:`ConjCube` instead: that is the formula route the tests
 compare the search and the compiled transformers against.
 
-A bound's value is an ``int`` when it is integral and a ``Fraction``
-otherwise, so the compares of the interval order and the hashes of the
-boxes that key clause results run on ``int`` for nearly every bound.
-``int`` and ``Fraction`` compare and hash equal, so the choice never
-changes an answer or a table lookup.  The terms of
-:mod:`chclab.syntax` keep ``Fraction`` coefficients and constants.
+A bound's value, and every coefficient and constant of a term of
+:mod:`chclab.syntax`, is held by one rule (:func:`~chclab.syntax.rat`):
+an ``int`` when it is integral and a ``Fraction`` with a denominator
+above 1 otherwise.  So :func:`lower`, the compares of the interval
+order and the hashes of boxes and rows run on ``int`` for nearly every
+number.  ``int`` and ``Fraction`` compare and hash equal, so the rule
+never changes an answer or a table lookup.
 """
 
 from __future__ import annotations
@@ -533,9 +534,11 @@ class Conjunction:
         An interval on ``x_j`` whose image under the pivots
         (:meth:`_images`) has one variable is mapped onto that variable
         (:func:`_map`) and met once into a copy of ``bounds``; when no
-        pivot rewrites ``x_j``, the interval is met as it is.  An
-        interval whose image has no variable or two or more adds its
-        rows, normalized as by :meth:`conjoin`.
+        pivot rewrites ``x_j``, or its image is ``x_k`` itself, the
+        interval is met as it is.  An interval whose image has no
+        variable or two or more adds its rows, normalized as by
+        :meth:`conjoin`.  With no such interval, the result keeps the
+        rows of this set: nothing is copied or normalized.
         """
         if self.rowset.unsat:
             return self
@@ -552,10 +555,12 @@ class Conjunction:
                     rows += _rows(vec, const, scale, interval)
                     continue
                 # scale·x_j = a·x_k + const, so x_k = (scale·x_j - const) / a,
-                # with the signs moved so that the divisor is positive.
+                # with the signs moved so that the divisor is positive; an
+                # identity x_j = x_k leaves the interval as it is.
                 k = mask.bit_length() - 1
-                sign = 1 if vec[k] > 0 else -1
-                interval = _map(interval, sign * scale, -sign * const, sign * vec[k])
+                if vec[k] != scale or const:
+                    sign = 1 if vec[k] > 0 else -1
+                    interval = _map(interval, sign * scale, -sign * const, sign * vec[k])
             if _meet(met, k, interval):
                 refuted = self._child(self.pivots, met, ())
                 refuted.rowset = _refuted(self.names)
@@ -569,23 +574,29 @@ class Conjunction:
         # to drop them.
         child = object.__new__(Conjunction)
         child.names, child.free, child.pivots = self.names, self.free, pivots
-        child.out, child.bounds = self.out.copy(), bounds
+        child.bounds = bounds
         child.images = self.images if pivots is self.pivots else None
-        child.rowset = child._normalize(rows)
+        # No row to add: share ``out``, as only a copy made here is written to.
+        if rows:
+            child.out = self.out.copy()
+            child.rowset = child._normalize(rows)
+        else:
+            child.out, child.rowset = self.out, RowSet(self.names, self.rowset.cons, 0, False, bounds)
         return child
 
     def project(self, variables) -> list[Interval] | None:
         """:func:`project_rows` of ``rowset`` onto ``variables``, which
         must name every position of the ``tie`` mask.  A tied ``x_j``,
         which no row mentions, gets the interval of its partner ``x_k``
-        mapped through its image (:func:`_map`)."""
+        mapped through its image (:func:`_map`), or as it is when the
+        image is ``x_k`` itself."""
         intervals = project_rows(self.rowset, variables)
         _, ties = self._images()
         if not ties or intervals is None:
             return intervals
         at = dict(zip(variables, intervals))
         for tied, partner, a, c, s in ties:
-            at[tied] = _map(at[partner], a, c, s)
+            at[tied] = at[partner] if a == s and not c else _map(at[partner], a, c, s)
         return [at[v] for v in variables]
 
     def _images(self) -> tuple[dict[int, tuple[int, list[int], int, int]], tuple]:
@@ -966,13 +977,15 @@ def project_rows(rows: RowSet, variables) -> list[Interval] | None:
     For each that rows mention, the others they mention are eliminated
     and its interval is read off ``bounds``.  Rows are not split into
     variable-disjoint groups, so ``DEFAULT_FM_CAP`` counts all of them.
+    A set with no rows reads every interval off ``bounds``, with no
+    elimination.
     """
-    requested = frozenset(variables)
     names = rows.names
-    keep = sum(1 << j for j, v in enumerate(names) if v in requested)
-    rows = _eliminate(rows, ((1 << len(names)) - 1) & ~keep)
-    if rows.unsat:
-        return None
+    if rows.cons:
+        keep = sum(1 << j for j, v in enumerate(names) if v in variables)
+        rows = _eliminate(rows, ((1 << len(names)) - 1) & ~keep)
+        if rows.unsat:
+            return None
     columns = zip(*[row[0] for row in rows.cons])
     mentioned = [j for j, column in enumerate(columns) if any(column)]
     mask = sum(1 << j for j in mentioned)

@@ -35,7 +35,8 @@ operator.  :func:`error_at` turns an offset into the line and column of
 a :class:`ParseError` when one is raised.  Both sides of a comparison
 are summed into one table of coefficients, integer literals staying
 ``int``, so each constraint and each argument term builds its
-``LinTerm`` once, and a bare variable argument is kept as its name.
+``LinTerm`` once, its numbers held by :func:`~chclab.syntax.rat`, and a
+bare variable argument is kept as its name.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .syntax import (
     disj,
     formula_vars,
     param_vars,
+    rat,
 )
 
 KEYWORDS = {"pred", "universe", "goal", "model", "true", "false"}
@@ -152,8 +154,8 @@ def _linterm(acc: dict[str, int | Fraction], sign: int) -> LinTerm:
     """``sign`` times the term accumulated in ``acc`` (see
     :meth:`_Parser.add_linterm`), which this consumes."""
     const = acc.pop("", 0)
-    coeffs = tuple((v, Fraction(sign * acc[v])) for v in sorted(acc) if acc[v])
-    return LinTerm(coeffs, Fraction(sign * const))
+    coeffs = tuple((v, rat(sign * acc[v])) for v in sorted(acc) if acc[v])
+    return LinTerm(coeffs, rat(sign * const))
 
 
 def _raw_vars(raw: RawClause) -> set[str]:
@@ -201,7 +203,7 @@ def _equals(w: str, term: str | LinTerm) -> Formula:
     if isinstance(term, str):
         term = LinTerm.var(term)
     # ``w`` is fresh, so no coefficient merges.
-    coeffs = sorted([(w, Fraction(1)), *((v, -c) for v, c in term.coeffs)])
+    coeffs = sorted([(w, 1), *((v, -c) for v, c in term.coeffs)])
     return Lin(LinConstraint(LinTerm(tuple(coeffs), -term.const), Rel.EQ))
 
 

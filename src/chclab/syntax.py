@@ -23,9 +23,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 
-def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce ``value`` to an exact rational."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+def rat(value: int | str | Fraction) -> int | Fraction:
+    """``value`` by the one number rule of the package: an ``int`` when it
+    is integral, else a ``Fraction`` with a denominator above 1.  The two
+    compare and hash alike, so the rule never changes an answer."""
+    value = value if type(value) is int else Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -38,27 +41,29 @@ class LinTerm(NamedTuple):
 
     ``coeffs`` is kept sorted by variable name with zero coefficients
     dropped, so structural equality coincides with mathematical equality.
+    Every coefficient and the constant follow the rule of :func:`rat`.
     """
 
-    coeffs: tuple[tuple[str, Fraction], ...] = ()
-    const: Fraction = Fraction(0)
+    coeffs: tuple[tuple[str, int | Fraction], ...] = ()
+    const: int | Fraction = 0
 
     @staticmethod
     def make(
-        coeffs: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = (),
+        coeffs: Mapping[str, int | Fraction] | Iterable[tuple[str, int | Fraction]] = (),
         const: int | Fraction = 0,
     ) -> LinTerm:
         if isinstance(coeffs, Mapping):
             coeffs = coeffs.items()
-        acc: dict[str, Fraction] = {}
+        acc: dict[str, int | Fraction] = {}
         for var, c in coeffs:
-            acc[var] = acc.get(var, Fraction(0)) + rat(c)
-        items = tuple(sorted((v, c) for v, c in acc.items() if c != 0))
+            acc[var] = acc.get(var, 0) + rat(c)
+        # Two fractions can add up to an integer.
+        items = tuple(sorted((v, rat(c)) for v, c in acc.items() if c != 0))
         return LinTerm(items, rat(const))
 
     @staticmethod
     def var(name: str) -> LinTerm:
-        return LinTerm(((name, Fraction(1)),))
+        return LinTerm(((name, 1),))
 
     @property
     def vars(self) -> frozenset[str]:
@@ -69,22 +74,6 @@ class LinTerm(NamedTuple):
         if self.const == 0 and len(self.coeffs) == 1 and self.coeffs[0][1] == 1:
             return self.coeffs[0][0]
         return None
-
-    def scale(self, k: int | Fraction) -> LinTerm:
-        k = rat(k)
-        if k == 0:
-            return LinTerm()
-        return LinTerm(tuple((v, c * k) for v, c in self.coeffs), self.const * k)
-
-    def __add__(self, other: LinTerm) -> LinTerm:
-        acc = dict(self.coeffs)
-        for v, c in other.coeffs:
-            acc[v] = acc.get(v, Fraction(0)) + c
-        items = tuple(sorted((v, c) for v, c in acc.items() if c != 0))
-        return LinTerm(items, self.const + other.const)
-
-    def __sub__(self, other: LinTerm) -> LinTerm:
-        return self + other.scale(-1)
 
     def __neg__(self) -> LinTerm:
         return LinTerm(tuple((v, -c) for v, c in self.coeffs), -self.const)
@@ -129,7 +118,7 @@ class Rel(enum.Enum):
     LT = "<"
     EQ = "="
 
-    def holds(self, value: Fraction) -> bool:
+    def holds(self, value: int | Fraction) -> bool:
         if self is Rel.LE:
             return value <= 0
         if self is Rel.LT:

@@ -21,13 +21,28 @@ from chclab.linlogic import Bound, ConjCube, Interval, RowSet
 from chclab.syntax import LinConstraint, LinTerm, Rel
 
 
+def scale(term: LinTerm, k: int | Fraction) -> LinTerm:
+    """``k`` times ``term``."""
+    return LinTerm.make([(v, c * k) for v, c in term.coeffs], term.const * k)
+
+
+def add(*terms: LinTerm) -> LinTerm:
+    """The sum of ``terms``."""
+    return LinTerm.make([p for t in terms for p in t.coeffs], sum(t.const for t in terms))
+
+
+def sub(term: LinTerm, *others: LinTerm) -> LinTerm:
+    """``term`` minus each of ``others``."""
+    return add(term, *(scale(t, -1) for t in others))
+
+
 def _coeff(term: LinTerm, var: str) -> Fraction:
     return dict(term.coeffs).get(var, Fraction(0))
 
 
 def _subst(term: LinTerm, var: str, replacement: LinTerm) -> LinTerm:
     """``term`` with ``replacement`` put for ``var``."""
-    return term + (replacement - LinTerm.var(var)).scale(_coeff(term, var))
+    return add(term, scale(sub(replacement, LinTerm.var(var)), _coeff(term, var)))
 
 
 def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
@@ -51,7 +66,7 @@ def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
     if eqs:
         pivot = min(eqs, key=lambda c: c.key())
         a = _coeff(pivot.term, var)
-        replacement = (pivot.term - LinTerm.var(var).scale(a)).scale(Fraction(-1) / a)
+        replacement = scale(sub(pivot.term, scale(LinTerm.var(var), a)), Fraction(-1) / a)
         out = [
             LinConstraint(_subst(c.term, var, replacement), c.rel)
             for c in cube.cons
@@ -64,7 +79,7 @@ def fm_eliminate(cube: ConjCube, var: str) -> ConjCube:
         al = _coeff(lo.term, var)
         for up in uppers:
             au = _coeff(up.term, var)
-            combined = lo.term.scale(au) + up.term.scale(-al)
+            combined = add(scale(lo.term, au), scale(up.term, -al))
             rel = Rel.LT if (lo.rel is Rel.LT or up.rel is Rel.LT) else Rel.LE
             out.append(LinConstraint(combined, rel))
     return ConjCube.make(out)
@@ -108,7 +123,7 @@ def project_to_box(cube: ConjCube, variables):
             a = _coeff(c.term, v)
             if a == 0:
                 continue
-            value = -c.term.const / a
+            value = Fraction(-c.term.const) / a
             if c.rel is Rel.EQ:
                 lo = _tighten(lo, (value, False), lambda x, y: x > y)
                 hi = _tighten(hi, (value, False), lambda x, y: x < y)

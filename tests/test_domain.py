@@ -36,6 +36,7 @@ from chclab.syntax import (
     param_vars,
 )
 from conftest import interval, join, point_box
+from fm_reference import sub
 from randgen import random_box, random_element, random_finite_system, random_interval
 from test_solver import fuzz_text
 
@@ -313,8 +314,8 @@ def _repeated_clauses():
     argument positions of an atom, which the parser never produces."""
     p1, p2 = PredDecl("p1", 2), PredDecl("p2", 4)
     a, c = LinTerm.var("A"), LinTerm.var("C")
-    le = LinConstraint(c - a - LinTerm.make({}, 3), Rel.LE).formula()
-    eq = LinConstraint(c - a, Rel.EQ).formula()
+    le = LinConstraint(sub(c, a, LinTerm.make({}, 3)), Rel.LE).formula()
+    eq = LinConstraint(sub(c, a), Rel.EQ).formula()
     return [
         Clause((PredApp(p2, ("C", "C", "A", "A")),), le, PredApp(p1, ("A", "C"))),
         Clause((PredApp(p1, ("A", "A")), PredApp(p1, ("C", "A"))), eq, PredApp(p2, ("C", "C", "A", "C"))),
@@ -415,7 +416,18 @@ def test_empty_input_box_skips_elimination(monkeypatch, addition_loops):
         # not even the constraint's DNF was computed
         assert "lowered" not in vars(cc)
     assert calls == 0
-    assert not CompiledClause(addition_loops.clauses[1]).post([Box.top(2)]).is_empty
+    # A call whose templates hold no row reads its intervals off their
+    # bounds and runs no elimination either.
+    row_free = CompiledClause(addition_loops.clauses[1])
+    assert not row_free.post([Box.top(2)]).is_empty
+    assert not any(t.rowset.cons for t in row_free._template(None, row_free.clause.head.args))
+    assert calls == 0
+    # A template that keeps rows eliminates the variables outside its
+    # target.
+    system = parse_system("pred q/2.\npred p/1.\np(X) :- q(X, Y), X + Y <= 3, X - Y <= 1.\n")
+    kept = CompiledClause(system.clauses[0])
+    assert kept.post([Box.top(2)]) == Box(1, (interval(None, 2),))
+    assert all(t.rowset.cons for t in kept._template(None, kept.clause.head.args))
     assert calls > 0
 
 
@@ -505,6 +517,7 @@ r(X1, Y1) :- s(X, Y), X1 = X + Y, Y1 = 2 * Y - 1.
 p(Y) :- q(X), s(Z, W), Y = X + Z, W >= Z.
 r(X, Y) :- q(X), X = 3, Y = 2 * X.
 p(Y) :- q(X), p(Z), (3 * Y = X + Z ; Y = X, Z <= 1).
+p(Y) :- q(X), X + Y = 0.
 """
 
 
@@ -575,6 +588,7 @@ q(X, Y) :- r(X, Y, Z), 2*X = 3*Y + 1, Z >= X.
 r(X, X, 3) :- p(X, Y), q(Y, Y).
 r(2*X, 1 - 3*X, X) :- q(X, X), p(X, 4).
 q(X, Y) :- p(X, Y), 2*X + 3*Y = 1.
+q(X, -X) :- p(X, Y), Y >= X.
 false :- r(A, B, C), A + B > C.
 """
 

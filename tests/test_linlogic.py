@@ -54,6 +54,7 @@ from chclab.syntax import (
     iter_formula_constraints,
 )
 from conftest import bound, interval
+from fm_reference import sub
 from formula_reference import rename_formula
 from randgen import random_cube, random_element
 
@@ -86,9 +87,9 @@ def as_cube(rows):
     for j, (lo, hi) in rows.bounds.items():
         x = LinTerm.var(rows.names[j])
         if lo.value is not None:
-            cons.append(LinConstraint(LinTerm.make({}, lo.value) - x, Rel.LT if lo.strict else Rel.LE))
+            cons.append(LinConstraint(sub(LinTerm.make({}, lo.value), x), Rel.LT if lo.strict else Rel.LE))
         if hi.value is not None:
-            cons.append(LinConstraint(x - LinTerm.make({}, hi.value), Rel.LT if hi.strict else Rel.LE))
+            cons.append(LinConstraint(sub(x, LinTerm.make({}, hi.value)), Rel.LT if hi.strict else Rel.LE))
     return ConjCube.make(cons)
 
 
@@ -103,7 +104,7 @@ def test_dnf_flat_conjunction():
 
 def test_dnf_distributes():
     # (x<=0 or y<=0) and (z<=0 or x<1)  ->  4 cubes
-    f = And((Or((Lin(le(X)), Lin(le(Y)))), Or((Lin(le(Z)), Lin(lt(X - LinTerm.make({}, 1)))))))
+    f = And((Or((Lin(le(X)), Lin(le(Y)))), Or((Lin(le(Z)), Lin(lt(sub(X, LinTerm.make({}, 1))))))))
     assert len(to_dnf(f)) == 4
 
 
@@ -126,34 +127,34 @@ def test_dnf_cap_raises():
 
 def test_eliminate_transitivity():
     # x <= y and y <= z  --(drop y)-->  x <= z
-    c = cube(le(X - Y), le(Y - Z))
+    c = cube(le(sub(X, Y)), le(sub(Y, Z)))
     out = fm_eliminate(RowSet.of(c), "y")
-    assert as_cube(out) == cube(le(X - Z))
+    assert as_cube(out) == cube(le(sub(X, Z)))
 
 
 def test_eliminate_strictness_propagates():
-    c = cube(lt(X - Y), le(Y - Z))
+    c = cube(lt(sub(X, Y)), le(sub(Y, Z)))
     out = fm_eliminate(RowSet.of(c), "y")
-    assert as_cube(out) == cube(lt(X - Z))
+    assert as_cube(out) == cube(lt(sub(X, Z)))
 
 
 def test_eliminate_equality_substitutes():
     # y = x + 1 and y <= 5  -->  x <= 4
-    c = cube(eq(Y - X - LinTerm.make({}, 1)), le(Y - LinTerm.make({}, 5)))
+    c = cube(eq(sub(Y, X, LinTerm.make({}, 1))), le(sub(Y, LinTerm.make({}, 5))))
     # y is not requested: the equality is solved for y and substituted
-    assert as_cube(RowSet.of(c, {"x"})) == cube(le(X - LinTerm.make({}, 4)))
+    assert as_cube(RowSet.of(c, {"x"})) == cube(le(sub(X, LinTerm.make({}, 4))))
     # both are requested: the equality becomes two inequalities
     out = fm_eliminate(RowSet.of(c, {"x", "y"}), "y")
-    assert as_cube(out) == cube(le(X - LinTerm.make({}, 4)))
+    assert as_cube(out) == cube(le(sub(X, LinTerm.make({}, 4))))
 
 
 def test_eliminate_unbounded_side_drops_all():
-    c = cube(lt(X - Y))  # no lower bound on y
+    c = cube(lt(sub(X, Y)))  # no lower bound on y
     assert fm_eliminate(RowSet.of(c), "y").cons == ()
 
 
 def test_eliminate_keeps_ground_contradiction():
-    c = cube(le(LinTerm.make({}, 3) - X), le(X - LinTerm.make({}, 2)))
+    c = cube(le(sub(LinTerm.make({}, 3), X)), le(sub(X, LinTerm.make({}, 2))))
     out = fm_eliminate(RowSet.of(c), "x")
     assert out.unsat
     assert not cube_is_sat(as_cube(out))
@@ -409,8 +410,8 @@ def test_conjoining_batches_matches_conjoining_them_at_once():
 
 def test_cube_sat_frozen_cases():
     assert cube_is_sat(cube())
-    assert cube_is_sat(cube(lt(X - Y)))
-    assert not cube_is_sat(cube(le(LinTerm.make({}, 3) - X), le(X - LinTerm.make({}, 2))))
+    assert cube_is_sat(cube(lt(sub(X, Y))))
+    assert not cube_is_sat(cube(le(sub(LinTerm.make({}, 3), X)), le(sub(X, LinTerm.make({}, 2)))))
     assert not cube_is_sat(cube(lt(X), lt(-X)))
     assert cube_is_sat(cube(le(X), le(-X)))  # x = 0
 
@@ -419,7 +420,7 @@ def test_is_sat_formulas():
     assert sat_cube(FALSE) is None
     assert sat_cube(TRUE) is not None
     assert sat_cube(Or((FALSE, Lin(le(X))))) is not None
-    assert sat_cube(And((Lin(lt(X)), Lin(lt(LinTerm.make({}, 0) - X))))) is None
+    assert sat_cube(And((Lin(lt(X)), Lin(lt(sub(LinTerm.make({}, 0), X)))))) is None
 
 
 def test_deep_formula_decided_without_recursion():
@@ -428,15 +429,15 @@ def test_deep_formula_decided_without_recursion():
     # level, meets x >= 100 at the bottom, and takes the last level's
     # second disjunct instead.
     rng = random.Random(5000)
-    leaf = Lin(le(LinTerm.make({}, 100) - X))
+    leaf = Lin(le(sub(LinTerm.make({}, 100), X)))
     uppers, lowers = [], []
     f = leaf
     for level in range(5000):
         if level % 2:
-            uppers.append(Lin(le(X - LinTerm.make({}, rng.randint(0, 9)))))
+            uppers.append(Lin(le(sub(X, LinTerm.make({}, rng.randint(0, 9))))))
             f = conj([uppers[-1], f])
         else:
-            lowers.append(Lin(le(LinTerm.make({}, -rng.randint(0, 9)) - X)))
+            lowers.append(Lin(le(sub(LinTerm.make({}, -rng.randint(0, 9)), X))))
             f = disj([f, lowers[-1]])
     assert isinstance(f, And)
     # Pre-order: the conjuncts top down, then the disjuncts bottom up.
@@ -454,8 +455,8 @@ def test_deep_formula_walkers_do_not_recurse():
     # to_dnf hits its cap; a chain of one-item connectives as deep has
     # one cube.
     leaf = Lin(le(-X))  # x >= 0
-    pair = disj([Lin(le(LinTerm.make({}, 1) - X)), Lin(le(LinTerm.make({}, 2) - X))])
-    other = Lin(le(LinTerm.make({}, 3) - X))
+    pair = disj([Lin(le(sub(LinTerm.make({}, 1), X))), Lin(le(sub(LinTerm.make({}, 2), X)))])
+    other = Lin(le(sub(LinTerm.make({}, 3), X)))
     f, suffixes, repr_suffixes = leaf, [], []
     for level in range(5000):
         if level % 2:
@@ -562,7 +563,7 @@ def test_incremental_search_agrees_with_cube_is_sat():
 
 def test_project_half_open():
     # 0 <= x and x < 2, projected onto x
-    c = cube(le(LinTerm.make({}, 0) - X), lt(X - LinTerm.make({}, 2)))
+    c = cube(le(sub(LinTerm.make({}, 0), X)), lt(sub(X, LinTerm.make({}, 2))))
     [(lo, hi)] = project_to_box(c, ["x"])
     assert lo == (Fraction(0), False)
     assert hi == (Fraction(2), True)
@@ -570,7 +571,7 @@ def test_project_half_open():
 
 def test_project_through_equality():
     # y = x + 1, 0 <= x <= 3  ->  y in [1, 4]
-    c = cube(eq(Y - X - LinTerm.make({}, 1)), le(-X), le(X - LinTerm.make({}, 3)))
+    c = cube(eq(sub(Y, X, LinTerm.make({}, 1))), le(-X), le(sub(X, LinTerm.make({}, 3))))
     [(lo, hi)] = project_to_box(c, ["y"])
     assert lo == (Fraction(1), False) and hi == (Fraction(4), False)
 
@@ -731,11 +732,11 @@ def test_projection_bounds_are_sound(seed):
         # negation makes the cube unsatisfiable
         if lo[0] is not None:
             rel = Rel.LE if lo[1] else Rel.LT
-            breach = LinConstraint(LinTerm.var(v) - LinTerm.make({}, lo[0]), rel)
+            breach = LinConstraint(sub(LinTerm.var(v), LinTerm.make({}, lo[0])), rel)
             assert not cube_is_sat(ConjCube.make((*c.cons, breach)))
         if hi[0] is not None:
             rel = Rel.LE if hi[1] else Rel.LT
-            breach = LinConstraint(LinTerm.make({}, hi[0]) - LinTerm.var(v), rel)
+            breach = LinConstraint(sub(LinTerm.make({}, hi[0]), LinTerm.var(v)), rel)
             assert not cube_is_sat(ConjCube.make((*c.cons, breach)))
 
 
@@ -918,7 +919,7 @@ def _block_cube(rng, unsat_block):
     if unsat_block:
         names = [f"u{i}" for i in range(rng.randint(2, 3))]
         cycle = [
-            lt(LinTerm.var(a) - LinTerm.var(b))
+            lt(sub(LinTerm.var(a), LinTerm.var(b)))
             for a, b in zip(names, names[1:] + names[:1])
         ]
         blocks.insert(rng.randint(1, len(blocks)), (names, cycle))

@@ -25,6 +25,7 @@ from chclab.syntax import (
     System,
 )
 from conftest import bound
+from fm_reference import add, scale
 from test_solver import fuzz_text
 
 SEED = 3
@@ -44,10 +45,8 @@ def _substitute(system: System, replacement) -> System:
     constraints of the clauses and of the goal clauses."""
 
     def fn(term: LinTerm) -> LinTerm:
-        out = LinTerm.make({}, term.const)
-        for v, c in term.coeffs:
-            out += replacement(v).scale(c)
-        return out
+        parts = [scale(replacement(v), c) for v, c in term.coeffs]
+        return add(LinTerm.make({}, term.const), *parts)
 
     def mapped(clauses):
         return tuple(c._replace(constraint=_map_terms(c.constraint, fn)) for c in clauses)

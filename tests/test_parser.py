@@ -30,6 +30,7 @@ from chclab.syntax import (
     negate_formula,
 )
 from conftest import CORPUS
+from fm_reference import scale
 from formula_reference import rename_formula
 from randgen import random_acyclic_text, random_finite_text
 from test_solver import fuzz_text, wide_finite_text
@@ -137,7 +138,24 @@ def _constraint(text: str):
 
 
 def _exact(coeffs, const, rel) -> Lin:
-    return Lin(LinConstraint(LinTerm(coeffs, Fraction(const)), rel))
+    return Lin(LinConstraint(LinTerm(coeffs, const), rel))
+
+
+def _held(value) -> bool:
+    """Is ``value`` held by the number rule of :func:`chclab.syntax.rat`:
+    an ``int`` when it is integral, else a ``Fraction`` with a
+    denominator above 1?"""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
+def _atoms_held(f) -> int:
+    """Assert the number rule on every coefficient and constant of the
+    atoms of ``f``; the number of atoms."""
+    count = 0
+    for con in iter_formula_constraints(f):
+        assert _held(con.term.const) and all(_held(c) for _, c in con.term.coeffs), repr(con)
+        count += 1
+    return count
 
 
 @pytest.mark.parametrize(
@@ -145,38 +163,54 @@ def _exact(coeffs, const, rel) -> Lin:
     [
         (
             "2*X - 3*Y + 1/2 - X >= Z - 0.5",
-            _exact(
-                (("X", Fraction(-1)), ("Y", Fraction(3)), ("Z", Fraction(1))), -1, Rel.LE
-            ),
+            _exact((("X", -1), ("Y", 3), ("Z", 1)), -1, Rel.LE),
         ),
         ("X - X + 1 <= 2", _exact((), -1, Rel.LE)),
         ("-X*2/3 < 4", _exact((("X", Fraction(-2, 3)),), -4, Rel.LT)),
         (
+            "X*3/1 + 1.0 <= 1/2 + 1/2 * Y",
+            _exact((("X", 3), ("Y", Fraction(-1, 2))), Fraction(1, 2), Rel.LE),
+        ),
+        (
             "X != Y + 1",
             Or(
                 (
-                    _exact((("X", Fraction(1)), ("Y", Fraction(-1))), -1, Rel.LT),
-                    _exact((("X", Fraction(-1)), ("Y", Fraction(1))), 1, Rel.LT),
+                    _exact((("X", 1), ("Y", -1)), -1, Rel.LT),
+                    _exact((("X", -1), ("Y", 1)), 1, Rel.LT),
                 )
             ),
         ),
     ],
-    ids=["mixed", "cancelled", "scaled", "neq"],
+    ids=["mixed", "cancelled", "scaled", "integral", "neq"],
 )
 def test_linear_terms_accumulate_exactly(text, expected):
     got = _constraint(text)
     assert got == expected
     # Equal is not enough: an int coefficient compares equal to its
     # Fraction, but prints and hashes through another type.
-    for con in iter_formula_constraints(got):
-        assert type(con.term.const) is Fraction
-        assert all(type(c) is Fraction for _, c in con.term.coeffs)
+    assert _atoms_held(got) > 0
     assert repr(got) == repr(expected)
+
+
+def test_terms_follow_the_number_rule_over_the_corpus(corpus_systems):
+    # The parser, Box.formula (through the model's formulas) and
+    # negate_formula build every term the solve path lowers, and a
+    # written model reads back through the parser.
+    atoms = 0
+    for _, system in corpus_systems:
+        formulas = [c.constraint for c in (*system.clauses, *system.goal)]
+        model = alternate(system)[1].witness.as_dict()
+        formulas += model.values()
+        formulas += [negate_formula(f) for f in formulas]
+        formulas += parse_model(format_model(model, system), system).values()
+        atoms += sum(map(_atoms_held, formulas))
+    assert atoms > 500
 
 
 def test_term_negation_and_renaming_match_the_general_route(corpus_systems):
     # ``-t`` and an injective ``rename`` skip the sorted rebuild of
-    # ``scale`` and ``make``; the result must print and compare the same.
+    # ``make``, which ``scale`` of the tests runs; the result must print
+    # and compare the same.
     def same(a: LinTerm, b: LinTerm) -> bool:
         return a == b and repr(a) == repr(b)
 
@@ -191,7 +225,7 @@ def test_term_negation_and_renaming_match_the_general_route(corpus_systems):
                     {v: names[0] for v in names[1:]},  # merges every variable into one
                     dict(zip(names[1::2], names[::2])),  # merges neighbours in pairs
                 ]
-                assert same(-t, t.scale(-1))
+                assert same(-t, scale(t, -1))
                 for m in mappings:
                     merged = LinTerm.make([(m.get(v, v), c) for v, c in t.coeffs], t.const)
                     assert same(t.rename(m), merged), (str(t), m)

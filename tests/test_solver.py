@@ -60,6 +60,7 @@ from chclab.syntax import (
 )
 from chclab.trees import check_tree_props
 from conftest import CORPUS, interval, point_box
+from fm_reference import sub
 from formula_reference import rename_formula
 from randgen import random_finite_system
 from test_trees import forward_trees
@@ -442,6 +443,30 @@ def test_safe_models_are_goal_disjoint(corpus_systems):
             assert goal_disjoint(system, model), name
 
 
+def test_goal_disjoint_reads_every_goal_clause(corpus_systems):
+    # A second goal clause decides as the first does: one that the model
+    # is disjoint from keeps the answer true, and one that meets the
+    # model makes it false.
+    systems = meets = 0
+    for name, system in corpus_systems:
+        _, verdict = alternate(system)
+        if verdict.status != "SAFE":
+            continue
+        model = verdict.witness.as_dict()
+        assert goal_disjoint(system, model), name
+        for decl in system.decls:
+            f = model.get(decl.name, FALSE)
+            app = PredApp(decl, param_vars(decl.arity))
+            outside = system._replace(goal=(*system.goal, Clause((), negate_formula(f), app)))
+            assert goal_disjoint(outside, model), (name, decl.name)
+            if linlogic.sat_cube(f) is not None:
+                inside = system._replace(goal=(*system.goal, Clause((), TRUE, app)))
+                assert not goal_disjoint(inside, model), (name, decl.name)
+                meets += 1
+        systems += 1
+    assert systems > 10 and meets >= systems, (systems, meets)
+
+
 def test_refined_model_layers_compose(addition_loops):
     trace, verdict = alternate(addition_loops)
     rm = refined_model(trace)
@@ -536,10 +561,10 @@ def test_check_model_of_a_deep_model():
     system = parse_system("pred p/1. p(X) :- X = 0. false :- p(X), X > 5.")
     x = LinTerm.var(param_vars(1)[0])
     bounds = [LinTerm.make({}, b) for b in range(6)]
-    uppers = [lin(x - b, Rel.LE) for b in bounds]
-    lowers = [lin(-b - x, Rel.LE) for b in bounds]
+    uppers = [lin(sub(x, b), Rel.LE) for b in bounds]
+    lowers = [lin(sub(-b, x), Rel.LE) for b in bounds]
     rng = random.Random(5000)
-    f = lin(x - LinTerm.make({}, 100), Rel.LE)
+    f = lin(sub(x, LinTerm.make({}, 100)), Rel.LE)
     for level in range(5000):
         if level % 2:
             f = conj([rng.choice(lowers), f])
