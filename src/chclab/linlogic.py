@@ -5,7 +5,8 @@ search over the disjunct choices of its And/Or tree that never builds the
 disjunctive normal form: it gathers the atoms of the current conjunction,
 drops the branch as soon as they are unsatisfiable, and branches on the
 pending disjunction with the fewest children first.  A child whose new
-atoms conflict on their own with its parent's bounds is never built.  The
+atoms conflict on their own with its parent's bounds is never built, and
+one whose atoms add no row is as satisfiable as its parent.  The
 formula may come with instances, formulas under a renaming of their
 variables, whose atoms are lowered through the renaming instead of
 renamed.  A search that visits more than ``DEFAULT_CUBE_CAP`` branches
@@ -228,12 +229,9 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     A child with a row refuted on its own, a ground row that fails or a
     one-variable row whose interval meets the parent's ``bounds`` to
     empty, is never built and is not a branch; any other child conjoins
-    the rewritten rows when it is popped.
-    A root left with exactly one pending disjunction skips its
-    elimination and hands that check to every child, even one that adds
-    no atom; it still builds its rows, once for all children, and stops
-    the search if building them refutes them.  The first branch left
-    with no pending disjunction is the answer.  Raises
+    the rewritten rows when it is popped, and a child that adds no row
+    is as satisfiable as its parent and needs no check.  The first branch
+    left with no pending disjunction is the answer.  Raises
     :class:`ResourceLimitError` after ``DEFAULT_CUBE_CAP`` branches.
     """
     # A constant needs no search, and indexing its variables would cost
@@ -287,38 +285,28 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         return tuple(atoms), pending, fresh
 
     # A branch: the atoms chosen so far with the mapping of each, the keys
-    # of their distinct rows, the conjunction of those rows, whether the
-    # atoms are known to be satisfiable together, the disjunctions still
-    # to decide, and what its last choice adds.  Rows hash far faster than
-    # the Fractions of their atoms, and two atoms with one row are the
-    # same constraint.
+    # of their distinct rows, the conjunction of those rows, the
+    # disjunctions still to decide, and what its last choice adds.  Rows
+    # hash far faster than the Fractions of their atoms, and two atoms
+    # with one row are the same constraint.
     branch = Conjunction(names, everything)
     root = grow(parts, frozenset(), branch)
     if root is None:
         return None
-    stack: list[tuple] = [((), frozenset(), branch, True, (), root)]
+    stack: list[tuple] = [((), frozenset(), branch, (), root)]
     visited = 0
     while stack:
         visited += 1
         if visited > cap:
             raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
-        atoms, keys, branch, checked, pending, (new_atoms, new_pending, fresh) = stack.pop()
+        atoms, keys, branch, pending, (new_atoms, new_pending, fresh) = stack.pop()
         atoms += new_atoms
         pending = [*pending, *new_pending]
         if fresh:
             keys = keys.union(fresh)
             branch = branch.conjoin(fresh.values())
-            if branch.rowset.unsat:
+            if branch.rowset.unsat or _eliminate(branch.rowset, everything).unsat:
                 continue
-            checked = False
-        # The root leaves its elimination to the children when they are
-        # the only choice to make: its atoms, a clause body in the model
-        # check, are nearly always satisfiable.  Deeper branches keep
-        # theirs, since most of those that reach a check fail it.
-        if not checked and (visited > 1 or len(pending) != 1):
-            if _eliminate(branch.rowset, everything).unsat:
-                continue
-            checked = True
         if not pending:
             return ConjCube.make(c if m is None else c.rename(m) for c, m in atoms)
         fewest = min(range(len(pending)), key=lambda k: len(pending[k][0].items))
@@ -327,7 +315,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         for c in reversed(split.items):
             child = grow(((c, mapping, columns),), keys, branch)
             if child is not None:
-                stack.append((atoms, keys, branch, checked, pending, child))
+                stack.append((atoms, keys, branch, pending, child))
     return None
 
 

@@ -358,9 +358,6 @@ class PredDecl(NamedTuple):
     arity: int
     is_false: bool = False
 
-    def __str__(self) -> str:
-        return f"{self.name}/{self.arity}"
-
 
 class PredApp(NamedTuple):
     """A predicate applied to argument *variables* (post-normalization)."""
@@ -430,9 +427,6 @@ class System(NamedTuple):
             if d.is_false:
                 return d
         raise ValueError("system lacks a falsity declaration")
-
-    def __str__(self) -> str:
-        return format_system(self)
 
 
 def param_vars(arity: int) -> tuple[str, ...]:

@@ -50,11 +50,6 @@ class DerivTree(NamedTuple):
             out |= child.atoms()
         return frozenset(out)
 
-    def __str__(self) -> str:
-        if not self.children:
-            return str(self.root)
-        return f"{self.root}({'; '.join(str(c) for c in self.children)})"
-
 
 def _node(root: GroundAtom, children) -> DerivTree:
     # Premise atoms of a clause instance are distinct, so sorting the

@@ -80,6 +80,25 @@ def random_finite_system(seed: int) -> System:
     return parse_system(random_finite_text(seed))
 
 
+def random_goal_text(seed: int) -> str:
+    """``random_finite_text(seed)`` with one or two ``goal`` entries
+    appended, each on a random predicate with at most one comparison of
+    its arguments as guard.  The entries are drawn from a generator of
+    their own, so the text before them is ``random_finite_text(seed)``."""
+    text = random_finite_text(seed)
+    rng = random.Random(f"goal:{seed}")
+    decls = [d for d in parse_system(text).decls if not d.is_false]
+    lines = []
+    for _ in range(rng.randint(1, 2)):
+        decl = rng.choice(decls)
+        args = _VARS[: decl.arity]
+        entry = f"goal {decl.name}({', '.join(args)})" if args else f"goal {decl.name}"
+        if args and rng.random() < 0.7:
+            entry += f" : {_random_comparison(rng, args)}"
+        lines.append(entry + ".")
+    return text + "\n".join(lines) + "\n"
+
+
 def _count_trees(rel, roots) -> int:
     """Number of complete derivation trees rooted at ``roots``.
 

@@ -447,11 +447,17 @@ def test_error_carries_position(text, line, col):
 
 
 def test_model_round_trip(addition_loops):
-    text = "model p1 : X1 <= 0; -X2 <= 0.\nmodel p2 : -X1 < 0.\nmodel false : false.\n"
-    model = parse_model(text, addition_loops)
-    assert set(model) == {"p1", "p2", "false"}
-    again = parse_model(format_model(model, addition_loops), addition_loops)
-    assert {k: str(v) for k, v in again.items()} == {k: str(v) for k, v in model.items()}
+    # Each formula prints as it parses: a disjunction or a conjunction,
+    # one constraint and the constants.
+    for text in (
+        "model p1 : X1 <= 0; -X2 <= 0.\nmodel p2 : -X1 < 0.\nmodel false : false.\n",
+        "model p1 : X1 <= 0, -X2 <= 0.\nmodel p2 : true.\nmodel false : false.\n",
+    ):
+        model = parse_model(text, addition_loops)
+        assert set(model) == {"p1", "p2", "false"}
+        again = parse_model(format_model(model, addition_loops), addition_loops)
+        assert {k: str(v) for k, v in again.items()} == {k: str(v) for k, v in model.items()}
+        assert str(model["p1"]) == text.split(" : ", 1)[1].split(".", 1)[0]
 
 
 def test_model_rejects_unknown_and_duplicate(addition_loops):

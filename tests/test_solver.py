@@ -61,8 +61,8 @@ from chclab.syntax import (
 from chclab.trees import check_tree_props
 from conftest import CORPUS, interval, point_box
 from fm_reference import sub
-from formula_reference import rename_formula
-from randgen import random_finite_system
+from formula_reference import eval_formula, rename_formula
+from randgen import random_finite_system, random_goal_text
 from test_trees import forward_trees
 
 F = Fraction
@@ -467,6 +467,31 @@ def test_goal_disjoint_reads_every_goal_clause(corpus_systems):
     assert systems > 10 and meets >= systems, (systems, meets)
 
 
+def test_multi_goal_random_systems_agree_with_the_oracle():
+    # Random finite systems with one or two goal entries, solved in alt
+    # mode: the model holds every reachable atom, a model that meets a
+    # reachable goal atom is not goal-disjoint, and SAFE means that no
+    # goal atom is reachable.
+    goals = {1: 0, 2: 0}
+    verdicts = {"SAFE": 0, "UNKNOWN": 0}
+    for seed in range(200):
+        system = parse_system(random_goal_text(seed))
+        goals[len(system.goal)] += 1
+        _, verdict = alternate(system)
+        verdicts[verdict.status] += 1
+        model = verdict.witness.as_dict()
+        reachable = lfp_forward_rel(ground_relation(system))
+        for atom in reachable:
+            f = model.get(atom.pred, FALSE)
+            assert eval_formula(f, dict(zip(param_vars(len(atom.args)), atom.args))), (seed, atom)
+        hit = goal_atoms(system) & reachable
+        if hit:
+            assert not goal_disjoint(system, model), seed
+        if verdict.status == "SAFE":
+            assert not hit, seed
+    assert min(goals.values()) > 50 and min(verdicts.values()) > 20, (goals, verdicts)
+
+
 def test_refined_model_layers_compose(addition_loops):
     trace, verdict = alternate(addition_loops)
     rm = refined_model(trace)
@@ -519,13 +544,15 @@ def test_check_model_flags_violation(ladder):
 
     bogus = {"p": FALSE, "false": FALSE}
     result = check_model(ladder, bogus)
-    assert not result.ok
+    # A result is falsy exactly when it holds a violation, though as a
+    # tuple that is not empty.
+    assert not result.ok and not result
     # violations carry the clause index, rendered clause and a witness cube
     idx, clause_text, witness = result.violations[0]
     assert isinstance(idx, int) and clause_text.startswith("p(")
     assert witness
     honest = {"p": TRUE, "false": TRUE}
-    assert check_model(ladder, honest).ok
+    assert check_model(ladder, honest).ok and bool(check_model(ladder, honest))
 
 
 def test_a_missing_model_entry_reads_false(addition_loops):

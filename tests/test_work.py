@@ -2,9 +2,11 @@
 
 ``tests/golden/work.json`` holds, for each ``path|mode|budget`` run of
 ``chclab solve`` over the corpus and stress files, exact counts of the
-elimination steps and rows, the elimination runs, the conjoined batches
-and normalized rows, the projections, the clause transformer calls and
-the satisfiability searches (see ``tests/work_census.py``), and the
+elimination steps and rows, the elimination runs, the conjoined batches,
+the normalizations and the rows they receive, the interval maps and
+image builds, the model check's negations, the projections, the clause
+transformer calls and the satisfiability searches (see
+``tests/work_census.py``), and the
 exit code and the digest of the output of each run, which must not
 change.  A change that lowers a count re-records the file with
 

@@ -14,10 +14,15 @@ names the callers bind:
 * ``fm_eliminate.calls`` and ``fm_eliminate.rows``: the elimination
   steps and the rows they return;
 * ``_eliminate.calls``: the elimination runs;
-* ``conjoin.calls`` and ``normalize.rows``: the batches conjoined, by
-  :meth:`Conjunction.conjoin` or, for the bounds of a transformer's
-  input boxes, :meth:`Conjunction.conjoin_bounds`, and the lowered rows
-  :meth:`Conjunction._normalize` receives;
+* ``conjoin.calls``, ``normalize.calls`` and ``normalize.rows``: the
+  batches conjoined, by :meth:`Conjunction.conjoin` or, for the bounds
+  of a transformer's input boxes, :meth:`Conjunction.conjoin_bounds`,
+  and the calls of :meth:`Conjunction._normalize` and the lowered rows
+  it receives;
+* ``_map.calls`` and ``images.builds``: the intervals mapped through an
+  image, and the calls of :meth:`Conjunction._images` that compute the
+  images rather than reuse them;
+* ``negate.calls``: the formulas the model check negates;
 * ``project_rows.calls``, ``_apply.calls`` and ``sat_cube.calls``: the
   projections, the clause transformer calls and the satisfiability
   searches.
@@ -51,7 +56,11 @@ COUNTERS = (
     "fm_eliminate.rows",
     "_eliminate.calls",
     "conjoin.calls",
+    "normalize.calls",
     "normalize.rows",
+    "_map.calls",
+    "images.builds",
+    "negate.calls",
     "project_rows.calls",
     "_apply.calls",
     "sat_cube.calls",
@@ -79,8 +88,17 @@ def _steps(counts: dict, fn):
 def _normalized(counts: dict, fn):
     def wrapped(self, rows):
         rows = tuple(rows)
+        counts["normalize.calls"] += 1
         counts["normalize.rows"] += len(rows)
         return fn(self, rows)
+
+    return wrapped
+
+
+def _built(counts: dict, fn):
+    def wrapped(self):
+        counts["images.builds"] += self.images is None
+        return fn(self)
 
     return wrapped
 
@@ -100,6 +118,9 @@ def counting():
         (Conjunction, "conjoin", _calls(counts, "conjoin.calls", Conjunction.conjoin)),
         (Conjunction, "conjoin_bounds", _calls(counts, "conjoin.calls", Conjunction.conjoin_bounds)),
         (Conjunction, "_normalize", _normalized(counts, Conjunction._normalize)),
+        (Conjunction, "_images", _built(counts, Conjunction._images)),
+        (linlogic, "_map", _calls(counts, "_map.calls", linlogic._map)),
+        (solver, "negate_formula", _calls(counts, "negate.calls", solver.negate_formula)),
         (CompiledClause, "_apply", _calls(counts, "_apply.calls", CompiledClause._apply)),
         (linlogic, "project_rows", _calls(counts, "project_rows.calls", linlogic.project_rows)),
         (linlogic, "sat_cube", sat_cube),
