@@ -8,8 +8,18 @@ corpus files and the two stress files), the four modes and the budgets
 records its exit code (a run cut short by a resource cap does less
 work, not more), the sha256 ``digest`` of its stdout and stderr (the
 ``--json`` report without ``stats.wall_ms`` and ``file``, which holds
-the absolute path of the run's input), and counts, by wrapping the
-names the callers bind:
+the absolute path of the run's input), and counts.
+
+After them come the benchmark's own runs: one seed-7 pass of the
+``chain``, ``rounds`` and ``wide`` workloads, each instance through
+``bench/measure.py``'s ``certified_verdict`` (``bench/`` is imported
+without writing bytecode there, never changed), keyed
+``workload|instance``.  Each records the outcome that function returns,
+or the class name of the exception it raises, and the same counts.  The
+``corpus`` workload runs the corpus files, which the census already
+runs.
+
+The counts come from wrapping the names the callers bind:
 
 * ``fm_eliminate.calls`` and ``fm_eliminate.rows``: the elimination
   steps and the rows they return;
@@ -28,9 +38,9 @@ names the callers bind:
   searches.
 
 Wall time needs many paired runs to show a change of a few per cent;
-these counts and digests are the same on every machine and every hash
-seed.  To
-re-record ``tests/golden/work.json`` after a change that lowers a count:
+these counts, digests and outcomes are the same on every machine and
+every hash seed.  To re-record ``tests/golden/work.json`` after a change
+that lowers a count:
 
     PYTHONPATH=src python tests/work_census.py
 """
@@ -41,14 +51,17 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from chclab import cli, domain, linlogic, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "work.json"
+BENCH = ROOT / "bench"
 MODES = ("fwd", "alt", "qa2", "qa-iter")
 BUDGETS = (5, 8)
+WORKLOADS = ("chain", "rounds", "wide")
 
 
 COUNTERS = (
@@ -163,6 +176,32 @@ def census() -> dict[str, dict]:
                 key = f"{path}|{mode}|{budget}"
                 out[key] = {"exit": code, "digest": digest(stdout.getvalue(), stderr.getvalue())}
                 out[key].update(counts)
+    return out | bench_runs()
+
+
+def bench_runs() -> dict[str, dict]:
+    """The outcome and counts of each instance of one seed-7 pass of
+    the synthetic benchmark workloads, keyed ``workload|instance``."""
+    import chclab
+
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH))
+    try:
+        import measure
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = saved
+    out = {}
+    for name in WORKLOADS:
+        for inst in workloads.build(name, 7, ROOT):
+            with counting() as counts:
+                try:
+                    outcome = measure.certified_verdict(chclab, inst)
+                except Exception as exc:
+                    outcome = type(exc).__name__
+            out[f"{name}|{inst.name}"] = {"outcome": outcome, **counts}
     return out
 
 
