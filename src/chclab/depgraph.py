@@ -1,15 +1,21 @@
 """Predicate dependency graph and iteration order.
 
-Edges run from body predicates to head predicates.  The order lists
-strongly connected components with dependencies first, so a single
-left-to-right sweep sees every body predicate before (or together with)
-the heads it feeds.  Members of cyclic components are the widening
-candidates of the fixpoint engines.
+Edges run from body predicates to head predicates (:func:`edges`).  One
+walk answers every question asked of the graph: :func:`reach` collects
+what an adjacency map reaches from some roots.  :func:`dependency_order`
+lists the strongly connected components with dependencies first, by
+Kosaraju's two passes in the form Sharir wrote for data flow analysis:
+a depth-first search along the successors records the order in which
+the predicates finish, then a :func:`reach` over the predecessors from
+the last-finished predicate not yet placed is the next component.  A
+single left-to-right sweep thus sees every body predicate before (or
+together with) the heads it feeds.  Members of cyclic components are
+the widening candidates of the fixpoint engines.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .syntax import System
 
@@ -19,66 +25,58 @@ class Component(NamedTuple):
     recursive: bool
 
 
-def dependency_order(system: System) -> list[Component]:
-    nodes = [d.name for d in system.decls]
-    succ: dict[str, set[str]] = {n: set() for n in nodes}
+def edges(system: System) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Each predicate's successors (the heads of the clauses whose body
+    it occurs in) and predecessors (the body predicates of its clauses),
+    keyed in declaration order."""
+    succ: dict[str, set[str]] = {d.name: set() for d in system.decls}
+    pred: dict[str, set[str]] = {d.name: set() for d in system.decls}
     for clause in system.clauses:
+        head = clause.head.pred.name
         for app in clause.body:
-            succ[app.pred.name].add(clause.head.pred.name)
+            succ[app.pred.name].add(head)
+            pred[head].add(app.pred.name)
+    return succ, pred
 
-    # Iterative Tarjan; components pop in reverse dependency order.
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[tuple[str, ...]] = []
-    counter = 0
 
-    for root in nodes:
-        if root in index:
+def reach(roots: Iterable[str], step: dict[str, set[str]], placed: set[str]) -> list[str]:
+    """The nodes outside ``placed`` that ``step`` reaches from ``roots``
+    (the roots included) without passing through ``placed``; each is
+    added to ``placed``."""
+    found: list[str] = []
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        if node not in placed:
+            placed.add(node)
+            found.append(node)
+            todo.extend(step[node])
+    return found
+
+
+def dependency_order(system: System) -> list[Component]:
+    succ, pred = edges(system)
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in succ:
+        if root in seen:
             continue
-        work: list[tuple[str, list[str], int]] = [(root, sorted(succ[root]), 0)]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, neighbours, i = work.pop()
-            advanced = False
-            while i < len(neighbours):
-                nxt = neighbours[i]
-                i += 1
-                if nxt not in index:
-                    work.append((node, neighbours, i))
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, sorted(succ[nxt]), 0))
-                    advanced = True
+        seen.add(root)
+        stack = [(root, iter(sorted(succ[root])))]
+        while stack:
+            node, neighbours = stack[-1]
+            for nxt in neighbours:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(sorted(succ[nxt]))))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp: list[str] = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                sccs.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    ordered = list(reversed(sccs))
-    return [
-        Component(
-            preds=comp,
-            recursive=len(comp) > 1 or any(p in succ[p] for p in comp),
-        )
-        for comp in ordered
-    ]
+            else:
+                stack.pop()
+                finished.append(node)
+    placed: set[str] = set()
+    order = []
+    for node in reversed(finished):
+        if node not in placed:
+            comp = tuple(sorted(reach((node,), pred, placed)))
+            order.append(Component(comp, len(comp) > 1 or node in succ[node]))
+    return order

@@ -47,7 +47,7 @@ from collections import defaultdict
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .depgraph import dependency_order
+from .depgraph import dependency_order, edges, reach
 from .domain import AbstractElement, Box, CompiledClause
 from .linlogic import sat_cube
 from .syntax import (
@@ -330,18 +330,11 @@ def analyze_backward(
 
 def coarse_backward(system: System) -> frozenset[str]:
     """Names of the predicates from which a goal predicate is reachable
-    in the clause graph; a cheap predicate-level backward approximation."""
-    relevant = {goal.head.pred.name for goal in system.goal}
-    changed = True
-    while changed:
-        changed = False
-        for clause in system.clauses:
-            if clause.head.pred.name in relevant:
-                for app in clause.body:
-                    if app.pred.name not in relevant:
-                        relevant.add(app.pred.name)
-                        changed = True
-    return frozenset(relevant)
+    in the clause graph, a cheap predicate-level backward approximation:
+    one reachability query, :func:`~chclab.depgraph.reach` from the goal
+    heads over the predecessors."""
+    _, pred = edges(system)
+    return frozenset(reach((goal.head.pred.name for goal in system.goal), pred, set()))
 
 
 def _coarse_element(system: System) -> AbstractElement:
