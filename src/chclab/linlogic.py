@@ -526,10 +526,9 @@ class Conjunction:
         interval is met as it is.  An interval whose image has no
         variable or two or more adds its rows, normalized as by
         :meth:`conjoin`.  With no such interval, the result keeps the
-        rows of this set: nothing is copied or normalized.
+        rows of this set: nothing is copied or normalized.  Its caller
+        passes only a conjunction whose own rows are not refuted.
         """
-        if self.rowset.unsat:
-            return self
         images, _ = self._images()
         met = self.bounds.copy()
         rows = []

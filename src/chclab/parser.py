@@ -177,9 +177,6 @@ def normalize_clause(raw: RawClause) -> Clause:
     by a fresh variable ``Vk`` with an equality conjunct appended to the
     constraint.  Body atoms are processed before the head.
     """
-    for app in raw.body:
-        if app.pred.is_false:
-            raise ValueError("the falsity predicate cannot appear in a clause body")
     fresh = _fresh_names(raw)
     seen: set[str] = set()
     extra: list[Formula] = []
@@ -378,8 +375,6 @@ class _Parser:
     def parse_predapp(self) -> RawApp:
         at = self.pos
         t = self.tokens[at]
-        if not "a" <= t < "{":
-            raise self.fail("expected predicate name")
         self.pos += 1
         decl = self.lookup(t, at)
         args: tuple[str | LinTerm, ...] = ()

@@ -167,3 +167,18 @@ def test_goal_grounding_is_capped(monkeypatch, tmp_path):
     path = tmp_path / "wide_goal.chc"
     path.write_text(text, encoding="utf-8")
     assert cli_main(["oracle", str(path)]) == 3
+
+
+def test_oracle_on_a_false_constraint(tmp_path, capsys):
+    # The clause ``p(X) :- (false)`` derives nothing: only the fact p(0)
+    # holds, and the goal p(1) is reachable from p(1) alone.
+    path = tmp_path / "false_body.chc"
+    path.write_text(
+        "pred p/1.\nuniverse {0, 1}.\np(X) :- (false).\np(0).\ngoal p(X) : X >= 1.\n",
+        encoding="utf-8",
+    )
+    outputs = []
+    for semantics in ("fwd", "bwd", "combined"):
+        assert cli_main(["oracle", str(path), "--semantics", semantics, "--check-closure"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == ["p(0)\nclosure PASS\n", "p(1)\nclosure PASS\n", "closure PASS\n"]

@@ -65,6 +65,22 @@ def test_head_constants_become_equalities(ladder):
     assert formula_reference.eval_formula(init.constraint, {v: Fraction(1)})
 
 
+def test_an_argument_that_sums_to_a_variable_is_that_variable():
+    # ``X + 0`` and ``2*Y - Y`` are linear terms, not names, until
+    # normalization finds that each is one variable and keeps it.
+    system = parse_system("pred p/1.\np(X + 0) :- X = 1.\np(2*Y - Y) :- Y = 2.\n")
+    assert system == parse_system("pred p/1.\np(X) :- X = 1.\np(Y) :- Y = 2.\n")
+
+
+def test_a_false_constraint_prints_in_parentheses_and_parses_back():
+    # A bare ``false`` in a body would name the falsity predicate.
+    system = parse_system("pred p/1.\np(X) :- (false).\n")
+    assert system.clauses[0].constraint == FALSE
+    text = format_system(system)
+    assert "\np(X) :- (false).\n" in text
+    assert parse_system(text) == system
+
+
 def test_arg_positions_are_distinct_variables(corpus_systems):
     for _, system in corpus_systems:
         for clause in system.clauses:
@@ -306,6 +322,7 @@ def test_formula_nodes_compare_their_class():
     b = Lin(LinConstraint(LinTerm.var("y"), Rel.LT))
     assert And((a, b)) != Or((a, b)) and not And((a, b)) == Or((a, b))
     assert And((a, b)) == And((a, b)) and not And((a, b)) != And((a, b))
+    assert And((a, b)) != And((a,)) and Or((a,)) != Or((a, b))
     assert TRUE != FALSE and not TRUE == FALSE
     assert TRUE != () and a != (a.con,)
     assert bool(TRUE) and bool(FALSE)
