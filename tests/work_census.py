@@ -24,6 +24,8 @@ The counts come from wrapping the names the callers bind:
 * ``fm_eliminate.calls`` and ``fm_eliminate.rows``: the elimination
   steps and the rows they return;
 * ``_eliminate.calls``: the elimination runs;
+* ``lower.calls``: the constraints lowered to integer rows, by
+  :func:`linlogic.lower` or the name :mod:`chclab.domain` binds;
 * ``conjoin.calls``, ``normalize.calls`` and ``normalize.rows``: the
   batches conjoined, by :meth:`Conjunction.conjoin` or, for the bounds
   of a transformer's input boxes, :meth:`Conjunction.conjoin_bounds`,
@@ -68,6 +70,7 @@ COUNTERS = (
     "fm_eliminate.calls",
     "fm_eliminate.rows",
     "_eliminate.calls",
+    "lower.calls",
     "conjoin.calls",
     "normalize.calls",
     "normalize.rows",
@@ -125,9 +128,12 @@ def counting():
     # ``solver`` binds ``sat_cube`` by name: every name a caller binds
     # gets the one wrapper.
     sat_cube = _calls(counts, "sat_cube.calls", linlogic.sat_cube)
+    lower = _calls(counts, "lower.calls", linlogic.lower)
     patches = [
         (linlogic, "fm_eliminate", _steps(counts, linlogic.fm_eliminate)),
         (linlogic, "_eliminate", _calls(counts, "_eliminate.calls", linlogic._eliminate)),
+        (linlogic, "lower", lower),
+        (domain, "lower", lower),
         (Conjunction, "conjoin", _calls(counts, "conjoin.calls", Conjunction.conjoin)),
         (Conjunction, "conjoin_bounds", _calls(counts, "conjoin.calls", Conjunction.conjoin_bounds)),
         (Conjunction, "_normalize", _normalized(counts, Conjunction._normalize)),
