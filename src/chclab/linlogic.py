@@ -9,10 +9,31 @@ atoms conflict on their own with its parent's bounds is never built, and
 one whose atoms add no row is as satisfiable as its parent.  The
 formula may come with instances, formulas under a renaming of their
 variables, whose atoms are lowered through the renaming instead of
-renamed.  A search that visits more than ``DEFAULT_CUBE_CAP`` branches
-raises :class:`ResourceLimitError`.  Only projections, which need every
-cube, convert a formula to disjunctive normal form (:func:`to_dnf`, under
-the same cap).
+renamed.  The search is incremental in the way of the theory solvers of
+DPLL(T) (Dutertre and de Moura 2006), which assert a bound on top of the
+state a branch already holds:
+
+* **Atom table.**  Each atom is lowered once per search and per renaming
+  of its part, and rewritten through a branch's pivots once while those
+  pivots stay (:class:`_Atom`); its one-variable interval is computed
+  the first time a bound on its position needs it.  A branch that can
+  no longer solve a pivot adds the rewritten rows without rewriting them
+  again.
+* **Resumed elimination.**  :func:`_eliminate` can record its steps.  A
+  branch that adds no row over two or more variables and no pivot, and
+  only tightens ``bounds``, resumes its parent's run at the first step
+  that eliminates a tightened position, with the tightened intervals met
+  into that step's ``bounds``, or into the final ``bounds`` when no step
+  eliminates one (:func:`_resume`).  The order of the steps depends only
+  on the rows, so a fresh run would make the same steps from there.
+* **No rows, no elimination.**  A branch with no row over two or more
+  variables runs no elimination: its ``bounds`` are not empty, so it is
+  satisfiable.
+
+A search that visits more than ``DEFAULT_CUBE_CAP`` branches raises
+:class:`ResourceLimitError`.  Only projections, which need every cube,
+convert a formula to disjunctive normal form (:func:`to_dnf`, under the
+same cap).
 
 Constraints are lowered to integer rows once (:func:`lower`), and one
 Fourier-Motzkin engine works on those rows:
@@ -220,19 +241,31 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
 
     Depth-first search over the disjunct choices.  The variables are
     indexed once, and each branch carries the :class:`Conjunction` of
-    the atoms its choices imply: a child lowers only its new atoms,
-    conjoins them with its parent's and eliminates a copy of the result.
-    A branch is dropped as soon as its atoms are unsatisfiable; it then
-    branches on the pending disjunction with the fewest children, trying
-    them in formula order.  Before a child is pushed, its new rows are
-    rewritten through the parent's pivots (:meth:`Conjunction.rewrite`).
-    A child with a row refuted on its own, a ground row that fails or a
+    the atoms its choices imply: a child conjoins only its new atoms
+    with its parent's.  A branch is dropped as soon as its atoms are
+    unsatisfiable; it then branches on the pending disjunction with the
+    fewest children, trying them in formula order.
+
+    The search keeps one table of atoms (:class:`_Atom`), keyed by the
+    atom and the renaming of its part: each atom is lowered once, and
+    rewritten through a branch's pivots once while those pivots stay,
+    so the branches that share pivots share the rewritten row.  Before
+    a child is pushed, its new rows are read off the table.  A child
+    with a row refuted on its own, a ground row that fails or a
     one-variable row whose interval meets the parent's ``bounds`` to
     empty, is never built and is not a branch; any other child conjoins
-    the rewritten rows when it is popped, and a child that adds no row
-    is as satisfiable as its parent and needs no check.  The first branch
-    left with no pending disjunction is the answer.  Raises
-    :class:`ResourceLimitError` after ``DEFAULT_CUBE_CAP`` branches.
+    the rows when it is popped, and a child that adds no row is as
+    satisfiable as its parent and needs no check.
+
+    A branch with no row over two or more variables runs no
+    elimination: its ``bounds`` are not empty, so it is satisfiable.  A
+    branch that adds no such row and no pivot, and only tightens
+    ``bounds``, resumes its parent's elimination (:func:`_resume`)
+    instead of running its own from the start.  Any other branch runs
+    :func:`_eliminate` and records its steps for its children.  The
+    first branch left with no pending disjunction is the answer.
+    Raises :class:`ResourceLimitError` after ``DEFAULT_CUBE_CAP``
+    branches.
     """
     # A constant needs no search, and indexing its variables would cost
     # more than the answer: the refined model's formulas are mostly
@@ -258,34 +291,44 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     parts = [(formula, None, index)]
     for (f, mapping), targets in zip(instances, renamed):
         parts.append((f, mapping, {v: index[w] for v, w in targets.items()}))
+    # The columns of a part are its renaming: one atom under two of them
+    # is two rows.
+    table: dict[tuple[int, int], _Atom] = {}
 
     def grow(choices, keys: frozenset, branch: Conjunction):
-        """The atoms, the pending disjunctions and the fresh rows,
-        rewritten through the pivots of ``branch``, that ``choices`` add
-        to it; ``None`` when one of them is refuted on its own."""
+        """The atoms, the pending disjunctions and the fresh rows that
+        ``choices`` add to ``branch``, each lowered, rewritten through the
+        pivots of ``branch`` and with the position of its one variable or
+        ``-1``; ``None`` when one of them is refuted on its own."""
         atoms: list[tuple[LinConstraint, Mapping | None]] = []
         pending: list[tuple[Or, Mapping | None, Mapping]] = []
-        fresh: dict[tuple, Lowered] = {}
+        fresh: dict[tuple, tuple[Lowered, Lowered, int]] = {}
+        pivots, bounds = branch.pivots, branch.bounds
         for f, mapping, columns in choices:
             new_atoms: list[LinConstraint] = []
             new_pending: list[Or] = []
             if not _gather(f, new_atoms, new_pending):
                 return None
             for c in new_atoms:
-                row = lower(c, columns, n)
-                key = (*row[0], row[1], row[2])
-                if key in keys or key in fresh:
+                atom = table.get((id(c), id(columns)))
+                if atom is None:
+                    atom = table[id(c), id(columns)] = _Atom(lower(c, columns, n))
+                if atom.key in keys or atom.key in fresh:
                     continue
-                row = branch.rewrite(row)
-                if row is None:
+                if atom.pivots is not pivots:
+                    atom.through(pivots)
+                if atom.refuted(bounds):
                     return None
-                fresh[key] = row
+                # The entry is rewritten again when a branch with other
+                # pivots reads it, so the child keeps its own rows.
+                fresh[atom.key] = (atom.lowered, atom.row, atom.position)
             atoms += [(c, mapping) for c in new_atoms]
             pending += [(g, mapping, columns) for g in new_pending]
         return tuple(atoms), pending, fresh
 
     # A branch: the atoms chosen so far with the mapping of each, the keys
-    # of their distinct rows, the conjunction of those rows, the
+    # of their distinct rows, the conjunction of those rows, the record of
+    # its elimination (``None`` when it has no row to eliminate), the
     # disjunctions still to decide, and what its last choice adds.  Rows
     # hash far faster than the Fractions of their atoms, and two atoms
     # with one row are the same constraint.
@@ -293,20 +336,38 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     root = grow(parts, frozenset(), branch)
     if root is None:
         return None
-    stack: list[tuple] = [((), frozenset(), branch, (), root)]
+    stack: list[tuple] = [((), frozenset(), branch, None, (), root)]
     visited = 0
     while stack:
         visited += 1
         if visited > cap:
             raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
-        atoms, keys, branch, pending, (new_atoms, new_pending, fresh) = stack.pop()
+        atoms, keys, branch, run, pending, (new_atoms, new_pending, fresh) = stack.pop()
         atoms += new_atoms
         pending = [*pending, *new_pending]
         if fresh:
             keys = keys.union(fresh)
-            branch = branch.conjoin(fresh.values())
-            if branch.rowset.unsat or _eliminate(branch.rowset, everything).unsat:
+            if branch.out or branch.bounds:
+                # No pivot is solved any more: add the rewritten rows as
+                # they are, where conjoin would rewrite them again.
+                added = [row for _, row, _ in fresh.values()]
+                child = branch._child(branch.pivots, branch.bounds.copy(), added)
+            else:
+                child = branch.conjoin([lowered for lowered, _, _ in fresh.values()])
+            rows = child.rowset
+            if rows.unsat:
                 continue
+            if not rows.cons:
+                run = None
+            elif run is not None and child.pivots is branch.pivots and len(child.out) == len(branch.out):
+                tightened = {j for _, _, j in fresh.values() if j >= 0}
+                run = _resume(run, rows.bounds, tightened, everything)
+            else:
+                steps: list[tuple[int, RowSet]] = []
+                run = (steps, _eliminate(rows, everything, steps), frozenset())
+            if run is not None and run[1].unsat:
+                continue
+            branch = child
         if not pending:
             return ConjCube.make(c if m is None else c.rename(m) for c, m in atoms)
         fewest = min(range(len(pending)), key=lambda k: len(pending[k][0].items))
@@ -315,8 +376,45 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         for c in reversed(split.items):
             child = grow(((c, mapping, columns),), keys, branch)
             if child is not None:
-                stack.append((atoms, keys, branch, pending, child))
+                stack.append((atoms, keys, branch, run, pending, child))
     return None
+
+
+class _Atom:
+    """An atom of one :func:`sat_cube` search under the renaming of its
+    part: ``key``, the lowered row as a tuple, which the search
+    deduplicates by; ``row`` and ``position``, the lowered row rewritten
+    through ``pivots`` and the position of its one variable (``-1``
+    when it has none or several); ``fails``, for a ground row that
+    fails; and ``interval``, the one-variable row's interval, computed
+    the first time a bound on its position needs it."""
+
+    __slots__ = ("key", "lowered", "pivots", "row", "position", "fails", "interval")
+
+    def __init__(self, lowered: Lowered):
+        self.key = (*lowered[0], lowered[1], lowered[2])
+        self.lowered = lowered
+        self.pivots = None
+
+    def through(self, pivots: tuple[Pivot, ...]) -> None:
+        """Rewrite the lowered row through ``pivots``."""
+        row = _substitute(self.lowered, pivots) if pivots else self.lowered
+        vec, const, rel = row
+        zeros = vec.count(0)
+        self.pivots, self.row, self.interval = pivots, row, None
+        self.position = vec.index(next(filter(None, vec))) if zeros == len(vec) - 1 else -1
+        self.fails = zeros == len(vec) and not rel.holds(const)
+
+    def refuted(self, bounds: Mapping[int, Interval]) -> bool:
+        """Is the row refuted on its own: a ground row that fails, or a
+        one-variable row whose interval meets ``bounds`` to empty?"""
+        j = self.position
+        if j < 0 or j not in bounds:
+            return self.fails
+        if self.interval is None:
+            vec, const, rel = self.row
+            self.interval = _bound(vec, const, rel, j)
+        return self.interval.meet(bounds[j]).is_empty
 
 
 # A constraint lowered to integers: (vec, const, rel) stands for
@@ -613,22 +711,6 @@ class Conjunction:
             self.images = (images, tuple(ties))
         return self.images
 
-    def rewrite(self, row: Lowered) -> Lowered | None:
-        """The lowered ``row`` rewritten through the pivots, or ``None``
-        when it is refuted on its own: a ground row that fails, or a
-        one-variable row whose interval meets ``bounds`` to empty."""
-        if self.pivots:
-            row = _substitute(row, self.pivots)
-        vec, const, rel = row
-        zeros = vec.count(0)
-        if zeros == len(vec):
-            return row if rel.holds(const) else None
-        if zeros == len(vec) - 1:
-            j = vec.index(next(filter(None, vec)))
-            if j in self.bounds and _bound(vec, const, rel, j).meet(self.bounds[j]).is_empty:
-                return None
-        return row
-
     def _normalize(self, rows) -> RowSet:
         """The set of the rows normalized so far and ``rows``, processed
         in order as :meth:`conjoin` describes."""
@@ -821,9 +903,11 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     return RowSet(names, tuple(out.values()), eliminated, False, bounds)
 
 
-def _eliminate(rows: RowSet, mask: int) -> RowSet:
+def _eliminate(rows: RowSet, mask: int, steps: list | None = None) -> RowSet:
     """Eliminate the variables at the positions in ``mask``, cheapest
-    first, until none is left or the rows turn out unsatisfiable."""
+    first, until none is left or the rows turn out unsatisfiable.  Each
+    step is appended to the list ``steps``, when one is given, as the
+    position it eliminates and the set it starts from."""
     positions = [j for j in range(len(rows.names)) if mask >> j & 1]
     while positions and rows.cons and not rows.unsat:
         # Count each position's lower and upper rows in its column of
@@ -845,10 +929,55 @@ def _eliminate(rows: RowSet, mask: int) -> RowSet:
                     best, least = j, cost
         if best < 0:
             break
+        if steps is not None:
+            steps.append((best, rows))
         rows = fm_eliminate(rows, rows.names[best])
         mentioned.remove(best)
         positions = mentioned
     return rows
+
+
+# The record of an elimination run: its steps, as :func:`_eliminate`
+# lists them, the set it ends with, and the positions whose intervals
+# its branch tightened after the run started.  The set a step before the
+# first step on such a position starts from may hold that position's
+# interval from before the tightening.
+Run = tuple[list[tuple[int, RowSet]], RowSet, frozenset[int]]
+
+
+def _resume(run: Run, bounds: Mapping[int, Interval], tightened, mask: int) -> Run:
+    """The run of ``mask`` on the rows of ``run`` with the intervals
+    ``bounds``, which tighten those of ``run`` at the positions
+    ``tightened`` and nowhere else; the set it ends with is refuted when
+    these are unsatisfiable.
+
+    The order of the steps depends only on the rows, and the rows a
+    step makes depend on the interval of no position but the one it
+    eliminates.  So a fresh run makes the steps of ``run`` up to the
+    first on a position of ``tightened``, and this one starts there:
+    from that step's set, or from the set ``run`` ended with when no
+    step eliminates such a position, with the intervals of ``bounds``
+    met in at every position of ``tightened`` and of the run's own
+    tightened positions that is not yet eliminated.  Intervals only
+    shrink until their position is eliminated, so an empty meet that a
+    fresh run finds in an earlier step is found here too.
+    """
+    steps, rows, tight = run
+    if not tightened:
+        return run
+    tight = tight.union(tightened)
+    start = next((k for k, (j, _) in enumerate(steps) if j in tightened), len(steps))
+    if start < len(steps):
+        rows = steps[start][1]
+    met = dict(rows.bounds)
+    for j in tight:
+        if not rows.eliminated >> j & 1 and _meet(met, j, bounds[j]):
+            return steps, _refuted(rows.names, rows.eliminated), tight
+    rows = rows._replace(bounds=met)
+    if start == len(steps):
+        return steps, rows, tight
+    steps = steps[:start]
+    return steps, _eliminate(rows, mask, steps), tight
 
 
 def cube_is_sat(cube: ConjCube) -> bool:

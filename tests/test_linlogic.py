@@ -52,6 +52,8 @@ from chclab.syntax import (
     format_formula,
     formula_vars,
     iter_formula_constraints,
+    negate_formula,
+    param_vars,
 )
 from conftest import bound, interval
 from fm_reference import sub
@@ -198,9 +200,9 @@ def test_bound_conflict_frozen_cases():
 
 def test_one_variable_equality_is_met_once_as_a_point(monkeypatch):
     # The row builder meets a one-variable row into ``bounds`` once, an
-    # equality as its point and not as two half-lines, and ``rewrite``
-    # drops exactly the one-variable rows whose conjunction with the
-    # bounds the builder refutes.
+    # equality as its point and not as two half-lines, and the search's
+    # atom table drops exactly the one-variable rows whose conjunction
+    # with the bounds the builder refutes.
     meets = []
     meet = linlogic._meet
 
@@ -231,7 +233,9 @@ def test_one_variable_equality_is_met_once_as_a_point(monkeypatch):
             point = Bound(Fraction(-row[1], a), False)
             assert meets[0][1] == Interval(point, point), row
             points += 1
-        assert (base.rewrite(row) is None) == child.rowset.unsat, (base.bounds, row)
+        atom = linlogic._Atom(row)
+        atom.through(base.pivots)
+        assert atom.refuted(base.bounds) == child.rowset.unsat, (base.bounds, row)
         refuted += child.rowset.unsat
     assert points > 150 and 50 < refuted < 250, (points, refuted)
 
@@ -556,6 +560,72 @@ def test_incremental_search_agrees_with_cube_is_sat():
             found += 1
             assert got in cubes and cube_is_sat(got), f"seed {seed}: {f}"
     assert 40 < found < 360
+
+
+def _layered(rng, arity, layers):
+    """A formula over ``X1 .. X<arity>`` built the way
+    ``RefinedModel.as_dict`` writes one: the Or of a box and of up to
+    ``layers`` layers ``d and not b`` with ``d`` outside ``b``, the boxes
+    drawn from small integer intervals, some ends open or unbounded."""
+    variables = param_vars(arity)
+
+    def box():
+        intervals = []
+        for _ in range(arity):
+            lo = rng.randint(-3, 2)
+            hi = rng.randint(lo, 3)
+            lo = None if rng.random() < 0.15 else lo
+            hi = None if rng.random() < 0.15 else hi
+            intervals.append(interval(lo, hi, rng.random() < 0.2, rng.random() < 0.2))
+        return Box.make(arity, intervals)
+
+    parts = [box().formula(variables)]
+    for _ in range(layers):
+        d, b = box(), box()
+        if not d.leq(b):
+            parts.append(conj([d.formula(variables), b.complement(variables)]))
+    return disj(parts)
+
+
+def test_search_over_layered_instances_agrees_with_the_formula_route(monkeypatch):
+    # The search lowers each atom once per renaming and a branch that
+    # only tightens bounds resumes its parent's elimination.  On layered
+    # model formulas entered as instances, one formula under two
+    # renamings and one with a repeated argument, under a constraint over
+    # two or more variables, it must find a cube exactly when a cube of
+    # the renamed conjunction's DNF is satisfiable, and the cube it
+    # returns must be satisfiable.
+    resumed = 0
+    resume = linlogic._resume
+
+    def counted(run, bounds, tightened, mask):
+        nonlocal resumed
+        resumed += bool(run[0])
+        return resume(run, bounds, tightened, mask)
+
+    monkeypatch.setattr(linlogic, "_resume", counted)
+    names = ["A", "B", "C"]
+    found = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        # The negation of a layered formula multiplies its cubes: one
+        # layer keeps the DNF of the whole conjunction under the cap.
+        p, q = _layered(rng, 2, 2), _layered(rng, 2, 1)
+        constraint = conj(_pivot_atom(rng, names, (Rel.LE, Rel.LT)) for _ in range(rng.randint(1, 3)))
+        first, second = rng.sample(names, 2), rng.sample(names, 2)
+        repeated = rng.choice(names)
+        instances = [
+            (p, {"X1": first[0], "X2": first[1]}),
+            (p, {"X1": second[0], "X2": second[1]}),
+            (negate_formula(q) if rng.random() < 0.5 else q, {"X1": repeated, "X2": repeated}),
+        ]
+        cubes = to_dnf(conj([constraint, *(rename_formula(f, m) for f, m in instances)]))
+        got = sat_cube(constraint, instances)
+        assert (got is None) == (not any(cube_is_sat(c) for c in cubes)), f"seed {seed}"
+        if got is not None:
+            found += 1
+            assert got in cubes and cube_is_sat(got), f"seed {seed}"
+    assert 50 < found < 250 and resumed > 500, (found, resumed)
 
 
 # -- box projection ------------------------------------------------------------
@@ -897,6 +967,80 @@ def test_elimination_order_matches_the_recounting_reference(monkeypatch):
         want = fm_reference.eliminate_by_recount(rows, everything, recorded)
         assert got == want and got_order == order, f"seed {seed}: {c}"
         order.clear()
+
+
+def _tightened_rows(rng, n):
+    """Lowered rows over ``n`` positions: two to ``n + 3`` over two or
+    three positions and up to three one-variable bounds."""
+    rows = []
+    for width in [rng.choice((2, 2, 3)) for _ in range(rng.randint(2, n + 3))] + [1] * rng.randint(0, 3):
+        vec = [0] * n
+        for j in rng.sample(range(n), min(width, n)):
+            vec[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        rows.append((vec, rng.randint(-6, 6), rng.choice((Rel.LE, Rel.LE, Rel.LT, Rel.EQ))))
+    return rows
+
+
+def _tightening(rng, n):
+    """One to three one-variable rows, bounds of either side or points."""
+    rows = []
+    for j in rng.sample(range(n), rng.randint(1, min(3, n))):
+        vec = [0] * n
+        vec[j] = rng.choice((-2, -1, 1, 2))
+        rows.append((vec, rng.randint(-4, 4), rng.choice((Rel.LE, Rel.LE, Rel.LT, Rel.EQ))))
+    return rows
+
+
+def test_resumed_elimination_matches_a_fresh_run():
+    # A set that only tightens the bounds of its parent resumes the
+    # parent's recorded run at the first step on a tightened position,
+    # with the tightened intervals met into that step's set.  Along
+    # chains of up to three tightenings, each resumed from the last and
+    # some starting before the last one did, it must refute exactly the
+    # sets a fresh run refutes and otherwise end with the same rows,
+    # bounds and eliminated positions, eliminating every position or
+    # only some.
+    starts = dict.fromkeys(("step", "end", "earlier"), 0)
+    refuted = checked = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(2, 5)
+        names = tuple(f"x{i}" for i in range(n))
+        mask = (1 << n) - 1 if rng.random() < 0.6 else rng.randint(1, (1 << n) - 1)
+        branch = Conjunction(names, 0).conjoin(_tightened_rows(rng, n))
+        if branch.rowset.unsat:
+            continue
+        steps = []
+        run = (steps, linlogic._eliminate(branch.rowset, mask, steps), frozenset())
+        since = 0
+        for depth in range(rng.randint(1, 3)):
+            if run[1].unsat:
+                break
+            tightening = _tightening(rng, n)
+            child = branch.conjoin(tightening)
+            if child.rowset.unsat:
+                break
+            tightened = {vec.index(next(filter(None, vec))) for vec, _, _ in tightening}
+            parent_steps = len(run[0])
+            first = next((k for k, (j, _) in enumerate(run[0]) if j in tightened), parent_steps)
+            run = linlogic._resume(run, child.rowset.bounds, tightened, mask)
+            fresh = linlogic._eliminate(child.rowset, mask)
+            got = run[1]
+            assert got.unsat == fresh.unsat, f"seed {seed} depth {depth}"
+            if not fresh.unsat:
+                assert got.cons == fresh.cons, f"seed {seed} depth {depth}"
+                assert got.bounds == fresh.bounds, f"seed {seed} depth {depth}"
+                assert got.eliminated == fresh.eliminated, f"seed {seed} depth {depth}"
+            checked += 1
+            refuted += fresh.unsat
+            starts["step" if first < parent_steps else "end"] += 1
+            # A start before the last one reads a set kept from before
+            # the last tightening.
+            starts["earlier"] += first < since
+            since = first
+            branch = child
+    assert checked > 1500 and 100 < refuted < checked - 500, (checked, refuted)
+    assert min(starts.values()) > 100, starts
 
 
 def _block_cube(rng, unsat_block):
