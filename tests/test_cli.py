@@ -313,6 +313,12 @@ def test_oracle_needs_universe(capsys):
     assert code == 2 and "universe" in err
 
 
+def test_trees_needs_universe(capsys):
+    code, out, err = run(capsys, "trees", ADDITION_LOOPS, "--depth", "4", "--check-props")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {ADDITION_LOOPS}: tree enumeration needs a universe declaration"
+
+
 # -- trees ----------------------------------------------------------------------
 
 
