@@ -23,6 +23,7 @@ from .syntax import (
     FalseF,
     Formula,
     Lin,
+    Rel,
     System,
     TrueF,
 )
@@ -83,13 +84,46 @@ def _valuations(universe: Valuation, n: int, what: str):
     return product(universe, repeat=n)
 
 
+def _definitions(constraint: Formula) -> dict[str, tuple[list[tuple[str, Fraction]], Fraction]]:
+    """The variables that the top-level equalities of ``constraint``
+    define, each by the first equality with a unit coefficient on it:
+    ``v -> (pairs, c)`` with ``v = sum(q * w for w, q in pairs) + c``.
+    A variable is defined by one equality at most, and never once a
+    definition before it reads it, so each can be computed, in order,
+    from the variables left and those defined before it."""
+    items = constraint.items if isinstance(constraint, And) else (constraint,)
+    defined: dict[str, tuple[list[tuple[str, Fraction]], Fraction]] = {}
+    read: set[str] = set()
+    for f in items:
+        if not isinstance(f, Lin) or f.con.rel is not Rel.EQ:
+            continue
+        term = f.con.term
+        unit = [(v, a) for v, a in term.coeffs if a in (1, -1) and v not in defined and v not in read]
+        if unit:
+            # a·v + rest + const = 0 with a = ±1, so v = -a·(rest + const).
+            v, a = unit[0]
+            pairs = [(w, -a * q) for w, q in term.coeffs if w != v]
+            defined[v] = (pairs, -a * term.const)
+            read.update(w for w, _ in pairs)
+    return defined
+
+
 def _instances(universe: Valuation, clause: Clause, what: str) -> Iterable[Consequence]:
     """The ground instances of ``clause``: one per valuation of its
-    variables over ``universe`` that satisfies its constraint, under the
-    valuation cap."""
+    variables over ``universe`` that satisfies its constraint.  Only the
+    variables that no top-level equality defines (:func:`_definitions`)
+    are enumerated, under the valuation cap; each defined one is
+    computed from them, and a valuation whose computed value lies
+    outside ``universe`` is dropped.  The whole constraint is still
+    evaluated."""
     variables = sorted(clause.vars)
     index = {v: i for i, v in enumerate(variables)}
-    valuations = _valuations(universe, len(variables), what)
+    defined = _definitions(clause.constraint)
+    enumerated = [index[v] for v in variables if v not in defined]
+    valuations = _valuations(universe, len(enumerated), what)
+    if defined:
+        steps = [(index[v], [(index[w], q) for w, q in pairs], c) for v, (pairs, c) in defined.items()]
+        valuations = _completed(valuations, universe, len(variables), enumerated, steps)
     ok = _compile(clause.constraint, index)
     body_ix = [
         (app.pred.name, tuple(index[x] for x in app.args)) for app in clause.body
@@ -102,6 +136,26 @@ def _instances(universe: Valuation, clause: Clause, what: str) -> Iterable[Conse
                 GroundAtom(name, tuple(vals[i] for i in ix)) for name, ix in body_ix
             )
             yield Consequence(premises, GroundAtom(head_name, tuple(vals[i] for i in head_ix)))
+
+
+def _completed(valuations, universe: Valuation, n: int, enumerated: list[int], steps):
+    """Each valuation of the positions ``enumerated`` completed to all
+    ``n`` positions by ``steps``, ``(i, pairs, c)`` setting position
+    ``i`` to ``sum(q * vals[k] for k, q in pairs) + c``; a valuation
+    that sets a position outside ``universe`` is dropped.  A computed
+    value is replaced by the member of ``universe`` it equals."""
+    members = {u: u for u in universe}
+    for given in valuations:
+        vals = [None] * n
+        for i, x in zip(enumerated, given):
+            vals[i] = x
+        for i, pairs, c in steps:
+            x = members.get(sum(q * vals[k] for k, q in pairs) + c)
+            if x is None:
+                break
+            vals[i] = x
+        else:
+            yield tuple(vals)
 
 
 def ground_relation(system: System) -> GroundRelation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from chclab.concrete import (
 )
 from chclab.linlogic import ResourceLimitError
 from chclab.parser import parse_system
-from randgen import random_finite_system
+from formula_reference import eval_formula
+from randgen import random_finite_system, random_goal_text
 
 F = Fraction
 
@@ -182,3 +184,43 @@ def test_oracle_on_a_false_constraint(tmp_path, capsys):
         assert cli_main(["oracle", str(path), "--semantics", semantics, "--check-closure"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs == ["p(0)\nclosure PASS\n", "p(1)\nclosure PASS\n", "closure PASS\n"]
+
+
+def _enumerated(universe, clause):
+    """Every ground instance of ``clause``, found by enumerating each of
+    its variables over ``universe``."""
+    variables = sorted(clause.vars)
+    for values in itertools.product(universe, repeat=len(variables)):
+        env = dict(zip(variables, values))
+        if eval_formula(clause.constraint, env):
+            body = frozenset(GroundAtom(a.pred.name, tuple(env[v] for v in a.args)) for a in clause.body)
+            yield body, GroundAtom(clause.head.pred.name, tuple(env[v] for v in clause.head.args))
+
+
+def test_grounding_computes_the_variables_equalities_define(monkeypatch):
+    # Grounding enumerates only the variables that no top-level equality
+    # with a unit coefficient defines, and computes the others.  On
+    # random finite systems, whose clauses carry such equalities for
+    # repeated arguments and in their constraints, it must find the
+    # instances that enumerating every variable finds, and enumerate
+    # fewer valuations.
+    valuations = concrete._valuations
+    enumerated = every = 0
+
+    def counted(universe, n, what):
+        nonlocal enumerated
+        enumerated += len(universe) ** n
+        return valuations(universe, n, what)
+
+    monkeypatch.setattr(concrete, "_valuations", counted)
+    for seed in range(80):
+        system = parse_system(random_goal_text(seed))
+        universe = system.universe
+        want = frozenset(
+            (body, head) for clause in system.clauses for body, head in _enumerated(universe, clause)
+        )
+        assert {(c.premises, c.conclusion) for c in ground_relation(system)} == want, seed
+        goal = {head for g in system.goal for _, head in _enumerated(universe, g)}
+        assert goal_atoms(system) == goal, seed
+        every += sum(len(universe) ** len(c.vars) for c in (*system.clauses, *system.goal))
+    assert 0 < enumerated < every // 8, (enumerated, every)
