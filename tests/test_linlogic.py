@@ -606,7 +606,7 @@ def test_search_over_layered_instances_agrees_with_the_formula_route(monkeypatch
     monkeypatch.setattr(linlogic, "_resume", counted)
     names = ["A", "B", "C"]
     found = 0
-    for seed in range(300):
+    for seed in range(200):
         rng = random.Random(seed)
         # The negation of a layered formula multiplies its cubes: one
         # layer keeps the DNF of the whole conjunction under the cap.
@@ -625,7 +625,7 @@ def test_search_over_layered_instances_agrees_with_the_formula_route(monkeypatch
         if got is not None:
             found += 1
             assert got in cubes and cube_is_sat(got), f"seed {seed}"
-    assert 50 < found < 250 and resumed > 500, (found, resumed)
+    assert 50 < found < 150 and resumed > 300, (found, resumed)
 
 
 # -- box projection ------------------------------------------------------------
