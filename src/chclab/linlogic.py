@@ -292,17 +292,19 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     for (f, mapping), targets in zip(instances, renamed):
         parts.append((f, mapping, {v: index[w] for v, w in targets.items()}))
     # The columns of a part are its renaming: one atom under two of them
-    # is two rows.
+    # is two rows.  Atoms with one lowered row share its number.
     table: dict[tuple[int, int], _Atom] = {}
+    numbers: dict[tuple, int] = {}
 
     def grow(choices, keys: frozenset, branch: Conjunction):
         """The atoms, the pending disjunctions and the fresh rows that
         ``choices`` add to ``branch``, each lowered, rewritten through the
-        pivots of ``branch`` and with the position of its one variable or
-        ``-1``; ``None`` when one of them is refuted on its own."""
+        pivots of ``branch``, and with the position of its one variable
+        and its interval, or ``-1`` and ``None``; ``None`` when one of
+        them is refuted on its own."""
         atoms: list[tuple[LinConstraint, Mapping | None]] = []
         pending: list[tuple[Or, Mapping | None, Mapping]] = []
-        fresh: dict[tuple, tuple[Lowered, Lowered, int]] = {}
+        fresh: dict[int, tuple[Lowered, Lowered, int, Interval | None]] = {}
         pivots, bounds = branch.pivots, branch.bounds
         for f, mapping, columns in choices:
             new_atoms: list[LinConstraint] = []
@@ -312,7 +314,9 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
             for c in new_atoms:
                 atom = table.get((id(c), id(columns)))
                 if atom is None:
-                    atom = table[id(c), id(columns)] = _Atom(lower(c, columns, n))
+                    row = lower(c, columns, n)
+                    key = numbers.setdefault((*row[0], row[1], row[2]), len(numbers))
+                    atom = table[id(c), id(columns)] = _Atom(row, key)
                 if atom.key in keys or atom.key in fresh:
                     continue
                 if atom.pivots is not pivots:
@@ -321,17 +325,17 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
                     return None
                 # The entry is rewritten again when a branch with other
                 # pivots reads it, so the child keeps its own rows.
-                fresh[atom.key] = (atom.lowered, atom.row, atom.position)
+                interval = atom.bound() if atom.position >= 0 else None
+                fresh[atom.key] = (atom.lowered, atom.row, atom.position, interval)
             atoms += [(c, mapping) for c in new_atoms]
             pending += [(g, mapping, columns) for g in new_pending]
         return tuple(atoms), pending, fresh
 
-    # A branch: the atoms chosen so far with the mapping of each, the keys
-    # of their distinct rows, the conjunction of those rows, the record of
-    # its elimination (``None`` when it has no row to eliminate), the
-    # disjunctions still to decide, and what its last choice adds.  Rows
-    # hash far faster than the Fractions of their atoms, and two atoms
-    # with one row are the same constraint.
+    # A branch: the atoms chosen so far with the mapping of each, the
+    # numbers of their distinct rows, the conjunction of those rows, the
+    # record of its elimination (``None`` when it has no row to
+    # eliminate), the disjunctions still to decide, and what its last
+    # choice adds.  Two atoms with one row are the same constraint.
     branch = Conjunction(names, everything)
     root = grow(parts, frozenset(), branch)
     if root is None:
@@ -347,20 +351,27 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         pending = [*pending, *new_pending]
         if fresh:
             keys = keys.union(fresh)
-            if branch.out or branch.bounds:
+            if not (branch.out or branch.bounds):
+                child = branch.conjoin([lowered for lowered, _, _, _ in fresh.values()])
+            elif all(interval for _, _, _, interval in fresh.values()):
+                # Only one-variable rows: meet their intervals into a copy
+                # of the bounds and share the rows.
+                met = branch.bounds.copy()
+                if any(_meet(met, j, interval) for _, _, j, interval in fresh.values()):
+                    continue
+                child = branch._child(branch.pivots, met, ())
+            else:
                 # No pivot is solved any more: add the rewritten rows as
                 # they are, where conjoin would rewrite them again.
-                added = [row for _, row, _ in fresh.values()]
+                added = [row for _, row, _, _ in fresh.values()]
                 child = branch._child(branch.pivots, branch.bounds.copy(), added)
-            else:
-                child = branch.conjoin([lowered for lowered, _, _ in fresh.values()])
             rows = child.rowset
             if rows.unsat:
                 continue
             if not rows.cons:
                 run = None
             elif run is not None and child.pivots is branch.pivots and len(child.out) == len(branch.out):
-                tightened = {j for _, _, j in fresh.values() if j >= 0}
+                tightened = {j for _, _, j, _ in fresh.values() if j >= 0}
                 run = _resume(run, rows.bounds, tightened, everything)
             else:
                 steps: list[tuple[int, RowSet]] = []
@@ -382,17 +393,18 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
 
 class _Atom:
     """An atom of one :func:`sat_cube` search under the renaming of its
-    part: ``key``, the lowered row as a tuple, which the search
-    deduplicates by; ``row`` and ``position``, the lowered row rewritten
-    through ``pivots`` and the position of its one variable (``-1``
-    when it has none or several); ``fails``, for a ground row that
-    fails; and ``interval``, the one-variable row's interval, computed
-    the first time a bound on its position needs it."""
+    part: ``lowered``, its lowered row, and ``key``, the number the
+    search gives that row and deduplicates by; ``row`` and
+    ``position``, the lowered row rewritten through ``pivots`` and the
+    position of its one variable (``-1`` when it has none or several);
+    ``fails``, for a ground row that fails; and ``interval``, the
+    one-variable row's interval, computed the first time a bound on its
+    position or a child's meet needs it."""
 
     __slots__ = ("key", "lowered", "pivots", "row", "position", "fails", "interval")
 
-    def __init__(self, lowered: Lowered):
-        self.key = (*lowered[0], lowered[1], lowered[2])
+    def __init__(self, lowered: Lowered, key: int):
+        self.key = key
         self.lowered = lowered
         self.pivots = None
 
@@ -405,16 +417,20 @@ class _Atom:
         self.position = vec.index(next(filter(None, vec))) if zeros == len(vec) - 1 else -1
         self.fails = zeros == len(vec) and not rel.holds(const)
 
+    def bound(self) -> Interval:
+        """The interval of the one-variable row, computed once."""
+        if self.interval is None:
+            vec, const, rel = self.row
+            self.interval = _bound(vec, const, rel, self.position)
+        return self.interval
+
     def refuted(self, bounds: Mapping[int, Interval]) -> bool:
         """Is the row refuted on its own: a ground row that fails, or a
         one-variable row whose interval meets ``bounds`` to empty?"""
         j = self.position
         if j < 0 or j not in bounds:
             return self.fails
-        if self.interval is None:
-            vec, const, rel = self.row
-            self.interval = _bound(vec, const, rel, j)
-        return self.interval.meet(bounds[j]).is_empty
+        return self.bound().meet(bounds[j]).is_empty
 
 
 # A constraint lowered to integers: (vec, const, rel) stands for
