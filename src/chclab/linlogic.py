@@ -16,9 +16,11 @@ state a branch already holds:
 * **Atom table.**  Each atom is lowered once per search and per renaming
   of its part, and rewritten through a branch's pivots once while those
   pivots stay (:class:`_Atom`); its one-variable interval is computed
-  the first time a bound on its position needs it.  A branch that can
-  no longer solve a pivot adds the rewritten rows without rewriting them
-  again.
+  the first time a bound on its position or a child's meet needs it.
+  A branch that can no longer solve a pivot adds the rewritten rows
+  without rewriting them again, and one whose new rows all bound one
+  variable meets their intervals into a copy of its parent's ``bounds``
+  and shares its parent's rows.
 * **Resumed elimination.**  :func:`_eliminate` can record its steps.  A
   branch that adds no row over two or more variables and no pivot, and
   only tightens ``bounds``, resumes its parent's run at the first step
@@ -255,7 +257,10 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     one-variable row whose interval meets the parent's ``bounds`` to
     empty, is never built and is not a branch; any other child conjoins
     the rows when it is popped, and a child that adds no row is as
-    satisfiable as its parent and needs no check.
+    satisfiable as its parent and needs no check.  Once a branch holds
+    a row or a bound it solves no pivot, so a child adds its rewritten
+    rows as they are, and a child whose rows all bound one variable
+    only meets their intervals into a copy of the parent's ``bounds``.
 
     A branch with no row over two or more variables runs no
     elimination: its ``bounds`` are not empty, so it is satisfiable.  A
@@ -353,7 +358,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
             keys = keys.union(fresh)
             if not (branch.out or branch.bounds):
                 child = branch.conjoin([lowered for lowered, _, _, _ in fresh.values()])
-            elif all(interval for _, _, _, interval in fresh.values()):
+            elif all(interval is not None for _, _, _, interval in fresh.values()):
                 # Only one-variable rows: meet their intervals into a copy
                 # of the bounds and share the rows.
                 met = branch.bounds.copy()
