@@ -296,42 +296,42 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     parts = [(formula, None, index)]
     for (f, mapping), targets in zip(instances, renamed):
         parts.append((f, mapping, {v: index[w] for v, w in targets.items()}))
-    # The columns of a part are its renaming: one atom under two of them
-    # is two rows.  Atoms with one lowered row share its number.
-    table: dict[tuple[int, int], _Atom] = {}
+    # The atom table, by the columns of a part, which are its renaming,
+    # and then by atom: one atom under two renamings is two rows.  Atoms
+    # with one lowered row share its number.
+    table: dict[int, dict[int, _Atom]] = {}
     numbers: dict[tuple, int] = {}
 
     def grow(choices, keys: frozenset, branch: Conjunction):
-        """The atoms, the pending disjunctions and the fresh rows that
-        ``choices`` add to ``branch``, each lowered, rewritten through the
-        pivots of ``branch``, and with the position of its one variable
-        and its interval, or ``-1`` and ``None``; ``None`` when one of
-        them is refuted on its own."""
+        """The atoms, the pending disjunctions and the table entries of
+        the fresh rows that ``choices`` add to ``branch``, rewritten
+        through its pivots; ``None`` when one of them is refuted on its
+        own."""
         atoms: list[tuple[LinConstraint, Mapping | None]] = []
         pending: list[tuple[Or, Mapping | None, Mapping]] = []
-        fresh: dict[int, tuple[Lowered, Lowered, int, Interval | None]] = {}
+        fresh: dict[int, _Atom] = {}
         pivots, bounds = branch.pivots, branch.bounds
         for f, mapping, columns in choices:
             new_atoms: list[LinConstraint] = []
             new_pending: list[Or] = []
             if not _gather(f, new_atoms, new_pending):
                 return None
+            renamed = table.get(id(columns))
+            if renamed is None:
+                renamed = table[id(columns)] = {}
             for c in new_atoms:
-                atom = table.get((id(c), id(columns)))
+                atom = renamed.get(id(c))
                 if atom is None:
                     row = lower(c, columns, n)
                     key = numbers.setdefault((*row[0], row[1], row[2]), len(numbers))
-                    atom = table[id(c), id(columns)] = _Atom(row, key)
+                    atom = renamed[id(c)] = _Atom(row, key, pivots)
                 if atom.key in keys or atom.key in fresh:
                     continue
                 if atom.pivots is not pivots:
                     atom.through(pivots)
                 if atom.refuted(bounds):
                     return None
-                # The entry is rewritten again when a branch with other
-                # pivots reads it, so the child keeps its own rows.
-                interval = atom.bound() if atom.position >= 0 else None
-                fresh[atom.key] = (atom.lowered, atom.row, atom.position, interval)
+                fresh[atom.key] = atom
             atoms += [(c, mapping) for c in new_atoms]
             pending += [(g, mapping, columns) for g in new_pending]
         return tuple(atoms), pending, fresh
@@ -356,27 +356,32 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         pending = [*pending, *new_pending]
         if fresh:
             keys = keys.union(fresh)
+            # A branch with other pivots may have rewritten an entry since
+            # this child was grown: rewrite it back.
+            pivots = branch.pivots
+            for atom in fresh.values():
+                if atom.pivots is not pivots:
+                    atom.through(pivots)
             if not (branch.out or branch.bounds):
-                child = branch.conjoin([lowered for lowered, _, _, _ in fresh.values()])
-            elif all(interval is not None for _, _, _, interval in fresh.values()):
+                child = branch.conjoin([atom.lowered for atom in fresh.values()])
+            elif all(atom.position >= 0 for atom in fresh.values()):
                 # Only one-variable rows: meet their intervals into a copy
                 # of the bounds and share the rows.
                 met = branch.bounds.copy()
-                if any(_meet(met, j, interval) for _, _, j, interval in fresh.values()):
+                if any(_meet(met, atom.position, atom.bound()) for atom in fresh.values()):
                     continue
-                child = branch._child(branch.pivots, met, ())
+                child = branch._child(pivots, met, ())
             else:
                 # No pivot is solved any more: add the rewritten rows as
                 # they are, where conjoin would rewrite them again.
-                added = [row for _, row, _, _ in fresh.values()]
-                child = branch._child(branch.pivots, branch.bounds.copy(), added)
+                child = branch._child(pivots, branch.bounds.copy(), [atom.row for atom in fresh.values()])
             rows = child.rowset
             if rows.unsat:
                 continue
             if not rows.cons:
                 run = None
-            elif run is not None and child.pivots is branch.pivots and len(child.out) == len(branch.out):
-                tightened = {j for _, _, j, _ in fresh.values() if j >= 0}
+            elif run is not None and child.pivots is pivots and len(child.out) == len(branch.out):
+                tightened = {atom.position for atom in fresh.values() if atom.position >= 0}
                 run = _resume(run, rows.bounds, tightened, everything)
             else:
                 steps: list[tuple[int, RowSet]] = []
@@ -408,10 +413,10 @@ class _Atom:
 
     __slots__ = ("key", "lowered", "pivots", "row", "position", "fails", "interval")
 
-    def __init__(self, lowered: Lowered, key: int):
+    def __init__(self, lowered: Lowered, key: int, pivots: tuple[Pivot, ...]):
         self.key = key
         self.lowered = lowered
-        self.pivots = None
+        self.through(pivots)
 
     def through(self, pivots: tuple[Pivot, ...]) -> None:
         """Rewrite the lowered row through ``pivots``."""

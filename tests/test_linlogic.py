@@ -233,8 +233,7 @@ def test_one_variable_equality_is_met_once_as_a_point(monkeypatch):
             point = Bound(Fraction(-row[1], a), False)
             assert meets[0][1] == Interval(point, point), row
             points += 1
-        atom = linlogic._Atom(row, 0)
-        atom.through(base.pivots)
+        atom = linlogic._Atom(row, 0, base.pivots)
         assert atom.refuted(base.bounds) == child.rowset.unsat, (base.bounds, row)
         refuted += child.rowset.unsat
     assert points > 150 and 50 < refuted < 250, (points, refuted)
