@@ -30,6 +30,7 @@ from .linlogic import (
     Conjunction,
     Interval,
     Lowered,
+    ResourceLimitError,
     lower,
     project_to_box,
     to_dnf,
@@ -244,10 +245,19 @@ class CompiledClause:
             targets = sum(1 << j for j, v in enumerate(names) if v in args)
             free = ((1 << len(names)) - 1) & ~targets
             conjunctions = [Conjunction(names, free).conjoin(cube, targets) for cube in cubes]
-            # A cube whose own rows are refuted projects to nothing,
-            # whatever bounds are added.
-            found = self._templates[target] = [t for t in conjunctions if not t.rowset.unsat]
+            found = self._templates[target] = [t for t in conjunctions if _live(t)]
         return found
+
+
+def _live(template: Conjunction) -> bool:
+    """Whether a template may project to something: an unsatisfiable one
+    projects to nothing, whatever bounds are added.  A decision that
+    exceeds ``DEFAULT_FM_CAP`` keeps the template, so that its projection
+    meets the cap only where it would without the decision."""
+    try:
+        return template.satisfiable()
+    except ResourceLimitError:
+        return True
 
 
 def clause_post(clause: Clause, elem: AbstractElement) -> Box:

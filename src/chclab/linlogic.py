@@ -710,6 +710,19 @@ class Conjunction:
             at[tied] = at[partner] if a == s and not c else _map(at[partner], a, c, s)
         return [at[v] for v in variables]
 
+    def satisfiable(self) -> bool:
+        """Whether the conjunction has a solution: ``rowset`` is not
+        refuted and, when it holds rows over two or more variables, one
+        cheapest-first elimination of every position (:func:`_eliminate`)
+        does not refute it.  Each pivot defines a variable no row
+        mentions, so it holds on every solution of the rows.  Raises
+        :class:`ResourceLimitError` when a step exceeds
+        ``DEFAULT_FM_CAP`` rows."""
+        rows = self.rowset
+        if rows.cons and not rows.unsat:
+            rows = _eliminate(rows, (1 << len(self.names)) - 1)
+        return not rows.unsat
+
     def _images(self) -> tuple[dict[int, tuple[int, list[int], int, int]], tuple]:
         """For each pivot position ``j``, ``x_j`` rewritten through the
         pivots: ``(mask, vec, const, scale)``, with ``scale * x_j = vec·x

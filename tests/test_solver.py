@@ -660,10 +660,17 @@ def test_wide_elimination_row_counts(monkeypatch):
     # one-variable rows inside each Fourier-Motzkin step took the rows the
     # steps return from 1,147 to 700 while solving and from 1,081 to 300
     # in the model check.  Since one-variable bounds left the row lists,
-    # the rows a step returns hold none of them: 699 and 300.
+    # the rows a step returns hold none of them: 699 and 300.  The fact's
+    # cube is unsatisfiable: one elimination over all its variables
+    # refutes it when its template is built, so the solve never projects
+    # it and returns 300 rows, not 699.
     system = parse_system((CORPUS / "stress" / "wide-k12.chc").read_text(encoding="utf-8"))
+    (fact,) = [clause for clause in system.clauses if not clause.body]
+    fact_names = CompiledClause(fact).lowered[0]
     returned = 0
+    projected = []
     step = linlogic.fm_eliminate
+    project = linlogic.Conjunction.project
 
     def counted(rows, var):
         nonlocal returned
@@ -671,10 +678,16 @@ def test_wide_elimination_row_counts(monkeypatch):
         returned += len(out.cons)
         return out
 
+    def recorded(self, variables):
+        projected.append(self.names)
+        return project(self, variables)
+
     monkeypatch.setattr(linlogic, "fm_eliminate", counted)
+    monkeypatch.setattr(linlogic.Conjunction, "project", recorded)
     _, verdict = alternate(system)
     assert verdict.status == "SAFE"
-    assert 0 < returned <= 700
+    assert 0 < returned <= 300
+    assert projected and fact_names not in projected
     returned = 0
     assert check_model(system, verdict.witness.as_dict()).ok
     assert 0 < returned <= 300
