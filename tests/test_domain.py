@@ -23,7 +23,7 @@ from chclab.domain import (
     clause_pre_restricted,
     formula_box,
 )
-from chclab.linlogic import Conjunction, sat_cube
+from chclab.linlogic import Conjunction, ResourceLimitError, cube_is_sat, sat_cube, to_dnf
 from chclab.parser import parse_system
 from chclab.syntax import (
     Clause,
@@ -356,6 +356,43 @@ def _probe_element(rng, decls):
     return AbstractElement(boxes)
 
 
+def _row_text(vec: list[int], rel: str, const: int) -> str:
+    terms = " + ".join(f"{a}*X{j}" for j, a in enumerate(vec) if a)
+    return f"{terms.replace('+ -', '- ')} {rel} {const}"
+
+
+def _cube_text(rng) -> str:
+    """A system of one clause whose constraint is one cube over 3-6
+    variables: 2-6 rows over two or three of them, some strict and some
+    equalities.  About two cubes in five get one more row: a positive
+    combination of the others, negated, with its constant lowered or made
+    strict, so that the cube is unsatisfiable, most often with no conflict
+    that normalization finds."""
+    n = rng.randint(3, 6)
+    rows = []
+    for _ in range(rng.randint(2, 6)):
+        vec = [0] * n
+        for j in rng.sample(range(n), rng.randint(2, 3)):
+            vec[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        rows.append((vec, rng.choice(("<=", "<=", "<=", "<", "=")), rng.randint(-6, 6)))
+    texts = [_row_text(*row) for row in rows]
+    if rng.random() < 0.4:
+        # Each row holds as ``vec·x <= const``, so the combination does.
+        weights = [rng.randint(1, 2) for _ in rows]
+        vec = [-sum(w * row[0][j] for w, row in zip(weights, rows)) for j in range(n)]
+        const = -sum(w * row[2] for w, row in zip(weights, rows))
+        lowered = rng.randint(0, 2)
+        if any(vec):
+            texts.append(_row_text(vec, "<" if not lowered else "<=", const - lowered))
+    head = rng.sample(range(n), rng.randint(1, 2))
+    body = rng.sample(range(n), rng.randint(1, 2))
+    atoms = [f"q({', '.join(f'X{j}' for j in body)})"] if rng.random() < 0.7 else []
+    return (
+        f"pred p/{len(head)}. pred q/{len(body)}.\n"
+        f"p({', '.join(f'X{j}' for j in head)}) :- {', '.join(atoms + texts)}.\n"
+    )
+
+
 def _assert_matches_reference(clauses, decls, rng, count, label):
     """One compiled form per clause, called on ``count`` elements."""
     compiled = [CompiledClause(c) for c in clauses]
@@ -390,6 +427,27 @@ def test_compiled_transformers_match_formula_route(corpus_systems):
         assert clause_pre_restricted(clause, 0, elem, elem) == (
             transformer_reference.clause_pre_restricted(clause, 0, elem, elem)
         )
+    # Seeded cubes over 3-6 variables, a share of them refuted only by
+    # elimination, which the template build decides: post and pre must
+    # still equal the formula route, and a dead cube keeps no template.
+    rng = random.Random(35)
+    live = dead = 0
+    for seed in range(160):
+        system = parse_system(_cube_text(random.Random(seed)))
+        _assert_matches_reference(system.clauses, system.decls, rng, 3, seed)
+        (clause,) = system.clauses
+        cc = CompiledClause(clause)
+        names, _, (cube,) = cc.lowered
+        if cube_is_sat(to_dnf(clause.constraint)[0]):
+            live += 1
+            continue
+        if Conjunction(names, 0).conjoin(cube).rowset.unsat:
+            continue
+        dead += 1
+        for j in (None, *range(len(clause.body))):
+            args = clause.head.args if j is None else clause.body[j].args
+            assert cc._template(j, args) == []
+    assert live >= 50 and dead >= 50, (live, dead)
 
 
 def test_empty_input_box_skips_elimination(monkeypatch, addition_loops):
@@ -504,6 +562,76 @@ def test_refuted_cube_gets_no_template():
     cc = _assert_both_directions_match(clause, elems)
     assert cc.post([Box.top(1)]) == Box.make(1, [interval(5, None)])
     assert [len(templates) for templates in cc._templates.values()] == [1, 1]
+
+
+def test_cube_refuted_only_by_elimination_gets_no_template():
+    # No two rows of the first disjunct bound one variable, so its rows
+    # pass normalization; X + Y <= 0, Y >= Z + 1 and Z >= -X give X + Y
+    # >= 1, which one elimination over every variable finds as the
+    # template is built.  Only the second disjunct keeps a template.
+    text = "pred p/1. pred q/1.\np(X) :- q(Y), (X + Y <= 0, Y - Z >= 1, Z + X >= 0 ; X >= 5, Y <= X).\n"
+    clause = parse_system(text).clauses[0]
+    cc = CompiledClause(clause)
+    names, _, cubes = cc.lowered
+    assert not Conjunction(names, 0).conjoin(cubes[0]).rowset.unsat
+    elems = [
+        AbstractElement(p=Box.make(1, [p]), q=Box.make(1, [q]))
+        for p, q in [
+            (Interval.top(), Interval.top()),
+            (interval(0, 6), interval(-1, 3)),
+            (interval(6, 8), interval(2, 9)),
+            (Interval.top(), interval(0, 0)),
+            (interval(-3, 1), Interval.top()),
+        ]
+    ]
+    cc = _assert_both_directions_match(clause, elems)
+    assert cc.post([Box.top(1)]) == Box.make(1, [interval(5, None)])
+    assert [len(templates) for templates in cc._templates.values()] == [1, 1]
+
+
+# A satisfiable cube of 14 rows over 7 variables: with DEFAULT_FM_CAP at
+# 21, one elimination over every variable exceeds it, and the projection
+# onto the head does not.
+DENSE_TEXT = """\
+pred p/3.
+p(X0, X1, X2) :- 2*X0 + 2*X1 + 3*X5 <= -5, X1 - 2*X3 - 2*X6 <= -6,
+  2*X1 - 2*X3 - 2*X5 <= -10, -3*X0 + X1 - X3 <= -6, 3*X1 + 3*X4 + 3*X5 <= -2,
+  -2*X1 - 2*X3 - 3*X4 <= -1, -3*X2 + 2*X5 + 2*X6 <= -2, X0 - 2*X4 - 2*X5 <= 1,
+  X0 - X3 - 2*X6 <= 2, 2*X2 + 3*X3 + 3*X6 <= -5, 2*X1 - 2*X2 + 3*X6 <= 7,
+  -2*X0 - 3*X1 - X3 <= 1, -3*X3 + X5 - 2*X6 <= 5, X1 + 2*X4 + X6 <= -5.
+"""
+
+
+def test_decision_past_the_cap_keeps_the_template(monkeypatch):
+    # A template whose decision exceeds the cap is kept: the call gives
+    # the box, or the ResourceLimitError, of projecting that template.
+    (clause,) = parse_system(DENSE_TEXT).clauses
+    args = clause.head.args
+    outcomes = set()
+    for cap in range(2, 80):
+        monkeypatch.setattr(linlogic, "DEFAULT_FM_CAP", cap)
+        cc = CompiledClause(clause)
+        names, index, (cube,) = cc.lowered
+        targets = sum(1 << index[v] for v in args)
+        template = Conjunction(names, ((1 << len(names)) - 1) & ~targets).conjoin(cube, targets)
+        try:
+            assert template.satisfiable()
+            decided = True
+        except ResourceLimitError:
+            decided = False
+        try:
+            intervals = template.project(args)
+            want = Box.empty(3) if intervals is None else Box.make(3, intervals)
+        except ResourceLimitError as exc:
+            want = str(exc)
+        try:
+            got = cc.post([])
+        except ResourceLimitError as exc:
+            got = str(exc)
+        assert got == want, cap
+        assert len(cc._templates[None]) == 1, cap
+        outcomes.add((decided, type(want)))
+    assert {(False, str), (False, Box), (True, Box)} <= outcomes
 
 
 PIVOT_TEXT = """\
