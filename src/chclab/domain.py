@@ -180,7 +180,14 @@ class CompiledClause:
     becomes a template: the :class:`~chclab.linlogic.Conjunction` of its
     rows that pivots on variables outside the target, and then ties each
     equality left between two target variables by pivoting on one of
-    them.  A cube whose rows alone are refuted gets no template.  A call
+    them.  A cube that has no solution gets no template, as it derives
+    nothing: its rows are refuted as they are normalized, or, when they
+    include rows over two or more variables, by one cheapest-first
+    elimination over every variable as the template is built
+    (:meth:`~chclab.linlogic.Conjunction.satisfiable`).  A decision that
+    exceeds ``DEFAULT_FM_CAP`` keeps the template.  So no call projects
+    a cube without solutions, re-deriving its conflict in the order the
+    target forces.  A call
     conjoins each bounded interval of its input boxes, with the position
     of its variable, with every template
     (:meth:`~chclab.linlogic.Conjunction.conjoin_bounds`) and projects

@@ -100,7 +100,12 @@ that :class:`chclab.domain.CompiledClause` lowered and extended onto one
 eliminates the variables it was not asked for once.  A requested
 variable's interval is then its ``bounds`` entry once the other
 requested variables that rows mention are eliminated; a variable that
-no row mentions needs no elimination.
+no row mentions needs no elimination.  Each template that holds rows
+over two or more variables is decided once as it is built
+(:meth:`Conjunction.satisfiable`, one cheapest-first elimination over
+every position), and one that this refutes is dropped, so a cube with
+no solution is never projected; a decision past ``DEFAULT_FM_CAP``
+keeps its template.
 :class:`Interval` and its sides (:class:`Bound`) are the one interval
 type of the package: :mod:`chclab.domain` builds its boxes from them.
 :func:`cube_is_sat`, :func:`project_to_box` and :meth:`RowSet.of` take

@@ -104,7 +104,7 @@ def main(argv: list[str]) -> int:
         GOLDEN.write_text(json.dumps(sections, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {GOLDEN.relative_to(ROOT)}")
     slowest = max(seconds, key=seconds.get)
-    exits = sum(outcome == EXIT_3 for outcome in got.values())
+    exits = sum(result == EXIT_3 for result in got.values())
     print(f"{len(got)} runs, {exits} end in exit 3; slowest {slowest} ({got[slowest]}) {seconds[slowest]:.2f} s")
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["family"]
     moved = [f"{key}: {golden[key]} -> {got[key]}" for key in golden if got[key] != golden[key]]
