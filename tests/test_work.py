@@ -3,14 +3,14 @@
 ``tests/golden/work.json`` holds, for each ``path|mode|budget`` run of
 ``chclab solve`` over the corpus and stress files and for each
 ``workload|instance`` of one seed-7 pass of the ``chain``, ``rounds``
-and ``wide`` benchmark workloads, exact counts of the elimination steps
-and rows, the elimination runs, the lowered constraints, the conjoined
-batches, the normalizations and the rows they receive, the interval
-maps and image builds, the model check's negations, the projections,
-the clause transformer calls and the satisfiability searches (see
-``tests/work_census.py``).  It also holds the exit code and the digest
-of the output of each corpus run, and the outcome of each benchmark
-instance, which must not change.  A change that lowers a count
+and ``wide`` benchmark workloads, exact counts of the elimination steps,
+their rows and the pairs they combine, the elimination runs, the
+lowered constraints, the conjoined batches, the normalizations and the
+rows they receive, the interval maps and image builds, the model
+check's negations, the projections, the clause transformer calls and
+the satisfiability searches (see ``tests/work_census.py``).  It also
+holds the exit code and the digest of the output of each corpus run,
+and the outcome of each benchmark instance, which must not change.  A change that lowers a count
 re-records the file with
 
     PYTHONPATH=src python tests/work_census.py

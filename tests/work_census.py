@@ -23,6 +23,10 @@ The counts come from wrapping the names the callers bind:
 
 * ``fm_eliminate.calls`` and ``fm_eliminate.rows``: the elimination
   steps and the rows they return;
+* ``fm_eliminate.pairs``: the lower/upper pairs the steps combine, the
+  pairs that history pruning keeps, counted as the two-argument calls of
+  the ``gcd`` that :mod:`chclab.linlogic` binds: only a step's
+  ``gcd(al, au)`` of a pair's two coefficients takes exactly two;
 * ``_eliminate.calls``: the elimination runs;
 * ``lower.calls``: the constraints lowered to integer rows, by
   :func:`linlogic.lower` or the name :mod:`chclab.domain` binds;
@@ -69,6 +73,7 @@ WORKLOADS = ("chain", "rounds", "wide")
 COUNTERS = (
     "fm_eliminate.calls",
     "fm_eliminate.rows",
+    "fm_eliminate.pairs",
     "_eliminate.calls",
     "lower.calls",
     "conjoin.calls",
@@ -97,6 +102,14 @@ def _steps(counts: dict, fn):
         out = fn(rows, var)
         counts["fm_eliminate.rows"] += len(out.cons)
         return out
+
+    return wrapped
+
+
+def _pairs(counts: dict, fn):
+    def wrapped(*args):
+        counts["fm_eliminate.pairs"] += len(args) == 2
+        return fn(*args)
 
     return wrapped
 
@@ -131,6 +144,7 @@ def counting():
     lower = _calls(counts, "lower.calls", linlogic.lower)
     patches = [
         (linlogic, "fm_eliminate", _steps(counts, linlogic.fm_eliminate)),
+        (linlogic, "gcd", _pairs(counts, linlogic.gcd)),
         (linlogic, "_eliminate", _calls(counts, "_eliminate.calls", linlogic._eliminate)),
         (linlogic, "lower", lower),
         (domain, "lower", lower),
