@@ -90,8 +90,24 @@ Fourier-Motzkin engine works on those rows:
   makes from a bound has the history ``-1``, and neither it nor any row
   later combined from it is ever pruned.  That only keeps rows the rule
   would have dropped, so every answer stays exact.
+* **Short pairs first.**  A short pair of a step is two rows over the
+  eliminated variable and one same other variable, or one such row and
+  a side of the eliminated variable's interval.  It makes a bound or a
+  ground row and no row to keep, so a step whose rows over the variable
+  include both short rows and wider ones combines its short pairs first
+  and is refuted as soon as one of them empties a meet or fails, before
+  any wider pair runs, as a theory solver checks its bounds before any
+  tableau work (Dutertre and de Moura 2006).  Then it combines the other
+  pairs in row order, each short pair left out.  Which pairs the pruning
+  drops does not depend on their order, meets commute, and the step is
+  refuted exactly when a meet is empty or a ground row fails, so the
+  rows kept, their order, histories and masks, the bounds and the
+  refutation are those of combining every pair in row order.  A step
+  whose rows over the variable are all short, or none is, combines its
+  pairs in row order.
 * **Budget.**  An elimination step that holds more than
-  ``DEFAULT_FM_CAP`` rows raises :class:`ResourceLimitError`.
+  ``DEFAULT_FM_CAP`` rows raises :class:`ResourceLimitError`; a step
+  whose short pairs conflict is refuted before it counts its rows.
 
 The solve path projects the rows of clause constraints and goal guards
 that :class:`chclab.domain.CompiledClause` lowered and extended onto one
@@ -867,20 +883,29 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     ``rows`` without ``var`` and meets each new one-variable row into
     them instead of keeping it.  A ground contradiction or an empty meet
     ends the run: the result is then refuted (see :class:`RowSet`).
-    Rows already marked ``unsat`` come back unchanged.  Raises
-    :class:`ResourceLimitError` when the result would hold more than
-    ``DEFAULT_FM_CAP`` rows.
+    Rows already marked ``unsat`` come back unchanged.
+
+    Each row on ``var`` is classified once, by whether it mentions one
+    other variable.  When some rows do and some do not, the short pairs
+    (see the module docstring), which make only bounds and ground rows,
+    are combined first (:func:`_short_first`), and the others follow in
+    the order above.  The result is the one that order gives alone.
+    Raises :class:`ResourceLimitError` when the result would hold more
+    than ``DEFAULT_FM_CAP`` rows, checked after each lower row's pairs
+    in that order: a step whose conflict lies among its short pairs is
+    refuted first.
     """
     if rows.unsat:
         return rows
     names = rows.names
+    n = len(names)
     j = names.index(var)
     eliminated = rows.eliminated | (1 << j)
     out: dict[tuple, Row] = {}
     bounds = dict(rows.bounds)
     lo, hi = bounds.pop(j, Interval.top())
     # A one-variable row has a zero at every other position.
-    zeros = len(names) - 1
+    zeros = n - 1
     lowers: list[Row] = []
     # Each upper row carries the eliminated part of its variable mask,
     # which the pruning test of every pair reads.
@@ -896,14 +921,21 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     # Each lower row is paired with every upper row.  A side of the
     # interval pairs only with the rows of the other sign, not with the
     # other side, with which it cannot conflict.
-    partners = uppers
-    if lowers and hi.value is not None:
-        partners = [*uppers, (*_side(len(names), j, hi, True), 1 << j)]
-    pairs = [(row, partners) for row in lowers]
-    if uppers and lo.value is not None:
-        pairs.append((_side(len(names), j, lo, False), uppers))
+    hi_side = (*_side(n, j, hi, True), 1 << j) if lowers and hi.value is not None else None
+    lo_side = _side(n, j, lo, False) if uppers and lo.value is not None else None
+    partners = uppers if hi_side is None else [*uppers, hi_side]
+    # A row over var and one other variable has zeros - 1 zeros.
+    lshort = [row[0].count(0) == zeros - 1 for row in lowers]
+    ushort = [row[0].count(0) == zeros - 1 for row in uppers]
+    short = lshort.count(True) + ushort.count(True)
+    if 0 < short < len(lowers) + len(uppers):
+        pairs, first = _short_first(j, lowers, lshort, uppers, ushort, partners, hi_side, lo_side)
+    else:
+        pairs, first = [(row, partners) for row in lowers], 0
+        if lo_side is not None:
+            pairs.append((lo_side, uppers))
 
-    for (lvec, lconst, lstrict, lhist, lmask), partners in pairs:
+    for at, ((lvec, lconst, lstrict, lhist, lmask), partners) in enumerate(pairs):
         al = -lvec[j]
         lgone = lmask & eliminated
         for uvec, uconst, ustrict, uhist, umask, ugone in partners:
@@ -940,11 +972,54 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
                     out[key] = (vec, const, strict, hist, mask)
                 continue
             out[key] = (vec, const, strict, hist, mask)
-        if len(out) > DEFAULT_FM_CAP:
+        # A short pair adds no row: the cap is checked where the pairs
+        # in order are.
+        if at >= first and len(out) > DEFAULT_FM_CAP:
             raise ResourceLimitError(
                 f"Fourier-Motzkin elimination exceeded {DEFAULT_FM_CAP} rows"
             )
     return RowSet(names, tuple(out.values()), eliminated, False, bounds)
+
+
+def _short_first(j: int, lowers, lshort, uppers, ushort, partners, hi_side, lo_side) -> tuple[list, int]:
+    """The pairs of :func:`fm_eliminate` on position ``j`` with its short
+    pairs first, and how many entries those take.  ``lshort`` and
+    ``ushort`` flag the rows of ``lowers`` and ``uppers`` over ``x_j``
+    and one other position.  A short pair is two such rows over the same
+    other position, or one such row and a side of ``x_j``'s interval: it
+    makes a bound or a ground row, never a row to keep.  The other pairs
+    follow in the order the step pairs all of them, each short pair left
+    out of them."""
+    # The other position of each flagged row, -1 for the rest.
+    lother = [_other(row[0], j) if flag else -1 for row, flag in zip(lowers, lshort)]
+    uother = [_other(row[0], j) if flag else -1 for row, flag in zip(uppers, ushort)]
+    groups: dict[int, list] = {}
+    for row, k in zip(uppers, uother):
+        if k >= 0:
+            groups.setdefault(k, []).append(row)
+    sides = [] if hi_side is None else [hi_side]
+    first = [(row, groups.get(k, []) + sides) for row, k in zip(lowers, lother) if k >= 0]
+    if lo_side is not None:
+        first.append((lo_side, list(compress(uppers, ushort))))
+    # The uppers a lower row over the other position k pairs with in order.
+    rest: dict[int, list] = {}
+    pairs = first.copy()
+    for row, k in zip(lowers, lother):
+        if k < 0:
+            pairs.append((row, partners))
+        else:
+            if k not in rest:
+                rest[k] = [u for u, m in zip(uppers, uother) if m != k]
+            pairs.append((row, rest[k]))
+    if lo_side is not None:
+        pairs.append((lo_side, [row for row, flag in zip(uppers, ushort) if not flag]))
+    return pairs, len(first)
+
+
+def _other(vec: tuple[int, ...], j: int) -> int:
+    """The one position besides ``j`` of a row over two positions."""
+    k = vec.index(next(filter(None, vec)))
+    return k if k != j else vec.index(next(filter(None, vec[j + 1 :])), j + 1)
 
 
 def _eliminate(rows: RowSet, mask: int, steps: list | None = None) -> RowSet:

@@ -10,6 +10,9 @@ conflicting one-variable bounds itself: the rows of every set it does not
 refute must come out the same.  :func:`eliminate_by_recount` is the
 engine's elimination loop as it was before it counted bounds by column:
 it must eliminate the same variables in the same order.
+:func:`fm_eliminate_in_order` is the engine's elimination step as it was
+before it combined its two-variable pairs first: it combines every pair
+in one order and must return the same set wherever it returns one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from chclab.linlogic import Bound, ConjCube, Interval, RowSet
+from chclab import linlogic
+from chclab.linlogic import Bound, ConjCube, Interval, ResourceLimitError, RowSet
 from chclab.syntax import LinConstraint, LinTerm, Rel
 
 
@@ -210,3 +214,72 @@ def eliminate_by_recount(rows: RowSet, mask: int, fm_eliminate) -> RowSet:
         rows = fm_eliminate(rows, rows.names[best])
         positions.remove(best)
     return rows
+
+
+def fm_eliminate_in_order(rows: RowSet, var: str) -> RowSet:
+    """:func:`chclab.linlogic.fm_eliminate` combining every lower row with
+    every upper row, and then the lower side of ``var``'s interval with
+    every upper row, in row order, with the upper side last among each
+    lower row's partners; a conflict ends the step when it is reached,
+    and the cap is checked after each lower row and after the side."""
+    if rows.unsat:
+        return rows
+    names = rows.names
+    j = names.index(var)
+    eliminated = rows.eliminated | (1 << j)
+    out = {}
+    bounds = dict(rows.bounds)
+    lo, hi = bounds.pop(j, Interval.top())
+    zeros = len(names) - 1
+    lowers = []
+    uppers = []
+    for row in rows.cons:
+        a = row[0][j]
+        if a == 0:
+            out[row[:3]] = row
+        elif a > 0:
+            uppers.append((*row, row[4] & eliminated))
+        else:
+            lowers.append(row)
+    partners = uppers
+    if lowers and hi.value is not None:
+        partners = [*uppers, (*linlogic._side(len(names), j, hi, True), 1 << j)]
+    pairs = [(row, partners) for row in lowers]
+    if uppers and lo.value is not None:
+        pairs.append((linlogic._side(len(names), j, lo, False), uppers))
+    for (lvec, lconst, lstrict, lhist, lmask), partners in pairs:
+        al = -lvec[j]
+        lgone = lmask & eliminated
+        for uvec, uconst, ustrict, uhist, umask, ugone in partners:
+            hist = lhist | uhist
+            size = hist.bit_count()
+            if size > 1 + (lgone | ugone).bit_count():
+                continue
+            au = uvec[j]
+            g = gcd(al, au)
+            ml, mu = au // g, al // g
+            vec = tuple([ml * x + mu * y for x, y in zip(lvec, uvec)])
+            const = ml * lconst + mu * uconst
+            strict = lstrict or ustrict
+            rel = Rel.LT if strict else Rel.LE
+            zero = vec.count(0)
+            if zero > zeros:
+                if not rel.holds(const):
+                    return linlogic._refuted(names, eliminated)
+                continue
+            if zero == zeros:
+                k = vec.index(next(filter(None, vec)))
+                if linlogic._meet(bounds, k, linlogic._bound(vec, const, rel, k)):
+                    return linlogic._refuted(names, eliminated)
+                continue
+            d = gcd(*vec, const)
+            if d > 1:
+                vec = tuple([x // d for x in vec])
+                const //= d
+            key = (vec, const, strict)
+            old = out.get(key)
+            if old is None or size < old[3].bit_count():
+                out[key] = (vec, const, strict, hist, lmask | umask)
+        if len(out) > linlogic.DEFAULT_FM_CAP:
+            raise ResourceLimitError(f"Fourier-Motzkin elimination exceeded {linlogic.DEFAULT_FM_CAP} rows")
+    return RowSet(names, tuple(out.values()), eliminated, False, bounds)

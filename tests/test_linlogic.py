@@ -968,6 +968,85 @@ def test_elimination_order_matches_the_recounting_reference(monkeypatch):
         order.clear()
 
 
+def _mixed_step(rng):
+    """A row set and the variable ``x0`` to eliminate from it: rows over
+    ``x0`` and one other variable, rows over ``x0`` and two or more
+    others, rows without ``x0``, and, in about half the sets, bounds on
+    ``x0``.  A quarter of the sets hold two rows over ``x0`` and one
+    other variable that conflict, and a quarter two wider rows whose
+    combination cancels every variable and fails.  Half the sets first
+    lose another variable to the in-order step, so their rows carry
+    combined histories and an eliminated position."""
+    n = rng.randint(3, 6)
+    names = tuple(f"x{i}" for i in range(n))
+    coeff = (-3, -2, -1, 1, 2, 3)
+
+    def row(positions, const=None, rel=None):
+        vec = [0] * n
+        for j in positions:
+            vec[j] = rng.choice(coeff)
+        return (vec, rng.randint(-6, 6) if const is None else const, rel or rng.choice((Rel.LE, Rel.LE, Rel.LT)))
+
+    rows = [row((0, rng.randrange(1, n))) for _ in range(rng.randint(1, 5))]
+    rows += [row([0, *rng.sample(range(1, n), rng.randint(2, n - 1))]) for _ in range(rng.randint(1, 5))]
+    rows += [row(rng.sample(range(1, n), rng.randint(1, min(3, n - 1)))) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        rows += [row((0,)) for _ in range(rng.randint(1, 2))]
+    kind = rng.randrange(4)
+    if kind < 2:
+        positions = [0, *rng.sample(range(1, n), 1 if kind == 0 else rng.randint(2, n - 1))]
+        vec, const, _ = row(positions)
+        rows += [(vec, const, Rel.LE), ([-x for x in vec], -const - rng.randint(0, 1), Rel.LT)]
+    rng.shuffle(rows)
+    rowset = Conjunction(names, 0).conjoin(rows).rowset
+    if rng.random() < 0.5:
+        rowset = fm_reference.fm_eliminate_in_order(rowset, names[rng.randrange(1, n)])
+    return rowset, "x0"
+
+
+def test_short_pairs_first_match_the_in_order_step(monkeypatch):
+    # A step combines its pairs over the eliminated variable and one same
+    # other variable, and those of such a row with a side of the
+    # variable's interval, before the rest; those pairs only meet bounds
+    # or test ground rows.  Wherever the in-order step returns a set, the
+    # step must return the same rows in the same order, with the same
+    # histories, masks, bounds, eliminated positions and refutation.
+    # Conflicts among the short pairs and conflicts only among wider
+    # rows that cancel both occur.  Past the cap, the in-order step
+    # raises where the step may find its conflict first.
+    mixed = short_conflicts = wide_conflicts = 0
+    cases = [_mixed_step(random.Random(seed)) for seed in range(800)]
+    for rows, var in cases:
+        want = fm_reference.fm_eliminate_in_order(rows, var)
+        assert fm_eliminate(rows, var) == want, rows
+        j = rows.names.index(var)
+        over = [row for row in rows.cons if row[0][j]]
+        short = [row for row in over if row[0].count(0) == len(rows.names) - 2]
+        mixed += 0 < len(short) < len(over)
+        if want.unsat and not rows.unsat and 0 < len(short) < len(over):
+            alone = rows._replace(cons=tuple(row for row in rows.cons if row not in over or row in short))
+            if fm_reference.fm_eliminate_in_order(alone, var).unsat:
+                short_conflicts += 1
+            else:
+                wide_conflicts += 1
+    assert mixed > 400 and short_conflicts > 50 and wide_conflicts > 50
+    monkeypatch.setattr(linlogic, "DEFAULT_FM_CAP", 1)
+    earlier = 0
+    for rows, var in cases:
+        try:
+            want = fm_reference.fm_eliminate_in_order(rows, var)
+        except ResourceLimitError:
+            try:
+                got = fm_eliminate(rows, var)
+            except ResourceLimitError:
+                continue
+            assert got.unsat, rows
+            earlier += 1
+            continue
+        assert fm_eliminate(rows, var) == want, rows
+    assert earlier > 10
+
+
 def _tightened_rows(rng, n):
     """Lowered rows over ``n`` positions: two to ``n + 3`` over two or
     three positions and up to three one-variable bounds."""

@@ -663,14 +663,21 @@ def test_wide_elimination_row_counts(monkeypatch):
     # the rows a step returns hold none of them: 699 and 300.  The fact's
     # cube is unsatisfiable: one elimination over all its variables
     # refutes it when its template is built, so the solve never projects
-    # it and returns 300 rows, not 699.
+    # it and returns 300 rows, not 699.  The step that refutes it, in the
+    # solve and in the model check, finds its conflict among its pairs
+    # over the eliminated variable and one same other variable, which it
+    # combines first: the pairs the steps combine fall from 404 to 174
+    # in the solve and from 446 to 174 in the model check.  A step's
+    # ``gcd(al, au)`` of a pair's two coefficients is the one call of
+    # ``gcd`` with two arguments.
     system = parse_system((CORPUS / "stress" / "wide-k12.chc").read_text(encoding="utf-8"))
     (fact,) = [clause for clause in system.clauses if not clause.body]
     fact_names = CompiledClause(fact).lowered[0]
-    returned = 0
+    returned = pairs = 0
     projected = []
     step = linlogic.fm_eliminate
     project = linlogic.Conjunction.project
+    gcd = linlogic.gcd
 
     def counted(rows, var):
         nonlocal returned
@@ -678,19 +685,27 @@ def test_wide_elimination_row_counts(monkeypatch):
         returned += len(out.cons)
         return out
 
+    def paired(*args):
+        nonlocal pairs
+        pairs += len(args) == 2
+        return gcd(*args)
+
     def recorded(self, variables):
         projected.append(self.names)
         return project(self, variables)
 
     monkeypatch.setattr(linlogic, "fm_eliminate", counted)
     monkeypatch.setattr(linlogic.Conjunction, "project", recorded)
+    monkeypatch.setattr(linlogic, "gcd", paired)
     _, verdict = alternate(system)
     assert verdict.status == "SAFE"
     assert 0 < returned <= 300
+    assert 0 < pairs <= 200
     assert projected and fact_names not in projected
-    returned = 0
+    returned = pairs = 0
     assert check_model(system, verdict.witness.as_dict()).ok
     assert 0 < returned <= 300
+    assert 0 < pairs <= 200
 
 
 def _tightened(model: RefinedModel):
