@@ -187,7 +187,11 @@ class CompiledClause:
     (:meth:`~chclab.linlogic.Conjunction.satisfiable`).  A decision that
     exceeds ``DEFAULT_FM_CAP`` keeps the template.  So no call projects
     a cube without solutions, re-deriving its conflict in the order the
-    target forces.  A call
+    target forces.  Whether a cube has solutions does not depend on the
+    target, so each cube is decided once per clause: a later target
+    builds no template of a dead cube and decides no live one again.  A
+    decision past the cap is not kept, and each target's template of
+    that cube tries its own.  A call
     conjoins each bounded interval of its input boxes, with the position
     of its variable, with every template
     (:meth:`~chclab.linlogic.Conjunction.conjoin_bounds`) and projects
@@ -204,6 +208,9 @@ class CompiledClause:
     def __init__(self, clause: Clause):
         self.clause = clause
         self._templates: dict[int | None, list[Conjunction]] = {}
+        # Whether each cube of the DNF, by its index, has a solution, once
+        # a template of it has been decided within the cap.
+        self._decided: dict[int, bool] = {}
 
     @cached_property
     def lowered(self) -> tuple[tuple[str, ...], dict[str, int], list[list[Lowered]]]:
@@ -251,20 +258,28 @@ class CompiledClause:
             names, _, cubes = self.lowered
             targets = sum(1 << j for j, v in enumerate(names) if v in args)
             free = ((1 << len(names)) - 1) & ~targets
-            conjunctions = [Conjunction(names, free).conjoin(cube, targets) for cube in cubes]
-            found = self._templates[target] = [t for t in conjunctions if _live(t)]
+            found = self._templates[target] = []
+            for k, cube in enumerate(cubes):
+                live = self._decided.get(k)
+                if live is False:
+                    continue
+                template = Conjunction(names, free).conjoin(cube, targets)
+                if live or self._live(k, template):
+                    found.append(template)
         return found
 
-
-def _live(template: Conjunction) -> bool:
-    """Whether a template may project to something: an unsatisfiable one
-    projects to nothing, whatever bounds are added.  A decision that
-    exceeds ``DEFAULT_FM_CAP`` keeps the template, so that its projection
-    meets the cap only where it would without the decision."""
-    try:
-        return template.satisfiable()
-    except ResourceLimitError:
-        return True
+    def _live(self, k: int, template: Conjunction) -> bool:
+        """Whether ``template``, of cube ``k``, may project to something:
+        an unsatisfiable one projects to nothing, whatever bounds are
+        added, and the answer holds for every template of the cube.  A
+        decision that exceeds ``DEFAULT_FM_CAP`` keeps the template and
+        is not kept, so that its projection meets the cap only where it
+        would without the decision."""
+        try:
+            live = self._decided[k] = template.satisfiable()
+        except ResourceLimitError:
+            return True
+        return live
 
 
 def clause_post(clause: Clause, elem: AbstractElement) -> Box:

@@ -589,6 +589,44 @@ def test_cube_refuted_only_by_elimination_gets_no_template():
     assert [len(templates) for templates in cc._templates.values()] == [1, 1]
 
 
+def test_each_cube_is_decided_once_per_clause(monkeypatch):
+    # A cube's satisfiability does not depend on the target its template
+    # pivots for: after the head's templates are decided, the body
+    # target builds no template of the dead cube and decides the live
+    # one's no more.
+    text = "pred p/1. pred q/1.\np(X) :- q(Y), (X + Y <= 0, Y - Z >= 1, Z + X >= 0 ; X >= 5, Y <= X + Z, Z <= 1).\n"
+    clause = parse_system(text).clauses[0]
+    calls = {"conjoin": 0, "satisfiable": 0}
+    conjoin, satisfiable = Conjunction.conjoin, Conjunction.satisfiable
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(Conjunction, "conjoin", counted("conjoin", conjoin))
+    monkeypatch.setattr(Conjunction, "satisfiable", counted("satisfiable", satisfiable))
+    cc = CompiledClause(clause)
+    assert cc.post([Box.top(1)]) == Box.make(1, [interval(5, None)])
+    assert calls == {"conjoin": 2, "satisfiable": 2}
+    assert cc.pre(0, Box.top(1), [Box.top(1)]) == Box.top(1)
+    assert calls == {"conjoin": 3, "satisfiable": 2}
+    assert [len(templates) for templates in cc._templates.values()] == [1, 1]
+    monkeypatch.undo()
+    elems = [
+        AbstractElement(p=Box.make(1, [p]), q=Box.make(1, [q]))
+        for p, q in [
+            (Interval.top(), Interval.top()),
+            (interval(0, 6), interval(-1, 3)),
+            (interval(6, 8), interval(2, 9)),
+            (interval(-3, 1), Interval.top()),
+        ]
+    ]
+    _assert_both_directions_match(clause, elems)
+
+
 # A satisfiable cube of 14 rows over 7 variables: with DEFAULT_FM_CAP at
 # 21, one elimination over every variable exceeds it, and the projection
 # onto the head does not.
@@ -630,6 +668,8 @@ def test_decision_past_the_cap_keeps_the_template(monkeypatch):
             got = str(exc)
         assert got == want, cap
         assert len(cc._templates[None]) == 1, cap
+        # A decision past the cap is not kept for the clause's other targets.
+        assert cc._decided == ({0: True} if decided else {}), cap
         outcomes.add((decided, type(want)))
     assert {(False, str), (False, Box), (True, Box)} <= outcomes
 
