@@ -18,10 +18,13 @@ copy has a verdict, is a regression.  ``bench/`` is imported without
 writing bytecode there, never changed.
 
     PYTHONPATH=src python tests/wide_family.py            # check the family
-    PYTHONPATH=src python tests/wide_family.py --record   # re-record both sections
+    PYTHONPATH=src python tests/wide_family.py --record   # check, then re-record both sections
 
-The check prints the number of runs that end in exit 3 and the slowest
-run, and exits 1 on a regression.
+The check prints the number of runs that end in exit 3, the slowest run
+and each outcome that moved from its golden entry, and exits 1 on a
+regression.  ``--record`` writes the golden file only when the check
+against the copy it replaces finds no regression, so an outcome can only
+be recorded as it improves.
 """
 
 from __future__ import annotations
@@ -99,10 +102,6 @@ def run(section: str) -> tuple[dict[str, str], dict[str, float]]:
 
 def main(argv: list[str]) -> int:
     got, seconds = run("family")
-    if argv == ["--record"]:
-        sections = {name: {f"k{k}-s{s}": got[f"k{k}-s{s}"] for k, s in runs} for name, runs in SECTIONS.items()}
-        GOLDEN.write_text(json.dumps(sections, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {GOLDEN.relative_to(ROOT)}")
     slowest = max(seconds, key=seconds.get)
     exits = sum(result == EXIT_3 for result in got.values())
     print(f"{len(got)} runs, {exits} end in exit 3; slowest {slowest} ({got[slowest]}) {seconds[slowest]:.2f} s")
@@ -113,7 +112,13 @@ def main(argv: list[str]) -> int:
     bad = regressions(golden, got)
     for line in bad:
         print(f"regression {line}")
-    return 1 if bad else 0
+    if bad:
+        return 1
+    if argv == ["--record"]:
+        sections = {name: {f"k{k}-s{s}": got[f"k{k}-s{s}"] for k, s in runs} for name, runs in SECTIONS.items()}
+        GOLDEN.write_text(json.dumps(sections, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {GOLDEN.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
