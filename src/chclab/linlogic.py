@@ -885,11 +885,12 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     ends the run: the result is then refuted (see :class:`RowSet`).
     Rows already marked ``unsat`` come back unchanged.
 
-    Each row on ``var`` is classified once, by whether it mentions one
-    other variable.  When some rows do and some do not, the short pairs
-    (see the module docstring), which make only bounds and ground rows,
-    are combined first (:func:`_short_first`), and the others follow in
-    the order above.  The result is the one that order gives alone.
+    The step counts its rows on ``var`` that mention one other variable,
+    by their zeros, as it sorts them by sign.  When some rows do and some
+    do not, the short pairs (see the module docstring), which make only
+    bounds and ground rows, are combined first (:func:`_short_first`),
+    and the others follow in the order above, so no pair is combined
+    twice.  The result is the one that order gives alone.
     Raises :class:`ResourceLimitError` when the result would hold more
     than ``DEFAULT_FM_CAP`` rows, checked after each lower row's pairs
     in that order: a step whose conflict lies among its short pairs is
@@ -910,26 +911,28 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     # Each upper row carries the eliminated part of its variable mask,
     # which the pruning test of every pair reads.
     uppers: list[tuple] = []
+    # How many rows on var mention one other variable: such a row has
+    # zeros - 1 zeros.
+    short = 0
     for row in rows.cons:
-        a = row[0][j]
+        vec = row[0]
+        a = vec[j]
         if a == 0:
             out[row[:3]] = row
-        elif a > 0:
+            continue
+        if a > 0:
             uppers.append((*row, row[4] & eliminated))
         else:
             lowers.append(row)
+        short += vec.count(0) == zeros - 1
     # Each lower row is paired with every upper row.  A side of the
     # interval pairs only with the rows of the other sign, not with the
     # other side, with which it cannot conflict.
     hi_side = (*_side(n, j, hi, True), 1 << j) if lowers and hi.value is not None else None
     lo_side = _side(n, j, lo, False) if uppers and lo.value is not None else None
     partners = uppers if hi_side is None else [*uppers, hi_side]
-    # A row over var and one other variable has zeros - 1 zeros.
-    lshort = [row[0].count(0) == zeros - 1 for row in lowers]
-    ushort = [row[0].count(0) == zeros - 1 for row in uppers]
-    short = lshort.count(True) + ushort.count(True)
     if 0 < short < len(lowers) + len(uppers):
-        pairs, first = _short_first(j, lowers, lshort, uppers, ushort, partners, hi_side, lo_side)
+        pairs, first = _short_first(j, zeros - 1, lowers, uppers, partners, hi_side, lo_side)
     else:
         pairs, first = [(row, partners) for row in lowers], 0
         if lo_side is not None:
@@ -981,39 +984,37 @@ def fm_eliminate(rows: RowSet, var: str) -> RowSet:
     return RowSet(names, tuple(out.values()), eliminated, False, bounds)
 
 
-def _short_first(j: int, lowers, lshort, uppers, ushort, partners, hi_side, lo_side) -> tuple[list, int]:
+def _short_first(j: int, two: int, lowers, uppers, partners, hi_side, lo_side) -> tuple[list, int]:
     """The pairs of :func:`fm_eliminate` on position ``j`` with its short
-    pairs first, and how many entries those take.  ``lshort`` and
-    ``ushort`` flag the rows of ``lowers`` and ``uppers`` over ``x_j``
-    and one other position.  A short pair is two such rows over the same
-    other position, or one such row and a side of ``x_j``'s interval: it
-    makes a bound or a ground row, never a row to keep.  The other pairs
-    follow in the order the step pairs all of them, each short pair left
-    out of them."""
-    # The other position of each flagged row, -1 for the rest.
-    lother = [_other(row[0], j) if flag else -1 for row, flag in zip(lowers, lshort)]
-    uother = [_other(row[0], j) if flag else -1 for row, flag in zip(uppers, ushort)]
-    groups: dict[int, list] = {}
-    for row, k in zip(uppers, uother):
-        if k >= 0:
-            groups.setdefault(k, []).append(row)
+    pairs first, and how many entries those take.  A row of ``lowers`` or
+    ``uppers`` with ``two`` zeros mentions ``x_j`` and one other
+    position.  A short pair is two such rows over the same other
+    position, or one such row and a side of ``x_j``'s interval: it makes
+    a bound or a ground row, never a row to keep.  The other pairs follow
+    in the order the step pairs all of them, each short pair left out."""
+    # The other position of each upper row over two positions, -1 for
+    # the rest.
+    uother = [_other(row[0], j) if row[0].count(0) == two else -1 for row in uppers]
     sides = [] if hi_side is None else [hi_side]
-    first = [(row, groups.get(k, []) + sides) for row, k in zip(lowers, lother) if k >= 0]
-    if lo_side is not None:
-        first.append((lo_side, list(compress(uppers, ushort))))
-    # The uppers a lower row over the other position k pairs with in order.
-    rest: dict[int, list] = {}
-    pairs = first.copy()
-    for row, k in zip(lowers, lother):
-        if k < 0:
+    first, pairs = [], []
+    # For each other position k, the partners of a lower row over k in
+    # its short pairs, and in the rest.
+    split: dict[int, tuple[list, list]] = {}
+    for row in lowers:
+        if row[0].count(0) != two:
             pairs.append((row, partners))
-        else:
-            if k not in rest:
-                rest[k] = [u for u, m in zip(uppers, uother) if m != k]
-            pairs.append((row, rest[k]))
+            continue
+        k = _other(row[0], j)
+        if k not in split:
+            same = [u for u, m in zip(uppers, uother) if m == k]
+            split[k] = (same + sides, [u for u, m in zip(uppers, uother) if m != k] if same else uppers)
+        same, rest = split[k]
+        first.append((row, same))
+        pairs.append((row, rest))
     if lo_side is not None:
-        pairs.append((lo_side, [row for row, flag in zip(uppers, ushort) if not flag]))
-    return pairs, len(first)
+        first.append((lo_side, [row for row, m in zip(uppers, uother) if m >= 0]))
+        pairs.append((lo_side, [row for row, m in zip(uppers, uother) if m < 0]))
+    return first + pairs, len(first)
 
 
 def _other(vec: tuple[int, ...], j: int) -> int:
