@@ -258,7 +258,7 @@ class CompiledClause:
             names, _, cubes = self.lowered
             targets = sum(1 << j for j, v in enumerate(names) if v in args)
             free = ((1 << len(names)) - 1) & ~targets
-            found = self._templates[target] = []
+            found = []
             for k, cube in enumerate(cubes):
                 live = self._decided.get(k)
                 if live is False:
@@ -266,6 +266,7 @@ class CompiledClause:
                 template = Conjunction(names, free).conjoin(cube, targets)
                 if live or self._live(k, template):
                     found.append(template)
+            self._templates[target] = found
         return found
 
     def _live(self, k: int, template: Conjunction) -> bool:
