@@ -21,13 +21,14 @@ state a branch already holds:
   without rewriting them again, and one whose new rows all bound one
   variable meets their intervals into a copy of its parent's ``bounds``
   and shares its parent's rows.
-* **Resumed elimination.**  :func:`_eliminate` can record its steps.  A
-  branch that adds no row over two or more variables and no pivot, and
-  only tightens ``bounds``, resumes its parent's run at the first step
-  that eliminates a tightened position, with the tightened intervals met
-  into that step's ``bounds``, or into the final ``bounds`` when no step
-  eliminates one (:func:`_resume`).  The order of the steps depends only
-  on the rows, so a fresh run would make the same steps from there.
+* **Resumed elimination.**  A branch keeps the set its elimination
+  ended with.  A child that adds no row over two or more variables and
+  no pivot, and only tightens ``bounds``, meets the tightened intervals
+  into that set's ``bounds`` when no step eliminated a tightened
+  position, and runs a fresh elimination otherwise (:func:`_resume`).
+  The rows a step makes depend on the interval of no position but the
+  one it eliminates, and meets commute, so the meet ends where a fresh
+  run would.
 * **No rows, no elimination.**  A branch with no row over two or more
   variables runs no elimination: its ``bounds`` are not empty, so it is
   satisfiable.
@@ -286,10 +287,11 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     A branch with no row over two or more variables runs no
     elimination: its ``bounds`` are not empty, so it is satisfiable.  A
     branch that adds no such row and no pivot, and only tightens
-    ``bounds``, resumes its parent's elimination (:func:`_resume`)
-    instead of running its own from the start.  Any other branch runs
-    :func:`_eliminate` and records its steps for its children.  The
-    first branch left with no pending disjunction is the answer.
+    ``bounds`` at positions its parent's elimination left, meets them
+    into the set that elimination ended with (:func:`_resume`).  Any
+    other branch runs :func:`_eliminate` and keeps the set it ends with
+    for its children.  The first branch left with no pending
+    disjunction is the answer.
     Raises :class:`ResourceLimitError` after ``DEFAULT_CUBE_CAP``
     branches.
     """
@@ -359,7 +361,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
 
     # A branch: the atoms chosen so far with the mapping of each, the
     # numbers of their distinct rows, the conjunction of those rows, the
-    # record of its elimination (``None`` when it has no row to
+    # set its elimination ended with (``None`` when it has no row to
     # eliminate), the disjunctions still to decide, and what its last
     # choice adds.  Two atoms with one row are the same constraint.
     branch = Conjunction(names, everything)
@@ -372,7 +374,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         visited += 1
         if visited > cap:
             raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
-        atoms, keys, branch, run, pending, (new_atoms, new_pending, fresh) = stack.pop()
+        atoms, keys, branch, end, pending, (new_atoms, new_pending, fresh) = stack.pop()
         atoms += new_atoms
         pending = [*pending, *new_pending]
         if fresh:
@@ -400,14 +402,13 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
             if rows.unsat:
                 continue
             if not rows.cons:
-                run = None
-            elif run is not None and child.pivots is pivots and len(child.out) == len(branch.out):
+                end = None
+            elif end is not None and child.pivots is pivots and len(child.out) == len(branch.out):
                 tightened = {atom.position for atom in fresh.values() if atom.position >= 0}
-                run = _resume(run, rows.bounds, tightened, everything)
+                end = _resume(end, rows.bounds, tightened) or _eliminate(rows, everything)
             else:
-                steps: list[tuple[int, RowSet]] = []
-                run = (steps, _eliminate(rows, everything, steps), frozenset())
-            if run is not None and run[1].unsat:
+                end = _eliminate(rows, everything)
+            if end is not None and end.unsat:
                 continue
             branch = child
         if not pending:
@@ -418,7 +419,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         for c in reversed(split.items):
             child = grow(((c, mapping, columns),), keys, branch)
             if child is not None:
-                stack.append((atoms, keys, branch, run, pending, child))
+                stack.append((atoms, keys, branch, end, pending, child))
     return None
 
 
@@ -1023,11 +1024,9 @@ def _other(vec: tuple[int, ...], j: int) -> int:
     return k if k != j else vec.index(next(filter(None, vec[j + 1 :])), j + 1)
 
 
-def _eliminate(rows: RowSet, mask: int, steps: list | None = None) -> RowSet:
+def _eliminate(rows: RowSet, mask: int) -> RowSet:
     """Eliminate the variables at the positions in ``mask``, cheapest
-    first, until none is left or the rows turn out unsatisfiable.  Each
-    step is appended to the list ``steps``, when one is given, as the
-    position it eliminates and the set it starts from."""
+    first, until none is left or the rows turn out unsatisfiable."""
     positions = [j for j in range(len(rows.names)) if mask >> j & 1]
     while positions and rows.cons and not rows.unsat:
         # Count each position's lower and upper rows in its column of
@@ -1049,55 +1048,30 @@ def _eliminate(rows: RowSet, mask: int, steps: list | None = None) -> RowSet:
                     best, least = j, cost
         if best < 0:
             break
-        if steps is not None:
-            steps.append((best, rows))
         rows = fm_eliminate(rows, rows.names[best])
         mentioned.remove(best)
         positions = mentioned
     return rows
 
 
-# The record of an elimination run: its steps, as :func:`_eliminate`
-# lists them, the set it ends with, and the positions whose intervals
-# its branch tightened after the run started.  The set a step before the
-# first step on such a position starts from may hold that position's
-# interval from before the tightening.
-Run = tuple[list[tuple[int, RowSet]], RowSet, frozenset[int]]
+def _resume(end: RowSet, bounds: Mapping[int, Interval], tightened) -> RowSet | None:
+    """The set a fresh elimination ends with on the rows that ended as
+    ``end``, with the intervals ``bounds``, which tighten the starting
+    ones at the positions ``tightened`` and nowhere else: ``end`` with
+    those intervals met in, refuted when a meet is empty.  ``None`` when
+    a step eliminated a tightened position.
 
-
-def _resume(run: Run, bounds: Mapping[int, Interval], tightened, mask: int) -> Run:
-    """The run of ``mask`` on the rows of ``run`` with the intervals
-    ``bounds``, which tighten those of ``run`` at the positions
-    ``tightened`` and nowhere else; the set it ends with is refuted when
-    these are unsatisfiable.
-
-    The order of the steps depends only on the rows, and the rows a
-    step makes depend on the interval of no position but the one it
-    eliminates.  So a fresh run makes the steps of ``run`` up to the
-    first on a position of ``tightened``, and this one starts there:
-    from that step's set, or from the set ``run`` ended with when no
-    step eliminates such a position, with the intervals of ``bounds``
-    met in at every position of ``tightened`` and of the run's own
-    tightened positions that is not yet eliminated.  Intervals only
-    shrink until their position is eliminated, so an empty meet that a
-    fresh run finds in an earlier step is found here too.
+    The rows a step makes depend on the interval of no position but the
+    one it eliminates, so a fresh run makes the same steps, and meets
+    commute.
     """
-    steps, rows, tight = run
-    if not tightened:
-        return run
-    tight = tight.union(tightened)
-    start = next((k for k, (j, _) in enumerate(steps) if j in tightened), len(steps))
-    if start < len(steps):
-        rows = steps[start][1]
-    met = dict(rows.bounds)
-    for j in tight:
-        if not rows.eliminated >> j & 1 and _meet(met, j, bounds[j]):
-            return steps, _refuted(rows.names, rows.eliminated), tight
-    rows = rows._replace(bounds=met)
-    if start == len(steps):
-        return steps, rows, tight
-    steps = steps[:start]
-    return steps, _eliminate(rows, mask, steps), tight
+    if any(end.eliminated >> j & 1 for j in tightened):
+        return None
+    met = dict(end.bounds)
+    for j in tightened:
+        if _meet(met, j, bounds[j]):
+            return _refuted(end.names, end.eliminated)
+    return end._replace(bounds=met)
 
 
 def cube_is_sat(cube: ConjCube) -> bool:

@@ -588,19 +588,22 @@ def _layered(rng, arity, layers):
 
 def test_search_over_layered_instances_agrees_with_the_formula_route(monkeypatch):
     # The search lowers each atom once per renaming and a branch that
-    # only tightens bounds resumes its parent's elimination.  On layered
+    # only tightens bounds meets them into the set its parent's
+    # elimination ended with, when that run left them.  On layered
     # model formulas entered as instances, one formula under two
     # renamings and one with a repeated argument, under a constraint over
     # two or more variables, it must find a cube exactly when a cube of
     # the renamed conjunction's DNF is satisfiable, and the cube it
     # returns must be satisfiable.
-    resumed = 0
+    calls = met = 0
     resume = linlogic._resume
 
-    def counted(run, bounds, tightened, mask):
-        nonlocal resumed
-        resumed += bool(run[0])
-        return resume(run, bounds, tightened, mask)
+    def counted(end, bounds, tightened):
+        nonlocal calls, met
+        got = resume(end, bounds, tightened)
+        calls += 1
+        met += got is not None
+        return got
 
     monkeypatch.setattr(linlogic, "_resume", counted)
     names = ["A", "B", "C"]
@@ -624,7 +627,7 @@ def test_search_over_layered_instances_agrees_with_the_formula_route(monkeypatch
         if got is not None:
             found += 1
             assert got in cubes and cube_is_sat(got), f"seed {seed}"
-    assert 50 < found < 150 and resumed > 300, (found, resumed)
+    assert 50 < found < 150 and calls > 400 and met > 100, (found, calls, met)
 
 
 # -- box projection ------------------------------------------------------------
@@ -1070,16 +1073,15 @@ def _tightening(rng, n):
 
 
 def test_resumed_elimination_matches_a_fresh_run():
-    # A set that only tightens the bounds of its parent resumes the
-    # parent's recorded run at the first step on a tightened position,
-    # with the tightened intervals met into that step's set.  Along
-    # chains of up to three tightenings, each resumed from the last and
-    # some starting before the last one did, it must refute exactly the
-    # sets a fresh run refutes and otherwise end with the same rows,
-    # bounds and eliminated positions, eliminating every position or
-    # only some.
-    starts = dict.fromkeys(("step", "end", "earlier"), 0)
-    refuted = checked = 0
+    # A set that only tightens the bounds of its parent meets the
+    # tightened intervals into the set the parent's run ended with, and
+    # gives up when that run eliminated a tightened position.  Along
+    # chains of up to three tightenings, each from the set the last one
+    # ended with, eliminating every position or only some, a set it
+    # returns must be refuted exactly when a fresh run's is, and
+    # otherwise hold the fresh run's rows in order, bounds and
+    # eliminated positions.
+    met = met_refuted = fresh_runs = refuted = 0
     for seed in range(3000):
         rng = random.Random(seed)
         n = rng.randint(2, 5)
@@ -1088,37 +1090,34 @@ def test_resumed_elimination_matches_a_fresh_run():
         branch = Conjunction(names, 0).conjoin(_tightened_rows(rng, n))
         if branch.rowset.unsat:
             continue
-        steps = []
-        run = (steps, linlogic._eliminate(branch.rowset, mask, steps), frozenset())
-        since = 0
+        end = linlogic._eliminate(branch.rowset, mask)
         for depth in range(rng.randint(1, 3)):
-            if run[1].unsat:
+            if end.unsat:
                 break
             tightening = _tightening(rng, n)
             child = branch.conjoin(tightening)
             if child.rowset.unsat:
                 break
             tightened = {vec.index(next(filter(None, vec))) for vec, _, _ in tightening}
-            parent_steps = len(run[0])
-            first = next((k for k, (j, _) in enumerate(run[0]) if j in tightened), parent_steps)
-            run = linlogic._resume(run, child.rowset.bounds, tightened, mask)
+            got = linlogic._resume(end, child.rowset.bounds, tightened)
             fresh = linlogic._eliminate(child.rowset, mask)
-            got = run[1]
-            assert got.unsat == fresh.unsat, f"seed {seed} depth {depth}"
-            if not fresh.unsat:
-                assert got.cons == fresh.cons, f"seed {seed} depth {depth}"
-                assert got.bounds == fresh.bounds, f"seed {seed} depth {depth}"
-                assert got.eliminated == fresh.eliminated, f"seed {seed} depth {depth}"
-            checked += 1
             refuted += fresh.unsat
-            starts["step" if first < parent_steps else "end"] += 1
-            # A start before the last one reads a set kept from before
-            # the last tightening.
-            starts["earlier"] += first < since
-            since = first
+            if got is None:
+                assert any(end.eliminated >> j & 1 for j in tightened), f"seed {seed} depth {depth}"
+                fresh_runs += 1
+                end = fresh
+            else:
+                assert got.unsat == fresh.unsat, f"seed {seed} depth {depth}"
+                if not fresh.unsat:
+                    assert got.cons == fresh.cons, f"seed {seed} depth {depth}"
+                    assert got.bounds == fresh.bounds, f"seed {seed} depth {depth}"
+                    assert got.eliminated == fresh.eliminated, f"seed {seed} depth {depth}"
+                met += 1
+                met_refuted += got.unsat
+                end = got
             branch = child
-    assert checked > 1500 and 100 < refuted < checked - 500, (checked, refuted)
-    assert min(starts.values()) > 100, starts
+    assert met > 300 and met_refuted > 30 and fresh_runs > 1000, (met, met_refuted, fresh_runs)
+    assert 300 < refuted < met + fresh_runs - 500, (met, fresh_runs, refuted)
 
 
 def _block_cube(rng, unsat_block):

@@ -615,9 +615,9 @@ def test_check_model_elimination_count(monkeypatch):
     # while the rows are built took the model check of this run from 623
     # Fourier-Motzkin steps to 155, and keeping one-variable bounds out of
     # the rows, so that no step is spent on a variable only they mention,
-    # to 28.  A branch that only tightens bounds resumes its parent's
-    # elimination at the first step on a tightened variable, and one with
-    # no row over two or more variables runs none: 2.
+    # to 28.  A branch that only tightens bounds its parent's elimination
+    # left meets them into the set that elimination ended with, and one
+    # with no row over two or more variables runs none: 2.
     system = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
     _, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
     steps = []
