@@ -137,13 +137,18 @@ def run_commands() -> None:
 
 def bench_modules():
     """``bench/``'s ``measure``, ``workloads`` and ``tracer``, imported
-    without writing bytecode there."""
+    without writing bytecode there; ``sys.path`` and
+    ``sys.dont_write_bytecode`` are restored after."""
+    saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(BENCH))
-    import measure
-    import tracer
-    import workloads
-
+    try:
+        import measure
+        import tracer
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = saved
     return measure, workloads, tracer
 
 
