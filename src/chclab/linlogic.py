@@ -13,17 +13,18 @@ renamed.  The search is incremental in the way of the theory solvers of
 DPLL(T) (Dutertre and de Moura 2006), which assert a bound on top of the
 state a branch already holds:
 
-* **Atom table.**  Each atom is lowered once per search and per renaming
-  of its part, and rewritten through a branch's pivots once while those
-  pivots stay (:class:`_Atom`); its one-variable interval is computed
-  the first time a bound on its position or a child's meet needs it.
-  A branch that can no longer solve a pivot adds the rewritten rows
-  without rewriting them again, and one whose new rows all bound one
-  variable meets their intervals into a copy of its parent's ``bounds``
-  and shares its parent's rows.
+* **Atom table.**  Only the root of a search solves pivots, so every
+  branch has the root's.  Each atom is lowered once per search and per
+  renaming of its part, and rewritten through the root's pivots once,
+  as it is built (:class:`_Atom`); its one-variable interval is
+  computed the first time a bound on its position or a child's meet
+  needs it.  A branch below the root adds the rewritten rows as they
+  are, and one whose new rows all bound one variable meets their
+  intervals into a copy of its parent's ``bounds`` and shares its
+  parent's rows.
 * **Resumed elimination.**  A branch keeps the set its elimination
-  ended with.  A child that adds no row over two or more variables and
-  no pivot, and only tightens ``bounds``, meets the tightened intervals
+  ended with.  A child that adds no row over two or more variables,
+  and only tightens ``bounds``, meets the tightened intervals
   into that set's ``bounds`` when no step eliminated a tightened
   position, and runs a fresh elimination otherwise (:func:`_resume`).
   The rows a step makes depend on the interval of no position but the
@@ -265,28 +266,30 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
 
     Depth-first search over the disjunct choices.  The variables are
     indexed once, and each branch carries the :class:`Conjunction` of
-    the atoms its choices imply: a child conjoins only its new atoms
-    with its parent's.  A branch is dropped as soon as its atoms are
+    the atoms its choices imply: a child adds only its new atoms to its
+    parent's.  A branch is dropped as soon as its atoms are
     unsatisfiable; it then branches on the pending disjunction with the
     fewest children, trying them in formula order.
 
+    Only the root solves pivots: it is pushed with no conjunction, and
+    when it is popped it conjoins its atoms' rows
+    (:meth:`Conjunction.conjoin`).  Every other branch has the root's
+    pivots, and an equality a child brings becomes two inequalities.
     The search keeps one table of atoms (:class:`_Atom`), keyed by the
-    atom and the renaming of its part: each atom is lowered once, and
-    rewritten through a branch's pivots once while those pivots stay,
-    so the branches that share pivots share the rewritten row.  Before
-    a child is pushed, its new rows are read off the table.  A child
-    with a row refuted on its own, a ground row that fails or a
-    one-variable row whose interval meets the parent's ``bounds`` to
-    empty, is never built and is not a branch; any other child conjoins
-    the rows when it is popped, and a child that adds no row is as
-    satisfiable as its parent and needs no check.  Once a branch holds
-    a row or a bound it solves no pivot, so a child adds its rewritten
-    rows as they are, and a child whose rows all bound one variable
-    only meets their intervals into a copy of the parent's ``bounds``.
+    atom and the renaming of its part: each atom is lowered once and
+    rewritten through the root's pivots once, as it is built, and every
+    branch that adds it shares that row.  Before a child is pushed, its
+    new rows are read off the table.  A child with a row refuted on its
+    own, a ground row that fails or a one-variable row whose interval
+    meets the parent's ``bounds`` to empty, is never built and is not a
+    branch.  Any other child adds its rows as they are when it is
+    popped, or, when they all bound one variable, only meets their
+    intervals into a copy of the parent's ``bounds``; a child that adds
+    no row is as satisfiable as its parent and needs no check.
 
     A branch with no row over two or more variables runs no
     elimination: its ``bounds`` are not empty, so it is satisfiable.  A
-    branch that adds no such row and no pivot, and only tightens
+    branch that adds no such row, and only tightens
     ``bounds`` at positions its parent's elimination left, meets them
     into the set that elimination ended with (:func:`_resume`).  Any
     other branch runs :func:`_eliminate` and keeps the set it ends with
@@ -327,9 +330,9 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
 
     def grow(choices, keys: frozenset, branch: Conjunction):
         """The atoms, the pending disjunctions and the table entries of
-        the fresh rows that ``choices`` add to ``branch``, rewritten
-        through its pivots; ``None`` when one of them is refuted on its
-        own."""
+        the fresh rows that ``choices`` add to ``branch``, an atom built
+        here rewritten through its pivots; ``None`` when one of them is
+        refuted on its own."""
         atoms: list[tuple[LinConstraint, Mapping | None]] = []
         pending: list[tuple[Or, Mapping | None, Mapping]] = []
         fresh: dict[int, _Atom] = {}
@@ -350,8 +353,6 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
                     atom = renamed[id(c)] = _Atom(row, key, pivots)
                 if atom.key in keys or atom.key in fresh:
                     continue
-                if atom.pivots is not pivots:
-                    atom.through(pivots)
                 if atom.refuted(bounds):
                     return None
                 fresh[atom.key] = atom
@@ -360,15 +361,16 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         return tuple(atoms), pending, fresh
 
     # A branch: the atoms chosen so far with the mapping of each, the
-    # numbers of their distinct rows, the conjunction of those rows, the
-    # set its elimination ended with (``None`` when it has no row to
-    # eliminate), the disjunctions still to decide, and what its last
-    # choice adds.  Two atoms with one row are the same constraint.
-    branch = Conjunction(names, everything)
-    root = grow(parts, frozenset(), branch)
+    # numbers of their distinct rows, the conjunction of those rows
+    # (``None`` for the root until it is popped), the set its elimination
+    # ended with (``None`` when it has no row to eliminate), the
+    # disjunctions still to decide, and what its last choice adds.  Two
+    # atoms with one row are the same constraint.
+    start = Conjunction(names, everything)
+    root = grow(parts, frozenset(), start)
     if root is None:
         return None
-    stack: list[tuple] = [((), frozenset(), branch, None, (), root)]
+    stack: list[tuple] = [((), frozenset(), None, None, (), root)]
     visited = 0
     while stack:
         visited += 1
@@ -377,33 +379,29 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         atoms, keys, branch, end, pending, (new_atoms, new_pending, fresh) = stack.pop()
         atoms += new_atoms
         pending = [*pending, *new_pending]
-        if fresh:
+        if branch is None or fresh:
             keys = keys.union(fresh)
-            # A branch with other pivots may have rewritten an entry since
-            # this child was grown: rewrite it back.
-            pivots = branch.pivots
-            for atom in fresh.values():
-                if atom.pivots is not pivots:
-                    atom.through(pivots)
-            if not (branch.out or branch.bounds):
-                child = branch.conjoin([atom.lowered for atom in fresh.values()])
+            if branch is None:
+                # The root, the one branch that solves pivots: its atoms
+                # were built before it had any.
+                child = start.conjoin([atom.row for atom in fresh.values()])
             elif all(atom.position >= 0 for atom in fresh.values()):
                 # Only one-variable rows: meet their intervals into a copy
                 # of the bounds and share the rows.
                 met = branch.bounds.copy()
                 if any(_meet(met, atom.position, atom.bound()) for atom in fresh.values()):
                     continue
-                child = branch._child(pivots, met, ())
+                child = branch._child(branch.pivots, met, ())
             else:
-                # No pivot is solved any more: add the rewritten rows as
-                # they are, where conjoin would rewrite them again.
-                child = branch._child(pivots, branch.bounds.copy(), [atom.row for atom in fresh.values()])
+                # Each row was rewritten through the root's pivots as its
+                # atom was built: add the rows as they are.
+                child = branch._child(branch.pivots, branch.bounds.copy(), [atom.row for atom in fresh.values()])
             rows = child.rowset
             if rows.unsat:
                 continue
             if not rows.cons:
                 end = None
-            elif end is not None and child.pivots is pivots and len(child.out) == len(branch.out):
+            elif end is not None and len(child.out) == len(branch.out):
                 tightened = {atom.position for atom in fresh.values() if atom.position >= 0}
                 end = _resume(end, rows.bounds, tightened) or _eliminate(rows, everything)
             else:
@@ -425,27 +423,23 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
 
 class _Atom:
     """An atom of one :func:`sat_cube` search under the renaming of its
-    part: ``lowered``, its lowered row, and ``key``, the number the
-    search gives that row and deduplicates by; ``row`` and
-    ``position``, the lowered row rewritten through ``pivots`` and the
-    position of its one variable (``-1`` when it has none or several);
-    ``fails``, for a ground row that fails; and ``interval``, the
-    one-variable row's interval, computed the first time a bound on its
-    position or a child's meet needs it."""
+    part, built once: ``key``, the number the search gives its lowered
+    row and deduplicates by; ``row`` and ``position``, the lowered row
+    rewritten through ``pivots``, the pivots of the search's root, and
+    the position of its one variable (``-1`` when it has none or
+    several); ``fails``, for a ground row that fails; and ``interval``,
+    the one-variable row's interval, computed the first time a bound on
+    its position or a child's meet needs it.  An atom of the root is
+    built before the root solves its pivots, so its ``row`` is the
+    lowered row."""
 
-    __slots__ = ("key", "lowered", "pivots", "row", "position", "fails", "interval")
+    __slots__ = ("key", "row", "position", "fails", "interval")
 
     def __init__(self, lowered: Lowered, key: int, pivots: tuple[Pivot, ...]):
-        self.key = key
-        self.lowered = lowered
-        self.through(pivots)
-
-    def through(self, pivots: tuple[Pivot, ...]) -> None:
-        """Rewrite the lowered row through ``pivots``."""
-        row = _substitute(self.lowered, pivots) if pivots else self.lowered
+        row = _substitute(lowered, pivots) if pivots else lowered
         vec, const, rel = row
         zeros = vec.count(0)
-        self.pivots, self.row, self.interval = pivots, row, None
+        self.key, self.row, self.interval = key, row, None
         self.position = vec.index(next(filter(None, vec))) if zeros == len(vec) - 1 else -1
         self.fails = zeros == len(vec) and not rel.holds(const)
 

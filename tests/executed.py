@@ -34,10 +34,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+from bench_import import bench_modules
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "chclab"
 TESTS = ROOT / "tests"
-BENCH = ROOT / "bench"
 MODES = ("fwd", "alt", "qa2", "qa-iter")
 
 # Functions the command set does not run that a bench/tracer.py target
@@ -135,23 +136,6 @@ def run_commands() -> None:
                 run("trees", path, "--depth", 4, "--check-props")
 
 
-def bench_modules():
-    """``bench/``'s ``measure``, ``workloads`` and ``tracer``, imported
-    without writing bytecode there; ``sys.path`` and
-    ``sys.dont_write_bytecode`` are restored after."""
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(BENCH))
-    try:
-        import measure
-        import tracer
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH))
-        sys.dont_write_bytecode = saved
-    return measure, workloads, tracer
-
-
 def run_workloads(measure, workloads) -> None:
     """One seed-7 pass of each benchmark workload."""
     import chclab
@@ -188,7 +172,7 @@ def problems() -> list[str]:
     """What the gate reports: every function that never ran without an
     entry, and every entry that is stale or whose reason does not hold."""
     defs = definitions()
-    measure, workloads, tracer = bench_modules()
+    measure, workloads, tracer = bench_modules("measure", "workloads", "tracer")
     with recording() as codes:
         run_commands()
         run_workloads(measure, workloads)

@@ -529,11 +529,33 @@ def _pivot_atom(rng, names, rels):
     return Lin(LinConstraint(term, rng.choice(rels)))
 
 
-def pivot_formula(rng):
+def pivot_formula(rng, root_equalities=False):
     """Inequalities over 5-7 variables at the root, and one or two
     disjunctions whose children bring equalities over the same variables
     (some under a nested disjunction): the search meets each equality in
-    a child, after the rows it has to be substituted into."""
+    a child, after the rows it has to be substituted into.
+
+    With ``root_equalities``, the root holds only one or two equalities
+    over 4 variables, which it solves as pivots, and two or three
+    disjunctions of two or three children bring more equalities.  Three
+    atoms are drawn once and may go into children of any disjunction, so
+    one atom object comes up in branches of different disjunctions.  A
+    child of a root that holds only pivots could solve more of them, and
+    one that did would build atoms through pivots its siblings lack."""
+    if root_equalities:
+        names = [f"v{i}" for i in range(4)]
+        root = [_pivot_atom(rng, names, (Rel.EQ,)) for _ in range(rng.randint(1, 2))]
+        shared = [_pivot_atom(rng, names, (Rel.EQ, Rel.LE, Rel.LT)) for _ in range(3)]
+
+        def pick():
+            parts = [_pivot_atom(rng, names, (Rel.EQ,))]
+            parts += [_pivot_atom(rng, names, (Rel.LE, Rel.LT)) for _ in range(rng.randint(0, 1))]
+            if rng.random() < 0.5:
+                parts.append(rng.choice(shared))
+            return And(tuple(parts))
+
+        ors = [Or(tuple(pick() for _ in range(rng.randint(2, 3)))) for _ in range(rng.randint(2, 3))]
+        return And((*root, *ors))
     names = [f"v{i}" for i in range(rng.randint(5, 7))]
     ineqs = [_pivot_atom(rng, names, (Rel.LE, Rel.LT)) for _ in range(rng.randint(2, len(names) + 2))]
 
@@ -548,17 +570,32 @@ def pivot_formula(rng):
     return And((*ineqs, *ors))
 
 
-def test_incremental_search_agrees_with_cube_is_sat():
-    found = 0
-    for seed in range(400):
-        f = pivot_formula(random.Random(seed))
-        cubes = to_dnf(f)
-        got = sat_cube(f)
-        assert (got is None) == (not any(cube_is_sat(c) for c in cubes)), f"seed {seed}: {f}"
-        if got is not None:
-            found += 1
-            assert got in cubes and cube_is_sat(got), f"seed {seed}: {f}"
-    assert 40 < found < 360
+def test_incremental_search_agrees_with_cube_is_sat(monkeypatch):
+    # Only the root of a search solves pivots: each search conjoins once,
+    # at its root, and every other branch adds its atoms' rows rewritten
+    # through the root's pivots.
+    calls = 0
+    conjoin = Conjunction.conjoin
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return conjoin(self, *args, **kwargs)
+
+    monkeypatch.setattr(Conjunction, "conjoin", counted)
+    for root_equalities, floor, ceiling in ((False, 40, 360), (True, 100, 300)):
+        found = 0
+        for seed in range(400):
+            f = pivot_formula(random.Random(seed), root_equalities)
+            cubes = to_dnf(f)
+            calls = 0
+            got = sat_cube(f)
+            assert calls <= 1, f"seed {seed}: {calls} conjoins: {f}"
+            assert (got is None) == (not any(cube_is_sat(c) for c in cubes)), f"seed {seed}: {f}"
+            if got is not None:
+                found += 1
+                assert got in cubes and cube_is_sat(got), f"seed {seed}: {f}"
+        assert floor < found < ceiling, (root_equalities, found)
 
 
 def _layered(rng, arity, layers):

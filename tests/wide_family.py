@@ -22,7 +22,8 @@ writing bytecode there, never changed.
 
 The check prints the number of runs that end in exit 3, the slowest run
 and each outcome that moved from its golden entry, and exits 1 on a
-regression.  ``--record`` writes the golden file only when the check
+regression.  Any other argument list exits 2 with a usage line, before
+any run.  ``--record`` writes the golden file only when the check
 against the copy it replaces finds no regression, so an outcome can only
 be recorded as it improves.
 """
@@ -34,12 +35,12 @@ import sys
 import time
 from pathlib import Path
 
+from bench_import import bench_modules
 from chclab import ResourceLimitError, parse_system
 from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "wide-family.json"
-BENCH = ROOT / "bench"
 BUDGET = 5
 EXIT_3 = "exit 3"
 
@@ -53,14 +54,7 @@ SECTIONS = {
 def wide_text(k: int, s: int) -> str:
     """``bench/workloads.wide_text(k, s, 0)``, with ``bench/`` imported
     read-only."""
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(BENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH))
-        sys.dont_write_bytecode = saved
+    (workloads,) = bench_modules("workloads")
     return workloads.wide_text(k, s, 0)
 
 
@@ -101,6 +95,9 @@ def run(section: str) -> tuple[dict[str, str], dict[str, float]]:
 
 
 def main(argv: list[str]) -> int:
+    if argv not in ([], ["--record"]):
+        print("usage: python tests/wide_family.py [--record]", file=sys.stderr)
+        return 2
     got, seconds = run("family")
     slowest = max(seconds, key=seconds.get)
     exits = sum(result == EXIT_3 for result in got.values())

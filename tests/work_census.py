@@ -57,14 +57,13 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 from pathlib import Path
 
+from bench_import import bench_modules
 from chclab import cli, domain, linlogic, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "work.json"
-BENCH = ROOT / "bench"
 MODES = ("fwd", "alt", "qa2", "qa-iter")
 BUDGETS = (5, 8)
 WORKLOADS = ("chain", "rounds", "wide")
@@ -204,15 +203,7 @@ def bench_runs() -> dict[str, dict]:
     the synthetic benchmark workloads, keyed ``workload|instance``."""
     import chclab
 
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(BENCH))
-    try:
-        import measure
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH))
-        sys.dont_write_bytecode = saved
+    measure, workloads = bench_modules("measure", "workloads")
     out = {}
     for name in WORKLOADS:
         for inst in workloads.build(name, 7, ROOT):
