@@ -263,7 +263,7 @@ class CompiledClause:
                 live = self._decided.get(k)
                 if live is False:
                     continue
-                template = Conjunction(names, free).conjoin(cube, targets)
+                template = Conjunction(names, cube, free, targets)
                 if live or self._live(k, template):
                     found.append(template)
             self._templates[target] = found

@@ -42,16 +42,16 @@ same cap).
 Constraints are lowered to integer rows once (:func:`lower`), and one
 Fourier-Motzkin engine works on those rows:
 
-* **Equalities first.**  :func:`extend` rewrites new rows through the
-  recorded pivots, solves each new equality for one of its free
-  variables and substitutes it into the other new rows.  A projection
-  pivots on variables it was not asked for, and a conjunction only until
-  it holds a normalized row or bound.  A transformer template, as it is
-  built from its cube, also ties each equality left between exactly two
-  of its targets: it pivots on one, and :meth:`Conjunction.project`
-  reads that target's interval off the other's through the equality.
-  Any other equality becomes two inequalities.
-* **Integer rows.**  :meth:`Conjunction.conjoin` turns every remaining
+* **Equalities first.**  A :class:`Conjunction` solves its pivots
+  once, when it is built: :func:`extend` solves each equality for one
+  of its free variables and substitutes it into the other rows.  A
+  projection pivots on variables it was not asked for.  A transformer
+  template, as it is built from its cube, also ties each equality left
+  between exactly two of its targets: it pivots on one, and
+  :meth:`Conjunction.project` reads that target's interval off the
+  other's through the equality.  Any other equality becomes two
+  inequalities.
+* **Integer rows.**  :class:`Conjunction` turns every remaining
   constraint into inequality rows: integer coefficients and constant
   without a common divisor, a strict flag, a history (the bitmask of the
   original inequalities the row combines) and the mask of the variables
@@ -66,8 +66,9 @@ Fourier-Motzkin engine works on those rows:
   rows it makes into them, so a conflict is refuted in the step that
   makes it, not left for the step on its variable.  A
   :class:`Conjunction` keeps the pivots and build state of a
-  conjunction, so the search extends a branch with a child's atoms,
-  normalizing only the new rows.
+  conjunction, and every set derived from it shares its pivots, so the
+  search extends a branch with a child's atoms, normalizing only the
+  new rows.
   :class:`chclab.domain.CompiledClause` extends the template of a
   constraint cube with the intervals of its input boxes
   (:meth:`Conjunction.conjoin_bounds`), which never adds a pivot: an
@@ -272,9 +273,9 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     fewest children, trying them in formula order.
 
     Only the root solves pivots: it is pushed with no conjunction, and
-    when it is popped it conjoins its atoms' rows
-    (:meth:`Conjunction.conjoin`).  Every other branch has the root's
-    pivots, and an equality a child brings becomes two inequalities.
+    when it is popped it builds the :class:`Conjunction` of its atoms'
+    rows.  Every other branch shares the root's pivots, and an equality
+    a child brings becomes two inequalities.
     The search keeps one table of atoms (:class:`_Atom`), keyed by the
     atom and the renaming of its part: each atom is lowered once and
     rewritten through the root's pivots once, as it is built, and every
@@ -328,15 +329,14 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     table: dict[int, dict[int, _Atom]] = {}
     numbers: dict[tuple, int] = {}
 
-    def grow(choices, keys: frozenset, branch: Conjunction):
+    def grow(choices, keys: frozenset, pivots: tuple[Pivot, ...], bounds: Mapping[int, Interval]):
         """The atoms, the pending disjunctions and the table entries of
-        the fresh rows that ``choices`` add to ``branch``, an atom built
-        here rewritten through its pivots; ``None`` when one of them is
-        refuted on its own."""
+        the fresh rows that ``choices`` add to a branch with ``pivots``
+        and ``bounds``, an atom built here rewritten through ``pivots``;
+        ``None`` when one of them is refuted on its own."""
         atoms: list[tuple[LinConstraint, Mapping | None]] = []
         pending: list[tuple[Or, Mapping | None, Mapping]] = []
         fresh: dict[int, _Atom] = {}
-        pivots, bounds = branch.pivots, branch.bounds
         for f, mapping, columns in choices:
             new_atoms: list[LinConstraint] = []
             new_pending: list[Or] = []
@@ -366,8 +366,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     # ended with (``None`` when it has no row to eliminate), the
     # disjunctions still to decide, and what its last choice adds.  Two
     # atoms with one row are the same constraint.
-    start = Conjunction(names, everything)
-    root = grow(parts, frozenset(), start)
+    root = grow(parts, frozenset(), (), {})
     if root is None:
         return None
     stack: list[tuple] = [((), frozenset(), None, None, (), root)]
@@ -384,18 +383,18 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
             if branch is None:
                 # The root, the one branch that solves pivots: its atoms
                 # were built before it had any.
-                child = start.conjoin([atom.row for atom in fresh.values()])
+                child = Conjunction(names, [atom.row for atom in fresh.values()], everything)
             elif all(atom.position >= 0 for atom in fresh.values()):
                 # Only one-variable rows: meet their intervals into a copy
                 # of the bounds and share the rows.
                 met = branch.bounds.copy()
                 if any(_meet(met, atom.position, atom.bound()) for atom in fresh.values()):
                     continue
-                child = branch._child(branch.pivots, met, ())
+                child = branch._child(met, ())
             else:
                 # Each row was rewritten through the root's pivots as its
                 # atom was built: add the rows as they are.
-                child = branch._child(branch.pivots, branch.bounds.copy(), [atom.row for atom in fresh.values()])
+                child = branch._child(branch.bounds.copy(), [atom.row for atom in fresh.values()])
             rows = child.rowset
             if rows.unsat:
                 continue
@@ -415,7 +414,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         split, mapping, columns = pending.pop(fewest)
         pending = tuple(pending)
         for c in reversed(split.items):
-            child = grow(((c, mapping, columns),), keys, branch)
+            child = grow(((c, mapping, columns),), keys, branch.pivots, branch.bounds)
             if child is not None:
                 stack.append((atoms, keys, branch, end, pending, child))
     return None
@@ -509,19 +508,17 @@ def _rewrite(vec: list[int], const: int, pivots) -> tuple[list[int], int, int]:
     return vec, const, scale
 
 
-def extend(
-    pivots: tuple[Pivot, ...], new, free: int, tie: int = 0
-) -> tuple[tuple[Lowered, ...], tuple[Pivot, ...]]:
-    """Rewrite the lowered constraints ``new`` through ``pivots``, the
-    equalities substituted away so far; then, while one of them is an
-    equality with a coefficient at a position in the mask ``free``, solve
-    it for the first such position and substitute it into the others.
-    After that, while one is an equality over exactly two positions, both
-    in the mask ``tie``, solve it for the first of them in the same way.
-    Returns the rows left and the pivots.  Neither input is modified, so
-    a template can be extended again and again.
+def extend(new, free: int, tie: int = 0) -> tuple[tuple[Lowered, ...], tuple[Pivot, ...]]:
+    """While one of the lowered constraints ``new`` is an equality with a
+    coefficient at a position in the mask ``free``, solve it for the
+    first such position and substitute it into the others.  After that,
+    while one is an equality over exactly two positions, both in the mask
+    ``tie``, solve it for the first of them in the same way.  Returns the
+    rows left and the pivots, in the order solved.  ``new`` is not
+    modified.
     """
-    new = [_substitute(r, pivots) for r in new] if pivots else list(new)
+    new = list(new)
+    pivots: tuple[Pivot, ...] = ()
     # An equality passed over has no coefficient at a free position, so no
     # later substitution changes it and the scan never has to restart.
     k = 0
@@ -590,7 +587,7 @@ class RowSet(NamedTuple):
         names = tuple(sorted(cube.vars))
         index = {v: j for j, v in enumerate(names)}
         free = sum(1 << j for j, v in enumerate(names) if v not in requested)
-        return Conjunction(names, free).conjoin([lower(c, index) for c in cube.cons]).rowset
+        return Conjunction(names, [lower(c, index) for c in cube.cons], free).rowset
 
 
 def _refuted(names: tuple[str, ...], eliminated: int = 0) -> RowSet:
@@ -599,75 +596,57 @@ def _refuted(names: tuple[str, ...], eliminated: int = 0) -> RowSet:
 
 
 class Conjunction:
-    """A conjunction of lowered constraints over ``names``, conjoined one
-    batch at a time.
+    """The conjunction of the lowered constraints ``lowered`` over
+    ``names``, built once.
 
-    ``pivots`` are the equalities :func:`extend` solved, each for a
-    position in the mask ``free``, and ``rowset`` is the :class:`RowSet`
-    of the rows left, as :meth:`conjoin` describes it.  ``out`` (the
-    distinct rows over two or more variables, by key) and ``bounds``
-    (the set's intervals) are the state of that build between rows.  A
-    batch adds only its own rows to a copy of the two dicts.  Pivots are
-    solved only while both are empty: once a bound sits in ``bounds``, a
-    pivot on its variable would leave the bound behind.  ``images``
+    :func:`extend` solves its ``pivots``, each for a position in the mask
+    ``free``, and then ties each equality left between two positions of
+    the mask ``tie``, which lies outside ``free``.  ``rowset`` holds the
+    inequalities of the rows left over two or more variables: each
+    divided by the gcd of its integers, an equality split into two
+    inequalities, and exact duplicates merged.  A one-variable row is
+    met into the ``bounds`` of its variable as its interval
+    (:func:`_bound`) instead of kept as a row, and a ground row that
+    holds is dropped.  A ground row that fails
+    (:meth:`~chclab.syntax.Rel.holds`) refutes the set, and so does an
+    empty meet.  Such a conflict refutes most unsatisfiable branches of
+    :func:`sat_cube` before any elimination runs.
+
+    ``out`` (the distinct rows over two or more variables, by key) and
+    ``bounds`` (the set's intervals) are the state of that build between
+    rows.  Every set derived from it (:meth:`_child`) shares its pivots
+    and adds only its own rows to a copy of the two dicts.  ``images``
     holds the images of the pivots and the ties among them
-    (:meth:`_images`) once a call has needed them; a child with the same
-    pivots shares them.
+    (:meth:`_images`) once a call has needed them; every derived set
+    shares them.
     """
 
     __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset", "images")
 
-    def __init__(self, names: tuple[str, ...], free: int):
+    def __init__(self, names: tuple[str, ...], lowered, free: int, tie: int = 0):
         self.names = names
         self.free = free
-        self.pivots: tuple[Pivot, ...] = ()
+        rows, self.pivots = extend(lowered, free, tie)
         self.out: dict[tuple, Row] = {}
         self.bounds: dict[int, Interval] = {}
-        self.rowset = RowSet(names, ())
         self.images = None
-
-    def conjoin(self, lowered, tie: int = 0) -> Conjunction:
-        """This conjunction and the lowered constraints ``lowered``.
-
-        New pivots are solved only while no row and no bound is
-        normalized; while none is, :func:`extend` then also ties each
-        equality left between two positions of the mask ``tie``, which
-        lies outside ``free``.  Its ``rowset`` holds the inequalities of
-        the rows over two or more variables: each divided by the gcd of
-        its integers, an equality split into two inequalities, and exact
-        duplicates merged.  A one-variable row is met into the ``bounds``
-        of its variable as its interval (:func:`_bound`) instead of kept
-        as a row, and a ground row that holds is dropped.  A ground row
-        that fails (:meth:`~chclab.syntax.Rel.holds`) refutes the set,
-        and so does an empty meet.  Such a conflict refutes most
-        unsatisfiable branches of :func:`sat_cube` before any
-        elimination runs.  A refuted build stopped part way, so a
-        refuted conjunction comes back unchanged.
-        """
-        if self.rowset.unsat:
-            return self
-        free = self.free
-        if self.out or self.bounds:
-            free = tie = 0
-        rows, pivots = extend(self.pivots, lowered, free, tie)
-        return self._child(pivots, self.bounds.copy(), rows)
+        self.rowset = self._normalize(rows) if rows else RowSet(names, (), 0, False, self.bounds)
 
     def conjoin_bounds(self, intervals) -> Conjunction:
         """This conjunction and the pairs ``(j, interval)`` in the list
-        ``intervals``, each ``x_j`` in ``interval``: the set
-        :meth:`conjoin` builds from the intervals' rows (:func:`_rows`)
-        when it solves no pivot, built without most of those rows.  The
-        pivots stay as they are.
+        ``intervals``, each ``x_j`` in ``interval``: the set derived
+        (:meth:`_child`) from the intervals' rows (:func:`_rows`),
+        built without most of those rows.
 
         An interval on ``x_j`` whose image under the pivots
         (:meth:`_images`) has one variable is mapped onto that variable
         (:func:`_map`) and met once into a copy of ``bounds``; when no
         pivot rewrites ``x_j``, or its image is ``x_k`` itself, the
         interval is met as it is.  An interval whose image has no
-        variable or two or more adds its rows, normalized as by
-        :meth:`conjoin`.  With no such interval, the result keeps the
-        rows of this set: nothing is copied or normalized.  Its caller
-        passes only a conjunction whose own rows are not refuted.
+        variable or two or more adds its rows, normalized as the
+        constructor normalizes.  With no such interval, the result keeps
+        the rows of this set: nothing is copied or normalized.  Its
+        caller passes only a conjunction whose own rows are not refuted.
         """
         images, _ = self._images()
         met = self.bounds.copy()
@@ -689,20 +668,19 @@ class Conjunction:
                     sign = 1 if vec[k] > 0 else -1
                     interval = _map(interval, sign * scale, -sign * const, sign * vec[k])
             if _meet(met, k, interval):
-                refuted = self._child(self.pivots, met, ())
+                refuted = self._child(met, ())
                 refuted.rowset = _refuted(self.names)
                 return refuted
-        return self._child(self.pivots, met, rows)
+        return self._child(met, rows)
 
-    def _child(self, pivots: tuple[Pivot, ...], bounds: dict[int, Interval], rows) -> Conjunction:
-        """This conjunction with ``pivots``, ``bounds`` and the normalized
-        ``rows`` added to a copy of ``out``."""
-        # Set every slot here: __init__ would make a state and a set only
-        # to drop them.
+    def _child(self, bounds: dict[int, Interval], rows) -> Conjunction:
+        """This conjunction with ``bounds`` and the normalized ``rows``
+        added to a copy of ``out``; it shares the pivots and their
+        images."""
+        # Set every slot here: __init__ would build the conjunction anew.
         child = object.__new__(Conjunction)
-        child.names, child.free, child.pivots = self.names, self.free, pivots
-        child.bounds = bounds
-        child.images = self.images if pivots is self.pivots else None
+        child.names, child.free, child.pivots = self.names, self.free, self.pivots
+        child.bounds, child.images = bounds, self.images
         # No row to add: share ``out``, as only a copy made here is written to.
         if rows:
             child.out = self.out.copy()
@@ -744,10 +722,10 @@ class Conjunction:
         pivots: ``(mask, vec, const, scale)``, with ``scale * x_j = vec·x
         + const`` on the solutions of the pivots, the integers divided by
         their gcd, and ``mask`` the positions ``vec`` mentions; the pivots
-        leave any other ``x_j`` as it is.  Then the ties, the pivots a
-        :meth:`conjoin` with ``tie`` solved for positions outside
-        ``free``: ``(names[j], names[k], a, c, s)`` with ``x_j = (a·x_k +
-        c) / s``.  Computed once and kept in ``images``."""
+        leave any other ``x_j`` as it is.  Then the ties, the pivots
+        solved for positions outside ``free``: ``(names[j], names[k], a,
+        c, s)`` with ``x_j = (a·x_k + c) / s``.  Computed once and kept
+        in ``images``."""
         if self.images is None:
             names, free = self.names, self.free
             n = len(names)
@@ -768,7 +746,7 @@ class Conjunction:
 
     def _normalize(self, rows) -> RowSet:
         """The set of the rows normalized so far and ``rows``, processed
-        in order as :meth:`conjoin` describes."""
+        in order as the class docstring describes."""
         names, out, bounds = self.names, self.out, self.bounds
         bits = [1 << j for j in range(len(names))]
         for vec, const, rel in rows:
@@ -1114,8 +1092,8 @@ def _upper_covers(a: Bound, b: Bound) -> bool:
 
 
 class Interval(NamedTuple):
-    """A rational interval with open or closed ends.  ``join`` and
-    ``widen`` take nonempty operands: a :class:`~chclab.domain.Box`
+    """A rational interval with open or closed ends.  ``leq``, ``join``
+    and ``widen`` take nonempty operands: a :class:`~chclab.domain.Box`
     never holds an empty interval."""
 
     lo: Bound
@@ -1134,8 +1112,6 @@ class Interval(NamedTuple):
         return self.lo.value == self.hi.value and (self.lo.strict or self.hi.strict)
 
     def leq(self, other: Interval) -> bool:
-        if self.is_empty:
-            return True
         return _lower_covers(other.lo, self.lo) and _upper_covers(other.hi, self.hi)
 
     def join(self, other: Interval) -> Interval:

@@ -162,9 +162,10 @@ def bounds_of(cons):
 
 
 def from_rows(names, rows) -> RowSet:
-    """The row set :meth:`chclab.linlogic.Conjunction.conjoin` builds
-    without pivots, less the conflict check: only a failing ground row
-    refutes the set.  Its ``bounds`` are :func:`bounds_of` its rows."""
+    """The row set the :class:`chclab.linlogic.Conjunction` constructor
+    builds without pivots, less the conflict check: only a failing
+    ground row refutes the set.  Its ``bounds`` are :func:`bounds_of`
+    its rows."""
     out = {}
     for vec, const, rel in rows:
         if rel is Rel.EQ:

@@ -441,7 +441,7 @@ def test_compiled_transformers_match_formula_route(corpus_systems):
         if cube_is_sat(to_dnf(clause.constraint)[0]):
             live += 1
             continue
-        if Conjunction(names, 0).conjoin(cube).rowset.unsat:
+        if Conjunction(names, cube, 0).rowset.unsat:
             continue
         dead += 1
         for j in (None, *range(len(clause.body))):
@@ -573,7 +573,7 @@ def test_cube_refuted_only_by_elimination_gets_no_template():
     clause = parse_system(text).clauses[0]
     cc = CompiledClause(clause)
     names, _, cubes = cc.lowered
-    assert not Conjunction(names, 0).conjoin(cubes[0]).rowset.unsat
+    assert not Conjunction(names, cubes[0], 0).rowset.unsat
     elems = [
         AbstractElement(p=Box.make(1, [p]), q=Box.make(1, [q]))
         for p, q in [
@@ -596,8 +596,8 @@ def test_each_cube_is_decided_once_per_clause(monkeypatch):
     # one's no more.
     text = "pred p/1. pred q/1.\np(X) :- q(Y), (X + Y <= 0, Y - Z >= 1, Z + X >= 0 ; X >= 5, Y <= X + Z, Z <= 1).\n"
     clause = parse_system(text).clauses[0]
-    calls = {"conjoin": 0, "satisfiable": 0}
-    conjoin, satisfiable = Conjunction.conjoin, Conjunction.satisfiable
+    calls = {"built": 0, "satisfiable": 0}
+    build, satisfiable = Conjunction.__init__, Conjunction.satisfiable
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -606,13 +606,13 @@ def test_each_cube_is_decided_once_per_clause(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(Conjunction, "conjoin", counted("conjoin", conjoin))
+    monkeypatch.setattr(Conjunction, "__init__", counted("built", build))
     monkeypatch.setattr(Conjunction, "satisfiable", counted("satisfiable", satisfiable))
     cc = CompiledClause(clause)
     assert cc.post([Box.top(1)]) == Box.make(1, [interval(5, None)])
-    assert calls == {"conjoin": 2, "satisfiable": 2}
+    assert calls == {"built": 2, "satisfiable": 2}
     assert cc.pre(0, Box.top(1), [Box.top(1)]) == Box.top(1)
-    assert calls == {"conjoin": 3, "satisfiable": 2}
+    assert calls == {"built": 3, "satisfiable": 2}
     assert [len(templates) for templates in cc._templates.values()] == [1, 1]
     monkeypatch.undo()
     elems = [
@@ -651,7 +651,7 @@ def test_decision_past_the_cap_keeps_the_template(monkeypatch):
         cc = CompiledClause(clause)
         names, index, (cube,) = cc.lowered
         targets = sum(1 << index[v] for v in args)
-        template = Conjunction(names, ((1 << len(names)) - 1) & ~targets).conjoin(cube, targets)
+        template = Conjunction(names, cube, ((1 << len(names)) - 1) & ~targets, targets)
         try:
             assert template.satisfiable()
             decided = True
@@ -691,13 +691,13 @@ p(Y) :- q(X), X + Y = 0.
 
 def test_box_bounds_met_as_intervals_match_the_row_route():
     # A call meets each bound of its input boxes through the image of its
-    # variable under the template's pivots; the reference conjoins every
-    # bound as a row.  On templates that pivot, with point, strict and
-    # fractional bounds, both must build the same box, and the same
-    # pivots and row set for every template where the reference solves
-    # no pivot.  Where it pivots on a point bound, the call keeps the
-    # template's pivots, and both must project the same.  The bounds
-    # hold each end as an int when it is integral.
+    # variable under the template's pivots; the reference builds each
+    # cube afresh with every bound as a row after it.  On templates that
+    # pivot, with point, strict and fractional bounds, both must build
+    # the same box, and the same row set wherever the reference solves
+    # the template's pivots and no more.  Where it pivots on a point
+    # bound, the call keeps the template's pivots, and both must project
+    # the same.  The bounds hold each end as an int when it is integral.
     system = parse_system(PIVOT_TEXT)
     rng = random.Random(27)
     routes = dict.fromkeys(("image", "rows", "pivot"), 0)
@@ -725,8 +725,12 @@ def test_box_bounds_met_as_intervals_match_the_row_route():
                     if iv != Interval.top()
                 ]
                 args = clause.head.args if target is None else clause.body[target].args
-                for template in cc._template(target, args):
-                    got, want = template.conjoin_bounds(bounded), template.conjoin(rows)
+                templates = cc._template(target, args)
+                # The fresh builds of the cubes that keep a template.
+                fresh = transformer_reference.by_rows(cc, args, rows)
+                fresh = [want for i, want in enumerate(fresh) if cc._decided.get(i) is not False]
+                for template, want in zip(templates, fresh, strict=True):
+                    got = template.conjoin_bounds(bounded)
                     assert got.pivots is template.pivots, label
                     ends = [b.value for iv in got.rowset.bounds.values() for b in iv]
                     assert all(type(v) is int or v.denominator > 1 for v in ends if v is not None)

@@ -165,7 +165,7 @@ def test_eliminate_keeps_ground_contradiction():
 def test_eliminate_returns_unsat_input_unchanged():
     # A failing ground row refutes the set as it is built; eliminating a
     # variable afterwards must not drop the mark.
-    rows = Conjunction(("x", "y"), 0).conjoin([([0, 0], 3, Rel.LE), ([1, 1], 0, Rel.LE)]).rowset
+    rows = Conjunction(("x", "y"), [([0, 0], 3, Rel.LE), ([1, 1], 0, Rel.LE)], 0).rowset
     assert rows.unsat
     assert fm_eliminate(rows, "x") == rows
 
@@ -180,21 +180,26 @@ def _rows_cube(names, rows):
     )
 
 
+def _extended(parent: Conjunction, rows) -> Conjunction:
+    """``parent`` and the lowered ``rows``, as a search child or
+    ``conjoin_bounds`` derives it: the rows rewritten through the
+    parent's pivots and added to a copy of its bounds."""
+    return parent._child(parent.bounds.copy(), [linlogic._substitute(r, parent.pivots) for r in rows])
+
+
 def test_bound_conflict_frozen_cases():
     x_le_2, x_ge_2 = ([1], -2, Rel.LE), ([-1], 2, Rel.LE)
-    got = Conjunction(("x",), 0).conjoin([x_le_2, x_ge_2]).rowset
+    got = Conjunction(("x",), [x_le_2, x_ge_2], 0).rowset
     assert not got.unsat and got.bounds == {0: interval(2, 2)}
     # x < 2, x >= 2: the meet is empty, and the set holds 1 <= 0.
-    got = Conjunction(("x",), 0).conjoin([([1], -2, Rel.LT), x_ge_2]).rowset
+    got = Conjunction(("x",), [([1], -2, Rel.LT), x_ge_2], 0).rowset
     assert got.unsat and got.cons == (((0,), 1, False, 0, 0),)
     # 2x <= 3, 3x >= 5: 3/2 < 5/3.
-    assert Conjunction(("x",), 0).conjoin([([2], -3, Rel.LE), ([-3], 5, Rel.LE)]).rowset.unsat
+    assert Conjunction(("x",), [([2], -3, Rel.LE), ([-3], 5, Rel.LE)], 0).rowset.unsat
     # x = 1, x <= 0: the equality's lower side meets the bound.
-    assert Conjunction(("x",), 0).conjoin([([1], -1, Rel.EQ), ([1], 0, Rel.LE)]).rowset.unsat
+    assert Conjunction(("x",), [([1], -1, Rel.EQ), ([1], 0, Rel.LE)], 0).rowset.unsat
     # The refuted set keeps none of the rows before the conflict.
-    got = Conjunction(("x", "y"), 0).conjoin(
-        [([0, 1], 0, Rel.LE), ([2, 0], -3, Rel.LE), ([-1, 0], 2, Rel.LE)]
-    ).rowset
+    got = Conjunction(("x", "y"), [([0, 1], 0, Rel.LE), ([2, 0], -3, Rel.LE), ([-1, 0], 2, Rel.LE)], 0).rowset
     assert got.unsat and got.cons == (((0, 0), 1, False, 0, 0),)
 
 
@@ -221,13 +226,13 @@ def test_one_variable_equality_is_met_once_as_a_point(monkeypatch):
             hi = rng.randint(lo, 6)
             sides += [([-2, 0], lo, rng.choice((Rel.LE, Rel.LT)))]
             sides += [([2, 0], -hi, rng.choice((Rel.LE, Rel.LT)))]
-        base = Conjunction(("x", "y"), 0).conjoin([*sides, ([1, 1], 0, Rel.LE)])
+        base = Conjunction(("x", "y"), [*sides, ([1, 1], 0, Rel.LE)], 0)
         if base.rowset.unsat:
             continue
         a = rng.choice((-3, -2, -1, 1, 2, 3))
         row = ([a, 0], rng.randint(-9, 9), rng.choice((Rel.EQ, Rel.EQ, Rel.LE, Rel.LT)))
         meets.clear()
-        child = base.conjoin([row])
+        child = _extended(base, [row])
         assert len(meets) == 1 and meets[0][0] == 0, row
         if row[2] is Rel.EQ:
             point = Bound(Fraction(-row[1], a), False)
@@ -243,13 +248,15 @@ def test_step_refutes_conflicting_one_variable_rows():
     # -x <= 0, x + y <= 0, x - y + 1 <= 0, y + z + 5 <= 0: no two
     # one-variable rows conflict as the set is built.  Eliminating x makes
     # y <= 0 and -y + 1 <= 0, which the step itself must refute.
-    rows = Conjunction(("x", "y", "z"), 0).conjoin(
+    rows = Conjunction(
+        ("x", "y", "z"),
         [
             ([-1, 0, 0], 0, Rel.LE),
             ([1, 1, 0], 0, Rel.LE),
             ([1, -1, 0], 1, Rel.LE),
             ([0, 1, 1], 5, Rel.LE),
-        ]
+        ],
+        0,
     ).rowset
     assert not rows.unsat
     got = fm_eliminate(rows, "x")
@@ -257,9 +264,7 @@ def test_step_refutes_conflicting_one_variable_rows():
     assert got.eliminated == 0b001
     # A row the step carries over counts too: y <= 0 conflicts with the
     # -y + 1 <= 0 that eliminating x makes.
-    rows = Conjunction(("x", "y"), 0).conjoin(
-        [([0, 1], 0, Rel.LE), ([-1, 0], 0, Rel.LE), ([1, -1], 1, Rel.LE)]
-    ).rowset
+    rows = Conjunction(("x", "y"), [([0, 1], 0, Rel.LE), ([-1, 0], 0, Rel.LE), ([1, -1], 1, Rel.LE)], 0).rowset
     assert not rows.unsat
     got = fm_eliminate(rows, "x")
     assert got.unsat and got.cons == (((0, 0), 1, False, 0, 0),)
@@ -293,7 +298,7 @@ def test_bound_conflicts_match_unpruned_reference():
     refuted = satisfiable = 0
     for seed in range(1200):
         names, rows = _bound_rows(random.Random(seed))
-        got = Conjunction(names, 0).conjoin(rows).rowset
+        got = Conjunction(names, rows, 0).rowset
         want = fm_reference.from_rows(names, rows)
         sat = not linlogic._eliminate(got, (1 << len(names)) - 1).unsat
         assert sat == fm_reference.cube_is_sat(_rows_cube(names, rows)), f"seed {seed}: {rows}"
@@ -311,28 +316,29 @@ def test_bound_conflicts_match_unpruned_reference():
 
 
 def test_extended_builder_matches_a_fresh_build():
-    # Building a prefix and conjoining the rest with it gives the set a
-    # fresh build of the whole gives.  Neither that nor a sibling
-    # conjoined with other rows changes the prefix's set.
+    # Building a prefix and deriving a set from it with the rest gives
+    # the set a fresh build of the whole gives.  Neither that nor a
+    # sibling derived with other rows changes the prefix's set.
     extended = refuted = siblings = 0
     for seed in range(1500):
         rng = random.Random(seed)
         names, rows = _bound_rows(rng)
-        whole = Conjunction(names, 0).conjoin(rows).rowset
+        whole = Conjunction(names, rows, 0).rowset
         split = rng.randint(0, len(rows))
-        base = Conjunction(names, 0).conjoin(rows[:split])
+        base = Conjunction(names, rows[:split], 0)
         prefix = base.rowset
         if prefix.unsat:
             assert whole.unsat, f"seed {seed}: {rows}"
             refuted += 1
             continue
-        assert base.conjoin(rows[split:]).rowset == whole, f"seed {seed}: {rows}"
+        assert _extended(base, rows[split:]).rowset == whole, f"seed {seed}: {rows}"
         other_names, other = _bound_rows(random.Random(-1 - seed))
         if other_names == names:
-            want = Conjunction(names, 0).conjoin(rows[:split] + other).rowset
-            assert base.conjoin(other).rowset == want, f"seed {seed}: {rows}, {other}"
+            want = Conjunction(names, rows[:split] + other, 0).rowset
+            assert _extended(base, other).rowset == want, f"seed {seed}: {rows}, {other}"
             siblings += 1
-        assert base.conjoin(()).rowset == prefix, f"seed {seed}: {rows}"
+        assert _extended(base, ()).rowset == prefix, f"seed {seed}: {rows}"
+        assert prefix == Conjunction(names, rows[:split], 0).rowset, f"seed {seed}: {rows}"
         extended += 1
     assert extended > 1000 and refuted > 100 and siblings > 300
 
@@ -361,39 +367,35 @@ def _batches(rng: random.Random):
 
 
 def test_conjoining_batches_matches_conjoining_them_at_once():
-    # A batch conjoined onto a conjunction that holds rows or bounds never adds a
-    # pivot: an equality with a coefficient at a free position is split
-    # into two inequalities instead.  Without such an equality, batches
-    # conjoined one at a time give the pivots and set that conjoining
-    # them all at once gives; with one, the two sets agree on
+    # A conjunction solves its pivots as it is built from the first
+    # batch, and each later batch is derived from it, rewritten through
+    # those pivots: an equality left with a coefficient at a free
+    # position is split into two inequalities.  Without such an
+    # equality, the derived set has the pivots and set that building
+    # all the batches at once gives; with one, the two sets agree on
     # satisfiability and on the projection onto the requested variables.
-    # A refuted conjunction comes back unchanged from every later batch,
-    # and the whole conjunction is unsatisfiable.
+    # Once a set is refuted, the whole conjunction is unsatisfiable.
     split = copied = refuted = requested_only = 0
     for seed in range(2000):
         names, free, batches = _batches(random.Random(seed))
         everything = (1 << len(names)) - 1
-        whole = Conjunction(names, free).conjoin([row for batch in batches for row in batch])
+        whole = Conjunction(names, [row for batch in batches for row in batch], free)
         requested_only += any(
             rel is Rel.EQ and not any(x and free >> j & 1 for j, x in enumerate(vec))
             for batch in batches
             for vec, _, rel in batch
         )
-        step = Conjunction(names, free)
+        step = Conjunction(names, batches[0], free)
         splits = 0
-        for batch in batches:
+        for batch in batches[1:]:
             if step.rowset.unsat:
-                assert step.conjoin(batch) is step, f"seed {seed}"
-                continue
-            parent, step = step, step.conjoin(batch)
-            if parent.rowset.cons or parent.rowset.bounds:
-                assert step.pivots == parent.pivots, f"seed {seed}"
-                rewritten, _ = linlogic.extend(parent.pivots, batch, 0)
-                splits += sum(
-                    rel is Rel.EQ and any(x and free >> j & 1 for j, x in enumerate(vec))
-                    for vec, _, rel in rewritten
-                )
-                copied += not step.rowset.unsat
+                break
+            splits += sum(
+                rel is Rel.EQ and any(x and free >> j & 1 for j, x in enumerate(vec))
+                for vec, _, rel in (linlogic._substitute(r, step.pivots) for r in batch)
+            )
+            step = _extended(step, batch)
+            copied += not step.rowset.unsat
         split += splits
         if step.rowset.unsat:
             assert linlogic._eliminate(whole.rowset, everything).unsat, f"seed {seed}"
@@ -571,18 +573,18 @@ def pivot_formula(rng, root_equalities=False):
 
 
 def test_incremental_search_agrees_with_cube_is_sat(monkeypatch):
-    # Only the root of a search solves pivots: each search conjoins once,
-    # at its root, and every other branch adds its atoms' rows rewritten
-    # through the root's pivots.
+    # Only the root of a search solves pivots: each search builds one
+    # conjunction, at its root, and every other branch derives its set
+    # from it, adding its atoms' rows rewritten through the root's pivots.
     calls = 0
-    conjoin = Conjunction.conjoin
+    build = Conjunction.__init__
 
     def counted(self, *args, **kwargs):
         nonlocal calls
         calls += 1
-        return conjoin(self, *args, **kwargs)
+        build(self, *args, **kwargs)
 
-    monkeypatch.setattr(Conjunction, "conjoin", counted)
+    monkeypatch.setattr(Conjunction, "__init__", counted)
     for root_equalities, floor, ceiling in ((False, 40, 360), (True, 100, 300)):
         found = 0
         for seed in range(400):
@@ -590,7 +592,7 @@ def test_incremental_search_agrees_with_cube_is_sat(monkeypatch):
             cubes = to_dnf(f)
             calls = 0
             got = sat_cube(f)
-            assert calls <= 1, f"seed {seed}: {calls} conjoins: {f}"
+            assert calls <= 1, f"seed {seed}: {calls} builds: {f}"
             assert (got is None) == (not any(cube_is_sat(c) for c in cubes)), f"seed {seed}: {f}"
             if got is not None:
                 found += 1
@@ -926,7 +928,7 @@ def test_bounds_index_is_the_meet_of_one_variable_rows():
             rows = RowSet.of(c, frozenset(free))
             index = {v: j for j, v in enumerate(rows.names)}
             mask = sum(1 << j for j, v in enumerate(rows.names) if v not in free)
-            built, _ = linlogic.extend((), [linlogic.lower(k, index) for k in c.cons], mask)
+            built, _ = linlogic.extend([linlogic.lower(k, index) for k in c.cons], mask)
             want = fm_reference.from_rows(rows.names, built)
             if rows.unsat:
                 assert want.unsat or any(iv.is_empty for iv in want.bounds.values()), f"seed {seed}: {c}"
@@ -1038,7 +1040,7 @@ def _mixed_step(rng):
         vec, const, _ = row(positions)
         rows += [(vec, const, Rel.LE), ([-x for x in vec], -const - rng.randint(0, 1), Rel.LT)]
     rng.shuffle(rows)
-    rowset = Conjunction(names, 0).conjoin(rows).rowset
+    rowset = Conjunction(names, rows, 0).rowset
     if rng.random() < 0.5:
         rowset = fm_reference.fm_eliminate_in_order(rowset, names[rng.randrange(1, n)])
     return rowset, "x0"
@@ -1124,7 +1126,7 @@ def test_resumed_elimination_matches_a_fresh_run():
         n = rng.randint(2, 5)
         names = tuple(f"x{i}" for i in range(n))
         mask = (1 << n) - 1 if rng.random() < 0.6 else rng.randint(1, (1 << n) - 1)
-        branch = Conjunction(names, 0).conjoin(_tightened_rows(rng, n))
+        branch = Conjunction(names, _tightened_rows(rng, n), 0)
         if branch.rowset.unsat:
             continue
         end = linlogic._eliminate(branch.rowset, mask)
@@ -1132,7 +1134,7 @@ def test_resumed_elimination_matches_a_fresh_run():
             if end.unsat:
                 break
             tightening = _tightening(rng, n)
-            child = branch.conjoin(tightening)
+            child = _extended(branch, tightening)
             if child.rowset.unsat:
                 break
             tightened = {vec.index(next(filter(None, vec))) for vec, _, _ in tightening}

@@ -7,10 +7,12 @@ clause constraint, convert the whole conjunction to DNF and project every
 cube onto the target (``formula_box``); they compile nothing and share no
 rows between calls.  :func:`apply_by_rows` is the compiled route as it was
 before box bounds were met as intervals: each bound of an input box
-(:func:`bounds`) is lowered to a one-variable row (:func:`bound_row`) and
-conjoined with every template of the compiled clause
-(``Conjunction.conjoin``), and the result is projected as the compiled
-route projects it (``Conjunction.project``).
+(:func:`bounds`) is lowered to a one-variable row (:func:`bound_row`),
+each cube of the compiled clause's constraint is built afresh with those
+rows after its own (:func:`by_rows`, the ``Conjunction`` constructor
+with the masks of ``CompiledClause._template``), and the result is
+projected as the compiled route projects it (``Conjunction.project``).
+It shares neither the compiled clause's templates nor their decisions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from chclab.domain import AbstractElement, Box, CompiledClause, formula_box
-from chclab.linlogic import Lowered
+from chclab.linlogic import Conjunction, Lowered
 from chclab.syntax import Clause, Formula, PredApp, Rel, conj
 
 
@@ -82,6 +84,17 @@ def bound_rows(cc: CompiledClause, apps: Sequence[PredApp], boxes: Sequence[Box]
     ]
 
 
+def by_rows(cc: CompiledClause, args: Sequence[str], rows: Sequence[Lowered]) -> list[Conjunction]:
+    """Each cube of ``cc.lowered`` with ``rows`` after its own, built
+    afresh: pivoting on the variables outside ``args`` and tying
+    equalities left between two of them, as ``CompiledClause._template``
+    builds a template for ``args``."""
+    names, _, cubes = cc.lowered
+    targets = sum(1 << j for j, v in enumerate(names) if v in args)
+    free = ((1 << len(names)) - 1) & ~targets
+    return [Conjunction(names, [*cube, *rows], free, targets) for cube in cubes]
+
+
 def apply_by_rows(
     cc: CompiledClause, target: int | None, apps: Sequence[PredApp], boxes: Sequence[Box]
 ) -> Box:
@@ -91,10 +104,9 @@ def apply_by_rows(
     args = clause.head.args if target is None else clause.body[target].args
     if any(box.is_empty for box in boxes):
         return Box.empty(len(args))
-    rows = bound_rows(cc, apps, boxes)
     acc = Box.empty(len(args))
-    for template in cc._template(target, args):
-        intervals = template.conjoin(rows).project(args)
+    for conjunction in by_rows(cc, args, bound_rows(cc, apps, boxes)):
+        intervals = conjunction.project(args)
         if intervals is not None:
             acc = acc.join(Box.make(len(args), intervals))
     return acc

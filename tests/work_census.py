@@ -31,10 +31,10 @@ The counts come from wrapping the names the callers bind:
 * ``lower.calls``: the constraints lowered to integer rows, by
   :func:`linlogic.lower` or the name :mod:`chclab.domain` binds;
 * ``conjoin.calls``, ``normalize.calls`` and ``normalize.rows``: the
-  batches conjoined, by :meth:`Conjunction.conjoin` or, for the bounds
-  of a transformer's input boxes, :meth:`Conjunction.conjoin_bounds`,
-  and the calls of :meth:`Conjunction._normalize` and the lowered rows
-  it receives;
+  batches conjoined, counted as the calls of the :class:`Conjunction`
+  constructor plus, for the bounds of a transformer's input boxes, those
+  of :meth:`Conjunction.conjoin_bounds`, and the calls of
+  :meth:`Conjunction._normalize` and the lowered rows it receives;
 * ``_map.calls`` and ``images.builds``: the intervals mapped through an
   image, and the calls of :meth:`Conjunction._images` that compute the
   images rather than reuse them;
@@ -147,7 +147,7 @@ def counting():
         (linlogic, "_eliminate", _calls(counts, "_eliminate.calls", linlogic._eliminate)),
         (linlogic, "lower", lower),
         (domain, "lower", lower),
-        (Conjunction, "conjoin", _calls(counts, "conjoin.calls", Conjunction.conjoin)),
+        (Conjunction, "__init__", _calls(counts, "conjoin.calls", Conjunction.__init__)),
         (Conjunction, "conjoin_bounds", _calls(counts, "conjoin.calls", Conjunction.conjoin_bounds)),
         (Conjunction, "_normalize", _normalized(counts, Conjunction._normalize)),
         (Conjunction, "_images", _built(counts, Conjunction._images)),
