@@ -198,11 +198,9 @@ class CompiledClause:
     the result onto the target
     (:meth:`~chclab.linlogic.Conjunction.project`), reading each tied
     target's interval through its equality from its partner's, with no
-    elimination.  The template's rows are normalized once; an interval
-    on a variable whose image under the template's pivots has one
-    variable is mapped and met once into a copy of the template's
-    intervals, with no row, and only an interval whose image spans two
-    or more variables adds rows to normalize.
+    elimination, and skips a template whose conjoined intervals conflict.
+    The template's rows are normalized once, and an interval adds rows
+    only by the derived-set rule of :mod:`chclab.linlogic`.
     """
 
     def __init__(self, clause: Clause):
@@ -247,7 +245,8 @@ class CompiledClause:
         ]
         acc = Box.empty(len(args))
         for template in self._template(target, args):
-            intervals = template.conjoin_bounds(bounded).project(args)
+            derived = template.conjoin_bounds(bounded)
+            intervals = derived and derived.project(args)
             if intervals is not None:
                 acc = acc.join(Box.make(len(args), intervals))
         return acc

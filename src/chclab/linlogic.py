@@ -18,10 +18,8 @@ state a branch already holds:
   renaming of its part, and rewritten through the root's pivots once,
   as it is built (:class:`_Atom`); its one-variable interval is
   computed the first time a bound on its position or a child's meet
-  needs it.  A branch below the root adds the rewritten rows as they
-  are, and one whose new rows all bound one variable meets their
-  intervals into a copy of its parent's ``bounds`` and shares its
-  parent's rows.
+  needs it.  A branch below the root is a derived set (see "Integer
+  rows"): it adds the rewritten rows as they are.
 * **Resumed elimination.**  A branch keeps the set its elimination
   ended with.  A child that adds no row over two or more variables,
   and only tightens ``bounds``, meets the tightened intervals
@@ -66,17 +64,17 @@ Fourier-Motzkin engine works on those rows:
   rows it makes into them, so a conflict is refuted in the step that
   makes it, not left for the step on its variable.  A
   :class:`Conjunction` keeps the pivots and build state of a
-  conjunction, and every set derived from it shares its pivots, so the
-  search extends a branch with a child's atoms, normalizing only the
-  new rows.
-  :class:`chclab.domain.CompiledClause` extends the template of a
-  constraint cube with the intervals of its input boxes
-  (:meth:`Conjunction.conjoin_bounds`), which never adds a pivot: an
-  interval on ``x_j`` is mapped through the image of ``x_j`` under the
-  template's pivots and met once into a copy of the template's
-  ``bounds`` when that image has one variable; only an interval whose
-  image spans two or more variables, or none, becomes rows, one per
-  bounded side (:func:`_rows`).
+  conjunction.  A set derived from it, a search child or a transformer
+  template with the intervals of its input boxes
+  (:meth:`Conjunction.conjoin_bounds`, through the image of each
+  interval's variable under the pivots), shares its pivots and follows
+  one rule.  A constraint over fewer than two variables is decided by
+  an interval meet: a one-variable one is met into a copy of the
+  parent's ``bounds``, a ground one is checked as it is, and an
+  interval whose image has no variable is checked against the value
+  the pivots fix.  Only the rows over two or more variables, an
+  interval's one per bounded side (:func:`_rows`), are normalized
+  (:meth:`Conjunction._child`), and a conflict builds no set.
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.  A variable that only ``bounds`` mention
@@ -274,19 +272,15 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
 
     Only the root solves pivots: it is pushed with no conjunction, and
     when it is popped it builds the :class:`Conjunction` of its atoms'
-    rows.  Every other branch shares the root's pivots, and an equality
-    a child brings becomes two inequalities.
-    The search keeps one table of atoms (:class:`_Atom`), keyed by the
-    atom and the renaming of its part: each atom is lowered once and
-    rewritten through the root's pivots once, as it is built, and every
-    branch that adds it shares that row.  Before a child is pushed, its
-    new rows are read off the table.  A child with a row refuted on its
-    own, a ground row that fails or a one-variable row whose interval
-    meets the parent's ``bounds`` to empty, is never built and is not a
-    branch.  Any other child adds its rows as they are when it is
-    popped, or, when they all bound one variable, only meets their
-    intervals into a copy of the parent's ``bounds``; a child that adds
-    no row is as satisfiable as its parent and needs no check.
+    rows.  Every other branch derives its set from its parent's by the
+    rule of the module docstring, so an equality a child brings becomes
+    two inequalities.  The search keeps one table of atoms
+    (:class:`_Atom`), keyed by the atom and the renaming of its part,
+    and every branch that adds an atom shares its row.  Before a child
+    is pushed, its new rows are read off the table: a child with a row
+    refuted on its own against its parent's ``bounds`` is never built
+    and is not a branch, and one that adds no row is as satisfiable as
+    its parent and needs no check.
 
     A branch with no row over two or more variables runs no
     elimination: its ``bounds`` are not empty, so it is satisfiable.  A
@@ -384,20 +378,19 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
                 # The root, the one branch that solves pivots: its atoms
                 # were built before it had any.
                 child = Conjunction(names, [atom.row for atom in fresh.values()], everything)
-            elif all(atom.position >= 0 for atom in fresh.values()):
-                # Only one-variable rows: meet their intervals into a copy
-                # of the bounds and share the rows.
-                met = branch.bounds.copy()
-                if any(_meet(met, atom.position, atom.bound()) for atom in fresh.values()):
+                if child.rowset.unsat:
                     continue
-                child = branch._child(met, ())
             else:
-                # Each row was rewritten through the root's pivots as its
-                # atom was built: add the rows as they are.
-                child = branch._child(branch.bounds.copy(), [atom.row for atom in fresh.values()])
+                # Meet the one-variable rows' intervals into a copy of the
+                # bounds and add the rows over two or more variables as they
+                # are; a ground row holds, as ``grow`` refutes one that fails.
+                met = branch.bounds.copy()
+                single = [atom for atom in fresh.values() if atom.position >= 0]
+                if any(_meet(met, atom.position, atom.bound()) for atom in single):
+                    continue
+                wide = [atom.row for atom in fresh.values() if atom.position < 0 and any(atom.row[0])]
+                child = branch._child(met, wide)
             rows = child.rowset
-            if rows.unsat:
-                continue
             if not rows.cons:
                 end = None
             elif end is not None and len(child.out) == len(branch.out):
@@ -423,14 +416,13 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
 class _Atom:
     """An atom of one :func:`sat_cube` search under the renaming of its
     part, built once: ``key``, the number the search gives its lowered
-    row and deduplicates by; ``row`` and ``position``, the lowered row
-    rewritten through ``pivots``, the pivots of the search's root, and
-    the position of its one variable (``-1`` when it has none or
-    several); ``fails``, for a ground row that fails; and ``interval``,
-    the one-variable row's interval, computed the first time a bound on
-    its position or a child's meet needs it.  An atom of the root is
-    built before the root solves its pivots, so its ``row`` is the
-    lowered row."""
+    row and deduplicates by; ``row``, the lowered row rewritten through
+    ``pivots``, the pivots of the search's root (an atom of the root is
+    built before the root solves them, so its ``row`` is the lowered
+    row); and what the derived-set rule of the module docstring reads
+    off it: ``position``, that of its one variable (``-1`` when it has
+    none or several), ``fails`` for a ground row that fails, and
+    ``interval``, the one-variable row's interval, computed once."""
 
     __slots__ = ("key", "row", "position", "fails", "interval")
 
@@ -614,8 +606,9 @@ class Conjunction:
 
     ``out`` (the distinct rows over two or more variables, by key) and
     ``bounds`` (the set's intervals) are the state of that build between
-    rows.  Every set derived from it (:meth:`_child`) shares its pivots
-    and adds only its own rows to a copy of the two dicts.  ``images``
+    rows.  Every set derived from it (:meth:`_child`, by the rule of the
+    module docstring) shares its pivots and adds only its own rows to a
+    copy of the two dicts.  ``images``
     holds the images of the pivots and the ties among them
     (:meth:`_images`) once a call has needed them; every derived set
     shares them.
@@ -632,21 +625,17 @@ class Conjunction:
         self.images = None
         self.rowset = self._normalize(rows) if rows else RowSet(names, (), 0, False, self.bounds)
 
-    def conjoin_bounds(self, intervals) -> Conjunction:
-        """This conjunction and the pairs ``(j, interval)`` in the list
-        ``intervals``, each ``x_j`` in ``interval``: the set derived
-        (:meth:`_child`) from the intervals' rows (:func:`_rows`),
-        built without most of those rows.
+    def conjoin_bounds(self, intervals) -> Conjunction | None:
+        """The set derived from this conjunction and the pairs ``(j,
+        interval)`` in the list ``intervals``, each ``x_j`` in
+        ``interval``, by the rule of the module docstring; ``None`` at
+        the first conflict.
 
-        An interval on ``x_j`` whose image under the pivots
-        (:meth:`_images`) has one variable is mapped onto that variable
-        (:func:`_map`) and met once into a copy of ``bounds``; when no
-        pivot rewrites ``x_j``, or its image is ``x_k`` itself, the
-        interval is met as it is.  An interval whose image has no
-        variable or two or more adds its rows, normalized as the
-        constructor normalizes.  With no such interval, the result keeps
-        the rows of this set: nothing is copied or normalized.  Its
-        caller passes only a conjunction whose own rows are not refuted.
+        ``x_j`` is read through its image under the pivots
+        (:meth:`_images`): an interval on an image with one variable is
+        mapped onto it (:func:`_map`), or met as it is when no pivot
+        rewrites ``x_j`` or its image is ``x_k`` itself.  Its caller
+        passes only a conjunction whose own rows are not refuted.
         """
         images, _ = self._images()
         met = self.bounds.copy()
@@ -657,7 +646,13 @@ class Conjunction:
                 k = j
             else:
                 mask, vec, const, scale = image
-                if not mask or mask & (mask - 1):
+                if not mask:
+                    # The pivots fix x_j at const / scale.
+                    value = Bound(_ratio(const, scale), False)
+                    if interval.meet(Interval(value, value)).is_empty:
+                        return None
+                    continue
+                if mask & (mask - 1):
                     rows += _rows(vec, const, scale, interval)
                     continue
                 # scale·x_j = a·x_k + const, so x_k = (scale·x_j - const) / a,
@@ -668,15 +663,13 @@ class Conjunction:
                     sign = 1 if vec[k] > 0 else -1
                     interval = _map(interval, sign * scale, -sign * const, sign * vec[k])
             if _meet(met, k, interval):
-                refuted = self._child(met, ())
-                refuted.rowset = _refuted(self.names)
-                return refuted
+                return None
         return self._child(met, rows)
 
     def _child(self, bounds: dict[int, Interval], rows) -> Conjunction:
-        """This conjunction with ``bounds`` and the normalized ``rows``
-        added to a copy of ``out``; it shares the pivots and their
-        images."""
+        """This conjunction with ``bounds`` and the normalized ``rows``,
+        each over two or more variables, added to a copy of ``out``; it
+        shares the pivots and their images."""
         # Set every slot here: __init__ would build the conjunction anew.
         child = object.__new__(Conjunction)
         child.names, child.free, child.pivots = self.names, self.free, self.pivots
@@ -720,12 +713,11 @@ class Conjunction:
     def _images(self) -> tuple[dict[int, tuple[int, list[int], int, int]], tuple]:
         """For each pivot position ``j``, ``x_j`` rewritten through the
         pivots: ``(mask, vec, const, scale)``, with ``scale * x_j = vec·x
-        + const`` on the solutions of the pivots, the integers divided by
-        their gcd, and ``mask`` the positions ``vec`` mentions; the pivots
-        leave any other ``x_j`` as it is.  Then the ties, the pivots
-        solved for positions outside ``free``: ``(names[j], names[k], a,
-        c, s)`` with ``x_j = (a·x_k + c) / s``.  Computed once and kept
-        in ``images``."""
+        + const`` on the solutions of the pivots and ``mask`` the
+        positions ``vec`` mentions; the pivots leave any other ``x_j`` as
+        it is.  Then the ties, the pivots solved for positions outside
+        ``free``: ``(names[j], names[k], a, c, s)`` with ``x_j = (a·x_k +
+        c) / s``.  Computed once and kept in ``images``."""
         if self.images is None:
             names, free = self.names, self.free
             n = len(names)
@@ -733,9 +725,6 @@ class Conjunction:
             images, ties = {}, []
             for j, _, _ in self.pivots:
                 vec, const, scale = _rewrite([int(i == j) for i in range(n)], 0, self.pivots)
-                d = gcd(*vec, const, scale)
-                if d > 1:
-                    vec, const, scale = [x // d for x in vec], const // d, scale // d
                 mask = sum(compress(bits, vec))
                 images[j] = (mask, vec, const, scale)
                 if not free >> j & 1:

@@ -25,6 +25,7 @@ from chclab.domain import (
 )
 from chclab.linlogic import Conjunction, ResourceLimitError, cube_is_sat, sat_cube, to_dnf
 from chclab.parser import parse_system
+from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
 from chclab.syntax import (
     Clause,
     LinConstraint,
@@ -35,9 +36,10 @@ from chclab.syntax import (
     conj,
     param_vars,
 )
-from conftest import interval, join, point_box
+from conftest import CORPUS, interval, join, point_box
 from fm_reference import sub
 from randgen import random_box, random_element, random_finite_system, random_interval
+from test_linlogic import pivot_formula
 from test_solver import fuzz_text
 
 F = Fraction
@@ -700,7 +702,7 @@ def test_box_bounds_met_as_intervals_match_the_row_route():
     # the same.  The bounds hold each end as an int when it is integral.
     system = parse_system(PIVOT_TEXT)
     rng = random.Random(27)
-    routes = dict.fromkeys(("image", "rows", "pivot"), 0)
+    routes = dict.fromkeys(("image", "rows", "pivot", "conflict"), 0)
     for clause in system.clauses:
         cc = CompiledClause(clause)
         names, index, _ = cc.lowered
@@ -731,6 +733,12 @@ def test_box_bounds_met_as_intervals_match_the_row_route():
                 fresh = [want for i, want in enumerate(fresh) if cc._decided.get(i) is not False]
                 for template, want in zip(templates, fresh, strict=True):
                     got = template.conjoin_bounds(bounded)
+                    if got is None:
+                        # A conflict builds no set: the fresh build
+                        # projects to nothing.
+                        assert want.project(args) is None, label
+                        routes["conflict"] += 1
+                        continue
                     assert got.pivots is template.pivots, label
                     ends = [b.value for iv in got.rowset.bounds.values() for b in iv]
                     assert all(type(v) is int or v.denominator > 1 for v in ends if v is not None)
@@ -797,8 +805,10 @@ def test_an_interval_whose_image_has_one_variable_is_met_once(monkeypatch):
     # A bounded interval of an input box whose image under the template's
     # pivots has one variable, its own when no pivot rewrites it, is
     # mapped whole and met once, not met as two half-lines.  An interval
-    # whose image has no variable or two or more adds rows and is not
-    # met.  No call changes the template's pivots.
+    # whose image has no variable is decided against the value the
+    # pivots fix, and one whose image has two or more adds rows; neither
+    # is met.  No call changes the template's pivots, and a conflicting
+    # call builds no set and stops at its first empty meet.
     meets = 0
     meet = linlogic._meet
 
@@ -827,10 +837,67 @@ def test_an_interval_whose_image_has_one_variable_is_met_once(monkeypatch):
     for template, intervals, out, count in calls:
         images, _ = template._images()
         single = [iv for j, iv in intervals if j not in images or images[j][0].bit_count() == 1]
-        assert out.pivots is template.pivots
-        if out.rowset.unsat:
+        if out is None:
             assert count <= len(single)
         else:
+            assert out.pivots is template.pivots
             assert count == len(single)
             closed += sum(None not in (iv.lo.value, iv.hi.value) and iv.lo != iv.hi for iv in single)
     assert closed > 100, closed
+
+
+def test_derived_sets_normalize_only_rows_over_two_or_more_variables(monkeypatch):
+    # A set derived from a Conjunction, a search child or a template with
+    # the intervals of its input boxes, decides every constraint over
+    # fewer than two variables by an interval meet: each row that reaches
+    # ``_child`` mentions two or more variables.  A conflict builds no
+    # set, so no transformer call projects a refuted one.  The traffic:
+    # the probes of PIVOT_TEXT and TIED_TEXT, whose templates fix and tie
+    # variables, every corpus and stress file solved in alt with its
+    # model checked, and seeded searches whose children bring equalities
+    # and one-variable rows.
+    received = conflicts = 0
+    child = Conjunction._child
+
+    def checked(self, bounds, rows):
+        nonlocal received
+        rows = list(rows)
+        assert all(len(vec) - vec.count(0) >= 2 for vec, _, _ in rows), rows
+        received += len(rows)
+        return child(self, bounds, rows)
+
+    conjoin_bounds = Conjunction.conjoin_bounds
+
+    def counted(self, intervals):
+        nonlocal conflicts
+        out = conjoin_bounds(self, intervals)
+        conflicts += out is None
+        return out
+
+    project = Conjunction.project
+
+    def projected(self, variables):
+        # Only a transformer call projects a Conjunction on this traffic.
+        assert not self.rowset.unsat
+        return project(self, variables)
+
+    monkeypatch.setattr(Conjunction, "_child", checked)
+    monkeypatch.setattr(Conjunction, "conjoin_bounds", counted)
+    monkeypatch.setattr(Conjunction, "project", projected)
+    rng = random.Random(41)
+    for text in (PIVOT_TEXT, TIED_TEXT):
+        system = parse_system(text)
+        _assert_matches_reference(system.clauses, system.decls, rng, 40, "derived")
+    paths = sorted(CORPUS.glob("**/*.chc"))
+    assert len(paths) == 27
+    for path in paths:
+        system = parse_system(path.read_text(encoding="utf-8"))
+        _, verdict = alternate(system, AnalysisConfig(max_rounds=5))
+        model = verdict.witness.as_dict()
+        assert check_model(system, model).ok, path.name
+        assert not verdict.safe or goal_disjoint(system, model), path.name
+    for seed in range(200):
+        for root_equalities in (False, True):
+            f = pivot_formula(random.Random(seed), root_equalities)
+            assert (sat_cube(f) is None) == (not any(cube_is_sat(c) for c in to_dnf(f))), seed
+    assert received > 1000 and conflicts > 100, (received, conflicts)

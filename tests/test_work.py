@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import json
 
-from work_census import COUNTERS, GOLDEN, census
-
-PINNED = ("exit", "digest", "outcome")
+from work_census import COUNTERS, GOLDEN, PINNED, census
 
 
 def test_work_does_not_rise_above_the_census():

@@ -20,8 +20,10 @@ writing bytecode there, never changed.
     PYTHONPATH=src python tests/wide_family.py            # check the family
     PYTHONPATH=src python tests/wide_family.py --record   # check, then re-record both sections
 
-The check prints the number of runs that end in exit 3, the slowest run
-and each outcome that moved from its golden entry, and exits 1 on a
+The check prints the number of runs that end in exit 3 and the slowest
+run, then for each phase that can raise exit 3 (``alternate``,
+``check_model`` and ``goal_disjoint``) how many runs it ended and their
+keys, then each outcome that moved from its golden entry, and exits 1 on a
 regression.  Any other argument list exits 2 with a usage line, before
 any run.  ``--record`` writes the golden file only when the check
 against the copy it replaces finds no regression, so an outcome can only
@@ -58,17 +60,29 @@ def wide_text(k: int, s: int) -> str:
     return workloads.wide_text(k, s, 0)
 
 
+PHASES = ("alternate", "check_model", "goal_disjoint")
+
+
 def outcome(k: int, s: int) -> str:
     """The outcome of one run of the family (see the module docstring)."""
+    return phased(k, s)[0]
+
+
+def phased(k: int, s: int) -> tuple[str, str | None]:
+    """The outcome of one run of the family and, for ``exit 3``, the one
+    of ``PHASES`` that raised it (``None`` otherwise)."""
     system = parse_system(wide_text(k, s))
+    phase = "alternate"
     try:
         _, verdict = alternate(system, AnalysisConfig(max_rounds=BUDGET))
         model = verdict.witness.as_dict()
+        phase = "check_model"
         certified = check_model(system, model).ok
+        phase = "goal_disjoint"
         certified = certified and (not verdict.safe or goal_disjoint(system, model))
     except ResourceLimitError:
-        return EXIT_3
-    return verdict.status if certified else "cert"
+        return EXIT_3, phase
+    return verdict.status if certified else "cert", None
 
 
 def regressions(golden: dict[str, str], got: dict[str, str]) -> list[str]:
@@ -82,26 +96,32 @@ def regressions(golden: dict[str, str], got: dict[str, str]) -> list[str]:
     ]
 
 
-def run(section: str) -> tuple[dict[str, str], dict[str, float]]:
+def run(section: str) -> tuple[dict[str, str], dict[str, float], dict[str, list[str]]]:
     """The outcome and the seconds of each run of ``section``, keyed
-    ``k<k>-s<s>``."""
+    ``k<k>-s<s>``, and the keys of the runs that each phase ended in
+    exit 3."""
     got, seconds = {}, {}
+    raised: dict[str, list[str]] = {phase: [] for phase in PHASES}
     for k, s in SECTIONS[section]:
         key = f"k{k}-s{s}"
         start = time.perf_counter()
-        got[key] = outcome(k, s)
+        got[key], phase = phased(k, s)
         seconds[key] = time.perf_counter() - start
-    return got, seconds
+        if phase is not None:
+            raised[phase].append(key)
+    return got, seconds, raised
 
 
 def main(argv: list[str]) -> int:
     if argv not in ([], ["--record"]):
         print("usage: python tests/wide_family.py [--record]", file=sys.stderr)
         return 2
-    got, seconds = run("family")
+    got, seconds, raised = run("family")
     slowest = max(seconds, key=seconds.get)
     exits = sum(result == EXIT_3 for result in got.values())
     print(f"{len(got)} runs, {exits} end in exit 3; slowest {slowest} ({got[slowest]}) {seconds[slowest]:.2f} s")
+    for phase, keys in raised.items():
+        print(f"exit 3 in {phase}: {len(keys)}" + (f" ({', '.join(keys)})" if keys else ""))
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["family"]
     moved = [f"{key}: {golden[key]} -> {got[key]}" for key in golden if got[key] != golden[key]]
     for line in moved:

@@ -49,6 +49,11 @@ every hash seed.  To re-record ``tests/golden/work.json`` after a change
 that lowers a count:
 
     PYTHONPATH=src python tests/work_census.py
+
+Before it overwrites the golden copy, the script prints what moved
+(:func:`moves`): each counter whose total changed, over the corpus runs,
+the benchmark runs and each workload, and then every run whose exit
+code, digest or outcome changed and every run in which a count rose.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ GOLDEN = ROOT / "tests" / "golden" / "work.json"
 MODES = ("fwd", "alt", "qa2", "qa-iter")
 BUDGETS = (5, 8)
 WORKLOADS = ("chain", "rounds", "wide")
+# The fields of a run that no change may move.
+PINNED = ("exit", "digest", "outcome")
 
 
 COUNTERS = (
@@ -216,6 +223,49 @@ def bench_runs() -> dict[str, dict]:
     return out
 
 
+def totals(runs: dict[str, dict], counter: str) -> dict[str, int]:
+    """``counter`` summed over the corpus runs, keyed
+    ``path|mode|budget``, over the benchmark runs, keyed
+    ``workload|instance``, and over each workload."""
+    out = dict.fromkeys(("corpus", "bench", *WORKLOADS), 0)
+    for key, counts in runs.items():
+        value = counts.get(counter, 0)
+        if key.count("|") == 2:
+            out["corpus"] += value
+        else:
+            out["bench"] += value
+            out[key.split("|")[0]] += value
+    return out
+
+
+def moves(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
+    """What the census ``new`` moved from ``old``, one line each: every
+    counter whose totals (:func:`totals`) changed, with the old and new
+    ones, then every run whose exit code, digest or outcome changed and
+    every run in which a count rose."""
+    lines = []
+    for counter in COUNTERS:
+        before, after = totals(old, counter), totals(new, counter)
+        if before != after:
+            lines.append(f"{counter}: " + ", ".join(f"{g} {before[g]:,} -> {after[g]:,}" for g in before))
+    for key, run in new.items():
+        was = old.get(key, {})
+        lines += [
+            f"changed {key} {field}: {was.get(field)} -> {run[field]}"
+            for field in PINNED
+            if field in run and run[field] != was.get(field)
+        ]
+        lines += [
+            f"rose {key} {counter}: {was.get(counter, 0)} -> {run[counter]}"
+            for counter in COUNTERS
+            if run[counter] > was.get(counter, 0)
+        ]
+    return lines
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(census(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    got = census()
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    print("\n".join(moves(old, got)) or "no count, exit code, digest or outcome moved")
+    GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN.relative_to(ROOT)}")
