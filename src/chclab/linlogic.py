@@ -601,17 +601,15 @@ class Conjunction:
     (:func:`_bound`) instead of kept as a row, and a ground row that
     holds is dropped.  A ground row that fails
     (:meth:`~chclab.syntax.Rel.holds`) refutes the set, and so does an
-    empty meet.  Such a conflict refutes most unsatisfiable branches of
-    :func:`sat_cube` before any elimination runs.
+    empty meet.
 
     ``out`` (the distinct rows over two or more variables, by key) and
     ``bounds`` (the set's intervals) are the state of that build between
     rows.  Every set derived from it (:meth:`_child`, by the rule of the
     module docstring) shares its pivots and adds only its own rows to a
-    copy of the two dicts.  ``images``
-    holds the images of the pivots and the ties among them
-    (:meth:`_images`) once a call has needed them; every derived set
-    shares them.
+    copy of the two dicts.  ``images`` holds the images of the pivots
+    and the ties among them (:meth:`_images`) once a call has needed
+    them; every derived set shares them.
     """
 
     __slots__ = ("names", "free", "pivots", "out", "bounds", "rowset", "images")

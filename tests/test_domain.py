@@ -861,7 +861,6 @@ def test_derived_sets_normalize_only_rows_over_two_or_more_variables(monkeypatch
 
     def checked(self, bounds, rows):
         nonlocal received
-        rows = list(rows)
         assert all(len(vec) - vec.count(0) >= 2 for vec, _, _ in rows), rows
         received += len(rows)
         return child(self, bounds, rows)
