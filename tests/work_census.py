@@ -38,6 +38,8 @@ The counts come from wrapping the names the callers bind:
 * ``_map.calls`` and ``images.builds``: the intervals mapped through an
   image, and the calls of :meth:`Conjunction._images` that compute the
   images rather than reuse them;
+* ``meet.calls``: the calls of :meth:`linlogic.Interval.meet`, wrapped
+  on the class, so every caller counts;
 * ``negate.calls``: the formulas the model check negates;
 * ``project_rows.calls``, ``_apply.calls`` and ``sat_cube.calls``: the
   projections, the clause transformer calls and the satisfiability
@@ -87,6 +89,7 @@ COUNTERS = (
     "normalize.rows",
     "_map.calls",
     "images.builds",
+    "meet.calls",
     "negate.calls",
     "project_rows.calls",
     "_apply.calls",
@@ -159,6 +162,7 @@ def counting():
         (Conjunction, "_normalize", _normalized(counts, Conjunction._normalize)),
         (Conjunction, "_images", _built(counts, Conjunction._images)),
         (linlogic, "_map", _calls(counts, "_map.calls", linlogic._map)),
+        (linlogic.Interval, "meet", _calls(counts, "meet.calls", linlogic.Interval.meet)),
         (solver, "negate_formula", _calls(counts, "negate.calls", solver.negate_formula)),
         (CompiledClause, "_apply", _calls(counts, "_apply.calls", CompiledClause._apply)),
         (linlogic, "project_rows", _calls(counts, "project_rows.calls", linlogic.project_rows)),
