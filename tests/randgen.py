@@ -224,6 +224,69 @@ def random_cube(rng: random.Random, max_vars: int = 4) -> list[LinConstraint]:
     return cube
 
 
+def _fuzz_comparison(rng: random.Random, variables) -> str:
+    v, w = rng.choice(variables), rng.choice(variables)
+    op = rng.choice(["<=", "<", "=", ">=", ">"])
+    kind = rng.random()
+    if kind < 0.4:
+        return f"{v} {op} {rng.randint(0, 3)}"
+    if kind < 0.7:
+        return f"{v} {op} {w}"
+    shift = rng.randint(-2, 2)
+    return f"{v} {op} {w} {'-' if shift < 0 else '+'} {abs(shift)}"
+
+
+def fuzz_text(seed: int) -> str:
+    """A random system of 2-4 predicates of arity 2-4 and 3-8 clauses,
+    shaped like the multi-round repro in ``corpus/stress/rounds.chc``."""
+    rng = random.Random(seed)
+    arities = [rng.randint(2, 4) for _ in range(rng.randint(2, 4))]
+    variables = "ABCDEF"
+    lines = [f"pred p{i}/{a}." for i, a in enumerate(arities)]
+
+    def atom() -> str:
+        i = rng.randrange(len(arities))
+        return f"p{i}({', '.join(rng.choice(variables) for _ in range(arities[i]))})"
+
+    nclauses = rng.randint(3, 8)
+    for k in range(nclauses):
+        body = [atom() for _ in range(rng.choices([0, 1, 2], weights=[30, 50, 20])[0])]
+        body += [_fuzz_comparison(rng, variables) for _ in range(rng.randint(0, 3))]
+        head = "false" if k == nclauses - 1 else atom()
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return "\n".join(lines) + "\n"
+
+
+def wide_finite_text(seed: int) -> str:
+    """A random system of 1-3 predicates of arity 3-4 over a universe of
+    2-3 values.  Grounding a clause enumerates the universe to the power
+    of its variable count, and normalization gives each argument position
+    its own variable, so a clause has at most seven argument positions and
+    its comparisons mention only variables of its atoms."""
+    rng = random.Random(seed)
+    arities = [rng.randint(3, 4) for _ in range(rng.randint(1, 3))]
+    universe = sorted(rng.sample(range(4), rng.randint(2, 3)))
+    lines = [f"pred p{i}/{a}." for i, a in enumerate(arities)]
+    lines.append("universe {" + ", ".join(map(str, universe)) + "}.")
+    nclauses = rng.randint(2, 6)
+    for k in range(nclauses):
+        head = None if k == nclauses - 1 else rng.randrange(len(arities))
+        room = 7 - (0 if head is None else arities[head])
+        preds = [] if head is None else [head]
+        for _ in range(rng.choices([0, 1, 2], weights=[30, 50, 20])[0]):
+            i = rng.randrange(len(arities))
+            if arities[i] <= room:
+                preds.append(i)
+                room -= arities[i]
+        atoms = [f"p{i}({', '.join(rng.choice('ABCD') for _ in range(arities[i]))})" for i in preds]
+        used = sorted({v for a in atoms for v in a if v in "ABCD"}) or ["A"]
+        body = atoms if head is None else atoms[1:]
+        body += [_fuzz_comparison(rng, used) for _ in range(rng.randint(0, 2))]
+        head_text = "false" if head is None else atoms[0]
+        lines.append(f"{head_text} :- {', '.join(body)}." if body else f"{head_text}.")
+    return "\n".join(lines) + "\n"
+
+
 def _main() -> None:
     import pathlib
     import sys

@@ -38,9 +38,8 @@ from chclab.syntax import (
 )
 from conftest import CORPUS, interval, join, point_box
 from fm_reference import sub
-from randgen import random_box, random_element, random_finite_system, random_interval
+from randgen import fuzz_text, random_box, random_element, random_finite_system, random_interval
 from test_linlogic import pivot_formula
-from test_solver import fuzz_text
 
 F = Fraction
 

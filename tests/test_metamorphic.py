@@ -26,7 +26,7 @@ from chclab.syntax import (
 )
 from conftest import bound
 from fm_reference import add, scale
-from test_solver import fuzz_text
+from randgen import fuzz_text
 
 SEED = 3
 FUZZ_SEEDS = range(0, 300, 15)

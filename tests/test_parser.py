@@ -32,8 +32,7 @@ from chclab.syntax import (
 from conftest import CORPUS
 from fm_reference import scale
 from formula_reference import rename_formula
-from randgen import random_acyclic_text, random_finite_text
-from test_solver import fuzz_text, wide_finite_text
+from randgen import fuzz_text, random_acyclic_text, random_finite_text, wide_finite_text
 
 
 def test_ladder_shape(ladder):

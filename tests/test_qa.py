@@ -29,8 +29,8 @@ from chclab.solver import (
 )
 from chclab.syntax import format_system
 from conftest import CORPUS
-from randgen import random_finite_system
-from test_solver import _one_box_changed, fuzz_text, wide_finite_text
+from randgen import fuzz_text, random_finite_system, wide_finite_text
+from test_solver import _one_box_changed
 
 F = Fraction
 
