@@ -184,16 +184,15 @@ class CompiledClause:
     nothing: its rows are refuted as they are normalized, or, when they
     include rows over two or more variables, by one cheapest-first
     elimination over every variable as the template is built
-    (:meth:`~chclab.linlogic.Conjunction.satisfiable`).  A decision that
-    exceeds ``DEFAULT_FM_CAP`` keeps the template.  So no call projects
-    a cube without solutions, re-deriving its conflict in the order the
-    target forces.  Whether a cube has solutions does not depend on the
-    target, so each cube is decided once per clause: a later target
-    builds no template of a dead cube and decides no live one again.  A
-    decision past the cap is not kept, and each target's template of
-    that cube tries its own.  A call
-    conjoins each bounded interval of its input boxes, with the position
-    of its variable, with every template
+    (:meth:`~chclab.linlogic.Conjunction.satisfiable`).  So no call
+    projects a cube without solutions, re-deriving its conflict in the
+    order the target forces.  Whether a cube has solutions does not
+    depend on the target, so each cube is decided once per clause: a
+    later target builds no template of a dead cube and decides no live
+    one again.  A decision past ``DEFAULT_FM_CAP`` keeps its template
+    and is not recorded, and each target's template of that cube tries
+    its own.  A call conjoins each bounded interval of its input boxes,
+    with the position of its variable, with every template
     (:meth:`~chclab.linlogic.Conjunction.conjoin_bounds`) and projects
     the result onto the target
     (:meth:`~chclab.linlogic.Conjunction.project`), reading each tied
@@ -263,23 +262,20 @@ class CompiledClause:
                 if live is False:
                     continue
                 template = Conjunction(names, cube, free, targets)
-                if live or self._live(k, template):
+                if live is None:
+                    # An unsatisfiable template projects to nothing, and so
+                    # does every template of its cube.  A decision past the
+                    # cap keeps the template and is not recorded, so that
+                    # its projection meets the cap only where it would
+                    # without the decision.
+                    try:
+                        live = self._decided[k] = template.satisfiable()
+                    except ResourceLimitError:
+                        live = True
+                if live:
                     found.append(template)
             self._templates[target] = found
         return found
-
-    def _live(self, k: int, template: Conjunction) -> bool:
-        """Whether ``template``, of cube ``k``, may project to something:
-        an unsatisfiable one projects to nothing, whatever bounds are
-        added, and the answer holds for every template of the cube.  A
-        decision that exceeds ``DEFAULT_FM_CAP`` keeps the template and
-        is not kept, so that its projection meets the cap only where it
-        would without the decision."""
-        try:
-            live = self._decided[k] = template.satisfiable()
-        except ResourceLimitError:
-            return True
-        return live
 
 
 def clause_post(clause: Clause, elem: AbstractElement) -> Box:

@@ -5,8 +5,9 @@ search over the disjunct choices of its And/Or tree that never builds the
 disjunctive normal form: it gathers the atoms of the current conjunction,
 drops the branch as soon as they are unsatisfiable, and branches on the
 pending disjunction with the fewest children first.  A child whose new
-atoms conflict on their own with its parent's bounds is never built, and
-one whose atoms add no row is as satisfiable as its parent.  The
+atoms conflict with its parent's bounds or with each other is dropped
+before it is built and is not a branch, and one whose atoms add no row
+is as satisfiable as its parent.  The
 formula may come with instances, formulas under a renaming of their
 variables, whose atoms are lowered through the renaming instead of
 renamed.  The search is incremental in the way of the theory solvers of
@@ -17,9 +18,9 @@ state a branch already holds:
   branch has the root's.  Each atom is lowered once per search and per
   renaming of its part, and rewritten through the root's pivots once,
   as it is built (:class:`_Atom`); its one-variable interval is
-  computed the first time a bound on its position or a child's meet
-  needs it.  A branch below the root is a derived set (see "Integer
-  rows"): it adds the rewritten rows as they are.
+  computed the first time a child meets it.  A branch below the root
+  is a derived set (see "Integer rows"): it adds the rewritten rows as
+  they are.
 * **Resumed elimination.**  A branch keeps the set its elimination
   ended with.  A child that adds no row over two or more variables,
   and only tightens ``bounds``, meets the tightened intervals
@@ -277,10 +278,12 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     two inequalities.  The search keeps one table of atoms
     (:class:`_Atom`), keyed by the atom and the renaming of its part,
     and every branch that adds an atom shares its row.  Before a child
-    is pushed, its new rows are read off the table: a child with a row
-    refuted on its own against its parent's ``bounds`` is never built
-    and is not a branch, and one that adds no row is as satisfiable as
-    its parent and needs no check.
+    is pushed, its new rows are read off the table and the interval of
+    each one-variable row is met into a copy of its parent's
+    ``bounds``: a child whose new atoms conflict with those bounds or
+    with each other is dropped before it is built and is not a branch,
+    and one that adds no row is as satisfiable as its parent and needs
+    no check.
 
     A branch with no row over two or more variables runs no
     elimination: its ``bounds`` are not empty, so it is satisfiable.  A
@@ -323,14 +326,18 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     table: dict[int, dict[int, _Atom]] = {}
     numbers: dict[tuple, int] = {}
 
-    def grow(choices, keys: frozenset, pivots: tuple[Pivot, ...], bounds: Mapping[int, Interval]):
+    def grow(choices, keys: frozenset, pivots: tuple[Pivot, ...], bounds: dict[int, Interval] | None):
         """The atoms, the pending disjunctions and the table entries of
         the fresh rows that ``choices`` add to a branch with ``pivots``
-        and ``bounds``, an atom built here rewritten through ``pivots``;
-        ``None`` when one of them is refuted on its own."""
+        and ``bounds``, an atom built here rewritten through ``pivots``,
+        and the bounds of the child: each fresh one-variable row's
+        interval met into a copy of ``bounds``, made at the first meet
+        (the root passes ``None`` and meets nothing).  ``None`` at the
+        first empty meet or ground row that fails."""
         atoms: list[tuple[LinConstraint, Mapping | None]] = []
         pending: list[tuple[Or, Mapping | None, Mapping]] = []
         fresh: dict[int, _Atom] = {}
+        met = bounds
         for f, mapping, columns in choices:
             new_atoms: list[LinConstraint] = []
             new_pending: list[Or] = []
@@ -347,12 +354,17 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
                     atom = renamed[id(c)] = _Atom(row, key, pivots)
                 if atom.key in keys or atom.key in fresh:
                     continue
-                if atom.refuted(bounds):
+                if atom.fails:
                     return None
+                if atom.position >= 0 and bounds is not None:
+                    if met is bounds:
+                        met = bounds.copy()
+                    if _meet(met, atom.position, atom.bound()):
+                        return None
                 fresh[atom.key] = atom
             atoms += [(c, mapping) for c in new_atoms]
             pending += [(g, mapping, columns) for g in new_pending]
-        return tuple(atoms), pending, fresh
+        return tuple(atoms), pending, fresh, met
 
     # A branch: the atoms chosen so far with the mapping of each, the
     # numbers of their distinct rows, the conjunction of those rows
@@ -360,7 +372,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
     # ended with (``None`` when it has no row to eliminate), the
     # disjunctions still to decide, and what its last choice adds.  Two
     # atoms with one row are the same constraint.
-    root = grow(parts, frozenset(), (), {})
+    root = grow(parts, frozenset(), (), None)
     if root is None:
         return None
     stack: list[tuple] = [((), frozenset(), None, None, (), root)]
@@ -369,7 +381,7 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
         visited += 1
         if visited > cap:
             raise ResourceLimitError(f"satisfiability search exceeded {cap} branches")
-        atoms, keys, branch, end, pending, (new_atoms, new_pending, fresh) = stack.pop()
+        atoms, keys, branch, end, pending, (new_atoms, new_pending, fresh, met) = stack.pop()
         atoms += new_atoms
         pending = [*pending, *new_pending]
         if branch is None or fresh:
@@ -381,13 +393,8 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
                 if child.rowset.unsat:
                     continue
             else:
-                # Meet the one-variable rows' intervals into a copy of the
-                # bounds and add the rows over two or more variables as they
-                # are; a ground row holds, as ``grow`` refutes one that fails.
-                met = branch.bounds.copy()
-                single = [atom for atom in fresh.values() if atom.position >= 0]
-                if any(_meet(met, atom.position, atom.bound()) for atom in single):
-                    continue
+                # ``grow`` met the one-variable rows and checked the ground
+                # ones: add the rows over two or more variables as they are.
                 wide = [atom.row for atom in fresh.values() if atom.position < 0 and any(atom.row[0])]
                 child = branch._child(met, wide)
             rows = child.rowset
@@ -440,14 +447,6 @@ class _Atom:
             vec, const, rel = self.row
             self.interval = _bound(vec, const, rel, self.position)
         return self.interval
-
-    def refuted(self, bounds: Mapping[int, Interval]) -> bool:
-        """Is the row refuted on its own: a ground row that fails, or a
-        one-variable row whose interval meets ``bounds`` to empty?"""
-        j = self.position
-        if j < 0 or j not in bounds:
-            return self.fails
-        return self.bound().meet(bounds[j]).is_empty
 
 
 # A constraint lowered to integers: (vec, const, rel) stands for

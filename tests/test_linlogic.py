@@ -205,9 +205,10 @@ def test_bound_conflict_frozen_cases():
 
 def test_one_variable_equality_is_met_once_as_a_point(monkeypatch):
     # The row builder meets a one-variable row into ``bounds`` once, an
-    # equality as its point and not as two half-lines, and the search's
-    # atom table drops exactly the one-variable rows whose conjunction
-    # with the bounds the builder refutes.
+    # equality as its point and not as two half-lines, and a search
+    # child's meet of a one-variable atom into a copy of its parent's
+    # bounds refutes exactly the rows whose conjunction with the bounds
+    # the builder refutes.
     meets = []
     meet = linlogic._meet
 
@@ -238,8 +239,13 @@ def test_one_variable_equality_is_met_once_as_a_point(monkeypatch):
             point = Bound(Fraction(-row[1], a), False)
             assert meets[0][1] == Interval(point, point), row
             points += 1
+        # What a search child decides of the row as ``grow`` adds it.
         atom = linlogic._Atom(row, 0, base.pivots)
-        assert atom.refuted(base.bounds) == child.rowset.unsat, (base.bounds, row)
+        if atom.position < 0:
+            refutes = atom.fails
+        else:
+            refutes = meet(base.bounds.copy(), atom.position, atom.bound())
+        assert refutes == child.rowset.unsat, (base.bounds, row)
         refuted += child.rowset.unsat
     assert points > 150 and 50 < refuted < 250, (points, refuted)
 
@@ -598,6 +604,64 @@ def test_incremental_search_agrees_with_cube_is_sat(monkeypatch):
                 found += 1
                 assert got in cubes and cube_is_sat(got), f"seed {seed}: {f}"
         assert floor < found < ceiling, (root_equalities, found)
+
+
+def _atom(coeffs, const, rel):
+    """``coeffs·x + const rel 0`` as a formula."""
+    return Lin(LinConstraint(LinTerm.make(coeffs, const), rel))
+
+
+def _self_conflicting_children(rng):
+    """A box over 1-3 variables, around an integer point, with a row over
+    two of them that the point satisfies, and then a disjunction: 2-4
+    children of two one-variable atoms on one variable, each atom in the
+    box's interval on its own but conflicting with the other, and a child
+    that puts one variable at the point, after at least two of them."""
+    names = [f"v{i}" for i in range(rng.randint(1, 3))]
+    point = {v: rng.randint(-3, 3) for v in names}
+    box = {v: (point[v] - rng.randint(1, 4), point[v] + rng.randint(1, 4)) for v in names}
+    root = []
+    for v, (lo, hi) in box.items():
+        root += [_atom({v: -1}, lo, Rel.LE), _atom({v: 1}, -hi, Rel.LE)]
+    if len(names) > 1:
+        coeffs = {v: rng.choice((-2, -1, 1, 2)) for v in rng.sample(names, 2)}
+        const = -sum(a * point[v] for v, a in coeffs.items()) - rng.randint(0, 2)
+        root.append(_atom(coeffs, const, Rel.LE))
+    children = []
+    for _ in range(rng.randint(2, 4)):
+        v = rng.choice(names)
+        lo, hi = box[v]
+        # k·v <= k·a and k'·v >= k'·(a + d), or v < a and v >= a.
+        a = rng.randint(lo, hi - 1)
+        d = rng.randint(0, hi - a)
+        k, k2 = rng.randint(1, 3), rng.randint(1, 3)
+        below = _atom({v: k}, -k * a, Rel.LT if d == 0 else rng.choice((Rel.LE, Rel.LT)))
+        above = _atom({v: -k2}, k2 * (a + d), rng.choice((Rel.LE, Rel.LT)))
+        children.append(And((below, above)))
+    v = rng.choice(names)
+    children.insert(rng.randint(2, len(children)), _atom({v: 1}, -point[v], Rel.EQ))
+    return And((*root, Or(tuple(children))))
+
+
+def test_children_whose_atoms_conflict_with_each_other_are_no_branches(monkeypatch):
+    # A child whose fresh one-variable atoms conflict with each other,
+    # though none does with its parent's bounds, is dropped as ``grow``
+    # builds it and is not a branch: with the cap at 3, each search gets
+    # past the 2-4 such children before its satisfiable one.  First
+    # ``p(X) :- X >= 0, X <= 10, (X <= 3, X >= 4; X <= 2, X >= 5;
+    # X <= 1, X >= 6; X = 7)``.
+    dead = [And((_atom({"x": 1}, -a, Rel.LE), _atom({"x": -1}, b, Rel.LE))) for a, b in ((3, 4), (2, 5), (1, 6))]
+    box = (_atom({"x": -1}, 0, Rel.LE), _atom({"x": 1}, -10, Rel.LE))
+    formulas = [And((*box, Or((*dead, _atom({"x": 1}, -7, Rel.EQ)))))]
+    formulas += [_self_conflicting_children(random.Random(seed)) for seed in range(300)]
+    # The DNF conversion has the same cap: take it first.
+    cubes = [to_dnf(f) for f in formulas]
+    monkeypatch.setattr(linlogic, "DEFAULT_CUBE_CAP", 3)
+    for f, dnf in zip(formulas, cubes):
+        got = sat_cube(f)
+        sat = [c for c in dnf if fm_reference.cube_is_sat(c)]
+        assert len(sat) == 1 and got == sat[0], format_formula(f)
+    assert str(sat_cube(formulas[0])) == "-x <= 0, x <= 10, x = 7"
 
 
 def _layered(rng, arity, layers):
