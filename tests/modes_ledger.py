@@ -1,9 +1,10 @@
 """The mode ledger: the outcome of each generated system in each mode at
 each round budget, one character per seed.
 
-Four generators of ``tests/randgen.py``, ``fuzz_text``,
-``wide_finite_text``, ``random_goal_text`` and ``random_finite_text``,
-each give the systems of seeds 0-199.  Each system is solved in the
+Five generators of ``tests/randgen.py``, ``fuzz_text``,
+``wide_finite_text``, ``random_goal_text``, ``random_finite_text`` and
+``rounds_like_text``, each give the systems of seeds 0-199; only the
+outcomes of ``rounds_like_text`` depend on the mode and the budget.  Each system is solved in the
 modes fwd, alt, qa2 and qa-iter at the round budgets 1, 3, 5 and 8 by
 the calls ``chclab solve`` makes, and is then certified as that command
 certifies it: the step laws of the trace (not in qa2), ``check_model``
@@ -34,7 +35,13 @@ from chclab.linlogic import ResourceLimitError
 from chclab.parser import parse_system
 from chclab.qa import qa_two_step
 from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
-from randgen import fuzz_text, random_finite_text, random_goal_text, wide_finite_text
+from randgen import (
+    fuzz_text,
+    random_finite_text,
+    random_goal_text,
+    rounds_like_text,
+    wide_finite_text,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "modes.json"
@@ -43,6 +50,7 @@ GENERATORS = {
     "wide_finite_text": wide_finite_text,
     "random_goal_text": random_goal_text,
     "random_finite_text": random_finite_text,
+    "rounds_like_text": rounds_like_text,
 }
 MODES = ("fwd", "alt", "qa2", "qa-iter")
 BUDGETS = (1, 3, 5, 8)

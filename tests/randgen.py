@@ -287,6 +287,36 @@ def wide_finite_text(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rounds_like_text(seed: int) -> str:
+    """A random system shaped like ``corpus/stress/rounds.chc``: a chain
+    of 3-5 predicates of arity 2-4, the first with a loop clause and an
+    entry clause, each later one derived from the one before, and a
+    ``false`` clause on the last.  Atoms draw their arguments from four
+    variables, so they often repeat one; the ``false`` clause has two to
+    four comparisons and every other clause one or two.  Unlike the other generators' systems, some of these
+    need a second or third alternation round to be proved SAFE, and the
+    layered models of some run past a resource cap at the larger round
+    budgets, so their outcomes depend on the mode and the budget."""
+    rng = random.Random(seed)
+    arities = [rng.randint(2, 4) for _ in range(rng.randint(3, 5))]
+    variables = "ABCD"
+    lines = [f"pred p{i}/{a}." for i, a in enumerate(arities)]
+
+    def atom(i: int) -> str:
+        return f"p{i}({', '.join(rng.choice(variables) for _ in range(arities[i]))})"
+
+    def clause(head: str, body: list[str], comparisons: int) -> str:
+        body += [_fuzz_comparison(rng, variables) for _ in range(comparisons)]
+        return f"{head} :- {', '.join(body)}."
+
+    lines.append(clause(atom(0), [atom(0)], rng.randint(1, 2)))
+    lines.append(clause(atom(0), [], rng.randint(1, 2)))
+    for i in range(1, len(arities)):
+        lines.append(clause(atom(i), [atom(i - 1)], rng.randint(1, 2)))
+    lines.append(clause("false", [atom(len(arities) - 1)], rng.randint(2, 4)))
+    return "\n".join(lines) + "\n"
+
+
 def _main() -> None:
     import pathlib
     import sys

@@ -11,6 +11,7 @@ from randgen import (
     random_acyclic_text,
     random_finite_system,
     random_finite_text,
+    rounds_like_text,
 )
 
 
@@ -44,6 +45,18 @@ def test_acyclic_text_round_trips():
     text = random_acyclic_text(5)
     system = parse_system(text)
     assert system.universe is not None
+
+
+def test_rounds_like_systems_are_loops_feeding_a_chain():
+    assert rounds_like_text(7) == rounds_like_text(7)
+    assert rounds_like_text(7) != rounds_like_text(8)
+    for seed in range(50):
+        system = parse_system(rounds_like_text(seed))
+        preds = [d for d in system.decls if not d.is_false]
+        assert 3 <= len(preds) <= 5 and all(2 <= d.arity <= 4 for d in preds)
+        assert len(system.clauses) == len(preds) + 2
+        recursive = [c.preds for c in dependency_order(system) if c.recursive]
+        assert recursive == [("p0",)], seed
 
 
 def test_committed_corpus_matches_generator():
