@@ -136,9 +136,9 @@ class Box(NamedTuple):
 
 class AbstractElement(dict):
     """A box for every declared predicate, keyed by predicate name in
-    ``system.decls`` order.  Only the fixpoint engine and
-    :func:`~chclab.solver.goal_element` assign into an element, and
-    each only into one it built."""
+    ``system.decls`` order.  Only the fixpoint engine and the goal
+    elements (:func:`~chclab.solver.goal_element` and qa2's) assign into
+    an element, and each only into one it built."""
 
     @staticmethod
     def bottom(system: System) -> "AbstractElement":

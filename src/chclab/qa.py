@@ -6,22 +6,31 @@ tuples that are also derivable), so that a single forward analysis of
 the transformed system simulates goal-directed propagation.  Each goal
 clause ``app :- guard`` of the system becomes the query seed
 ``app_q :- guard``, and the transformed system's goal clauses are the
-same clauses on the answer predicates, ``app_a :- guard``.  On top of
-it sits the two-phase strengthened analysis, for comparison with the
-native alternating solver.
+same clauses on the answer predicates, ``app_a :- guard``.
+
+On top of it sits :func:`qa_two_step`, for comparison with the native
+alternating solver.  Its first step analyzes the transformed system
+forward.  Its second step analyzes the original system forward within
+the first step's answer boxes, as if each clause head were strengthened
+by its answer box, but it compiles nothing again: each original clause
+``p(args) :- b_1, ..., b_n, c`` posts through its answer clause
+``p_a(args) :- p_q(args), b_1_a, ..., b_n_a, c`` of the first step's
+clause table, whose query atom ranges over exactly the head's arguments
+and takes the head's answer box.  The goal element is read off the same
+table, as the posts of the query seeds.
 
 :func:`qa_iterated` runs :func:`~chclab.solver.alternate` from a
 forward start.  A backward pass by transformation, the forward analysis
 of the reversed system, projects what the native backward pass
 projects; ``tests/qa_reference.py`` keeps it as the reference for
-:func:`~chclab.solver.analyze_backward`.
+:func:`~chclab.solver.analyze_backward`, and the strengthened system as
+the reference route of :func:`qa_two_step`.
 """
-
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domain import AbstractElement
+from .domain import AbstractElement, Box
 from .solver import (
     AlternationTrace,
     AnalysisConfig,
@@ -30,9 +39,8 @@ from .solver import (
     Verdict,
     alternate,
     analyze_forward,
-    goal_element,
 )
-from .syntax import Clause, PredApp, PredDecl, System, conj
+from .syntax import Clause, PredApp, PredDecl, System
 
 
 class QAPredPair(NamedTuple):
@@ -44,6 +52,10 @@ class QAPredPair(NamedTuple):
 class QASystem(NamedTuple):
     system: System
     pairs: tuple[QAPredPair, ...]
+    # The index in ``system.clauses`` of each original clause's answer
+    # clause, and of the first query seed.
+    answer_clauses: tuple[int, ...]
+    seeds: int
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -78,7 +90,9 @@ def qa_transform(system: System) -> QASystem:
         return PredApp(decls[app.pred.name][1], app.args)
 
     clauses: list[Clause] = []
+    answer_clauses = []
     for clause in system.clauses:
+        answer_clauses.append(len(clauses))
         answers = tuple(a_app(app) for app in clause.body)
         clauses.append(
             Clause((q_app(clause.head), *answers), clause.constraint, a_app(clause.head))
@@ -91,12 +105,13 @@ def qa_transform(system: System) -> QASystem:
                     q_app(app),
                 )
             )
+    seeds = len(clauses)
     clauses.extend(goal._replace(head=q_app(goal.head)) for goal in system.goal)
 
     flat = [decl for pair in decls.values() for decl in pair]
     qa_goal = tuple(goal._replace(head=a_app(goal.head)) for goal in system.goal)
     qa_system = System.make(flat, tuple(clauses), system.universe, qa_goal)
-    return QASystem(qa_system, tuple(pairs))
+    return QASystem(qa_system, tuple(pairs), tuple(answer_clauses), seeds)
 
 
 def _project(qa: QASystem, element: AbstractElement, which: str) -> AbstractElement:
@@ -115,36 +130,59 @@ def _project(qa: QASystem, element: AbstractElement, which: str) -> AbstractElem
 def qa_two_step(
     system: System, config: AnalysisConfig = AnalysisConfig()
 ) -> tuple[AbstractElement, Verdict]:
-    """Analyze the transformed system, then the strengthened original.
+    """Analyze the transformed system, then the original within its
+    answer boxes.
 
-    The answer boxes of the first run are conjoined into the matching
-    clause heads, and the second forward run is kept inside them; the
-    returned model maps every predicate to "queried implies covered".
+    The second forward run evaluates each clause through its answer
+    clause in the first run's table (see the module docstring), which
+    derives what the clause with its head's answer box conjoined
+    derives; the returned model maps every predicate to "queried
+    implies covered".
     """
     qa = qa_transform(system)
-    qa_element = analyze_forward(ClauseResults(qa.system), AbstractElement.top(qa.system), config)
+    table = ClauseResults(qa.system)
+    qa_element = analyze_forward(table, AbstractElement.top(qa.system), config)
     answers = _project(qa, qa_element, "answer")
     queries = _project(qa, qa_element, "query")
-    final = analyze_forward(ClauseResults(_strengthen_heads(system, answers)), answers, config)
-    g = goal_element(system)
-    safe = g.meet(final).is_bottom
+    final = analyze_forward(_AnswerClauses(system, table, qa, answers), answers, config)
+    safe = _goal_element(system, qa, table, qa_element).meet(final).is_bottom
     model = RefinedModel(final, ((AbstractElement.top(system), queries),))
     # The two steps are fixed, so an UNKNOWN here has spent its budget.
     return final, Verdict(model, 2, "empty_element" if safe else "round_budget")
 
 
-def _strengthen_heads(system: System, b: AbstractElement) -> System:
-    clauses = tuple(
-        Clause(
-            clause.body,
-            conj(
-                [clause.constraint, b[clause.head.pred.name].formula(clause.head.args)]
-            ),
-            clause.head,
-        )
-        for clause in system.clauses
-    )
-    return system._replace(clauses=clauses)
+def _goal_element(
+    system: System, qa: QASystem, table: ClauseResults, qa_element: AbstractElement
+) -> AbstractElement:
+    """:func:`~chclab.solver.goal_element` of ``system`` read off the
+    first step's ``table``: the join, per head predicate, of the posts of
+    the query seeds, which that step computed from the goal guards."""
+    g = AbstractElement.bottom(system)
+    for k, goal in enumerate(system.goal, qa.seeds):
+        name = goal.head.pred.name
+        g[name] = g[name].join(table.post(k, qa_element))
+    return g
+
+
+class _AnswerClauses(ClauseResults):
+    """The clause table of :func:`qa_two_step`'s second step: ``post(i,
+    elem)`` is the post of clause ``i``'s answer clause in the first
+    step's ``table``, with the head's answer box for its query atom and
+    ``elem``'s boxes for its body atoms, each computed once per key."""
+
+    def __init__(self, system: System, table: ClauseResults, qa: QASystem, answers: AbstractElement):
+        super().__init__(system)
+        self.compiled = [table.compiled[k] for k in qa.answer_clauses]
+        self.answers = answers
+
+    def post(self, i: int, elem: AbstractElement) -> Box:
+        clause = self.system.clauses[i]
+        key = (i, *[elem[app.pred.name] for app in clause.body])
+        box = self._post.get(key)
+        if box is None:
+            query = self.answers[clause.head.pred.name]
+            box = self._post[key] = self.compiled[i].post((query, *key[1:]))
+        return box
 
 
 def qa_iterated(

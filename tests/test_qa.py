@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from chclab.concrete import (
     lfp_forward_rel,
 )
 from chclab.parser import parse_system
+from chclab import qa
 from chclab.qa import qa_iterated, qa_transform, qa_two_step
 from chclab.solver import (
     AnalysisConfig,
@@ -29,7 +31,14 @@ from chclab.solver import (
 )
 from chclab.syntax import format_system
 from conftest import CORPUS
-from randgen import fuzz_text, random_finite_system, wide_finite_text
+from randgen import (
+    fuzz_text,
+    random_finite_system,
+    random_element,
+    random_goal_text,
+    rounds_like_text,
+    wide_finite_text,
+)
 from test_solver import _one_box_changed
 
 F = Fraction
@@ -172,6 +181,94 @@ def test_qa_two_step_proves_trivial_disjointness():
     )
     _, verdict = qa_two_step(system)
     assert verdict.status == "SAFE"
+
+
+CONFIGS = pytest.mark.parametrize(
+    "config",
+    [AnalysisConfig(), AnalysisConfig(widening_delay=0), AnalysisConfig(descending_passes=0)],
+    ids=["default", "widening-delay-0", "descending-passes-0"],
+)
+
+
+@CONFIGS
+def test_qa_two_step_matches_the_strengthened_system(monkeypatch, config):
+    # qa2's second step posts each clause through its answer clause of
+    # the first step's table and reads the goal element off the query
+    # seeds; the reference compiles the strengthened system and the goal
+    # guards afresh.  Both must give the same final element, model and
+    # goal element.
+    goals = []
+
+    def recorded(*args):
+        goals.append(goal_of_seeds(*args))
+        return goals[-1]
+
+    goal_of_seeds = qa._goal_element
+    monkeypatch.setattr(qa, "_goal_element", recorded)
+    systems = [
+        (path.name, parse_system(path.read_text(encoding="utf-8")))
+        for path in sorted(CORPUS.glob("**/*.chc"))
+    ]
+    assert len(systems) == 27
+    for name, generate in [
+        ("fuzz", fuzz_text),
+        ("wide", wide_finite_text),
+        ("goal", random_goal_text),
+        ("rounds", rounds_like_text),
+    ]:
+        systems += [(f"{name} {s}", parse_system(generate(s))) for s in range(40)]
+    for name, system in systems:
+        final, verdict = qa_two_step(system, config=config)
+        want_final, want_model, want_goal = qa_reference.two_step(system, config)
+        assert final == want_final, name
+        assert verdict.witness == want_model, name
+        assert goals.pop() == want_goal, name
+        assert verdict.safe == want_goal.meet(want_final).is_bottom, name
+
+
+def test_answer_clause_posts_match_the_strengthened_clauses(corpus_systems):
+    # Transformer by transformer: with random answer boxes and random
+    # body boxes, posting through the answer clause of the first step's
+    # table derives what the clause strengthened by its head's answer box
+    # derives.  The whole runs above cannot show a lost answer box: on
+    # their systems the restriction by the answer boxes alone gives the
+    # same elements.
+    rng = random.Random(43)
+    systems = corpus_systems + [(f"rounds {s}", parse_system(rounds_like_text(s))) for s in range(40)]
+    compared = 0
+    for name, system in systems:
+        transformed = qa_transform(system)
+        table = ClauseResults(transformed.system)
+        for _ in range(3):
+            answers = random_element(rng, system)
+            got = qa._AnswerClauses(system, table, transformed, answers)
+            want = ClauseResults(qa_reference.strengthen_heads(system, answers))
+            for _ in range(3):
+                elem = random_element(rng, system)
+                for i in range(len(system.clauses)):
+                    assert got.post(i, elem) == want.post(i, elem), (name, i)
+                    compared += 1
+    assert compared > 1000
+
+
+def test_qa_two_step_compiles_each_clause_once(monkeypatch, lockstep_proc):
+    # Each clause of the transformed system is converted to DNF at most
+    # once: the second step and the goal element reuse the first step's
+    # compiled clauses.  Compiling the strengthened clauses and the goal
+    # guards again made 19 conversions here, against 12 clauses.
+    from chclab import domain
+
+    calls = 0
+    to_dnf = domain.to_dnf
+
+    def counted(formula):
+        nonlocal calls
+        calls += 1
+        return to_dnf(formula)
+
+    monkeypatch.setattr(domain, "to_dnf", counted)
+    qa_two_step(lockstep_proc)
+    assert 0 < calls <= len(qa_transform(lockstep_proc).system.clauses) == 12
 
 
 def test_qa_iterated_addition_loops_safe(addition_loops):
