@@ -26,6 +26,7 @@ projects; ``tests/qa_reference.py`` keeps it as the reference for
 :func:`~chclab.solver.analyze_backward`, and the strengthened system as
 the reference route of :func:`qa_two_step`.
 """
+
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -168,9 +169,12 @@ class _AnswerClauses(ClauseResults):
     """The clause table of :func:`qa_two_step`'s second step: ``post(i,
     elem)`` is the post of clause ``i``'s answer clause in the first
     step's ``table``, with the head's answer box for its query atom and
-    ``elem``'s boxes for its body atoms, each computed once per key."""
+    ``elem``'s boxes for its body atoms, each computed once per key.  The
+    second step is a forward run only, so ``pre`` is never called."""
 
-    def __init__(self, system: System, table: ClauseResults, qa: QASystem, answers: AbstractElement):
+    def __init__(
+        self, system: System, table: ClauseResults, qa: QASystem, answers: AbstractElement
+    ):
         super().__init__(system)
         self.compiled = [table.compiled[k] for k in qa.answer_clauses]
         self.answers = answers
