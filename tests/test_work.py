@@ -7,9 +7,9 @@ and ``wide`` benchmark workloads, exact counts of the elimination steps,
 their rows and the pairs they combine, the elimination runs, the
 lowered constraints, the conjoined batches, the normalizations and the
 rows they receive, the interval maps and image builds, the interval
-meets, the model
-check's negations, the projections, the clause transformer calls and
-the satisfiability searches (see ``tests/work_census.py``).  It also
+meets, the boxes and intervals built, the model check's negations, the
+projections, the clause transformer calls and the satisfiability
+searches (see ``tests/work_census.py``).  It also
 holds the exit code and the digest of the output of each corpus run,
 and the outcome of each benchmark instance, which must not change.  A change that lowers a count
 re-records the file with

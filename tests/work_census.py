@@ -40,6 +40,9 @@ The counts come from wrapping the names the callers bind:
   images rather than reuse them;
 * ``meet.calls``: the calls of :meth:`linlogic.Interval.meet`, wrapped
   on the class, so every caller counts;
+* ``box.builds`` and ``interval.builds``: the :class:`domain.Box` and
+  :class:`linlogic.Interval` tuples built, counted as the calls of each
+  class's ``__new__``, wrapped on the class;
 * ``negate.calls``: the formulas the model check negates;
 * ``project_rows.calls``, ``_apply.calls`` and ``sat_cube.calls``: the
   projections, the clause transformer calls and the satisfiability
@@ -90,6 +93,8 @@ COUNTERS = (
     "_map.calls",
     "images.builds",
     "meet.calls",
+    "box.builds",
+    "interval.builds",
     "negate.calls",
     "project_rows.calls",
     "_apply.calls",
@@ -147,6 +152,7 @@ def counting():
     runs; every wrapped name is restored afterwards."""
     counts = dict.fromkeys(COUNTERS, 0)
     Conjunction, CompiledClause = linlogic.Conjunction, domain.CompiledClause
+    Box, Interval = domain.Box, linlogic.Interval
     # ``solver`` binds ``sat_cube`` by name: every name a caller binds
     # gets the one wrapper.
     sat_cube = _calls(counts, "sat_cube.calls", linlogic.sat_cube)
@@ -162,7 +168,9 @@ def counting():
         (Conjunction, "_normalize", _normalized(counts, Conjunction._normalize)),
         (Conjunction, "_images", _built(counts, Conjunction._images)),
         (linlogic, "_map", _calls(counts, "_map.calls", linlogic._map)),
-        (linlogic.Interval, "meet", _calls(counts, "meet.calls", linlogic.Interval.meet)),
+        (Interval, "meet", _calls(counts, "meet.calls", Interval.meet)),
+        (Box, "__new__", staticmethod(_calls(counts, "box.builds", Box.__new__))),
+        (Interval, "__new__", staticmethod(_calls(counts, "interval.builds", Interval.__new__))),
         (solver, "negate_formula", _calls(counts, "negate.calls", solver.negate_formula)),
         (CompiledClause, "_apply", _calls(counts, "_apply.calls", CompiledClause._apply)),
         (linlogic, "project_rows", _calls(counts, "project_rows.calls", linlogic.project_rows)),
