@@ -19,11 +19,22 @@ guards take the same route, compiled as body-less clauses.
 on the fly.  :func:`formula_box`, which projects every cube of a whole
 formula's DNF, is the formula route the tests compare against; nothing
 on the solve path calls it.
+
+Boxes and intervals are immutable tuples, so they are shared, never
+copied: there is one empty and one top box per arity (:meth:`Box.empty`,
+:meth:`Box.top`) and one top interval, and ``join``, ``meet`` and
+``widen`` return an operand whenever the result equals it, so a new
+tuple is built only for a value that changed.  An element is a mutable
+dict, and it may be shared too: one run's passes share its top and
+bottom element (:class:`~chclab.solver.ClauseResults`), and a pass may
+hand back a box or an element it was given.  So nothing assigns into an
+element it did not build.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .linlogic import (
@@ -48,11 +59,15 @@ from .syntax import (
     negate_formula,
 )
 
+_is_empty = attrgetter("is_empty")
+
 
 class Box(NamedTuple):
     """Product of intervals; ``intervals is None`` encodes empty.  A box
     never holds an empty interval: :meth:`make` turns one into the empty
-    box."""
+    box.  Boxes are shared as the module docstring says: :meth:`empty`
+    and :meth:`top` return one box per arity, and ``join``, ``meet`` and
+    ``widen`` return an operand when the result equals it."""
 
     arity: int
     intervals: tuple[Interval, ...] | None
@@ -62,49 +77,62 @@ class Box(NamedTuple):
         ivs = tuple(intervals)
         if len(ivs) != arity:
             raise ValueError(f"{len(ivs)} intervals for a box of arity {arity}")
-        if any(iv.is_empty for iv in ivs):
-            return Box(arity, None)
+        if any(map(_is_empty, ivs)):
+            return Box.empty(arity)
         return Box(arity, ivs)
 
     @staticmethod
+    @cache
     def empty(arity: int) -> "Box":
         return Box(arity, None)
 
     @staticmethod
+    @cache
     def top(arity: int) -> "Box":
-        return Box(arity, tuple(Interval.top() for _ in range(arity)))
+        return Box(arity, (Interval.top(),) * arity)
 
     @property
     def is_empty(self) -> bool:
         return self.intervals is None
 
     def leq(self, other: "Box") -> bool:
-        if self.intervals is None:
+        if self is other or self.intervals is None:
             return True
         if other.intervals is None:
             return False
-        return all(a.leq(b) for a, b in zip(self.intervals, other.intervals))
+        return all(map(Interval.leq, self.intervals, other.intervals))
 
     def join(self, other: "Box") -> "Box":
-        if self.intervals is None:
+        if self.intervals is None or self is other:
             return other
         if other.intervals is None:
             return self
-        return Box(self.arity, tuple(a.join(b) for a, b in zip(self.intervals, other.intervals)))
+        return self._either(other, tuple(map(Interval.join, self.intervals, other.intervals)))
 
     def meet(self, other: "Box") -> "Box":
-        if self.intervals is None or other.intervals is None:
+        if self.intervals is None or self is other:
+            return self
+        if other.intervals is None:
+            return other
+        ivs = tuple(map(Interval.meet, self.intervals, other.intervals))
+        if any(map(_is_empty, ivs)):
             return Box.empty(self.arity)
-        return Box.make(
-            self.arity, (a.meet(b) for a, b in zip(self.intervals, other.intervals))
-        )
+        return self._either(other, ivs)
 
     def widen(self, other: "Box") -> "Box":
         if self.intervals is None:
             return other
-        if other.intervals is None:
+        if other.intervals is None or self is other:
             return self
-        return Box(self.arity, tuple(a.widen(b) for a, b in zip(self.intervals, other.intervals)))
+        return self._either(other, tuple(map(Interval.widen, self.intervals, other.intervals)))
+
+    def _either(self, other: "Box", intervals: tuple[Interval, ...]) -> "Box":
+        """``self`` or ``other`` when it holds ``intervals``, else a new box."""
+        if intervals == self.intervals:
+            return self
+        if intervals == other.intervals:
+            return other
+        return Box(self.arity, intervals)
 
     def formula(self, variables: Sequence[str]) -> Formula:
         """The box as a constraint formula over ``variables``: for each
@@ -138,7 +166,8 @@ class AbstractElement(dict):
     """A box for every declared predicate, keyed by predicate name in
     ``system.decls`` order.  Only the fixpoint engine and the goal
     elements (:func:`~chclab.solver.goal_element` and qa2's) assign into
-    an element, and each only into one it built."""
+    an element, and each only into one it built: an element is shared
+    as the module docstring says."""
 
     @staticmethod
     def bottom(system: System) -> "AbstractElement":
@@ -156,7 +185,7 @@ class AbstractElement(dict):
 
     @property
     def is_bottom(self) -> bool:
-        return all(box.is_empty for box in self.values())
+        return all(map(_is_empty, self.values()))
 
 
 def formula_box(formula: Formula, variables: Sequence[str]) -> Box:
@@ -233,7 +262,7 @@ class CompiledClause:
     def _apply(self, target: int | None, apps: Sequence[PredApp], boxes: Sequence[Box]) -> Box:
         clause = self.clause
         args = clause.head.args if target is None else clause.body[target].args
-        if any(box.is_empty for box in boxes):
+        if any(map(_is_empty, boxes)):
             return Box.empty(len(args))
         index = self.lowered[1]
         bounded = [

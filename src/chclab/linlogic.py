@@ -1080,14 +1080,19 @@ def _upper_covers(a: Bound, b: Bound) -> bool:
 class Interval(NamedTuple):
     """A rational interval with open or closed ends.  ``leq``, ``join``
     and ``widen`` take nonempty operands: a :class:`~chclab.domain.Box`
-    never holds an empty interval."""
+    never holds an empty interval.
+
+    An interval is immutable, so it is shared rather than copied:
+    :meth:`top` is one interval, and ``join``, ``meet`` and ``widen``
+    return an operand when the result equals it and build a new interval
+    only when it differs from both."""
 
     lo: Bound
     hi: Bound
 
     @staticmethod
     def top() -> Interval:
-        return Interval(UNBOUNDED, UNBOUNDED)
+        return _TOP
 
     @property
     def is_empty(self) -> bool:
@@ -1098,23 +1103,25 @@ class Interval(NamedTuple):
         return self.lo.value == self.hi.value and (self.lo.strict or self.hi.strict)
 
     def leq(self, other: Interval) -> bool:
+        if self is other:
+            return True
         return _lower_covers(other.lo, self.lo) and _upper_covers(other.hi, self.hi)
 
     def join(self, other: Interval) -> Interval:
         lo = self.lo if _lower_covers(self.lo, other.lo) else other.lo
         hi = self.hi if _upper_covers(self.hi, other.hi) else other.hi
-        return Interval(lo, hi)
+        return _either(self, other, lo, hi)
 
     def meet(self, other: Interval) -> Interval:
         lo = other.lo if _lower_covers(self.lo, other.lo) else self.lo
         hi = other.hi if _upper_covers(self.hi, other.hi) else self.hi
-        return Interval(lo, hi)
+        return _either(self, other, lo, hi)
 
     def widen(self, other: Interval) -> Interval:
         """Standard interval widening: unstable bounds go unbounded."""
         lo = self.lo if _lower_covers(self.lo, other.lo) else UNBOUNDED
         hi = self.hi if _upper_covers(self.hi, other.hi) else UNBOUNDED
-        return Interval(lo, hi)
+        return _either(self, other, lo, hi)
 
     def __str__(self) -> str:
         if self.is_empty:
@@ -1122,6 +1129,19 @@ class Interval(NamedTuple):
         left = "(-oo" if self.lo.value is None else ("(" if self.lo.strict else "[") + str(self.lo.value)
         right = "+oo)" if self.hi.value is None else str(self.hi.value) + (")" if self.hi.strict else "]")
         return f"{left}, {right}"
+
+
+_TOP = Interval(UNBOUNDED, UNBOUNDED)
+
+
+def _either(a: Interval, b: Interval, lo: Bound, hi: Bound) -> Interval:
+    """``a`` or ``b`` when it is the interval from ``lo`` to ``hi``, else
+    a new interval."""
+    if lo == a.lo and hi == a.hi:
+        return a
+    if lo == b.lo and hi == b.hi:
+        return b
+    return Interval(lo, hi)
 
 
 def project_to_box(cube: ConjCube, variables) -> list[Interval] | None:

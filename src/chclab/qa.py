@@ -142,12 +142,13 @@ def qa_two_step(
     """
     qa = qa_transform(system)
     table = ClauseResults(qa.system)
-    qa_element = analyze_forward(table, AbstractElement.top(qa.system), config)
+    qa_element = analyze_forward(table, table.top, config)
     answers = _project(qa, qa_element, "answer")
     queries = _project(qa, qa_element, "query")
-    final = analyze_forward(_AnswerClauses(system, table, qa, answers), answers, config)
+    second = _AnswerClauses(system, table, qa, answers)
+    final = analyze_forward(second, answers, config)
     safe = _goal_element(system, qa, table, qa_element).meet(final).is_bottom
-    model = RefinedModel(final, ((AbstractElement.top(system), queries),))
+    model = RefinedModel(final, ((second.top, queries),))
     # The two steps are fixed, so an UNKNOWN here has spent its budget.
     return final, Verdict(model, 2, "empty_element" if safe else "round_budget")
 
@@ -170,7 +171,9 @@ class _AnswerClauses(ClauseResults):
     elem)`` is the post of clause ``i``'s answer clause in the first
     step's ``table``, with the head's answer box for its query atom and
     ``elem``'s boxes for its body atoms, each computed once per key.  The
-    second step is a forward run only, so ``pre`` is never called."""
+    second step is a forward run only, so ``pre`` is never called.  It
+    compiles no clause: ``compiled`` holds the answer clauses of
+    ``table``, and the rest of its state is built for ``system``."""
 
     def __init__(
         self, system: System, table: ClauseResults, qa: QASystem, answers: AbstractElement
@@ -180,11 +183,10 @@ class _AnswerClauses(ClauseResults):
         self.answers = answers
 
     def post(self, i: int, elem: AbstractElement) -> Box:
-        clause = self.system.clauses[i]
-        key = (i, *[elem[app.pred.name] for app in clause.body])
+        key = (i, *map(elem.__getitem__, self.bodies[i]))
         box = self._post.get(key)
         if box is None:
-            query = self.answers[clause.head.pred.name]
+            query = self.answers[self.system.clauses[i].head.pred.name]
             box = self._post[key] = self.compiled[i].post((query, *key[1:]))
         return box
 

@@ -28,7 +28,8 @@ the descending pass, later rounds and :func:`certify_trace` look up
 what the run already computed instead of recomputing it; the
 restriction meet and the goal seed are applied outside the table.
 :func:`alternate` creates the table and passes it to both analyses and
-to the certifier, which read the system from it.
+to the certifier, which read the system from it, and the run's top and
+bottom element, which the table builds once and every pass shares.
 
 The goal element takes the same route: the goal of a system is a tuple
 of body-less clauses (``System.goal``), and :func:`goal_element`
@@ -183,21 +184,31 @@ class ClauseResults:
     position ``j``, each computed once per key (see the module
     docstring), so a lookup returns exactly what a fresh call would.
     ``heads[p]`` lists the clauses with head ``p`` and ``positions[p]``
-    the ``(clause, body position)`` pairs where ``p`` occurs in a body.
+    the ``(clause, body position)`` pairs where ``p`` occurs in a body;
+    ``bodies[i]`` holds the predicate names of clause ``i``'s body atoms.
+    ``top`` and ``bottom`` are the run's top and bottom elements, which
+    every pass of the run shares and none assigns into.
     """
 
     def __init__(self, system: System):
         self.system = system
-        # A compiled clause does its work on its first call.
-        self.compiled = [CompiledClause(clause) for clause in system.clauses]
         self.heads: dict[str, list[int]] = {d.name: [] for d in system.decls}
         self.positions: dict[str, list[tuple[int, int]]] = {d.name: [] for d in system.decls}
         for i, clause in enumerate(system.clauses):
             self.heads[clause.head.pred.name].append(i)
             for j, app in enumerate(clause.body):
                 self.positions[app.pred.name].append((i, j))
+        self.bodies = [tuple(app.pred.name for app in clause.body) for clause in system.clauses]
+        self.top = AbstractElement.top(system)
+        self.bottom = AbstractElement.bottom(system)
         self._post: dict[tuple, Box] = {}
         self._pre: dict[tuple, Box] = {}
+
+    @cached_property
+    def compiled(self) -> list[CompiledClause]:
+        """Each clause of the system compiled; a compiled clause does its
+        work on its first call."""
+        return [CompiledClause(clause) for clause in self.system.clauses]
 
     @cached_property
     def order(self):
@@ -205,21 +216,15 @@ class ClauseResults:
         return dependency_order(self.system)
 
     def post(self, i: int, elem: AbstractElement) -> Box:
-        clause = self.system.clauses[i]
-        key = (i, *[elem[app.pred.name] for app in clause.body])
+        key = (i, *map(elem.__getitem__, self.bodies[i]))
         box = self._post.get(key)
         if box is None:
             box = self._post[key] = self.compiled[i].post(key[1:])
         return box
 
     def pre(self, i: int, j: int, r: AbstractElement, elem: AbstractElement) -> Box:
-        clause = self.system.clauses[i]
-        key = (
-            i,
-            j,
-            elem[clause.head.pred.name],
-            *[r[app.pred.name] for app in clause.body],
-        )
+        head = elem[self.system.clauses[i].head.pred.name]
+        key = (i, j, head, *map(r.__getitem__, self.bodies[i]))
         box = self._pre.get(key)
         if box is None:
             box = self._pre[key] = self.compiled[i].pre(j, key[2], key[3:])
@@ -232,7 +237,7 @@ def forward_flow(results: ClauseResults, r: AbstractElement):
     from ``elem``, met with ``r[p]``."""
 
     def flow(p: str, elem: AbstractElement) -> Box:
-        acc = Box.empty(r[p].arity)
+        acc = results.bottom[p]
         for i in results.heads[p]:
             acc = acc.join(results.post(i, elem))
         return acc.meet(r[p])
@@ -304,7 +309,7 @@ def analyze_forward(
     return _solve_components(
         results.order,
         forward_flow(results, restriction),
-        AbstractElement.bottom(results.system),
+        results.bottom,
         restriction,
         config,
     )
@@ -362,7 +367,7 @@ def alternate(
     """
     g = goal_element(system)
     results = ClauseResults(system)
-    b = top = AbstractElement.top(system)
+    b = top = results.top
     rounds: list[tuple[AbstractElement, AbstractElement | None]] = []
     reason = "round_budget"
     for i in range(1, config.max_rounds + 1):
@@ -379,7 +384,7 @@ def alternate(
         rounds.append((d, b))
         if b.is_bottom:
             # The next forward pass would be empty.
-            rounds.append((AbstractElement.bottom(system), None))
+            rounds.append((results.bottom, None))
             reason = "empty_element"
             break
         if i >= 2 and rounds[-1] == rounds[-2]:
@@ -402,8 +407,7 @@ def certify_trace(
     element is a post-fixpoint of its flow.  They look clause results up
     in ``results``, the table of the run that computed the trace.
     """
-    bottom = AbstractElement.bottom(results.system)
-    b_prev = AbstractElement.top(results.system)
+    b_prev = results.top
     certs: list[RoundCert] = []
     for d, b in trace.rounds:
         forward_ok = _closed(forward_flow(results, b_prev), d)
@@ -411,7 +415,7 @@ def certify_trace(
             certs.append(RoundCert(forward_law=forward_ok))
             continue
         seed_ok = g.meet(d).leq(b)
-        backward_ok = _closed(backward_flow(results, bottom, d), b)
+        backward_ok = _closed(backward_flow(results, results.bottom, d), b)
         chain_ok = b.leq(d) and d.leq(b_prev)
         certs.append(RoundCert(forward_ok, seed_ok, backward_ok, chain_ok))
         b_prev = b

@@ -23,7 +23,15 @@ from chclab.domain import (
     clause_pre_restricted,
     formula_box,
 )
-from chclab.linlogic import Conjunction, ResourceLimitError, cube_is_sat, sat_cube, to_dnf
+from chclab.linlogic import (
+    UNBOUNDED,
+    Bound,
+    Conjunction,
+    ResourceLimitError,
+    cube_is_sat,
+    sat_cube,
+    to_dnf,
+)
 from chclab.parser import parse_system
 from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
 from chclab.syntax import (
@@ -137,6 +145,109 @@ def test_zero_ary_box_is_reached_flag():
     assert str(Box.empty(0)) == "empty"
     assert Box.empty(0).leq(Box.top(0))
     assert not Box.top(0).leq(Box.empty(0))
+
+
+# A reference lattice that builds a fresh tuple for every result.  A
+# bound's key orders it by what it admits: a lower bound's key is the
+# smaller, and an upper bound's the larger, the more it admits.
+
+
+def _lo_key(side: Bound) -> tuple:
+    return (0,) if side.value is None else (1, side.value, side.strict)
+
+
+def _hi_key(side: Bound) -> tuple:
+    return (1,) if side.value is None else (0, side.value, not side.strict)
+
+
+def _reference_interval(op: str, a: Interval, b: Interval):
+    if op == "leq":
+        return _lo_key(b.lo) <= _lo_key(a.lo) and _hi_key(a.hi) <= _hi_key(b.hi)
+    if op == "join":
+        return Interval(min(a.lo, b.lo, key=_lo_key), max(a.hi, b.hi, key=_hi_key))
+    if op == "meet":
+        return Interval(max(a.lo, b.lo, key=_lo_key), min(a.hi, b.hi, key=_hi_key))
+    # Widening sends each end of ``a`` that does not admit ``b``'s away.
+    lo = a.lo if _lo_key(a.lo) <= _lo_key(b.lo) else UNBOUNDED
+    hi = a.hi if _hi_key(b.hi) <= _hi_key(a.hi) else UNBOUNDED
+    return Interval(lo, hi)
+
+
+def _reference_box(op: str, a: Box, b: Box):
+    if op == "leq":
+        return a.intervals is None or b.intervals is not None and all(
+            _reference_interval("leq", x, y) for x, y in zip(a.intervals, b.intervals)
+        )
+    if op == "meet":
+        if a.intervals is None or b.intervals is None:
+            return Box(a.arity, None)
+        ivs = tuple(_reference_interval("meet", x, y) for x, y in zip(a.intervals, b.intervals))
+        return Box(a.arity, None if any(iv.is_empty for iv in ivs) else ivs)
+    if a.intervals is None:
+        return Box(*b)
+    if b.intervals is None:
+        return Box(*a)
+    return Box(a.arity, tuple(_reference_interval(op, x, y) for x, y in zip(a.intervals, b.intervals)))
+
+
+def _nonempty_interval(rng: random.Random) -> Interval:
+    """A point, or an interval with open, closed or unbounded ends at
+    integral and ``Fraction`` values."""
+    values = (-1, 0, 2, F(1, 2), F(-7, 3))
+    if rng.random() < 0.15:
+        side = Bound(rng.choice(values), False)
+        return Interval(side, side)
+    while True:
+        lo, hi = (
+            UNBOUNDED if rng.random() < 0.25 else Bound(rng.choice(values), rng.random() < 0.4)
+            for _ in range(2)
+        )
+        if not Interval(lo, hi).is_empty:
+            return Interval(lo, hi)
+
+
+def _second_operand(rng: random.Random, a: Box) -> Box:
+    """``a`` itself, an equal copy, the empty box, or ``a`` with some of
+    its intervals redrawn."""
+    pick = rng.random()
+    if pick < 0.15:
+        return a
+    if a.intervals is None or pick < 0.3:
+        return Box(a.arity, a.intervals and tuple(Interval(*iv) for iv in a.intervals))
+    if pick < 0.4:
+        return Box(a.arity, None)
+    return Box(a.arity, tuple(iv if rng.random() < 0.5 else _nonempty_interval(rng) for iv in a.intervals))
+
+
+def _assert_reuses(got, want, a, b):
+    """``got`` equals ``want`` and, when an operand does, is that operand."""
+    assert got == want, (a, b)
+    operands = [x for x in (a, b) if x == want]
+    assert not operands or any(got is x for x in operands), (a, b)
+
+
+def test_lattice_operations_return_an_operand_when_the_result_equals_it():
+    rng = random.Random(0)
+    assert Interval.top() is Interval.top() == Interval(UNBOUNDED, UNBOUNDED)
+    for arity in range(4):
+        assert Box.empty(arity) is Box.empty(arity) == Box(arity, None)
+        assert Box.top(arity) is Box.top(arity) == Box(arity, (Interval(UNBOUNDED, UNBOUNDED),) * arity)
+    for _ in range(3000):
+        a = _nonempty_interval(rng)
+        b = rng.choice([a, Interval(*a), _nonempty_interval(rng)])
+        for op in ("join", "meet", "widen"):
+            _assert_reuses(getattr(a, op)(b), _reference_interval(op, a, b), a, b)
+        assert a.leq(b) == _reference_interval("leq", a, b)
+        arity = rng.randrange(4)
+        if rng.random() < 0.1:
+            a = Box(arity, None)
+        else:
+            a = Box(arity, tuple(_nonempty_interval(rng) for _ in range(arity)))
+        b = _second_operand(rng, a)
+        for x, y in ((a, b), (b, a)):
+            for op in ("join", "meet", "widen"):
+                _assert_reuses(getattr(x, op)(y), _reference_box(op, x, y), x, y)
+            assert x.leq(y) == _reference_box("leq", x, y)
 
 
 def test_box_make_rejects_wrong_arity():

@@ -255,20 +255,30 @@ def test_qa_two_step_compiles_each_clause_once(monkeypatch, lockstep_proc):
     # Each clause of the transformed system is converted to DNF at most
     # once: the second step and the goal element reuse the first step's
     # compiled clauses.  Compiling the strengthened clauses and the goal
-    # guards again made 19 conversions here, against 12 clauses.
+    # guards again made 19 conversions here, against 12 clauses.  Nor is
+    # a clause of the original system compiled, even unused: exactly one
+    # compiled clause is built per transformed clause.
     from chclab import domain
 
-    calls = 0
+    calls = built = 0
     to_dnf = domain.to_dnf
+    init = domain.CompiledClause.__init__
 
     def counted(formula):
         nonlocal calls
         calls += 1
         return to_dnf(formula)
 
+    def building(self, clause):
+        nonlocal built
+        built += 1
+        init(self, clause)
+
     monkeypatch.setattr(domain, "to_dnf", counted)
+    monkeypatch.setattr(domain.CompiledClause, "__init__", building)
     qa_two_step(lockstep_proc)
     assert 0 < calls <= len(qa_transform(lockstep_proc).system.clauses) == 12
+    assert built == 12
 
 
 def test_qa_iterated_addition_loops_safe(addition_loops):

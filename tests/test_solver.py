@@ -424,6 +424,49 @@ def test_no_pass_changes_an_element_it_did_not_build(monkeypatch):
     assert calls > 27 * 4 * 2
 
 
+def test_no_run_assigns_into_a_shared_element_or_box(monkeypatch):
+    # The passes of a run share its table's top and bottom element, and
+    # every run shares one empty and one top box per arity: after fwd,
+    # alt, qa2 and qa-iter on every corpus and stress file, each still
+    # equals a fresh build.
+    tables = []
+    init = ClauseResults.__init__
+
+    def recording(self, system):
+        init(self, system)
+        tables.append(self)
+
+    monkeypatch.setattr(ClauseResults, "__init__", recording)
+    paths = sorted(CORPUS.glob("**/*.chc"))
+    assert len(paths) == 27
+    arities = set()
+    for path in paths:
+        system = parse_system(path.read_text(encoding="utf-8"))
+        arities.update(d.arity for d in system.decls)
+        runs = (
+            alternate(system, AnalysisConfig(max_rounds=1)),
+            alternate(system),
+            qa_two_step(system),
+            qa_iterated(system),
+        )
+        for _, verdict in runs:
+            verdict.witness.as_dict()
+    # Each run of alternate and qa_iterated builds one table, qa_two_step two.
+    assert len(tables) == 27 * 5
+
+    def top(arity: int) -> Box:
+        return Box(arity, tuple(Interval(linlogic.UNBOUNDED, linlogic.UNBOUNDED) for _ in range(arity)))
+
+    for table in tables:
+        decls = table.system.decls
+        assert table.top == {d.name: top(d.arity) for d in decls}
+        assert table.bottom == {d.name: Box(d.arity, None) for d in decls}
+        assert list(table.top) == list(table.bottom) == [d.name for d in decls]
+    for arity in arities:
+        assert Box.empty(arity) == Box(arity, None) and Box.top(arity) == top(arity)
+    assert Interval.top() == top(1).intervals[0]
+
+
 # -- refined models ----------------------------------------------------------------
 
 
