@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from .linlogic import ResourceLimitError
 from .parser import ParseError, parse_model, parse_system
@@ -251,7 +252,11 @@ def cmd_check(args) -> int:
     return EXIT_CHECK_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a build leaves
+    reference cycles (argparse's parsers, actions and help formatters)
+    to the cyclic garbage collector, and parsing changes no parser."""
     parser = argparse.ArgumentParser(
         prog="chclab",
         description="Analyze constrained Horn clause systems over linear rational arithmetic.",

@@ -60,6 +60,7 @@ from .syntax import (
 )
 
 _is_empty = attrgetter("is_empty")
+_intervals = attrgetter("intervals")
 
 
 class Box(NamedTuple):
@@ -188,6 +189,11 @@ class AbstractElement(dict):
         return all(map(_is_empty, self.values()))
 
 
+def has_empty(boxes: Iterable[Box]) -> bool:
+    """Is one of ``boxes`` empty?"""
+    return None in map(_intervals, boxes)
+
+
 def formula_box(formula: Formula, variables: Sequence[str]) -> Box:
     """Tightest box over ``variables`` containing all formula solutions;
     the formula route the tests compare :class:`CompiledClause` against."""
@@ -262,7 +268,7 @@ class CompiledClause:
     def _apply(self, target: int | None, apps: Sequence[PredApp], boxes: Sequence[Box]) -> Box:
         clause = self.clause
         args = clause.head.args if target is None else clause.body[target].args
-        if any(map(_is_empty, boxes)):
+        if has_empty(boxes):
             return Box.empty(len(args))
         index = self.lowered[1]
         bounded = [
@@ -271,13 +277,12 @@ class CompiledClause:
             for v, interval in zip(app.args, box.intervals)
             if interval.lo.value is not None or interval.hi.value is not None
         ]
-        acc = Box.empty(len(args))
+        acc = None
         for template in self._template(target, args):
-            derived = template.conjoin_bounds(bounded)
-            intervals = derived and derived.project(args)
+            intervals = template.project_bounds(bounded, args)
             if intervals is not None:
-                acc = acc.join(Box.make(len(args), intervals))
-        return acc
+                acc = intervals if acc is None else list(map(Interval.join, acc, intervals))
+        return Box.empty(len(args)) if acc is None else Box.make(len(args), acc)
 
     def _template(self, target: int | None, args: Sequence[str]) -> list[Conjunction]:
         found = self._templates.get(target)

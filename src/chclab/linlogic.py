@@ -192,11 +192,17 @@ class ConjCube(NamedTuple):
 def to_dnf(formula: Formula) -> list[ConjCube]:
     """Disjunctive normal form as a list of cubes.
 
-    ``true`` yields one empty cube, ``false`` yields no cube.  Raises
+    ``true`` yields one empty cube, ``false`` yields no cube.  A formula
+    that holds no disjunction is the one cube of its atoms
+    (:func:`_gather`); any other goes through the fold, which raises
     :class:`ResourceLimitError` when an intermediate cube count exceeds
     ``DEFAULT_CUBE_CAP``.  An explicit stack keeps deep formulas off the
     call stack.
     """
+    atoms: list[LinConstraint] = []
+    pending: list[Or] = []
+    if _gather(formula, atoms, pending) and not pending:
+        return [ConjCube.make(atoms)]
     return [ConjCube.make(cs) for cs in fold_formula(formula, _dnf_leaf, _dnf_node)]
 
 
@@ -233,8 +239,8 @@ def _dnf_node(f: And | Or, items: list) -> list[tuple[LinConstraint, ...]]:
 def _gather(f: Formula, atoms: list[LinConstraint], pending: list[Or]) -> bool:
     """Add the atoms of the conjunction ``f`` to ``atoms`` and its
     disjunctions to ``pending``, in pre-order; ``False`` when ``f`` holds
-    a ``false`` conjunct.  A disjunction with a ``true`` child holds
-    already.  An explicit stack keeps deep formulas off the call stack."""
+    a ``false`` conjunct.  An explicit stack keeps deep formulas off the
+    call stack."""
     stack = [f]
     while stack:
         f = stack.pop()
@@ -243,8 +249,7 @@ def _gather(f: Formula, atoms: list[LinConstraint], pending: list[Or]) -> bool:
         elif isinstance(f, And):
             stack.extend(reversed(f.items))
         elif isinstance(f, Or):
-            if not any(isinstance(g, TrueF) for g in f.items):
-                pending.append(f)
+            pending.append(f)
         elif isinstance(f, FalseF):
             return False
         elif not isinstance(f, TrueF):
@@ -363,7 +368,12 @@ def sat_cube(formula: Formula, instances=()) -> ConjCube | None:
                         return None
                 fresh[atom.key] = atom
             atoms += [(c, mapping) for c in new_atoms]
-            pending += [(g, mapping, columns) for g in new_pending]
+            # A disjunction with a ``true`` child holds already.
+            pending += [
+                (g, mapping, columns)
+                for g in new_pending
+                if not any(isinstance(h, TrueF) for h in g.items)
+            ]
         return tuple(atoms), pending, fresh, met
 
     # A branch: the atoms chosen so far with the mapping of each, the
@@ -622,17 +632,42 @@ class Conjunction:
         self.images = None
         self.rowset = self._normalize(rows) if rows else RowSet(names, (), 0, False, self.bounds)
 
-    def conjoin_bounds(self, intervals) -> Conjunction | None:
-        """The set derived from this conjunction and the pairs ``(j,
-        interval)`` in the list ``intervals``, each ``x_j`` in
-        ``interval``, by the rule of the module docstring; ``None`` at
-        the first conflict.
+    def project_bounds(self, intervals, variables) -> list[Interval] | None:
+        """The projection onto ``variables`` of the set derived from this
+        conjunction and the pairs ``(j, interval)`` in the list
+        ``intervals``, each ``x_j`` in ``interval``; ``None`` at the first
+        conflict.  ``variables`` must name every position of the ``tie``
+        mask.
+
+        The intervals are met as the module docstring's derived-set rule
+        says (:meth:`_met`).  When neither the conjunction nor the
+        intervals leave a row over two or more variables, each variable
+        that no pivot defines takes its met interval and a tied one its
+        partner's through its image (:meth:`_read`), with no derived set
+        and no elimination.  Otherwise the derived set is built
+        (:meth:`_child`) and projected (:meth:`project`).  Its caller
+        passes only a conjunction whose own rows are not refuted.
+        """
+        met = self._met(intervals)
+        if met is None:
+            return None
+        bounds, rows = met
+        if rows or self.rowset.cons:
+            return self._child(bounds, rows).project(variables)
+        names = self.names
+        return self._read({names[j]: interval for j, interval in bounds.items()}, variables)
+
+    def _met(self, intervals) -> tuple[dict[int, Interval], list[Lowered]] | None:
+        """A copy of ``bounds`` with each ``(j, interval)`` of
+        ``intervals`` met in, and the rows of the intervals that no meet
+        decides; ``None`` at the first empty meet.
 
         ``x_j`` is read through its image under the pivots
         (:meth:`_images`): an interval on an image with one variable is
         mapped onto it (:func:`_map`), or met as it is when no pivot
-        rewrites ``x_j`` or its image is ``x_k`` itself.  Its caller
-        passes only a conjunction whose own rows are not refuted.
+        rewrites ``x_j`` or its image is ``x_k`` itself.  An interval on
+        an image with no variable is checked against the value the pivots
+        fix, and one on an image with several becomes rows (:func:`_rows`).
         """
         images, _ = self._images()
         met = self.bounds.copy()
@@ -661,7 +696,7 @@ class Conjunction:
                     interval = _map(interval, sign * scale, -sign * const, sign * vec[k])
             if _meet(met, k, interval):
                 return None
-        return self._child(met, rows)
+        return met, rows
 
     def _child(self, bounds: dict[int, Interval], rows) -> Conjunction:
         """This conjunction with ``bounds`` and the normalized ``rows``,
@@ -681,18 +716,23 @@ class Conjunction:
 
     def project(self, variables) -> list[Interval] | None:
         """:func:`project_rows` of ``rowset`` onto ``variables``, which
-        must name every position of the ``tie`` mask.  A tied ``x_j``,
-        which no row mentions, gets the interval of its partner ``x_k``
-        mapped through its image (:func:`_map`), or as it is when the
-        image is ``x_k`` itself."""
+        must name every position of the ``tie`` mask, with each tied
+        variable read off its partner's interval (:meth:`_read`)."""
         intervals = project_rows(self.rowset, variables)
-        _, ties = self._images()
-        if not ties or intervals is None:
+        if not self._images()[1] or intervals is None:
             return intervals
-        at = dict(zip(variables, intervals))
-        for tied, partner, a, c, s in ties:
-            at[tied] = at[partner] if a == s and not c else _map(at[partner], a, c, s)
-        return [at[v] for v in variables]
+        return self._read(dict(zip(variables, intervals)), variables)
+
+    def _read(self, at: dict[str, Interval], variables) -> list[Interval]:
+        """The interval of each of ``variables`` in ``at``, top when it has
+        none, where a tied ``x_j``, which no row mentions, gets the
+        interval of its partner ``x_k`` mapped through its image
+        (:func:`_map`), or as it is when the image is ``x_k`` itself."""
+        top = Interval.top()
+        for tied, partner, a, c, s in self._images()[1]:
+            interval = at.get(partner, top)
+            at[tied] = interval if a == s and not c else _map(interval, a, c, s)
+        return [at.get(v, top) for v in variables]
 
     def satisfiable(self) -> bool:
         """Whether the conjunction has a solution: ``rowset`` is not

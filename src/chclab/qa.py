@@ -182,13 +182,12 @@ class _AnswerClauses(ClauseResults):
         self.compiled = [table.compiled[k] for k in qa.answer_clauses]
         self.answers = answers
 
-    def post(self, i: int, elem: AbstractElement) -> Box:
-        key = (i, *map(elem.__getitem__, self.bodies[i]))
-        box = self._post.get(key)
-        if box is None:
-            query = self.answers[self.system.clauses[i].head.pred.name]
-            box = self._post[key] = self.compiled[i].post((query, *key[1:]))
-        return box
+    def post_inputs(self, i: int, elem: AbstractElement) -> tuple[Box, ...]:
+        """The input boxes of clause ``i``'s answer clause: the answer box
+        of the head for its query atom, then ``elem``'s boxes of its body
+        atoms."""
+        query = self.answers[self.system.clauses[i].head.pred.name]
+        return (query, *map(elem.__getitem__, self.bodies[i]))
 
 
 def qa_iterated(

@@ -49,7 +49,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .depgraph import dependency_order, edges, reach
-from .domain import AbstractElement, Box, CompiledClause
+from .domain import AbstractElement, Box, CompiledClause, has_empty
 from .linlogic import sat_cube
 from .syntax import (
     Formula,
@@ -216,18 +216,29 @@ class ClauseResults:
         return dependency_order(self.system)
 
     def post(self, i: int, elem: AbstractElement) -> Box:
-        key = (i, *map(elem.__getitem__, self.bodies[i]))
+        boxes = self.post_inputs(i, elem)
+        if has_empty(boxes):
+            return self.bottom[self.system.clauses[i].head.pred.name]
+        key = (i, boxes)
         box = self._post.get(key)
         if box is None:
-            box = self._post[key] = self.compiled[i].post(key[1:])
+            box = self._post[key] = self.compiled[i].post(boxes)
         return box
+
+    def post_inputs(self, i: int, elem: AbstractElement) -> tuple[Box, ...]:
+        """The input boxes of clause ``i``'s post: ``elem``'s boxes of its
+        body atoms."""
+        return tuple(map(elem.__getitem__, self.bodies[i]))
 
     def pre(self, i: int, j: int, r: AbstractElement, elem: AbstractElement) -> Box:
         head = elem[self.system.clauses[i].head.pred.name]
-        key = (i, j, head, *map(r.__getitem__, self.bodies[i]))
+        boxes = (head, *map(r.__getitem__, self.bodies[i]))
+        if has_empty(boxes):
+            return self.bottom[self.bodies[i][j]]
+        key = (i, j, boxes)
         box = self._pre.get(key)
         if box is None:
-            box = self._pre[key] = self.compiled[i].pre(j, key[2], key[3:])
+            box = self._pre[key] = self.compiled[i].pre(j, head, boxes[1:])
         return box
 
 

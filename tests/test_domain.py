@@ -801,6 +801,14 @@ p(Y) :- q(X), X + Y = 0.
 """
 
 
+def _conjoin_bounds(template: Conjunction, intervals) -> Conjunction | None:
+    """The set ``template`` derives with ``intervals``, the pairs
+    ``(position, interval)`` of a call, as ``project_bounds`` builds it
+    before it projects: ``None`` at a conflict."""
+    met = template._met(intervals)
+    return None if met is None else template._child(*met)
+
+
 def test_box_bounds_met_as_intervals_match_the_row_route():
     # A call meets each bound of its input boxes through the image of its
     # variable under the template's pivots; the reference builds each
@@ -810,6 +818,8 @@ def test_box_bounds_met_as_intervals_match_the_row_route():
     # the template's pivots and no more.  Where it pivots on a point
     # bound, the call keeps the template's pivots, and both must project
     # the same.  The bounds hold each end as an int when it is integral.
+    # A call projects what its derived set projects, also where it reads
+    # the targets off the met bounds and builds no set.
     system = parse_system(PIVOT_TEXT)
     rng = random.Random(27)
     routes = dict.fromkeys(("image", "rows", "pivot", "conflict"), 0)
@@ -842,7 +852,9 @@ def test_box_bounds_met_as_intervals_match_the_row_route():
                 fresh = transformer_reference.by_rows(cc, args, rows)
                 fresh = [want for i, want in enumerate(fresh) if cc._decided.get(i) is not False]
                 for template, want in zip(templates, fresh, strict=True):
-                    got = template.conjoin_bounds(bounded)
+                    got = _conjoin_bounds(template, bounded)
+                    projected = template.project_bounds(bounded, args)
+                    assert projected == (got and got.project(args)), label
                     if got is None:
                         # A conflict builds no set: the fresh build
                         # projects to nothing.
@@ -891,19 +903,19 @@ def test_tied_targets_match_the_formula_route(monkeypatch):
     # tied route must run with a < 0 and with s > 1, on a nonempty box.
     system = parse_system(TIED_TEXT)
     seen = []
-    project = Conjunction.project
+    read = Conjunction._read
 
-    def recording(self, variables):
-        intervals = project(self, variables)
-        if intervals is not None:
-            # A tie is a pivot outside ``free``; its image has one variable.
-            images, _ = self._images()
-            for j, (mask, vec, _, scale) in images.items():
-                if not self.free >> j & 1:
-                    seen.append((vec[mask.bit_length() - 1], scale))
-        return intervals
+    def recording(self, at, variables):
+        # Each projection that finds no conflict reads its targets here,
+        # off the met bounds or off project_rows' intervals.  A tie is a
+        # pivot outside ``free``; its image has one variable.
+        images, _ = self._images()
+        for j, (mask, vec, _, scale) in images.items():
+            if not self.free >> j & 1:
+                seen.append((vec[mask.bit_length() - 1], scale))
+        return read(self, at, variables)
 
-    monkeypatch.setattr(Conjunction, "project", recording)
+    monkeypatch.setattr(Conjunction, "_read", recording)
     _assert_matches_reference(system.clauses, system.decls, random.Random(28), 150, "tied")
     assert len(seen) > 300
     assert sum(a < 0 for a, _ in seen) > 50, seen
@@ -924,21 +936,21 @@ def test_an_interval_whose_image_has_one_variable_is_met_once(monkeypatch):
 
     def counting(bounds, j, interval):
         nonlocal meets
-        meets += sys._getframe(1).f_code.co_name == "conjoin_bounds"
+        meets += sys._getframe(1).f_code.co_name == "_met"
         return meet(bounds, j, interval)
 
     calls = []
-    conjoin_bounds = Conjunction.conjoin_bounds
+    met = Conjunction._met
 
     def recording(self, intervals):
         nonlocal meets
         meets = 0
-        out = conjoin_bounds(self, intervals)
-        calls.append((self, intervals, out, meets))
+        out = met(self, intervals)
+        calls.append((self, intervals, out and self._child(*out), meets))
         return out
 
     monkeypatch.setattr(linlogic, "_meet", counting)
-    monkeypatch.setattr(Conjunction, "conjoin_bounds", recording)
+    monkeypatch.setattr(Conjunction, "_met", recording)
     rng = random.Random(29)
     for text in (PIVOT_TEXT, TIED_TEXT):
         system = parse_system(text)
@@ -954,6 +966,69 @@ def test_an_interval_whose_image_has_one_variable_is_met_once(monkeypatch):
             assert count == len(single)
             closed += sum(None not in (iv.lo.value, iv.hi.value) and iv.lo != iv.hi for iv in single)
     assert closed > 100, closed
+
+
+# Clauses whose templates fix a variable (``Z = 3``, ``W = 2*Z - 1``) or
+# define one through several others, with and without rows over two or
+# more variables, next to PIVOT_TEXT's and TIED_TEXT's.
+FIXED_TEXT = """\
+pred p/1.
+pred q/2.
+pred s/3.
+p(X) :- q(X, Z), Z = 3.
+p(X) :- s(X, Z, W), Z = 3, W = 2 * Z - 1.
+p(Y) :- q(Z, W), s(X, Y, U), Z = 1, 2 * W = 3, U = 0, X <= Y.
+q(X, Y) :- s(X, Z, W), Z = 1, Y = X + W.
+q(X, Y) :- s(X, Z, W), Y = Z - W, X <= W + Z.
+s(X, Y, Z) :- q(X, W), p(Y), W = 2, Z = X + Y.
+"""
+
+
+def test_project_bounds_matches_the_derived_set_and_the_formula_route():
+    # ``project_bounds`` reads the targets off the met bounds, with no
+    # derived set, when neither the template nor the intervals leave a
+    # row over two or more variables, and derives the set and projects it
+    # otherwise.  Both must project what the derived set projects
+    # (``_conjoin_bounds`` and ``project``), and each call what the
+    # formula route and the row route of ``transformer_reference`` derive.
+    # The intervals are points, half-lines, closed, strict and fractional,
+    # drawn for the atoms' variables and for the others: images with a
+    # fixed value, with one variable and with several, and intervals that
+    # conflict with the template or with each other.
+    rng = random.Random(46)
+    seen = dict.fromkeys(("read", "rows", "tied", "fixed", "several", "conflict"), 0)
+    kinds = ("point", "half-open", "random", "random")
+    for text in (PIVOT_TEXT, TIED_TEXT, FIXED_TEXT):
+        system = parse_system(text)
+        _assert_matches_reference(system.clauses, system.decls, rng, 30, "project_bounds")
+        for clause in system.clauses:
+            cc = CompiledClause(clause)
+            names, index, _ = cc.lowered
+            targets = [(None, clause.head.args)]
+            targets += [(j, app.args) for j, app in enumerate(clause.body)]
+            for target, args in targets:
+                for template in cc._template(target, args):
+                    images, ties = template._images()
+                    for _ in range(60):
+                        bounded = []
+                        for j in rng.sample(range(len(names)), rng.randint(0, len(names))):
+                            iv = _probe_interval(rng, rng.choice(kinds))
+                            if not iv.is_empty:
+                                bounded.append((j, iv))
+                        label = (str(clause), target, bounded)
+                        got = template.project_bounds(bounded, args)
+                        derived = _conjoin_bounds(template, bounded)
+                        assert got == (derived and derived.project(args)), label
+                        if derived is None:
+                            seen["conflict"] += 1
+                            continue
+                        bounds, rows = template._met(bounded)
+                        seen["rows" if rows or template.rowset.cons else "read"] += 1
+                        seen["tied"] += bool(ties) and got is not None
+                        masks = [images[j][0] for j, _ in bounded if j in images]
+                        seen["fixed"] += 0 in masks
+                        seen["several"] += any(m & (m - 1) for m in masks)
+    assert min(seen.values()) > 50, seen
 
 
 def test_derived_sets_normalize_only_rows_over_two_or_more_variables(monkeypatch):
@@ -975,11 +1050,11 @@ def test_derived_sets_normalize_only_rows_over_two_or_more_variables(monkeypatch
         received += len(rows)
         return child(self, bounds, rows)
 
-    conjoin_bounds = Conjunction.conjoin_bounds
+    met = Conjunction._met
 
     def counted(self, intervals):
         nonlocal conflicts
-        out = conjoin_bounds(self, intervals)
+        out = met(self, intervals)
         conflicts += out is None
         return out
 
@@ -991,7 +1066,7 @@ def test_derived_sets_normalize_only_rows_over_two_or_more_variables(monkeypatch
         return project(self, variables)
 
     monkeypatch.setattr(Conjunction, "_child", checked)
-    monkeypatch.setattr(Conjunction, "conjoin_bounds", counted)
+    monkeypatch.setattr(Conjunction, "_met", counted)
     monkeypatch.setattr(Conjunction, "project", projected)
     rng = random.Random(41)
     for text in (PIVOT_TEXT, TIED_TEXT):

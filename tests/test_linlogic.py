@@ -49,6 +49,7 @@ from chclab.syntax import (
     Rel,
     conj,
     disj,
+    fold_formula,
     format_formula,
     formula_vars,
     iter_formula_constraints,
@@ -122,6 +123,46 @@ def test_dnf_cap_raises():
     )
     with pytest.raises(ResourceLimitError):
         to_dnf(And(parts))
+
+
+def test_dnf_of_a_formula_without_a_disjunction_is_one_cube_without_the_fold(monkeypatch):
+    # A formula that holds no Or is the one cube of its atoms, or no cube
+    # when it holds false, with no fold; a formula that holds one, even
+    # one with a true child, goes through the fold.  Both give the fold's
+    # cubes.
+    folds = 0
+
+    def counted(f, leaf, node):
+        nonlocal folds
+        folds += 1
+        return fold_formula(f, leaf, node)
+
+    monkeypatch.setattr(linlogic, "fold_formula", counted)
+    plain = 0
+    for seed in range(1500):
+        f = random_formula(random.Random(seed), 3)
+        has_or = any(isinstance(g, Or) for g in _subformulas(f))
+        folds = 0
+        got = to_dnf(f)
+        assert got == [ConjCube.make(cs) for cs in fold_formula(f, linlogic._dnf_leaf, linlogic._dnf_node)]
+        assert folds == has_or or (folds == 1 and FALSE in _subformulas(f)), seed
+        plain += not has_or
+    assert plain > 300, plain
+    # x <= 0 and (true or y <= 0): the fold's two cubes.
+    f = And((Lin(le(X)), Or((TRUE, Lin(le(Y))))))
+    assert [len(c.cons) for c in to_dnf(f)] == [1, 2]
+    assert sat_cube(f) == ConjCube((le(X),))
+
+
+def _subformulas(f):
+    """``f`` and every formula below it."""
+    stack, out = [f], []
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        if isinstance(g, (And, Or)):
+            stack.extend(g.items)
+    return out
 
 
 # -- Fourier–Motzkin ----------------------------------------------------------

@@ -719,7 +719,7 @@ def test_wide_elimination_row_counts(monkeypatch):
     returned = pairs = 0
     projected = []
     step = linlogic.fm_eliminate
-    project = linlogic.Conjunction.project
+    project = linlogic.Conjunction.project_bounds
     gcd = linlogic.gcd
 
     def counted(rows, var):
@@ -733,12 +733,12 @@ def test_wide_elimination_row_counts(monkeypatch):
         pairs += len(args) == 2
         return gcd(*args)
 
-    def recorded(self, variables):
+    def recorded(self, intervals, variables):
         projected.append(self.names)
-        return project(self, variables)
+        return project(self, intervals, variables)
 
     monkeypatch.setattr(linlogic, "fm_eliminate", counted)
-    monkeypatch.setattr(linlogic.Conjunction, "project", recorded)
+    monkeypatch.setattr(linlogic.Conjunction, "project_bounds", recorded)
     monkeypatch.setattr(linlogic, "gcd", paired)
     _, verdict = alternate(system)
     assert verdict.status == "SAFE"

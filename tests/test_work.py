@@ -44,3 +44,41 @@ def test_work_does_not_rise_above_the_census():
         if got[key][counter] > pinned[key][counter]
     ]
     assert not moved, "\n".join(moved)
+
+
+def test_chain_pass_projects_no_rows_and_applies_no_empty_input(monkeypatch):
+    # A guard on work on the seed-7 ``chain`` pass.  Its clause and goal
+    # constraints are single cubes that leave no row over two or more
+    # variables once their equalities are pivots, so every transformer
+    # call reads its targets off the met bounds: no ``project_rows``
+    # call, 380 before.  And the clause table returns the empty box for
+    # an empty input box itself: no compiled clause gets one, 300 calls
+    # did before.
+    import chclab
+    from chclab import domain, linlogic
+    from work_census import ROOT, bench_modules
+
+    measure, workloads = bench_modules("measure", "workloads")
+    projected = applied = 0
+    empty = []
+    project_rows = linlogic.project_rows
+    apply = domain.CompiledClause._apply
+
+    def counted(rows, variables):
+        nonlocal projected
+        projected += 1
+        return project_rows(rows, variables)
+
+    def checked(self, target, apps, boxes):
+        nonlocal applied
+        applied += 1
+        if any(box.is_empty for box in boxes):
+            empty.append((str(self.clause), target))
+        return apply(self, target, apps, boxes)
+
+    monkeypatch.setattr(linlogic, "project_rows", counted)
+    monkeypatch.setattr(domain.CompiledClause, "_apply", checked)
+    outcomes = [measure.certified_verdict(chclab, inst) for inst in workloads.build("chain", 7, ROOT)]
+    assert outcomes == ["SAFE"] * 5
+    assert applied == 385
+    assert (projected, len(empty)) == (0, 0), empty

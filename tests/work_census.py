@@ -33,7 +33,7 @@ The counts come from wrapping the names the callers bind:
 * ``conjoin.calls``, ``normalize.calls`` and ``normalize.rows``: the
   batches conjoined, counted as the calls of the :class:`Conjunction`
   constructor plus, for the bounds of a transformer's input boxes, those
-  of :meth:`Conjunction.conjoin_bounds`, and the calls of
+  of :meth:`Conjunction.project_bounds`, and the calls of
   :meth:`Conjunction._normalize` and the lowered rows it receives;
 * ``_map.calls`` and ``images.builds``: the intervals mapped through an
   image, and the calls of :meth:`Conjunction._images` that compute the
@@ -164,7 +164,7 @@ def counting():
         (linlogic, "lower", lower),
         (domain, "lower", lower),
         (Conjunction, "__init__", _calls(counts, "conjoin.calls", Conjunction.__init__)),
-        (Conjunction, "conjoin_bounds", _calls(counts, "conjoin.calls", Conjunction.conjoin_bounds)),
+        (Conjunction, "project_bounds", _calls(counts, "conjoin.calls", Conjunction.project_bounds)),
         (Conjunction, "_normalize", _normalized(counts, Conjunction._normalize)),
         (Conjunction, "_images", _built(counts, Conjunction._images)),
         (linlogic, "_map", _calls(counts, "_map.calls", linlogic._map)),
