@@ -226,15 +226,20 @@ class CompiledClause:
     later target builds no template of a dead cube and decides no live
     one again.  A decision past ``DEFAULT_FM_CAP`` keeps its template
     and is not recorded, and each target's template of that cube tries
-    its own.  A call conjoins each bounded interval of its input boxes,
-    with the position of its variable, with every template
-    (:meth:`~chclab.linlogic.Conjunction.conjoin_bounds`) and projects
-    the result onto the target
-    (:meth:`~chclab.linlogic.Conjunction.project`), reading each tied
-    target's interval through its equality from its partner's, with no
-    elimination, and skips a template whose conjoined intervals conflict.
-    The template's rows are normalized once, and an interval adds rows
-    only by the derived-set rule of :mod:`chclab.linlogic`.
+    its own.  A call hands each bounded interval of its input boxes,
+    with the position of its variable, to every template
+    (:meth:`~chclab.linlogic.Conjunction.project_bounds`), which meets
+    it in and projects onto the target, reading each tied target's
+    interval through its equality from its partner's, with no
+    elimination; a template that leaves no row over two or more
+    variables builds no set and reads the targets off the met
+    intervals.  A template whose met intervals conflict derives
+    nothing.  The template's rows are normalized once, and an interval
+    adds rows only by the derived-set rule of :mod:`chclab.linlogic`.
+    The interval lists of the templates are joined and make one box
+    per call.  A call with an empty input box returns the empty box
+    at once: :class:`~chclab.solver.ClauseResults` never makes one,
+    and this check serves the direct callers.
     """
 
     def __init__(self, clause: Clause):

@@ -36,7 +36,8 @@ state a branch already holds:
 A search that visits more than ``DEFAULT_CUBE_CAP`` branches raises
 :class:`ResourceLimitError`.  Only projections, which need every cube,
 convert a formula to disjunctive normal form (:func:`to_dnf`, under the
-same cap).
+same cap); a formula without a disjunction is one cube and needs no
+conversion.
 
 Constraints are lowered to integer rows once (:func:`lower`), and one
 Fourier-Motzkin engine works on those rows:
@@ -67,7 +68,7 @@ Fourier-Motzkin engine works on those rows:
   :class:`Conjunction` keeps the pivots and build state of a
   conjunction.  A set derived from it, a search child or a transformer
   template with the intervals of its input boxes
-  (:meth:`Conjunction.conjoin_bounds`, through the image of each
+  (:meth:`Conjunction.project_bounds`, through the image of each
   interval's variable under the pivots), shares its pivots and follows
   one rule.  A constraint over fewer than two variables is decided by
   an interval meet: a one-variable one is met into a copy of the
@@ -75,7 +76,12 @@ Fourier-Motzkin engine works on those rows:
   interval whose image has no variable is checked against the value
   the pivots fix.  Only the rows over two or more variables, an
   interval's one per bounded side (:func:`_rows`), are normalized
-  (:meth:`Conjunction._child`), and a conflict builds no set.
+  (:meth:`Conjunction._child`), and a conflict builds no set.  Nor
+  does a transformer call that leaves no such row, neither in its
+  template nor from its intervals: it decides with bounds before any
+  row work, as a theory solver does (Dutertre and de Moura 2006), and
+  reads each target's interval off the met ``bounds``, with no
+  projection.
 * **Elimination order.**  The next variable eliminated is the one with
   the smallest |L|·|U| − |L| − |U|, where L and U are the rows that bound
   it from below and from above.  A variable that only ``bounds`` mention
@@ -112,9 +118,10 @@ Fourier-Motzkin engine works on those rows:
   whose short pairs conflict is refuted before it counts its rows.
 
 The solve path projects the rows of clause constraints and goal guards
-that :class:`chclab.domain.CompiledClause` lowered and extended onto one
-:class:`Interval` per requested variable with :func:`project_rows`
-(through :meth:`Conjunction.project`, which adds the tied targets): that
+that :class:`chclab.domain.CompiledClause` lowered and extended, when a
+call leaves rows over two or more variables, onto one :class:`Interval`
+per requested variable with :func:`project_rows` (through
+:meth:`Conjunction.project`, which adds the tied targets): that
 eliminates the variables it was not asked for once.  A requested
 variable's interval is then its ``bounds`` entry once the other
 requested variables that rows mention are eliminated; a variable that

@@ -170,10 +170,12 @@ class _AnswerClauses(ClauseResults):
     """The clause table of :func:`qa_two_step`'s second step: ``post(i,
     elem)`` is the post of clause ``i``'s answer clause in the first
     step's ``table``, with the head's answer box for its query atom and
-    ``elem``'s boxes for its body atoms, each computed once per key.  The
-    second step is a forward run only, so ``pre`` is never called.  It
-    compiles no clause: ``compiled`` holds the answer clauses of
-    ``table``, and the rest of its state is built for ``system``."""
+    ``elem``'s boxes for its body atoms (:meth:`post_inputs`), each
+    computed once per key by :meth:`ClauseResults.post`, which returns
+    the empty box when the answer box is empty too.  The second step is
+    a forward run only, so ``pre`` is never called.  It compiles no
+    clause: ``compiled`` holds the answer clauses of ``table``, and the
+    rest of its state is built for ``system``."""
 
     def __init__(
         self, system: System, table: ClauseResults, qa: QASystem, answers: AbstractElement

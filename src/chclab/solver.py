@@ -26,7 +26,10 @@ the head box and the restriction boxes of all body atoms.  Those inputs
 determine the exact result, so the iterations of a recursive component,
 the descending pass, later rounds and :func:`certify_trace` look up
 what the run already computed instead of recomputing it; the
-restriction meet and the goal seed are applied outside the table.
+restriction meet and the goal seed are applied outside the table.  A
+call with an empty input box derives nothing, and the restrictions of
+the alternation shrink, so many calls have one: the table returns the
+empty box of the call's target at once, before it builds a key.
 :func:`alternate` creates the table and passes it to both analyses and
 to the certifier, which read the system from it, and the run's top and
 bottom element, which the table builds once and every pass shares.
@@ -183,6 +186,10 @@ class ClauseResults:
     ``pre(i, j, r, elem)`` is ``clause_pre_restricted`` of its body
     position ``j``, each computed once per key (see the module
     docstring), so a lookup returns exactly what a fresh call would.
+    Each returns the empty box when one of its input boxes is empty,
+    before it builds a key or reaches the compiled clause.
+    ``post_inputs(i, elem)`` supplies the input boxes of a post, which
+    key it; a subclass that posts through other clauses overrides it.
     ``heads[p]`` lists the clauses with head ``p`` and ``positions[p]``
     the ``(clause, body position)`` pairs where ``p`` occurs in a body;
     ``bodies[i]`` holds the predicate names of clause ``i``'s body atoms.
