@@ -1003,7 +1003,16 @@ def test_project_bounds_matches_the_derived_set_and_the_formula_route():
         _assert_matches_reference(system.clauses, system.decls, rng, 30, "project_bounds")
         for clause in system.clauses:
             cc = CompiledClause(clause)
-            names, index, _ = cc.lowered
+            names = cc.lowered[0]
+            apps = (clause.head, *clause.body)
+            for _ in range(10):
+                elem = _probe_element(rng, system.decls)
+                boxes = [elem[app.pred.name] for app in apps]
+                want = transformer_reference.apply_by_rows(cc, None, clause.body, boxes[1:])
+                assert cc.post(boxes[1:]) == want, str(clause)
+                for j in range(len(clause.body)):
+                    want = transformer_reference.apply_by_rows(cc, j, apps, boxes)
+                    assert cc.pre(j, boxes[0], boxes[1:]) == want, (str(clause), j)
             targets = [(None, clause.head.args)]
             targets += [(j, app.args) for j, app in enumerate(clause.body)]
             for target, args in targets:

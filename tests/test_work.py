@@ -16,14 +16,19 @@ re-records the file with
 
     PYTHONPATH=src python tests/work_census.py
 
-and a change that raises one says why.
+and a change that raises one says why.  A second test pins what the
+seed-7 ``chain`` pass skips: no ``project_rows`` call and no compiled
+clause call with an empty input box.
 """
 
 from __future__ import annotations
 
 import json
 
-from work_census import COUNTERS, GOLDEN, PINNED, census
+import chclab
+from bench_import import bench_modules
+from chclab import domain, linlogic
+from work_census import COUNTERS, GOLDEN, PINNED, ROOT, census
 
 
 def test_work_does_not_rise_above_the_census():
@@ -54,10 +59,6 @@ def test_chain_pass_projects_no_rows_and_applies_no_empty_input(monkeypatch):
     # call, 380 before.  And the clause table returns the empty box for
     # an empty input box itself: no compiled clause gets one, 300 calls
     # did before.
-    import chclab
-    from chclab import domain, linlogic
-    from work_census import ROOT, bench_modules
-
     measure, workloads = bench_modules("measure", "workloads")
     projected = applied = 0
     empty = []
