@@ -7,10 +7,11 @@ Each side is the committed tree of one revision (``PARENT``, and
 ``--change``, ``HEAD`` by default), exported with ``git archive`` into a
 temporary directory, so the runs never touch the checkout and ``bench/``
 stays as it is.  Pair ``k`` runs ``python3 bench/run.py --workload W
---seed SEED+k --seconds S`` on both sides, the parent first when ``k`` is
-even and the change first when it is odd, with ``PYTHONDONTWRITEBYTECODE``
-set so that every process compiles its sources as a fresh checkout does.
-Each run's result is the last line of its stdout.
+--seed SEED+k`` on both sides, so the benchmark's own default sets the
+run length, the parent first when ``k`` is even and the change first when
+it is odd, with ``PYTHONDONTWRITEBYTECODE`` set so that every process
+compiles its sources as a fresh checkout does.  Each run's result is the
+last line of its stdout.
 
 For each end-to-end metric the script prints the parent's and the
 change's median and quartiles, the change of the median in per cent, the
@@ -50,11 +51,10 @@ def export(revision: str, into: Path) -> Path:
     return tree
 
 
-def run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run(tree: Path, workload: str, seed: int) -> dict:
     """The result line of one ``bench/run.py`` run in ``tree``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "bench/run.py", "--workload", workload]
-    argv += ["--seed", str(seed), "--seconds", str(seconds)]
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     out = subprocess.run(argv, cwd=tree, env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -111,7 +111,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True, help="the first pair's seed")
-    ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--out", metavar="N", help="write BENCH_N_parent.json and BENCH_N.json")
     args = ap.parse_args(argv)
     results: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                results[side].append(run(trees[side], args.workload, args.seed + k, args.seconds))
+                results[side].append(run(trees[side], args.workload, args.seed + k))
             print(f"pair {k + 1}/{args.pairs} (seed {args.seed + k}, {order[0]} first) done", flush=True)
     failed = {side: [r["failed"] for r in runs] for side, runs in results.items()}
     print(f"failed per run: parent {failed['parent']}, change {failed['change']}")
