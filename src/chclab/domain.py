@@ -13,8 +13,10 @@ constraint together with the boxes of the occurring predicates.  A
 integer rows once; each call only meets the intervals of its input
 boxes, whole, into the rows' intervals and projects exactly
 (:mod:`chclab.linlogic`), whose intervals
-(:class:`~chclab.linlogic.Interval`) form the box as they are.  Goal
-guards take the same route, compiled as body-less clauses.
+(:class:`~chclab.linlogic.Interval`) form the box as they are.  The
+compiled clause owns its calls: it alone returns the empty box for an
+empty input box and keeps the result of each call.  Goal guards take
+the same route, compiled as body-less clauses.
 :func:`clause_post` and :func:`clause_pre_restricted` compile the clause
 on the fly.  :func:`formula_box`, which projects every cube of a whole
 formula's DNF, is the formula route the tests compare against; nothing
@@ -51,7 +53,6 @@ from .syntax import (
     Formula,
     LinConstraint,
     LinTerm,
-    PredApp,
     Rel,
     System,
     FALSE,
@@ -189,11 +190,6 @@ class AbstractElement(dict):
         return all(map(_is_empty, self.values()))
 
 
-def has_empty(boxes: Iterable[Box]) -> bool:
-    """Is one of ``boxes`` empty?"""
-    return None in map(_intervals, boxes)
-
-
 def formula_box(formula: Formula, variables: Sequence[str]) -> Box:
     """Tightest box over ``variables`` containing all formula solutions;
     the formula route the tests compare :class:`CompiledClause` against."""
@@ -237,9 +233,18 @@ class CompiledClause:
     nothing.  The template's rows are normalized once, and an interval
     adds rows only by the derived-set rule of :mod:`chclab.linlogic`.
     The interval lists of the templates are joined and make one box
-    per call.  A call with an empty input box returns the empty box
-    at once: :class:`~chclab.solver.ClauseResults` never makes one,
-    and this check serves the direct callers.
+    per call.
+
+    ``post`` and ``pre`` go through one step (:meth:`_call`).  A call
+    with an empty input box derives nothing, and the alternation's
+    restrictions shrink, so many calls have one: the step returns the
+    shared empty box of the target at once, before it builds a key.
+    Otherwise the target and the input boxes (for ``pre`` the head box
+    and all body boxes) determine the exact result: the step looks them
+    up and projects (:meth:`_apply`) only on a miss.  A run keeps one
+    compiled clause per clause (:class:`~chclab.solver.ClauseResults`),
+    so its passes, its certifier and qa2's second step
+    (:mod:`chclab.qa`) look up what the run already computed.
     """
 
     def __init__(self, clause: Clause):
@@ -248,6 +253,7 @@ class CompiledClause:
         # Whether each cube of the DNF, by its index, has a solution, once
         # a template of it has been decided within the cap.
         self._decided: dict[int, bool] = {}
+        self._results: dict[tuple, Box] = {}
 
     @cached_property
     def lowered(self) -> tuple[tuple[str, ...], dict[str, int], list[list[Lowered]]]:
@@ -261,20 +267,29 @@ class CompiledClause:
         index = {v: j for j, v in enumerate(names)}
         return names, index, [[lower(c, index) for c in cube.cons] for cube in cubes]
 
-    def post(self, body: Sequence[Box]) -> Box:
+    def post(self, body: Iterable[Box]) -> Box:
         """The head box derived from the boxes of the body atoms."""
-        return self._apply(None, self.clause.body, body)
+        return self._call(None, tuple(body))
 
-    def pre(self, position: int, head: Box, body: Sequence[Box]) -> Box:
+    def pre(self, position: int, head: Box, body: Iterable[Box]) -> Box:
         """The box of body atom ``position`` from which the clause derives
         a head inside ``head`` with every body atom inside ``body``."""
-        return self._apply(position, (self.clause.head, *self.clause.body), (head, *body))
+        return self._call(position, (head, *body))
 
-    def _apply(self, target: int | None, apps: Sequence[PredApp], boxes: Sequence[Box]) -> Box:
+    def _call(self, target: int | None, boxes: tuple[Box, ...]) -> Box:
+        if None in map(_intervals, boxes):
+            app = self.clause.head if target is None else self.clause.body[target]
+            return Box.empty(app.pred.arity)
+        key = (target, boxes)
+        box = self._results.get(key)
+        if box is None:
+            box = self._results[key] = self._apply(target, boxes)
+        return box
+
+    def _apply(self, target: int | None, boxes: tuple[Box, ...]) -> Box:
         clause = self.clause
+        apps = clause.body if target is None else (clause.head, *clause.body)
         args = clause.head.args if target is None else clause.body[target].args
-        if has_empty(boxes):
-            return Box.empty(len(args))
         index = self.lowered[1]
         bounded = [
             (index[v], interval)

@@ -655,28 +655,28 @@ class Conjunction:
         (:meth:`_child`) and projected (:meth:`project`).  Its caller
         passes only a conjunction whose own rows are not refuted.
         """
-        met = self._met(intervals)
+        images, ties = self._images()
+        met = self._met(intervals, images)
         if met is None:
             return None
         bounds, rows = met
         if rows or self.rowset.cons:
-            return self._child(bounds, rows).project(variables)
+            return self._child(bounds, rows).project(variables, ties)
         names = self.names
-        return self._read({names[j]: interval for j, interval in bounds.items()}, variables)
+        return self._read({names[j]: interval for j, interval in bounds.items()}, variables, ties)
 
-    def _met(self, intervals) -> tuple[dict[int, Interval], list[Lowered]] | None:
+    def _met(self, intervals, images) -> tuple[dict[int, Interval], list[Lowered]] | None:
         """A copy of ``bounds`` with each ``(j, interval)`` of
         ``intervals`` met in, and the rows of the intervals that no meet
         decides; ``None`` at the first empty meet.
 
-        ``x_j`` is read through its image under the pivots
+        ``x_j`` is read through its image under the pivots in ``images``
         (:meth:`_images`): an interval on an image with one variable is
         mapped onto it (:func:`_map`), or met as it is when no pivot
         rewrites ``x_j`` or its image is ``x_k`` itself.  An interval on
         an image with no variable is checked against the value the pivots
         fix, and one on an image with several becomes rows (:func:`_rows`).
         """
-        images, _ = self._images()
         met = self.bounds.copy()
         rows = []
         for j, interval in intervals:
@@ -721,22 +721,24 @@ class Conjunction:
             child.out, child.rowset = self.out, RowSet(self.names, self.rowset.cons, 0, False, bounds)
         return child
 
-    def project(self, variables) -> list[Interval] | None:
+    def project(self, variables, ties) -> list[Interval] | None:
         """:func:`project_rows` of ``rowset`` onto ``variables``, which
         must name every position of the ``tie`` mask, with each tied
-        variable read off its partner's interval (:meth:`_read`)."""
+        variable of ``ties``, the ties of :meth:`_images`, read off its
+        partner's interval (:meth:`_read`)."""
         intervals = project_rows(self.rowset, variables)
-        if not self._images()[1] or intervals is None:
+        if not ties or intervals is None:
             return intervals
-        return self._read(dict(zip(variables, intervals)), variables)
+        return self._read(dict(zip(variables, intervals)), variables, ties)
 
-    def _read(self, at: dict[str, Interval], variables) -> list[Interval]:
+    @staticmethod
+    def _read(at: dict[str, Interval], variables, ties) -> list[Interval]:
         """The interval of each of ``variables`` in ``at``, top when it has
-        none, where a tied ``x_j``, which no row mentions, gets the
-        interval of its partner ``x_k`` mapped through its image
+        none, where a tied ``x_j`` of ``ties``, which no row mentions, gets
+        the interval of its partner ``x_k`` mapped through its image
         (:func:`_map`), or as it is when the image is ``x_k`` itself."""
         top = Interval.top()
-        for tied, partner, a, c, s in self._images()[1]:
+        for tied, partner, a, c, s in ties:
             interval = at.get(partner, top)
             at[tied] = interval if a == s and not c else _map(interval, a, c, s)
         return [at.get(v, top) for v in variables]

@@ -16,8 +16,9 @@ by its answer box, but it compiles nothing again: each original clause
 ``p(args) :- b_1, ..., b_n, c`` posts through its answer clause
 ``p_a(args) :- p_q(args), b_1_a, ..., b_n_a, c`` of the first step's
 clause table, whose query atom ranges over exactly the head's arguments
-and takes the head's answer box.  The goal element is read off the same
-table, as the posts of the query seeds.
+and takes the head's answer box; where its inputs repeat, that compiled
+clause returns what the first step computed.  The goal element is read
+off the same table, as the posts of the query seeds.
 
 :func:`qa_iterated` runs :func:`~chclab.solver.alternate` from a
 forward start.  A backward pass by transformation, the forward analysis
@@ -170,10 +171,10 @@ class _AnswerClauses(ClauseResults):
     """The clause table of :func:`qa_two_step`'s second step: ``post(i,
     elem)`` is the post of clause ``i``'s answer clause in the first
     step's ``table``, with the head's answer box for its query atom and
-    ``elem``'s boxes for its body atoms (:meth:`post_inputs`), each
-    computed once per key by :meth:`ClauseResults.post`, which returns
-    the empty box when the answer box is empty too.  The second step is
-    a forward run only, so ``pre`` is never called.  It compiles no
+    ``elem``'s boxes for its body atoms.  That compiled clause returns
+    the empty box when the answer box is empty too, and a result the
+    first step computed for the same boxes.  The second step is a
+    forward run only, so ``pre`` is never called.  It compiles no
     clause: ``compiled`` holds the answer clauses of ``table``, and the
     rest of its state is built for ``system``."""
 
@@ -184,12 +185,9 @@ class _AnswerClauses(ClauseResults):
         self.compiled = [table.compiled[k] for k in qa.answer_clauses]
         self.answers = answers
 
-    def post_inputs(self, i: int, elem: AbstractElement) -> tuple[Box, ...]:
-        """The input boxes of clause ``i``'s answer clause: the answer box
-        of the head for its query atom, then ``elem``'s boxes of its body
-        atoms."""
+    def post(self, i: int, elem: AbstractElement) -> Box:
         query = self.answers[self.system.clauses[i].head.pred.name]
-        return (query, *map(elem.__getitem__, self.bodies[i]))
+        return self.compiled[i].post((query, *map(elem.__getitem__, self.bodies[i])))
 
 
 def qa_iterated(

@@ -19,17 +19,10 @@ The flows compute each clause transformer through a
 :class:`ClauseResults` table that lives for one run.  The table holds
 each clause compiled (:class:`~chclab.domain.CompiledClause`), so a
 clause's constraint is converted to DNF and lowered to integer rows once
-per run, and every miss only adds the input boxes.  A forward result
-is keyed on the clause's index in ``system.clauses`` and the boxes of
-its body atoms; a backward result on that index, the body position,
-the head box and the restriction boxes of all body atoms.  Those inputs
-determine the exact result, so the iterations of a recursive component,
-the descending pass, later rounds and :func:`certify_trace` look up
-what the run already computed instead of recomputing it; the
-restriction meet and the goal seed are applied outside the table.  A
-call with an empty input box derives nothing, and the restrictions of
-the alternation shrink, so many calls have one: the table returns the
-empty box of the call's target at once, before it builds a key.
+per run.  The compiled clause keeps the result of each call and
+returns the empty box for an empty input box, so the analyses and
+:func:`certify_trace` look up what the run already computed; the
+restriction meet and the goal seed are applied outside the table.
 :func:`alternate` creates the table and passes it to both analyses and
 to the certifier, which read the system from it, and the run's top and
 bottom element, which the table builds once and every pass shares.
@@ -52,7 +45,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .depgraph import dependency_order, edges, reach
-from .domain import AbstractElement, Box, CompiledClause, has_empty
+from .domain import AbstractElement, Box, CompiledClause
 from .linlogic import sat_cube
 from .syntax import (
     Formula,
@@ -184,14 +177,11 @@ class ClauseResults:
 
     ``post(i, elem)`` is ``clause_post`` of clause ``i`` of the system and
     ``pre(i, j, r, elem)`` is ``clause_pre_restricted`` of its body
-    position ``j``, each computed once per key (see the module
-    docstring), so a lookup returns exactly what a fresh call would.
-    Each returns the empty box when one of its input boxes is empty,
-    before it builds a key or reaches the compiled clause.
-    ``post_inputs(i, elem)`` supplies the input boxes of a post, which
-    key it; a subclass that posts through other clauses overrides it.
-    ``heads[p]`` lists the clauses with head ``p`` and ``positions[p]``
-    the ``(clause, body position)`` pairs where ``p`` occurs in a body;
+    position ``j``, each handed to the clause's compiled clause in
+    ``compiled``, which computes a result once per set of input boxes
+    (see :class:`~chclab.domain.CompiledClause`).  ``heads[p]`` lists
+    the clauses with head ``p`` and ``positions[p]`` the ``(clause,
+    body position)`` pairs where ``p`` occurs in a body;
     ``bodies[i]`` holds the predicate names of clause ``i``'s body atoms.
     ``top`` and ``bottom`` are the run's top and bottom elements, which
     every pass of the run shares and none assigns into.
@@ -208,8 +198,6 @@ class ClauseResults:
         self.bodies = [tuple(app.pred.name for app in clause.body) for clause in system.clauses]
         self.top = AbstractElement.top(system)
         self.bottom = AbstractElement.bottom(system)
-        self._post: dict[tuple, Box] = {}
-        self._pre: dict[tuple, Box] = {}
 
     @cached_property
     def compiled(self) -> list[CompiledClause]:
@@ -223,30 +211,11 @@ class ClauseResults:
         return dependency_order(self.system)
 
     def post(self, i: int, elem: AbstractElement) -> Box:
-        boxes = self.post_inputs(i, elem)
-        if has_empty(boxes):
-            return self.bottom[self.system.clauses[i].head.pred.name]
-        key = (i, boxes)
-        box = self._post.get(key)
-        if box is None:
-            box = self._post[key] = self.compiled[i].post(boxes)
-        return box
-
-    def post_inputs(self, i: int, elem: AbstractElement) -> tuple[Box, ...]:
-        """The input boxes of clause ``i``'s post: ``elem``'s boxes of its
-        body atoms."""
-        return tuple(map(elem.__getitem__, self.bodies[i]))
+        return self.compiled[i].post(map(elem.__getitem__, self.bodies[i]))
 
     def pre(self, i: int, j: int, r: AbstractElement, elem: AbstractElement) -> Box:
         head = elem[self.system.clauses[i].head.pred.name]
-        boxes = (head, *map(r.__getitem__, self.bodies[i]))
-        if has_empty(boxes):
-            return self.bottom[self.bodies[i][j]]
-        key = (i, j, boxes)
-        box = self._pre.get(key)
-        if box is None:
-            box = self._pre[key] = self.compiled[i].pre(j, head, boxes[1:])
-        return box
+        return self.compiled[i].pre(j, head, map(r.__getitem__, self.bodies[i]))
 
 
 def forward_flow(results: ClauseResults, r: AbstractElement):

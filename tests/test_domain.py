@@ -33,6 +33,7 @@ from chclab.linlogic import (
     to_dnf,
 )
 from chclab.parser import parse_system
+from chclab.qa import qa_two_step
 from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
 from chclab.syntax import (
     Clause,
@@ -562,6 +563,46 @@ def test_compiled_transformers_match_formula_route(corpus_systems):
     assert live >= 50 and dead >= 50, (live, dead)
 
 
+def test_compiled_clause_projects_each_call_once(monkeypatch, addition_loops, lockstep_proc):
+    # A compiled clause owns its transformer calls.  A call with an empty
+    # input box returns the shared empty box of its target and projects
+    # nothing; a call whose target and input boxes equal an earlier
+    # call's returns that call's box, projected once.  qa2's second step
+    # posts through the first step's compiled answer clauses, so no
+    # projection of a default qa2 run of lockstep_proc.chc repeats one of
+    # the first step: 37 projections, 39 when each step kept its own
+    # results.
+    applied = []
+    apply = CompiledClause._apply
+
+    def counted(self, target, boxes):
+        applied.append((self, target, boxes))
+        return apply(self, target, boxes)
+
+    monkeypatch.setattr(CompiledClause, "_apply", counted)
+    for clause in addition_loops.clauses:
+        cc = CompiledClause(clause)
+        arities = [app.pred.arity for app in (clause.head, *clause.body)]
+        # Equal boxes, built anew for each call.
+        boxes = [[Box.make(n, [interval(0, 3)] * n) for n in arities] for _ in range(2)]
+        first = cc.post(boxes[0][1:])
+        assert cc.post(boxes[1][1:]) is first
+        for j in range(len(clause.body)):
+            first = cc.pre(j, boxes[0][0], boxes[0][1:])
+            assert cc.pre(j, boxes[1][0], boxes[1][1:]) is first
+        assert [call[1] for call in applied] == [None, *range(len(clause.body))]
+        applied.clear()
+        for k, n in enumerate(arities):
+            empty = [Box.empty(m) if i == k else Box.top(m) for i, m in enumerate(arities)]
+            if k:
+                assert cc.post(empty[1:]) is Box.empty(arities[0])
+            for j in range(len(clause.body)):
+                assert cc.pre(j, empty[0], empty[1:]) is Box.empty(arities[j + 1])
+        assert applied == []
+    qa_two_step(lockstep_proc)
+    assert len(applied) == len(set(applied)) == 37
+
+
 def test_empty_input_box_skips_elimination(monkeypatch, addition_loops):
     calls = 0
     eliminate = linlogic._eliminate
@@ -770,7 +811,7 @@ def test_decision_past_the_cap_keeps_the_template(monkeypatch):
         except ResourceLimitError:
             decided = False
         try:
-            intervals = template.project(args)
+            intervals = transformer_reference.project(template, args)
             want = Box.empty(3) if intervals is None else Box.make(3, intervals)
         except ResourceLimitError as exc:
             want = str(exc)
@@ -805,7 +846,7 @@ def _conjoin_bounds(template: Conjunction, intervals) -> Conjunction | None:
     """The set ``template`` derives with ``intervals``, the pairs
     ``(position, interval)`` of a call, as ``project_bounds`` builds it
     before it projects: ``None`` at a conflict."""
-    met = template._met(intervals)
+    met = template._met(intervals, template._images()[0])
     return None if met is None else template._child(*met)
 
 
@@ -854,18 +895,19 @@ def test_box_bounds_met_as_intervals_match_the_row_route():
                 for template, want in zip(templates, fresh, strict=True):
                     got = _conjoin_bounds(template, bounded)
                     projected = template.project_bounds(bounded, args)
-                    assert projected == (got and got.project(args)), label
+                    assert projected == (got and transformer_reference.project(got, args)), label
                     if got is None:
                         # A conflict builds no set: the fresh build
                         # projects to nothing.
-                        assert want.project(args) is None, label
+                        assert transformer_reference.project(want, args) is None, label
                         routes["conflict"] += 1
                         continue
                     assert got.pivots is template.pivots, label
                     ends = [b.value for iv in got.rowset.bounds.values() for b in iv]
                     assert all(type(v) is int or v.denominator > 1 for v in ends if v is not None)
                     if want.pivots != template.pivots:
-                        assert got.project(args) == want.project(args), label
+                        want_box = transformer_reference.project(want, args)
+                        assert transformer_reference.project(got, args) == want_box, label
                         routes["pivot"] += 1
                         continue
                     assert got.rowset == want.rowset, label
@@ -905,17 +947,14 @@ def test_tied_targets_match_the_formula_route(monkeypatch):
     seen = []
     read = Conjunction._read
 
-    def recording(self, at, variables):
+    def recording(at, variables, ties):
         # Each projection that finds no conflict reads its targets here,
         # off the met bounds or off project_rows' intervals.  A tie is a
         # pivot outside ``free``; its image has one variable.
-        images, _ = self._images()
-        for j, (mask, vec, _, scale) in images.items():
-            if not self.free >> j & 1:
-                seen.append((vec[mask.bit_length() - 1], scale))
-        return read(self, at, variables)
+        seen.extend((a, scale) for _, _, a, _, scale in ties)
+        return read(at, variables, ties)
 
-    monkeypatch.setattr(Conjunction, "_read", recording)
+    monkeypatch.setattr(Conjunction, "_read", staticmethod(recording))
     _assert_matches_reference(system.clauses, system.decls, random.Random(28), 150, "tied")
     assert len(seen) > 300
     assert sum(a < 0 for a, _ in seen) > 50, seen
@@ -942,10 +981,10 @@ def test_an_interval_whose_image_has_one_variable_is_met_once(monkeypatch):
     calls = []
     met = Conjunction._met
 
-    def recording(self, intervals):
+    def recording(self, intervals, images):
         nonlocal meets
         meets = 0
-        out = met(self, intervals)
+        out = met(self, intervals, images)
         calls.append((self, intervals, out and self._child(*out), meets))
         return out
 
@@ -1027,11 +1066,11 @@ def test_project_bounds_matches_the_derived_set_and_the_formula_route():
                         label = (str(clause), target, bounded)
                         got = template.project_bounds(bounded, args)
                         derived = _conjoin_bounds(template, bounded)
-                        assert got == (derived and derived.project(args)), label
+                        assert got == (derived and transformer_reference.project(derived, args)), label
                         if derived is None:
                             seen["conflict"] += 1
                             continue
-                        bounds, rows = template._met(bounded)
+                        bounds, rows = template._met(bounded, images)
                         seen["rows" if rows or template.rowset.cons else "read"] += 1
                         seen["tied"] += bool(ties) and got is not None
                         masks = [images[j][0] for j, _ in bounded if j in images]
@@ -1061,18 +1100,18 @@ def test_derived_sets_normalize_only_rows_over_two_or_more_variables(monkeypatch
 
     met = Conjunction._met
 
-    def counted(self, intervals):
+    def counted(self, intervals, images):
         nonlocal conflicts
-        out = met(self, intervals)
+        out = met(self, intervals, images)
         conflicts += out is None
         return out
 
     project = Conjunction.project
 
-    def projected(self, variables):
+    def projected(self, variables, ties):
         # Only a transformer call projects a Conjunction on this traffic.
         assert not self.rowset.unsat
-        return project(self, variables)
+        return project(self, variables, ties)
 
     monkeypatch.setattr(Conjunction, "_child", checked)
     monkeypatch.setattr(Conjunction, "_met", counted)

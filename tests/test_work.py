@@ -8,8 +8,8 @@ their rows and the pairs they combine, the elimination runs, the
 lowered constraints, the conjoined batches, the normalizations and the
 rows they receive, the interval maps and image builds, the interval
 meets, the boxes and intervals built, the model check's negations, the
-projections, the clause transformer calls and the satisfiability
-searches (see ``tests/work_census.py``).  It also
+row projections, the projections of the compiled clauses on a miss
+and the satisfiability searches (see ``tests/work_census.py``).  It also
 holds the exit code and the digest of the output of each corpus run,
 and the outcome of each benchmark instance, which must not change.  A change that lowers a count
 re-records the file with
@@ -17,8 +17,8 @@ re-records the file with
     PYTHONPATH=src python tests/work_census.py
 
 and a change that raises one says why.  A second test pins what the
-seed-7 ``chain`` pass skips: no ``project_rows`` call and no compiled
-clause call with an empty input box.
+seed-7 ``chain`` pass skips: no ``project_rows`` call and no projection
+of a compiled clause with an empty input box.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def test_chain_pass_projects_no_rows_and_applies_no_empty_input(monkeypatch):
     # constraints are single cubes that leave no row over two or more
     # variables once their equalities are pivots, so every transformer
     # call reads its targets off the met bounds: no ``project_rows``
-    # call, 380 before.  And the clause table returns the empty box for
-    # an empty input box itself: no compiled clause gets one, 300 calls
-    # did before.
+    # call, 380 before.  And a compiled clause returns the empty box for
+    # an empty input box before it projects: no projection (``_apply``)
+    # gets one, 300 did when the rule sat inside the projection.
     measure, workloads = bench_modules("measure", "workloads")
     projected = applied = 0
     empty = []
@@ -70,12 +70,12 @@ def test_chain_pass_projects_no_rows_and_applies_no_empty_input(monkeypatch):
         projected += 1
         return project_rows(rows, variables)
 
-    def checked(self, target, apps, boxes):
+    def checked(self, target, boxes):
         nonlocal applied
         applied += 1
         if any(box.is_empty for box in boxes):
             empty.append((str(self.clause), target))
-        return apply(self, target, apps, boxes)
+        return apply(self, target, boxes)
 
     monkeypatch.setattr(linlogic, "project_rows", counted)
     monkeypatch.setattr(domain.CompiledClause, "_apply", checked)

@@ -11,7 +11,7 @@ before box bounds were met as intervals: each bound of an input box
 each cube of the compiled clause's constraint is built afresh with those
 rows after its own (:func:`by_rows`, the ``Conjunction`` constructor
 with the masks of ``CompiledClause._template``), and the result is
-projected as the compiled route projects it (``Conjunction.project``).
+projected as the compiled route projects it (:func:`project`).
 It shares neither the compiled clause's templates nor their decisions.
 """
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from chclab.domain import AbstractElement, Box, CompiledClause, formula_box
-from chclab.linlogic import Conjunction, Lowered
+from chclab.linlogic import Conjunction, Interval, Lowered
 from chclab.syntax import Clause, Formula, PredApp, Rel, conj
 
 
@@ -95,6 +95,12 @@ def by_rows(cc: CompiledClause, args: Sequence[str], rows: Sequence[Lowered]) ->
     return [Conjunction(names, [*cube, *rows], free, targets) for cube in cubes]
 
 
+def project(conjunction: Conjunction, args: Sequence[str]) -> list[Interval] | None:
+    """``Conjunction.project`` of ``conjunction`` onto ``args``, with the
+    conjunction's own ties."""
+    return conjunction.project(args, conjunction._images()[1])
+
+
 def apply_by_rows(
     cc: CompiledClause, target: int | None, apps: Sequence[PredApp], boxes: Sequence[Box]
 ) -> Box:
@@ -106,7 +112,7 @@ def apply_by_rows(
         return Box.empty(len(args))
     acc = Box.empty(len(args))
     for conjunction in by_rows(cc, args, bound_rows(cc, apps, boxes)):
-        intervals = conjunction.project(args)
+        intervals = project(conjunction, args)
         if intervals is not None:
             acc = acc.join(Box.make(len(args), intervals))
     return acc

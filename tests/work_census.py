@@ -44,9 +44,11 @@ The counts come from wrapping the names the callers bind:
   :class:`linlogic.Interval` tuples built, counted as the calls of each
   class's ``__new__``, wrapped on the class;
 * ``negate.calls``: the formulas the model check negates;
-* ``project_rows.calls``, ``_apply.calls`` and ``sat_cube.calls``: the
-  projections, the clause transformer calls and the satisfiability
-  searches.
+* ``project_rows.calls`` and ``sat_cube.calls``: the row projections
+  and the satisfiability searches;
+* ``_apply.calls``: the projections a compiled clause makes on a miss,
+  the transformer calls whose input boxes are all nonempty and that no
+  earlier call of the same compiled clause made with equal boxes.
 
 Wall time needs many paired runs to show a change of a few per cent;
 these counts, digests and outcomes are the same on every machine and
