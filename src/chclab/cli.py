@@ -11,6 +11,9 @@ exceeded, 10 UNKNOWN verdict (for ``trees --check-props``: no check
 failed, but one was skipped).  Input files are UTF-8, with or without a
 leading byte order mark.
 
+A ``chclab solve`` run is :func:`solve`, the analysis of one of
+:data:`MODES`, then :func:`certify`, its certificates and those that
+fail it; the gate scripts and tests run a mode through both as well.
 The oracles, the tree semantics and the query-answer analyses are
 imported by the subcommands and modes that use them, so ``chclab solve``
 starts without them.
@@ -27,12 +30,7 @@ from functools import cache
 
 from .linlogic import ResourceLimitError
 from .parser import ParseError, parse_model, parse_system
-from .solver import (
-    AnalysisConfig,
-    alternate,
-    check_model,
-    goal_disjoint,
-)
+from .solver import AnalysisConfig, alternate, check_model, goal_disjoint
 from .syntax import format_formula, format_model, format_system
 
 EXIT_OK = 0
@@ -96,30 +94,45 @@ def _element_digest(elem) -> dict:
     return {name: str(box) for name, box in elem.items()}
 
 
+MODES = ("fwd", "alt", "qa2", "qa-iter")
+
+
+def solve(system, mode: str, config: AnalysisConfig):
+    """``mode``'s analysis of ``system``: ``(trace, verdict)``, no trace in
+    qa2.  fwd is alt's first forward pass; only alt reads ``config.start``."""
+    if mode == "qa2":
+        from .qa import qa_two_step
+        return None, qa_two_step(system, config)[1]
+    if mode == "qa-iter":
+        from .qa import qa_iterated
+        return qa_iterated(system, config)
+    if mode == "fwd":
+        config = config._replace(start="forward", max_rounds=1)
+    return alternate(system, config)
+
+
+def certify(system, trace, verdict, model) -> tuple[dict, list[str]]:
+    """A run's certificates, ``step_laws`` (``None`` without a trace),
+    ``model_check`` and ``goal_disjoint``, and the names of those that
+    fail the run: each false one, ``goal_disjoint`` only for SAFE."""
+    certs = {
+        "step_laws": None if trace is None else trace.certified,
+        "model_check": check_model(system, model).ok,
+        "goal_disjoint": goal_disjoint(system, model),
+    }
+    needed = certs if verdict.safe else {**certs, "goal_disjoint": None}
+    return certs, [name for name, ok in needed.items() if ok is False]
+
+
 def cmd_solve(args) -> int:
     system = _read_system(args.file)
     config = _config_from_args(args)
     started = time.monotonic()
-    if args.mode == "qa2":
-        from .qa import qa_two_step
-
-        _, verdict = qa_two_step(system, config=config)
-        trace = None
-        step_laws_ok = None
-    else:
-        if args.mode != "alt":
-            # fwd is alt's first forward pass and qa-iter alt's rounds
-            # (see qa.qa_iterated): --start does not apply.
-            config = config._replace(start="forward")
-        if args.mode == "fwd":
-            config = config._replace(max_rounds=1)
-        trace, verdict = alternate(system, config=config)
-        step_laws_ok = trace.certified
+    trace, verdict = solve(system, args.mode, config)
     wall_ms = int((time.monotonic() - started) * 1000)
 
     model = verdict.witness.as_dict()
-    model_ok = check_model(system, model)
-    disjoint = goal_disjoint(system, model)
+    certs, failed = certify(system, trace, verdict, model)
     report = {
         "schema": 1,
         "file": args.file,
@@ -127,11 +140,7 @@ def cmd_solve(args) -> int:
         "verdict": verdict.status,
         "rounds": verdict.rounds_used,
         "model": {name: format_formula(f) for name, f in model.items()},
-        "certs": {
-            "step_laws": step_laws_ok,
-            "model_check": model_ok.ok,
-            "goal_disjoint": disjoint,
-        },
+        "certs": certs,
         "stats": {
             "preds": len(system.decls),
             "clauses": len(system.clauses),
@@ -153,7 +162,6 @@ def cmd_solve(args) -> int:
     else:
         reason = verdict.stop_reason.replace("_", " ")
         _print(f"{verdict.status} after {verdict.rounds_used} round(s): {reason}")
-        certs = report["certs"]
         _print(
             "certs: step_laws={step_laws} model_check={model_check} "
             "goal_disjoint={goal_disjoint}".format(**certs)
@@ -161,15 +169,6 @@ def cmd_solve(args) -> int:
         _print(format_model(model, system), end="")
     if args.model_out:
         _write_text(args.model_out, format_model(model, system))
-    failed = [
-        name
-        for name, ok in (
-            ("step_laws", step_laws_ok),
-            ("model_check", model_ok.ok),
-            ("goal_disjoint", disjoint or not verdict.safe),
-        )
-        if ok is False
-    ]
     if failed:
         print(f"error: certificate failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -267,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("file")
     solve.add_argument(
         "--mode",
-        choices=["fwd", "alt", "qa2", "qa-iter"],
+        choices=MODES,
         default="alt",
         help="fwd: single forward pass; alt: forward/backward alternation; "
         "qa2: two-phase query-answer analysis; qa-iter: alt from a forward start, "
-        "without --start (kept for the benchmark)",
+        "without --start",
     )
     solve.add_argument("--max-rounds", type=int, default=5)
     solve.add_argument("--widen-delay", type=int, default=2, help="joins before widening kicks in")

@@ -68,8 +68,8 @@ class Box(NamedTuple):
     """Product of intervals; ``intervals is None`` encodes empty.  A box
     never holds an empty interval: :meth:`make` turns one into the empty
     box.  Boxes are shared as the module docstring says: :meth:`empty`
-    and :meth:`top` return one box per arity, and ``join``, ``meet`` and
-    ``widen`` return an operand when the result equals it."""
+    and :meth:`top` return one box per arity, :meth:`make` too, and
+    ``join``, ``meet`` and ``widen`` return an operand equal to the result."""
 
     arity: int
     intervals: tuple[Interval, ...] | None
@@ -81,7 +81,8 @@ class Box(NamedTuple):
             raise ValueError(f"{len(ivs)} intervals for a box of arity {arity}")
         if any(map(_is_empty, ivs)):
             return Box.empty(arity)
-        return Box(arity, ivs)
+        top = Box.top(arity)
+        return top if ivs == top.intervals else Box(arity, ivs)
 
     @staticmethod
     @cache

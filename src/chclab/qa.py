@@ -193,7 +193,7 @@ class _AnswerClauses(ClauseResults):
 def qa_iterated(
     system: System, config: AnalysisConfig = AnalysisConfig()
 ) -> tuple[AlternationTrace, Verdict]:
-    """The ``qa-iter`` mode: the alternation with ``start="forward"``,
-    whatever ``config.start`` says.  It stays only because the benchmark
-    (``bench/measure.py``) calls it."""
+    """The ``qa-iter`` mode, the one definition :func:`chclab.cli.solve`
+    and the benchmark run: the alternation with ``start="forward"``,
+    whatever ``config.start`` says."""
     return alternate(system, config._replace(start="forward"))

@@ -39,7 +39,6 @@ from bench_import import bench_modules
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "chclab"
 TESTS = ROOT / "tests"
-MODES = ("fwd", "alt", "qa2", "qa-iter")
 
 # Functions the command set does not run that a bench/tracer.py target
 # is or calls: the formula route, which the tracer wraps by name.
@@ -124,7 +123,7 @@ def run_commands() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         model, report = Path(tmp) / "model", Path(tmp) / "report.json"
         for path in sorted((ROOT / "corpus").glob("**/*.chc")):
-            for mode in MODES:
+            for mode in cli.MODES:
                 run("solve", path, "--mode", mode, "--json", report, "--model-out", model)
                 run("check", path, model)
             for start in ("bwd", "coarse"):

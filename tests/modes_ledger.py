@@ -4,16 +4,14 @@ each round budget, one character per seed.
 Five generators of ``tests/randgen.py``, ``fuzz_text``,
 ``wide_finite_text``, ``random_goal_text``, ``random_finite_text`` and
 ``rounds_like_text``, each give the systems of seeds 0-199; only the
-outcomes of ``rounds_like_text`` depend on the mode and the budget.  Each system is solved in the
-modes fwd, alt, qa2 and qa-iter at the round budgets 1, 3, 5 and 8 by
-the calls ``chclab solve`` makes, and is then certified as that command
-certifies it: the step laws of the trace (not in qa2), ``check_model``
-and ``goal_disjoint``, which must hold for a SAFE verdict.  A run
-records ``S`` for SAFE, ``U`` for any other verdict and ``3`` when a
-resource cap raises ``ResourceLimitError``: the exit codes 0, 10 and 3
-of ``chclab solve``.  A certificate that fails raises
-:class:`CertificateError`, so no run with a false certificate is
-recorded.
+outcomes of ``rounds_like_text`` depend on the mode and the budget.
+Each system runs in every mode of ``cli.MODES`` at the round budgets 1,
+3, 5 and 8 through ``cli.solve`` and ``cli.certify``, the two calls of a
+``chclab solve`` run.  A run records ``S`` for SAFE, ``U`` for any other
+verdict and ``3`` when a resource cap raises ``ResourceLimitError``: the
+exit codes 0, 10 and 3 of ``chclab solve``.  A certificate that fails
+the run, where that command exits 1, raises :class:`CertificateError`,
+so no run with a false certificate is recorded.
 
 ``tests/golden/modes.json`` holds, keyed ``generator|mode|budget``, a
 string with the character of seed ``k`` at index ``k``.  Pinning each
@@ -31,10 +29,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from chclab.cli import MODES, certify, solve
 from chclab.linlogic import ResourceLimitError
 from chclab.parser import parse_system
-from chclab.qa import qa_two_step
-from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
+from chclab.solver import AnalysisConfig
 from randgen import (
     fuzz_text,
     random_finite_text,
@@ -52,7 +50,6 @@ GENERATORS = {
     "random_finite_text": random_finite_text,
     "rounds_like_text": rounds_like_text,
 }
-MODES = ("fwd", "alt", "qa2", "qa-iter")
 BUDGETS = (1, 3, 5, 8)
 SEEDS = 200
 
@@ -65,25 +62,13 @@ def outcome(system, mode: str, budget: int) -> str:
     """``S``, ``U`` or ``3`` for ``chclab solve --mode MODE --max-rounds
     BUDGET`` on ``system``; raises :class:`CertificateError` where that
     command exits 1."""
-    config = AnalysisConfig(max_rounds=budget)
     try:
-        if mode == "qa2":
-            _, verdict = qa_two_step(system, config=config)
-            step_laws = None
-        else:
-            if mode != "alt":
-                config = config._replace(start="forward")
-            if mode == "fwd":
-                config = config._replace(max_rounds=1)
-            trace, verdict = alternate(system, config=config)
-            step_laws = trace.certified
-        model = verdict.witness.as_dict()
-        model_check = check_model(system, model).ok
-        disjoint = goal_disjoint(system, model)
+        trace, verdict = solve(system, mode, AnalysisConfig(max_rounds=budget))
+        _, failed = certify(system, trace, verdict, verdict.witness.as_dict())
     except ResourceLimitError:
         return "3"
-    if step_laws is False or not model_check or (verdict.safe and not disjoint):
-        raise CertificateError(f"{mode} at budget {budget}: {verdict.status} with a false certificate")
+    if failed:
+        raise CertificateError(f"{mode} at budget {budget}: {verdict.status}, {', '.join(failed)} failed")
     return "S" if verdict.safe else "U"
 
 

@@ -15,6 +15,7 @@ import sys
 
 import chclab
 import chclab.cli
+from bench_import import bench_modules
 from conftest import ROOT
 
 BENCH = ROOT / "bench"
@@ -72,6 +73,13 @@ def test_workload_modes_parse(monkeypatch):
     parser = chclab.cli.build_parser()
     for mode in workloads.MODES:
         assert parser.parse_args(["solve", "x.chc", "--mode", mode, "--json", "-"]).mode == mode
+
+
+def test_cli_modes_are_the_workload_modes():
+    # One list on each side: a mode added to chclab and not to the
+    # benchmark, or the other way round, fails here.
+    (workloads,) = bench_modules("workloads")
+    assert chclab.cli.MODES == workloads.MODES
 
 
 def test_measure_names_resolve(monkeypatch):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from chclab.cli import main
+from chclab.cli import MODES, main
 from chclab.parser import MAX_NESTING
 from conftest import CORPUS
 
@@ -105,7 +105,7 @@ def test_hostile_input_exits_with_a_documented_code(tmp_path, capsys, name):
     system = tmp_path / "hostile.chc"
     system.write_bytes(data)
     model = tmp_path / "hostile.model"
-    for mode in ("fwd", "alt", "qa2", "qa-iter"):
+    for mode in MODES:
         argv = ["solve", str(system), "--mode", mode]
         if mode == "alt":
             argv += ["--model-out", str(model)]

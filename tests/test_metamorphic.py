@@ -1,7 +1,7 @@
 """Metamorphic relations of the analyses: translating every variable,
 scaling every variable, and permuting the clauses leave the verdict, the
-round count, the stop reason and both certificates unchanged, and move
-the final boxes with the variables."""
+round count, the stop reason and the certificates unchanged in every
+mode, and move the final boxes with the variables."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+from chclab.cli import MODES, certify, solve
 from chclab.domain import Box
 from chclab.linlogic import Interval
 from chclab.parser import parse_system
-from chclab.qa import qa_iterated, qa_two_step
-from chclab.solver import alternate, check_model
+from chclab.solver import AnalysisConfig
 from chclab.syntax import (
     And,
     Formula,
@@ -86,15 +86,10 @@ def _moved(box: Box, move) -> Box:
 
 def _outcome(system: System, mode: str, move=lambda x: x) -> tuple:
     """What a run decides, with its final boxes moved by ``move``."""
-    if mode == "qa2":
-        _, verdict = qa_two_step(system)
-        certified = None
-    else:
-        trace, verdict = (alternate if mode == "alt" else qa_iterated)(system)
-        certified = trace.certified
-    model_ok = check_model(system, verdict.witness.as_dict()).ok
+    trace, verdict = solve(system, mode, AnalysisConfig())
+    certs, _ = certify(system, trace, verdict, verdict.witness.as_dict())
     final = {name: _moved(box, move) for name, box in verdict.witness.final.items()}
-    return verdict.status, verdict.rounds_used, verdict.stop_reason, certified, model_ok, final
+    return verdict.status, verdict.rounds_used, verdict.stop_reason, certs, final
 
 
 @pytest.mark.parametrize(
@@ -107,6 +102,6 @@ def test_relations_keep_the_outcome(corpus_systems, relation):
     for name, system in systems:
         changed, move = relation(system, rng)
         unchanged += changed == system
-        for mode in ("alt", "qa2", "qa-iter"):
+        for mode in MODES:
             assert _outcome(changed, mode) == _outcome(system, mode, move), (name, mode)
     assert unchanged < len(systems) // 4

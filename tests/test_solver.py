@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from chclab import linlogic, solver
+from chclab.cli import MODES, certify, solve
 from chclab.concrete import (
     goal_atoms,
     ground_relation,
@@ -26,7 +27,7 @@ from chclab.domain import (
 )
 from chclab.linlogic import Interval
 from chclab.parser import RawApp, RawClause, parse_model, parse_system
-from chclab.qa import qa_iterated, qa_transform, qa_two_step
+from chclab.qa import qa_transform, qa_two_step
 from chclab.solver import (
     AlternationTrace,
     AnalysisConfig,
@@ -426,9 +427,9 @@ def test_no_pass_changes_an_element_it_did_not_build(monkeypatch):
 
 def test_no_run_assigns_into_a_shared_element_or_box(monkeypatch):
     # The passes of a run share its table's top and bottom element, and
-    # every run shares one empty and one top box per arity: after fwd,
-    # alt, qa2 and qa-iter on every corpus and stress file, each still
-    # equals a fresh build.
+    # every run shares one empty and one top box per arity: after every
+    # mode on every corpus and stress file, each still equals a fresh
+    # build.
     tables = []
     init = ClauseResults.__init__
 
@@ -443,15 +444,9 @@ def test_no_run_assigns_into_a_shared_element_or_box(monkeypatch):
     for path in paths:
         system = parse_system(path.read_text(encoding="utf-8"))
         arities.update(d.arity for d in system.decls)
-        runs = (
-            alternate(system, AnalysisConfig(max_rounds=1)),
-            alternate(system),
-            qa_two_step(system),
-            qa_iterated(system),
-        )
-        for _, verdict in runs:
-            verdict.witness.as_dict()
-    # Each run of alternate and qa_iterated builds one table, qa_two_step two.
+        for mode in MODES:
+            solve(system, mode, AnalysisConfig())[1].witness.as_dict()
+    # A qa2 run builds two tables, a run of any other mode one.
     assert len(tables) == 27 * 5
 
     def top(arity: int) -> Box:
@@ -560,10 +555,7 @@ def _as_dict_by_search(model: RefinedModel) -> dict:
 def test_model_parts_by_box_order_match_the_search(corpus_systems):
     runs = []
     for name, system in corpus_systems:
-        runs.append((name, "fwd", alternate(system, config=AnalysisConfig(max_rounds=1))[1]))
-        runs.append((name, "alt", alternate(system)[1]))
-        runs.append((name, "qa2", qa_two_step(system)[1]))
-        runs.append((name, "qa-iter", qa_iterated(system)[1]))
+        runs += [(name, mode, solve(system, mode, AnalysisConfig())[1]) for mode in MODES]
     rounds = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
     for k in range(1, 9):
         runs.append(("rounds.chc", k, alternate(rounds, config=AnalysisConfig(max_rounds=k))[1]))
@@ -801,13 +793,8 @@ def test_sat_cube_instances_match_the_renamed_conjunction(corpus_systems):
     rng = random.Random(27)
     cases = []
     for _, system in corpus_systems:
-        models = [
-            alternate(system, AnalysisConfig(max_rounds=1))[1].witness,
-            alternate(system)[1].witness,
-            qa_two_step(system)[1].witness,
-            qa_iterated(system)[1].witness,
-        ]
-        cases += [(system, m.as_dict()) for m in (*models, *_tightened(models[1]))]
+        models = [solve(system, mode, AnalysisConfig())[1].witness for mode in MODES]
+        cases += [(system, m.as_dict()) for m in (*models, *_tightened(models[MODES.index("alt")]))]
         cases += [(system, _relational_model(system, rng)) for _ in range(4)]
     rounds = parse_system((CORPUS / "stress" / "rounds.chc").read_text(encoding="utf-8"))
     for budget in range(1, 9):
@@ -883,10 +870,7 @@ def test_coarse_first_sound(corpus_systems):
     config = AnalysisConfig(start="coarse")
     for name, system in corpus_systems:
         trace, verdict = alternate(system, config=config)
-        model = verdict.witness.as_dict()
-        assert check_model(system, model).ok, name
-        if verdict.status == "SAFE":
-            assert goal_disjoint(system, model), name
+        assert certify(system, trace, verdict, verdict.witness.as_dict())[1] == [], name
 
 
 @pytest.mark.parametrize(
@@ -1032,7 +1016,4 @@ def test_multi_round_models_certify_on_seeded_systems():
     for seed in range(200):
         system = parse_system(fuzz_text(seed))
         trace, verdict = alternate(system, config=AnalysisConfig(max_rounds=8))
-        assert trace.certified, seed
-        assert check_model(system, verdict.witness.as_dict()).ok, seed
-        if verdict.safe:
-            assert goal_disjoint(system, verdict.witness.as_dict()), seed
+        assert certify(system, trace, verdict, verdict.witness.as_dict())[1] == [], seed

@@ -2,11 +2,13 @@
 
 Each run solves ``bench/workloads.wide_text(k, s, 0)``: one clause whose
 constraint is 2k random three-variable rows over k variables, and a goal
-``A >= B`` on its 3-ary head.  It runs ``alternate`` at round budget 5,
-then ``check_model`` on the model and, for a SAFE verdict,
-``goal_disjoint``.  Its outcome is ``SAFE``, ``UNKNOWN`` or ``exit 3``,
-the exit code ``chclab solve`` gives a :class:`ResourceLimitError`;
-a model or goal check that fails makes it ``cert``.
+``A >= B`` on its 3-ary head.  It is ``chclab solve --max-rounds 5`` in
+the default mode: ``cli.solve`` runs ``alternate``, and ``cli.certify``
+reads the step laws of its trace and runs ``check_model`` and
+``goal_disjoint`` on its model.  Its outcome is ``SAFE``, ``UNKNOWN`` or
+``exit 3``, the exit code ``chclab solve`` gives a
+:class:`ResourceLimitError`; a certificate that fails the run, where that
+command exits 1, makes it ``cert``.
 
 ``tests/golden/wide-family.json`` holds two sections: ``tier1``, the
 seeds 0-4 at k = 14, 16 and 20 that tier-1 runs, and ``family``, the
@@ -22,8 +24,8 @@ writing bytecode there, never changed.
 
 The check prints the number of runs that end in exit 3 and the slowest
 run, then for each phase that can raise exit 3 (``alternate``,
-``check_model`` and ``goal_disjoint``) how many runs it ended and their
-keys, then each outcome that moved from its golden entry, and exits 1 on a
+``check_model`` and ``goal_disjoint``, the outermost of them on the
+traceback) how many runs it ended and their keys, then each outcome that moved from its golden entry, and exits 1 on a
 regression.  Any other argument list exits 2 with a usage line, before
 any run.  ``--record`` writes the golden file only when the check
 against the copy it replaces finds no regression, so an outcome can only
@@ -35,11 +37,13 @@ from __future__ import annotations
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from bench_import import bench_modules
 from chclab import ResourceLimitError, parse_system
-from chclab.solver import AnalysisConfig, alternate, check_model, goal_disjoint
+from chclab.cli import certify, solve
+from chclab.solver import AnalysisConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "wide-family.json"
@@ -72,17 +76,13 @@ def phased(k: int, s: int) -> tuple[str, str | None]:
     """The outcome of one run of the family and, for ``exit 3``, the one
     of ``PHASES`` that raised it (``None`` otherwise)."""
     system = parse_system(wide_text(k, s))
-    phase = "alternate"
     try:
-        _, verdict = alternate(system, AnalysisConfig(max_rounds=BUDGET))
-        model = verdict.witness.as_dict()
-        phase = "check_model"
-        certified = check_model(system, model).ok
-        phase = "goal_disjoint"
-        certified = certified and (not verdict.safe or goal_disjoint(system, model))
-    except ResourceLimitError:
-        return EXIT_3, phase
-    return verdict.status if certified else "cert", None
+        trace, verdict = solve(system, "alt", AnalysisConfig(max_rounds=BUDGET))
+        _, failed = certify(system, trace, verdict, verdict.witness.as_dict())
+    except ResourceLimitError as exc:
+        called = (frame.f_code.co_name for frame, _ in traceback.walk_tb(exc.__traceback__))
+        return EXIT_3, next((name for name in called if name in PHASES), "alternate")
+    return "cert" if failed else verdict.status, None
 
 
 def regressions(golden: dict[str, str], got: dict[str, str]) -> list[str]:

@@ -76,7 +76,6 @@ from chclab import cli, domain, linlogic, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "work.json"
-MODES = ("fwd", "alt", "qa2", "qa-iter")
 BUDGETS = (5, 8)
 WORKLOADS = ("chain", "rounds", "wide")
 # The fields of a run that no change may move.
@@ -205,7 +204,7 @@ def census() -> dict[str, dict]:
     paths = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "corpus").glob("**/*.chc"))
     out = {}
     for path in paths:
-        for mode in MODES:
+        for mode in cli.MODES:
             for budget in BUDGETS:
                 argv = ["solve", str(ROOT / path), "--mode", mode]
                 argv += ["--max-rounds", str(budget), "--json", "-"]
